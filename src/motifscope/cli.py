@@ -12,6 +12,7 @@ import dataclasses
 import json
 import os
 import sys
+import time
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
@@ -51,6 +52,8 @@ from .profile import (
     emit_clustermap_data,
     filter_min_matches,
     hcluster,
+    read_profiles_csv,
+    write_profiles_csv,
 )
 from .signatures import (
     LeafSignature,
@@ -91,22 +94,34 @@ def _fail(stage: str, exc: BaseException, code: int) -> int:
 # model (de)serialization envelope
 # ---------------------------------------------------------------------------
 
-def save_model(path, kind: str, mode: str, classes, vocabulary, params: dict, model) -> None:
-    storage.write_json(
-        path,
-        {
+_MODEL_KINDS = {"lr": LogisticModel, "dt": DecisionTree, "rf": RandomForest}
+
+
+@dataclass
+class ModelSpec:
+    """A fitted model with what scoring it needs: feature mode, class and
+    vocabulary order, and the fit parameters."""
+
+    kind: str
+    mode: str
+    classes: list[str]
+    vocabulary: list[str]
+    params: dict
+    instance: object
+
+    def save(self, path) -> None:
+        storage.write_json(path, {
             "format": "motifscope-model",
-            "kind": kind,
-            "mode": mode,
-            "classes": list(classes),
-            "vocabulary": list(vocabulary),
-            "params": params,
-            "model": model.to_dict(),
-        },
-    )
+            "kind": self.kind,
+            "mode": self.mode,
+            "classes": list(self.classes),
+            "vocabulary": list(self.vocabulary),
+            "params": self.params,
+            "model": self.instance.to_dict(),
+        })
 
 
-def load_model(path) -> dict:
+def load_model(path) -> ModelSpec:
     try:
         obj = storage.read_json(path)
     except (OSError, json.JSONDecodeError) as exc:
@@ -114,15 +129,10 @@ def load_model(path) -> dict:
     if obj.get("format") != "motifscope-model":
         raise InputError(f"{path} is not a motifscope model file")
     kind = obj.get("kind")
-    if kind == "lr":
-        obj["instance"] = LogisticModel.from_dict(obj["model"])
-    elif kind == "dt":
-        obj["instance"] = DecisionTree.from_dict(obj["model"])
-    elif kind == "rf":
-        obj["instance"] = RandomForest.from_dict(obj["model"])
-    else:
+    if kind not in _MODEL_KINDS:
         raise InputError(f"unknown model kind {kind!r} in {path}")
-    return obj
+    return ModelSpec(kind, obj["mode"], obj["classes"], obj["vocabulary"], obj["params"],
+                     _MODEL_KINDS[kind].from_dict(obj["model"]))
 
 
 def _features_mode(path) -> Optional[str]:
@@ -137,7 +147,8 @@ def _features_mode(path) -> Optional[str]:
     return None
 
 
-def _load_labeled_rows(features_path, labels_path) -> list[tuple[str, str, dict, str]]:
+def load_dataset(features_path, labels_path, classes=None, vocabulary=None) -> Dataset:
+    """Feature rows whose label is a retained method group, as a Dataset."""
     labels = storage.read_labels(labels_path)
     rows = []
     for tx_hash, ego, feats in storage.iter_features(features_path):
@@ -146,60 +157,38 @@ def _load_labeled_rows(features_path, labels_path) -> list[tuple[str, str, dict,
             rows.append((tx_hash, ego, feats, group))
     if not rows:
         raise InputError("no feature rows with labels in the retained method groups")
-    return rows
+    return build_dataset(rows, classes=classes, vocabulary=vocabulary)
 
 
-def _fit_kind(kind: str, dataset: Dataset, params: dict, seed: int):
-    sw = sample_weights(dataset.y, len(dataset.classes))
+def fit_model(kind: str, X, y, n_classes: int, params: dict, seed: int):
+    """Fit one class-weighted model of `kind` (the single fit dispatch)."""
+    sw = sample_weights(y, n_classes)
+    min_leaf = params.get("min_leaf", 10)
     if kind == "lr":
-        return LogisticModel.fit(
-            dataset.X, dataset.y, sw, n_classes=len(dataset.classes), l2=params.get("l2", 1.0)
-        )
+        return LogisticModel.fit(X, y, sw, n_classes=n_classes, l2=params.get("l2", 1.0))
     if kind == "dt":
-        return DecisionTree.fit(
-            dataset.X, dataset.y, sw, n_classes=len(dataset.classes),
-            min_leaf=params.get("min_leaf", 10),
-        )
+        return DecisionTree.fit(X, y, sw, n_classes=n_classes, min_leaf=min_leaf)
     if kind == "rf":
         return RandomForest.fit(
-            dataset.X, dataset.y, sw, n_classes=len(dataset.classes),
-            n_trees=params.get("trees", 100), min_leaf=params.get("min_leaf", 10),
+            X, y, sw, n_classes=n_classes, n_trees=params.get("trees", 100), min_leaf=min_leaf,
             max_features=params.get("max_features", "sqrt"), seed=seed,
         )
     raise InputError(f"unknown model kind {kind!r}")
 
 
-def _fold_fit_fn(kind: str, n_classes: int, params: dict, seed: int):
-    def fit(X, y):
-        sw = sample_weights(y, n_classes)
-        if kind == "lr":
-            return LogisticModel.fit(X, y, sw, n_classes=n_classes, l2=params.get("l2", 1.0))
-        if kind == "dt":
-            return DecisionTree.fit(X, y, sw, n_classes=n_classes, min_leaf=params.get("min_leaf", 10))
-        return RandomForest.fit(
-            X, y, sw, n_classes=n_classes, n_trees=params.get("trees", 100),
-            min_leaf=params.get("min_leaf", 10), max_features=params.get("max_features", "sqrt"),
-            seed=seed,
-        )
-
-    return fit
-
-
 # ---------------------------------------------------------------------------
-# subcommands
+# stages: in-memory inputs, artifacts written, results returned
 # ---------------------------------------------------------------------------
 
-def cmd_ingest(args) -> int:
-    tokens = TokenRegistry.from_file(args.tokens)
-    accounts = AccountRegistry.from_file(args.accounts)
-    result = load_transfers(args.transfers, tokens, accounts)
+def ingest_to_store(transfers, tokens, accounts, methods, method_groups, out) -> dict:
+    token_registry = TokenRegistry.from_file(tokens)
+    result = load_transfers(transfers, token_registry, AccountRegistry.from_file(accounts))
     transactions = group_transactions(result.transfers)
     n_before = len(transactions)
-    transactions = filter_spam(transactions, tokens)
-    if args.methods:
-        mapping = load_method_mapping(args.method_groups or PACKAGED_METHOD_GROUPS)
-        labels = group_methods(load_method_labels(args.methods), mapping)
-        attach_methods(transactions, labels)
+    transactions = filter_spam(transactions, token_registry)
+    if methods:
+        mapping = load_method_mapping(method_groups or PACKAGED_METHOD_GROUPS)
+        attach_methods(transactions, group_methods(load_method_labels(methods), mapping))
     label_counts = Counter(tx.method_group for tx in transactions if tx.method_group)
     report = {
         "transfers_read": len(result.transfers) + len(result.rejects),
@@ -209,8 +198,178 @@ def cmd_ingest(args) -> int:
         "transactions_spam_filtered": n_before - len(transactions),
         "labeled": dict(sorted(label_counts.items())),
     }
-    storage.write_store(args.out, transactions, report)
-    _print(report)
+    storage.write_store(out, transactions, report)
+    return report
+
+
+def train_model(dataset: Dataset, kind: str, mode: str, params: dict, seed: int, out) -> ModelSpec:
+    model = fit_model(kind, dataset.X, dataset.y, len(dataset.classes), params, seed)
+    spec = ModelSpec(kind, mode, dataset.classes, dataset.vocabulary, params, model)
+    spec.save(out)
+    return spec
+
+
+def cross_validate(spec: ModelSpec, dataset: Dataset, k: int, seed: int, out):
+    """Stratified k-fold CV of spec's model kind; writes the report and
+    returns (folds, report), the report holding the fold models."""
+    folds = stratified_kfold(dataset.y, k=k, seed=seed, groups=dataset.tx_hashes)
+    n_classes = len(dataset.classes)
+    report = evaluate(
+        dataset, folds, lambda X, y: fit_model(spec.kind, X, y, n_classes, spec.params, seed)
+    )
+    storage.write_json(out, report.to_json())
+    return folds, report
+
+
+def _ccp_cv_rows(path, params: dict, dataset: Dataset, folds, fold_trees=None):
+    """Cross-validated macro metrics at each pruning alpha (Fig. 6a analogue).
+
+    fold_trees are decision trees already fitted on each fold's train rows,
+    as eval fits them for a dt model; when None they are fitted here.
+    """
+    from .learn import confusion_matrix, macro_scores
+
+    K = len(dataset.classes)
+    pooled = [np.zeros((K, K), dtype=np.int64) for _ in path]
+    for f, (train_idx, test_idx) in enumerate(folds):
+        if fold_trees is None:
+            tree = fit_model("dt", dataset.X[train_idx], dataset.y[train_idx], K, params, seed=0)
+        else:
+            tree = fold_trees[f]
+        fold_path = ccp_path(tree)
+        for ai, entry in enumerate(path):
+            sub, _ = select_pruned(fold_path, alpha=entry.alpha)
+            pooled[ai] += confusion_matrix(dataset.y[test_idx], sub.predict(dataset.X[test_idx]), K)
+    return [macro_scores(cm) for cm in pooled]
+
+
+def prune_model(spec: ModelSpec, target_leaves, alpha, out, path_csv=None, dot=None, cv=None):
+    """Prune spec's tree along its cost-complexity path and write the pruned
+    model, plus the alpha/leaves table and the pruned tree as DOT when asked.
+
+    cv = (dataset, folds, fold_trees or None) fills the table's CV columns.
+    Returns (pruned spec, chosen path entry, path).
+    """
+    if spec.kind != "dt":
+        raise InputError("prune requires a decision-tree model")
+    if target_leaves is None and alpha is None:
+        raise InputError("pass --target-leaves or --alpha")
+    path = ccp_path(spec.instance)
+    tree, entry = select_pruned(path, target_leaves=target_leaves, alpha=alpha)
+    params = {**spec.params, "pruned_alpha": entry.alpha, "pruned_leaves": entry.leaf_count}
+    pruned = ModelSpec("dt", spec.mode, spec.classes, spec.vocabulary, params, tree)
+    pruned.save(out)
+    if path_csv:
+        metric_rows = _ccp_cv_rows(path, spec.params, *cv) if cv else None
+        with open(path_csv, "w", encoding="utf-8", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["alpha", "leaves", "precision", "recall", "f1"])
+            for i, e in enumerate(path):
+                metrics = metric_rows[i] if metric_rows else {}
+                writer.writerow([
+                    f"{e.alpha:.12g}", e.leaf_count,
+                    *(f"{metrics[k]:.6f}" if metrics else "" for k in ("precision", "recall", "f1")),
+                ])
+    if dot:
+        with open(dot, "w", encoding="utf-8") as fh:
+            fh.write(tree_to_dot(tree, spec.vocabulary, spec.classes))
+    return pruned, entry, path
+
+
+def write_signatures(spec: ModelSpec, dataset: Dataset, threshold: float, method: str, out):
+    """Mine per-leaf signatures of a (pruned) tree; returns (signatures, discrepancies)."""
+    if spec.kind != "dt":
+        raise InputError("signature mining requires a decision-tree model")
+    signatures, discrepancies = mine_signatures(
+        spec.instance, dataset.X, spec.vocabulary, spec.classes, threshold=threshold, method=method,
+    )
+    storage.write_json(out, {
+        "format": "motifscope-signatures",
+        "mode": spec.mode,
+        "threshold": threshold,
+        "classes": spec.classes,
+        "signatures": [sig.to_json() for sig in signatures],
+        "discrepancies": discrepancies,
+    })
+    return signatures, discrepancies
+
+
+def load_signatures(path) -> list[LeafSignature]:
+    try:
+        obj = storage.read_json(path)
+    except (OSError, json.JSONDecodeError) as exc:
+        raise InputError(f"cannot read signatures file {path}: {exc}") from exc
+    if obj.get("format") != "motifscope-signatures":
+        raise InputError(f"{path} is not a motifscope signatures file")
+    return [LeafSignature.from_json(s) for s in obj.get("signatures", [])]
+
+
+def match_features(features_path, signatures: list[LeafSignature], out) -> tuple[int, int]:
+    """Stream features through the signatures into matches JSONL; returns (total, matched)."""
+    matched = total = 0
+    with open(out, "w", encoding="utf-8") as fh:
+        for tx_hash, ego, feats in storage.iter_features(features_path):
+            total += 1
+            leaves, groups = match_signatures(feats, signatures)
+            matched += bool(leaves)
+            fh.write(storage.dumps(
+                {"tx_hash": tx_hash, "ego": ego, "leaves": leaves, "groups": groups}
+            ) + "\n")
+    return total, matched
+
+
+def _read_matches(path):
+    try:
+        fh = open(path, encoding="utf-8")
+    except OSError as exc:
+        raise InputError(f"cannot read matches file {path}: {exc}") from exc
+    with fh:
+        for line in fh:
+            if line.strip():
+                obj = json.loads(line)
+                yield obj["ego"], obj.get("leaves", [])
+
+
+def write_profiles(matches_path, out) -> Profiles:
+    profiles = build_profiles(_read_matches(matches_path))
+    write_profiles_csv(profiles, out)
+    return profiles
+
+
+def cluster_profiles(profiles: Profiles, linkage: str, out, plotdata=None):
+    """Cluster already-filtered profiles; writes the assignments and plot data."""
+    if len(profiles.accounts) < 2:
+        raise InputError("clustering needs at least 2 accounts after filtering")
+    result = hcluster(profiles.zscored, method=linkage)
+    storage.write_json(out, result.to_json(profiles.accounts))
+    if plotdata:
+        _write_plotdata(plotdata, result, profiles)
+    return result
+
+
+def _write_plotdata(outdir, result, profiles: Profiles) -> None:
+    data = emit_clustermap_data(result, profiles)
+    os.makedirs(outdir, exist_ok=True)
+    storage.write_json(os.path.join(outdir, "clustermap.json"), data)
+    with open(os.path.join(outdir, "zscores.csv"), "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["account"] + [f"leaf_{j}" for j in data["col_order"]])
+        for account, zrow in zip(data["row_order"], data["zscores"]):
+            writer.writerow([account] + [f"{v:.9f}" for v in zrow])
+    with open(os.path.join(outdir, "clusters.csv"), "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["account", "cluster"])
+        for account in sorted(data["clusters"]):
+            writer.writerow([account, data["clusters"][account]])
+
+
+# ---------------------------------------------------------------------------
+# subcommands: load, call the stage, save, print
+# ---------------------------------------------------------------------------
+
+def cmd_ingest(args) -> int:
+    _print(ingest_to_store(args.transfers, args.tokens, args.accounts, args.methods,
+                           args.method_groups, args.out))
     return 0
 
 
@@ -281,21 +440,18 @@ def cmd_featurize(args) -> int:
 
 
 def cmd_train(args) -> int:
-    rows = _load_labeled_rows(args.features, args.labels)
-    dataset = build_dataset(rows)
+    dataset = load_dataset(args.features, args.labels)
     params = {
         "l2": args.l2,
         "min_leaf": args.min_leaf,
         "trees": args.trees,
         "max_features": None if args.max_features == "all" else args.max_features,
     }
-    model = _fit_kind(args.model, dataset, params, args.seed)
     file_mode = _features_mode(args.features)
     mode = motif.normalize_mode(args.mode) if args.mode else (file_mode or "M+E")
     if args.mode and file_mode and mode != file_mode:
         raise InputError(f"--mode {mode} does not match the features file mode {file_mode}")
-    save_model(args.out, args.model, mode, dataset.classes,
-               dataset.vocabulary, params, model)
+    train_model(dataset, args.model, mode, params, args.seed, args.out)
     _print({"model": args.model, "rows": dataset.n_rows, "classes": dataset.classes,
             "features": len(dataset.vocabulary), "out": args.out})
     return 0
@@ -303,71 +459,22 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     spec = load_model(args.model)
-    rows = _load_labeled_rows(args.features, args.labels)
-    dataset = build_dataset(rows, classes=spec["classes"], vocabulary=spec["vocabulary"])
-    folds = stratified_kfold(dataset.y, k=args.folds, seed=args.seed, groups=dataset.tx_hashes)
-    report = evaluate(
-        dataset, folds, _fold_fit_fn(spec["kind"], len(dataset.classes), spec["params"], args.seed)
-    )
-    storage.write_json(args.report, report.to_json())
-    _print({"model": spec["kind"], "folds": args.folds, "averages": report.averages,
+    dataset = load_dataset(args.features, args.labels, spec.classes, spec.vocabulary)
+    _, report = cross_validate(spec, dataset, args.folds, args.seed, args.report)
+    _print({"model": spec.kind, "folds": args.folds, "averages": report.averages,
             "report": args.report})
     return 0
 
 
-def _ccp_cv_rows(dataset: Dataset, alphas, seed: int, folds_k: int, min_leaf: int):
-    """Cross-validated macro metrics at each pruning alpha (Fig. 6a analogue)."""
-    from .learn import confusion_matrix, macro_scores
-
-    folds = stratified_kfold(dataset.y, k=folds_k, seed=seed, groups=dataset.tx_hashes)
-    K = len(dataset.classes)
-    pooled = [np.zeros((K, K), dtype=np.int64) for _ in alphas]
-    for train_idx, test_idx in folds:
-        sw = sample_weights(dataset.y[train_idx], K)
-        tree = DecisionTree.fit(
-            dataset.X[train_idx], dataset.y[train_idx], sw, n_classes=K, min_leaf=min_leaf
-        )
-        path = ccp_path(tree)
-        for ai, alpha in enumerate(alphas):
-            sub, _ = select_pruned(path, alpha=alpha)
-            pred = sub.predict(dataset.X[test_idx])
-            pooled[ai] += confusion_matrix(dataset.y[test_idx], pred, K)
-    return [macro_scores(cm) for cm in pooled]
-
-
 def cmd_prune(args) -> int:
     spec = load_model(args.model)
-    if spec["kind"] != "dt":
-        raise InputError("prune requires a decision-tree model")
-    tree: DecisionTree = spec["instance"]
-    path = ccp_path(tree)
-    if args.target_leaves is None and args.alpha is None:
-        raise InputError("pass --target-leaves or --alpha")
-    pruned, entry = select_pruned(path, target_leaves=args.target_leaves, alpha=args.alpha)
-    save_model(args.out, "dt", spec["mode"], spec["classes"], spec["vocabulary"],
-               {**spec["params"], "pruned_alpha": entry.alpha, "pruned_leaves": entry.leaf_count},
-               pruned)
-    if args.path:
-        metric_rows = None
-        if args.features and args.labels:
-            rows = _load_labeled_rows(args.features, args.labels)
-            dataset = build_dataset(rows, classes=spec["classes"], vocabulary=spec["vocabulary"])
-            metric_rows = _ccp_cv_rows(
-                dataset, [e.alpha for e in path], args.seed, args.folds,
-                spec["params"].get("min_leaf", 10),
-            )
-        with open(args.path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["alpha", "leaves", "precision", "recall", "f1"])
-            for i, e in enumerate(path):
-                metrics = metric_rows[i] if metric_rows else {}
-                writer.writerow([
-                    f"{e.alpha:.12g}", e.leaf_count,
-                    *(f"{metrics[k]:.6f}" if metrics else "" for k in ("precision", "recall", "f1")),
-                ])
-    if args.dot:
-        with open(args.dot, "w", encoding="utf-8") as fh:
-            fh.write(tree_to_dot(pruned, spec["vocabulary"], spec["classes"]))
+    cv = None
+    if args.path and args.features and args.labels:
+        dataset = load_dataset(args.features, args.labels, spec.classes, spec.vocabulary)
+        folds = stratified_kfold(dataset.y, k=args.folds, seed=args.seed, groups=dataset.tx_hashes)
+        cv = (dataset, folds, None)
+    _, entry, path = prune_model(spec, args.target_leaves, args.alpha, args.out,
+                                 path_csv=args.path, dot=args.dot, cv=cv)
     _print({"alpha": entry.alpha, "leaves": entry.leaf_count, "path_entries": len(path),
             "out": args.out})
     return 0
@@ -375,136 +482,34 @@ def cmd_prune(args) -> int:
 
 def cmd_signatures(args) -> int:
     spec = load_model(args.model)
-    if spec["kind"] != "dt":
-        raise InputError("signature mining requires a decision-tree model")
-    rows = _load_labeled_rows(args.features, args.labels)
-    dataset = build_dataset(rows, classes=spec["classes"], vocabulary=spec["vocabulary"])
-    signatures, discrepancies = mine_signatures(
-        spec["instance"], dataset.X, spec["vocabulary"], spec["classes"],
-        threshold=args.threshold, method=args.method,
-    )
-    storage.write_json(args.out, {
-        "format": "motifscope-signatures",
-        "mode": spec["mode"],
-        "threshold": args.threshold,
-        "classes": spec["classes"],
-        "signatures": [sig.to_json() for sig in signatures],
-        "discrepancies": discrepancies,
-    })
+    dataset = load_dataset(args.features, args.labels, spec.classes, spec.vocabulary)
+    signatures, discrepancies = write_signatures(spec, dataset, args.threshold, args.method,
+                                                 args.out)
     _print({"leaves": len(signatures),
             "usable": sum(1 for s in signatures if s.items),
             "discrepancies": len(discrepancies), "out": args.out})
     return 0
 
 
-def load_signatures(path) -> list[LeafSignature]:
-    try:
-        obj = storage.read_json(path)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise InputError(f"cannot read signatures file {path}: {exc}") from exc
-    if obj.get("format") != "motifscope-signatures":
-        raise InputError(f"{path} is not a motifscope signatures file")
-    return [
-        LeafSignature(
-            leaf_id=int(s["leaf"]), group=s["group"], probability=float(s.get("probability", 0.0)),
-            samples=int(s.get("samples", 0)), items=list(s["items"]),
-            item_supports={k: float(v) for k, v in s.get("item_supports", {}).items()},
-            support=float(s.get("support", 0.0)),
-        )
-        for s in obj.get("signatures", [])
-    ]
-
-
 def cmd_match(args) -> int:
-    signatures = load_signatures(args.signatures)
-    matched = total = 0
-    with open(args.out, "w", encoding="utf-8") as fh:
-        for tx_hash, ego, feats in storage.iter_features(args.features):
-            total += 1
-            leaves, groups = match_signatures(feats, signatures)
-            matched += bool(leaves)
-            fh.write(storage.dumps(
-                {"tx_hash": tx_hash, "ego": ego, "leaves": leaves, "groups": groups}
-            ) + "\n")
+    total, matched = match_features(args.features, load_signatures(args.signatures), args.out)
     _print({"transactions": total, "matched": matched, "out": args.out})
     return 0
 
 
-def _read_matches(path):
-    try:
-        fh = open(path, encoding="utf-8")
-    except OSError as exc:
-        raise InputError(f"cannot read matches file {path}: {exc}") from exc
-    with fh:
-        for line in fh:
-            if line.strip():
-                obj = json.loads(line)
-                yield obj["ego"], obj.get("leaves", [])
-
-
 def cmd_profile(args) -> int:
-    profiles = build_profiles(_read_matches(args.matches))
-    with open(args.out, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["account", "total"] + [f"leaf_{j}" for j in profiles.leaf_ids])
-        for i, account in enumerate(profiles.accounts):
-            writer.writerow([account, int(profiles.totals[i])] + [int(v) for v in profiles.raw[i]])
+    profiles = write_profiles(args.matches, args.out)
     _print({"accounts": len(profiles.accounts), "signatures": len(profiles.leaf_ids),
             "out": args.out})
     return 0
 
 
-def read_profiles_csv(path) -> Profiles:
-    try:
-        fh = open(path, encoding="utf-8", newline="")
-    except OSError as exc:
-        raise InputError(f"cannot read profiles file {path}: {exc}") from exc
-    with fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if not header or header[:2] != ["account", "total"] or not all(
-            h.startswith("leaf_") for h in header[2:]
-        ):
-            raise InputError(f"profiles file {path} must have header account,total,leaf_*")
-        leaf_ids = [int(h[5:]) for h in header[2:]]
-        accounts, rows = [], []
-        for row in reader:
-            if not row:
-                continue
-            accounts.append(row[0])
-            rows.append([int(v) for v in row[2:]])
-    raw = np.array(rows, dtype=np.int64) if rows else np.zeros((0, len(leaf_ids)), dtype=np.int64)
-    return Profiles(accounts=accounts, leaf_ids=leaf_ids, raw=raw)
-
-
 def cmd_cluster(args) -> int:
-    profiles = read_profiles_csv(args.profiles)
-    profiles = filter_min_matches(profiles, args.min_matches)
-    if len(profiles.accounts) < 2:
-        raise InputError("clustering needs at least 2 accounts after filtering")
-    result = hcluster(profiles.zscored, method=args.linkage)
-    storage.write_json(args.out, result.to_json(profiles.accounts))
-    if args.plotdata:
-        _write_plotdata(args.plotdata, result, profiles)
+    profiles = filter_min_matches(read_profiles_csv(args.profiles), args.min_matches)
+    result = cluster_profiles(profiles, args.linkage, args.out, args.plotdata)
     _print({"accounts": len(profiles.accounts), "chosen_k": result.chosen_k,
             "silhouette": result.silhouettes.get(result.chosen_k), "out": args.out})
     return 0
-
-
-def _write_plotdata(outdir, result, profiles: Profiles) -> None:
-    data = emit_clustermap_data(result, profiles)
-    os.makedirs(outdir, exist_ok=True)
-    storage.write_json(os.path.join(outdir, "clustermap.json"), data)
-    with open(os.path.join(outdir, "zscores.csv"), "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["account"] + [f"leaf_{j}" for j in data["col_order"]])
-        for account, zrow in zip(data["row_order"], data["zscores"]):
-            writer.writerow([account] + [f"{v:.9f}" for v in zrow])
-    with open(os.path.join(outdir, "clusters.csv"), "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["account", "cluster"])
-        for account in sorted(data["clusters"]):
-            writer.writerow([account, data["clusters"][account]])
 
 
 def cmd_synth(args) -> int:
@@ -569,24 +574,35 @@ class PipelineConfig:
 
 
 def _stage(manifest: dict, name: str, fn):
+    """Run one pipeline stage: record its name and wall seconds, and tag
+    errors with the stage (InputError keeps exit 2, others become StageError)."""
+    start = time.perf_counter()
     try:
         out = fn()
-    except InputError:
+    except InputError as exc:
+        exc.stage = name
         raise
     except Exception as exc:
         raise StageError(name, exc) from exc
     manifest["stages"].append(name)
+    manifest["timings"][name] = round(time.perf_counter() - start, 6)
     return out
 
 
 def run_pipeline(cfg: PipelineConfig) -> dict:
     """ingest -> featurize -> train/eval -> prune -> signatures -> match ->
-    profile -> cluster, with a manifest of versions, seeds, and digests."""
+    profile -> cluster, with a manifest of versions, seeds, timings and digests.
+
+    Stages hand each other in-memory objects: the labelled features are
+    parsed once into one Dataset, eval's folds are reused by prune-CV, and
+    so are eval's fold trees when the model is a decision tree.
+    """
     for field_name in ("transfers", "tokens", "accounts", "out"):
         if not getattr(cfg, field_name):
             raise InputError(f"pipeline config is missing {field_name!r}")
     import scipy
 
+    start = time.perf_counter()
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
     manifest: dict = {
@@ -599,6 +615,7 @@ def run_pipeline(cfg: PipelineConfig) -> dict:
         "config": cfg.to_json(),
         "inputs": {},
         "stages": [],
+        "timings": {},
         "artifacts": {},
         "notes": [],
     }
@@ -609,77 +626,57 @@ def run_pipeline(cfg: PipelineConfig) -> dict:
 
     store_dir = out / "store"
     features_path = out / "features.jsonl"
-    ns = argparse.Namespace
+    _stage(manifest, "ingest", lambda: ingest_to_store(
+        cfg.transfers, cfg.tokens, cfg.accounts, cfg.methods, cfg.method_groups, store_dir,
+    ))
+    _stage(manifest, "featurize", lambda: featurize_store(
+        str(store_dir), cfg.mode, str(features_path), threads=cfg.threads,
+        catalog=motif.load_catalog(cfg.catalog) if cfg.catalog else None, max_nodes=cfg.max_nodes,
+    ))
 
-    _stage(manifest, "ingest", lambda: cmd_ingest(ns(
-        transfers=cfg.transfers, tokens=cfg.tokens, accounts=cfg.accounts,
-        methods=cfg.methods, method_groups=cfg.method_groups, out=str(store_dir),
-    )))
-    _stage(manifest, "featurize", lambda: cmd_featurize(ns(
-        store=str(store_dir), mode=cfg.mode, out=str(features_path),
-        threads=cfg.threads, catalog=cfg.catalog, max_nodes=cfg.max_nodes,
-    )))
+    signatures = None
+    if cfg.methods is not None:
+        mode = motif.normalize_mode(cfg.mode)
+        params = {"l2": cfg.l2, "min_leaf": cfg.min_leaf, "trees": cfg.trees,
+                  "max_features": "sqrt"}
 
-    labels_path = store_dir / "labels.csv"
-    have_labels = cfg.methods is not None
-    signatures_path: Optional[Path] = None
-    if have_labels:
-        model_path = out / "model.json"
-        _stage(manifest, "train", lambda: cmd_train(ns(
-            features=str(features_path), labels=str(labels_path), model=cfg.model,
-            mode=cfg.mode, seed=cfg.seed, out=str(model_path),
-            l2=cfg.l2, min_leaf=cfg.min_leaf, trees=cfg.trees, max_features="sqrt",
-        )))
-        _stage(manifest, "eval", lambda: cmd_eval(ns(
-            model=str(model_path), features=str(features_path), labels=str(labels_path),
-            folds=cfg.folds, seed=cfg.seed, report=str(out / "eval_report.json"),
-        )))
+        def train():
+            dataset = load_dataset(features_path, store_dir / storage.LABELS_FILE)
+            return dataset, train_model(dataset, cfg.model, mode, params, cfg.seed,
+                                        out / "model.json")
+
+        dataset, spec = _stage(manifest, "train", train)
+        folds, report = _stage(manifest, "eval", lambda: cross_validate(
+            spec, dataset, cfg.folds, cfg.seed, out / "eval_report.json"))
+        # prune-CV reuses eval's fold models when they are the trees it needs
+        fold_trees = report.models if cfg.model == "dt" else None
         # the signature flow always runs on a decision tree (the paper's Fig. 6)
-        dt_path = model_path
         if cfg.model != "dt":
-            dt_path = out / "model_dt.json"
-            _stage(manifest, "train_dt", lambda: cmd_train(ns(
-                features=str(features_path), labels=str(labels_path), model="dt",
-                mode=cfg.mode, seed=cfg.seed, out=str(dt_path),
-                l2=cfg.l2, min_leaf=cfg.min_leaf, trees=cfg.trees, max_features="sqrt",
-            )))
-        pruned_path = out / "pruned.json"
-        target = cfg.target_leaves
-        alpha = cfg.alpha
+            spec = _stage(manifest, "train_dt", lambda: train_model(
+                dataset, "dt", mode, params, cfg.seed, out / "model_dt.json"))
+        target, alpha = cfg.target_leaves, cfg.alpha
         if target is None and alpha is None:
             alpha = 0.0  # unpruned by default; configure target_leaves to prune
             manifest["notes"].append("no pruning target configured; using alpha=0 (unpruned)")
-        _stage(manifest, "prune", lambda: cmd_prune(ns(
-            model=str(dt_path), target_leaves=target, alpha=alpha,
-            out=str(pruned_path), path=str(out / "ccp_path.csv"),
-            features=str(features_path), labels=str(labels_path),
-            folds=cfg.folds, seed=cfg.seed, dot=str(out / "pruned_tree.dot"),
-        )))
-        signatures_path = out / "signatures.json"
-        _stage(manifest, "signatures", lambda: cmd_signatures(ns(
-            model=str(pruned_path), features=str(features_path), labels=str(labels_path),
-            threshold=cfg.threshold, method="greedy", out=str(signatures_path),
-        )))
+        pruned, _, _ = _stage(manifest, "prune", lambda: prune_model(
+            spec, target, alpha, out / "pruned.json", path_csv=out / "ccp_path.csv",
+            dot=out / "pruned_tree.dot", cv=(dataset, folds, fold_trees)))
+        signatures, _ = _stage(manifest, "signatures", lambda: write_signatures(
+            pruned, dataset, cfg.threshold, "greedy", out / "signatures.json"))
+    elif not cfg.signatures:
+        raise InputError("no methods file and no pre-mined signatures: nothing to match")
     else:
-        if not cfg.signatures:
-            raise InputError("no methods file and no pre-mined signatures: nothing to match")
-        signatures_path = Path(cfg.signatures)
         manifest["notes"].append("match-only run: no labels; using provided signatures")
 
-    matches_path = out / "matches.jsonl"
-    _stage(manifest, "match", lambda: cmd_match(ns(
-        signatures=str(signatures_path), features=str(features_path), out=str(matches_path),
-    )))
-    profiles_path = out / "profiles.csv"
-    _stage(manifest, "profile", lambda: cmd_profile(ns(
-        matches=str(matches_path), out=str(profiles_path),
-    )))
-    profiles = filter_min_matches(read_profiles_csv(profiles_path), cfg.min_matches)
+    _stage(manifest, "match", lambda: match_features(
+        features_path, load_signatures(cfg.signatures) if signatures is None else signatures,
+        out / "matches.jsonl"))
+    profiles = _stage(manifest, "profile", lambda: write_profiles(
+        out / "matches.jsonl", out / "profiles.csv"))
+    profiles = filter_min_matches(profiles, cfg.min_matches)
     if len(profiles.accounts) >= 2:
-        _stage(manifest, "cluster", lambda: cmd_cluster(ns(
-            profiles=str(profiles_path), min_matches=cfg.min_matches, linkage=cfg.linkage,
-            out=str(out / "clusters.json"), plotdata=str(out / "plotdata"),
-        )))
+        _stage(manifest, "cluster", lambda: cluster_profiles(
+            profiles, cfg.linkage, out / "clusters.json", out / "plotdata"))
     else:
         manifest["notes"].append(
             f"clustering skipped: {len(profiles.accounts)} account(s) after the "
@@ -689,29 +686,17 @@ def run_pipeline(cfg: PipelineConfig) -> dict:
     for path in sorted(out.rglob("*")):
         if path.is_file() and path.name != "manifest.json":
             manifest["artifacts"][path.relative_to(out).as_posix()] = storage.sha256_file(path)
+    manifest["timings"]["total"] = round(time.perf_counter() - start, 6)
     storage.write_json(out / "manifest.json", manifest)
     return manifest
 
 
 def cmd_pipeline(args) -> int:
     cfg = PipelineConfig.from_file(args.config) if args.config else PipelineConfig()
-    overrides = {
-        "transfers": args.transfers, "tokens": args.tokens, "accounts": args.accounts,
-        "methods": args.methods, "method_groups": args.method_groups,
-        "signatures": args.signatures, "out": args.out, "mode": args.mode,
-        "model": args.model, "folds": args.folds, "min_leaf": args.min_leaf,
-        "l2": args.l2, "trees": args.trees, "threshold": args.threshold,
-        "target_leaves": args.target_leaves, "alpha": args.alpha,
-        "min_matches": args.min_matches, "linkage": args.linkage,
-        "catalog": args.catalog, "max_nodes": args.max_nodes,
-    }
-    for key, value in overrides.items():
-        if value is not None:
-            setattr(cfg, key, value)
-    if args.seed is not None:
-        cfg.seed = args.seed
-    if args.threads is not None:
-        cfg.threads = args.threads
+    # every config field has a flag defaulting to None: only flags passed override
+    for f in dataclasses.fields(cfg):
+        if getattr(args, f.name) is not None:
+            setattr(cfg, f.name, getattr(args, f.name))
     manifest = run_pipeline(cfg)
     _print({"out": cfg.out, "stages": manifest["stages"],
             "artifacts": len(manifest["artifacts"])})
@@ -867,7 +852,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except InputError as exc:
-        return _fail(args.cmd, exc, 2)
+        return _fail(getattr(exc, "stage", args.cmd), exc, 2)
     except StageError as exc:
         return _fail(exc.stage, exc.cause, 3)
     except Exception as exc:  # stage failure inside a single command

@@ -168,6 +168,7 @@ class EvalReport:
     per_fold: list[dict[str, float]]
     averages: dict[str, float]
     confusion: np.ndarray  # pooled over folds, rows = true class
+    models: list = field(default_factory=list)  # fitted per fold, in fold order
 
     def to_json(self) -> dict:
         cm = self.confusion.astype(float)
@@ -191,12 +192,18 @@ def evaluate(
     folds: list[tuple[np.ndarray, np.ndarray]],
     fit_fn: Callable[[np.ndarray, np.ndarray], object],
 ) -> EvalReport:
-    """Cross-validate: fit per fold, average macro metrics, pool confusion."""
+    """Cross-validate: fit per fold, average macro metrics, pool confusion.
+
+    The report keeps the fold models, so a later step on the same folds can
+    reuse them instead of refitting.
+    """
     n_classes = len(dataset.classes)
+    models = []
     per_fold = []
     pooled = np.zeros((n_classes, n_classes), dtype=np.int64)
     for train_idx, test_idx in folds:
         model = fit_fn(dataset.X[train_idx], dataset.y[train_idx])
+        models.append(model)
         y_pred = model.predict(dataset.X[test_idx])
         cm = confusion_matrix(dataset.y[test_idx], y_pred, n_classes)
         pooled += cm
@@ -204,4 +211,5 @@ def evaluate(
     averages = {
         key: float(np.mean([fold[key] for fold in per_fold])) for key in ("precision", "recall", "f1")
     }
-    return EvalReport(classes=dataset.classes, per_fold=per_fold, averages=averages, confusion=pooled)
+    return EvalReport(classes=dataset.classes, per_fold=per_fold, averages=averages,
+                      confusion=pooled, models=models)

@@ -8,6 +8,7 @@ the number of clusters is chosen by maximizing the silhouette over flat cuts.
 
 from __future__ import annotations
 
+import csv
 import warnings
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
@@ -15,6 +16,8 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 from scipy.cluster.hierarchy import fcluster, leaves_list, linkage
 from scipy.spatial.distance import pdist, squareform
+
+from .ingest import InputError
 
 LINKAGES = ("ward", "complete", "average")
 DEFAULT_MIN_MATCHES = 10
@@ -105,6 +108,38 @@ def filter_min_matches(profiles: Profiles, min_matches: int = DEFAULT_MIN_MATCHE
         leaf_ids=list(profiles.leaf_ids),
         raw=profiles.raw[keep],
     )
+
+
+def write_profiles_csv(profiles: Profiles, path) -> None:
+    """account,total,leaf_<id>... with one row of match counts per account."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["account", "total"] + [f"leaf_{j}" for j in profiles.leaf_ids])
+        for i, account in enumerate(profiles.accounts):
+            writer.writerow([account, int(profiles.totals[i])] + [int(v) for v in profiles.raw[i]])
+
+
+def read_profiles_csv(path) -> Profiles:
+    try:
+        fh = open(path, encoding="utf-8", newline="")
+    except OSError as exc:
+        raise InputError(f"cannot read profiles file {path}: {exc}") from exc
+    with fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if not header or header[:2] != ["account", "total"] or not all(
+            h.startswith("leaf_") for h in header[2:]
+        ):
+            raise InputError(f"profiles file {path} must have header account,total,leaf_*")
+        leaf_ids = [int(h[5:]) for h in header[2:]]
+        accounts, rows = [], []
+        for row in reader:
+            if not row:
+                continue
+            accounts.append(row[0])
+            rows.append([int(v) for v in row[2:]])
+    raw = np.array(rows, dtype=np.int64) if rows else np.zeros((0, len(leaf_ids)), dtype=np.int64)
+    return Profiles(accounts=accounts, leaf_ids=leaf_ids, raw=raw)
 
 
 # ---------------------------------------------------------------------------

@@ -210,6 +210,16 @@ class LeafSignature:
             "support": round(self.support, 6),
         }
 
+    @classmethod
+    def from_json(cls, obj: dict) -> "LeafSignature":
+        return cls(
+            leaf_id=int(obj["leaf"]), group=obj["group"],
+            probability=float(obj.get("probability", 0.0)), samples=int(obj.get("samples", 0)),
+            items=list(obj["items"]),
+            item_supports={k: float(v) for k, v in obj.get("item_supports", {}).items()},
+            support=float(obj.get("support", 0.0)),
+        )
+
 
 def greedy_itemset(
     presence: np.ndarray,
@@ -219,9 +229,9 @@ def greedy_itemset(
     """Grow an itemset greedily in descending single-item support.
 
     An item is added only while the joint support stays strictly above the
-    threshold. Because support is monotone non-increasing under growth, a
-    single pass already yields a maximal set; a verification sweep re-checks
-    every rejected candidate anyway.
+    threshold. Because support is monotone non-increasing under growth, an
+    item rejected once can never be added later, so the single pass already
+    yields a maximal set.
     """
     n = presence.shape[0]
     singles = presence.sum(axis=0) / n
@@ -232,13 +242,6 @@ def greedy_itemset(
     for j in candidates:
         grown = mask & presence[:, j]
         if grown.sum() / n > threshold:
-            chosen.append(j)
-            mask = grown
-    for j in candidates:  # maximality sweep (no-op by monotonicity)
-        if j in chosen:
-            continue
-        grown = mask & presence[:, j]
-        if grown.sum() / n > threshold:  # pragma: no cover - impossible
             chosen.append(j)
             mask = grown
     support = mask.sum() / n if chosen else 0.0

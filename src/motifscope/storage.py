@@ -133,10 +133,6 @@ def read_labels(path) -> dict[tuple[str, str], str]:
     return labels
 
 
-def feature_line(tx_hash: str, ego: str, mode: str, features: dict[str, int]) -> str:
-    return dumps({"tx_hash": tx_hash, "ego": ego, "mode": mode, "features": features})
-
-
 def iter_features(path) -> Iterator[tuple[str, str, dict[str, int]]]:
     """Yield (tx_hash, ego, features) from a features.jsonl file."""
     try:

@@ -2,11 +2,14 @@
 
 import csv
 import json
+import re
+import shlex
+from pathlib import Path
 
 import pytest
 
 from motifscope import ingest, motif, storage
-from motifscope.cli import PipelineConfig, main
+from motifscope.cli import PipelineConfig, build_parser, main
 
 GROUPS8 = sorted(ingest.METHOD_GROUPS)
 
@@ -492,3 +495,86 @@ def test_pipeline_config_file_with_override(tmp_path, small_corpus, capsys):
     _, err = run(capsys, ["pipeline", "--config", str(cfg_path),
                           "--out", str(tmp_path / "run")], code=2)
     assert "unknown pipeline config keys" in err["error"]["message"]
+
+
+def test_pipeline_timings(pipeline_run):
+    manifest = storage.read_json(pipeline_run / "manifest.json")
+    timings = manifest["timings"]
+    assert set(timings) == set(manifest["stages"]) | {"total"}
+    assert all(timings[stage] >= 0.0 for stage in manifest["stages"])
+    assert sum(timings[stage] for stage in manifest["stages"]) <= timings["total"]
+
+
+def test_pipeline_input_error_names_stage(tmp_path, capsys):
+    root = write_mini_corpus(tmp_path / "raw")
+    with open(root / "methods.csv", "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerows([("tx_hash", "raw_method"), ("tx1", "frobnicate"),
+                                  ("tx2", "frobnicate")])  # no retained group
+    _, err = run(capsys, [
+        "pipeline", "--transfers", str(root / "transfers.csv"),
+        "--tokens", str(root / "tokens.json"), "--accounts", str(root / "accounts.json"),
+        "--methods", str(root / "methods.csv"), "--out", str(tmp_path / "run"),
+    ], code=2)
+    assert err["error"]["stage"] == "train"
+    assert err["error"]["type"] == "InputError"
+    assert "no feature rows with labels" in err["error"]["message"]
+
+
+@pytest.mark.parametrize("kind", ["dt", "rf"])
+def test_pipeline_matches_subcommand_chain(tmp_path, small_corpus, capsys, kind):
+    """The pipeline's in-memory handoff (and, for dt, eval's fold trees reused
+    by prune-CV) writes the same bytes as the subcommand chain, which reloads
+    every input and refits the fold trees."""
+    out = tmp_path / "run"
+    common = ["--seed", "5"]
+    run(capsys, [
+        "pipeline", "--transfers", str(small_corpus["transfers"]),
+        "--tokens", str(small_corpus["tokens"]), "--accounts", str(small_corpus["accounts"]),
+        "--methods", str(small_corpus["methods"]), "--out", str(out), "--model", kind,
+        "--trees", "3", "--folds", "4", "--min-matches", "1", *common,
+    ])
+    chain = tmp_path / "chain"
+    chain.mkdir()
+    data = ["--features", str(out / "features.jsonl"), "--labels", str(out / "store" / "labels.csv")]
+    run(capsys, ["train", *data, "--model", kind, "--trees", "3", "--mode", "M+E",
+                 "--out", str(chain / "model.json"), *common])
+    run(capsys, ["eval", *data, "--model", str(chain / "model.json"), "--folds", "4",
+                 "--report", str(chain / "eval_report.json"), *common])
+    dt_model = chain / "model.json"
+    compared = ["model.json", "eval_report.json", "pruned.json", "ccp_path.csv",
+                "signatures.json", "matches.jsonl"]
+    if kind != "dt":
+        dt_model = chain / "model_dt.json"
+        compared.append("model_dt.json")
+        run(capsys, ["train", *data, "--model", "dt", "--trees", "3", "--mode", "M+E",
+                     "--out", str(dt_model), *common])
+    run(capsys, ["prune", *data, "--model", str(dt_model), "--alpha", "0", "--folds", "4",
+                 "--out", str(chain / "pruned.json"), "--path", str(chain / "ccp_path.csv"),
+                 *common])
+    run(capsys, ["signatures", *data, "--model", str(chain / "pruned.json"),
+                 "--out", str(chain / "signatures.json")])
+    run(capsys, ["match", "--features", str(out / "features.jsonl"),
+                 "--signatures", str(chain / "signatures.json"),
+                 "--out", str(chain / "matches.jsonl")])
+    for name in compared:
+        assert (chain / name).read_bytes() == (out / name).read_bytes(), name
+
+
+def _readme_commands():
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    blocks = re.findall(r"```sh\n(.*?)```", readme.read_text(encoding="utf-8"), re.S)
+    lines = "\n".join(blocks).replace("\\\n", " ").splitlines()
+    return [shlex.split(line, comments=True) for line in lines
+            if line.startswith("motifscope ")]
+
+
+def test_readme_commands_parse():
+    commands = _readme_commands()
+    assert len(commands) >= 14
+    parser = build_parser()
+    for argv in commands:
+        try:
+            args = parser.parse_args(argv[1:])
+        except SystemExit:
+            pytest.fail(f"README command does not parse: {' '.join(argv)}")
+        assert args.func is not None
