@@ -1,48 +1,42 @@
 """Bulk feature extraction over a transaction store.
 
-This is the throughput-critical stage: it re-implements the closed-form
-group counting from motif.py directly over parsed store lines (no ETN
-objects, cached key strings) and shards the store across worker processes.
-Workers are pure and chunks are merged in input order, so results are
-bit-identical regardless of worker count. test_motif.py cross-checks this
-path against the ETN-object path on random transactions.
+This is the throughput-critical stage. It parses store lines directly (no
+ETN objects), derives each transaction's counterpart flags, types and edge
+labels, and hands them to the same kernel as the ETN path
+(motif.group_counterparts and motif.count_from_groups). The store is
+sharded across worker processes in chunks; workers are pure and chunks are
+merged in input order, so results are bit-identical regardless of worker
+count. test_motif.py cross-checks this path against the ETN-object path.
 """
 
 from __future__ import annotations
 
 import json
 import multiprocessing as mp
+import os
 from dataclasses import dataclass
+from itertools import islice
 
 from . import motif, storage
+from .ingest import InputError
 from .motif import DEFAULT_MAX_NODES, OVERSIZE_KEY, MotifCatalog
 
 CHUNK_LINES = 8192
 
-# Per-worker state: (mode, max_nodes, two_node: {state: id},
-# three_node: {(s1,s2): id}, key caches).
+# Per-worker state: (store path, catalog, mode, max_nodes, edge-label cache).
 _STATE = None
 
 
-def _catalog_spec(catalog: MotifCatalog) -> list[tuple[str, tuple[int, ...]]]:
-    return [(s.id, s.states) for s in catalog.shapes]
-
-
-def _init_worker(catalog_spec, mode: str, max_nodes: int) -> None:
+def _init_worker(path: str, catalog: MotifCatalog, mode: str, max_nodes: int) -> None:
     global _STATE
-    two_node: dict[int, str] = {}
-    three_node: dict[tuple[int, int], str] = {}
-    for sid, states in catalog_spec:
-        if len(states) == 1:
-            two_node[states[0]] = sid
-        else:
-            three_node[tuple(sorted(states))] = sid
-    _STATE = (mode, max_nodes, two_node, three_node, {}, {}, {})
+    _STATE = (path, catalog, mode, max_nodes, {})
 
 
-def _process_chunk(lines: list[str]) -> tuple[str, int, int, int]:
-    """Featurize one chunk; returns (joined output, n_txs, oversize, rejected)."""
-    mode, max_nodes, two_node, three_node, ekeys, m2keys, m3keys = _STATE
+def _process_chunk(chunk: tuple[int, list[str]]) -> tuple[str, int, int, int]:
+    """Featurize one chunk (first line number, lines); returns (joined
+    output, n_txs, oversize, rejected). A malformed line raises InputError."""
+    path, catalog, mode, max_nodes, ekeys = _STATE
+    first, lines = chunk
     want_m = mode in ("M", "M+E")
     want_e = mode in ("E", "M+E")
     want_mxe = mode == "MxE"
@@ -51,130 +45,54 @@ def _process_chunk(lines: list[str]) -> tuple[str, int, int, int]:
     rejected = 0
     loads = json.loads
     dumps = json.dumps
-    for line in lines:
-        obj = loads(line)
-        ego = obj["ego"]
+    for lineno, line in enumerate(lines, first):
+        if not line.strip():
+            continue
         feats: dict[str, int] = {}
         flags: dict[str, int] = {}
         types: dict[str, str] = {}
         labels: dict[str, list[str]] = {}
-        for row in obj["tr"]:
-            src = row[0]
-            if src == ego:
-                other = row[1]
-                otype = row[3]
-                bit = 1
-                ek = ("E", otype, row[6])
-            elif row[1] == ego:
-                other = src
-                otype = row[2]
-                bit = 2
-                ek = (otype, "E", row[6])
-            else:
-                rejected += 1
-                continue
-            flags[other] = flags.get(other, 0) | bit
-            types[other] = otype
-            label = ekeys.get(ek)
-            if label is None:
-                label = f"({ek[0]},{ek[1]}){ek[2]}"
-                ekeys[ek] = label
-            if want_e:
-                feats[label] = feats.get(label, 0) + 1
-            if want_mxe:
-                lab_list = labels.get(other)
-                if lab_list is None:
-                    labels[other] = [label]
+        try:
+            obj = loads(line)
+            tx = obj["tx"]
+            ego = obj["ego"]
+            for row in obj["tr"]:
+                src = row[0]
+                if src == ego:
+                    other = row[1]
+                    otype = row[3]
+                    bit = 1
+                    ek = ("E", otype, row[6])
+                elif row[1] == ego:
+                    other = src
+                    otype = row[2]
+                    bit = 2
+                    ek = (otype, "E", row[6])
                 else:
-                    lab_list.append(label)
+                    rejected += 1
+                    continue
+                flags[other] = flags.get(other, 0) | bit
+                types[other] = otype
+                label = ekeys.get(ek)
+                if label is None:
+                    label = f"({ek[0]},{ek[1]}){ek[2]}"
+                    ekeys[ek] = label
+                if want_e:
+                    feats[label] = feats.get(label, 0) + 1
+                if want_mxe:
+                    labels.setdefault(other, []).append(label)
+        except (ValueError, KeyError, IndexError, TypeError) as exc:
+            raise InputError(f"bad store line {path}:{lineno}: {type(exc).__name__}: {exc}") from exc
         if want_m:
-            groups: dict[tuple[int, str], int] = {}
-            for node, f in flags.items():
-                gk = (f - 1, types[node])  # flags 1/2/3 -> states 0/1/2
-                groups[gk] = groups.get(gk, 0) + 1
-            items = sorted(groups.items())
-            for (state, ntype), n in items:
-                sid = two_node.get(state)
-                if sid is not None:
-                    mk = m2keys.get((state, ntype))
-                    if mk is None:
-                        mk = f"{sid}(E,{ntype})"
-                        m2keys[(state, ntype)] = mk
-                    feats[mk] = n
-                sid = three_node.get((state, state))
-                if sid is not None and n >= 2:
-                    mk = _m3key(m3keys, sid, state, state, ntype, ntype)
-                    feats[mk] = feats.get(mk, 0) + n * (n - 1) // 2
-            for i, ((s1, t1), n1) in enumerate(items):
-                for (s2, t2), n2 in items[i + 1 :]:
-                    canon = (s1, s2) if s1 <= s2 else (s2, s1)
-                    sid = three_node.get(canon)
-                    if sid is None:
-                        continue
-                    if s1 == s2:
-                        ta, tb = (t1, t2) if t1 <= t2 else (t2, t1)
-                    else:
-                        ta, tb = (t1, t2) if s1 == canon[0] else (t2, t1)
-                    mk = _m3key(m3keys, sid, canon[0], canon[1], ta, tb)
-                    feats[mk] = feats.get(mk, 0) + n1 * n2
+            feats.update(motif.count_from_groups(catalog, motif.group_counterparts(flags, types)))
         if want_mxe:
-            feats = _mxe_features(
-                flags, types, labels, two_node, three_node, max_nodes
-            )
+            groups = motif.group_counterparts(flags, types, labels)
+            feats = motif.count_from_groups(catalog, groups, oversize=len(flags) > max_nodes)
             if OVERSIZE_KEY in feats:
                 oversize += 1
-        out.append(
-            dumps(
-                {"tx_hash": obj["tx"], "ego": ego, "mode": mode, "features": feats},
-                sort_keys=True,
-                separators=(",", ":"),
-            )
-        )
-    return "\n".join(out), len(lines), oversize, rejected
-
-
-def _m3key(cache, sid, s1, s2, ta, tb) -> str:
-    ck = (sid, ta, tb)
-    mk = cache.get(ck)
-    if mk is None:
-        mk = f"{sid}(E,{ta},{tb})"
-        cache[ck] = mk
-    return mk
-
-
-def _mxe_features(flags, types, labels, two_node, three_node, max_nodes) -> dict[str, int]:
-    groups: dict[tuple[int, str, tuple[str, ...]], int] = {}
-    for node, f in flags.items():
-        gk = (f - 1, types[node], tuple(sorted(labels[node])))
-        groups[gk] = groups.get(gk, 0) + 1
-    feats: dict[str, int] = {}
-    items = sorted(groups.items())
-    for (state, ntype, labs), n in items:
-        sid = two_node.get(state)
-        if sid is not None:
-            feats[f"{sid}(E,{ntype})|{'+'.join(labs)}"] = n
-    if len(flags) > max_nodes:
-        feats[OVERSIZE_KEY] = 1
-        return feats
-    for i, ((s1, t1, l1), n1) in enumerate(items):
-        sid = three_node.get((s1, s1))
-        if sid is not None and n1 >= 2:
-            merged = "+".join(sorted(l1 + l1))
-            key = f"{sid}(E,{t1},{t1})|{merged}"
-            feats[key] = feats.get(key, 0) + n1 * (n1 - 1) // 2
-        for (s2, t2, l2), n2 in items[i + 1 :]:
-            canon = (s1, s2) if s1 <= s2 else (s2, s1)
-            sid = three_node.get(canon)
-            if sid is None:
-                continue
-            if s1 == s2:
-                ta, tb = (t1, t2) if t1 <= t2 else (t2, t1)
-            else:
-                ta, tb = (t1, t2) if s1 == canon[0] else (t2, t1)
-            merged = "+".join(sorted(l1 + l2))
-            key = f"{sid}(E,{ta},{tb})|{merged}"
-            feats[key] = feats.get(key, 0) + n1 * n2
-    return feats
+        out.append(dumps({"tx_hash": tx, "ego": ego, "mode": mode, "features": feats},
+                         sort_keys=True, separators=(",", ":")))
+    return "\n".join(out), len(out), oversize, rejected
 
 
 @dataclass
@@ -185,16 +103,12 @@ class FeaturizeStats:
 
 
 def _iter_chunks(path, chunk_lines: int):
-    chunk: list[str] = []
+    """Yield (line number of the first line, lines) in chunk_lines slices."""
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            if line.strip():
-                chunk.append(line)
-                if len(chunk) >= chunk_lines:
-                    yield chunk
-                    chunk = []
-    if chunk:
-        yield chunk
+        first = 1
+        while chunk := list(islice(fh, chunk_lines)):
+            yield first, chunk
+            first += len(chunk)
 
 
 def featurize_store(
@@ -205,34 +119,43 @@ def featurize_store(
     catalog: MotifCatalog | None = None,
     max_nodes: int = DEFAULT_MAX_NODES,
 ) -> FeaturizeStats:
-    """Featurize every stored transaction into out_path (JSONL)."""
+    """Featurize every stored transaction into out_path (JSONL).
+
+    The output is written to a temporary file next to out_path and moved
+    into place only when every line featurized; a malformed store line
+    raises InputError naming the store path and line number.
+    """
     mode = motif.normalize_mode(mode)
     if catalog is None:
         catalog = motif.enumerate_catalog()
-    spec = _catalog_spec(catalog)
     path = storage.store_path(store_dir)
+    state = (path, catalog, mode, max_nodes)
+    chunks = _iter_chunks(path, CHUNK_LINES)
+    tmp_path = f"{os.fspath(out_path)}.tmp"
+    try:
+        with open(tmp_path, "w", encoding="utf-8") as out:
+            if threads <= 1:
+                _init_worker(*state)
+                stats = _write_results(out, map(_process_chunk, chunks))
+            else:
+                ctx = mp.get_context("fork") if "fork" in mp.get_all_start_methods() else mp.get_context()
+                with ctx.Pool(threads, initializer=_init_worker, initargs=state) as pool:
+                    stats = _write_results(out, pool.imap(_process_chunk, chunks, chunksize=1))
+        os.replace(tmp_path, out_path)
+    except BaseException:
+        if os.path.exists(tmp_path):
+            os.remove(tmp_path)
+        raise
+    return stats
+
+
+def _write_results(out, results) -> FeaturizeStats:
     total = oversize = rejected = 0
-    with open(out_path, "w", encoding="utf-8") as out:
-        if threads <= 1:
-            _init_worker(spec, mode, max_nodes)
-            for chunk in _iter_chunks(path, CHUNK_LINES):
-                text, n, ov, rej = _process_chunk(chunk)
-                if text:
-                    out.write(text)
-                    out.write("\n")
-                total += n
-                oversize += ov
-                rejected += rej
-        else:
-            ctx = mp.get_context("fork") if "fork" in mp.get_all_start_methods() else mp.get_context()
-            with ctx.Pool(threads, initializer=_init_worker, initargs=(spec, mode, max_nodes)) as pool:
-                for text, n, ov, rej in pool.imap(
-                    _process_chunk, _iter_chunks(path, CHUNK_LINES), chunksize=1
-                ):
-                    if text:
-                        out.write(text)
-                        out.write("\n")
-                    total += n
-                    oversize += ov
-                    rejected += rej
+    for text, n, ov, rej in results:
+        if text:
+            out.write(text)
+            out.write("\n")
+        total += n
+        oversize += ov
+        rejected += rej
     return FeaturizeStats(transactions=total, oversize=oversize, rejected_transfers=rejected)

@@ -5,7 +5,9 @@ touches the ego, each counterpart sits in exactly one of three states
 (ego sends to it, it sends to ego, or both), so induced 2- and 3-node
 subgraph counts reduce to combinatorics over (state, account type) groups.
 This makes counts exact in O(counterparts) regardless of network size; the
-all-out star is just the special case with a single group.
+all-out star is just the special case with a single group. count_from_groups
+is that kernel, for M and MxE keys alike; the ETN functions here and the
+store-line path in featurize.py both call it.
 """
 
 from __future__ import annotations
@@ -155,49 +157,74 @@ def motif_key(shape: MotifShape, types: tuple[str, ...]) -> str:
     return f"{shape.id}(E,{','.join(types)})"
 
 
-def neighbor_states(etn: EgoTransferNetwork) -> dict[str, int]:
-    """Counterpart -> state, from the collapsed simple view."""
+def _edge_flags(etn: EgoTransferNetwork):
+    """Counterpart -> flags (1 out, 2 in, 3 both), and counterpart -> edge labels."""
     ego = etn.ego
-    out_flags: dict[str, int] = {}
-    for src, dst in etn.simple_view:
-        if src == ego:
-            out_flags[dst] = out_flags.get(dst, 0) | 1
-        else:
-            out_flags[src] = out_flags.get(src, 0) | 2
-    remap = {1: OUT, 2: IN, 3: RECIP}
-    return {node: remap[flags] for node, flags in out_flags.items()}
-
-
-def _group_counts(etn: EgoTransferNetwork) -> dict[tuple[int, str], int]:
-    groups: dict[tuple[int, str], int] = {}
     types = etn.node_types
-    for node, state in neighbor_states(etn).items():
-        key = (state, types[node])
+    flags: dict[str, int] = {}
+    labels: dict[str, list[str]] = {}
+    for src, dst, category in etn.edges:
+        other, bit = (dst, 1) if src == ego else (src, 2)
+        flags[other] = flags.get(other, 0) | bit
+        labels.setdefault(other, []).append(f"({types[src]},{types[dst]}){category}")
+    return flags, labels
+
+
+def neighbor_states(etn: EgoTransferNetwork) -> dict[str, int]:
+    """Counterpart -> state (OUT, IN or RECIP) over its edges to and from the ego."""
+    return {node: f - 1 for node, f in _edge_flags(etn)[0].items()}
+
+
+def group_counterparts(
+    flags: dict[str, int],
+    types: dict[str, str],
+    labels: dict[str, list[str]] | None = None,
+) -> dict[tuple[int, str, tuple[str, ...]], int]:
+    """Counterparts grouped by (state, type, labels) for count_from_groups.
+
+    flags maps a counterpart to 1 (ego sends to it), 2 (it sends to ego) or
+    3 (both), i.e. state + 1. labels, given under MxE, maps it to its edge
+    labels; the group key holds them as a sorted tuple, and () otherwise.
+    """
+    groups: dict[tuple[int, str, tuple[str, ...]], int] = {}
+    for node, f in flags.items():
+        key = (f - 1, types[node], tuple(sorted(labels[node])) if labels is not None else ())
         groups[key] = groups.get(key, 0) + 1
     return groups
 
 
-def count_from_groups(catalog: MotifCatalog, groups: dict[tuple[int, str], int]) -> dict[str, int]:
-    """Typed motif counts from (state, type) group sizes.
+def count_from_groups(
+    catalog: MotifCatalog,
+    groups: dict[tuple[int, str, tuple[str, ...]], int],
+    oversize: bool = False,
+) -> dict[str, int]:
+    """Typed motif counts from (state, type, labels) group sizes.
 
     Induced matching: a counterpart pair matches the 3-node shape whose
     states equal the pair's states, and nothing else, so subset counts are
-    products / within-group pair counts over the groups.
+    products / within-group pair counts over the groups. Non-empty labels
+    (MxE) append "|" and the instance's edge labels joined in sorted order
+    to each key. With oversize set, only 2-node keys are counted and
+    OVERSIZE_KEY is set instead of the pair keys.
     """
     counts: dict[str, int] = {}
     two_node = catalog.two_node
     three_node = catalog.three_node
     items = sorted(groups.items())
-    for (state, ntype), n in items:
+    for (state, ntype, labels), n in items:
         shape = two_node.get(state)
         if shape is not None:
-            counts[f"{shape.id}(E,{ntype})"] = n
-        shape = three_node.get((state, state))
-        if shape is not None and n >= 2:
-            key = f"{shape.id}(E,{ntype},{ntype})"
-            counts[key] = counts.get(key, 0) + n * (n - 1) // 2
-    for i, ((s1, t1), n1) in enumerate(items):
-        for (s2, t2), n2 in items[i + 1 :]:
+            key = f"{shape.id}(E,{ntype})"
+            counts[f"{key}|{'+'.join(labels)}" if labels else key] = n
+    if oversize:
+        counts[OVERSIZE_KEY] = 1
+        return counts
+    for i, ((s1, t1, l1), n1) in enumerate(items):
+        shape = three_node.get((s1, s1))
+        if shape is not None and n1 >= 2:
+            key = _pair_key(shape.id, t1, t1, l1 + l1)
+            counts[key] = counts.get(key, 0) + n1 * (n1 - 1) // 2
+        for (s2, t2, l2), n2 in items[i + 1 :]:
             canon = (s1, s2) if s1 <= s2 else (s2, s1)
             shape = three_node.get(canon)
             if shape is None:
@@ -207,14 +234,20 @@ def count_from_groups(catalog: MotifCatalog, groups: dict[tuple[int, str], int])
             else:
                 # role order: the catalog's first role carries canon[0]
                 ta, tb = (t1, t2) if s1 == canon[0] else (t2, t1)
-            key = f"{shape.id}(E,{ta},{tb})"
+            key = _pair_key(shape.id, ta, tb, l1 + l2)
             counts[key] = counts.get(key, 0) + n1 * n2
     return counts
 
 
+def _pair_key(sid: str, ta: str, tb: str, labels: tuple[str, ...]) -> str:
+    key = f"{sid}(E,{ta},{tb})"
+    return f"{key}|{'+'.join(sorted(labels))}" if labels else key
+
+
 def count_motifs(etn: EgoTransferNetwork, catalog: MotifCatalog) -> dict[str, int]:
     """Typed induced motif counts over the ETN's simple view."""
-    return count_from_groups(catalog, _group_counts(etn))
+    flags, _ = _edge_flags(etn)
+    return count_from_groups(catalog, group_counterparts(flags, etn.node_types))
 
 
 def count_motifs_untyped(etn: EgoTransferNetwork, catalog: MotifCatalog) -> dict[str, int]:
@@ -249,21 +282,6 @@ def edge_features(etn: EgoTransferNetwork) -> dict[str, int]:
     return counts
 
 
-def _label_groups(etn: EgoTransferNetwork) -> dict[tuple[int, str, tuple[str, ...]], int]:
-    """Counterparts grouped by (state, type, sorted tuple of edge labels)."""
-    ego = etn.ego
-    types = etn.node_types
-    labels: dict[str, list[str]] = {}
-    for src, dst, category in etn.edges:
-        other = dst if src == ego else src
-        labels.setdefault(other, []).append(f"({types[src]},{types[dst]}){category}")
-    groups: dict[tuple[int, str, tuple[str, ...]], int] = {}
-    for node, state in neighbor_states(etn).items():
-        key = (state, types[node], tuple(sorted(labels[node])))
-        groups[key] = groups.get(key, 0) + 1
-    return groups
-
-
 def motif_edge_features(
     etn: EgoTransferNetwork, catalog: MotifCatalog, max_nodes: int = DEFAULT_MAX_NODES
 ) -> dict[str, int]:
@@ -274,38 +292,9 @@ def motif_edge_features(
     3-node combinations are skipped and an oversize flag is set instead:
     the pair key space degenerates on airdrop-style transactions.
     """
-    groups = _label_groups(etn)
-    counts: dict[str, int] = {}
-    two_node = catalog.two_node
-    three_node = catalog.three_node
-    items = sorted(groups.items())
-    for (state, ntype, labels), n in items:
-        shape = two_node.get(state)
-        if shape is not None:
-            counts[f"{shape.id}(E,{ntype})|{'+'.join(labels)}"] = n
-    oversize = len(etn.node_types) - 1 > max_nodes
-    if oversize:
-        counts[OVERSIZE_KEY] = 1
-        return counts
-    for i, ((s1, t1, l1), n1) in enumerate(items):
-        shape = three_node.get((s1, s1))
-        if shape is not None and n1 >= 2:
-            merged = "+".join(sorted(l1 + l1))
-            key = f"{shape.id}(E,{t1},{t1})|{merged}"
-            counts[key] = counts.get(key, 0) + n1 * (n1 - 1) // 2
-        for (s2, t2, l2), n2 in items[i + 1 :]:
-            canon = (s1, s2) if s1 <= s2 else (s2, s1)
-            shape = three_node.get(canon)
-            if shape is None:
-                continue
-            if s1 == s2:
-                ta, tb = (t1, t2) if t1 <= t2 else (t2, t1)
-            else:
-                ta, tb = (t1, t2) if s1 == canon[0] else (t2, t1)
-            merged = "+".join(sorted(l1 + l2))
-            key = f"{shape.id}(E,{ta},{tb})|{merged}"
-            counts[key] = counts.get(key, 0) + n1 * n2
-    return counts
+    flags, labels = _edge_flags(etn)
+    groups = group_counterparts(flags, etn.node_types, labels)
+    return count_from_groups(catalog, groups, oversize=len(etn.node_types) - 1 > max_nodes)
 
 
 def transaction_features(

@@ -155,29 +155,34 @@ def pairwise_distances(X: np.ndarray) -> np.ndarray:
     return squareform(pdist(X))
 
 
-def silhouette_score(X: np.ndarray, labels: np.ndarray) -> float:
-    """Mean silhouette over points; singleton-cluster points score 0."""
+def silhouette_score(X: np.ndarray, labels: np.ndarray, D: Optional[np.ndarray] = None) -> float:
+    """Mean silhouette over points; singleton-cluster points score 0.
+
+    D, if given, is pairwise_distances(X), so callers scoring several cuts
+    of the same rows build the n x n matrix once.
+    """
     labels = np.asarray(labels)
     uniq = np.unique(labels)
     if uniq.size < 2 or uniq.size > len(labels) - 1:
         raise ValueError("silhouette needs 2 <= k <= n-1 clusters")
-    D = pairwise_distances(np.asarray(X, dtype=float))
-    n = len(labels)
+    if D is None:
+        D = pairwise_distances(np.asarray(X, dtype=float))
+    rows = np.arange(len(labels))
     masks = [labels == c for c in uniq]
     sizes = np.array([m.sum() for m in masks])
-    # mean distance from every point to each cluster
+    # total distance from every point to each cluster
     sums = np.stack([D[:, m].sum(axis=1) for m in masks], axis=1)  # (n, k)
     own = np.searchsorted(uniq, labels)
-    s = np.zeros(n)
-    for i in range(n):
-        size_own = sizes[own[i]]
-        if size_own <= 1:
-            continue  # singleton: s = 0 by convention
-        a = sums[i, own[i]] / (size_own - 1)
-        other = [sums[i, c] / sizes[c] for c in range(uniq.size) if c != own[i]]
-        b = min(other)
-        denom = max(a, b)
-        s[i] = 0.0 if denom == 0 else (b - a) / denom
+    size_own = sizes[own]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        a = sums[rows, own] / (size_own - 1)
+        other = sums / sizes
+        other[rows, own] = np.inf
+        b = other.min(axis=1)
+        denom = np.maximum(a, b)
+        s = (b - a) / denom
+    # singletons score 0 by convention, and so do points with a = b = 0
+    s[(size_own <= 1) | (denom == 0)] = 0.0
     return float(s.mean())
 
 
@@ -224,7 +229,8 @@ def hcluster(Z_rows: np.ndarray, method: str = "ward") -> ClusteringResult:
         warnings.warn(notes[-1])
         labels = fcluster(Zm, t=2, criterion="maxclust")
         return ClusteringResult(Zm, {2: labels}, {}, 2, notes)
-    if np.allclose(pairwise_distances(X), 0.0):
+    D = pairwise_distances(X)
+    if np.allclose(D, 0.0):
         notes.append("all profiles identical: silhouette set to 0, reporting k=2")
         warnings.warn(notes[-1])
         labels = fcluster(Zm, t=2, criterion="maxclust")
@@ -236,7 +242,7 @@ def hcluster(Z_rows: np.ndarray, method: str = "ward") -> ClusteringResult:
         if np.unique(labels).size < 2:
             continue  # cut collapsed (duplicate heights); silhouette undefined
         assignments[k] = labels
-        silhouettes[k] = silhouette_score(X, labels)
+        silhouettes[k] = silhouette_score(X, labels, D=D)
     chosen = max(sorted(silhouettes), key=lambda k: silhouettes[k])
     return ClusteringResult(Zm, assignments, silhouettes, chosen, notes)
 

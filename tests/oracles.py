@@ -57,17 +57,17 @@ def _typed_key(shape, types: tuple[str, ...]) -> str:
     return f"{shape.id}(E,{','.join(types)})"
 
 
-def brute_force_motifs(etn: EgoTransferNetwork, catalog) -> dict[str, int]:
-    """Typed induced motif counts via 1-/2-subset enumeration.
+def _matched_subsets(etn: EgoTransferNetwork, catalog, sizes=(1, 2)):
+    """Yield (shape, role types, subset) for every counterpart subset whose
+    induced simple-view subgraph matches a catalog shape.
 
-    Each subset's induced simple-view subgraph is matched against every
-    catalog shape by trying all role bijections and comparing edge sets.
+    Each subset's induced subgraph is matched against every catalog shape by
+    trying all role bijections and comparing edge sets.
     """
     nodes = sorted(etn.counterparts())
     types = etn.node_types
     simple = etn.simple_view
-    counts: dict[str, int] = {}
-    for r in (1, 2):
+    for r in sizes:
         for subset in itertools.combinations(nodes, r):
             keep = set(subset) | {etn.ego}
             induced = {(s, d) for s, d in simple if s in keep and d in keep}
@@ -75,17 +75,47 @@ def brute_force_motifs(etn: EgoTransferNetwork, catalog) -> dict[str, int]:
                 if shape.size != r + 1:
                     continue
                 roles = "ij"[:r]
-                matched = None
                 for perm in itertools.permutations(subset):
                     assignment = dict(zip(roles, perm))
                     assignment["E"] = etn.ego
                     expected = {(assignment[a], assignment[b]) for a, b in shape.role_edges()}
                     if expected == induced:
-                        matched = tuple(types[n] for n in perm)
+                        yield shape, tuple(types[n] for n in perm), subset
                         break
-                if matched is not None:
-                    key = _typed_key(shape, matched)
-                    counts[key] = counts.get(key, 0) + 1
+
+
+def brute_force_motifs(etn: EgoTransferNetwork, catalog) -> dict[str, int]:
+    """Typed induced motif counts via 1-/2-subset enumeration."""
+    counts: dict[str, int] = {}
+    for shape, matched, _ in _matched_subsets(etn, catalog):
+        key = _typed_key(shape, matched)
+        counts[key] = counts.get(key, 0) + 1
+    return counts
+
+
+def brute_force_motif_edge_features(
+    etn: EgoTransferNetwork, catalog, max_nodes: int = 500
+) -> dict[str, int]:
+    """MxE keys by enumerating counterparts and counterpart pairs directly.
+
+    Every matched instance contributes its typed key + "|" + the labels of
+    all edges between the ego and its members, sorted and joined by "+".
+    Above max_nodes counterparts only single counterparts are enumerated
+    and "__oversize__" is set.
+    """
+    types = etn.node_types
+    oversize = len(etn.counterparts()) > max_nodes
+    counts: dict[str, int] = {}
+    for shape, matched, subset in _matched_subsets(etn, catalog, (1,) if oversize else (1, 2)):
+        labels = sorted(
+            f"({types[src]},{types[dst]}){category}"
+            for src, dst, category in etn.edges
+            if src in subset or dst in subset
+        )
+        key = f"{_typed_key(shape, matched)}|{'+'.join(labels)}"
+        counts[key] = counts.get(key, 0) + 1
+    if oversize:
+        counts["__oversize__"] = 1
     return counts
 
 

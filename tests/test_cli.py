@@ -2,12 +2,16 @@
 
 import csv
 import json
+import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import motifscope
 from motifscope import ingest, motif, storage
 from motifscope.cli import PipelineConfig, build_parser, main
 
@@ -143,6 +147,50 @@ def test_stats(mini_store, tmp_path, capsys):
     assert out["accounts"]["0xe1"] == {
         "transactions": 2, "tokens": 2, "fraction_unlabeled": 0.0}
     assert storage.read_json(tmp_path / "stats.json") == out
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_featurize_bad_store_line_exit_2(mini_store, tmp_path, capsys, monkeypatch, threads):
+    from motifscope import featurize
+
+    monkeypatch.setattr(featurize, "CHUNK_LINES", 2)  # the bad line opens the second chunk
+    lines = (mini_store / storage.STORE_FILE).read_text(encoding="utf-8").splitlines()
+    store = tmp_path / "store"
+    store.mkdir()
+    out = tmp_path / "features.jsonl"
+    bad_lines = {
+        "truncated": lines[1][: len(lines[1]) // 2],
+        "missing key": json.dumps({"tx": "t", "tr": []}),
+        "short row": json.dumps({"tx": "t", "ego": "0xe1", "tr": [["0xe1", "0xa"]]}),
+    }
+    for what, bad in bad_lines.items():
+        # a blank line first: line numbers count every line of the store
+        text = "\n".join([lines[0], "", bad, lines[2]]) + "\n"
+        (store / storage.STORE_FILE).write_text(text, encoding="utf-8")
+        out.write_text("previous\n", encoding="utf-8")
+        _, err = run(capsys, ["featurize", "--store", str(store), "--mode", "MxE",
+                              "--threads", str(threads), "--out", str(out)], code=2)
+        assert err["error"]["stage"] == "featurize", what
+        assert err["error"]["type"] == "InputError", what
+        assert f"{store / storage.STORE_FILE}:3:" in err["error"]["message"], what
+        # the previous output is left as it was and no temporary file remains
+        assert out.read_text(encoding="utf-8") == "previous\n", what
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["features.jsonl", "store"], what
+
+
+def test_python_m_motifscope(mini_store, tmp_path):
+    env = {**os.environ, "PYTHONPATH": str(Path(motifscope.__file__).parent.parent)}
+    proc = subprocess.run(
+        [sys.executable, "-m", "motifscope", "stats", "--store", str(mini_store)],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["transactions"] == 3
+    proc = subprocess.run([sys.executable, "-m", "motifscope", "stats", "--store",
+                           str(tmp_path / "missing")], capture_output=True, text=True, env=env,
+                          timeout=60)
+    assert proc.returncode == 2
+    assert json.loads(proc.stderr)["error"]["type"] == "InputError"
 
 
 def test_etn_requires_ego_when_ambiguous(mini_store, tmp_path, capsys):

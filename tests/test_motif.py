@@ -7,8 +7,14 @@ import pytest
 
 from motifscope import etn as etn_mod, motif, storage
 from motifscope.etn import EgoTransferNetwork
+from motifscope.ingest import TokenTransfer, Transaction
 
-from oracles import brute_force_motifs, brute_force_motifs_untyped, random_etn
+from oracles import (
+    brute_force_motif_edge_features,
+    brute_force_motifs,
+    brute_force_motifs_untyped,
+    random_etn,
+)
 
 
 def star_etn(n, direction="out", ntype="A"):
@@ -208,6 +214,18 @@ def test_motif_edge_features_oversize_flag():
     assert sum(v for k, v in feats.items() if k.startswith("m4")) == 15
 
 
+@pytest.mark.parametrize("max_nodes", [motif.DEFAULT_MAX_NODES, 4])
+def test_motif_edge_features_match_brute_force(rng, max_nodes):
+    catalog = motif.enumerate_catalog()
+    oversized = 0
+    for _ in range(500):
+        etn = random_etn(rng)
+        expected = brute_force_motif_edge_features(etn, catalog, max_nodes)
+        assert motif.motif_edge_features(etn, catalog, max_nodes) == expected
+        oversized += motif.OVERSIZE_KEY in expected
+    assert oversized > 0 if max_nodes == 4 else oversized == 0
+
+
 def test_transaction_features_mode_dispatch(rng):
     catalog = motif.enumerate_catalog()
     etn = random_etn(rng)
@@ -234,17 +252,64 @@ def test_normalize_mode_aliases():
 # featurize_store agrees with the reference per-ETN implementation
 # ---------------------------------------------------------------------------
 
+def wide_store(store_dir):
+    """A hand-written store: an airdrop-style transaction to 12 counterparts
+    (one of them also paying back, plus a row that does not touch the ego),
+    a small mixed transaction and an all-in one."""
+    ego = "0xe"
+
+    def tr(tx, src, dst, src_type, dst_type, category):
+        return TokenTransfer(tx_hash=tx, from_account=src, to_account=dst, token_symbol="TOK",
+                             token_contract="0xt", amount=1.0, block_number=1, ego_account=ego,
+                             category=category, from_type=src_type, to_type=dst_type)
+
+    categories = ("Stablecoin", "Cryptocurrency", "Synthetic")
+    airdrop = [tr("0xwide", ego, f"0xa{i:02d}", "E", "ACN"[i % 3], categories[i % 2])
+               for i in range(12)]
+    airdrop += [tr("0xwide", "0xa03", ego, "A", "E", "Synthetic"),
+                tr("0xwide", "0xa01", "0xa02", "C", "N", "Stablecoin")]
+    mixed = [tr("0xmix", ego, "0xc1", "E", "C", "Stablecoin"),
+             tr("0xmix", ego, "0xc1", "E", "C", "Stablecoin"),
+             tr("0xmix", "0xc1", ego, "C", "E", "Cryptocurrency"),
+             tr("0xmix", "0xn1", ego, "N", "E", "Synthetic"),
+             tr("0xmix", ego, "0xa1", "E", "A", "Marketplace")]
+    all_in = [tr("0xin", f"0xs{i}", ego, "A", "E", categories[i % 3]) for i in range(4)]
+    storage.write_store(store_dir, [Transaction(tx_hash=h, ego_account=ego, transfers=rows)
+                                    for h, rows in (("0xwide", airdrop), ("0xmix", mixed),
+                                                    ("0xin", all_in))])
+
+
+def _reference_features(store_dir, catalog, mode, max_nodes=motif.DEFAULT_MAX_NODES):
+    return {
+        (tx.tx_hash, tx.ego_account): motif.transaction_features(
+            etn_mod.build_etn(tx), catalog, mode, max_nodes)
+        for tx in storage.iter_store(store_dir)
+    }
+
+
 @pytest.mark.parametrize("mode", ["M", "E", "M+E", "MxE"])
 def test_featurize_store_matches_reference(small_corpus, tmp_path, mode):
     from motifscope.featurize import featurize_store
 
     out = tmp_path / "features.jsonl"
     stats = featurize_store(small_corpus["store"], mode, out)
-    catalog = motif.enumerate_catalog()
-    expected = {}
-    for tx in storage.iter_store(small_corpus["store"]):
-        network = etn_mod.build_etn(tx)
-        expected[(tx.tx_hash, tx.ego_account)] = motif.transaction_features(network, catalog, mode)
+    expected = _reference_features(small_corpus["store"], motif.enumerate_catalog(), mode)
     got = {(tx, ego): feats for tx, ego, feats in storage.iter_features(out)}
     assert stats.transactions == len(expected)
     assert got == expected
+
+    # wide transactions, a small max_nodes, a catalog subset and two workers
+    wide_store(tmp_path / "wide")
+    subset = [e for e in motif.enumerate_catalog().to_json()
+              if e["id"] in ("m1", "m3", "m4", "m5", "m7")]
+    (tmp_path / "catalog.json").write_text(json.dumps(subset), encoding="utf-8")
+    catalog = motif.load_catalog(tmp_path / "catalog.json")
+    stats = featurize_store(tmp_path / "wide", mode, out, threads=2, catalog=catalog, max_nodes=4)
+    expected = _reference_features(tmp_path / "wide", catalog, mode, max_nodes=4)
+    got = {(tx, ego): feats for tx, ego, feats in storage.iter_features(out)}
+    assert got == expected
+    assert (stats.transactions, stats.rejected_transfers) == (3, 1)  # 0xa01 -> 0xa02
+    assert stats.oversize == (1 if mode == "MxE" else 0)
+    if mode == "MxE":
+        assert got[("0xwide", "0xe")][motif.OVERSIZE_KEY] == 1
+        assert any(k.startswith("m5(") for k in got[("0xmix", "0xe")])

@@ -136,9 +136,20 @@ def test_hcluster_recovers_three_blobs(rng):
     assert (canonical_labels(result.chosen_labels()) == canonical_labels(truth)).all()
 
 
+def test_hcluster_silhouettes_match_brute_force(rng):
+    # hcluster shares one distance matrix across its candidate cuts
+    X, _ = profile_blobs(rng, n_per=6, spread=0.3)
+    result = hcluster(X, method="average")
+    assert len(result.silhouettes) > 5
+    for k, score in result.silhouettes.items():
+        labels = result.assignments[k]
+        assert score == silhouette_score(X, labels)
+        assert score == pytest.approx(brute_force_silhouette(X, labels), abs=1e-9)
+
+
 def test_hcluster_ties_choose_smaller_k(monkeypatch, rng):
     X, _ = profile_blobs(rng, n_per=10)
-    monkeypatch.setattr(prof, "silhouette_score", lambda X_, labels: 0.5)
+    monkeypatch.setattr(prof, "silhouette_score", lambda X_, labels, D=None: 0.5)
     result = hcluster(X)
     assert result.chosen_k == 2  # all cuts tie at 0.5
 
