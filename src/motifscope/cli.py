@@ -160,18 +160,21 @@ def load_dataset(features_path, labels_path, classes=None, vocabulary=None) -> D
     return build_dataset(rows, classes=classes, vocabulary=vocabulary)
 
 
-def fit_model(kind: str, X, y, n_classes: int, params: dict, seed: int):
-    """Fit one class-weighted model of `kind` (the single fit dispatch)."""
+def fit_model(kind: str, dataset: Dataset, rows, params: dict, seed: int):
+    """Fit one class-weighted model of `kind` on dataset's `rows` (the single
+    fit dispatch). Trees index the dataset's one rank encoding."""
+    y = dataset.y[rows]
+    n_classes = len(dataset.classes)
     sw = sample_weights(y, n_classes)
     min_leaf = params.get("min_leaf", 10)
     if kind == "lr":
-        return LogisticModel.fit(X, y, sw, n_classes=n_classes, l2=params.get("l2", 1.0))
+        return LogisticModel.fit(dataset.X[rows], y, sw, n_classes=n_classes, l2=params.get("l2", 1.0))
     if kind == "dt":
-        return DecisionTree.fit(X, y, sw, n_classes=n_classes, min_leaf=min_leaf)
+        return DecisionTree.fit(dataset.ranked[rows], y, sw, n_classes=n_classes, min_leaf=min_leaf)
     if kind == "rf":
         return RandomForest.fit(
-            X, y, sw, n_classes=n_classes, n_trees=params.get("trees", 100), min_leaf=min_leaf,
-            max_features=params.get("max_features", "sqrt"), seed=seed,
+            dataset.ranked[rows], y, sw, n_classes=n_classes, n_trees=params.get("trees", 100),
+            min_leaf=min_leaf, max_features=params.get("max_features", "sqrt"), seed=seed,
         )
     raise InputError(f"unknown model kind {kind!r}")
 
@@ -203,7 +206,7 @@ def ingest_to_store(transfers, tokens, accounts, methods, method_groups, out) ->
 
 
 def train_model(dataset: Dataset, kind: str, mode: str, params: dict, seed: int, out) -> ModelSpec:
-    model = fit_model(kind, dataset.X, dataset.y, len(dataset.classes), params, seed)
+    model = fit_model(kind, dataset, slice(None), params, seed)
     spec = ModelSpec(kind, mode, dataset.classes, dataset.vocabulary, params, model)
     spec.save(out)
     return spec
@@ -213,9 +216,8 @@ def cross_validate(spec: ModelSpec, dataset: Dataset, k: int, seed: int, out):
     """Stratified k-fold CV of spec's model kind; writes the report and
     returns (folds, report), the report holding the fold models."""
     folds = stratified_kfold(dataset.y, k=k, seed=seed, groups=dataset.tx_hashes)
-    n_classes = len(dataset.classes)
     report = evaluate(
-        dataset, folds, lambda X, y: fit_model(spec.kind, X, y, n_classes, spec.params, seed)
+        dataset, folds, lambda rows: fit_model(spec.kind, dataset, rows, spec.params, seed)
     )
     storage.write_json(out, report.to_json())
     return folds, report
@@ -233,7 +235,7 @@ def _ccp_cv_rows(path, params: dict, dataset: Dataset, folds, fold_trees=None):
     pooled = [np.zeros((K, K), dtype=np.int64) for _ in path]
     for f, (train_idx, test_idx) in enumerate(folds):
         if fold_trees is None:
-            tree = fit_model("dt", dataset.X[train_idx], dataset.y[train_idx], K, params, seed=0)
+            tree = fit_model("dt", dataset, train_idx, params, seed=0)
         else:
             tree = fold_trees[f]
         fold_path = ccp_path(tree)

@@ -71,6 +71,8 @@ def _process_chunk(chunk: tuple[int, list[str]]) -> tuple[str, int, int, int]:
                 else:
                     rejected += 1
                     continue
+                if not isinstance(otype, str):
+                    raise TypeError(f"counterpart {other!r} has type {otype!r}, not a string")
                 flags[other] = flags.get(other, 0) | bit
                 types[other] = otype
                 label = ekeys.get(ek)

@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
+from . import models
 from .motif import OOV_KEY
 
 
@@ -17,6 +19,12 @@ class Dataset:
     The vocabulary is closed over the training corpus; the trailing OOV
     column absorbs feature keys unseen at training time so models can score
     transactions from outside the corpus.
+
+    `ranked` is X rank-encoded (`models.RankedMatrix`: per-column codes in
+    a narrow unsigned dtype plus each column's sorted uniques), computed on
+    first use and cached. Trees fitted on folds, bootstrap samples or the
+    whole set index these codes, so X is encoded once however many trees
+    are fitted on it.
     """
 
     X: np.ndarray
@@ -29,6 +37,10 @@ class Dataset:
     @property
     def n_rows(self) -> int:
         return self.X.shape[0]
+
+    @cached_property
+    def ranked(self) -> models.RankedMatrix:
+        return models.rank_encode(self.X)
 
     def class_counts(self) -> np.ndarray:
         return np.bincount(self.y, minlength=len(self.classes))
@@ -190,19 +202,21 @@ class EvalReport:
 def evaluate(
     dataset: Dataset,
     folds: list[tuple[np.ndarray, np.ndarray]],
-    fit_fn: Callable[[np.ndarray, np.ndarray], object],
+    fit_fn: Callable[[np.ndarray], object],
 ) -> EvalReport:
     """Cross-validate: fit per fold, average macro metrics, pool confusion.
 
-    The report keeps the fold models, so a later step on the same folds can
-    reuse them instead of refitting.
+    fit_fn gets a fold's train row indices into the dataset and returns a
+    fitted model, so fits can index one shared encoding of X rather than a
+    copied row subset. The report keeps the fold models, so a later step on
+    the same folds can reuse them instead of refitting.
     """
     n_classes = len(dataset.classes)
     models = []
     per_fold = []
     pooled = np.zeros((n_classes, n_classes), dtype=np.int64)
     for train_idx, test_idx in folds:
-        model = fit_fn(dataset.X[train_idx], dataset.y[train_idx])
+        model = fit_fn(train_idx)
         models.append(model)
         y_pred = model.predict(dataset.X[test_idx])
         cm = confusion_matrix(dataset.y[test_idx], y_pred, n_classes)

@@ -2,16 +2,18 @@
 
 The tree is grown with weighted Gini impurity so the cost-complexity pruning
 and per-leaf signature mining in signatures.py can reuse its internal node
-statistics. Feature values are rank-encoded once per fit; every node split
-then reduces to bincounts over the rank codes, which keeps training linear in
-node size instead of paying a sort per node.
+statistics. Feature values are rank-encoded into a `RankedMatrix`; every
+node split then reduces to bincounts over the rank codes, which keeps training
+linear in node size instead of paying a sort per node. A fit encodes a float
+matrix once per call (a forest once for all its trees), and callers that fit
+many trees on row subsets of one matrix encode it once and pass the codes.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Union
 
 import numpy as np
 from scipy.optimize import minimize
@@ -115,6 +117,50 @@ class LogisticModel:
 
 
 # ---------------------------------------------------------------------------
+# rank encoding
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class RankedMatrix:
+    """A float matrix as per-column rank codes plus each column's sorted uniques.
+
+    codes[i, f] is the index of X[i, f] in uniques[f]. The codes use the
+    narrowest unsigned dtype that holds the largest per-column unique count.
+    Indexing rows keeps the uniques, so a row subset may leave some codes
+    unused; split search only looks at the codes present in a node, which
+    makes a fit on `ranked[rows]` identical to one on `X[rows]`.
+    """
+
+    codes: np.ndarray  # (n, d)
+    uniques: tuple[np.ndarray, ...]  # d sorted value arrays
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return self.codes.shape
+
+    def __getitem__(self, rows) -> "RankedMatrix":
+        return RankedMatrix(self.codes[rows], self.uniques)
+
+
+def rank_encode(X: Union[np.ndarray, RankedMatrix]) -> RankedMatrix:
+    """Rank-encode each column of X; a RankedMatrix is returned as it is."""
+    if isinstance(X, RankedMatrix):
+        return X
+    X = np.asarray(X, dtype=float)
+    n, d = X.shape
+    codes = np.empty((n, d), dtype=np.uint8)
+    uniques = []
+    for f in range(d):
+        uniq, inv = np.unique(X[:, f], return_inverse=True)
+        dtype = np.promote_types(codes.dtype, np.min_scalar_type(len(uniq)))
+        if dtype != codes.dtype:
+            codes = codes.astype(dtype)
+        codes[:, f] = inv
+        uniques.append(uniq)
+    return RankedMatrix(codes, tuple(uniques))
+
+
+# ---------------------------------------------------------------------------
 # decision tree
 # ---------------------------------------------------------------------------
 
@@ -159,7 +205,7 @@ class DecisionTree:
     @classmethod
     def fit(
         cls,
-        X: np.ndarray,
+        X: Union[np.ndarray, RankedMatrix],
         y: np.ndarray,
         sample_weight: Optional[np.ndarray] = None,
         n_classes: Optional[int] = None,
@@ -167,18 +213,13 @@ class DecisionTree:
         max_features: Optional[int] = None,
         rng: Optional[np.random.Generator] = None,
     ) -> "DecisionTree":
-        n, d = X.shape
+        # node splits are bincounts over the rank codes
+        ranked = rank_encode(X)
+        n = ranked.shape[0]
         K = int(n_classes if n_classes is not None else y.max() + 1)
         if sample_weight is None:
             sample_weight = np.ones(n)
         y = np.asarray(y, dtype=np.int64)
-        # rank-encode each column once; node splits become bincounts over codes
-        codes = np.empty((n, d), dtype=np.int32)
-        uniques: list[np.ndarray] = []
-        for f in range(d):
-            uniq, inv = np.unique(X[:, f], return_inverse=True)
-            uniques.append(uniq)
-            codes[:, f] = inv
         total_weight = float(sample_weight.sum())
 
         def make_node(idx: np.ndarray) -> TreeNode:
@@ -192,9 +233,8 @@ class DecisionTree:
             node, idx = stack.pop()
             if len(idx) < 2 * min_leaf or node.gini <= 0.0:
                 continue
-            split = _best_split(
-                codes, uniques, y, sample_weight, idx, node, K, min_leaf, max_features, rng
-            )
+            split = _best_split(ranked.codes, ranked.uniques, y, sample_weight, idx, node, K,
+                                min_leaf, max_features, rng)
             if split is None:
                 continue
             feature, threshold, left_mask = split
@@ -335,7 +375,7 @@ class DecisionTree:
 
 def _best_split(
     codes: np.ndarray,
-    uniques: list[np.ndarray],
+    uniques: Sequence[np.ndarray],
     y: np.ndarray,
     sample_weight: np.ndarray,
     idx: np.ndarray,
@@ -359,7 +399,8 @@ def _best_split(
     best_dec = eps
     best: Optional[tuple[int, float, np.ndarray, int]] = None
     for f in features:
-        codes_f = codes[idx, f]
+        # widened so codes_f * K cannot overflow the narrow code dtype
+        codes_f = codes[idx, f].astype(np.intp)
         uf = len(uniques[f])
         cnt = np.bincount(codes_f, minlength=uf)
         present = np.flatnonzero(cnt)
@@ -408,7 +449,7 @@ class RandomForest:
     @classmethod
     def fit(
         cls,
-        X: np.ndarray,
+        X: Union[np.ndarray, RankedMatrix],
         y: np.ndarray,
         sample_weight: Optional[np.ndarray] = None,
         n_classes: Optional[int] = None,
@@ -417,7 +458,8 @@ class RandomForest:
         max_features: Optional[str] = "sqrt",
         seed: int = 0,
     ) -> "RandomForest":
-        n, d = X.shape
+        ranked = rank_encode(X)  # once for all the trees
+        n, d = ranked.shape
         K = int(n_classes if n_classes is not None else y.max() + 1)
         if sample_weight is None:
             sample_weight = np.ones(n)
@@ -434,7 +476,7 @@ class RandomForest:
             boot = rng.integers(0, n, size=n)
             trees.append(
                 DecisionTree.fit(
-                    X[boot],
+                    ranked[boot],
                     y[boot],
                     sample_weight=sample_weight[boot],
                     n_classes=K,

@@ -12,8 +12,8 @@ from pathlib import Path
 import pytest
 
 import motifscope
-from motifscope import ingest, motif, storage
-from motifscope.cli import PipelineConfig, build_parser, main
+from motifscope import ingest, models, motif, storage
+from motifscope.cli import PipelineConfig, build_parser, main, run_pipeline
 
 GROUPS8 = sorted(ingest.METHOD_GROUPS)
 
@@ -176,6 +176,20 @@ def test_featurize_bad_store_line_exit_2(mini_store, tmp_path, capsys, monkeypat
         # the previous output is left as it was and no temporary file remains
         assert out.read_text(encoding="utf-8") == "previous\n", what
         assert sorted(p.name for p in tmp_path.iterdir()) == ["features.jsonl", "store"], what
+
+
+@pytest.mark.parametrize("mode", ["M", "MxE"])
+def test_featurize_null_counterpart_type_exit_2(tmp_path, capsys, mode):
+    store = tmp_path / "store"
+    store.mkdir()
+    row = ["0xe1", "0xa", "EOA", "EOA", "0xt", "T", "stable", 1.0, 1]
+    line = {"tx": "t", "ego": "0xe1", "mg": None, "tr": [row, ["0xe1", "0xb", "EOA", None, *row[4:]]]}
+    (store / storage.STORE_FILE).write_text(json.dumps(line) + "\n", encoding="utf-8")
+    _, err = run(capsys, ["featurize", "--store", str(store), "--mode", mode,
+                          "--out", str(tmp_path / "features.jsonl")], code=2)
+    assert err["error"]["type"] == "InputError"
+    assert f"bad store line {store / storage.STORE_FILE}:1:" in err["error"]["message"]
+    assert "'0xb'" in err["error"]["message"]
 
 
 def test_python_m_motifscope(mini_store, tmp_path):
@@ -606,6 +620,28 @@ def test_pipeline_matches_subcommand_chain(tmp_path, small_corpus, capsys, kind)
                  "--out", str(chain / "matches.jsonl")])
     for name in compared:
         assert (chain / name).read_bytes() == (out / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("kind", ["dt", "rf"])
+def test_pipeline_rank_encodes_features_once(tmp_path, small_corpus, monkeypatch, kind):
+    """Train, eval, train_dt and prune-CV fit every tree (forest members and
+    fold trees too) from the dataset's one encoding."""
+    encoded = []
+    real = models.rank_encode
+
+    def counting(X):
+        if not isinstance(X, models.RankedMatrix):
+            encoded.append(X.shape)
+        return real(X)
+
+    monkeypatch.setattr(models, "rank_encode", counting)
+    manifest = run_pipeline(PipelineConfig(
+        transfers=str(small_corpus["transfers"]), tokens=str(small_corpus["tokens"]),
+        accounts=str(small_corpus["accounts"]), methods=str(small_corpus["methods"]),
+        out=str(tmp_path / "run"), model=kind, trees=3, folds=4, min_matches=1,
+    ))
+    assert "prune" in manifest["stages"]
+    assert len(encoded) == 1, encoded
 
 
 def _readme_commands():

@@ -213,7 +213,7 @@ def test_evaluate_pools_confusion_and_averages():
         egos=[""] * rows,
     )
     folds = learn.stratified_kfold(y, k=5, seed=0)
-    report = learn.evaluate(ds, folds, lambda X_, y_: _Majority(0))
+    report = learn.evaluate(ds, folds, lambda train_idx: _Majority(0))
     assert report.confusion.sum() == rows  # every row tested exactly once
     assert report.confusion.tolist() == [[30, 0], [10, 0]]
     assert len(report.per_fold) == 5

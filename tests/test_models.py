@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from motifscope import models
-from motifscope.models import DecisionTree, LogisticModel, RandomForest
+from motifscope import learn, models
+from motifscope.models import DecisionTree, LogisticModel, RandomForest, RankedMatrix
 
 from oracles import central_difference
 
@@ -237,3 +237,85 @@ def test_forest_max_features_subsampling(rng):
     assert forest.predict(X).shape == (len(X),)
     full = RandomForest.fit(X, y, n_trees=3, min_leaf=5, max_features=None, seed=1)
     assert (full.predict(X) == y).mean() > 0.9
+
+
+# ---------------------------------------------------------------------------
+# shared rank encoding
+# ---------------------------------------------------------------------------
+
+def _local_wide_encoding(X):
+    """The per-fit reference: X's own uniques and int64 codes, which no
+    code * K product can overflow."""
+    pairs = [np.unique(col, return_inverse=True) for col in X.T]
+    codes = np.stack([inv for _, inv in pairs], axis=1).astype(np.int64).reshape(X.shape)
+    return RankedMatrix(codes, tuple(uniq for uniq, _ in pairs))
+
+
+def _encoding_case(name, rng):
+    """(X, y, rows, code dtype) for one equivalence case."""
+    n = 400
+    if name == "float ties":
+        X = np.round(rng.normal(0.0, 1.0, size=(n, 4)), 1)
+        y = (X[:, 0] + 0.5 * X[:, 1] > 0).astype(np.int64) + (X[:, 2] > 0.8)
+        rows = rng.integers(0, n, size=n)  # a bootstrap sample: repeats and absent rows
+        return X, y, rows, np.uint8
+    if name in ("counts absent codes", "counts fold"):
+        X = rng.poisson(1.5, size=(n, 5)).astype(float)
+        X[:, 4] = 3.0  # constant everywhere
+        y = (X[:, 0] >= 2).astype(np.int64) + (X[:, 1] + X[:, 2] >= 4)
+        if name == "counts fold":
+            rows = learn.stratified_kfold(y, k=5, seed=2)[1][0]
+        else:
+            # code 2 of column 0 is absent and column 3 is constant on these rows
+            rows = np.flatnonzero((X[:, 0] != 2) & (X[:, 3] == 1))
+        return X, y, rows, np.uint8
+    if name == "wide uint16":
+        X = np.column_stack([rng.permutation(n).astype(float), rng.poisson(1.0, size=n)])
+        y = ((X[:, 0] > 150).astype(np.int64) + (X[:, 0] > 300)) * (X[:, 1] > 0)
+        rows = rng.choice(n, size=300, replace=False)
+        return X, y, rows, np.uint16
+    # narrow codes reaching 128 and more with K = 3: code * K overflows uint8
+    X = np.column_stack([rng.integers(0, 200, size=n).astype(float), rng.poisson(1.0, size=n)])
+    y = (X[:, 0] >= 140).astype(np.int64) + (X[:, 0] >= 170) * (X[:, 1] > 0)
+    rows = rng.choice(n, size=350, replace=False)
+    return X, y, rows, np.uint8
+
+
+ENCODING_CASES = ["float ties", "counts absent codes", "counts fold", "wide uint16", "uint8 codes >= 128"]
+
+
+@pytest.mark.parametrize("name", ENCODING_CASES)
+def test_rank_encode_codes(name, rng):
+    X, _, rows, dtype = _encoding_case(name, rng)
+    ranked = models.rank_encode(X)
+    assert ranked.codes.dtype == dtype
+    assert ranked.shape == X.shape
+    for f, uniq in enumerate(ranked.uniques):
+        assert (np.diff(uniq) > 0).all()
+        assert (uniq[ranked.codes[:, f]] == X[:, f]).all()
+    sub = ranked[rows]
+    assert sub.shape == (len(rows), X.shape[1])
+    assert sub.uniques is ranked.uniques
+    assert (sub.codes == ranked.codes[rows]).all()
+    assert models.rank_encode(sub) is sub
+
+
+@pytest.mark.parametrize("name", ENCODING_CASES)
+@pytest.mark.parametrize("kind", ["tree", "forest"])
+def test_fit_on_shared_encoding_matches_fit_on_rows(name, kind, rng):
+    """Fitting on rows of the whole matrix's encoding (codes a row subset does
+    not use, narrow dtypes) gives the same model as fitting on X[rows]."""
+    X, y, rows, _ = _encoding_case(name, rng)
+    sw = learn.sample_weights(y[rows], 3)
+    if kind == "tree":
+        def fit(data):
+            return DecisionTree.fit(data, y[rows], sw, n_classes=3, min_leaf=3).to_dict()
+    else:
+        def fit(data):
+            return RandomForest.fit(data, y[rows], sw, n_classes=3, n_trees=4, min_leaf=3,
+                                    seed=5).to_dict()
+    expected = fit(X[rows])
+    assert fit(models.rank_encode(X)[rows]) == expected
+    assert fit(_local_wide_encoding(X[rows])) == expected
+    if kind == "tree":
+        assert len(expected["nodes"]) > 5
