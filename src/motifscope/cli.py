@@ -28,13 +28,10 @@ from .ingest import (
     METHOD_GROUPS,
     TokenRegistry,
     UNKNOWN,
-    attach_methods,
-    filter_spam,
     group_methods,
-    group_transactions,
     load_method_labels,
     load_method_mapping,
-    load_transfers,
+    read_transfers,
 )
 from .learn import (
     Dataset,
@@ -184,24 +181,22 @@ def fit_model(kind: str, dataset: Dataset, rows, params: dict, seed: int):
 # ---------------------------------------------------------------------------
 
 def ingest_to_store(transfers, tokens, accounts, methods, method_groups, out) -> dict:
-    token_registry = TokenRegistry.from_file(tokens)
-    result = load_transfers(transfers, token_registry, AccountRegistry.from_file(accounts))
-    transactions = group_transactions(result.transfers)
-    n_before = len(transactions)
-    transactions = filter_spam(transactions, token_registry)
+    loaded = read_transfers(transfers, TokenRegistry.from_file(tokens), AccountRegistry.from_file(accounts))
+    method_of = {}
     if methods:
         mapping = load_method_mapping(method_groups or PACKAGED_METHOD_GROUPS)
-        attach_methods(transactions, group_methods(load_method_labels(methods), mapping))
-    label_counts = Counter(tx.method_group for tx in transactions if tx.method_group)
+        method_of = {lab.tx_hash: lab.method_group
+                     for lab in group_methods(load_method_labels(methods), mapping)}
+    label_counts = Counter(group for _, _, group, _ in loaded.transactions(method_of) if group)
     report = {
-        "transfers_read": len(result.transfers) + len(result.rejects),
-        "transfers_kept": len(result.transfers),
-        "rejected": result.reject_counts(),
-        "transactions": len(transactions),
-        "transactions_spam_filtered": n_before - len(transactions),
+        "transfers_read": loaded.kept + len(loaded.rejects),
+        "transfers_kept": loaded.kept,
+        "rejected": loaded.reject_counts(),
+        "transactions": len(loaded.groups) - len(loaded.spam),
+        "transactions_spam_filtered": len(loaded.spam),
         "labeled": dict(sorted(label_counts.items())),
     }
-    storage.write_store(out, transactions, report)
+    storage.write_store(out, loaded.transactions(method_of), report)
     return report
 
 

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import json
 import multiprocessing as mp
-import os
 from dataclasses import dataclass
 from itertools import islice
 
@@ -133,21 +132,14 @@ def featurize_store(
     path = storage.store_path(store_dir)
     state = (path, catalog, mode, max_nodes)
     chunks = _iter_chunks(path, CHUNK_LINES)
-    tmp_path = f"{os.fspath(out_path)}.tmp"
-    try:
-        with open(tmp_path, "w", encoding="utf-8") as out:
-            if threads <= 1:
-                _init_worker(*state)
-                stats = _write_results(out, map(_process_chunk, chunks))
-            else:
-                ctx = mp.get_context("fork") if "fork" in mp.get_all_start_methods() else mp.get_context()
-                with ctx.Pool(threads, initializer=_init_worker, initargs=state) as pool:
-                    stats = _write_results(out, pool.imap(_process_chunk, chunks, chunksize=1))
-        os.replace(tmp_path, out_path)
-    except BaseException:
-        if os.path.exists(tmp_path):
-            os.remove(tmp_path)
-        raise
+    with storage.replacing(out_path) as (tmp_path,), open(tmp_path, "w", encoding="utf-8") as out:
+        if threads <= 1:
+            _init_worker(*state)
+            stats = _write_results(out, map(_process_chunk, chunks))
+        else:
+            ctx = mp.get_context("fork") if "fork" in mp.get_all_start_methods() else mp.get_context()
+            with ctx.Pool(threads, initializer=_init_worker, initargs=state) as pool:
+                stats = _write_results(out, pool.imap(_process_chunk, chunks, chunksize=1))
     return stats
 
 

@@ -2,16 +2,20 @@
 
 All inputs are local files (CSV for transfers and labels, JSON for
 registries). Rows that fail validation are rejected with a reason code and
-counted, never silently dropped.
+counted, never silently dropped. `read_transfers` reads transfers.csv in one
+streaming pass straight into the store's compact row tuples, grouped by
+(tx_hash, ego); the `TokenTransfer`/`Transaction` objects are the read side,
+built from the store by `storage.iter_store`.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import json
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Iterator, Optional
 
 # Token categories (closed vocabulary; Unlabeled covers unknown tokens).
 CATEGORIES = (
@@ -71,7 +75,7 @@ def is_null_address(addr: str) -> bool:
 
 @dataclass
 class TokenTransfer:
-    """One directed token movement inside a transaction."""
+    """One directed token movement inside a transaction, as read from the store."""
 
     tx_hash: str
     from_account: str
@@ -106,8 +110,8 @@ class TokenRegistry:
     """Token -> (category, spam flag), keyed by contract with symbol fallback."""
 
     def __init__(self):
-        self._by_contract: dict[str, tuple[str, bool]] = {}
-        self._by_symbol: dict[str, tuple[str, bool]] = {}
+        self._by_contract: dict[str, tuple[Optional[str], bool]] = {}
+        self._by_symbol: dict[str, tuple[Optional[str], bool]] = {}
 
     @classmethod
     def from_file(cls, path) -> "TokenRegistry":
@@ -128,7 +132,7 @@ class TokenRegistry:
 
     def add(self, contract: str, symbol: str, category: str, is_spam: bool) -> None:
         if is_spam:
-            record = ("", True)  # spam tokens carry no category
+            record = (None, True)  # spam tokens carry no category
         else:
             if category not in CATEGORIES:
                 raise InputError(f"unknown token category {category!r} for {symbol or contract}")
@@ -138,20 +142,16 @@ class TokenRegistry:
         if symbol:
             self._by_symbol[symbol] = record
 
-    def _lookup(self, contract: str, symbol: str) -> tuple[str, bool]:
+    def resolve(self, contract: str, symbol: str) -> tuple[Optional[str], bool]:
+        """(category, is_spam): by contract in any case, else by symbol; a
+        token absent from the registry is Unlabeled, a spam token has no category."""
         rec = self._by_contract.get(contract.lower()) if contract else None
         if rec is None and symbol:
             rec = self._by_symbol.get(symbol)
-        if rec is None:
-            return ("Unlabeled", False)  # absent from registry: unlabeled, not spam
-        return rec
+        return rec if rec is not None else ("Unlabeled", False)
 
     def category(self, contract: str, symbol: str) -> str:
-        cat, spam = self._lookup(contract, symbol)
-        return cat if not spam else ""
-
-    def is_spam(self, contract: str, symbol: str) -> bool:
-        return self._lookup(contract, symbol)[1]
+        return self.resolve(contract, symbol)[0] or ""
 
 
 class AccountRegistry:
@@ -193,8 +193,10 @@ class AccountRegistry:
             self._egos.add(addr)
 
     def type_of(self, address: str, ego: str) -> str:
-        if address == ego:
-            return "E"
+        return "E" if address == ego else self.kind_of(address)
+
+    def kind_of(self, address: str) -> str:
+        """The type of an address that is not the ego: N, C or A."""
         addr = address.lower()
         if is_null_address(address) or addr in self._nulls:
             return "N"
@@ -207,107 +209,132 @@ class AccountRegistry:
         return set(self._egos)
 
 
+def _csv_rows(path, what: str) -> Iterator[list[str]]:
+    """Rows of a UTF-8 CSV file. Bytes that do not decode and CSV syntax
+    errors raise InputError naming the file and line."""
+    try:
+        fh = open(path, encoding="utf-8", newline="")
+    except OSError as exc:
+        raise InputError(f"cannot read {what} file {path}: {exc}") from exc
+    with fh:
+        reader = csv.reader(fh)
+        try:
+            yield from reader
+        except UnicodeDecodeError as exc:
+            # the text layer decodes ahead in blocks: find the line by decoding line by line
+            lineno, exc = _first_undecodable_line(path)
+            raise InputError(f"bad {what} file {path}:{lineno}: {type(exc).__name__}: {exc}") from exc
+        except csv.Error as exc:
+            raise InputError(f"bad {what} file {path}:{reader.line_num}: csv.Error: {exc}") from exc
+
+
+def _first_undecodable_line(path) -> tuple[int, UnicodeDecodeError]:
+    with open(path, "rb") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            try:
+                raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                return lineno, exc
+    raise AssertionError(f"{path} decodes line by line")  # pragma: no cover
+
+
 @dataclass
 class LoadResult:
-    transfers: list[TokenTransfer]
+    """transfers.csv read in one pass, as store rows grouped by (tx_hash, ego).
+
+    A row is the store's transfer row: (from, to, from_type, to_type,
+    contract, symbol, category, amount, block). Groups keep the order in
+    which their key first appears, and rows keep input order within a group.
+    """
+
+    groups: dict[tuple[str, str], list[tuple]]
+    spam: set[tuple[str, str]]  # groups with a spam-token transfer
+    kept: int  # rows that passed validation, spam included
     rejects: list[tuple[int, str]] = field(default_factory=list)
 
     def reject_counts(self) -> dict[str, int]:
         return dict(Counter(reason for _, reason in self.rejects))
 
+    def transactions(self, method_of: Optional[dict[str, str]] = None
+                     ) -> Iterator[tuple[str, str, Optional[str], list[tuple]]]:
+        """(tx_hash, ego, method group or None, rows) of every group no spam
+        token touched; method groups join on tx_hash."""
+        method_of = method_of or {}
+        for key, rows in self.groups.items():
+            if key not in self.spam:
+                yield key[0], key[1], method_of.get(key[0]), rows
 
-def load_transfers(path, registry: TokenRegistry, accounts: Optional[AccountRegistry] = None) -> LoadResult:
-    """Read transfers.csv, validating rows and resolving token categories.
+
+def read_transfers(path, tokens: TokenRegistry, accounts: AccountRegistry) -> LoadResult:
+    """Read transfers.csv in one streaming pass: validate each row, resolve
+    its token category and account types, and group it by (tx_hash, ego).
 
     Rejected rows carry (line_number, reason); reasons: malformed_row,
     missing_tx_hash, missing_account, self_transfer, bad_amount,
-    negative_amount, bad_block.
+    negative_amount, bad_block. Each distinct (contract, symbol) is looked up
+    in the token registry once and each distinct address in the account
+    registry once; an address is E only where it equals the row's ego, and
+    repeated strings share one object.
     """
-    transfers: list[TokenTransfer] = []
+    groups: dict[tuple[str, str], list[tuple]] = {}
+    spam: set[tuple[str, str]] = set()
     rejects: list[tuple[int, str]] = []
-    try:
-        fh = open(path, encoding="utf-8", newline="")
-    except OSError as exc:
-        raise InputError(f"cannot read transfers file {path}: {exc}") from exc
-    with fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != list(TRANSFER_COLUMNS):
-            raise InputError(
-                f"transfers file {path} must start with header {','.join(TRANSFER_COLUMNS)}"
-            )
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(TRANSFER_COLUMNS):
-                rejects.append((lineno, "malformed_row"))
-                continue
-            tx_hash, ego, src, dst, contract, symbol, amount_s, block_s = row
-            if not tx_hash:
-                rejects.append((lineno, "missing_tx_hash"))
-                continue
-            if not src or not dst or not ego:
-                rejects.append((lineno, "missing_account"))
-                continue
-            if src == dst:
-                rejects.append((lineno, "self_transfer"))
-                continue
-            try:
-                amount = float(amount_s)
-            except ValueError:
-                rejects.append((lineno, "bad_amount"))
-                continue
-            if amount < 0 or amount != amount:
-                rejects.append((lineno, "negative_amount"))
-                continue
-            try:
-                block = int(block_s)
-            except ValueError:
-                rejects.append((lineno, "bad_block"))
-                continue
-            if block < 0:
-                rejects.append((lineno, "bad_block"))
-                continue
-            tr = TokenTransfer(
-                tx_hash=tx_hash,
-                from_account=src,
-                to_account=dst,
-                token_symbol=symbol,
-                token_contract=contract,
-                amount=amount,
-                block_number=block,
-                ego_account=ego,
-                category=registry.category(contract, symbol) or None,
-            )
-            if accounts is not None:
-                tr.from_type = accounts.type_of(src, ego)
-                tr.to_type = accounts.type_of(dst, ego)
-            transfers.append(tr)
-    return LoadResult(transfers, rejects)
-
-
-def group_transactions(transfers: list[TokenTransfer]) -> list[Transaction]:
-    """Partition transfers by (tx_hash, ego), preserving input order."""
-    buckets: dict[tuple[str, str], Transaction] = {}
-    for tr in transfers:
-        key = (tr.tx_hash, tr.ego_account)
-        tx = buckets.get(key)
-        if tx is None:
-            tx = Transaction(tx_hash=tr.tx_hash, ego_account=tr.ego_account, transfers=[])
-            buckets[key] = tx
-        tx.transfers.append(tr)
-    return list(buckets.values())
-
-
-def filter_spam(transactions: list[Transaction], registry: TokenRegistry) -> list[Transaction]:
-    """Drop any transaction containing at least one spam-token transfer."""
-    kept = []
-    for tx in transactions:
-        if any(registry.is_spam(tr.token_contract, tr.token_symbol) for tr in tx.transfers):
+    kept = 0
+    # (canonical string, kind) per address and (contract, symbol, category, spam) per token
+    account = functools.cache(lambda addr: (addr, accounts.kind_of(addr)))
+    token = functools.cache(lambda contract, symbol: (contract, symbol, *tokens.resolve(contract, symbol)))
+    rows = _csv_rows(path, "transfers")
+    header = next(rows, None)
+    if header is None or [h.strip() for h in header] != list(TRANSFER_COLUMNS):
+        raise InputError(f"transfers file {path} must start with header {','.join(TRANSFER_COLUMNS)}")
+    for lineno, row in enumerate(rows, start=2):
+        if not row:
             continue
-        if tx.transfers:
-            kept.append(tx)
-    return kept
+        if len(row) != len(TRANSFER_COLUMNS):
+            rejects.append((lineno, "malformed_row"))
+            continue
+        tx_hash, ego, src, dst, contract, symbol, amount_s, block_s = row
+        if not tx_hash:
+            rejects.append((lineno, "missing_tx_hash"))
+            continue
+        if not src or not dst or not ego:
+            rejects.append((lineno, "missing_account"))
+            continue
+        if src == dst:
+            rejects.append((lineno, "self_transfer"))
+            continue
+        try:
+            amount = float(amount_s)
+        except ValueError:
+            rejects.append((lineno, "bad_amount"))
+            continue
+        if amount < 0 or amount != amount:
+            rejects.append((lineno, "negative_amount"))
+            continue
+        try:
+            block = int(block_s)
+        except ValueError:
+            rejects.append((lineno, "bad_block"))
+            continue
+        if block < 0:
+            rejects.append((lineno, "bad_block"))
+            continue
+        kept += 1
+        ego = account(ego)[0]
+        src, src_kind = account(src)
+        dst, dst_kind = account(dst)
+        contract, symbol, category, is_spam = token(contract, symbol)
+        key = (tx_hash, ego)
+        if is_spam:
+            spam.add(key)
+        tr = (src, dst, "E" if src == ego else src_kind, "E" if dst == ego else dst_kind,
+              contract, symbol, category, amount, block)
+        group = groups.get(key)
+        if group is None:
+            groups[key] = [tr]
+        else:
+            group.append(tr)
+    return LoadResult(groups, spam, kept, rejects)
 
 
 def load_method_mapping(path) -> dict[str, str]:
@@ -338,20 +365,11 @@ def load_method_mapping(path) -> dict[str, str]:
 
 def load_method_labels(path) -> list[MethodLabel]:
     """Read methods.csv (tx_hash,raw_method)."""
-    labels = []
-    try:
-        fh = open(path, encoding="utf-8", newline="")
-    except OSError as exc:
-        raise InputError(f"cannot read methods file {path}: {exc}") from exc
-    with fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header][:2] != ["tx_hash", "raw_method"]:
-            raise InputError(f"methods file {path} must start with header tx_hash,raw_method")
-        for row in reader:
-            if len(row) >= 2 and row[0]:
-                labels.append(MethodLabel(tx_hash=row[0], raw_method=row[1]))
-    return labels
+    rows = _csv_rows(path, "methods")
+    header = next(rows, None)
+    if header is None or [h.strip() for h in header][:2] != ["tx_hash", "raw_method"]:
+        raise InputError(f"methods file {path} must start with header tx_hash,raw_method")
+    return [MethodLabel(tx_hash=row[0], raw_method=row[1]) for row in rows if len(row) >= 2 and row[0]]
 
 
 def group_methods(labels: list[MethodLabel], mapping: dict[str, str]) -> list[MethodLabel]:
@@ -368,12 +386,3 @@ def group_methods(labels: list[MethodLabel], mapping: dict[str, str]) -> list[Me
         else:
             label.method_group = group
     return labels
-
-
-def attach_methods(transactions: list[Transaction], labels: list[MethodLabel]) -> None:
-    """Set method_group on transactions by tx_hash join. Unlabeled stay None."""
-    by_hash = {lab.tx_hash: lab.method_group for lab in labels}
-    for tx in transactions:
-        group = by_hash.get(tx.tx_hash)
-        if group is not None:
-            tx.method_group = group

@@ -382,18 +382,9 @@ class SignatureMatch:
 def match_signatures(features: dict[str, float], signatures: Iterable[LeafSignature]) -> tuple[list[int], list[str]]:
     """Leaves whose full itemset is present; empty signatures never match."""
     present = {key for key, count in features.items() if count > 0}
-    leaves = []
-    groups = []
-    for sig in signatures:
-        if sig.items and all(item in present for item in sig.items):
-            leaves.append(sig.leaf_id)
-            groups.append(sig.group)
-    order = np.argsort(leaves)
-    leaves = [leaves[i] for i in order]
-    groups = [groups[i] for i in order]
-    seen = set()
-    unique_groups = [g for g in groups if not (g in seen or seen.add(g))]
-    return leaves, sorted(unique_groups)
+    hits = sorted((sig.leaf_id, sig.group) for sig in signatures
+                  if sig.items and present.issuperset(sig.items))
+    return [leaf for leaf, _ in hits], sorted({group for _, group in hits})
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ import csv
 import hashlib
 import json
 import os
+from contextlib import contextmanager
 from typing import Iterable, Iterator, Optional
 
 from .ingest import InputError, TokenTransfer, Transaction
@@ -24,9 +25,28 @@ LABELS_FILE = "labels.csv"
 # Transfer rows are arrays, not objects: the store is read once per
 # featurize pass over potentially millions of lines.
 
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
 
 def dumps(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    return _ENCODER.encode(obj)
+
+
+@contextmanager
+def replacing(*paths):
+    """Yield a `<path>.tmp` for each path. They are moved into place when
+    the block finishes and removed when it raises, so a failed write leaves
+    the previous files as they were."""
+    tmps = [f"{os.fspath(path)}.tmp" for path in paths]
+    try:
+        yield tmps
+        for tmp, path in zip(tmps, paths):
+            os.replace(tmp, path)
+    except BaseException:
+        for tmp in tmps:
+            if os.path.exists(tmp):
+                os.remove(tmp)
+        raise
 
 
 def write_json(path, obj) -> None:
@@ -38,24 +58,6 @@ def write_json(path, obj) -> None:
 def read_json(path):
     with open(path, encoding="utf-8") as fh:
         return json.load(fh)
-
-
-def tx_to_line(tx: Transaction) -> str:
-    rows = [
-        [
-            tr.from_account,
-            tr.to_account,
-            tr.from_type,
-            tr.to_type,
-            tr.token_contract,
-            tr.token_symbol,
-            tr.category,
-            tr.amount,
-            tr.block_number,
-        ]
-        for tr in tx.transfers
-    ]
-    return dumps({"tx": tx.tx_hash, "ego": tx.ego_account, "mg": tx.method_group, "tr": rows})
 
 
 def line_to_tx(line: str) -> Transaction:
@@ -81,23 +83,29 @@ def line_to_tx(line: str) -> Transaction:
     )
 
 
-def write_store(store_dir, transactions: Iterable[Transaction], report: Optional[dict] = None) -> str:
-    """Write the normalized transaction store; returns the JSONL path."""
+def write_store(store_dir, transactions: Iterable[tuple[str, str, Optional[str], list]],
+                report: Optional[dict] = None) -> str:
+    """Write the transaction store from (tx_hash, ego, method group or None,
+    transfer rows) tuples; returns the JSONL path. The files appear only
+    once all of them are written."""
     os.makedirs(store_dir, exist_ok=True)
     store_path = os.path.join(store_dir, STORE_FILE)
-    labels_path = os.path.join(store_dir, LABELS_FILE)
-    with open(store_path, "w", encoding="utf-8") as fh, open(
-        labels_path, "w", encoding="utf-8", newline=""
-    ) as lfh:
-        writer = csv.writer(lfh)
-        writer.writerow(["tx_hash", "ego", "method_group"])
-        for tx in transactions:
-            fh.write(tx_to_line(tx))
-            fh.write("\n")
-            if tx.method_group is not None:
-                writer.writerow([tx.tx_hash, tx.ego_account, tx.method_group])
+    paths = [store_path, os.path.join(store_dir, LABELS_FILE)]
     if report is not None:
-        write_json(os.path.join(store_dir, REPORT_FILE), report)
+        paths.append(os.path.join(store_dir, REPORT_FILE))
+    with replacing(*paths) as tmps:
+        with open(tmps[0], "w", encoding="utf-8") as fh, open(
+            tmps[1], "w", encoding="utf-8", newline=""
+        ) as lfh:
+            writer = csv.writer(lfh)
+            writer.writerow(["tx_hash", "ego", "method_group"])
+            for tx_hash, ego, group, rows in transactions:
+                fh.write(_ENCODER.encode({"tx": tx_hash, "ego": ego, "mg": group, "tr": rows}))
+                fh.write("\n")
+                if group is not None:
+                    writer.writerow([tx_hash, ego, group])
+        if report is not None:
+            write_json(tmps[2], report)
     return store_path
 
 

@@ -9,11 +9,17 @@ evidence rather than the same code run twice.
 
 from __future__ import annotations
 
+import csv
 import itertools
+import json
+import os
+from collections import Counter
 
 import numpy as np
 
+from motifscope import ingest
 from motifscope.etn import EgoTransferNetwork
+from motifscope.ingest import TokenTransfer, Transaction
 
 SAMPLE_CATEGORIES = ("Cryptocurrency", "Stablecoin", "Synthetic", "Marketplace", "Unlabeled")
 
@@ -183,6 +189,128 @@ def brute_force_maximal_itemsets(presence: np.ndarray, threshold: float):
         for items, sup in frequent.items()
         if not any(items < other for other in frequent)
     ]
+
+
+# ---------------------------------------------------------------------------
+# signature matching by a per-signature subset test
+# ---------------------------------------------------------------------------
+
+def brute_force_match(features: dict, signatures) -> tuple[list, list]:
+    """Leaves of the non-empty signatures whose every item has a positive
+    count, sorted, and the sorted unique groups of those leaves."""
+    leaves, groups = [], []
+    for sig in signatures:
+        if sig.items and all(features.get(item, 0) > 0 for item in sig.items):
+            leaves.append(sig.leaf_id)
+            if sig.group not in groups:
+                groups.append(sig.group)
+    return sorted(leaves), sorted(groups)
+
+
+# ---------------------------------------------------------------------------
+# ingest by one object per transfer and a pass per step
+# ---------------------------------------------------------------------------
+
+def _dumps(obj) -> str:
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
+
+def _reference_load_transfers(path, registry, accounts):
+    """A TokenTransfer per valid row, registries consulted row by row."""
+    transfers, rejects = [], []
+    with open(path, encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        next(reader)
+        for lineno, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != 8:
+                rejects.append((lineno, "malformed_row"))
+                continue
+            tx_hash, ego, src, dst, contract, symbol, amount_s, block_s = row
+            if not tx_hash:
+                rejects.append((lineno, "missing_tx_hash"))
+                continue
+            if not src or not dst or not ego:
+                rejects.append((lineno, "missing_account"))
+                continue
+            if src == dst:
+                rejects.append((lineno, "self_transfer"))
+                continue
+            try:
+                amount = float(amount_s)
+            except ValueError:
+                rejects.append((lineno, "bad_amount"))
+                continue
+            if amount < 0 or amount != amount:
+                rejects.append((lineno, "negative_amount"))
+                continue
+            try:
+                block = int(block_s)
+            except ValueError:
+                rejects.append((lineno, "bad_block"))
+                continue
+            if block < 0:
+                rejects.append((lineno, "bad_block"))
+                continue
+            transfers.append(TokenTransfer(
+                tx_hash=tx_hash, from_account=src, to_account=dst, token_symbol=symbol,
+                token_contract=contract, amount=amount, block_number=block, ego_account=ego,
+                category=registry.category(contract, symbol) or None,
+                from_type=accounts.type_of(src, ego), to_type=accounts.type_of(dst, ego),
+            ))
+    return transfers, rejects
+
+
+def _reference_tx_line(tx: Transaction) -> str:
+    rows = [[tr.from_account, tr.to_account, tr.from_type, tr.to_type, tr.token_contract,
+             tr.token_symbol, tr.category, tr.amount, tr.block_number] for tr in tx.transfers]
+    return _dumps({"tx": tx.tx_hash, "ego": tx.ego_account, "mg": tx.method_group, "tr": rows})
+
+
+def reference_ingest(transfers, tokens, accounts, methods, method_groups, out) -> dict:
+    """Ingest as separate passes over per-transfer objects: load, group by
+    (tx_hash, ego), drop spam-touched transactions, join method groups, then
+    write each transaction's store line. Writes the same three files as
+    `cli.ingest_to_store`."""
+    registry = ingest.TokenRegistry.from_file(tokens)
+    loaded, rejects = _reference_load_transfers(
+        transfers, registry, ingest.AccountRegistry.from_file(accounts))
+    buckets: dict[tuple[str, str], Transaction] = {}
+    for tr in loaded:
+        key = (tr.tx_hash, tr.ego_account)
+        if key not in buckets:
+            buckets[key] = Transaction(tx_hash=tr.tx_hash, ego_account=tr.ego_account, transfers=[])
+        buckets[key].transfers.append(tr)
+    grouped = list(buckets.values())
+    kept = [tx for tx in grouped
+            if not any(registry.resolve(tr.token_contract, tr.token_symbol)[1] for tr in tx.transfers)]
+    mapping = ingest.load_method_mapping(method_groups)
+    by_hash = {lab.tx_hash: lab.method_group
+               for lab in ingest.group_methods(ingest.load_method_labels(methods), mapping)}
+    for tx in kept:
+        tx.method_group = by_hash.get(tx.tx_hash)
+    label_counts = Counter(tx.method_group for tx in kept if tx.method_group)
+    report = {
+        "transfers_read": len(loaded) + len(rejects),
+        "transfers_kept": len(loaded),
+        "rejected": dict(Counter(reason for _, reason in rejects)),
+        "transactions": len(kept),
+        "transactions_spam_filtered": len(grouped) - len(kept),
+        "labeled": dict(sorted(label_counts.items())),
+    }
+    os.makedirs(out, exist_ok=True)
+    with open(os.path.join(out, "transactions.jsonl"), "w", encoding="utf-8") as fh, \
+            open(os.path.join(out, "labels.csv"), "w", encoding="utf-8", newline="") as lfh:
+        writer = csv.writer(lfh)
+        writer.writerow(["tx_hash", "ego", "method_group"])
+        for tx in kept:
+            fh.write(_reference_tx_line(tx) + "\n")
+            if tx.method_group is not None:
+                writer.writerow([tx.tx_hash, tx.ego_account, tx.method_group])
+    with open(os.path.join(out, "ingest_report.json"), "w", encoding="utf-8") as fh:
+        fh.write(_dumps(report) + "\n")
+    return report
 
 
 # ---------------------------------------------------------------------------

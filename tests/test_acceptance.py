@@ -103,13 +103,11 @@ def make_raw(out, n, seed, skew="table2", noise=None, n_egos=None, mixes=None):
 def ingest_raw(raw, store):
     tokens = ingest.TokenRegistry.from_file(raw / "tokens.json")
     accounts = ingest.AccountRegistry.from_file(raw / "accounts.json")
-    loaded = ingest.load_transfers(raw / "transfers.csv", tokens, accounts)
+    loaded = ingest.read_transfers(raw / "transfers.csv", tokens, accounts)
     assert loaded.rejects == []
-    transactions = ingest.group_transactions(loaded.transfers)
     mapping = ingest.load_method_mapping(PACKAGED_METHOD_GROUPS)
     labels = ingest.group_methods(ingest.load_method_labels(raw / "methods.csv"), mapping)
-    ingest.attach_methods(transactions, labels)
-    storage.write_store(store, transactions)
+    storage.write_store(store, loaded.transactions({lab.tx_hash: lab.method_group for lab in labels}))
 
 
 def build_corpus(root, n, seed, **kwargs):

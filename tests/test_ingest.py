@@ -1,10 +1,16 @@
 """Ingestion: validation, reject reasons, registries, method grouping."""
 
+import csv
+import filecmp
 import json
+import types
 
 import pytest
 
-from motifscope import ingest
+from motifscope import ingest, storage
+from motifscope.cli import PACKAGED_METHOD_GROUPS, ingest_to_store, main
+
+from oracles import reference_ingest
 
 HEADER = "tx_hash,ego,from,to,token_contract,token_symbol,amount,block_number"
 
@@ -23,19 +29,29 @@ def registry():
     return reg
 
 
-def test_header_is_validated(tmp_path, registry):
+@pytest.fixture()
+def accounts():
+    return ingest.AccountRegistry()
+
+
+def store_rows(result):
+    """The store rows of every group, in order."""
+    return [row for rows in result.groups.values() for row in rows]
+
+
+def test_header_is_validated(tmp_path, registry, accounts):
     bad = tmp_path / "t.csv"
     bad.write_text("a,b,c\n1,2,3\n", encoding="utf-8")
     with pytest.raises(ingest.InputError):
-        ingest.load_transfers(bad, registry)
+        ingest.read_transfers(bad, registry, accounts)
 
 
-def test_missing_file_is_input_error(tmp_path, registry):
+def test_missing_file_is_input_error(tmp_path, registry, accounts):
     with pytest.raises(ingest.InputError):
-        ingest.load_transfers(tmp_path / "nope.csv", registry)
+        ingest.read_transfers(tmp_path / "nope.csv", registry, accounts)
 
 
-def test_reject_reasons(tmp_path, registry):
+def test_reject_reasons(tmp_path, registry, accounts):
     rows = [
         "tx1,0xe,0xa,0xe,0xtok1,USDC,1.0,100",  # good
         "tx2,0xe,0xa,0xe,0xtok1,USDC,1.0",  # malformed_row
@@ -48,9 +64,9 @@ def test_reject_reasons(tmp_path, registry):
         "tx9,0xe,0xa,0xe,0xtok1,USDC,1.0,xyz",  # bad_block
         "tx10,0xe,0xa,0xe,0xtok1,USDC,1.0,-5",  # bad_block
     ]
-    result = ingest.load_transfers(write_transfers(tmp_path / "t.csv", rows), registry)
-    assert len(result.transfers) == 1
-    assert result.transfers[0].tx_hash == "tx1"
+    result = ingest.read_transfers(write_transfers(tmp_path / "t.csv", rows), registry, accounts)
+    assert result.kept == 1
+    assert list(result.groups) == [("tx1", "0xe")]
     assert result.reject_counts() == {
         "malformed_row": 1,
         "missing_tx_hash": 1,
@@ -64,14 +80,14 @@ def test_reject_reasons(tmp_path, registry):
     assert result.rejects[0] == (3, "malformed_row")
 
 
-def test_category_resolution_and_fallback(tmp_path, registry):
+def test_category_resolution_and_fallback(tmp_path, registry, accounts):
     rows = [
         "tx1,0xe,0xa,0xe,0xtok1,USDC,1.0,100",
         "tx2,0xe,0xa,0xe,,WETH,1.0,100",  # symbol fallback
         "tx3,0xe,0xa,0xe,0xunknown,ZZZ,1.0,100",  # not in registry
     ]
-    result = ingest.load_transfers(write_transfers(tmp_path / "t.csv", rows), registry)
-    cats = [tr.category for tr in result.transfers]
+    result = ingest.read_transfers(write_transfers(tmp_path / "t.csv", rows), registry, accounts)
+    cats = [row[6] for row in store_rows(result)]
     assert cats == ["Stablecoin", "Cryptocurrency", "Unlabeled"]
 
 
@@ -119,28 +135,26 @@ def test_account_registry_rejects_unknown_type(tmp_path):
         ingest.AccountRegistry.from_file(path)
 
 
-def test_group_transactions_partitions_by_hash_and_ego(tmp_path, registry):
+def test_group_transactions_partitions_by_hash_and_ego(tmp_path, registry, accounts):
     rows = [
         "tx1,0xe1,0xa,0xe1,0xtok1,USDC,1.0,100",
         "tx1,0xe1,0xe1,0xb,0xtok1,USDC,2.0,100",
         "tx1,0xe2,0xa,0xe2,0xtok1,USDC,1.0,100",  # same hash, other ego
         "tx2,0xe1,0xa,0xe1,0xtok1,USDC,1.0,101",
     ]
-    result = ingest.load_transfers(write_transfers(tmp_path / "t.csv", rows), registry)
-    txs = ingest.group_transactions(result.transfers)
-    keys = [(tx.tx_hash, tx.ego_account, len(tx.transfers)) for tx in txs]
+    result = ingest.read_transfers(write_transfers(tmp_path / "t.csv", rows), registry, accounts)
+    keys = [(tx_hash, ego, len(rows)) for (tx_hash, ego), rows in result.groups.items()]
     assert keys == [("tx1", "0xe1", 2), ("tx1", "0xe2", 1), ("tx2", "0xe1", 1)]
 
 
-def test_spam_filter_drops_whole_transaction(tmp_path, registry):
+def test_spam_filter_drops_whole_transaction(tmp_path, registry, accounts):
     rows = [
         "tx1,0xe,0xa,0xe,0xtok1,USDC,1.0,100",
         "tx1,0xe,0xb,0xe,0xspam,FREE,9.0,100",  # spam transfer taints tx1
         "tx2,0xe,0xa,0xe,0xtok1,USDC,1.0,101",
     ]
-    result = ingest.load_transfers(write_transfers(tmp_path / "t.csv", rows), registry)
-    txs = ingest.filter_spam(ingest.group_transactions(result.transfers), registry)
-    assert [tx.tx_hash for tx in txs] == ["tx2"]
+    result = ingest.read_transfers(write_transfers(tmp_path / "t.csv", rows), registry, accounts)
+    assert [tx_hash for tx_hash, _, _, _ in result.transactions()] == ["tx2"]
 
 
 def test_method_mapping_aliases_and_exclusions(tmp_path):
@@ -187,17 +201,16 @@ def test_method_mapping_unknown_group_is_fatal(tmp_path):
         ingest.load_method_mapping(path)
 
 
-def test_attach_methods_joins_on_hash(tmp_path, registry):
+def test_attach_methods_joins_on_hash(tmp_path, registry, accounts):
     rows = [
         "tx1,0xe,0xa,0xe,0xtok1,USDC,1.0,100",
         "tx2,0xe,0xa,0xe,0xtok1,USDC,1.0,101",
     ]
-    result = ingest.load_transfers(write_transfers(tmp_path / "t.csv", rows), registry)
-    txs = ingest.group_transactions(result.transfers)
+    result = ingest.read_transfers(write_transfers(tmp_path / "t.csv", rows), registry, accounts)
     labels = [ingest.MethodLabel("tx1", "transfer", method_group="Transfer")]
-    ingest.attach_methods(txs, labels)
-    assert txs[0].method_group == "Transfer"
-    assert txs[1].method_group is None
+    txs = list(result.transactions({lab.tx_hash: lab.method_group for lab in labels}))
+    assert txs[0][2] == "Transfer"
+    assert txs[1][2] is None
 
 
 def test_methods_csv_header_validated(tmp_path):
@@ -211,6 +224,121 @@ def test_node_types_resolved_at_load(tmp_path, registry):
     accounts = ingest.AccountRegistry()
     accounts.add("0xc1", "contract")
     rows = ["tx1,0xe,0xc1,0xe,0xtok1,USDC,1.0,100"]
-    result = ingest.load_transfers(write_transfers(tmp_path / "t.csv", rows), registry, accounts)
-    tr = result.transfers[0]
-    assert (tr.from_type, tr.to_type) == ("C", "E")
+    result = ingest.read_transfers(write_transfers(tmp_path / "t.csv", rows), registry, accounts)
+    row = store_rows(result)[0]
+    assert (row[2], row[3]) == ("C", "E")
+
+
+# ---------------------------------------------------------------------------
+# the streamed store against the per-transfer reference path
+# ---------------------------------------------------------------------------
+
+TRICKY_TRANSFERS = [
+    "t1,0xe1,0xa1,0xe1,0xC1,USDC,1.5,10",  # contract 0xC1 here, 0xc1 in the registry
+    "t2,0xe1,0xe1,0xb1,0xc1,USDC,2.0,10",  # t1 and t2 interleave; same contract, other case
+    "t1,0xe1,0xe1,0x0000000000,,WETH,3.0,10",  # null address; symbol fallback
+    "t2,0xe1,0X00000000,0xe1,,USDC,1e-3,11",  # null address in mixed case; other symbol
+    "t3,0xe1,0xE1,0xe1,0xtok2,WETH,1.0,12",  # the ego but for case: not E
+    "t3,0xe2,0xe1,0xe2,0xtok2,WETH,1.0,12",  # t3 under a second ego, where 0xe1 is not E
+    "t1,0xe1,0xNUL1,0xe1,0xtok2,WETH,1.0,10",  # registered null, other case
+    "t4,0xe2,0xa1,0xe2,0xspam,FREE,9,13",  # spam taints t4
+    "t4,0xe2,0xe2,0xa1,0xtok2,WETH,1,13",
+    "t5,0xe2,0xC2,0xe2,0xunknown,ZZZ,0.25,14",  # unregistered token; registered contract
+    "",
+    "t6,0xe1,0xa1,0xe1,0xc1,USDC,1.0",  # malformed_row
+    ",0xe1,0xa1,0xe1,0xc1,USDC,1.0,10",  # missing_tx_hash
+    "t6,,0xa1,0xe1,0xc1,USDC,1.0,10",  # missing_account
+    "t6,0xe1,0xe1,0xe1,0xc1,USDC,1.0,10",  # self_transfer
+    "t6,0xe1,0xa1,0xe1,0xc1,USDC,lots,10",  # bad_amount
+    "t6,0xe1,0xa1,0xe1,0xc1,USDC,-1,10",  # negative_amount
+    "t6,0xe1,0xa1,0xe1,0xc1,USDC,1.0,-2",  # bad_block
+    "t5,0xe2,0xe2,0xa2,0xtok2,USDC,7,14",  # the contract wins over the symbol
+    "t5,0xe2,0xa2,0xe2,0xunknown,WETH,2,14",  # unregistered contract: the symbol decides
+]
+
+
+def write_tricky_corpus(root):
+    root.mkdir(parents=True)
+    write_transfers(root / "transfers.csv", TRICKY_TRANSFERS)
+    (root / "tokens.json").write_text(json.dumps([
+        {"contract": "0xc1", "symbol": "USDC", "category": "Stablecoin"},
+        {"contract": "0xtok2", "symbol": "WETH", "category": "Cryptocurrency"},
+        {"contract": "0xspam", "symbol": "FREE", "is_spam": True},
+    ]), encoding="utf-8")
+    (root / "accounts.json").write_text(json.dumps([
+        {"address": "0xE1", "type": "ego"}, {"address": "0xe2", "type": "ego"},
+        {"address": "0xb1", "type": "contract"}, {"address": "0xc2", "type": "contract"},
+        {"address": "0xnul1", "type": "null"},
+    ]), encoding="utf-8")
+    (root / "methods.csv").write_text(
+        "tx_hash,raw_method\nt1,Transfer\nt2,Swap\nt3,frobnicate\nt4,Transfer\nt2,Deposit\n",
+        encoding="utf-8")
+    return root
+
+
+@pytest.mark.parametrize("corpus", ["synth", "handwritten"])
+def test_streamed_store_matches_reference(small_corpus, tmp_path, corpus):
+    raw = small_corpus["raw"] if corpus == "synth" else write_tricky_corpus(tmp_path / "raw")
+    inputs = (raw / "transfers.csv", raw / "tokens.json", raw / "accounts.json",
+              raw / "methods.csv", PACKAGED_METHOD_GROUPS)
+    report = ingest_to_store(*inputs, tmp_path / "streamed")
+    assert report == reference_ingest(*inputs, tmp_path / "reference")
+    for name in (storage.STORE_FILE, storage.LABELS_FILE, storage.REPORT_FILE):
+        assert filecmp.cmp(tmp_path / "streamed" / name, tmp_path / "reference" / name,
+                           shallow=False), name
+    if corpus == "handwritten":
+        assert report["rejected"] == {
+            reason: 1 for reason in ("malformed_row", "missing_tx_hash", "missing_account",
+                                     "self_transfer", "bad_amount", "negative_amount", "bad_block")}
+        assert report["transactions"] == 5 and report["transactions_spam_filtered"] == 1
+        types = {(tx.tx_hash, tx.ego_account): [(tr.from_type, tr.to_type) for tr in tx.transfers]
+                 for tx in storage.iter_store(tmp_path / "streamed")}
+        assert types[("t3", "0xe1")] == [("A", "E")]
+        assert types[("t3", "0xe2")] == [("A", "E")]
+
+
+@pytest.mark.parametrize("fault", ["undecodable byte", "oversized field"])
+@pytest.mark.parametrize("which", ["transfers", "methods"])
+def test_unreadable_csv_names_file_and_line(tmp_path, capsys, which, fault):
+    raw = write_tricky_corpus(tmp_path / "raw")
+    path = raw / f"{which}.csv"
+    lines = path.read_bytes().splitlines(keepends=True)
+    junk = b"\xff" if fault == "undecodable byte" else b"x" * 200_000
+    lines[3] = lines[3].replace(b",", b"," + junk, 1)
+    path.write_bytes(b"".join(lines))
+    inputs = ["--transfers", str(raw / "transfers.csv"), "--tokens", str(raw / "tokens.json"),
+              "--accounts", str(raw / "accounts.json"), "--methods", str(raw / "methods.csv")]
+    for command, store in (("ingest", tmp_path / "store"), ("pipeline", tmp_path / "run" / "store")):
+        assert main([command, *inputs, "--out", str(store.parent if command == "pipeline" else store)]) == 2
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert error["stage"] == "ingest" and error["type"] == "InputError"
+        assert error["message"].startswith(f"bad {which} file {path}:4: "), error["message"]
+        assert not (store / storage.STORE_FILE).exists()
+
+
+def test_failed_store_write_leaves_previous_store(tmp_path, monkeypatch):
+    raw = write_tricky_corpus(tmp_path / "raw")
+    inputs = (raw / "transfers.csv", raw / "tokens.json", raw / "accounts.json",
+              raw / "methods.csv", PACKAGED_METHOD_GROUPS)
+    out = tmp_path / "store"
+    ingest_to_store(*inputs, out)
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+
+    class FailingWriter:
+        """csv.writer that fails on its third row, after two store lines are out."""
+
+        def __init__(self, fh):
+            self.writer = csv.writer(fh)
+            self.rows = 0
+
+        def writerow(self, row):
+            self.rows += 1
+            if self.rows == 3:
+                raise RuntimeError("disk full")
+            return self.writer.writerow(row)
+
+    monkeypatch.setattr(storage, "csv", types.SimpleNamespace(writer=FailingWriter))
+    with pytest.raises(RuntimeError, match="disk full"):
+        ingest_to_store(*inputs, out)
+    # the previous store is as it was, and no temporary file is left
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before

@@ -7,7 +7,6 @@ import pytest
 
 from motifscope import etn as etn_mod, motif, storage
 from motifscope.etn import EgoTransferNetwork
-from motifscope.ingest import TokenTransfer, Transaction
 
 from oracles import (
     brute_force_motif_edge_features,
@@ -258,23 +257,21 @@ def wide_store(store_dir):
     a small mixed transaction and an all-in one."""
     ego = "0xe"
 
-    def tr(tx, src, dst, src_type, dst_type, category):
-        return TokenTransfer(tx_hash=tx, from_account=src, to_account=dst, token_symbol="TOK",
-                             token_contract="0xt", amount=1.0, block_number=1, ego_account=ego,
-                             category=category, from_type=src_type, to_type=dst_type)
+    def tr(src, dst, src_type, dst_type, category):
+        return (src, dst, src_type, dst_type, "0xt", "TOK", category, 1.0, 1)
 
     categories = ("Stablecoin", "Cryptocurrency", "Synthetic")
-    airdrop = [tr("0xwide", ego, f"0xa{i:02d}", "E", "ACN"[i % 3], categories[i % 2])
+    airdrop = [tr(ego, f"0xa{i:02d}", "E", "ACN"[i % 3], categories[i % 2])
                for i in range(12)]
-    airdrop += [tr("0xwide", "0xa03", ego, "A", "E", "Synthetic"),
-                tr("0xwide", "0xa01", "0xa02", "C", "N", "Stablecoin")]
-    mixed = [tr("0xmix", ego, "0xc1", "E", "C", "Stablecoin"),
-             tr("0xmix", ego, "0xc1", "E", "C", "Stablecoin"),
-             tr("0xmix", "0xc1", ego, "C", "E", "Cryptocurrency"),
-             tr("0xmix", "0xn1", ego, "N", "E", "Synthetic"),
-             tr("0xmix", ego, "0xa1", "E", "A", "Marketplace")]
-    all_in = [tr("0xin", f"0xs{i}", ego, "A", "E", categories[i % 3]) for i in range(4)]
-    storage.write_store(store_dir, [Transaction(tx_hash=h, ego_account=ego, transfers=rows)
+    airdrop += [tr("0xa03", ego, "A", "E", "Synthetic"),
+                tr("0xa01", "0xa02", "C", "N", "Stablecoin")]
+    mixed = [tr(ego, "0xc1", "E", "C", "Stablecoin"),
+             tr(ego, "0xc1", "E", "C", "Stablecoin"),
+             tr("0xc1", ego, "C", "E", "Cryptocurrency"),
+             tr("0xn1", ego, "N", "E", "Synthetic"),
+             tr(ego, "0xa1", "E", "A", "Marketplace")]
+    all_in = [tr(f"0xs{i}", ego, "A", "E", categories[i % 3]) for i in range(4)]
+    storage.write_store(store_dir, [(h, ego, None, rows)
                                     for h, rows in (("0xwide", airdrop), ("0xmix", mixed),
                                                     ("0xin", all_in))])
 

@@ -17,7 +17,7 @@ from motifscope.signatures import (
     tree_to_dot,
 )
 
-from oracles import brute_force_maximal_itemsets
+from oracles import brute_force_match, brute_force_maximal_itemsets
 
 
 def blocky(values_y, reps=10):
@@ -303,6 +303,22 @@ def test_match_signatures_subset_semantics():
     assert groups == ["Mint", "Swap"]  # unique groups, sorted
     leaves, groups = match_signatures({"b": 1}, sigs)
     assert leaves == [] and groups == []
+    # leaf ids out of order and repeated; one group on two leaves
+    sigs = [make_sig(7, "Swap", ["a"]), make_sig(2, "Mint", ["b"]), make_sig(7, "Borrow", ["a"]),
+            make_sig(4, "Swap", ["b", "a"])]
+    assert match_signatures({"a": 1, "b": 2}, sigs) == ([2, 4, 7, 7], ["Borrow", "Mint", "Swap"])
+    assert match_signatures({"a": 1, "b": 0}, sigs) == ([7, 7], ["Borrow", "Swap"])
+
+
+def test_match_signatures_matches_brute_force(rng):
+    keys = [f"k{i}" for i in range(6)]
+    groups = ["Swap", "Mint", "Borrow"]
+    for _ in range(500):
+        sigs = [make_sig(int(rng.integers(0, 6)), groups[int(rng.integers(0, 3))],
+                         [keys[j] for j in rng.choice(6, size=int(rng.integers(0, 4)), replace=False)])
+                for _ in range(int(rng.integers(0, 8)))]
+        features = {k: int(rng.integers(0, 3)) for k in keys if rng.random() < 0.7}
+        assert match_signatures(features, sigs) == brute_force_match(features, sigs)
 
 
 def test_match_ignores_zero_count_features():

@@ -102,8 +102,8 @@ def test_generate_empty_corpus_is_schema_valid(tmp_path):
         assert path.exists()
     tokens = ingest.TokenRegistry.from_file(tmp_path / "empty" / "tokens.json")
     accounts = ingest.AccountRegistry.from_file(tmp_path / "empty" / "accounts.json")
-    loaded = ingest.load_transfers(tmp_path / "empty" / "transfers.csv", tokens, accounts)
-    assert loaded.transfers == [] and loaded.rejects == []
+    loaded = ingest.read_transfers(tmp_path / "empty" / "transfers.csv", tokens, accounts)
+    assert loaded.groups == {} and loaded.rejects == []
     assert ingest.load_method_labels(tmp_path / "empty" / "methods.csv") == []
 
 
@@ -195,10 +195,10 @@ def test_mixes_drive_per_ego_methods(tmp_path):
     group_of_tx = {lab.tx_hash: lab.method_group for lab in raw}
     tokens = ingest.TokenRegistry.from_file(out / "tokens.json")
     accounts = ingest.AccountRegistry.from_file(out / "accounts.json")
-    loaded = ingest.load_transfers(out / "transfers.csv", tokens, accounts)
+    loaded = ingest.read_transfers(out / "transfers.csv", tokens, accounts)
     allowed = {"trader": {"Swap", "Transfer"}, "farmer": {"Deposit", "Withdraw"}}
-    for tx in ingest.group_transactions(loaded.transfers):
-        assert group_of_tx[tx.tx_hash] in allowed[mix_of_ego[tx.ego_account]]
+    for tx_hash, ego in loaded.groups:
+        assert group_of_tx[tx_hash] in allowed[mix_of_ego[ego]]
 
 
 def test_generated_accounts_cover_all_counterparties(small_corpus):
@@ -206,7 +206,8 @@ def test_generated_accounts_cover_all_counterparties(small_corpus):
     registry = ingest.AccountRegistry.from_file(small_corpus["accounts"])
     known = {e["address"] for e in json.loads(small_corpus["accounts"].read_text())}
     tokens = ingest.TokenRegistry.from_file(small_corpus["tokens"])
-    loaded = ingest.load_transfers(small_corpus["transfers"], tokens, registry)
-    for tr in loaded.transfers:
-        assert tr.from_account in known
-        assert tr.to_account in known
+    loaded = ingest.read_transfers(small_corpus["transfers"], tokens, registry)
+    for rows in loaded.groups.values():
+        for row in rows:
+            assert row[0] in known  # from
+            assert row[1] in known  # to
