@@ -301,21 +301,44 @@ def load_signatures(path) -> list[LeafSignature]:
     return [LeafSignature.from_json(s) for s in obj.get("signatures", [])]
 
 
-def match_features(features_path, signatures: list[LeafSignature], out) -> tuple[int, int]:
-    """Stream features through the signatures into matches JSONL; returns (total, matched)."""
-    matched = total = 0
-    with open(out, "w", encoding="utf-8") as fh:
+MATCH_MEMO_SIZE = 1 << 16  # distinct key sets remembered before the memo starts over
+
+
+def match_features(features_path, signatures: list[LeafSignature],
+                   out) -> list[tuple[str, tuple[int, ...]]]:
+    """Stream features through the signatures into matches JSONL; returns the
+    (ego, leaves) of every line written, in file order.
+
+    A match depends only on the set of keys with a positive count, so each
+    distinct set is matched once (up to MATCH_MEMO_SIZE sets at a time), and
+    each distinct result's line middle is encoded once. Lines carry
+    storage.dumps' sorted keys."""
+    by_keys: dict[tuple, tuple[tuple[int, ...], str]] = {}
+    by_result: dict[tuple, tuple[tuple[int, ...], str]] = {}
+    pairs = []
+    dumps = storage.dumps
+    with storage.replacing(out) as (tmp,), open(tmp, "w", encoding="utf-8") as fh:
         for tx_hash, ego, feats in storage.iter_features(features_path):
-            total += 1
-            leaves, groups = match_signatures(feats, signatures)
-            matched += bool(leaves)
-            fh.write(storage.dumps(
-                {"tx_hash": tx_hash, "ego": ego, "leaves": leaves, "groups": groups}
-            ) + "\n")
-    return total, matched
+            present = tuple(k for k, c in feats.items() if c > 0)
+            hit = by_keys.get(present)
+            if hit is None:
+                leaves, groups = match_signatures(feats, signatures)
+                result = (tuple(leaves), tuple(groups))
+                hit = by_result.get(result)
+                if hit is None:
+                    hit = by_result[result] = (
+                        result[0], f',"groups":{dumps(groups)},"leaves":{dumps(leaves)},"tx_hash":')
+                if len(by_keys) >= MATCH_MEMO_SIZE:
+                    by_keys.clear()
+                by_keys[present] = hit
+            leaves, middle = hit
+            fh.write('{"ego":' + dumps(ego) + middle + dumps(tx_hash) + "}\n")
+            pairs.append((ego, leaves))
+    return pairs
 
 
 def _read_matches(path):
+    """(ego, leaves) from a matches.jsonl file, for the profile subcommand."""
     try:
         fh = open(path, encoding="utf-8")
     except OSError as exc:
@@ -327,9 +350,11 @@ def _read_matches(path):
                 yield obj["ego"], obj.get("leaves", [])
 
 
-def write_profiles(matches_path, out) -> Profiles:
-    profiles = build_profiles(_read_matches(matches_path))
-    write_profiles_csv(profiles, out)
+def write_profiles(matches, out) -> Profiles:
+    """Profiles from (ego, leaves) pairs, written to profiles.csv."""
+    profiles = build_profiles(matches)
+    with storage.replacing(out) as (tmp,):
+        write_profiles_csv(profiles, tmp)
     return profiles
 
 
@@ -489,13 +514,14 @@ def cmd_signatures(args) -> int:
 
 
 def cmd_match(args) -> int:
-    total, matched = match_features(args.features, load_signatures(args.signatures), args.out)
-    _print({"transactions": total, "matched": matched, "out": args.out})
+    pairs = match_features(args.features, load_signatures(args.signatures), args.out)
+    _print({"transactions": len(pairs), "matched": sum(1 for _, leaves in pairs if leaves),
+            "out": args.out})
     return 0
 
 
 def cmd_profile(args) -> int:
-    profiles = write_profiles(args.matches, args.out)
+    profiles = write_profiles(_read_matches(args.matches), args.out)
     _print({"accounts": len(profiles.accounts), "signatures": len(profiles.leaf_ids),
             "out": args.out})
     return 0
@@ -592,7 +618,8 @@ def run_pipeline(cfg: PipelineConfig) -> dict:
 
     Stages hand each other in-memory objects: the labelled features are
     parsed once into one Dataset, eval's folds are reused by prune-CV, and
-    so are eval's fold trees when the model is a decision tree.
+    so are eval's fold trees when the model is a decision tree. Profiles are
+    built from the match stage's (ego, leaves), not from matches.jsonl.
     """
     for field_name in ("transfers", "tokens", "accounts", "out"):
         if not getattr(cfg, field_name):
@@ -665,11 +692,10 @@ def run_pipeline(cfg: PipelineConfig) -> dict:
     else:
         manifest["notes"].append("match-only run: no labels; using provided signatures")
 
-    _stage(manifest, "match", lambda: match_features(
+    matches = _stage(manifest, "match", lambda: match_features(
         features_path, load_signatures(cfg.signatures) if signatures is None else signatures,
         out / "matches.jsonl"))
-    profiles = _stage(manifest, "profile", lambda: write_profiles(
-        out / "matches.jsonl", out / "profiles.csv"))
+    profiles = _stage(manifest, "profile", lambda: write_profiles(matches, out / "profiles.csv"))
     profiles = filter_min_matches(profiles, cfg.min_matches)
     if len(profiles.accounts) >= 2:
         _stage(manifest, "cluster", lambda: cluster_profiles(

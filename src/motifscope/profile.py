@@ -1,9 +1,13 @@
 """Account signature-usage profiles and hierarchical clustering.
 
 Profiles count matched transactions per (account, leaf signature), normalize
-rows to proportions, then z-score columns across accounts. Clustering runs
-scipy's agglomerative linkage over the z-scored rows with Euclidean distance;
-the number of clusters is chosen by maximizing the silhouette over flat cuts.
+rows to proportions, then z-score columns across accounts. The pipeline builds
+them from the match stage's in-memory (account, leaves) results. Clustering
+runs scipy's agglomerative linkage over the z-scored rows with Euclidean
+distance; the number of clusters is chosen by maximizing the silhouette
+(Rousseeuw 1987) over flat cuts. Every cut's clusters are runs in the
+dendrogram's leaf order, so the silhouettes of all cuts come from one pass
+over row blocks of distances, with no n x n matrix.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 from scipy.cluster.hierarchy import fcluster, leaves_list, linkage
-from scipy.spatial.distance import pdist, squareform
+from scipy.spatial.distance import cdist, pdist, squareform
 
 from .ingest import InputError
 
@@ -115,8 +119,9 @@ def write_profiles_csv(profiles: Profiles, path) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["account", "total"] + [f"leaf_{j}" for j in profiles.leaf_ids])
-        for i, account in enumerate(profiles.accounts):
-            writer.writerow([account, int(profiles.totals[i])] + [int(v) for v in profiles.raw[i]])
+        for account, total, counts in zip(profiles.accounts, profiles.totals.tolist(),
+                                          profiles.raw.tolist()):
+            writer.writerow([account, total] + counts)
 
 
 def read_profiles_csv(path) -> Profiles:
@@ -147,6 +152,7 @@ def read_profiles_csv(path) -> Profiles:
 # ---------------------------------------------------------------------------
 
 def pairwise_distances(X: np.ndarray) -> np.ndarray:
+    """The square n x n distance matrix; clustering itself never builds it."""
     # pdist computes sqrt(sum((a-b)^2)) on the differences directly; the
     # gram-matrix shortcut loses ~1e-8 to cancellation on close points.
     X = np.asarray(X, dtype=float)
@@ -155,24 +161,58 @@ def pairwise_distances(X: np.ndarray) -> np.ndarray:
     return squareform(pdist(X))
 
 
-def silhouette_score(X: np.ndarray, labels: np.ndarray, D: Optional[np.ndarray] = None) -> float:
+def _distance_sums(X: np.ndarray, order: np.ndarray, cuts: Sequence[np.ndarray],
+                   block_bytes: int = 1 << 23) -> tuple[list[np.ndarray], float]:
+    """Each point's total distance to every cluster of each cut, and the
+    largest distance, from one pass over blocks of cdist(X[order], X[block]).
+
+    A cluster's sum runs over the runs of its label in `order`: one slice
+    when the cluster is one run (every cluster of every cut, when `order` is
+    the dendrogram's leaf order), run by run when it is split. Slices are
+    summed down their rows, one distance after another in `order`, as numpy
+    sums the columns of D[:, labels == c]. Columns of each (n, k) sum follow
+    the sorted labels. Peak memory is one block, not n x n.
+    """
+    n = X.shape[0]
+    Xo = X[order]
+    sums, plans = [], []
+    for labels in cuts:
+        ordered = np.asarray(labels)[order]
+        uniq = np.unique(ordered)
+        starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
+        cols = np.searchsorted(uniq, ordered[starts])
+        plans.append(list(zip(starts.tolist(), np.r_[starts[1:], n].tolist(), cols.tolist())))
+        sums.append(np.zeros((n, uniq.size)))
+    top = 0.0
+    step = max(1, block_bytes // (8 * n))
+    for lo in range(0, n, step):
+        D = cdist(Xo, X[lo:lo + step])  # bitwise equal to squareform(pdist(X))[order, block]
+        top = np.maximum(top, D.max())
+        for out, runs in zip(sums, plans):
+            rows = out[lo:lo + step]
+            for start, end, col in runs:
+                rows[:, col] += D[start:end].sum(axis=0)
+    return sums, float(top)
+
+
+def silhouette_score(X: np.ndarray, labels: np.ndarray, sums: Optional[np.ndarray] = None) -> float:
     """Mean silhouette over points; singleton-cluster points score 0.
 
-    D, if given, is pairwise_distances(X), so callers scoring several cuts
-    of the same rows build the n x n matrix once.
+    sums, if given, is each point's (n, k) total distance to every cluster,
+    columns in sorted label order, so callers scoring several cuts of the
+    same rows compute all of them in one pass (see hcluster).
     """
     labels = np.asarray(labels)
     uniq = np.unique(labels)
     if uniq.size < 2 or uniq.size > len(labels) - 1:
         raise ValueError("silhouette needs 2 <= k <= n-1 clusters")
-    if D is None:
-        D = pairwise_distances(np.asarray(X, dtype=float))
+    if sums is None:
+        # stable order keeps each cluster's columns in index order
+        (sums,), _ = _distance_sums(np.asarray(X, dtype=float),
+                                    np.argsort(labels, kind="stable"), [labels])
     rows = np.arange(len(labels))
-    masks = [labels == c for c in uniq]
-    sizes = np.array([m.sum() for m in masks])
-    # total distance from every point to each cluster
-    sums = np.stack([D[:, m].sum(axis=1) for m in masks], axis=1)  # (n, k)
     own = np.searchsorted(uniq, labels)
+    sizes = np.bincount(own, minlength=uniq.size)
     size_own = sizes[own]
     with np.errstate(divide="ignore", invalid="ignore"):
         a = sums[rows, own] / (size_own - 1)
@@ -229,20 +269,20 @@ def hcluster(Z_rows: np.ndarray, method: str = "ward") -> ClusteringResult:
         warnings.warn(notes[-1])
         labels = fcluster(Zm, t=2, criterion="maxclust")
         return ClusteringResult(Zm, {2: labels}, {}, 2, notes)
-    D = pairwise_distances(X)
-    if np.allclose(D, 0.0):
+    assignments: dict[int, np.ndarray] = {}
+    for k in range(2, min(K_CAP, n - 1) + 1):
+        labels = fcluster(Zm, t=k, criterion="maxclust")
+        if np.unique(labels).size >= 2:  # a collapsed cut (duplicate heights) has no silhouette
+            assignments[k] = labels
+    # every flat cut's clusters are dendrogram subtrees: runs in the leaf order
+    sums, top = _distance_sums(X, leaves_list(Zm), list(assignments.values()))
+    if top <= 1e-8:
         notes.append("all profiles identical: silhouette set to 0, reporting k=2")
         warnings.warn(notes[-1])
         labels = fcluster(Zm, t=2, criterion="maxclust")
         return ClusteringResult(Zm, {2: labels}, {2: 0.0}, 2, notes)
-    assignments: dict[int, np.ndarray] = {}
-    silhouettes: dict[int, float] = {}
-    for k in range(2, min(K_CAP, n - 1) + 1):
-        labels = fcluster(Zm, t=k, criterion="maxclust")
-        if np.unique(labels).size < 2:
-            continue  # cut collapsed (duplicate heights); silhouette undefined
-        assignments[k] = labels
-        silhouettes[k] = silhouette_score(X, labels, D=D)
+    silhouettes = {k: silhouette_score(X, labels, cut_sums)
+                   for (k, labels), cut_sums in zip(assignments.items(), sums)}
     chosen = max(sorted(silhouettes), key=lambda k: silhouettes[k])
     return ClusteringResult(Zm, assignments, silhouettes, chosen, notes)
 

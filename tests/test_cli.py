@@ -12,8 +12,11 @@ from pathlib import Path
 import pytest
 
 import motifscope
-from motifscope import ingest, models, motif, storage
+from motifscope import cli, ingest, models, motif, profile, storage
 from motifscope.cli import PipelineConfig, build_parser, main, run_pipeline
+from motifscope.signatures import LeafSignature
+
+from oracles import brute_force_match
 
 GROUPS8 = sorted(ingest.METHOD_GROUPS)
 
@@ -391,6 +394,80 @@ def test_match_jsonl(small_corpus, trained):
     assert matched / len(lines) > 0.8  # clean corpus, most transactions match
 
 
+def _signature(leaf, group, items):
+    return LeafSignature(leaf_id=leaf, group=group, probability=1.0, samples=1, items=items,
+                         item_supports={}, support=1.0)
+
+
+@pytest.mark.parametrize("memo_size", [cli.MATCH_MEMO_SIZE, 1])
+def test_match_features_once_per_key_set_equals_oracle(tmp_path, monkeypatch, memo_size):
+    monkeypatch.setattr(cli, "MATCH_MEMO_SIZE", memo_size)
+    signatures = [_signature(3, "Swap", ["a", "b"]), _signature(1, "Swap", ["a"]),
+                  _signature(7, "Deposit", ["c"]), _signature(7, "Repay", ["d"]),
+                  _signature(9, "Borrow", [])]
+    rows = [
+        {"a": 1, "b": 2},
+        {"b": 5, "a": 1},            # the same key set, reordered
+        {"a": 1, "b": 2},            # repeated
+        {"a": 1, "b": 0, "c": 3},    # a zero count is an absent key
+        {"a": 1, "b": 1, "c": 3},    # the same keys as the row above, another present set
+        {"a": 2, "c": 1},            # the same present set as the row above
+        {"b": 1},
+        {"d": 1},                    # leaf 7 again, under another group
+        {"c": 1, "d": 2},
+        {},
+        {"z": 0},
+    ] + [{f"k{i}": 1, "c": i} for i in range(5)]  # all distinct
+    features = tmp_path / "features.jsonl"
+    with open(features, "w", encoding="utf-8") as fh:
+        for i, feats in enumerate(rows):
+            fh.write(json.dumps({"tx_hash": f"0xt\u00e9{i}", "ego": f"0xe{i % 3}",
+                                 "features": feats}) + "\n")
+    calls = []
+    real = cli.match_signatures
+
+    def counting(feats, sigs):
+        calls.append(feats)
+        return real(feats, sigs)
+
+    monkeypatch.setattr(cli, "match_signatures", counting)
+    out = tmp_path / "matches.jsonl"
+    pairs = cli.match_features(features, signatures, out)
+    expected_lines, expected_pairs = [], []
+    for i, feats in enumerate(rows):
+        leaves, groups = brute_force_match(feats, signatures)
+        expected_lines.append(storage.dumps({"tx_hash": f"0xt\u00e9{i}", "ego": f"0xe{i % 3}",
+                                             "leaves": leaves, "groups": groups}) + "\n")
+        expected_pairs.append((f"0xe{i % 3}", tuple(leaves)))
+    assert out.read_text(encoding="utf-8").splitlines(keepends=True) == expected_lines
+    assert pairs == expected_pairs
+    present = {tuple(k for k, c in feats.items() if c > 0) for feats in rows}
+    if memo_size > len(rows):
+        assert len(calls) == len(present) < len(rows)
+    else:  # the memo started over: some key sets were matched again
+        assert len(present) < len(calls) < len(rows)
+
+
+def test_match_failure_keeps_previous_matches(tmp_path, small_corpus, trained, monkeypatch):
+    out = tmp_path / "matches.jsonl"
+    out.write_text("previous\n", encoding="utf-8")
+    calls = []
+    real = cli.match_signatures
+
+    def failing(feats, sigs):
+        calls.append(1)
+        if len(calls) == 3:  # after lines for the first two key sets are written
+            raise RuntimeError("matcher failed")
+        return real(feats, sigs)
+
+    monkeypatch.setattr(cli, "match_signatures", failing)
+    with pytest.raises(RuntimeError, match="matcher failed"):
+        cli.match_features(small_corpus["features"], cli.load_signatures(trained["signatures"]),
+                           out)
+    assert out.read_text(encoding="utf-8") == "previous\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["matches.jsonl"]
+
+
 def test_profile_csv(trained):
     with open(trained["profiles"], newline="", encoding="utf-8") as fh:
         rows = list(csv.reader(fh))
@@ -540,6 +617,38 @@ def test_pipeline_match_only(tmp_path, small_corpus, pipeline_run, capsys):
     assert manifest["stages"][:3] == ["ingest", "featurize", "match"]
     assert any("match-only" in note for note in manifest["notes"])
     assert "signatures" in manifest["inputs"]
+
+
+def test_pipeline_profiles_and_clusters_from_memory(tmp_path, small_corpus, pipeline_run,
+                                                   monkeypatch, capsys):
+    """The pipeline neither reads matches.jsonl back nor builds an n x n
+    distance matrix, and writes what the file-based subcommands write."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("re-parse or n x n matrix in the pipeline")
+
+    monkeypatch.setattr(cli, "_read_matches", refuse)
+    monkeypatch.setattr(profile, "pairwise_distances", refuse)
+    monkeypatch.setattr(profile, "pdist", refuse)
+    out = tmp_path / "run"
+    run(capsys, [
+        "pipeline", "--transfers", str(small_corpus["transfers"]),
+        "--tokens", str(small_corpus["tokens"]), "--accounts", str(small_corpus["accounts"]),
+        "--methods", str(small_corpus["methods"]), "--out", str(out),
+        "--model", "dt", "--seed", "5", "--min-matches", "1",
+    ])
+    artifacts = storage.read_json(out / "manifest.json")["artifacts"]
+    assert artifacts == storage.read_json(pipeline_run / "manifest.json")["artifacts"]
+    assert "clusters.json" in artifacts and "plotdata/clustermap.json" in artifacts
+    monkeypatch.undo()
+    chain = tmp_path / "chain"
+    run(capsys, ["profile", "--matches", str(out / "matches.jsonl"),
+                 "--out", str(tmp_path / "profiles.csv")])
+    run(capsys, ["cluster", "--profiles", str(tmp_path / "profiles.csv"), "--min-matches", "1",
+                 "--out", str(tmp_path / "clusters.json"), "--plotdata", str(chain)])
+    assert (tmp_path / "profiles.csv").read_bytes() == (out / "profiles.csv").read_bytes()
+    assert (tmp_path / "clusters.json").read_bytes() == (out / "clusters.json").read_bytes()
+    for path in chain.iterdir():
+        assert path.read_bytes() == (out / "plotdata" / path.name).read_bytes(), path.name
 
 
 def test_pipeline_match_only_requires_signatures(tmp_path, small_corpus, capsys):

@@ -143,8 +143,44 @@ def test_hcluster_silhouettes_match_brute_force(rng):
     assert len(result.silhouettes) > 5
     for k, score in result.silhouettes.items():
         labels = result.assignments[k]
-        assert score == silhouette_score(X, labels)
+        assert score == pytest.approx(silhouette_score(X, labels), abs=1e-12)
         assert score == pytest.approx(brute_force_silhouette(X, labels), abs=1e-9)
+
+
+@pytest.mark.parametrize("method", ["ward", "complete", "average"])
+def test_hcluster_silhouettes_with_duplicate_rows_match_brute_force(rng, method):
+    X, _ = profile_blobs(rng, n_per=8, spread=0.3)
+    X = np.vstack([X, X[::3], X[:2]])  # duplicates, some of them twice
+    result = hcluster(X, method=method)
+    assert len(result.silhouettes) > 5
+    for k, score in result.silhouettes.items():
+        assert score == pytest.approx(brute_force_silhouette(X, result.assignments[k]), abs=1e-9)
+
+
+def test_silhouette_sums_equal_distance_matrix_gather(rng):
+    # the blocked pass adds each cluster's distances in index order, as a
+    # gather of the cluster's columns from the full matrix does
+    for _ in range(10):
+        n = int(rng.integers(4, 300))
+        X = np.round(rng.normal(size=(n, 3)), 1)
+        labels = rng.integers(0, 4, size=n)
+        if np.unique(labels).size < 2:
+            continue
+        D = pairwise_distances(X)
+        uniq = np.unique(labels)
+        sums = np.stack([D[:, labels == c].sum(axis=1) for c in uniq], axis=1)
+        assert silhouette_score(X, labels) == silhouette_score(X, labels, sums)
+
+
+def test_distance_sums_accumulate_split_clusters(rng):
+    X = rng.normal(size=(50, 3))
+    cuts = [np.arange(50) % 3, np.repeat([4, 9], 25)]  # the first: every cluster split into runs
+    sums, top = prof._distance_sums(X, np.arange(50), cuts, block_bytes=8 * 50 * 7)
+    D = pairwise_distances(X)
+    assert top == D.max()
+    for labels, got in zip(cuts, sums):
+        want = np.stack([D[:, labels == c].sum(axis=1) for c in np.unique(labels)], axis=1)
+        assert got == pytest.approx(want, abs=1e-12)
 
 
 def test_hcluster_ties_choose_smaller_k(monkeypatch, rng):
@@ -190,6 +226,15 @@ def test_hcluster_identical_profiles():
     assert result.chosen_k == 2
     assert result.silhouettes == {2: 0.0}
     assert result.notes
+
+
+def test_hcluster_near_identical_profiles():
+    X = np.ones((6, 3))
+    X[::2, 0] += 4e-9  # every distance is at most 1e-8
+    with pytest.warns(UserWarning, match="identical"):
+        result = hcluster(X)
+    assert result.chosen_k == 2
+    assert result.silhouettes == {2: 0.0}
 
 
 def test_hcluster_validates_inputs():
