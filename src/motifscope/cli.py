@@ -28,7 +28,6 @@ from .ingest import (
     METHOD_GROUPS,
     TokenRegistry,
     UNKNOWN,
-    group_methods,
     load_method_labels,
     load_method_mapping,
     read_transfers,
@@ -185,8 +184,7 @@ def ingest_to_store(transfers, tokens, accounts, methods, method_groups, out) ->
     method_of = {}
     if methods:
         mapping = load_method_mapping(method_groups or PACKAGED_METHOD_GROUPS)
-        method_of = {lab.tx_hash: lab.method_group
-                     for lab in group_methods(load_method_labels(methods), mapping)}
+        method_of = load_method_labels(methods, mapping)
     label_counts = Counter(group for _, _, group, _ in loaded.transactions(method_of) if group)
     report = {
         "transfers_read": loaded.kept + len(loaded.rejects),
@@ -399,16 +397,14 @@ def cmd_stats(args) -> int:
     per_account: dict[str, dict] = {}
     histogram: Counter = Counter()
     total = 0
-    for tx in storage.iter_store(args.store):
+    for _, ego, group, rows in storage.iter_store(args.store):
         total += 1
-        histogram[len(tx.transfers)] += 1
-        acc = per_account.setdefault(
-            tx.ego_account, {"transactions": 0, "tokens": set(), "unlabeled": 0}
-        )
+        histogram[len(rows)] += 1
+        acc = per_account.setdefault(ego, {"transactions": 0, "tokens": set(), "unlabeled": 0})
         acc["transactions"] += 1
-        acc["unlabeled"] += int(tx.method_group in (None, UNKNOWN))
-        for tr in tx.transfers:
-            acc["tokens"].add(tr.token_contract or tr.token_symbol)
+        acc["unlabeled"] += int(group in (None, UNKNOWN))
+        for _, _, _, _, contract, symbol, _, _, _ in rows:
+            acc["tokens"].add(contract or symbol)
     report = {
         "transactions": total,
         "accounts": {
@@ -429,19 +425,18 @@ def cmd_stats(args) -> int:
 
 
 def cmd_etn(args) -> int:
-    hits = [tx for tx in storage.iter_store(args.store) if tx.tx_hash == args.tx]
-    if args.ego:
-        hits = [tx for tx in hits if tx.ego_account == args.ego]
+    hits = [tx for tx in storage.iter_store(args.store)
+            if tx[0] == args.tx and (not args.ego or tx[1] == args.ego)]
     if not hits:
         raise InputError(f"transaction {args.tx} not found in store {args.store}")
     if len(hits) > 1:
-        egos = ", ".join(tx.ego_account for tx in hits)
+        egos = ", ".join(ego for _, ego, _, _ in hits)
         raise InputError(f"transaction {args.tx} has several egos ({egos}); pass --ego")
     network = etn_mod.build_etn(hits[0])
     dot = etn_mod.to_dot(network)
     with open(args.dot, "w", encoding="utf-8") as fh:
         fh.write(dot)
-    _print({"tx_hash": args.tx, "ego": hits[0].ego_account, "nodes": len(network.node_types),
+    _print({"tx_hash": args.tx, "ego": hits[0][1], "nodes": len(network.node_types),
             "edges": len(network.edges), "dot": args.dot})
     return 0
 
@@ -736,13 +731,11 @@ def build_parser() -> argparse.ArgumentParser:
         description="Ego transfer network motifs: featurize, classify, mine signatures, profile accounts.",
     )
     parser.add_argument("--version", action="version", version=f"motifscope {__version__}")
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0, help="random seed (default 0)")
-    common.add_argument("--threads", type=int, default=1, help="worker cap for parallel stages")
-    common.add_argument("--config", default=None, help="pipeline config JSON (pipeline command)")
+    seeded = argparse.ArgumentParser(add_help=False)
+    seeded.add_argument("--seed", type=int, default=0, help="random seed (default 0)")
     sub = parser.add_subparsers(dest="cmd", required=True)
 
-    p = sub.add_parser("ingest", parents=[common], help="load and validate raw files into a store")
+    p = sub.add_parser("ingest", help="load and validate raw files into a store")
     p.add_argument("--transfers", required=True)
     p.add_argument("--tokens", required=True)
     p.add_argument("--accounts", required=True)
@@ -751,27 +744,28 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="store directory")
     p.set_defaults(func=cmd_ingest)
 
-    p = sub.add_parser("stats", parents=[common], help="corpus statistics")
+    p = sub.add_parser("stats", help="corpus statistics")
     p.add_argument("--store", required=True)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_stats)
 
-    p = sub.add_parser("etn", parents=[common], help="export one ETN as DOT")
+    p = sub.add_parser("etn", help="export one ETN as DOT")
     p.add_argument("--store", required=True)
     p.add_argument("--tx", required=True)
     p.add_argument("--ego", default=None)
     p.add_argument("--dot", required=True)
     p.set_defaults(func=cmd_etn)
 
-    p = sub.add_parser("featurize", parents=[common], help="extract motif/edge features")
+    p = sub.add_parser("featurize", help="extract motif/edge features")
     p.add_argument("--store", required=True)
     p.add_argument("--mode", default="M+E", choices=["M", "E", "ME", "M+E", "MxE"])
     p.add_argument("--out", required=True)
     p.add_argument("--catalog", default=None, help="motif catalog JSON override")
     p.add_argument("--max-nodes", dest="max_nodes", type=int, default=motif.DEFAULT_MAX_NODES)
+    p.add_argument("--threads", type=int, default=1, help="worker processes (default 1)")
     p.set_defaults(func=cmd_featurize)
 
-    p = sub.add_parser("train", parents=[common], help="fit a classifier on labeled features")
+    p = sub.add_parser("train", parents=[seeded], help="fit a classifier on labeled features")
     p.add_argument("--features", required=True)
     p.add_argument("--labels", required=True)
     p.add_argument("--model", required=True, choices=["lr", "dt", "rf"])
@@ -783,7 +777,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("eval", parents=[common], help="stratified cross-validation report")
+    p = sub.add_parser("eval", parents=[seeded], help="stratified cross-validation report")
     p.add_argument("--model", required=True)
     p.add_argument("--features", required=True)
     p.add_argument("--labels", required=True)
@@ -791,7 +785,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--report", required=True)
     p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("prune", parents=[common], help="cost-complexity pruning")
+    p = sub.add_parser("prune", parents=[seeded], help="cost-complexity pruning")
     p.add_argument("--model", required=True, help="trained dt model JSON")
     p.add_argument("--target-leaves", dest="target_leaves", type=int, default=None)
     p.add_argument("--alpha", type=float, default=None)
@@ -803,7 +797,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dot", default=None, help="write pruned tree in DOT format")
     p.set_defaults(func=cmd_prune)
 
-    p = sub.add_parser("signatures", parents=[common], help="mine per-leaf signatures")
+    p = sub.add_parser("signatures", help="mine per-leaf signatures")
     p.add_argument("--model", required=True, help="pruned dt model JSON")
     p.add_argument("--features", required=True)
     p.add_argument("--labels", required=True)
@@ -812,18 +806,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_signatures)
 
-    p = sub.add_parser("match", parents=[common], help="match signatures against features")
+    p = sub.add_parser("match", help="match signatures against features")
     p.add_argument("--signatures", required=True)
     p.add_argument("--features", required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_match)
 
-    p = sub.add_parser("profile", parents=[common], help="account signature-usage profiles")
+    p = sub.add_parser("profile", help="account signature-usage profiles")
     p.add_argument("--matches", required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_profile)
 
-    p = sub.add_parser("cluster", parents=[common], help="hierarchical clustering of profiles")
+    p = sub.add_parser("cluster", help="hierarchical clustering of profiles")
     p.add_argument("--profiles", required=True)
     p.add_argument("--linkage", default="ward", choices=list(LINKAGES))
     p.add_argument("--min-matches", dest="min_matches", type=int, default=DEFAULT_MIN_MATCHES)
@@ -831,13 +825,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--plotdata", default=None)
     p.set_defaults(func=cmd_cluster)
 
-    p = sub.add_parser("synth", parents=[common], help="generate a synthetic corpus")
+    p = sub.add_parser("synth", parents=[seeded], help="generate a synthetic corpus")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--skew", default="table2", choices=["table2", "uniform"])
     p.add_argument("--egos", type=int, default=None)
     p.add_argument("--pool", type=int, default=None)
     p.add_argument("--mixes", default=None, help="account activity mixes JSON")
+    p.add_argument("--config", default=None, help="archetype config JSON")
     p.set_defaults(func=cmd_synth)
 
     # pipeline declares its own globals with None defaults so a config file's

@@ -1,15 +1,16 @@
 """Ego transfer network: per-transaction directed, typed, multi-edge graph.
 
-Every edge touches the ego account. Parallel edges are kept (they feed the
-edge-list features) and collapsed to a simple view for motif matching.
+Built from a stored transaction, the (tx_hash, ego, method group, rows)
+tuple that `storage.iter_store` yields, whose rows already carry resolved
+account types and token categories. Every edge touches the ego account.
+Parallel edges are kept (they feed the edge-list features) and collapsed to
+a simple view for motif matching.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import Optional
-
-from .ingest import AccountRegistry, TokenRegistry, Transaction
 
 
 @dataclass
@@ -27,46 +28,24 @@ class EgoTransferNetwork:
         return [n for n in self.node_types if n != self.ego]
 
 
-def build_etn(
-    tx: Transaction,
-    accounts: Optional[AccountRegistry] = None,
-    tokens: Optional[TokenRegistry] = None,
-) -> EgoTransferNetwork:
-    """Build the ETN for one transaction.
+def build_etn(tx: tuple[str, str, Optional[str], list]) -> EgoTransferNetwork:
+    """Build the ETN of one stored transaction.
 
-    Registries are only needed when the transaction's transfers do not
-    already carry resolved node types and token categories (they do after
-    ingest). Transfers touching neither endpoint of the ego are rejected
-    and reported, not raised.
+    A counterpart keeps the type of the first row it appears in. Transfers
+    touching neither endpoint of the ego are rejected and reported, not
+    raised.
     """
-    ego = tx.ego_account
+    _, ego, _, rows = tx
     node_types: dict[str, str] = {ego: "E"}
     edges: list[tuple[str, str, str]] = []
     rejected: list[tuple[str, str]] = []
-    for tr in tx.transfers:
-        src, dst = tr.from_account, tr.to_account
+    for row in rows:
+        src, dst, src_type, dst_type, _, _, category, _, _ = row
         if src != ego and dst != ego:
             rejected.append((src, dst))
             continue
-        category = tr.category
-        if category is None:
-            if tokens is None:
-                raise ValueError(f"transfer in {tx.tx_hash} has no resolved category and no registry given")
-            category = tokens.category(tr.token_contract, tr.token_symbol) or "Unlabeled"
-        src_type = tr.from_type if src != ego else "E"
-        dst_type = tr.to_type if dst != ego else "E"
-        if src != ego and src_type is None:
-            if accounts is None:
-                raise ValueError(f"transfer in {tx.tx_hash} has no resolved node type and no registry given")
-            src_type = accounts.type_of(src, ego)
-        if dst != ego and dst_type is None:
-            if accounts is None:
-                raise ValueError(f"transfer in {tx.tx_hash} has no resolved node type and no registry given")
-            dst_type = accounts.type_of(dst, ego)
-        if src != ego:
-            node_types.setdefault(src, src_type)
-        if dst != ego:
-            node_types.setdefault(dst, dst_type)
+        node_types.setdefault(src, src_type)
+        node_types.setdefault(dst, dst_type)
         edges.append((src, dst, category))
     return EgoTransferNetwork(ego=ego, node_types=node_types, edges=edges, rejected=rejected)
 

@@ -1,12 +1,12 @@
 """Bulk feature extraction over a transaction store.
 
-This is the throughput-critical stage. It parses store lines directly (no
-ETN objects), derives each transaction's counterpart flags, types and edge
-labels, and hands them to the same kernel as the ETN path
-(motif.group_counterparts and motif.count_from_groups). The store is
-sharded across worker processes in chunks; workers are pure and chunks are
-merged in input order, so results are bit-identical regardless of worker
-count. test_motif.py cross-checks this path against the ETN-object path.
+This is the throughput-critical stage. It decodes store lines through
+storage.line_to_tx (no ETN objects), derives each transaction's counterpart
+flags, first-seen types and edge labels, and hands them to the same kernel
+as the ETN path (motif.group_counterparts and motif.count_from_groups). The
+store is sharded across worker processes in chunks; workers are pure and
+chunks are merged in input order, so results are bit-identical regardless
+of worker count. test_motif.py cross-checks this path against the ETN path.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from itertools import islice
 
 from . import motif, storage
-from .ingest import InputError
 from .motif import DEFAULT_MAX_NODES, OVERSIZE_KEY, MotifCatalog
 
 CHUNK_LINES = 8192
@@ -42,48 +41,36 @@ def _process_chunk(chunk: tuple[int, list[str]]) -> tuple[str, int, int, int]:
     out = []
     oversize = 0
     rejected = 0
-    loads = json.loads
+    decode = storage.line_to_tx
     dumps = json.dumps
     for lineno, line in enumerate(lines, first):
         if not line.strip():
             continue
+        tx, ego, _, rows = decode(line, path, lineno)
         feats: dict[str, int] = {}
         flags: dict[str, int] = {}
         types: dict[str, str] = {}
         labels: dict[str, list[str]] = {}
-        try:
-            obj = loads(line)
-            tx = obj["tx"]
-            ego = obj["ego"]
-            for row in obj["tr"]:
-                src = row[0]
-                if src == ego:
-                    other = row[1]
-                    otype = row[3]
-                    bit = 1
-                    ek = ("E", otype, row[6])
-                elif row[1] == ego:
-                    other = src
-                    otype = row[2]
-                    bit = 2
-                    ek = (otype, "E", row[6])
-                else:
-                    rejected += 1
-                    continue
-                if not isinstance(otype, str):
-                    raise TypeError(f"counterpart {other!r} has type {otype!r}, not a string")
-                flags[other] = flags.get(other, 0) | bit
-                types[other] = otype
-                label = ekeys.get(ek)
-                if label is None:
-                    label = f"({ek[0]},{ek[1]}){ek[2]}"
-                    ekeys[ek] = label
-                if want_e:
-                    feats[label] = feats.get(label, 0) + 1
-                if want_mxe:
-                    labels.setdefault(other, []).append(label)
-        except (ValueError, KeyError, IndexError, TypeError) as exc:
-            raise InputError(f"bad store line {path}:{lineno}: {type(exc).__name__}: {exc}") from exc
+        for src, dst, src_type, dst_type, _, _, category, _, _ in rows:
+            if src == ego:
+                other, otype, bit = dst, dst_type, 1
+            elif dst == ego:
+                other, otype, bit = src, src_type, 2
+            else:
+                rejected += 1
+                continue
+            # a counterpart keeps its first-seen type, as in etn.build_etn
+            otype = types.setdefault(other, otype)
+            flags[other] = flags.get(other, 0) | bit
+            ek = ("E", otype, category) if bit == 1 else (otype, "E", category)
+            label = ekeys.get(ek)
+            if label is None:
+                label = f"({ek[0]},{ek[1]}){ek[2]}"
+                ekeys[ek] = label
+            if want_e:
+                feats[label] = feats.get(label, 0) + 1
+            if want_mxe:
+                labels.setdefault(other, []).append(label)
         if want_m:
             feats.update(motif.count_from_groups(catalog, motif.group_counterparts(flags, types)))
         if want_mxe:

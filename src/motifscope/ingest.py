@@ -3,9 +3,10 @@
 All inputs are local files (CSV for transfers and labels, JSON for
 registries). Rows that fail validation are rejected with a reason code and
 counted, never silently dropped. `read_transfers` reads transfers.csv in one
-streaming pass straight into the store's compact row tuples, grouped by
-(tx_hash, ego); the `TokenTransfer`/`Transaction` objects are the read side,
-built from the store by `storage.iter_store`.
+streaming pass straight into the store's compact transfer rows, grouped by
+(tx_hash, ego). A transaction is the tuple (tx_hash, ego, method group or
+None, rows) throughout: `LoadResult.transactions` yields it,
+`storage.write_store` writes it and `storage.iter_store` reads it back.
 """
 
 from __future__ import annotations
@@ -71,39 +72,6 @@ def is_null_address(addr: str) -> bool:
     """The all-zero address (any length, with or without 0x prefix)."""
     body = addr[2:] if addr.startswith(("0x", "0X")) else addr
     return len(body) > 0 and set(body) == {"0"}
-
-
-@dataclass
-class TokenTransfer:
-    """One directed token movement inside a transaction, as read from the store."""
-
-    tx_hash: str
-    from_account: str
-    to_account: str
-    token_symbol: str
-    token_contract: str
-    amount: float
-    block_number: int
-    ego_account: str
-    # Resolved at ingest so downstream stages need no registries.
-    category: Optional[str] = None
-    from_type: Optional[str] = None
-    to_type: Optional[str] = None
-
-
-@dataclass
-class Transaction:
-    tx_hash: str
-    ego_account: str
-    transfers: list[TokenTransfer]
-    method_group: Optional[str] = None
-
-
-@dataclass
-class MethodLabel:
-    tx_hash: str
-    raw_method: str
-    method_group: Optional[str] = None
 
 
 class TokenRegistry:
@@ -363,26 +331,20 @@ def load_method_mapping(path) -> dict[str, str]:
     return mapping
 
 
-def load_method_labels(path) -> list[MethodLabel]:
-    """Read methods.csv (tx_hash,raw_method)."""
+def load_method_labels(path, mapping: dict[str, str]) -> dict[str, str]:
+    """Read methods.csv (tx_hash,raw_method) into {tx_hash: method group}.
+
+    Raw names resolve through `mapping` (from load_method_mapping), so merged
+    groups arrive through their alias; excluded groups (Exit, Burn, Stake)
+    and unmapped names resolve to Unknown. A later row for the same hash wins.
+    """
     rows = _csv_rows(path, "methods")
     header = next(rows, None)
     if header is None or [h.strip() for h in header][:2] != ["tx_hash", "raw_method"]:
         raise InputError(f"methods file {path} must start with header tx_hash,raw_method")
-    return [MethodLabel(tx_hash=row[0], raw_method=row[1]) for row in rows if len(row) >= 2 and row[0]]
-
-
-def group_methods(labels: list[MethodLabel], mapping: dict[str, str]) -> list[MethodLabel]:
-    """Resolve raw method names to the eight retained groups.
-
-    Excluded groups (Exit, Burn, Stake) and unmapped names resolve to
-    Unknown; merged groups go through their alias (Exchange -> Swap,
-    Redeem -> Withdraw).
-    """
-    for label in labels:
-        group = mapping.get(label.raw_method.strip().casefold())
-        if group is None or group in EXCLUDED_GROUPS:
-            label.method_group = UNKNOWN
-        else:
-            label.method_group = group
-    return labels
+    groups: dict[str, str] = {}
+    for row in rows:
+        if len(row) >= 2 and row[0]:
+            group = mapping.get(row[1].strip().casefold())
+            groups[row[0]] = UNKNOWN if group is None or group in EXCLUDED_GROUPS else group
+    return groups

@@ -298,13 +298,15 @@ def mine_leaf_itemset(
 
     With the default greedy method, leaves whose candidate universe fits the
     exhaustive limit are cross-checked; a greedy set shorter than the longest
-    exhaustive maximal itemset is reported (not silently accepted).
+    exhaustive maximal itemset is reported (not silently accepted). The
+    exhaustive method raises ValueError when the universe exceeds the limit.
     """
     discrepancies: list[str] = []
     chosen, support = greedy_itemset(presence, keys, threshold)
     n_candidates = int((presence.sum(axis=0) / presence.shape[0] > threshold).sum())
-    if method == "exhaustive" or (method == "greedy" and n_candidates <= verify_limit):
-        maximal = exhaustive_maximal_itemsets(presence, threshold, max_items=verify_limit) if n_candidates <= verify_limit else []
+    if method == "exhaustive" or n_candidates <= verify_limit:
+        # no candidates: no maximal itemsets, and greedy's ([], 0.0) stands
+        maximal = exhaustive_maximal_itemsets(presence, threshold, max_items=verify_limit)
         if maximal:
             best_len = max(len(m) for m, _ in maximal)
             if method == "exhaustive":
@@ -320,8 +322,6 @@ def mine_leaf_itemset(
                 )
                 log.warning(msg)
                 discrepancies.append(msg)
-        elif method == "exhaustive":
-            chosen, support = [], 0.0
     return list(chosen), support, discrepancies
 
 
@@ -367,17 +367,6 @@ def mine_signatures(
 # ---------------------------------------------------------------------------
 # matching
 # ---------------------------------------------------------------------------
-
-@dataclass
-class SignatureMatch:
-    tx_hash: str
-    ego: str
-    leaves: list[int]
-    groups: list[str]
-
-    def to_json(self) -> dict:
-        return {"tx_hash": self.tx_hash, "ego": self.ego, "leaves": self.leaves, "groups": self.groups}
-
 
 def match_signatures(features: dict[str, float], signatures: Iterable[LeafSignature]) -> tuple[list[int], list[str]]:
     """Leaves whose full itemset is present; empty signatures never match."""

@@ -2,7 +2,10 @@
 
 Large intermediates are JSON-lines (streamable, diff-able); tabular exports
 are CSV. All writers are deterministic: sorted keys, fixed separators, no
-timestamps, so identical inputs produce byte-identical artifacts.
+timestamps, so identical inputs produce byte-identical artifacts. The store
+holds one transaction per line; `line_to_tx` is its only decoder, and it
+returns the (tx_hash, ego, method group or None, rows) tuple that
+`write_store` takes.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ import os
 from contextlib import contextmanager
 from typing import Iterable, Iterator, Optional
 
-from .ingest import InputError, TokenTransfer, Transaction
+from .ingest import InputError
 
 STORE_FILE = "transactions.jsonl"
 REPORT_FILE = "ingest_report.json"
@@ -50,7 +53,7 @@ def replacing(*paths):
 
 
 def write_json(path, obj) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with replacing(path) as (tmp,), open(tmp, "w", encoding="utf-8") as fh:
         fh.write(dumps(obj))
         fh.write("\n")
 
@@ -60,27 +63,31 @@ def read_json(path):
         return json.load(fh)
 
 
-def line_to_tx(line: str) -> Transaction:
-    obj = json.loads(line)
-    transfers = [
-        TokenTransfer(
-            tx_hash=obj["tx"],
-            from_account=row[0],
-            to_account=row[1],
-            from_type=row[2],
-            to_type=row[3],
-            token_contract=row[4],
-            token_symbol=row[5],
-            category=row[6],
-            amount=row[7],
-            block_number=row[8],
-            ego_account=obj["ego"],
-        )
-        for row in obj["tr"]
-    ]
-    return Transaction(
-        tx_hash=obj["tx"], ego_account=obj["ego"], transfers=transfers, method_group=obj["mg"]
-    )
+def line_to_tx(line: str, path, lineno: int) -> tuple[str, str, Optional[str], list[list]]:
+    """Decode store line `lineno` of `path` into (tx_hash, ego, method group
+    or None, rows).
+
+    A valid line is a JSON object with string "tx" and "ego", an optional
+    "mg" that is a string or null, and "tr", a list of 9-field transfer rows
+    whose first seven fields (accounts, types, token, category) are strings.
+    Anything else raises InputError naming the path and line.
+    """
+    try:
+        obj = json.loads(line)
+        tx, ego, rows, group = obj["tx"], obj["ego"], obj["tr"], obj.get("mg")
+        if not (type(tx) is type(ego) is str and type(rows) is list
+                and (group is None or type(group) is str)):
+            raise TypeError("tx and ego must be strings, mg a string or null and tr a list")
+        for row in rows:
+            if type(row) is not list or len(row) != 9:
+                raise ValueError(f"transfer row {row!r} does not have 9 fields")
+            src, dst, src_type, dst_type, contract, symbol, category, _, _ = row
+            if not (type(src) is type(dst) is type(src_type) is type(dst_type) is type(contract)
+                    is type(symbol) is type(category) is str):
+                raise TypeError(f"transfer row {row!r} has a non-string in its first seven fields")
+    except (ValueError, KeyError, TypeError) as exc:
+        raise InputError(f"bad store line {path}:{lineno}: {type(exc).__name__}: {exc}") from exc
+    return tx, ego, group, rows
 
 
 def write_store(store_dir, transactions: Iterable[tuple[str, str, Optional[str], list]],
@@ -116,11 +123,13 @@ def store_path(store_dir) -> str:
     return path
 
 
-def iter_store(store_dir) -> Iterator[Transaction]:
-    with open(store_path(store_dir), encoding="utf-8") as fh:
-        for line in fh:
+def iter_store(store_dir) -> Iterator[tuple[str, str, Optional[str], list[list]]]:
+    """Every stored transaction as line_to_tx decodes it, in store order."""
+    path = store_path(store_dir)
+    with open(path, encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
             if line.strip():
-                yield line_to_tx(line)
+                yield line_to_tx(line, path, lineno)
 
 
 def read_labels(path) -> dict[tuple[str, str], str]:

@@ -19,7 +19,6 @@ import numpy as np
 
 from motifscope import ingest
 from motifscope.etn import EgoTransferNetwork
-from motifscope.ingest import TokenTransfer, Transaction
 
 SAMPLE_CATEGORIES = ("Cryptocurrency", "Stablecoin", "Synthetic", "Marketplace", "Unlabeled")
 
@@ -208,7 +207,7 @@ def brute_force_match(features: dict, signatures) -> tuple[list, list]:
 
 
 # ---------------------------------------------------------------------------
-# ingest by one object per transfer and a pass per step
+# ingest by one record per transfer and a pass per step
 # ---------------------------------------------------------------------------
 
 def _dumps(obj) -> str:
@@ -216,7 +215,8 @@ def _dumps(obj) -> str:
 
 
 def _reference_load_transfers(path, registry, accounts):
-    """A TokenTransfer per valid row, registries consulted row by row."""
+    """A (tx_hash, ego, store row) record per valid row, registries consulted
+    row by row."""
     transfers, rejects = [], []
     with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
@@ -253,50 +253,35 @@ def _reference_load_transfers(path, registry, accounts):
             if block < 0:
                 rejects.append((lineno, "bad_block"))
                 continue
-            transfers.append(TokenTransfer(
-                tx_hash=tx_hash, from_account=src, to_account=dst, token_symbol=symbol,
-                token_contract=contract, amount=amount, block_number=block, ego_account=ego,
-                category=registry.category(contract, symbol) or None,
-                from_type=accounts.type_of(src, ego), to_type=accounts.type_of(dst, ego),
-            ))
+            transfers.append((tx_hash, ego, [
+                src, dst, accounts.type_of(src, ego), accounts.type_of(dst, ego), contract,
+                symbol, registry.category(contract, symbol) or None, amount, block,
+            ]))
     return transfers, rejects
 
 
-def _reference_tx_line(tx: Transaction) -> str:
-    rows = [[tr.from_account, tr.to_account, tr.from_type, tr.to_type, tr.token_contract,
-             tr.token_symbol, tr.category, tr.amount, tr.block_number] for tr in tx.transfers]
-    return _dumps({"tx": tx.tx_hash, "ego": tx.ego_account, "mg": tx.method_group, "tr": rows})
-
-
 def reference_ingest(transfers, tokens, accounts, methods, method_groups, out) -> dict:
-    """Ingest as separate passes over per-transfer objects: load, group by
+    """Ingest as separate passes over per-transfer records: load, group by
     (tx_hash, ego), drop spam-touched transactions, join method groups, then
     write each transaction's store line. Writes the same three files as
     `cli.ingest_to_store`."""
     registry = ingest.TokenRegistry.from_file(tokens)
     loaded, rejects = _reference_load_transfers(
         transfers, registry, ingest.AccountRegistry.from_file(accounts))
-    buckets: dict[tuple[str, str], Transaction] = {}
-    for tr in loaded:
-        key = (tr.tx_hash, tr.ego_account)
-        if key not in buckets:
-            buckets[key] = Transaction(tx_hash=tr.tx_hash, ego_account=tr.ego_account, transfers=[])
-        buckets[key].transfers.append(tr)
-    grouped = list(buckets.values())
-    kept = [tx for tx in grouped
-            if not any(registry.resolve(tr.token_contract, tr.token_symbol)[1] for tr in tx.transfers)]
+    buckets: dict[tuple[str, str], list[list]] = {}
+    for tx_hash, ego, row in loaded:
+        buckets.setdefault((tx_hash, ego), []).append(row)
+    kept = {key: rows for key, rows in buckets.items()
+            if not any(registry.resolve(row[4], row[5])[1] for row in rows)}
     mapping = ingest.load_method_mapping(method_groups)
-    by_hash = {lab.tx_hash: lab.method_group
-               for lab in ingest.group_methods(ingest.load_method_labels(methods), mapping)}
-    for tx in kept:
-        tx.method_group = by_hash.get(tx.tx_hash)
-    label_counts = Counter(tx.method_group for tx in kept if tx.method_group)
+    by_hash = ingest.load_method_labels(methods, mapping)
+    label_counts = Counter(by_hash[tx_hash] for tx_hash, _ in kept if by_hash.get(tx_hash))
     report = {
         "transfers_read": len(loaded) + len(rejects),
         "transfers_kept": len(loaded),
         "rejected": dict(Counter(reason for _, reason in rejects)),
         "transactions": len(kept),
-        "transactions_spam_filtered": len(grouped) - len(kept),
+        "transactions_spam_filtered": len(buckets) - len(kept),
         "labeled": dict(sorted(label_counts.items())),
     }
     os.makedirs(out, exist_ok=True)
@@ -304,10 +289,11 @@ def reference_ingest(transfers, tokens, accounts, methods, method_groups, out) -
             open(os.path.join(out, "labels.csv"), "w", encoding="utf-8", newline="") as lfh:
         writer = csv.writer(lfh)
         writer.writerow(["tx_hash", "ego", "method_group"])
-        for tx in kept:
-            fh.write(_reference_tx_line(tx) + "\n")
-            if tx.method_group is not None:
-                writer.writerow([tx.tx_hash, tx.ego_account, tx.method_group])
+        for (tx_hash, ego), rows in kept.items():
+            group = by_hash.get(tx_hash)
+            fh.write(_dumps({"tx": tx_hash, "ego": ego, "mg": group, "tr": rows}) + "\n")
+            if group is not None:
+                writer.writerow([tx_hash, ego, group])
     with open(os.path.join(out, "ingest_report.json"), "w", encoding="utf-8") as fh:
         fh.write(_dumps(report) + "\n")
     return report

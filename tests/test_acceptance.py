@@ -17,7 +17,6 @@ from motifscope import etn as etn_mod, ingest, motif, storage, synth
 from motifscope.cli import PACKAGED_METHOD_GROUPS, PipelineConfig, run_pipeline
 from motifscope.etn import EgoTransferNetwork
 from motifscope.featurize import featurize_store
-from motifscope.ingest import TokenTransfer
 from motifscope.learn import (
     build_dataset,
     confusion_matrix,
@@ -106,8 +105,8 @@ def ingest_raw(raw, store):
     loaded = ingest.read_transfers(raw / "transfers.csv", tokens, accounts)
     assert loaded.rejects == []
     mapping = ingest.load_method_mapping(PACKAGED_METHOD_GROUPS)
-    labels = ingest.group_methods(ingest.load_method_labels(raw / "methods.csv"), mapping)
-    storage.write_store(store, loaded.transactions({lab.tx_hash: lab.method_group for lab in labels}))
+    method_of = ingest.load_method_labels(raw / "methods.csv", mapping)
+    storage.write_store(store, loaded.transactions(method_of))
 
 
 def build_corpus(root, n, seed, **kwargs):
@@ -142,15 +141,11 @@ def template_features(arch: synth.Archetype) -> frozenset:
                 resolved[slot] = (f"0xs{counter[0]}", "A" if kind == "address" else "C")
         return resolved[slot]
 
-    transfers = []
+    rows = []
     for src, dst, category in arch.edges:
         (sa, st), (da, dt) = node(src), node(dst)
-        transfers.append(TokenTransfer(
-            tx_hash="t", from_account=sa, to_account=da, token_symbol="X",
-            token_contract="0xt", amount=1.0, block_number=1, ego_account="0xego",
-            category=category, from_type=st, to_type=dt,
-        ))
-    tx = ingest.Transaction(tx_hash="t", ego_account="0xego", transfers=transfers)
+        rows.append([sa, da, st, dt, "0xt", "X", category, 1.0, 1])
+    tx = ("t", "0xego", None, rows)
     return frozenset(motif.transaction_features(etn_mod.build_etn(tx), CATALOG, "M+E"))
 
 

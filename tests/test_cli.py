@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import motifscope
-from motifscope import cli, ingest, models, motif, profile, storage
+from motifscope import cli, ingest, models, motif, profile, storage, synth
 from motifscope.cli import PipelineConfig, build_parser, main, run_pipeline
 from motifscope.signatures import LeafSignature
 
@@ -193,6 +193,49 @@ def test_featurize_null_counterpart_type_exit_2(tmp_path, capsys, mode):
     assert err["error"]["type"] == "InputError"
     assert f"bad store line {store / storage.STORE_FILE}:1:" in err["error"]["message"]
     assert "'0xb'" in err["error"]["message"]
+
+
+BAD_STORE_LINES = {
+    "truncated JSON": '{"tx": "t", "ego": "0xe1", "mg": null, "tr": [["0xe1", "0xa"',
+    "missing key": json.dumps({"tx": "t", "tr": []}),
+    "short row": json.dumps({"tx": "t", "ego": "0xe1", "tr": [["0xe1", "0xa"]]}),
+    "non-string counterpart type": json.dumps({"tx": "t", "ego": "0xe1", "mg": None, "tr": [
+        ["0xe1", "0xb", "E", None, "0xt", "T", "Stablecoin", 1.0, 1]]}),
+}
+
+
+def _store_with_line(mini_store, store, line):
+    """The mini store's first and last lines around `line`, on line 3."""
+    lines = (mini_store / storage.STORE_FILE).read_text(encoding="utf-8").splitlines()
+    store.mkdir()
+    path = store / storage.STORE_FILE
+    path.write_text("\n".join([lines[0], "", line, lines[2]]) + "\n", encoding="utf-8")
+    return path
+
+
+def _store_reader_argv(command, store, tmp_path):
+    extra = {"featurize": ["--out", str(tmp_path / "features.jsonl")], "stats": [],
+             "etn": ["--tx", "tx2", "--dot", str(tmp_path / "etn.dot")]}[command]
+    return [command, "--store", str(store), *extra]
+
+
+@pytest.mark.parametrize("bad", list(BAD_STORE_LINES))
+@pytest.mark.parametrize("command", ["featurize", "stats", "etn"])
+def test_every_store_reader_rejects_bad_line(mini_store, tmp_path, capsys, command, bad):
+    path = _store_with_line(mini_store, tmp_path / "store", BAD_STORE_LINES[bad])
+    _, err = run(capsys, _store_reader_argv(command, tmp_path / "store", tmp_path), code=2)
+    assert err["error"]["stage"] == command
+    assert err["error"]["type"] == "InputError"
+    assert err["error"]["message"].startswith(f"bad store line {path}:3: "), err["error"]["message"]
+
+
+@pytest.mark.parametrize("command", ["featurize", "stats", "etn"])
+def test_every_store_reader_accepts_line_without_method_group(mini_store, tmp_path, capsys,
+                                                             command):
+    line = json.dumps({"tx": "t", "ego": "0xe1", "tr": [
+        ["0xe1", "0xb", "E", "A", "0xt", "T", "Stablecoin", 1.0, 1]]})
+    _store_with_line(mini_store, tmp_path / "store", line)
+    run(capsys, _store_reader_argv(command, tmp_path / "store", tmp_path))
 
 
 def test_python_m_motifscope(mini_store, tmp_path):
@@ -751,6 +794,43 @@ def test_pipeline_rank_encodes_features_once(tmp_path, small_corpus, monkeypatch
     ))
     assert "prune" in manifest["stages"]
     assert len(encoded) == 1, encoded
+
+
+def test_removed_flags_are_rejected(capsys):
+    """--seed, --threads and --config exist only where a command reads them."""
+    parser = build_parser()
+    ingest_argv = ["ingest", "--transfers", "t.csv", "--tokens", "t.json", "--accounts", "a.json",
+                   "--out", "store"]
+    assert parser.parse_args(ingest_argv).func is not None
+    for argv in (ingest_argv + ["--threads", "2"], ["stats", "--store", "s", "--seed", "1"],
+                 ["match", "--signatures", "s", "--features", "f", "--out", "o", "--config", "c"]):
+        with pytest.raises(SystemExit) as exc:
+            parser.parse_args(argv)
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {' '.join(argv[-2:])}" in capsys.readouterr().err
+
+
+def test_write_json_failure_leaves_previous_file(tmp_path):
+    path = tmp_path / "model.json"
+    storage.write_json(path, {"ok": 1})
+    before = path.read_bytes()
+    with pytest.raises(TypeError):
+        storage.write_json(path, {"bad": object()})
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["model.json"]
+
+
+def test_readme_library_block_runs(tmp_path, monkeypatch):
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"## Library\n+```python\n(.*?)```", readme, re.S).group(1)
+    synth.generate(synth.load_config(), 40, 3, tmp_path / "corpus")
+    monkeypatch.chdir(tmp_path)
+    namespace: dict = {}
+    exec(block, namespace)
+    transactions = namespace["transactions"]
+    assert len(transactions) == 40
+    assert all(group in GROUPS8 for _, _, group, _ in transactions)
+    assert namespace["counts"].items() <= namespace["features"].items()
 
 
 def _readme_commands():

@@ -1,29 +1,17 @@
 """Ego transfer network construction and DOT export."""
 
-import pytest
-
 from motifscope import etn as etn_mod
-from motifscope.ingest import AccountRegistry, TokenRegistry, TokenTransfer, Transaction
 
 
 def make_tx(transfers, ego="0xe", tx_hash="tx1"):
-    return Transaction(tx_hash=tx_hash, ego_account=ego, transfers=transfers)
+    """A stored transaction: (tx_hash, ego, method group, rows)."""
+    return (tx_hash, ego, None, transfers)
 
 
 def make_transfer(src, dst, category="Stablecoin", src_type="A", dst_type="A", ego="0xe"):
-    return TokenTransfer(
-        tx_hash="tx1",
-        from_account=src,
-        to_account=dst,
-        token_symbol="USDC",
-        token_contract="0xtok",
-        amount=1.0,
-        block_number=1,
-        ego_account=ego,
-        category=category,
-        from_type="E" if src == ego else src_type,
-        to_type="E" if dst == ego else dst_type,
-    )
+    """A store row: (from, to, from_type, to_type, contract, symbol, category, amount, block)."""
+    return [src, dst, "E" if src == ego else src_type, "E" if dst == ego else dst_type,
+            "0xtok", "USDC", category, 1.0, 1]
 
 
 def test_build_etn_types_edges_and_simple_view():
@@ -55,28 +43,6 @@ def test_non_ego_transfers_rejected_not_raised():
     assert network.rejected == [("0xa", "0xb")]
     assert len(network.edges) == 1
     assert "0xb" not in network.node_types
-
-
-def test_unresolved_category_needs_registry():
-    tr = make_transfer("0xa", "0xe")
-    tr.category = None
-    with pytest.raises(ValueError):
-        etn_mod.build_etn(make_tx([tr]))
-    tokens = TokenRegistry()
-    tokens.add("0xtok", "USDC", "Stablecoin", False)
-    network = etn_mod.build_etn(make_tx([tr]), tokens=tokens)
-    assert network.edges[0][2] == "Stablecoin"
-
-
-def test_unresolved_node_type_needs_registry():
-    tr = make_transfer("0xa", "0xe")
-    tr.from_type = None
-    with pytest.raises(ValueError):
-        etn_mod.build_etn(make_tx([tr]))
-    accounts = AccountRegistry()
-    accounts.add("0xa", "contract")
-    network = etn_mod.build_etn(make_tx([tr]), accounts=accounts)
-    assert network.node_types["0xa"] == "C"
 
 
 def test_first_seen_type_wins():

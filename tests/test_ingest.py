@@ -177,14 +177,16 @@ def test_method_mapping_aliases_and_exclusions(tmp_path):
     assert mapping["getreward"] == "ClaimReward"
     assert mapping["exitpool"] == "Exit"
 
-    labels = [
-        ingest.MethodLabel("t1", "Transfer"),
-        ingest.MethodLabel("t2", "SWAPEXACTTOKENS"),  # case-insensitive
-        ingest.MethodLabel("t3", "exitPool"),  # excluded group
-        ingest.MethodLabel("t4", "someNewMethod"),  # unmapped
-    ]
-    ingest.group_methods(labels, mapping)
-    assert [lab.method_group for lab in labels] == ["Transfer", "Swap", ingest.UNKNOWN, ingest.UNKNOWN]
+    methods = tmp_path / "methods.csv"
+    methods.write_text("tx_hash,raw_method\n"
+                       "t1,Transfer\n"
+                       "t2,SWAPEXACTTOKENS\n"  # case-insensitive
+                       "t3,exitPool\n"  # excluded group
+                       "t4,someNewMethod\n",  # unmapped
+                       encoding="utf-8")
+    labels = ingest.load_method_labels(methods, mapping)
+    assert [labels[t] for t in ("t1", "t2", "t3", "t4")] == [
+        "Transfer", "Swap", ingest.UNKNOWN, ingest.UNKNOWN]
 
 
 def test_method_mapping_conflict_is_fatal(tmp_path):
@@ -207,8 +209,7 @@ def test_attach_methods_joins_on_hash(tmp_path, registry, accounts):
         "tx2,0xe,0xa,0xe,0xtok1,USDC,1.0,101",
     ]
     result = ingest.read_transfers(write_transfers(tmp_path / "t.csv", rows), registry, accounts)
-    labels = [ingest.MethodLabel("tx1", "transfer", method_group="Transfer")]
-    txs = list(result.transactions({lab.tx_hash: lab.method_group for lab in labels}))
+    txs = list(result.transactions({"tx1": "Transfer"}))
     assert txs[0][2] == "Transfer"
     assert txs[1][2] is None
 
@@ -217,7 +218,7 @@ def test_methods_csv_header_validated(tmp_path):
     bad = tmp_path / "methods.csv"
     bad.write_text("hash,name\nx,y\n", encoding="utf-8")
     with pytest.raises(ingest.InputError):
-        ingest.load_method_labels(bad)
+        ingest.load_method_labels(bad, {})
 
 
 def test_node_types_resolved_at_load(tmp_path, registry):
@@ -291,8 +292,8 @@ def test_streamed_store_matches_reference(small_corpus, tmp_path, corpus):
             reason: 1 for reason in ("malformed_row", "missing_tx_hash", "missing_account",
                                      "self_transfer", "bad_amount", "negative_amount", "bad_block")}
         assert report["transactions"] == 5 and report["transactions_spam_filtered"] == 1
-        types = {(tx.tx_hash, tx.ego_account): [(tr.from_type, tr.to_type) for tr in tx.transfers]
-                 for tx in storage.iter_store(tmp_path / "streamed")}
+        types = {(tx_hash, ego): [(row[2], row[3]) for row in rows]
+                 for tx_hash, ego, _, rows in storage.iter_store(tmp_path / "streamed")}
         assert types[("t3", "0xe1")] == [("A", "E")]
         assert types[("t3", "0xe2")] == [("A", "E")]
 

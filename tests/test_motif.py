@@ -254,7 +254,8 @@ def test_normalize_mode_aliases():
 def wide_store(store_dir):
     """A hand-written store: an airdrop-style transaction to 12 counterparts
     (one of them also paying back, plus a row that does not touch the ego),
-    a small mixed transaction and an all-in one."""
+    a small mixed transaction with a counterpart typed C in one row and A in
+    the next, and an all-in one."""
     ego = "0xe"
 
     def tr(src, dst, src_type, dst_type, category):
@@ -269,7 +270,9 @@ def wide_store(store_dir):
              tr(ego, "0xc1", "E", "C", "Stablecoin"),
              tr("0xc1", ego, "C", "E", "Cryptocurrency"),
              tr("0xn1", ego, "N", "E", "Synthetic"),
-             tr(ego, "0xa1", "E", "A", "Marketplace")]
+             tr(ego, "0xa1", "E", "A", "Marketplace"),
+             tr("0xd1", ego, "C", "E", "Stablecoin"),  # 0xd1 keeps its first type, C
+             tr(ego, "0xd1", "E", "A", "Cryptocurrency")]
     all_in = [tr(f"0xs{i}", ego, "A", "E", categories[i % 3]) for i in range(4)]
     storage.write_store(store_dir, [(h, ego, None, rows)
                                     for h, rows in (("0xwide", airdrop), ("0xmix", mixed),
@@ -278,8 +281,7 @@ def wide_store(store_dir):
 
 def _reference_features(store_dir, catalog, mode, max_nodes=motif.DEFAULT_MAX_NODES):
     return {
-        (tx.tx_hash, tx.ego_account): motif.transaction_features(
-            etn_mod.build_etn(tx), catalog, mode, max_nodes)
+        (tx[0], tx[1]): motif.transaction_features(etn_mod.build_etn(tx), catalog, mode, max_nodes)
         for tx in storage.iter_store(store_dir)
     }
 

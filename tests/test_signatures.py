@@ -236,6 +236,17 @@ def test_mine_leaf_itemset_flags_greedy_shortfall():
     assert notes == []
 
 
+def test_exhaustive_method_rejects_oversized_leaf():
+    # 16 always-present items: greedy takes them all, exhaustive refuses
+    # rather than return an empty signature
+    presence = np.ones((20, 16), dtype=bool)
+    keys = [f"k{i:02d}" for i in range(16)]
+    chosen, support, notes = mine_leaf_itemset(presence, keys, method="greedy")
+    assert len(chosen) == 16 and support == 1.0 and notes == []
+    with pytest.raises(ValueError, match="16 candidate items exceed the exhaustive limit 15"):
+        mine_leaf_itemset(presence, keys, method="exhaustive")
+
+
 def test_mine_leaf_itemset_no_candidates():
     presence = np.zeros((5, 3), dtype=bool)
     for method in ("greedy", "exhaustive"):

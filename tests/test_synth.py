@@ -104,7 +104,7 @@ def test_generate_empty_corpus_is_schema_valid(tmp_path):
     accounts = ingest.AccountRegistry.from_file(tmp_path / "empty" / "accounts.json")
     loaded = ingest.read_transfers(tmp_path / "empty" / "transfers.csv", tokens, accounts)
     assert loaded.groups == {} and loaded.rejects == []
-    assert ingest.load_method_labels(tmp_path / "empty" / "methods.csv") == []
+    assert ingest.load_method_labels(tmp_path / "empty" / "methods.csv", {}) == {}
 
 
 def test_generate_deterministic_bytes(tmp_path):
@@ -142,8 +142,7 @@ def test_round_trip_zero_rejections(small_corpus):
 def test_label_fidelity(small_corpus):
     """Store labels reproduce methods.csv through the packaged mapping."""
     mapping = ingest.load_method_mapping(PACKAGED_METHOD_GROUPS)
-    raw = ingest.group_methods(ingest.load_method_labels(small_corpus["methods"]), mapping)
-    by_hash = {lab.tx_hash: lab.method_group for lab in raw}
+    by_hash = ingest.load_method_labels(small_corpus["methods"], mapping)
     labels = storage.read_labels(small_corpus["labels"])
     assert len(labels) == 2000
     for (tx_hash, _ego), group in labels.items():
@@ -170,8 +169,8 @@ def test_noise_fraction_plausible(small_corpus):
     base_edges = {a.name: len(a.edges) for a in cfg.archetypes}
     labels = storage.read_labels(small_corpus["labels"])
     noisy = 0
-    for tx in storage.iter_store(small_corpus["store"]):
-        extra = len(tx.transfers) - base_edges[labels[(tx.tx_hash, tx.ego_account)]]
+    for tx_hash, ego, _, rows in storage.iter_store(small_corpus["store"]):
+        extra = len(rows) - base_edges[labels[(tx_hash, ego)]]
         assert extra in (0, 1)
         noisy += extra
     assert 40 <= noisy <= 180  # ~100 expected at p=0.05, n=2000
@@ -191,8 +190,7 @@ def test_mixes_drive_per_ego_methods(tmp_path):
     assert set(mix_of_ego.values()) <= {"trader", "farmer"}
     # join methods back to egos through the transfers file
     mapping = ingest.load_method_mapping(PACKAGED_METHOD_GROUPS)
-    raw = ingest.group_methods(ingest.load_method_labels(out / "methods.csv"), mapping)
-    group_of_tx = {lab.tx_hash: lab.method_group for lab in raw}
+    group_of_tx = ingest.load_method_labels(out / "methods.csv", mapping)
     tokens = ingest.TokenRegistry.from_file(out / "tokens.json")
     accounts = ingest.AccountRegistry.from_file(out / "accounts.json")
     loaded = ingest.read_transfers(out / "transfers.csv", tokens, accounts)
