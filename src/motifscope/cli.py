@@ -7,9 +7,7 @@ Failures print a machine-readable JSON object on stderr.
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
-import json
 import os
 import sys
 import time
@@ -28,8 +26,10 @@ from .ingest import (
     METHOD_GROUPS,
     TokenRegistry,
     UNKNOWN,
+    _jsonl_rows,
     load_method_labels,
     load_method_mapping,
+    read_json,
     read_transfers,
 )
 from .learn import (
@@ -118,10 +118,7 @@ class ModelSpec:
 
 
 def load_model(path) -> ModelSpec:
-    try:
-        obj = storage.read_json(path)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise InputError(f"cannot read model file {path}: {exc}") from exc
+    obj = read_json(path, "model file")
     if obj.get("format") != "motifscope-model":
         raise InputError(f"{path} is not a motifscope model file")
     kind = obj.get("kind")
@@ -133,13 +130,8 @@ def load_model(path) -> ModelSpec:
 
 def _features_mode(path) -> Optional[str]:
     """Mode recorded on the first line of a features file (None if empty)."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            for line in fh:
-                if line.strip():
-                    return json.loads(line).get("mode")
-    except OSError as exc:
-        raise InputError(f"cannot read features file {path}: {exc}") from exc
+    for _, obj in _jsonl_rows(path, "features"):
+        return obj.get("mode")
     return None
 
 
@@ -255,19 +247,13 @@ def prune_model(spec: ModelSpec, target_leaves, alpha, out, path_csv=None, dot=N
     pruned = ModelSpec("dt", spec.mode, spec.classes, spec.vocabulary, params, tree)
     pruned.save(out)
     if path_csv:
-        metric_rows = _ccp_cv_rows(path, spec.params, *cv) if cv else None
-        with open(path_csv, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["alpha", "leaves", "precision", "recall", "f1"])
-            for i, e in enumerate(path):
-                metrics = metric_rows[i] if metric_rows else {}
-                writer.writerow([
-                    f"{e.alpha:.12g}", e.leaf_count,
-                    *(f"{metrics[k]:.6f}" if metrics else "" for k in ("precision", "recall", "f1")),
-                ])
+        metric_rows = _ccp_cv_rows(path, spec.params, *cv) if cv else [{}] * len(path)
+        storage.write_csv(path_csv, ["alpha", "leaves", "precision", "recall", "f1"], (
+            [f"{e.alpha:.12g}", e.leaf_count,
+             *(f"{metrics[k]:.6f}" if metrics else "" for k in ("precision", "recall", "f1"))]
+            for e, metrics in zip(path, metric_rows)))
     if dot:
-        with open(dot, "w", encoding="utf-8") as fh:
-            fh.write(tree_to_dot(tree, spec.vocabulary, spec.classes))
+        storage.write_text(dot, tree_to_dot(tree, spec.vocabulary, spec.classes))
     return pruned, entry, path
 
 
@@ -290,10 +276,7 @@ def write_signatures(spec: ModelSpec, dataset: Dataset, threshold: float, method
 
 
 def load_signatures(path) -> list[LeafSignature]:
-    try:
-        obj = storage.read_json(path)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise InputError(f"cannot read signatures file {path}: {exc}") from exc
+    obj = read_json(path, "signatures file")
     if obj.get("format") != "motifscope-signatures":
         raise InputError(f"{path} is not a motifscope signatures file")
     return [LeafSignature.from_json(s) for s in obj.get("signatures", [])]
@@ -337,22 +320,14 @@ def match_features(features_path, signatures: list[LeafSignature],
 
 def _read_matches(path):
     """(ego, leaves) from a matches.jsonl file, for the profile subcommand."""
-    try:
-        fh = open(path, encoding="utf-8")
-    except OSError as exc:
-        raise InputError(f"cannot read matches file {path}: {exc}") from exc
-    with fh:
-        for line in fh:
-            if line.strip():
-                obj = json.loads(line)
-                yield obj["ego"], obj.get("leaves", [])
+    for _, obj in _jsonl_rows(path, "matches"):
+        yield obj["ego"], obj.get("leaves", [])
 
 
 def write_profiles(matches, out) -> Profiles:
     """Profiles from (ego, leaves) pairs, written to profiles.csv."""
     profiles = build_profiles(matches)
-    with storage.replacing(out) as (tmp,):
-        write_profiles_csv(profiles, tmp)
+    write_profiles_csv(profiles, out)
     return profiles
 
 
@@ -371,16 +346,12 @@ def _write_plotdata(outdir, result, profiles: Profiles) -> None:
     data = emit_clustermap_data(result, profiles)
     os.makedirs(outdir, exist_ok=True)
     storage.write_json(os.path.join(outdir, "clustermap.json"), data)
-    with open(os.path.join(outdir, "zscores.csv"), "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["account"] + [f"leaf_{j}" for j in data["col_order"]])
-        for account, zrow in zip(data["row_order"], data["zscores"]):
-            writer.writerow([account] + [f"{v:.9f}" for v in zrow])
-    with open(os.path.join(outdir, "clusters.csv"), "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["account", "cluster"])
-        for account in sorted(data["clusters"]):
-            writer.writerow([account, data["clusters"][account]])
+    storage.write_csv(os.path.join(outdir, "zscores.csv"),
+                      ["account"] + [f"leaf_{j}" for j in data["col_order"]],
+                      ([account] + [f"{v:.9f}" for v in zrow]
+                       for account, zrow in zip(data["row_order"], data["zscores"])))
+    storage.write_csv(os.path.join(outdir, "clusters.csv"), ["account", "cluster"],
+                      ([account, data["clusters"][account]] for account in sorted(data["clusters"])))
 
 
 # ---------------------------------------------------------------------------
@@ -433,9 +404,7 @@ def cmd_etn(args) -> int:
         egos = ", ".join(ego for _, ego, _, _ in hits)
         raise InputError(f"transaction {args.tx} has several egos ({egos}); pass --ego")
     network = etn_mod.build_etn(hits[0])
-    dot = etn_mod.to_dot(network)
-    with open(args.dot, "w", encoding="utf-8") as fh:
-        fh.write(dot)
+    storage.write_text(args.dot, etn_mod.to_dot(network))
     _print({"tx_hash": args.tx, "ego": hits[0][1], "nodes": len(network.node_types),
             "edges": len(network.edges), "dot": args.dot})
     return 0
@@ -584,11 +553,7 @@ class PipelineConfig:
 
     @classmethod
     def from_file(cls, path) -> "PipelineConfig":
-        try:
-            with open(path, encoding="utf-8") as fh:
-                return cls.from_json(json.load(fh))
-        except (OSError, json.JSONDecodeError) as exc:
-            raise InputError(f"cannot read pipeline config {path}: {exc}") from exc
+        return cls.from_json(read_json(path, "pipeline config"))
 
 
 def _stage(manifest: dict, name: str, fn):

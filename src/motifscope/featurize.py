@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from itertools import islice
 
 from . import motif, storage
+from .ingest import _open
 from .motif import DEFAULT_MAX_NODES, OVERSIZE_KEY, MotifCatalog
 
 CHUNK_LINES = 8192
@@ -92,7 +93,7 @@ class FeaturizeStats:
 
 def _iter_chunks(path, chunk_lines: int):
     """Yield (line number of the first line, lines) in chunk_lines slices."""
-    with open(path, encoding="utf-8") as fh:
+    with _open(path, "store") as fh:
         first = 1
         while chunk := list(islice(fh, chunk_lines)):
             yield first, chunk

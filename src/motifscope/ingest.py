@@ -1,12 +1,17 @@
 """File ingestion: transfer records, token/account registries, method labels.
 
 All inputs are local files (CSV for transfers and labels, JSON for
-registries). Rows that fail validation are rejected with a reason code and
-counted, never silently dropped. `read_transfers` reads transfers.csv in one
-streaming pass straight into the store's compact transfer rows, grouped by
-(tx_hash, ego). A transaction is the tuple (tx_hash, ego, method group or
-None, rows) throughout: `LoadResult.transactions` yields it,
-`storage.write_store` writes it and `storage.iter_store` reads it back.
+registries). This module owns reading: every input file and artifact is
+opened and decoded by one of three readers, `read_json` for JSON documents,
+`_jsonl_rows` for JSON lines and `_csv_rows` for CSV. A file that cannot be
+opened or decoded raises InputError naming the file, and the line for the
+two line-oriented formats. `storage` owns writing. Rows that fail validation
+are rejected with a reason code and counted, never silently dropped.
+`read_transfers` reads transfers.csv in one streaming pass straight into the
+store's compact transfer rows, grouped by (tx_hash, ego). A transaction is
+the tuple (tx_hash, ego, method group or None, rows) throughout:
+`LoadResult.transactions` yields it, `storage.write_store` writes it and
+`storage.iter_store` reads it back.
 """
 
 from __future__ import annotations
@@ -15,6 +20,7 @@ import csv
 import functools
 import json
 from collections import Counter
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
@@ -84,12 +90,7 @@ class TokenRegistry:
     @classmethod
     def from_file(cls, path) -> "TokenRegistry":
         reg = cls()
-        try:
-            with open(path, encoding="utf-8") as fh:
-                entries = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise InputError(f"cannot read token registry {path}: {exc}") from exc
-        for entry in entries:
+        for entry in read_json(path, "token registry"):
             reg.add(
                 contract=entry.get("contract", ""),
                 symbol=entry.get("symbol", ""),
@@ -118,9 +119,6 @@ class TokenRegistry:
             rec = self._by_symbol.get(symbol)
         return rec if rec is not None else ("Unlabeled", False)
 
-    def category(self, contract: str, symbol: str) -> str:
-        return self.resolve(contract, symbol)[0] or ""
-
 
 class AccountRegistry:
     """Account -> type code: E (ego), A (address), C (contract), N (null).
@@ -133,17 +131,11 @@ class AccountRegistry:
     def __init__(self):
         self._contracts: set[str] = set()
         self._nulls: set[str] = set()
-        self._egos: set[str] = set()
 
     @classmethod
     def from_file(cls, path) -> "AccountRegistry":
         reg = cls()
-        try:
-            with open(path, encoding="utf-8") as fh:
-                entries = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise InputError(f"cannot read account registry {path}: {exc}") from exc
-        for entry in entries:
+        for entry in read_json(path, "account registry"):
             addr = entry.get("address", "")
             kind = entry.get("type", "address").lower()
             if kind not in ("ego", "address", "contract", "null"):
@@ -157,11 +149,6 @@ class AccountRegistry:
             self._contracts.add(addr)
         elif kind == "null":
             self._nulls.add(addr)
-        elif kind == "ego":
-            self._egos.add(addr)
-
-    def type_of(self, address: str, ego: str) -> str:
-        return "E" if address == ego else self.kind_of(address)
 
     def kind_of(self, address: str) -> str:
         """The type of an address that is not the ego: N, C or A."""
@@ -172,38 +159,76 @@ class AccountRegistry:
             return "C"
         return "A"
 
-    @property
-    def egos(self) -> set[str]:
-        return set(self._egos)
 
-
-def _csv_rows(path, what: str) -> Iterator[list[str]]:
-    """Rows of a UTF-8 CSV file. Bytes that do not decode and CSV syntax
-    errors raise InputError naming the file and line."""
+@contextmanager
+def _open(path, what: str, newline=None):
+    """`path` opened as UTF-8 text for reading. A file that cannot be opened,
+    and a byte that does not decode, raise InputError naming the file (and
+    the line of the byte)."""
     try:
-        fh = open(path, encoding="utf-8", newline="")
+        fh = open(path, encoding="utf-8", newline=newline)
     except OSError as exc:
         raise InputError(f"cannot read {what} file {path}: {exc}") from exc
     with fh:
-        reader = csv.reader(fh)
         try:
-            yield from reader
+            yield fh
         except UnicodeDecodeError as exc:
-            # the text layer decodes ahead in blocks: find the line by decoding line by line
-            lineno, exc = _first_undecodable_line(path)
-            raise InputError(f"bad {what} file {path}:{lineno}: {type(exc).__name__}: {exc}") from exc
-        except csv.Error as exc:
-            raise InputError(f"bad {what} file {path}:{reader.line_num}: csv.Error: {exc}") from exc
+            raise _undecodable(what, path) from exc
 
 
-def _first_undecodable_line(path) -> tuple[int, UnicodeDecodeError]:
+def _bad_line(what: str, path, lineno: int, problem) -> InputError:
+    """The error for line `lineno`; `problem` is an exception or a description."""
+    if isinstance(problem, Exception):
+        kind = "csv.Error" if isinstance(problem, csv.Error) else type(problem).__name__
+        problem = f"{kind}: {problem}"
+    return InputError(f"bad {what} file {path}:{lineno}: {problem}")
+
+
+def _undecodable(what: str, path) -> InputError:
+    """The error for the first line of `path` that is not UTF-8. The text
+    layer decodes ahead in blocks, so the failing read does not know its line."""
     with open(path, "rb") as fh:
         for lineno, raw in enumerate(fh, start=1):
             try:
                 raw.decode("utf-8")
             except UnicodeDecodeError as exc:
-                return lineno, exc
+                return _bad_line(what, path, lineno, exc)
     raise AssertionError(f"{path} decodes line by line")  # pragma: no cover
+
+
+def read_json(path, what: str = "JSON file"):
+    """The JSON document in `path`; a file that cannot be opened, is not
+    UTF-8 or is not JSON raises InputError naming `what` and the path."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise InputError(f"cannot read {what} {path}: {exc}") from exc
+
+
+def _jsonl_rows(path, what: str) -> Iterator[tuple[int, object]]:
+    """(line number, decoded object) for each non-blank line of a UTF-8
+    JSON-lines file. A line that is not UTF-8 or not JSON raises InputError
+    naming the file and line."""
+    with _open(path, what) as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if line.strip():
+                try:
+                    obj = json.loads(line)
+                except ValueError as exc:
+                    raise _bad_line(what, path, lineno, exc) from exc
+                yield lineno, obj
+
+
+def _csv_rows(path, what: str) -> Iterator[list[str]]:
+    """Rows of a UTF-8 CSV file. Bytes that do not decode and CSV syntax
+    errors raise InputError naming the file and line."""
+    with _open(path, what, newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            yield from reader
+        except csv.Error as exc:
+            raise _bad_line(what, path, reader.line_num, exc) from exc
 
 
 @dataclass
@@ -254,7 +279,7 @@ def read_transfers(path, tokens: TokenRegistry, accounts: AccountRegistry) -> Lo
     rows = _csv_rows(path, "transfers")
     header = next(rows, None)
     if header is None or [h.strip() for h in header] != list(TRANSFER_COLUMNS):
-        raise InputError(f"transfers file {path} must start with header {','.join(TRANSFER_COLUMNS)}")
+        raise _bad_line("transfers", path, 1, f"header must be {','.join(TRANSFER_COLUMNS)}")
     for lineno, row in enumerate(rows, start=2):
         if not row:
             continue
@@ -311,13 +336,8 @@ def load_method_mapping(path) -> dict[str, str]:
     Lookup is case-insensitive: keys are normalized with casefold, and two
     raw names that collide after normalization must agree on the group.
     """
-    try:
-        with open(path, encoding="utf-8") as fh:
-            raw = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise InputError(f"cannot read method mapping {path}: {exc}") from exc
     mapping: dict[str, str] = {}
-    for name, group in raw.items():
+    for name, group in read_json(path, "method mapping").items():
         key = name.strip().casefold()
         resolved = GROUP_ALIASES.get(group, group)
         if resolved not in METHOD_GROUPS and resolved not in EXCLUDED_GROUPS:
@@ -341,7 +361,7 @@ def load_method_labels(path, mapping: dict[str, str]) -> dict[str, str]:
     rows = _csv_rows(path, "methods")
     header = next(rows, None)
     if header is None or [h.strip() for h in header][:2] != ["tx_hash", "raw_method"]:
-        raise InputError(f"methods file {path} must start with header tx_hash,raw_method")
+        raise _bad_line("methods", path, 1, "header must start tx_hash,raw_method")
     groups: dict[str, str] = {}
     for row in rows:
         if len(row) >= 2 and row[0]:

@@ -12,10 +12,10 @@ store-line path in featurize.py both call it.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 from .etn import EgoTransferNetwork
+from .ingest import InputError, read_json
 
 # Counterpart states relative to the ego.
 OUT, IN, RECIP = 0, 1, 2
@@ -119,35 +119,39 @@ def enumerate_catalog() -> MotifCatalog:
 
 
 def load_catalog(path) -> MotifCatalog:
-    """Load a catalog override from JSON: [{id, nodes, edges:[[role,role]]}]."""
-    with open(path, encoding="utf-8") as fh:
-        entries = json.load(fh)
-    shapes = []
-    for entry in entries:
-        sid = entry["id"]
-        nodes = entry["nodes"]
-        edges = [tuple(e) for e in entry["edges"]]
-        if "E" not in nodes:
-            raise ValueError(f"motif {sid}: no ego role E")
-        roles = [r for r in nodes if r != "E"]
-        if len(nodes) != len(set(nodes)) or not 1 <= len(roles) <= 2:
-            raise ValueError(f"motif {sid}: needs 1 or 2 distinct neighbor roles")
-        if len(edges) != len(set(edges)):
-            raise ValueError(f"motif {sid}: duplicate edges")
-        states = []
-        for role in roles:
-            has_out = ("E", role) in edges
-            has_in = (role, "E") in edges
-            if not has_out and not has_in:
-                raise ValueError(f"motif {sid}: role {role} not connected to E")
-            states.append(RECIP if has_out and has_in else OUT if has_out else IN)
-        for a, b in edges:
-            if "E" not in (a, b):
-                raise ValueError(f"motif {sid}: edge ({a},{b}) does not touch E")
-            if a == b or {a, b} - set(nodes):
-                raise ValueError(f"motif {sid}: bad edge ({a},{b})")
-        shapes.append(MotifShape(id=sid, states=tuple(states)))
-    return MotifCatalog(shapes)
+    """Load a catalog override from JSON: [{id, nodes, edges:[[role,role]]}].
+    A catalog that does not describe valid ego motifs raises InputError."""
+    entries = read_json(path, "motif catalog")
+    try:
+        return MotifCatalog([_catalog_shape(entry) for entry in entries])
+    except (ValueError, KeyError, TypeError) as exc:
+        raise InputError(f"bad motif catalog {path}: {type(exc).__name__}: {exc}") from exc
+
+
+def _catalog_shape(entry: dict) -> MotifShape:
+    sid = entry["id"]
+    nodes = entry["nodes"]
+    edges = [tuple(e) for e in entry["edges"]]
+    if "E" not in nodes:
+        raise ValueError(f"motif {sid}: no ego role E")
+    roles = [r for r in nodes if r != "E"]
+    if len(nodes) != len(set(nodes)) or not 1 <= len(roles) <= 2:
+        raise ValueError(f"motif {sid}: needs 1 or 2 distinct neighbor roles")
+    if len(edges) != len(set(edges)):
+        raise ValueError(f"motif {sid}: duplicate edges")
+    states = []
+    for role in roles:
+        has_out = ("E", role) in edges
+        has_in = (role, "E") in edges
+        if not has_out and not has_in:
+            raise ValueError(f"motif {sid}: role {role} not connected to E")
+        states.append(RECIP if has_out and has_in else OUT if has_out else IN)
+    for a, b in edges:
+        if "E" not in (a, b):
+            raise ValueError(f"motif {sid}: edge ({a},{b}) does not touch E")
+        if a == b or {a, b} - set(nodes):
+            raise ValueError(f"motif {sid}: bad edge ({a},{b})")
+    return MotifShape(id=sid, states=tuple(states))
 
 
 def motif_key(shape: MotifShape, types: tuple[str, ...]) -> str:

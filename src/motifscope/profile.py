@@ -12,7 +12,6 @@ over row blocks of distances, with no n x n matrix.
 
 from __future__ import annotations
 
-import csv
 import warnings
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
@@ -21,7 +20,8 @@ import numpy as np
 from scipy.cluster.hierarchy import fcluster, leaves_list, linkage
 from scipy.spatial.distance import cdist, pdist, squareform
 
-from .ingest import InputError
+from . import storage
+from .ingest import _bad_line, _csv_rows
 
 LINKAGES = ("ward", "complete", "average")
 DEFAULT_MIN_MATCHES = 10
@@ -65,15 +65,11 @@ def zscore_columns(M: np.ndarray) -> np.ndarray:
     return out
 
 
-def build_profiles(
-    matches: Iterable[tuple[str, Sequence[int]]],
-    accounts: Optional[Sequence[str]] = None,
-) -> Profiles:
+def build_profiles(matches: Iterable[tuple[str, Sequence[int]]]) -> Profiles:
     """Aggregate (account, matched leaf ids) events into count profiles.
 
-    A transaction matching several signatures counts once per matched leaf.
-    Accounts passed explicitly but absent from the stream (zero matches) are
-    excluded with a warning.
+    A transaction matching several signatures counts once per matched leaf;
+    accounts with no match have no row.
     """
     counts: dict[str, dict[int, int]] = {}
     for account, leaf_ids in matches:
@@ -82,14 +78,6 @@ def build_profiles(
         row = counts.setdefault(account, {})
         for leaf in leaf_ids:
             row[leaf] = row.get(leaf, 0) + 1
-    if accounts is not None:
-        missing = sorted(set(accounts) - set(counts))
-        if missing:
-            warnings.warn(
-                f"excluded {len(missing)} account(s) with zero signature matches: "
-                + ", ".join(missing[:5])
-                + ("..." if len(missing) > 5 else "")
-            )
     names = sorted(counts)
     leaf_ids = sorted({leaf for row in counts.values() for leaf in row})
     col = {leaf: j for j, leaf in enumerate(leaf_ids)}
@@ -116,34 +104,31 @@ def filter_min_matches(profiles: Profiles, min_matches: int = DEFAULT_MIN_MATCHE
 
 def write_profiles_csv(profiles: Profiles, path) -> None:
     """account,total,leaf_<id>... with one row of match counts per account."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["account", "total"] + [f"leaf_{j}" for j in profiles.leaf_ids])
-        for account, total, counts in zip(profiles.accounts, profiles.totals.tolist(),
-                                          profiles.raw.tolist()):
-            writer.writerow([account, total] + counts)
+    storage.write_csv(path, ["account", "total"] + [f"leaf_{j}" for j in profiles.leaf_ids], (
+        [account, total] + counts for account, total, counts in zip(
+            profiles.accounts, profiles.totals.tolist(), profiles.raw.tolist())))
 
 
 def read_profiles_csv(path) -> Profiles:
-    try:
-        fh = open(path, encoding="utf-8", newline="")
-    except OSError as exc:
-        raise InputError(f"cannot read profiles file {path}: {exc}") from exc
-    with fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if not header or header[:2] != ["account", "total"] or not all(
-            h.startswith("leaf_") for h in header[2:]
-        ):
-            raise InputError(f"profiles file {path} must have header account,total,leaf_*")
-        leaf_ids = [int(h[5:]) for h in header[2:]]
-        accounts, rows = [], []
-        for row in reader:
-            if not row:
-                continue
-            accounts.append(row[0])
-            rows.append([int(v) for v in row[2:]])
-    raw = np.array(rows, dtype=np.int64) if rows else np.zeros((0, len(leaf_ids)), dtype=np.int64)
+    rows = _csv_rows(path, "profiles")
+    header = next(rows, None)
+    if not header or header[:2] != ["account", "total"] or not all(
+        h.startswith("leaf_") and h[5:].isdigit() for h in header[2:]
+    ):
+        raise _bad_line("profiles", path, 1, "header must be account,total,leaf_<id>...")
+    leaf_ids = [int(h[5:]) for h in header[2:]]
+    accounts, counts = [], []
+    for lineno, row in enumerate(rows, start=2):
+        if not row:
+            continue
+        if len(row) != len(header):
+            raise _bad_line("profiles", path, lineno, f"{len(row)} fields, expected {len(header)}")
+        try:
+            counts.append([int(v) for v in row[2:]])
+        except ValueError as exc:
+            raise _bad_line("profiles", path, lineno, exc) from exc
+        accounts.append(row[0])
+    raw = np.array(counts, dtype=np.int64) if counts else np.zeros((0, len(leaf_ids)), dtype=np.int64)
     return Profiles(accounts=accounts, leaf_ids=leaf_ids, raw=raw)
 
 

@@ -1,11 +1,14 @@
 """On-disk formats: transaction store, feature files, labels, digests.
 
 Large intermediates are JSON-lines (streamable, diff-able); tabular exports
-are CSV. All writers are deterministic: sorted keys, fixed separators, no
-timestamps, so identical inputs produce byte-identical artifacts. The store
-holds one transaction per line; `line_to_tx` is its only decoder, and it
-returns the (tx_hash, ego, method group or None, rows) tuple that
-`write_store` takes.
+are CSV. This module owns writing: every artifact is written through
+`replacing`, by `write_text`, `write_csv`, `write_json` or a streaming
+writer, so a failed write leaves the previous file. Files are read through
+the readers in `ingest`. All writers are deterministic: sorted keys, fixed
+separators, no timestamps, so identical inputs produce byte-identical
+artifacts. The store holds one transaction per line; `line_to_tx` is its
+only decoder, and it returns the (tx_hash, ego, method group or None, rows)
+tuple that `write_store` takes.
 """
 
 from __future__ import annotations
@@ -17,7 +20,8 @@ import os
 from contextlib import contextmanager
 from typing import Iterable, Iterator, Optional
 
-from .ingest import InputError
+# read_json is re-exported: artifacts are read back as storage.read_json
+from .ingest import InputError, _bad_line, _csv_rows, _jsonl_rows, _open, read_json
 
 STORE_FILE = "transactions.jsonl"
 REPORT_FILE = "ingest_report.json"
@@ -52,15 +56,20 @@ def replacing(*paths):
         raise
 
 
-def write_json(path, obj) -> None:
+def write_text(path, text: str) -> None:
     with replacing(path) as (tmp,), open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(dumps(obj))
-        fh.write("\n")
+        fh.write(text)
 
 
-def read_json(path):
-    with open(path, encoding="utf-8") as fh:
-        return json.load(fh)
+def write_csv(path, header: list, rows: Iterable[list]) -> None:
+    with replacing(path) as (tmp,), open(tmp, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def write_json(path, obj) -> None:
+    write_text(path, dumps(obj) + "\n")
 
 
 def line_to_tx(line: str, path, lineno: int) -> tuple[str, str, Optional[str], list[list]]:
@@ -126,42 +135,32 @@ def store_path(store_dir) -> str:
 def iter_store(store_dir) -> Iterator[tuple[str, str, Optional[str], list[list]]]:
     """Every stored transaction as line_to_tx decodes it, in store order."""
     path = store_path(store_dir)
-    with open(path, encoding="utf-8") as fh:
+    with _open(path, "store") as fh:
         for lineno, line in enumerate(fh, start=1):
             if line.strip():
                 yield line_to_tx(line, path, lineno)
 
 
 def read_labels(path) -> dict[tuple[str, str], str]:
-    """labels.csv (tx_hash,ego,method_group) -> {(tx_hash, ego): group}."""
+    """labels.csv (tx_hash,ego,method_group) -> {(tx_hash, ego): group}.
+    Blank lines are skipped; a row without three fields raises InputError."""
     labels: dict[tuple[str, str], str] = {}
-    try:
-        fh = open(path, encoding="utf-8", newline="")
-    except OSError as exc:
-        raise InputError(f"cannot read labels file {path}: {exc}") from exc
-    with fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != ["tx_hash", "ego", "method_group"]:
-            raise InputError(f"labels file {path} must have header tx_hash,ego,method_group")
-        for row in reader:
-            if len(row) == 3 and row[0]:
-                labels[(row[0], row[1])] = row[2]
+    rows = _csv_rows(path, "labels")
+    header = next(rows, None)
+    if header is None or [h.strip() for h in header] != ["tx_hash", "ego", "method_group"]:
+        raise _bad_line("labels", path, 1, "header must be tx_hash,ego,method_group")
+    for lineno, row in enumerate(rows, start=2):
+        if len(row) == 3:
+            labels[(row[0], row[1])] = row[2]
+        elif row:
+            raise _bad_line("labels", path, lineno, f"{len(row)} fields, expected 3")
     return labels
 
 
 def iter_features(path) -> Iterator[tuple[str, str, dict[str, int]]]:
     """Yield (tx_hash, ego, features) from a features.jsonl file."""
-    try:
-        fh = open(path, encoding="utf-8")
-    except OSError as exc:
-        raise InputError(f"cannot read features file {path}: {exc}") from exc
-    with fh:
-        for line in fh:
-            if not line.strip():
-                continue
-            obj = json.loads(line)
-            yield obj["tx_hash"], obj.get("ego", ""), obj["features"]
+    for _, obj in _jsonl_rows(path, "features"):
+        yield obj["tx_hash"], obj.get("ego", ""), obj["features"]
 
 
 def sha256_file(path) -> str:

@@ -17,7 +17,7 @@ from importlib import resources
 from pathlib import Path
 from typing import Optional
 
-from .ingest import CATEGORIES, GROUP_ALIASES, InputError, METHOD_GROUPS
+from .ingest import CATEGORIES, GROUP_ALIASES, InputError, METHOD_GROUPS, read_json
 
 NULL_ADDRESS = "0x" + "0" * 40
 DEFAULT_NOISE = 0.05
@@ -68,11 +68,7 @@ def load_config(path: Optional[str] = None) -> SynthConfig:
     if path is None:
         raw = json.loads(default_config_text())
     else:
-        try:
-            with open(path, encoding="utf-8") as fh:
-                raw = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise InputError(f"cannot read archetype config {path}: {exc}") from exc
+        raw = read_json(path, "archetype config")
     archetypes = []
     for entry in raw.get("archetypes", []):
         arch = Archetype(
@@ -111,13 +107,8 @@ class Mix:
 
 
 def load_mixes(path: str) -> list[Mix]:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            raw = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise InputError(f"cannot read mixes file {path}: {exc}") from exc
     mixes = []
-    for entry in raw:
+    for entry in read_json(path, "mixes file"):
         methods = {str(k): float(v) for k, v in entry.get("methods", {}).items()}
         if not methods or any(w < 0 for w in methods.values()) or sum(methods.values()) <= 0:
             raise InputError(f"mix {entry.get('name')!r} has an unusable method distribution")

@@ -214,6 +214,11 @@ def _dumps(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
+def _type_of(accounts, address, ego):
+    """The reference's account type: E for the transaction's ego, else the registry kind."""
+    return "E" if address == ego else accounts.kind_of(address)
+
+
 def _reference_load_transfers(path, registry, accounts):
     """A (tx_hash, ego, store row) record per valid row, registries consulted
     row by row."""
@@ -254,8 +259,8 @@ def _reference_load_transfers(path, registry, accounts):
                 rejects.append((lineno, "bad_block"))
                 continue
             transfers.append((tx_hash, ego, [
-                src, dst, accounts.type_of(src, ego), accounts.type_of(dst, ego), contract,
-                symbol, registry.category(contract, symbol) or None, amount, block,
+                src, dst, _type_of(accounts, src, ego), _type_of(accounts, dst, ego), contract,
+                symbol, registry.resolve(contract, symbol)[0], amount, block,
             ]))
     return transfers, rejects
 

@@ -7,6 +7,7 @@ import re
 import shlex
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -236,6 +237,160 @@ def test_every_store_reader_accepts_line_without_method_group(mini_store, tmp_pa
         ["0xe1", "0xb", "E", "A", "0xt", "T", "Stablecoin", 1.0, 1]]})
     _store_with_line(mini_store, tmp_path / "store", line)
     run(capsys, _store_reader_argv(command, tmp_path / "store", tmp_path))
+
+
+# ---------------------------------------------------------------------------
+# every input file kind: a bad file is exit 2, naming the file (and line)
+# ---------------------------------------------------------------------------
+
+INPUT_KINDS = ["transfers", "tokens", "accounts", "methods", "method groups", "catalog",
+               "pipeline config", "mixes", "archetype config", "model", "signatures",
+               "store (featurize)", "store (stats)", "features (train)", "features (match)",
+               "labels", "matches", "profiles"]
+
+# content that decodes but is not a valid file of its kind, and the line it is on
+INVALID_INPUTS = {
+    "catalog": (json.dumps([{"id": "m1", "nodes": ["E", "i", "j"],
+                             "edges": [["E", "i"], ["i", "j"]]}]), None),
+    "profiles": ("account,total,leaf_1\n0xa,1,x\n", 2),
+    "labels": ("tx_hash,ego,method_group\n\ntx1,0xe1\n", 3),
+}
+
+
+def _input_kinds(mini_store, small_corpus, trained, tmp):
+    """kind -> (format, a valid file of that kind, argv reading it from "{bad}",
+    or from the directory "{bad_dir}" for the store)."""
+    raw = mini_store.parent / "raw"
+    feats, labels = str(small_corpus["features"]), str(small_corpus["labels"])
+    sources = {
+        "catalog.json": motif.enumerate_catalog().to_json(),
+        "config.json": {"transfers": str(raw / "transfers.csv"), "tokens": str(raw / "tokens.json"),
+                        "accounts": str(raw / "accounts.json"), "out": str(tmp / "run")},
+        "mixes.json": [{"name": "m", "methods": {"Swap": 1.0}}],
+    }
+    for name, obj in sources.items():
+        (tmp / name).write_text(json.dumps(obj), encoding="utf-8")
+    (tmp / "archetypes.json").write_text(synth.default_config_text(), encoding="utf-8")
+    ingest_flags = {"--transfers": raw / "transfers.csv", "--tokens": raw / "tokens.json",
+                    "--accounts": raw / "accounts.json", "--methods": raw / "methods.csv",
+                    "--method-groups": cli.PACKAGED_METHOD_GROUPS, "--out": tmp / "store"}
+
+    def ingest_with(bad_flag):
+        return ["ingest", *(arg for flag, path in ingest_flags.items()
+                            for arg in (flag, "{bad}" if flag == bad_flag else str(path)))]
+
+    store_file = mini_store / storage.STORE_FILE
+    return {
+        "transfers": ("csv", raw / "transfers.csv", ingest_with("--transfers")),
+        "tokens": ("json", raw / "tokens.json", ingest_with("--tokens")),
+        "accounts": ("json", raw / "accounts.json", ingest_with("--accounts")),
+        "methods": ("csv", raw / "methods.csv", ingest_with("--methods")),
+        "method groups": ("json", cli.PACKAGED_METHOD_GROUPS, ingest_with("--method-groups")),
+        "catalog": ("json", tmp / "catalog.json", ["featurize", "--store", str(mini_store),
+                                                   "--catalog", "{bad}", "--out", str(tmp / "f")]),
+        "pipeline config": ("json", tmp / "config.json", ["pipeline", "--config", "{bad}"]),
+        "mixes": ("json", tmp / "mixes.json",
+                  ["synth", "--n", "10", "--mixes", "{bad}", "--out", str(tmp / "corpus")]),
+        "archetype config": ("json", tmp / "archetypes.json",
+                             ["synth", "--n", "10", "--config", "{bad}", "--out", str(tmp / "corpus")]),
+        "model": ("json", trained["model"], ["eval", "--model", "{bad}", "--features", feats,
+                                             "--labels", labels, "--report", str(tmp / "r.json")]),
+        "signatures": ("json", trained["signatures"], ["match", "--signatures", "{bad}",
+                                                       "--features", feats, "--out", str(tmp / "m")]),
+        "store (featurize)": ("jsonl", store_file, ["featurize", "--store", "{bad_dir}",
+                                                    "--out", str(tmp / "f")]),
+        "store (stats)": ("jsonl", store_file, ["stats", "--store", "{bad_dir}"]),
+        "features (train)": ("jsonl", small_corpus["features"], [
+            "train", "--features", "{bad}", "--labels", labels, "--model", "dt",
+            "--out", str(tmp / "model.json")]),
+        "features (match)": ("jsonl", small_corpus["features"], [
+            "match", "--signatures", str(trained["signatures"]), "--features", "{bad}",
+            "--out", str(tmp / "m")]),
+        "labels": ("csv", small_corpus["labels"], ["train", "--features", feats, "--labels", "{bad}",
+                                                   "--model", "dt", "--out", str(tmp / "model.json")]),
+        "matches": ("jsonl", trained["matches"], ["profile", "--matches", "{bad}",
+                                                  "--out", str(tmp / "p.csv")]),
+        "profiles": ("csv", trained["profiles"], ["cluster", "--profiles", "{bad}",
+                                                  "--out", str(tmp / "c.json")]),
+    }
+
+
+def _corrupt(data: bytes, fmt: str, fault: str):
+    """`data` cut short or given a byte that is not UTF-8, and the line that
+    holds the fault (None for a JSON document)."""
+    if fmt == "json":
+        half = len(data) // 2
+        return (data[:half] if fault == "truncated" else data[:half] + b"\xff" + data[half:]), None
+    lines = data.splitlines(keepends=True)
+    if fault == "truncated" and fmt == "csv":  # a cut CSV row is a short row: cut the header
+        return lines[0][: len(lines[0]) // 2], 1
+    cut = len(lines[1]) // 2
+    if fault == "truncated":
+        return lines[0] + lines[1][:cut], 2
+    return b"".join([lines[0], lines[1][:cut], b"\xff", lines[1][cut:], *lines[2:]]), 2
+
+
+@pytest.mark.parametrize("kind, fault", [(kind, fault) for kind in INPUT_KINDS
+                                         for fault in ("truncated", "undecodable")]
+                         + [(kind, "invalid") for kind in INVALID_INPUTS])
+def test_every_input_file_kind_rejects_bad_file(mini_store, small_corpus, trained, tmp_path,
+                                                capsys, kind, fault):
+    kinds = _input_kinds(mini_store, small_corpus, trained, tmp_path)
+    assert sorted(kinds) == sorted(INPUT_KINDS)
+    fmt, source, argv = kinds[kind]
+    if fault == "invalid":
+        text, line = INVALID_INPUTS[kind]
+        data = text.encode("utf-8")
+    else:
+        data, line = _corrupt(Path(source).read_bytes(), fmt, fault)
+    bad = tmp_path / "bad" / Path(source).name
+    bad.parent.mkdir()
+    bad.write_bytes(data)
+    argv = [arg.replace("{bad}", str(bad)).replace("{bad_dir}", str(bad.parent)) for arg in argv]
+    _, err = run(capsys, argv, code=2)
+    assert err["error"]["type"] == "InputError"
+    assert str(bad) in err["error"]["message"]
+    if line is not None:
+        assert f"{bad}:{line}: " in err["error"]["message"], err["error"]["message"]
+
+
+def test_failed_artifact_writes_leave_previous_files(trained, tmp_path, monkeypatch, capsys):
+    prune = ["prune", "--model", str(trained["model"]), "--target-leaves", "8",
+             "--out", str(tmp_path / "pruned.json"), "--path", str(tmp_path / "ccp_path.csv"),
+             "--dot", str(tmp_path / "pruned_tree.dot")]
+    cluster = ["cluster", "--profiles", str(trained["profiles"]), "--min-matches", "1",
+               "--out", str(tmp_path / "clusters.json"), "--plotdata", str(tmp_path / "plot")]
+    run(capsys, prune)
+    run(capsys, cluster)
+    before = {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
+    assert {"ccp_path.csv", "pruned_tree.dot", "zscores.csv", "clusters.csv"} <= {
+        p.name for p in before}
+
+    class FailingWriter:
+        """csv.writer that fails on its third row, after the header and one row."""
+
+        def __init__(self, fh):
+            self.writer = csv.writer(fh)
+            self.rows = 0
+
+        def writerow(self, row):
+            self.rows += 1
+            if self.rows == 3:
+                raise RuntimeError("disk full")
+            return self.writer.writerow(row)
+
+        def writerows(self, rows):
+            for row in rows:
+                self.writerow(row)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(storage, "csv", types.SimpleNamespace(writer=FailingWriter))
+        assert run(capsys, prune, code=3)[1]["error"]["message"] == "disk full"
+        assert run(capsys, cluster, code=3)[1]["error"]["message"] == "disk full"
+    # a DOT text that cannot be encoded fails inside write_text
+    monkeypatch.setattr(cli, "tree_to_dot", lambda *args: "digraph {\n" + "\ud800")
+    assert run(capsys, prune, code=3)[1]["error"]["type"] == "UnicodeEncodeError"
+    assert {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == before
 
 
 def test_python_m_motifscope(mini_store, tmp_path):

@@ -93,8 +93,8 @@ def test_category_resolution_and_fallback(tmp_path, registry, accounts):
 
 def test_contract_lookup_wins_over_symbol(registry):
     registry.add("0xtok3", "USDC", "Marketplace", False)  # same symbol, new contract
-    assert registry.category("0xtok3", "USDC") == "Marketplace"
-    assert registry.category("", "USDC") in ("Stablecoin", "Marketplace")
+    assert registry.resolve("0xtok3", "USDC")[0] == "Marketplace"
+    assert registry.resolve("", "USDC")[0] in ("Stablecoin", "Marketplace")
 
 
 def test_unknown_category_rejected():
@@ -109,19 +109,19 @@ def test_account_types_are_ego_relative(tmp_path):
     reg.add("0xego2", "ego")
     reg.add("0xc1", "contract")
     reg.add("0xn1", "null")
-    assert reg.type_of("0xego1", "0xego1") == "E"
-    assert reg.type_of("0xego2", "0xego1") == "A"  # other egos are plain addresses
-    assert reg.type_of("0xc1", "0xego1") == "C"
-    assert reg.type_of("0xn1", "0xego1") == "N"
-    assert reg.type_of("0xsomeone", "0xego1") == "A"
-    assert reg.egos == {"0xego1", "0xego2"}
+    # a registered ego is a plain address: read_transfers types only the row's ego E
+    assert reg.kind_of("0xego1") == "A"
+    assert reg.kind_of("0xego2") == "A"
+    assert reg.kind_of("0xc1") == "C"
+    assert reg.kind_of("0xn1") == "N"
+    assert reg.kind_of("0xsomeone") == "A"
 
 
 def test_null_address_precedence():
     reg = ingest.AccountRegistry()
     null = "0x" + "0" * 40
     reg.add(null, "contract")  # registry says contract; null still wins
-    assert reg.type_of(null, "0xego") == "N"
+    assert reg.kind_of(null) == "N"
     assert ingest.is_null_address("0x0000")
     assert ingest.is_null_address("0" * 12)
     assert not ingest.is_null_address("0x")
@@ -343,3 +343,13 @@ def test_failed_store_write_leaves_previous_store(tmp_path, monkeypatch):
         ingest_to_store(*inputs, out)
     # the previous store is as it was, and no temporary file is left
     assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+
+@pytest.mark.parametrize("row", ["tx2,0xe1", "tx2,0xe1,Swap,extra"])
+def test_read_labels_rejects_malformed_row(tmp_path, row):
+    path = tmp_path / "labels.csv"
+    path.write_text(f"tx_hash,ego,method_group\ntx1,0xe1,Swap\n\n{row}\n", encoding="utf-8")
+    with pytest.raises(ingest.InputError, match=f"^bad labels file {path}:4: "):
+        storage.read_labels(path)
+    path.write_text("tx_hash,ego,method_group\ntx1,0xe1,Swap\n\ntx2,0xe1,Mint\n", encoding="utf-8")
+    assert storage.read_labels(path) == {("tx1", "0xe1"): "Swap", ("tx2", "0xe1"): "Mint"}

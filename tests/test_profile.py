@@ -47,12 +47,6 @@ def test_build_profiles_counts_events_per_leaf():
     assert profiles.totals.tolist() == [3, 1]
 
 
-def test_build_profiles_warns_on_zero_match_accounts():
-    with pytest.warns(UserWarning, match="zero signature matches"):
-        profiles = build_profiles([("a", [1])], accounts=["a", "ghost"])
-    assert profiles.accounts == ["a"]
-
-
 def test_normalized_rows_sum_to_one():
     profiles = build_profiles([("a", [0]), ("a", [1]), ("b", [1])])
     N = profiles.normalized
