@@ -26,7 +26,9 @@ from .ingest import (
     METHOD_GROUPS,
     TokenRegistry,
     UNKNOWN,
+    _bad_line,
     _jsonl_rows,
+    _schema,
     load_method_labels,
     load_method_mapping,
     read_json,
@@ -118,14 +120,15 @@ class ModelSpec:
 
 
 def load_model(path) -> ModelSpec:
-    obj = read_json(path, "model file")
-    if obj.get("format") != "motifscope-model":
-        raise InputError(f"{path} is not a motifscope model file")
-    kind = obj.get("kind")
-    if kind not in _MODEL_KINDS:
-        raise InputError(f"unknown model kind {kind!r} in {path}")
-    return ModelSpec(kind, obj["mode"], obj["classes"], obj["vocabulary"], obj["params"],
-                     _MODEL_KINDS[kind].from_dict(obj["model"]))
+    with _schema("model file", path):
+        obj = read_json(path, "model file")
+        if obj.get("format") != "motifscope-model":
+            raise InputError(f"{path} is not a motifscope model file")
+        kind = obj.get("kind")
+        if kind not in _MODEL_KINDS:
+            raise InputError(f"unknown model kind {kind!r} in {path}")
+        return ModelSpec(kind, obj["mode"], obj["classes"], obj["vocabulary"], obj["params"],
+                         _MODEL_KINDS[kind].from_dict(obj["model"]))
 
 
 def _features_mode(path) -> Optional[str]:
@@ -160,6 +163,8 @@ def fit_model(kind: str, dataset: Dataset, rows, params: dict, seed: int):
     if kind == "dt":
         return DecisionTree.fit(dataset.ranked[rows], y, sw, n_classes=n_classes, min_leaf=min_leaf)
     if kind == "rf":
+        if params.get("trees", 100) < 1:
+            raise InputError(f"trees must be at least 1, got {params['trees']}")
         return RandomForest.fit(
             dataset.ranked[rows], y, sw, n_classes=n_classes, n_trees=params.get("trees", 100),
             min_leaf=min_leaf, max_features=params.get("max_features", "sqrt"), seed=seed,
@@ -276,10 +281,11 @@ def write_signatures(spec: ModelSpec, dataset: Dataset, threshold: float, method
 
 
 def load_signatures(path) -> list[LeafSignature]:
-    obj = read_json(path, "signatures file")
-    if obj.get("format") != "motifscope-signatures":
-        raise InputError(f"{path} is not a motifscope signatures file")
-    return [LeafSignature.from_json(s) for s in obj.get("signatures", [])]
+    with _schema("signatures file", path):
+        obj = read_json(path, "signatures file")
+        if obj.get("format") != "motifscope-signatures":
+            raise InputError(f"{path} is not a motifscope signatures file")
+        return [LeafSignature.from_json(s) for s in obj.get("signatures", [])]
 
 
 MATCH_MEMO_SIZE = 1 << 16  # distinct key sets remembered before the memo starts over
@@ -320,8 +326,12 @@ def match_features(features_path, signatures: list[LeafSignature],
 
 def _read_matches(path):
     """(ego, leaves) from a matches.jsonl file, for the profile subcommand."""
-    for _, obj in _jsonl_rows(path, "matches"):
-        yield obj["ego"], obj.get("leaves", [])
+    for lineno, obj in _jsonl_rows(path, "matches"):
+        try:
+            row = obj["ego"], obj.get("leaves", [])
+        except (AttributeError, KeyError, TypeError) as exc:
+            raise _bad_line("matches", path, lineno, exc) from exc
+        yield row
 
 
 def write_profiles(matches, out) -> Profiles:
@@ -553,7 +563,8 @@ class PipelineConfig:
 
     @classmethod
     def from_file(cls, path) -> "PipelineConfig":
-        return cls.from_json(read_json(path, "pipeline config"))
+        with _schema("pipeline config", path):
+            return cls.from_json(read_json(path, "pipeline config"))
 
 
 def _stage(manifest: dict, name: str, fn):

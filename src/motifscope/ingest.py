@@ -90,13 +90,14 @@ class TokenRegistry:
     @classmethod
     def from_file(cls, path) -> "TokenRegistry":
         reg = cls()
-        for entry in read_json(path, "token registry"):
-            reg.add(
-                contract=entry.get("contract", ""),
-                symbol=entry.get("symbol", ""),
-                category=entry.get("category", "Unlabeled"),
-                is_spam=bool(entry.get("is_spam", False)),
-            )
+        with _schema("token registry", path):
+            for entry in read_json(path, "token registry"):
+                reg.add(
+                    contract=entry.get("contract", ""),
+                    symbol=entry.get("symbol", ""),
+                    category=entry.get("category", "Unlabeled"),
+                    is_spam=bool(entry.get("is_spam", False)),
+                )
         return reg
 
     def add(self, contract: str, symbol: str, category: str, is_spam: bool) -> None:
@@ -135,12 +136,13 @@ class AccountRegistry:
     @classmethod
     def from_file(cls, path) -> "AccountRegistry":
         reg = cls()
-        for entry in read_json(path, "account registry"):
-            addr = entry.get("address", "")
-            kind = entry.get("type", "address").lower()
-            if kind not in ("ego", "address", "contract", "null"):
-                raise InputError(f"unknown account type {kind!r} for {addr}")
-            reg.add(addr, kind)
+        with _schema("account registry", path):
+            for entry in read_json(path, "account registry"):
+                addr = entry.get("address", "")
+                kind = entry.get("type", "address").lower()
+                if kind not in ("ego", "address", "contract", "null"):
+                    raise InputError(f"unknown account type {kind!r} for {addr}")
+                reg.add(addr, kind)
         return reg
 
     def add(self, address: str, kind: str) -> None:
@@ -204,6 +206,17 @@ def read_json(path, what: str = "JSON file"):
             return json.load(fh)
     except (OSError, ValueError) as exc:
         raise InputError(f"cannot read {what} {path}: {exc}") from exc
+
+
+@contextmanager
+def _schema(what: str, path):
+    """Raise the errors of a document of the wrong shape as InputError naming the file."""
+    try:
+        yield
+    except InputError:
+        raise
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise InputError(f"bad {what} {path}: {type(exc).__name__}: {exc}") from exc
 
 
 def _jsonl_rows(path, what: str) -> Iterator[tuple[int, object]]:
@@ -337,17 +350,18 @@ def load_method_mapping(path) -> dict[str, str]:
     raw names that collide after normalization must agree on the group.
     """
     mapping: dict[str, str] = {}
-    for name, group in read_json(path, "method mapping").items():
-        key = name.strip().casefold()
-        resolved = GROUP_ALIASES.get(group, group)
-        if resolved not in METHOD_GROUPS and resolved not in EXCLUDED_GROUPS:
-            raise InputError(f"method mapping {path}: unknown group {group!r} for {name!r}")
-        if key in mapping and mapping[key] != resolved:
-            raise InputError(
-                f"method mapping {path}: conflicting groups for {name!r} "
-                f"({mapping[key]} vs {resolved})"
-            )
-        mapping[key] = resolved
+    with _schema("method mapping", path):
+        for name, group in read_json(path, "method mapping").items():
+            key = name.strip().casefold()
+            resolved = GROUP_ALIASES.get(group, group)
+            if resolved not in METHOD_GROUPS and resolved not in EXCLUDED_GROUPS:
+                raise InputError(f"method mapping {path}: unknown group {group!r} for {name!r}")
+            if key in mapping and mapping[key] != resolved:
+                raise InputError(
+                    f"method mapping {path}: conflicting groups for {name!r} "
+                    f"({mapping[key]} vs {resolved})"
+                )
+            mapping[key] = resolved
     return mapping
 
 

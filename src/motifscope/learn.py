@@ -9,6 +9,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from . import models
+from .ingest import InputError
 from .motif import OOV_KEY
 
 
@@ -116,6 +117,8 @@ def stratified_kfold(
     (tx hashes), rows of one group always land in the same fold, keeping
     duplicated transactions out of train/test splits of the same fold.
     """
+    if k < 2:
+        raise InputError(f"folds must be at least 2, got {k}")
     n = len(y)
     if groups is None:
         unit_rows = [np.array([i]) for i in range(n)]

@@ -6,25 +6,28 @@ touches the ego, each counterpart sits in exactly one of three states
 subgraph counts reduce to combinatorics over (state, account type) groups.
 This makes counts exact in O(counterparts) regardless of network size; the
 all-out star is just the special case with a single group. count_from_groups
-is that kernel, for M and MxE keys alike; the ETN functions here and the
-store-line path in featurize.py both call it.
+is that kernel; transaction_features, which featurize.py and the library
+share, feeds it straight from a stored transaction, with no ETN object.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
+from typing import Optional
 
-from .etn import EgoTransferNetwork
-from .ingest import InputError, read_json
+from .ingest import _schema, read_json
 
 # Counterpart states relative to the ego.
 OUT, IN, RECIP = 0, 1, 2
-STATE_NAMES = ("out", "in", "recip")
 
 MODES = ("M", "E", "M+E", "MxE")
 OOV_KEY = "__oov__"
 OVERSIZE_KEY = "__oversize__"
 DEFAULT_MAX_NODES = 500
+
+# (source type, target type, category) -> "(S,T)category": closed vocabularies, so it stays small
+_EDGE_LABELS: dict[tuple[str, str, str], str] = {}
 
 
 @dataclass(frozen=True)
@@ -45,10 +48,6 @@ class MotifShape:
     @property
     def symmetric(self) -> bool:
         return len(self.states) == 2 and self.states[0] == self.states[1]
-
-    @property
-    def automorphisms(self) -> int:
-        return 2 if self.symmetric else 1
 
     def role_edges(self) -> list[tuple[str, str]]:
         edges = []
@@ -121,11 +120,8 @@ def enumerate_catalog() -> MotifCatalog:
 def load_catalog(path) -> MotifCatalog:
     """Load a catalog override from JSON: [{id, nodes, edges:[[role,role]]}].
     A catalog that does not describe valid ego motifs raises InputError."""
-    entries = read_json(path, "motif catalog")
-    try:
-        return MotifCatalog([_catalog_shape(entry) for entry in entries])
-    except (ValueError, KeyError, TypeError) as exc:
-        raise InputError(f"bad motif catalog {path}: {type(exc).__name__}: {exc}") from exc
+    with _schema("motif catalog", path):
+        return MotifCatalog([_catalog_shape(entry) for entry in read_json(path, "motif catalog")])
 
 
 def _catalog_shape(entry: dict) -> MotifShape:
@@ -152,31 +148,6 @@ def _catalog_shape(entry: dict) -> MotifShape:
         if a == b or {a, b} - set(nodes):
             raise ValueError(f"motif {sid}: bad edge ({a},{b})")
     return MotifShape(id=sid, states=tuple(states))
-
-
-def motif_key(shape: MotifShape, types: tuple[str, ...]) -> str:
-    """Typed key "mK(E,t)" or "mK(E,ti,tj)"; symmetric shapes sort the types."""
-    if len(types) == 2 and shape.symmetric and types[0] > types[1]:
-        types = (types[1], types[0])
-    return f"{shape.id}(E,{','.join(types)})"
-
-
-def _edge_flags(etn: EgoTransferNetwork):
-    """Counterpart -> flags (1 out, 2 in, 3 both), and counterpart -> edge labels."""
-    ego = etn.ego
-    types = etn.node_types
-    flags: dict[str, int] = {}
-    labels: dict[str, list[str]] = {}
-    for src, dst, category in etn.edges:
-        other, bit = (dst, 1) if src == ego else (src, 2)
-        flags[other] = flags.get(other, 0) | bit
-        labels.setdefault(other, []).append(f"({types[src]},{types[dst]}){category}")
-    return flags, labels
-
-
-def neighbor_states(etn: EgoTransferNetwork) -> dict[str, int]:
-    """Counterpart -> state (OUT, IN or RECIP) over its edges to and from the ego."""
-    return {node: f - 1 for node, f in _edge_flags(etn)[0].items()}
 
 
 def group_counterparts(
@@ -248,77 +219,66 @@ def _pair_key(sid: str, ta: str, tb: str, labels: tuple[str, ...]) -> str:
     return f"{key}|{'+'.join(sorted(labels))}" if labels else key
 
 
-def count_motifs(etn: EgoTransferNetwork, catalog: MotifCatalog) -> dict[str, int]:
-    """Typed induced motif counts over the ETN's simple view."""
-    flags, _ = _edge_flags(etn)
-    return count_from_groups(catalog, group_counterparts(flags, etn.node_types))
+def transaction_features(tx: tuple[str, str, Optional[str], list], catalog: MotifCatalog,
+                         mode: str, max_nodes: int = DEFAULT_MAX_NODES) -> tuple[dict[str, int], int]:
+    """(sparse feature map, rows touching no ego) of one stored transaction.
 
-
-def count_motifs_untyped(etn: EgoTransferNetwork, catalog: MotifCatalog) -> dict[str, int]:
-    """Per-shape counts ignoring account types (shape id -> count)."""
-    states: dict[int, int] = {}
-    for state in neighbor_states(etn).values():
-        states[state] = states.get(state, 0) + 1
-    counts: dict[str, int] = {}
-    for state, n in sorted(states.items()):
-        shape = catalog.two_node.get(state)
-        if shape is not None:
-            counts[shape.id] = n
-        shape = catalog.three_node.get((state, state))
-        if shape is not None and n >= 2:
-            counts[shape.id] = n * (n - 1) // 2
-    state_items = sorted(states.items())
-    for i, (s1, n1) in enumerate(state_items):
-        for s2, n2 in state_items[i + 1 :]:
-            shape = catalog.three_node.get((s1, s2))
-            if shape is not None:
-                counts[shape.id] = counts.get(shape.id, 0) + n1 * n2
-    return counts
-
-
-def edge_features(etn: EgoTransferNetwork) -> dict[str, int]:
-    """Edge-list counts keyed "(S,T)category", parallel edges included."""
-    counts: dict[str, int] = {}
-    types = etn.node_types
-    for src, dst, category in etn.edges:
-        key = f"({types[src]},{types[dst]}){category}"
-        counts[key] = counts.get(key, 0) + 1
-    return counts
-
-
-def motif_edge_features(
-    etn: EgoTransferNetwork, catalog: MotifCatalog, max_nodes: int = DEFAULT_MAX_NODES
-) -> dict[str, int]:
-    """Combined M x E keys: one per matched motif instance and its edge labels.
-
-    Key = typed motif key + "|" + the instance's edge labels (parallel
-    edges included) joined in sorted order. Above max_nodes counterparts,
-    3-node combinations are skipped and an oversize flag is set instead:
-    the pair key space degenerates on airdrop-style transactions.
+    A counterpart keeps the type of the first row it appears in. M counts
+    typed motifs, E the edge labels "(S,T)category" (parallel edges
+    included), M+E both, and MxE each motif instance keyed with its edge
+    labels; above max_nodes counterparts MxE keeps only the 2-node keys and
+    sets OVERSIZE_KEY, as the pair key space degenerates on airdrops.
     """
-    flags, labels = _edge_flags(etn)
-    groups = group_counterparts(flags, etn.node_types, labels)
-    return count_from_groups(catalog, groups, oversize=len(etn.node_types) - 1 > max_nodes)
+    if mode not in MODES:
+        raise ValueError(f"unknown feature mode {mode!r} (expected one of {MODES})")
+    _, ego, _, rows = tx
+    want_e = mode in ("E", "M+E")
+    labels: Optional[dict[str, list[str]]] = {} if mode == "MxE" else None
+    feats: dict[str, int] = {}
+    flags: dict[str, int] = {}
+    types: dict[str, str] = {}
+    rejected = 0
+    for src, dst, src_type, dst_type, _, _, category, _, _ in rows:
+        if src == ego:
+            other, otype, bit = dst, dst_type, 1
+        elif dst == ego:
+            other, otype, bit = src, src_type, 2
+        else:
+            rejected += 1
+            continue
+        otype = types.setdefault(other, otype)
+        flags[other] = flags.get(other, 0) | bit
+        ek = ("E", otype, category) if bit == 1 else (otype, "E", category)
+        label = _EDGE_LABELS.get(ek)
+        if label is None:
+            label = _EDGE_LABELS[ek] = f"({ek[0]},{ek[1]}){ek[2]}"
+        if want_e:
+            feats[label] = feats.get(label, 0) + 1
+        if labels is not None:
+            labels.setdefault(other, []).append(label)
+    if mode != "E":
+        oversize = labels is not None and len(flags) > max_nodes
+        feats.update(count_from_groups(catalog, group_counterparts(flags, types, labels), oversize))
+    return feats, rejected
 
 
-def transaction_features(
-    etn: EgoTransferNetwork,
-    catalog: MotifCatalog,
-    mode: str,
-    max_nodes: int = DEFAULT_MAX_NODES,
-) -> dict[str, int]:
-    """Sparse feature map for one ETN under the given mode."""
-    if mode == "M":
-        return count_motifs(etn, catalog)
-    if mode == "E":
-        return edge_features(etn)
-    if mode == "M+E":
-        feats = count_motifs(etn, catalog)
-        feats.update(edge_features(etn))
-        return feats
-    if mode == "MxE":
-        return motif_edge_features(etn, catalog, max_nodes)
-    raise ValueError(f"unknown feature mode {mode!r} (expected one of {MODES})")
+def count_motifs_untyped(tx: tuple[str, str, Optional[str], list],
+                         catalog: MotifCatalog) -> dict[str, int]:
+    """Per-shape counts ignoring account types (shape id -> count), from its
+    own pass over the rows: the reference typed counts marginalize to."""
+    _, ego, _, rows = tx
+    outs = {dst for src, dst, *_ in rows if src == ego}
+    ins = {src for src, dst, *_ in rows if dst == ego}
+    states = sorted(Counter(RECIP if n in outs and n in ins else OUT if n in outs else IN
+                            for n in outs | ins).items())
+    counts = {catalog.two_node[s].id: n for s, n in states if s in catalog.two_node}
+    for i, (s1, n1) in enumerate(states):
+        for s2, n2 in states[i:]:
+            shape = catalog.three_node.get((s1, s2))
+            pairs = n1 * (n1 - 1) // 2 if s1 == s2 else n1 * n2
+            if shape is not None and pairs:
+                counts[shape.id] = pairs
+    return counts
 
 
 def normalize_mode(mode: str) -> str:

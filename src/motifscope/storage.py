@@ -78,8 +78,9 @@ def line_to_tx(line: str, path, lineno: int) -> tuple[str, str, Optional[str], l
 
     A valid line is a JSON object with string "tx" and "ego", an optional
     "mg" that is a string or null, and "tr", a list of 9-field transfer rows
-    whose first seven fields (accounts, types, token, category) are strings.
-    Anything else raises InputError naming the path and line.
+    whose first seven fields (accounts, types, token, category) are strings
+    and whose accounts differ. Anything else raises InputError naming the
+    path and line.
     """
     try:
         obj = json.loads(line)
@@ -94,6 +95,8 @@ def line_to_tx(line: str, path, lineno: int) -> tuple[str, str, Optional[str], l
             if not (type(src) is type(dst) is type(src_type) is type(dst_type) is type(contract)
                     is type(symbol) is type(category) is str):
                 raise TypeError(f"transfer row {row!r} has a non-string in its first seven fields")
+            if src == dst:
+                raise ValueError(f"transfer row {row!r} is a self-transfer")
     except (ValueError, KeyError, TypeError) as exc:
         raise InputError(f"bad store line {path}:{lineno}: {type(exc).__name__}: {exc}") from exc
     return tx, ego, group, rows
@@ -158,9 +161,15 @@ def read_labels(path) -> dict[tuple[str, str], str]:
 
 
 def iter_features(path) -> Iterator[tuple[str, str, dict[str, int]]]:
-    """Yield (tx_hash, ego, features) from a features.jsonl file."""
-    for _, obj in _jsonl_rows(path, "features"):
-        yield obj["tx_hash"], obj.get("ego", ""), obj["features"]
+    """(tx_hash, ego, features) per features.jsonl line; a bad line raises InputError."""
+    for lineno, obj in _jsonl_rows(path, "features"):
+        try:
+            row = obj["tx_hash"], obj.get("ego", ""), obj["features"]
+            if type(row[2]) is not dict:
+                raise TypeError("features must be an object")
+        except (AttributeError, KeyError, TypeError) as exc:
+            raise _bad_line("features", path, lineno, exc) from exc
+        yield row
 
 
 def sha256_file(path) -> str:

@@ -17,7 +17,7 @@ from importlib import resources
 from pathlib import Path
 from typing import Optional
 
-from .ingest import CATEGORIES, GROUP_ALIASES, InputError, METHOD_GROUPS, read_json
+from .ingest import CATEGORIES, GROUP_ALIASES, InputError, METHOD_GROUPS, _schema, read_json
 
 NULL_ADDRESS = "0x" + "0" * 40
 DEFAULT_NOISE = 0.05
@@ -70,17 +70,18 @@ def load_config(path: Optional[str] = None) -> SynthConfig:
     else:
         raw = read_json(path, "archetype config")
     archetypes = []
-    for entry in raw.get("archetypes", []):
-        arch = Archetype(
-            name=entry.get("name", ""),
-            table2_count=int(entry.get("table2_count", 1)),
-            edges=[tuple(e) for e in entry.get("edges", [])],
-        )
-        arch.validate()
-        archetypes.append(arch)
+    with _schema("archetype config", path):
+        for entry in raw.get("archetypes", []):
+            arch = Archetype(
+                name=entry.get("name", ""),
+                table2_count=int(entry.get("table2_count", 1)),
+                edges=[tuple(e) for e in entry.get("edges", [])],
+            )
+            arch.validate()
+            archetypes.append(arch)
+        noise = float(raw.get("noise", DEFAULT_NOISE))
     if not archetypes:
         raise InputError("archetype config defines no archetypes")
-    noise = float(raw.get("noise", DEFAULT_NOISE))
     if not 0.0 <= noise < 1.0:
         raise InputError(f"noise probability {noise} outside [0, 1)")
     return SynthConfig(archetypes=archetypes, noise=noise)
@@ -108,11 +109,12 @@ class Mix:
 
 def load_mixes(path: str) -> list[Mix]:
     mixes = []
-    for entry in read_json(path, "mixes file"):
-        methods = {str(k): float(v) for k, v in entry.get("methods", {}).items()}
-        if not methods or any(w < 0 for w in methods.values()) or sum(methods.values()) <= 0:
-            raise InputError(f"mix {entry.get('name')!r} has an unusable method distribution")
-        mixes.append(Mix(name=str(entry.get("name", "")), weight=float(entry.get("weight", 1.0)), methods=methods))
+    with _schema("mixes file", path):
+        for entry in read_json(path, "mixes file"):
+            methods = {str(k): float(v) for k, v in entry.get("methods", {}).items()}
+            if not methods or any(w < 0 for w in methods.values()) or sum(methods.values()) <= 0:
+                raise InputError(f"mix {entry.get('name')!r} has an unusable method distribution")
+            mixes.append(Mix(name=str(entry.get("name", "")), weight=float(entry.get("weight", 1.0)), methods=methods))
     if not mixes:
         raise InputError(f"mixes file {path} defines no mixes")
     return mixes

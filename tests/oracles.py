@@ -24,31 +24,31 @@ SAMPLE_CATEGORIES = ("Cryptocurrency", "Stablecoin", "Synthetic", "Marketplace",
 
 
 # ---------------------------------------------------------------------------
-# random ETN generation (drives the motif equivalence tests)
+# random stored transactions (drive the motif equivalence tests)
 # ---------------------------------------------------------------------------
 
-def random_etn(rng: np.random.Generator, n_counterparts: int | None = None) -> EgoTransferNetwork:
-    """A random ETN: 1-11 counterparts, random types, directions, parallels."""
+def random_tx(rng: np.random.Generator, n_counterparts: int | None = None) -> tuple:
+    """A random stored (tx_hash, ego, method group, rows) transaction: 1-11
+    counterparts, random types, directions, parallel transfers and row order."""
     if n_counterparts is None:
         n_counterparts = int(rng.integers(1, 12))
     ego = "0xe90"
-    node_types = {ego: "E"}
-    edges: list[tuple[str, str, str]] = []
+    rows: list[list] = []
     for i in range(n_counterparts):
         node = f"0xc{i:03d}"
-        node_types[node] = str(rng.choice(("A", "C", "N")))
+        ntype = str(rng.choice(("A", "C", "N")))
         state = int(rng.integers(0, 3))
         directions = []
         if state in (0, 2):
-            directions.append((ego, node))
+            directions.append((ego, node, "E", ntype))
         if state in (1, 2):
-            directions.append((node, ego))
-        for src, dst in directions:
+            directions.append((node, ego, ntype, "E"))
+        for src, dst, src_type, dst_type in directions:
             for _ in range(int(rng.integers(1, 3))):
-                edges.append((src, dst, str(rng.choice(SAMPLE_CATEGORIES))))
-    order = rng.permutation(len(edges))
-    edges = [edges[int(i)] for i in order]
-    return EgoTransferNetwork(ego=ego, node_types=node_types, edges=edges)
+                category = str(rng.choice(SAMPLE_CATEGORIES))
+                rows.append([src, dst, src_type, dst_type, "0xt", "TOK", category, 1.0, 1])
+    order = rng.permutation(len(rows))
+    return "0xtx", ego, None, [rows[int(i)] for i in order]
 
 
 # ---------------------------------------------------------------------------
@@ -122,6 +122,12 @@ def brute_force_motif_edge_features(
     if oversize:
         counts["__oversize__"] = 1
     return counts
+
+
+def brute_force_edge_features(etn: EgoTransferNetwork) -> dict[str, int]:
+    """Edge-list counts: one "(S,T)category" label per edge, parallels included."""
+    return dict(Counter(f"({etn.node_types[src]},{etn.node_types[dst]}){category}"
+                        for src, dst, category in etn.edges))
 
 
 def brute_force_motifs_untyped(etn: EgoTransferNetwork, catalog) -> dict[str, int]:

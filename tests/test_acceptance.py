@@ -15,7 +15,6 @@ import pytest
 
 from motifscope import etn as etn_mod, ingest, motif, storage, synth
 from motifscope.cli import PACKAGED_METHOD_GROUPS, PipelineConfig, run_pipeline
-from motifscope.etn import EgoTransferNetwork
 from motifscope.featurize import featurize_store
 from motifscope.learn import (
     build_dataset,
@@ -45,7 +44,7 @@ from oracles import (
     brute_force_motifs,
     brute_force_silhouette,
     central_difference,
-    random_etn,
+    random_tx,
 )
 
 CATALOG = motif.enumerate_catalog()
@@ -146,7 +145,7 @@ def template_features(arch: synth.Archetype) -> frozenset:
         (sa, st), (da, dt) = node(src), node(dst)
         rows.append([sa, da, st, dt, "0xt", "X", category, 1.0, 1])
     tx = ("t", "0xego", None, rows)
-    return frozenset(motif.transaction_features(etn_mod.build_etn(tx), CATALOG, "M+E"))
+    return frozenset(motif.transaction_features(tx, CATALOG, "M+E")[0])
 
 
 @pytest.fixture(scope="module")
@@ -215,8 +214,9 @@ def test_criterion_01_motif_oracle_equivalence(capsys):
     t0 = time.perf_counter()
     mismatches = 0
     for _ in range(1000):
-        network = random_etn(rng)
-        if motif.count_motifs(network, CATALOG) != brute_force_motifs(network, CATALOG):
+        tx = random_tx(rng)
+        typed = motif.transaction_features(tx, CATALOG, "M")[0]
+        if typed != brute_force_motifs(etn_mod.build_etn(tx), CATALOG):
             mismatches += 1
     elapsed = time.perf_counter() - t0
     ok = mismatches == 0 and elapsed < 10.0
@@ -229,13 +229,12 @@ def test_criterion_02_closed_form_stars(capsys):
     bad = []
     for n in range(1, 51):
         ego = "0xe"
-        node_types = {ego: "E", **{f"0xa{i}": "A" for i in range(n)}}
-        edges = [(ego, f"0xa{i}", "Cryptocurrency") for i in range(n)]
-        star = EgoTransferNetwork(ego=ego, node_types=node_types, edges=edges)
+        rows = [[ego, f"0xa{i}", "E", "A", "0xt", "X", "Cryptocurrency", 1.0, 1] for i in range(n)]
+        star = ("t", ego, None, rows)
         expected = {"m1(E,A)": n}
         if n >= 2:
             expected["m4(E,A,A)"] = n * (n - 1) // 2
-        if motif.count_motifs(star, CATALOG) != expected:
+        if motif.transaction_features(star, CATALOG, "M")[0] != expected:
             bad.append(n)
     _report(capsys, 2, not bad,
             f"all-out stars n=1..50 count exactly n two-node-out and n(n-1)/2 "
@@ -246,13 +245,13 @@ def test_criterion_03_type_marginalization(capsys):
     rng = np.random.default_rng(30303)
     mismatches = 0
     for _ in range(1000):
-        network = random_etn(rng)
-        typed = motif.count_motifs(network, CATALOG)
+        tx = random_tx(rng)
+        typed = motif.transaction_features(tx, CATALOG, "M")[0]
         by_shape: dict[str, int] = {}
         for key, count in typed.items():
             shape = key.split("(")[0]
             by_shape[shape] = by_shape.get(shape, 0) + count
-        if by_shape != motif.count_motifs_untyped(network, CATALOG):
+        if by_shape != motif.count_motifs_untyped(tx, CATALOG):
             mismatches += 1
     _report(capsys, 3, mismatches == 0,
             f"typed counts marginalize exactly to untyped per-shape counts on 1000 "

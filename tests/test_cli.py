@@ -116,6 +116,33 @@ def test_input_error_exit_2_with_json(tmp_path, capsys):
     assert err["error"]["type"] == "InputError"
 
 
+@pytest.mark.parametrize("argv, name", [
+    (["eval", "--folds", "1"], "folds"),
+    (["eval", "--folds", "0"], "folds"),
+    (["prune", "--folds", "1"], "folds"),
+    (["train", "--model", "rf", "--trees", "0"], "trees"),
+    (["pipeline", "--folds", "1"], "folds"),
+    (["pipeline", "--model", "rf", "--trees", "0"], "trees"),
+], ids=["eval-folds-1", "eval-folds-0", "prune-folds-1", "train-trees-0", "pipeline-folds-1",
+        "pipeline-trees-0"])
+def test_out_of_range_parameter_exit_2(small_corpus, trained, tmp_path, capsys, argv, name):
+    data = ["--features", str(small_corpus["features"]), "--labels", str(small_corpus["labels"])]
+    extra = {
+        "eval": ["--model", str(trained["model"]), *data, "--report", str(tmp_path / "r.json")],
+        "prune": ["--model", str(trained["model"]), *data, "--alpha", "0",
+                  "--path", str(tmp_path / "path.csv"), "--out", str(tmp_path / "p.json")],
+        "train": [*data, "--out", str(tmp_path / "m.json")],
+        "pipeline": ["--transfers", str(small_corpus["transfers"]),
+                     "--tokens", str(small_corpus["tokens"]),
+                     "--accounts", str(small_corpus["accounts"]),
+                     "--methods", str(small_corpus["methods"]), "--out", str(tmp_path / "run")],
+    }[argv[0]]
+    _, err = run(capsys, argv + extra, code=2)
+    assert err["error"]["type"] == "InputError"
+    assert err["error"]["message"].startswith(f"{name} must be at least "), err["error"]["message"]
+    assert not (tmp_path / "m.json").exists()
+
+
 def test_stage_error_exit_3(small_corpus, trained, tmp_path, capsys):
     # 3000 folds exceeds every class count -> ValueError inside the stage
     _, err = run(capsys, [
@@ -202,6 +229,8 @@ BAD_STORE_LINES = {
     "short row": json.dumps({"tx": "t", "ego": "0xe1", "tr": [["0xe1", "0xa"]]}),
     "non-string counterpart type": json.dumps({"tx": "t", "ego": "0xe1", "mg": None, "tr": [
         ["0xe1", "0xb", "E", None, "0xt", "T", "Stablecoin", 1.0, 1]]}),
+    "self-transfer": json.dumps({"tx": "t", "ego": "0xe1", "mg": None, "tr": [
+        ["0xe1", "0xe1", "E", "E", "0xt", "T", "Stablecoin", 1.0, 1]]}),
 }
 
 
@@ -248,12 +277,30 @@ INPUT_KINDS = ["transfers", "tokens", "accounts", "methods", "method groups", "c
                "store (featurize)", "store (stats)", "features (train)", "features (match)",
                "labels", "matches", "profiles"]
 
-# content that decodes but is not a valid file of its kind, and the line it is on
+# (kind, fault) -> content that decodes but is not a valid file of its kind,
+# and the line it is on
 INVALID_INPUTS = {
-    "catalog": (json.dumps([{"id": "m1", "nodes": ["E", "i", "j"],
-                             "edges": [["E", "i"], ["i", "j"]]}]), None),
-    "profiles": ("account,total,leaf_1\n0xa,1,x\n", 2),
-    "labels": ("tx_hash,ego,method_group\n\ntx1,0xe1\n", 3),
+    ("catalog", "invalid"): (json.dumps([{"id": "m1", "nodes": ["E", "i", "j"],
+                                          "edges": [["E", "i"], ["i", "j"]]}]), None),
+    ("profiles", "invalid"): ("account,total,leaf_1\n0xa,1,x\n", 2),
+    ("labels", "invalid"): ("tx_hash,ego,method_group\n\ntx1,0xe1\n", 3),
+    ("tokens", "invalid object"): (json.dumps({"0xt1": "Stablecoin"}), None),
+    ("accounts", "invalid object"): (json.dumps({"0x1": "ego"}), None),
+    ("accounts", "invalid entries"): ("[1, 2]", None),
+    ("method groups", "invalid list"): (json.dumps(["Swap"]), None),
+    ("mixes", "invalid object"): (json.dumps({"name": "m", "methods": {"Swap": 1.0}}), None),
+    ("pipeline config", "invalid list"): ("[]", None),
+    ("archetype config", "invalid list"): ("[]", None),
+    ("model", "invalid list"): ("[]", None),
+    ("model", "invalid no mode"): (json.dumps({"format": "motifscope-model", "kind": "dt"}), None),
+    ("signatures", "invalid no group"): (json.dumps({
+        "format": "motifscope-signatures", "signatures": [{"leaf": 1, "items": ["m1(E,A)"]}]}),
+        None),
+    ("features (match)", "invalid no features"): (
+        '{"tx_hash":"t","ego":"e","mode":"M+E"}\n', 1),
+    ("features (match)", "invalid features list"): (
+        '{"tx_hash":"t","ego":"e","mode":"M+E","features":[1]}\n', 1),
+    ("matches", "invalid no ego"): ('{"groups":[],"leaves":[],"tx_hash":"t"}\n', 1),
 }
 
 
@@ -332,14 +379,14 @@ def _corrupt(data: bytes, fmt: str, fault: str):
 
 @pytest.mark.parametrize("kind, fault", [(kind, fault) for kind in INPUT_KINDS
                                          for fault in ("truncated", "undecodable")]
-                         + [(kind, "invalid") for kind in INVALID_INPUTS])
+                         + list(INVALID_INPUTS))
 def test_every_input_file_kind_rejects_bad_file(mini_store, small_corpus, trained, tmp_path,
                                                 capsys, kind, fault):
     kinds = _input_kinds(mini_store, small_corpus, trained, tmp_path)
     assert sorted(kinds) == sorted(INPUT_KINDS)
     fmt, source, argv = kinds[kind]
-    if fault == "invalid":
-        text, line = INVALID_INPUTS[kind]
+    if fault.startswith("invalid"):
+        text, line = INVALID_INPUTS[kind, fault]
         data = text.encode("utf-8")
     else:
         data, line = _corrupt(Path(source).read_bytes(), fmt, fault)

@@ -1,33 +1,38 @@
 """Motif catalog, typed counting vs brute force, edge and MxE features."""
 
 import json
+import subprocess
+import sys
+from pathlib import Path
 
-import numpy as np
 import pytest
 
 from motifscope import etn as etn_mod, motif, storage
-from motifscope.etn import EgoTransferNetwork
 
 from oracles import (
+    brute_force_edge_features,
     brute_force_motif_edge_features,
     brute_force_motifs,
     brute_force_motifs_untyped,
-    random_etn,
+    random_tx,
 )
 
 
-def star_etn(n, direction="out", ntype="A"):
+def row(src, dst, src_type, dst_type, category="Cryptocurrency"):
+    """One stored transfer row."""
+    return [src, dst, src_type, dst_type, "0xt", "TOK", category, 1.0, 1]
+
+
+def star_tx(n, direction="out", ntype="A"):
     ego = "0xe"
-    node_types = {ego: "E"}
-    edges = []
-    for i in range(n):
-        node = f"0xa{i}"
-        node_types[node] = ntype
-        if direction == "out":
-            edges.append((ego, node, "Cryptocurrency"))
-        else:
-            edges.append((node, ego, "Cryptocurrency"))
-    return EgoTransferNetwork(ego=ego, node_types=node_types, edges=edges)
+    rows = [row(ego, f"0xa{i}", "E", ntype) if direction == "out"
+            else row(f"0xa{i}", ego, ntype, "E") for i in range(n)]
+    return "0xstar", ego, None, rows
+
+
+def features(tx, catalog, mode="M", max_nodes=motif.DEFAULT_MAX_NODES):
+    """motif.transaction_features' feature map, without the rejected-row count."""
+    return motif.transaction_features(tx, catalog, mode, max_nodes)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -40,7 +45,7 @@ def test_enumerated_catalog_has_nine_shapes():
     assert [s.id for s in catalog] == [f"m{i}" for i in range(1, 10)]
     assert sorted(catalog.two_node) == [motif.OUT, motif.IN, motif.RECIP]
     assert len(catalog.three_node) == 6
-    assert catalog.by_id["m4"].symmetric and catalog.by_id["m4"].automorphisms == 2
+    assert catalog.by_id["m4"].symmetric
     assert not catalog.by_id["m5"].symmetric
 
 
@@ -91,33 +96,34 @@ def test_load_catalog_validation(tmp_path, entry):
 def test_count_motifs_matches_brute_force_sample(rng):
     catalog = motif.enumerate_catalog()
     for _ in range(200):
-        etn = random_etn(rng)
-        assert motif.count_motifs(etn, catalog) == brute_force_motifs(etn, catalog)
+        tx = random_tx(rng)
+        assert features(tx, catalog) == brute_force_motifs(etn_mod.build_etn(tx), catalog)
 
 
 def test_untyped_counts_match_brute_force(rng):
     catalog = motif.enumerate_catalog()
     for _ in range(50):
-        etn = random_etn(rng)
-        assert motif.count_motifs_untyped(etn, catalog) == brute_force_motifs_untyped(etn, catalog)
+        tx = random_tx(rng)
+        expected = brute_force_motifs_untyped(etn_mod.build_etn(tx), catalog)
+        assert motif.count_motifs_untyped(tx, catalog) == expected
 
 
 def test_typed_counts_marginalize_to_untyped(rng):
     catalog = motif.enumerate_catalog()
     for _ in range(50):
-        etn = random_etn(rng)
-        typed = motif.count_motifs(etn, catalog)
+        tx = random_tx(rng)
+        typed = features(tx, catalog)
         by_shape: dict[str, int] = {}
         for key, count in typed.items():
             sid = key.split("(", 1)[0]
             by_shape[sid] = by_shape.get(sid, 0) + count
-        assert by_shape == motif.count_motifs_untyped(etn, catalog)
+        assert by_shape == motif.count_motifs_untyped(tx, catalog)
 
 
 def test_all_out_star_closed_form():
     catalog = motif.enumerate_catalog()
     for n in range(1, 51):
-        counts = motif.count_motifs(star_etn(n), catalog)
+        counts = features(star_tx(n), catalog)
         expected = {"m1(E,A)": n}
         if n >= 2:
             expected["m4(E,A,A)"] = n * (n - 1) // 2
@@ -126,18 +132,15 @@ def test_all_out_star_closed_form():
 
 def test_all_in_star_closed_form():
     catalog = motif.enumerate_catalog()
-    counts = motif.count_motifs(star_etn(7, direction="in"), catalog)
+    counts = features(star_tx(7, direction="in"), catalog)
     assert counts == {"m2(E,A)": 7, "m7(E,A,A)": 21}
 
 
 def test_mixed_type_pairs_sorted_for_symmetric_shapes():
     ego = "0xe"
-    etn = EgoTransferNetwork(
-        ego=ego,
-        node_types={ego: "E", "0xa": "A", "0xc": "C"},
-        edges=[(ego, "0xa", "Stablecoin"), (ego, "0xc", "Stablecoin")],
-    )
-    counts = motif.count_motifs(etn, motif.enumerate_catalog())
+    tx = ("t", ego, None, [row(ego, "0xa", "E", "A", "Stablecoin"),
+                           row(ego, "0xc", "E", "C", "Stablecoin")])
+    counts = features(tx, motif.enumerate_catalog())
     assert counts == {"m1(E,A)": 1, "m1(E,C)": 1, "m4(E,A,C)": 1}
     assert "m4(E,C,A)" not in counts
 
@@ -146,20 +149,11 @@ def test_asymmetric_pair_types_in_role_order():
     # counterpart A receives from ego (out), counterpart C sends to ego (in):
     # the (out, in) shape m5 lists the out role first
     ego = "0xe"
-    etn = EgoTransferNetwork(
-        ego=ego,
-        node_types={ego: "E", "0xa": "A", "0xc": "C"},
-        edges=[(ego, "0xa", "Stablecoin"), ("0xc", ego, "Stablecoin")],
-    )
-    counts = motif.count_motifs(etn, motif.enumerate_catalog())
+    tx = ("t", ego, None, [row(ego, "0xa", "E", "A", "Stablecoin"),
+                           row("0xc", ego, "C", "E", "Stablecoin")])
+    counts = features(tx, motif.enumerate_catalog())
     assert counts["m5(E,A,C)"] == 1
     assert "m5(E,C,A)" not in counts
-
-
-def test_motif_key_sorts_only_symmetric():
-    catalog = motif.enumerate_catalog()
-    assert motif.motif_key(catalog.by_id["m4"], ("C", "A")) == "m4(E,A,C)"
-    assert motif.motif_key(catalog.by_id["m5"], ("C", "A")) == "m5(E,C,A)"
 
 
 # ---------------------------------------------------------------------------
@@ -168,17 +162,13 @@ def test_motif_key_sorts_only_symmetric():
 
 def test_edge_features_count_parallel_edges():
     ego = "0xe"
-    etn = EgoTransferNetwork(
-        ego=ego,
-        node_types={ego: "E", "0xc": "C", "0xn": "N"},
-        edges=[
-            (ego, "0xc", "Stablecoin"),
-            (ego, "0xc", "Stablecoin"),
-            ("0xc", ego, "Cryptocurrency"),
-            ("0xn", ego, "Synthetic"),
-        ],
-    )
-    assert motif.edge_features(etn) == {
+    tx = ("t", ego, None, [
+        row(ego, "0xc", "E", "C", "Stablecoin"),
+        row(ego, "0xc", "E", "C", "Stablecoin"),
+        row("0xc", ego, "C", "E", "Cryptocurrency"),
+        row("0xn", ego, "N", "E", "Synthetic"),
+    ])
+    assert features(tx, motif.enumerate_catalog(), "E") == {
         "(E,C)Stablecoin": 2,
         "(C,E)Cryptocurrency": 1,
         "(N,E)Synthetic": 1,
@@ -187,12 +177,9 @@ def test_edge_features_count_parallel_edges():
 
 def test_motif_edge_features_keys_and_merge():
     ego = "0xe"
-    etn = EgoTransferNetwork(
-        ego=ego,
-        node_types={ego: "E", "0xa": "A", "0xc": "C"},
-        edges=[(ego, "0xa", "Stablecoin"), (ego, "0xc", "Cryptocurrency")],
-    )
-    feats = motif.motif_edge_features(etn, motif.enumerate_catalog())
+    tx = ("t", ego, None, [row(ego, "0xa", "E", "A", "Stablecoin"),
+                           row(ego, "0xc", "E", "C", "Cryptocurrency")])
+    feats = features(tx, motif.enumerate_catalog(), "MxE")
     assert feats == {
         "m1(E,A)|(E,A)Stablecoin": 1,
         "m1(E,C)|(E,C)Cryptocurrency": 1,
@@ -202,13 +189,13 @@ def test_motif_edge_features_keys_and_merge():
 
 
 def test_motif_edge_features_oversize_flag():
-    etn = star_etn(6)
-    feats = motif.motif_edge_features(etn, motif.enumerate_catalog(), max_nodes=5)
+    tx = star_tx(6)
+    feats = features(tx, motif.enumerate_catalog(), "MxE", max_nodes=5)
     assert feats[motif.OVERSIZE_KEY] == 1
     assert all("|" not in k or k.startswith("m1") for k in feats)
     assert not any(k.startswith("m4") for k in feats)  # pair space skipped
     # under the limit the pair features come back
-    feats = motif.motif_edge_features(etn, motif.enumerate_catalog(), max_nodes=6)
+    feats = features(tx, motif.enumerate_catalog(), "MxE", max_nodes=6)
     assert motif.OVERSIZE_KEY not in feats
     assert sum(v for k, v in feats.items() if k.startswith("m4")) == 15
 
@@ -218,23 +205,38 @@ def test_motif_edge_features_match_brute_force(rng, max_nodes):
     catalog = motif.enumerate_catalog()
     oversized = 0
     for _ in range(500):
-        etn = random_etn(rng)
-        expected = brute_force_motif_edge_features(etn, catalog, max_nodes)
-        assert motif.motif_edge_features(etn, catalog, max_nodes) == expected
+        tx = random_tx(rng)
+        expected = brute_force_motif_edge_features(etn_mod.build_etn(tx), catalog, max_nodes)
+        assert features(tx, catalog, "MxE", max_nodes) == expected
         oversized += motif.OVERSIZE_KEY in expected
     assert oversized > 0 if max_nodes == 4 else oversized == 0
 
 
 def test_transaction_features_mode_dispatch(rng):
     catalog = motif.enumerate_catalog()
-    etn = random_etn(rng)
-    m = motif.transaction_features(etn, catalog, "M")
-    e = motif.transaction_features(etn, catalog, "E")
-    both = motif.transaction_features(etn, catalog, "M+E")
+    tx = random_tx(rng)
+    m = features(tx, catalog, "M")
+    e = features(tx, catalog, "E")
+    both = features(tx, catalog, "M+E")
     assert both == {**m, **e}
-    assert motif.transaction_features(etn, catalog, "MxE") == motif.motif_edge_features(etn, catalog)
+    network = etn_mod.build_etn(tx)
+    assert features(tx, catalog, "MxE") == brute_force_motif_edge_features(network, catalog)
     with pytest.raises(ValueError):
-        motif.transaction_features(etn, catalog, "Q")
+        motif.transaction_features(tx, catalog, "Q")
+
+
+def test_transaction_features_counts_rows_off_the_ego():
+    ego = "0xe"
+    tx = ("t", ego, None, [row(ego, "0xa", "E", "A"), row("0xa", "0xb", "A", "A"),
+                           row("0xb", "0xc", "A", "C")])
+    for mode in motif.MODES:
+        assert motif.transaction_features(tx, motif.enumerate_catalog(), mode)[1] == 2
+
+
+def test_motif_does_not_import_etn():
+    code = "import sys, motifscope.motif; sys.exit('motifscope.etn' in sys.modules)"
+    src = str(Path(motif.__file__).resolve().parents[1])
+    subprocess.run([sys.executable, "-c", code], check=True, cwd=src)
 
 
 def test_normalize_mode_aliases():
@@ -248,7 +250,7 @@ def test_normalize_mode_aliases():
 
 
 # ---------------------------------------------------------------------------
-# featurize_store agrees with the reference per-ETN implementation
+# featurize_store agrees with the brute-force oracles
 # ---------------------------------------------------------------------------
 
 def wide_store(store_dir):
@@ -257,33 +259,38 @@ def wide_store(store_dir):
     a small mixed transaction with a counterpart typed C in one row and A in
     the next, and an all-in one."""
     ego = "0xe"
-
-    def tr(src, dst, src_type, dst_type, category):
-        return (src, dst, src_type, dst_type, "0xt", "TOK", category, 1.0, 1)
-
     categories = ("Stablecoin", "Cryptocurrency", "Synthetic")
-    airdrop = [tr(ego, f"0xa{i:02d}", "E", "ACN"[i % 3], categories[i % 2])
+    airdrop = [row(ego, f"0xa{i:02d}", "E", "ACN"[i % 3], categories[i % 2])
                for i in range(12)]
-    airdrop += [tr("0xa03", ego, "A", "E", "Synthetic"),
-                tr("0xa01", "0xa02", "C", "N", "Stablecoin")]
-    mixed = [tr(ego, "0xc1", "E", "C", "Stablecoin"),
-             tr(ego, "0xc1", "E", "C", "Stablecoin"),
-             tr("0xc1", ego, "C", "E", "Cryptocurrency"),
-             tr("0xn1", ego, "N", "E", "Synthetic"),
-             tr(ego, "0xa1", "E", "A", "Marketplace"),
-             tr("0xd1", ego, "C", "E", "Stablecoin"),  # 0xd1 keeps its first type, C
-             tr(ego, "0xd1", "E", "A", "Cryptocurrency")]
-    all_in = [tr(f"0xs{i}", ego, "A", "E", categories[i % 3]) for i in range(4)]
+    airdrop += [row("0xa03", ego, "A", "E", "Synthetic"),
+                row("0xa01", "0xa02", "C", "N", "Stablecoin")]
+    mixed = [row(ego, "0xc1", "E", "C", "Stablecoin"),
+             row(ego, "0xc1", "E", "C", "Stablecoin"),
+             row("0xc1", ego, "C", "E", "Cryptocurrency"),
+             row("0xn1", ego, "N", "E", "Synthetic"),
+             row(ego, "0xa1", "E", "A", "Marketplace"),
+             row("0xd1", ego, "C", "E", "Stablecoin"),  # 0xd1 keeps its first type, C
+             row(ego, "0xd1", "E", "A", "Cryptocurrency")]
+    all_in = [row(f"0xs{i}", ego, "A", "E", categories[i % 3]) for i in range(4)]
     storage.write_store(store_dir, [(h, ego, None, rows)
                                     for h, rows in (("0xwide", airdrop), ("0xmix", mixed),
                                                     ("0xin", all_in))])
 
 
 def _reference_features(store_dir, catalog, mode, max_nodes=motif.DEFAULT_MAX_NODES):
-    return {
-        (tx[0], tx[1]): motif.transaction_features(etn_mod.build_etn(tx), catalog, mode, max_nodes)
-        for tx in storage.iter_store(store_dir)
-    }
+    """Each stored transaction's features from the brute-force oracles over
+    its ETN: M+E is the union of M and E."""
+    expected = {}
+    for tx in storage.iter_store(store_dir):
+        network = etn_mod.build_etn(tx)
+        if mode == "MxE":
+            feats = brute_force_motif_edge_features(network, catalog, max_nodes)
+        else:
+            feats = brute_force_motifs(network, catalog) if mode != "E" else {}
+            if mode != "M":
+                feats.update(brute_force_edge_features(network))
+        expected[(tx[0], tx[1])] = feats
+    return expected
 
 
 @pytest.mark.parametrize("mode", ["M", "E", "M+E", "MxE"])
