@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import os
+import resource
 import sys
 import time
 from collections import Counter
@@ -63,6 +64,7 @@ from .signatures import (
     tree_to_dot,
 )
 from .synth import generate, load_config, load_mixes
+from .table import FeatureTable
 
 PACKAGED_METHOD_GROUPS = Path(__file__).parent / "data" / "method_groups.json"
 
@@ -138,17 +140,15 @@ def _features_mode(path) -> Optional[str]:
     return None
 
 
-def load_dataset(features_path, labels_path, classes=None, vocabulary=None) -> Dataset:
-    """Feature rows whose label is a retained method group, as a Dataset."""
+def load_dataset(table: FeatureTable, labels_path, classes=None, vocabulary=None) -> Dataset:
+    """The table's rows whose label is a retained method group, as a Dataset."""
     labels = storage.read_labels(labels_path)
-    rows = []
-    for tx_hash, ego, feats in storage.iter_features(features_path):
-        group = labels.get((tx_hash, ego))
-        if group in METHOD_GROUPS:
-            rows.append((tx_hash, ego, feats, group))
-    if not rows:
+    groups = [labels.get(key) for key in zip(table.tx_hashes.tolist(), table.egos())]
+    keep = [i for i, group in enumerate(groups) if group in METHOD_GROUPS]
+    if not keep:
         raise InputError("no feature rows with labels in the retained method groups")
-    return build_dataset(rows, classes=classes, vocabulary=vocabulary)
+    return build_dataset(table.take(keep), [groups[i] for i in keep],
+                         classes=classes, vocabulary=vocabulary)
 
 
 def fit_model(kind: str, dataset: Dataset, rows, params: dict, seed: int):
@@ -176,23 +176,26 @@ def fit_model(kind: str, dataset: Dataset, rows, params: dict, seed: int):
 # stages: in-memory inputs, artifacts written, results returned
 # ---------------------------------------------------------------------------
 
-def ingest_to_store(transfers, tokens, accounts, methods, method_groups, out) -> dict:
+def ingest_to_store(transfers, tokens, accounts, methods, method_groups, out) -> tuple[dict, list]:
+    """Write the store; returns the ingest report and the stored transactions."""
     loaded = read_transfers(transfers, TokenRegistry.from_file(tokens), AccountRegistry.from_file(accounts))
     method_of = {}
     if methods:
         mapping = load_method_mapping(method_groups or PACKAGED_METHOD_GROUPS)
         method_of = load_method_labels(methods, mapping)
-    label_counts = Counter(group for _, _, group, _ in loaded.transactions(method_of) if group)
+    transactions = list(loaded.transactions(method_of))
+    label_counts = Counter(group for _, _, group, _ in transactions if group)
     report = {
         "transfers_read": loaded.kept + len(loaded.rejects),
         "transfers_kept": loaded.kept,
         "rejected": loaded.reject_counts(),
-        "transactions": len(loaded.groups) - len(loaded.spam),
+        "transactions": len(transactions),
         "transactions_spam_filtered": len(loaded.spam),
         "labeled": dict(sorted(label_counts.items())),
     }
-    storage.write_store(out, loaded.transactions(method_of), report)
-    return report
+    del loaded, method_of  # the transactions hold all that is needed from here on
+    storage.write_store(out, transactions, report)
+    return report, transactions
 
 
 def train_model(dataset: Dataset, kind: str, mode: str, params: dict, seed: int, out) -> ModelSpec:
@@ -291,24 +294,37 @@ def load_signatures(path) -> list[LeafSignature]:
 MATCH_MEMO_SIZE = 1 << 16  # distinct key sets remembered before the memo starts over
 
 
-def match_features(features_path, signatures: list[LeafSignature],
+def match_features(table: FeatureTable, signatures: list[LeafSignature],
                    out) -> list[tuple[str, tuple[int, ...]]]:
-    """Stream features through the signatures into matches JSONL; returns the
-    (ego, leaves) of every line written, in file order.
+    """Match every row of the table against the signatures into matches
+    JSONL; returns the (ego, leaves) of every line written, in row order.
 
-    A match depends only on the set of keys with a positive count, so each
-    distinct set is matched once (up to MATCH_MEMO_SIZE sets at a time), and
-    each distinct result's line middle is encoded once. Lines carry
-    storage.dumps' sorted keys."""
-    by_keys: dict[tuple, tuple[tuple[int, ...], str]] = {}
+    A match depends only on the keys with a positive count, so each distinct
+    sequence of them is matched once (up to MATCH_MEMO_SIZE sequences at a
+    time), and each distinct result's line middle is encoded once. Lines
+    carry storage.dumps' sorted keys."""
+    by_keys: dict[bytes, tuple[tuple[int, ...], str]] = {}
     by_result: dict[tuple, tuple[tuple[int, ...], str]] = {}
-    pairs = []
+    pairs = [None] * table.n_rows
     dumps = storage.dumps
+    vocab, indices, counts, indptr = table.vocabulary, table.indices, table.counts, table.indptr
+    positive = counts > 0
+    # row i's positive keys, as int32 bytes: present[key_bounds[i]:key_bounds[i + 1]]
+    present = indices[positive].tobytes()
+    key_bounds = np.concatenate(([0], np.cumsum(positive)))[indptr] * 4
+    text, tx_bounds = table.tx_hashes.text, np.concatenate(([0], table.tx_hashes.ends))
+    egos = table.ego_names.tolist()
+    ego_json = [dumps(ego) for ego in egos]
+    # memoryviews yield each row's numbers without a list of them all
+    rows = zip(*map(memoryview, (tx_bounds[:-1], tx_bounds[1:], key_bounds[:-1], key_bounds[1:],
+                                 indptr[:-1], indptr[1:], table.ego_ids)))
     with storage.replacing(out) as (tmp,), open(tmp, "w", encoding="utf-8") as fh:
-        for tx_hash, ego, feats in storage.iter_features(features_path):
-            present = tuple(k for k, c in feats.items() if c > 0)
-            hit = by_keys.get(present)
+        for i, (tx_start, tx_end, key_start, key_end, start, stop, ego) in enumerate(rows):
+            keys = present[key_start:key_end]
+            hit = by_keys.get(keys)
             if hit is None:
+                feats = dict(zip([vocab[c] for c in indices[start:stop].tolist()],
+                                 counts[start:stop].tolist()))
                 leaves, groups = match_signatures(feats, signatures)
                 result = (tuple(leaves), tuple(groups))
                 hit = by_result.get(result)
@@ -317,10 +333,10 @@ def match_features(features_path, signatures: list[LeafSignature],
                         result[0], f',"groups":{dumps(groups)},"leaves":{dumps(leaves)},"tx_hash":')
                 if len(by_keys) >= MATCH_MEMO_SIZE:
                     by_keys.clear()
-                by_keys[present] = hit
+                by_keys[keys] = hit
             leaves, middle = hit
-            fh.write('{"ego":' + dumps(ego) + middle + dumps(tx_hash) + "}\n")
-            pairs.append((ego, leaves))
+            fh.write('{"ego":' + ego_json[ego] + middle + dumps(text[tx_start:tx_end]) + "}\n")
+            pairs[i] = (egos[ego], leaves)
     return pairs
 
 
@@ -370,7 +386,7 @@ def _write_plotdata(outdir, result, profiles: Profiles) -> None:
 
 def cmd_ingest(args) -> int:
     _print(ingest_to_store(args.transfers, args.tokens, args.accounts, args.methods,
-                           args.method_groups, args.out))
+                           args.method_groups, args.out)[0])
     return 0
 
 
@@ -436,7 +452,7 @@ def cmd_featurize(args) -> int:
 
 
 def cmd_train(args) -> int:
-    dataset = load_dataset(args.features, args.labels)
+    dataset = load_dataset(storage.read_features(args.features), args.labels)
     params = {
         "l2": args.l2,
         "min_leaf": args.min_leaf,
@@ -455,7 +471,8 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     spec = load_model(args.model)
-    dataset = load_dataset(args.features, args.labels, spec.classes, spec.vocabulary)
+    dataset = load_dataset(storage.read_features(args.features), args.labels, spec.classes,
+                           spec.vocabulary)
     _, report = cross_validate(spec, dataset, args.folds, args.seed, args.report)
     _print({"model": spec.kind, "folds": args.folds, "averages": report.averages,
             "report": args.report})
@@ -466,7 +483,8 @@ def cmd_prune(args) -> int:
     spec = load_model(args.model)
     cv = None
     if args.path and args.features and args.labels:
-        dataset = load_dataset(args.features, args.labels, spec.classes, spec.vocabulary)
+        dataset = load_dataset(storage.read_features(args.features), args.labels, spec.classes,
+                               spec.vocabulary)
         folds = stratified_kfold(dataset.y, k=args.folds, seed=args.seed, groups=dataset.tx_hashes)
         cv = (dataset, folds, None)
     _, entry, path = prune_model(spec, args.target_leaves, args.alpha, args.out,
@@ -478,7 +496,8 @@ def cmd_prune(args) -> int:
 
 def cmd_signatures(args) -> int:
     spec = load_model(args.model)
-    dataset = load_dataset(args.features, args.labels, spec.classes, spec.vocabulary)
+    dataset = load_dataset(storage.read_features(args.features), args.labels, spec.classes,
+                           spec.vocabulary)
     signatures, discrepancies = write_signatures(spec, dataset, args.threshold, args.method,
                                                  args.out)
     _print({"leaves": len(signatures),
@@ -488,7 +507,8 @@ def cmd_signatures(args) -> int:
 
 
 def cmd_match(args) -> int:
-    pairs = match_features(args.features, load_signatures(args.signatures), args.out)
+    signatures = load_signatures(args.signatures)
+    pairs = match_features(storage.read_features(args.features), signatures, args.out)
     _print({"transactions": len(pairs), "matched": sum(1 for _, leaves in pairs if leaves),
             "out": args.out})
     return 0
@@ -566,10 +586,34 @@ class PipelineConfig:
         with _schema("pipeline config", path):
             return cls.from_json(read_json(path, "pipeline config"))
 
+    def check(self) -> None:
+        """Raise InputError for a missing required path or a value of the wrong type."""
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            kind = f.type.removeprefix("Optional[").removesuffix("]")
+            if f.name in ("transfers", "tokens", "accounts", "out") and not value:
+                raise InputError(f"pipeline config is missing {f.name!r}")
+            if not (value is None and kind != f.type or type(value) in _CONFIG_TYPES[kind]):
+                raise InputError(f"pipeline config {f.name!r} must be {kind}, "
+                                 f"got {type(value).__name__} {value!r}")
+
+
+# accepted value types per annotation, which is a string (annotations are postponed);
+# bool is not an int here
+_CONFIG_TYPES = {"str": (str,), "int": (int,), "float": (int, float)}
+
+
+def _peak_rss_mb() -> float:
+    """The RSS high-water mark of this process and of its finished workers."""
+    usage = max(resource.getrusage(who).ru_maxrss
+                for who in (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN))
+    return round(usage / (1 << 20 if sys.platform == "darwin" else 1 << 10), 1)
+
 
 def _stage(manifest: dict, name: str, fn):
-    """Run one pipeline stage: record its name and wall seconds, and tag
-    errors with the stage (InputError keeps exit 2, others become StageError)."""
+    """Run one pipeline stage: record its name, wall seconds and the RSS
+    high-water mark at its end, and tag errors with the stage (InputError
+    keeps exit 2, others become StageError)."""
     start = time.perf_counter()
     try:
         out = fn()
@@ -580,26 +624,27 @@ def _stage(manifest: dict, name: str, fn):
         raise StageError(name, exc) from exc
     manifest["stages"].append(name)
     manifest["timings"][name] = round(time.perf_counter() - start, 6)
+    manifest["peak_rss_mb"][name] = _peak_rss_mb()
     return out
 
 
 def run_pipeline(cfg: PipelineConfig) -> dict:
     """ingest -> featurize -> train/eval -> prune -> signatures -> match ->
-    profile -> cluster, with a manifest of versions, seeds, timings and digests.
+    profile -> cluster, with a manifest of versions, seeds, timings, RSS and
+    digests.
 
-    Stages hand each other in-memory objects: the labelled features are
-    parsed once into one Dataset, eval's folds are reused by prune-CV, and
-    so are eval's fold trees when the model is a decision tree. Profiles are
-    built from the match stage's (ego, leaves), not from matches.jsonl.
+    Stages hand each other in-memory objects: featurize works on ingest's
+    transactions, and train and match on featurize's FeatureTable, so no
+    stage reads back the store or features.jsonl. The labelled rows become
+    one Dataset, eval's folds are reused by prune-CV, and so are eval's fold
+    trees when the model is a decision tree. Profiles are built from the
+    match stage's (ego, leaves), not from matches.jsonl. A failed stage
+    leaves a manifest naming it, the error and the stages completed.
     """
-    for field_name in ("transfers", "tokens", "accounts", "out"):
-        if not getattr(cfg, field_name):
-            raise InputError(f"pipeline config is missing {field_name!r}")
+    cfg.check()
     import scipy
 
     start = time.perf_counter()
-    out = Path(cfg.out)
-    out.mkdir(parents=True, exist_ok=True)
     manifest: dict = {
         "tool": "motifscope",
         "version": __version__,
@@ -611,23 +656,46 @@ def run_pipeline(cfg: PipelineConfig) -> dict:
         "inputs": {},
         "stages": [],
         "timings": {},
+        "peak_rss_mb": {},
         "artifacts": {},
         "notes": [],
     }
     for name in ("transfers", "tokens", "accounts", "methods", "method_groups", "signatures", "catalog"):
         path = getattr(cfg, name)
         if path:
-            manifest["inputs"][name] = storage.sha256_file(path)
+            try:
+                manifest["inputs"][name] = storage.sha256_file(path)
+            except OSError as exc:
+                raise InputError(f"cannot read {name} file {path}: {exc}") from exc
+    out = Path(cfg.out)
+    out.mkdir(parents=True, exist_ok=True)
+    try:
+        _run_stages(cfg, out, manifest)
+    except Exception as exc:
+        cause = exc.cause if isinstance(exc, StageError) else exc
+        manifest["failed_stage"] = getattr(exc, "stage", "pipeline")
+        manifest["error"] = {"type": type(cause).__name__, "message": str(cause)}
+        storage.write_json(out / "manifest.json", manifest)
+        raise
+    for path in sorted(out.rglob("*")):
+        if path.is_file() and path.name != "manifest.json":
+            manifest["artifacts"][path.relative_to(out).as_posix()] = storage.sha256_file(path)
+    manifest["timings"]["total"] = round(time.perf_counter() - start, 6)
+    storage.write_json(out / "manifest.json", manifest)
+    return manifest
 
+
+def _run_stages(cfg: PipelineConfig, out: Path, manifest: dict) -> None:
     store_dir = out / "store"
-    features_path = out / "features.jsonl"
-    _stage(manifest, "ingest", lambda: ingest_to_store(
+    _, transactions = _stage(manifest, "ingest", lambda: ingest_to_store(
         cfg.transfers, cfg.tokens, cfg.accounts, cfg.methods, cfg.method_groups, store_dir,
     ))
-    _stage(manifest, "featurize", lambda: featurize_store(
-        str(store_dir), cfg.mode, str(features_path), threads=cfg.threads,
+    # featurize empties the list of transactions as it goes; the table is dropped after match
+    table = _stage(manifest, "featurize", lambda: featurize_store(
+        transactions, cfg.mode, str(out / "features.jsonl"), threads=cfg.threads,
         catalog=motif.load_catalog(cfg.catalog) if cfg.catalog else None, max_nodes=cfg.max_nodes,
-    ))
+    )).table
+    del transactions
 
     signatures = None
     if cfg.methods is not None:
@@ -636,7 +704,7 @@ def run_pipeline(cfg: PipelineConfig) -> dict:
                   "max_features": "sqrt"}
 
         def train():
-            dataset = load_dataset(features_path, store_dir / storage.LABELS_FILE)
+            dataset = load_dataset(table, store_dir / storage.LABELS_FILE)
             return dataset, train_model(dataset, cfg.model, mode, params, cfg.seed,
                                         out / "model.json")
 
@@ -664,9 +732,11 @@ def run_pipeline(cfg: PipelineConfig) -> dict:
         manifest["notes"].append("match-only run: no labels; using provided signatures")
 
     matches = _stage(manifest, "match", lambda: match_features(
-        features_path, load_signatures(cfg.signatures) if signatures is None else signatures,
+        table, load_signatures(cfg.signatures) if signatures is None else signatures,
         out / "matches.jsonl"))
+    del table
     profiles = _stage(manifest, "profile", lambda: write_profiles(matches, out / "profiles.csv"))
+    del matches
     profiles = filter_min_matches(profiles, cfg.min_matches)
     if len(profiles.accounts) >= 2:
         _stage(manifest, "cluster", lambda: cluster_profiles(
@@ -676,13 +746,6 @@ def run_pipeline(cfg: PipelineConfig) -> dict:
             f"clustering skipped: {len(profiles.accounts)} account(s) after the "
             f"min-matches filter (need 2)"
         )
-
-    for path in sorted(out.rglob("*")):
-        if path.is_file() and path.name != "manifest.json":
-            manifest["artifacts"][path.relative_to(out).as_posix()] = storage.sha256_file(path)
-    manifest["timings"]["total"] = round(time.perf_counter() - start, 6)
-    storage.write_json(out / "manifest.json", manifest)
-    return manifest
 
 
 def cmd_pipeline(args) -> int:

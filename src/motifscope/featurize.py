@@ -1,48 +1,75 @@
 """Bulk feature extraction over a transaction store.
 
-This is the throughput-critical stage. Each line is decoded by
-storage.line_to_tx, featurized by motif.transaction_features (the one
-per-transaction featurizer, which the library calls too) and encoded by
-storage.dumps. The store is sharded across worker processes in chunks;
-workers are pure and chunks are merged in input order, so results are
-bit-identical regardless of worker count. test_motif.py checks this path
+This is the throughput-critical stage. Each transaction is featurized by
+motif.transaction_features (the one per-transaction featurizer, which the
+library calls too) and encoded by storage.dumps. The transactions come
+either from the store on disk, whose lines storage.line_to_tx decodes one
+chunk at a time, or from the list that ingest holds in memory, which forked
+workers inherit and index by range, so no line is decoded or pickled. Both
+feed one worker loop. Chunks are spread across worker processes; workers are
+pure and chunks are merged in input order, so the lines and the FeatureTable
+are bit-identical regardless of worker count. test_motif.py checks this path
 against the brute-force oracles.
 """
 
 from __future__ import annotations
 
 import multiprocessing as mp
+import os
 from dataclasses import dataclass
 from functools import partial
 from itertools import islice
+from typing import Iterable, Sequence
 
 from . import motif, storage
 from .ingest import _open
 from .motif import DEFAULT_MAX_NODES, OVERSIZE_KEY, MotifCatalog
+from .table import FeatureTable
 
 CHUNK_LINES = 8192
 
-def _process_chunk(path: str, catalog: MotifCatalog, mode: str, max_nodes: int,
-                   chunk: tuple[int, list[str]]) -> tuple[str, int, int, int]:
-    """Featurize one chunk (first line number, lines) of the store at path into
-    (joined output, n_txs, oversize, rejected); a bad line raises InputError."""
-    first, lines = chunk
-    out = []
-    oversize = 0
-    rejected = 0
+# In a pool worker: the in-memory transactions that range chunks index, set by
+# the pool's initializer, which a forked worker runs on the inherited list.
+_TRANSACTIONS: Sequence = ()
+
+
+def _inherit(box: list) -> None:
+    global _TRANSACTIONS
+    _TRANSACTIONS = box[0] if box else ()
+
+
+def _chunk_transactions(chunk) -> Iterable[tuple]:
+    """A chunk's stored tuples: given as a list, a range of the transactions a
+    worker inherited, or (store path, first line number, lines) decoded by
+    storage.line_to_tx."""
+    if isinstance(chunk, list):
+        return chunk
+    if isinstance(chunk, range):
+        return _TRANSACTIONS[chunk.start:chunk.stop]
+    path, first, lines = chunk
     decode = storage.line_to_tx
+    return (decode(line, path, lineno) for lineno, line in enumerate(lines, first) if line.strip())
+
+
+def _process_chunk(catalog: MotifCatalog, mode: str, max_nodes: int,
+                   chunk) -> tuple[str, int, int, FeatureTable]:
+    """Featurize one chunk into (joined output lines, oversize, rejected,
+    the chunk's FeatureTable); a bad store line raises InputError."""
+    out, hashes, egos, feature_maps = [], [], [], []
+    oversize = rejected = 0
     features = motif.transaction_features
     dumps = storage.dumps
-    for lineno, line in enumerate(lines, first):
-        if not line.strip():
-            continue
-        tx = decode(line, path, lineno)
+    for tx in _chunk_transactions(chunk):
         feats, rej = features(tx, catalog, mode, max_nodes)
         rejected += rej
-        if OVERSIZE_KEY in feats:
-            oversize += 1
+        oversize += OVERSIZE_KEY in feats
         out.append(dumps({"tx_hash": tx[0], "ego": tx[1], "mode": mode, "features": feats}))
-    return "\n".join(out), len(out), oversize, rejected
+        hashes.append(tx[0])
+        egos.append(tx[1])
+        feature_maps.append(feats)
+    # the lines carry sorted keys, and so do the table's rows
+    table = FeatureTable.build(hashes, egos, feature_maps, sort_keys=True)
+    return "\n".join(out), oversize, rejected, table
 
 
 @dataclass
@@ -50,54 +77,75 @@ class FeaturizeStats:
     transactions: int
     oversize: int
     rejected_transfers: int
+    table: FeatureTable
 
 
-def _iter_chunks(path, chunk_lines: int):
-    """Yield (line number of the first line, lines) in chunk_lines slices."""
+def _store_chunks(path, chunk_lines: int):
+    """Yield (path, line number of the first line, lines) in chunk_lines slices."""
     with _open(path, "store") as fh:
         first = 1
         while chunk := list(islice(fh, chunk_lines)):
-            yield first, chunk
+            yield path, first, chunk
             first += len(chunk)
 
 
 def featurize_store(
-    store_dir,
+    store,
     mode: str,
     out_path,
     threads: int = 1,
     catalog: MotifCatalog | None = None,
     max_nodes: int = DEFAULT_MAX_NODES,
 ) -> FeaturizeStats:
-    """Featurize every stored transaction into out_path (JSONL).
+    """Featurize every transaction of `store` into out_path (JSONL) and
+    return the counts and the FeatureTable of the lines written.
 
-    The output is written to a temporary file next to out_path and moved
-    into place only when every line featurized; a malformed store line
-    raises InputError naming the store path and line number.
+    store is a store directory, or the list of (tx_hash, ego, method group,
+    rows) tuples that was written to one. Such a list is consumed: each
+    chunk's entries are set to None once its lines are written, so the
+    transactions are released while the table grows. The output is written
+    to a temporary file next to out_path and moved into place only when
+    every transaction featurized; a malformed store line raises InputError
+    naming the store path and line number.
     """
     mode = motif.normalize_mode(mode)
     if catalog is None:
         catalog = motif.enumerate_catalog()
-    path = storage.store_path(store_dir)
-    work = partial(_process_chunk, path, catalog, mode, max_nodes)
-    chunks = _iter_chunks(path, CHUNK_LINES)
-    with storage.replacing(out_path) as (tmp_path,), open(tmp_path, "w", encoding="utf-8") as out:
-        if threads <= 1:
-            stats = _write_results(out, map(work, chunks))
-        else:
+    if isinstance(store, (str, os.PathLike)):
+        box, chunks = [], _store_chunks(storage.store_path(store), CHUNK_LINES)
+    else:
+        box = [store]
+        chunks = [range(start, min(start + CHUNK_LINES, len(store)))
+                  for start in range(0, len(store), CHUNK_LINES)]
+    work = partial(_process_chunk, catalog, mode, max_nodes)
+    try:
+        with storage.replacing(out_path) as (tmp_path,), open(tmp_path, "w", encoding="utf-8") as out:
+            if threads <= 1:
+                if box:  # in this process a chunk is its slice of the list
+                    chunks = (store[chunk.start:chunk.stop] for chunk in chunks)
+                return _collect(out, map(work, chunks), box)
             ctx = mp.get_context("fork") if "fork" in mp.get_all_start_methods() else mp.get_context()
-            with ctx.Pool(threads) as pool:
-                stats = _write_results(out, pool.imap(work, chunks, chunksize=1))
-    return stats
+            with ctx.Pool(threads, initializer=_inherit, initargs=(box,)) as pool:
+                return _collect(out, pool.imap(work, chunks, chunksize=1), box)
+    finally:
+        box.clear()  # the pool keeps its initargs: the box must not keep the transactions
 
 
-def _write_results(out, results) -> FeaturizeStats:
-    total = oversize = rejected = 0
-    for text, n, ov, rej in results:
+def _collect(out, results, box: list) -> FeaturizeStats:
+    """Write each chunk's lines in order and concatenate the chunk tables;
+    release each chunk of the in-memory transactions in `box` once written."""
+    tables = []
+    oversize = rejected = done = 0
+    for text, ov, rej, table in results:
         if text:
             out.write(text)
             out.write("\n")
-        total += n
         oversize += ov
         rejected += rej
-    return FeaturizeStats(transactions=total, oversize=oversize, rejected_transfers=rejected)
+        tables.append(table)
+        if box:
+            box[0][done:done + table.n_rows] = [None] * table.n_rows
+            done += table.n_rows
+    table = FeatureTable.concat(tables)
+    return FeaturizeStats(transactions=table.n_rows, oversize=oversize, rejected_transfers=rejected,
+                          table=table)

@@ -11,6 +11,7 @@ import numpy as np
 from . import models
 from .ingest import InputError
 from .motif import OOV_KEY
+from .table import FeatureTable
 
 
 @dataclass
@@ -47,48 +48,41 @@ class Dataset:
         return np.bincount(self.y, minlength=len(self.classes))
 
 
-def build_vocabulary(feature_maps: Sequence[dict[str, int]]) -> list[str]:
-    keys = set()
-    for feats in feature_maps:
-        keys.update(feats)
-    keys.discard(OOV_KEY)
-    return sorted(keys) + [OOV_KEY]
-
-
-def vectorize(feature_maps: Sequence[dict[str, int]], vocabulary: list[str]) -> np.ndarray:
-    """Dense matrix over the vocabulary; unknown keys sum into the OOV column."""
-    index = {key: col for col, key in enumerate(vocabulary)}
-    oov = index[OOV_KEY]
-    X = np.zeros((len(feature_maps), len(vocabulary)))
-    for row, feats in enumerate(feature_maps):
-        for key, value in feats.items():
-            X[row, index.get(key, oov)] += value
-    return X
-
-
 def build_dataset(
-    rows: Sequence[tuple[str, str, dict[str, int], str]],
+    table: FeatureTable,
+    labels: Sequence[str],
     classes: Optional[list[str]] = None,
     vocabulary: Optional[list[str]] = None,
 ) -> Dataset:
-    """Assemble (tx_hash, ego, features, label) rows into a Dataset."""
-    if not rows:
+    """Assemble a table's rows, labelled by `labels` (one per row), into a Dataset.
+
+    The vocabulary defaults to the sorted keys of the rows plus OOV_KEY. X is
+    built straight from the table's CSR arrays: a key outside the vocabulary
+    adds its count into the OOV column, in the row's key order.
+    """
+    if not table.n_rows:
         raise ValueError("cannot build a dataset from zero labeled rows")
-    labels = [label for _, _, _, label in rows]
     if classes is None:
         classes = sorted(set(labels))
     class_index = {c: i for i, c in enumerate(classes)}
     if vocabulary is None:
-        vocabulary = build_vocabulary([feats for _, _, feats, _ in rows])
-    X = vectorize([feats for _, _, feats, _ in rows], vocabulary)
+        used = [table.vocabulary[c] for c in np.unique(table.indices).tolist()]
+        vocabulary = [key for key in used if key != OOV_KEY] + [OOV_KEY]
+    index = {key: col for col, key in enumerate(vocabulary)}
+    oov = index[OOV_KEY]
+    column = np.array([index.get(key, oov) for key in table.vocabulary], dtype=np.intp)
+    n = table.n_rows
+    X = np.zeros((n, len(vocabulary)))
+    rows = np.repeat(np.arange(n), np.diff(table.indptr))
+    np.add.at(X, (rows, column[table.indices]), table.counts)
     y = np.array([class_index[label] for label in labels], dtype=np.int64)
     return Dataset(
         X=X,
         y=y,
         classes=classes,
         vocabulary=vocabulary,
-        tx_hashes=[r[0] for r in rows],
-        egos=[r[1] for r in rows],
+        tx_hashes=table.tx_hashes.tolist(),
+        egos=table.egos(),
     )
 
 

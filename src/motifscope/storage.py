@@ -8,7 +8,8 @@ the readers in `ingest`. All writers are deterministic: sorted keys, fixed
 separators, no timestamps, so identical inputs produce byte-identical
 artifacts. The store holds one transaction per line; `line_to_tx` is its
 only decoder, and it returns the (tx_hash, ego, method group or None, rows)
-tuple that `write_store` takes.
+tuple that `write_store` takes. `read_features` is the one reader of a
+features file, into the `table.FeatureTable` that featurize also returns.
 """
 
 from __future__ import annotations
@@ -22,10 +23,13 @@ from typing import Iterable, Iterator, Optional
 
 # read_json is re-exported: artifacts are read back as storage.read_json
 from .ingest import InputError, _bad_line, _csv_rows, _jsonl_rows, _open, read_json
+from .table import FeatureTable
 
 STORE_FILE = "transactions.jsonl"
 REPORT_FILE = "ingest_report.json"
 LABELS_FILE = "labels.csv"
+_FEATURES_CHUNK = 8192  # features lines parsed before they are packed into a table
+_INT64 = 1 << 63
 
 # One store line: {"tx": hash, "ego": account, "mg": group-or-null,
 # "tr": [[from, to, from_type, to_type, contract, symbol, category, amount, block], ...]}
@@ -33,10 +37,18 @@ LABELS_FILE = "labels.csv"
 # featurize pass over potentially millions of lines.
 
 _ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+# The C encoder that _ENCODER.encode builds on every call, built once here and
+# without its circular-reference check (an artifact is a tree): the same text,
+# at about half the cost per featurize line. None without json's C accelerator.
+_C_ENCODE = json.encoder.c_make_encoder and json.encoder.c_make_encoder(
+    None, _ENCODER.default, json.encoder.encode_basestring_ascii, None,
+    _ENCODER.key_separator, _ENCODER.item_separator, True, False, True)
 
 
 def dumps(obj) -> str:
-    return _ENCODER.encode(obj)
+    if _C_ENCODE is None:
+        return _ENCODER.encode(obj)
+    return "".join(_C_ENCODE(obj, 0))
 
 
 @contextmanager
@@ -119,7 +131,7 @@ def write_store(store_dir, transactions: Iterable[tuple[str, str, Optional[str],
             writer = csv.writer(lfh)
             writer.writerow(["tx_hash", "ego", "method_group"])
             for tx_hash, ego, group, rows in transactions:
-                fh.write(_ENCODER.encode({"tx": tx_hash, "ego": ego, "mg": group, "tr": rows}))
+                fh.write(dumps({"tx": tx_hash, "ego": ego, "mg": group, "tr": rows}))
                 fh.write("\n")
                 if group is not None:
                     writer.writerow([tx_hash, ego, group])
@@ -160,16 +172,35 @@ def read_labels(path) -> dict[tuple[str, str], str]:
     return labels
 
 
-def iter_features(path) -> Iterator[tuple[str, str, dict[str, int]]]:
-    """(tx_hash, ego, features) per features.jsonl line; a bad line raises InputError."""
+def read_features(path) -> FeatureTable:
+    """features.jsonl as a FeatureTable, rows and each row's keys in file
+    order. A line that is not an object with a string tx_hash, a string ego
+    (default ""), and a features object of int64 integer counts raises
+    InputError naming the file and line."""
+    chunks, hashes, egos, feature_maps = [], [], [], []
     for lineno, obj in _jsonl_rows(path, "features"):
         try:
-            row = obj["tx_hash"], obj.get("ego", ""), obj["features"]
-            if type(row[2]) is not dict:
+            tx_hash, ego, feats = obj["tx_hash"], obj.get("ego", ""), obj["features"]
+            if not (type(tx_hash) is type(ego) is str):
+                raise TypeError("tx_hash and ego must be strings")
+            if type(feats) is not dict:
                 raise TypeError("features must be an object")
+            counts = feats.values()
+            if counts and not ({*map(type, counts)} == {int}
+                               and -_INT64 <= min(counts) and max(counts) < _INT64):
+                key, count = next((k, c) for k, c in feats.items()
+                                  if type(c) is not int or not -_INT64 <= c < _INT64)
+                raise TypeError(f"count {count!r} of {key!r} is not a 64-bit integer")
         except (AttributeError, KeyError, TypeError) as exc:
             raise _bad_line("features", path, lineno, exc) from exc
-        yield row
+        hashes.append(tx_hash)
+        egos.append(ego)
+        feature_maps.append(feats)
+        if len(hashes) == _FEATURES_CHUNK:
+            chunks.append(FeatureTable.build(hashes, egos, feature_maps))
+            hashes, egos, feature_maps = [], [], []
+    chunks.append(FeatureTable.build(hashes, egos, feature_maps))
+    return FeatureTable.concat(chunks)
 
 
 def sha256_file(path) -> str:

@@ -8,6 +8,7 @@ import pytest
 from motifscope import learn, storage
 from motifscope.cli import main
 from motifscope.models import DecisionTree
+from motifscope.table import FeatureTable
 
 
 @pytest.fixture(scope="session")
@@ -50,12 +51,10 @@ def small_corpus(tmp_path_factory):
 @pytest.fixture(scope="session")
 def small_dataset(small_corpus) -> learn.Dataset:
     labels = storage.read_labels(small_corpus["labels"])
-    rows = [
-        (tx, ego, feats, labels[(tx, ego)])
-        for tx, ego, feats in storage.iter_features(small_corpus["features"])
-        if (tx, ego) in labels
-    ]
-    return learn.build_dataset(rows)
+    rows = [row for row in storage.read_features(small_corpus["features"]).rows()
+            if row[:2] in labels]
+    return learn.build_dataset(FeatureTable.build(*zip(*rows)),
+                               [labels[row[:2]] for row in rows])
 
 
 @pytest.fixture(scope="session")

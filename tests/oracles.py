@@ -213,6 +213,30 @@ def brute_force_match(features: dict, signatures) -> tuple[list, list]:
 
 
 # ---------------------------------------------------------------------------
+# a dataset by one dict lookup per feature
+# ---------------------------------------------------------------------------
+
+def reference_dataset(rows, classes=None, vocabulary=None):
+    """(X, y, classes, vocabulary) of (tx_hash, ego, features, label) rows:
+    the vocabulary defaults to the sorted keys plus the OOV key, and each
+    count is added to its column, or to the OOV column, row by row."""
+    from motifscope.motif import OOV_KEY
+
+    if classes is None:
+        classes = sorted({label for *_, label in rows})
+    if vocabulary is None:
+        keys = {key for _, _, feats, _ in rows for key in feats}
+        vocabulary = sorted(keys - {OOV_KEY}) + [OOV_KEY]
+    X = np.zeros((len(rows), len(vocabulary)))
+    for i, (_, _, feats, _) in enumerate(rows):
+        for key, count in feats.items():
+            col = vocabulary.index(key) if key in vocabulary else vocabulary.index(OOV_KEY)
+            X[i, col] += count
+    y = np.array([classes.index(label) for *_, label in rows], dtype=np.int64)
+    return X, y, classes, vocabulary
+
+
+# ---------------------------------------------------------------------------
 # ingest by one record per transfer and a pass per step
 # ---------------------------------------------------------------------------
 

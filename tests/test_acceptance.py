@@ -119,8 +119,8 @@ def build_corpus(root, n, seed, **kwargs):
 
 def labeled_dataset(store, features):
     labels = storage.read_labels(store / "labels.csv")
-    rows = [(tx, ego, f, labels[(tx, ego)]) for tx, ego, f in storage.iter_features(features)]
-    return build_dataset(rows)
+    table = storage.read_features(features)
+    return build_dataset(table, [labels[key] for key in zip(table.tx_hashes.tolist(), table.egos())])
 
 
 def template_features(arch: synth.Archetype) -> frozenset:
@@ -194,7 +194,7 @@ def mixcorpus(tmp_path_factory):
         tree, ds.X, ds.vocabulary, ds.classes, threshold=SUPPORT_THRESHOLD, method="greedy"
     )
     events: dict[str, list[int]] = {}
-    for tx, ego, feats in storage.iter_features(features):
+    for tx, ego, feats in storage.read_features(features).rows():
         leaves, _ = match_signatures(feats, signatures)
         events.setdefault(ego, []).extend(leaves)
     profiles = filter_min_matches(build_profiles(sorted(events.items())), 10)
@@ -368,7 +368,7 @@ def test_criterion_08_synthetic_end_to_end(corpus50k, tmp_path_factory, capsys):
     _, held_store, held_features = build_corpus(held_root, 50_000, seed=99)
     held_labels = storage.read_labels(held_store / "labels.csv")
     only = total = 0
-    for tx, ego, feats in storage.iter_features(held_features):
+    for tx, ego, feats in storage.read_features(held_features).rows():
         _, groups = match_signatures(feats, signatures)
         total += 1
         only += groups == [held_labels[(tx, ego)]]

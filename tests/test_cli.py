@@ -301,6 +301,15 @@ INVALID_INPUTS = {
     ("features (match)", "invalid features list"): (
         '{"tx_hash":"t","ego":"e","mode":"M+E","features":[1]}\n', 1),
     ("matches", "invalid no ego"): ('{"groups":[],"leaves":[],"tx_hash":"t"}\n', 1),
+    ("features (match)", "invalid count string"): (
+        '{"tx_hash":"t","ego":"e","mode":"M+E","features":{"m1(E,A)":1}}\n'
+        '{"tx_hash":"u","ego":"e","mode":"M+E","features":{"m1(E,A)":"x"}}\n', 2),
+    ("features (match)", "invalid count bool"): (
+        '{"tx_hash":"t","ego":"e","mode":"M+E","features":{"m1(E,A)":true}}\n', 1),
+    ("features (match)", "invalid tx_hash"): (
+        '{"tx_hash":1,"ego":"e","mode":"M+E","features":{}}\n', 1),
+    ("features (train)", "invalid count float"): (
+        '{"tx_hash":"t","ego":"e","mode":"M+E","features":{"m1(E,A)":1.5}}\n', 1),
 }
 
 
@@ -677,7 +686,7 @@ def test_match_features_once_per_key_set_equals_oracle(tmp_path, monkeypatch, me
 
     monkeypatch.setattr(cli, "match_signatures", counting)
     out = tmp_path / "matches.jsonl"
-    pairs = cli.match_features(features, signatures, out)
+    pairs = cli.match_features(storage.read_features(features), signatures, out)
     expected_lines, expected_pairs = [], []
     for i, feats in enumerate(rows):
         leaves, groups = brute_force_match(feats, signatures)
@@ -707,8 +716,8 @@ def test_match_failure_keeps_previous_matches(tmp_path, small_corpus, trained, m
 
     monkeypatch.setattr(cli, "match_signatures", failing)
     with pytest.raises(RuntimeError, match="matcher failed"):
-        cli.match_features(small_corpus["features"], cli.load_signatures(trained["signatures"]),
-                           out)
+        cli.match_features(storage.read_features(small_corpus["features"]),
+                           cli.load_signatures(trained["signatures"]), out)
     assert out.read_text(encoding="utf-8") == "previous\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["matches.jsonl"]
 
@@ -919,6 +928,105 @@ def test_pipeline_timings(pipeline_run):
     assert set(timings) == set(manifest["stages"]) | {"total"}
     assert all(timings[stage] >= 0.0 for stage in manifest["stages"])
     assert sum(timings[stage] for stage in manifest["stages"]) <= timings["total"]
+
+
+def test_pipeline_records_stage_rss(pipeline_run):
+    manifest = storage.read_json(pipeline_run / "manifest.json")
+    rss = manifest["peak_rss_mb"]
+    assert set(rss) == set(manifest["stages"])
+    marks = [rss[stage] for stage in manifest["stages"]]
+    assert marks[0] > 0 and marks == sorted(marks)  # a high-water mark never falls
+
+
+def test_pipeline_missing_input_exit_2(tmp_path, small_corpus, capsys):
+    missing = tmp_path / "nowhere" / "transfers.csv"
+    _, err = run(capsys, [
+        "pipeline", "--transfers", str(missing), "--tokens", str(small_corpus["tokens"]),
+        "--accounts", str(small_corpus["accounts"]), "--methods", str(small_corpus["methods"]),
+        "--out", str(tmp_path / "run"),
+    ], code=2)
+    assert err["error"]["type"] == "InputError"
+    assert f"cannot read transfers file {missing}" in err["error"]["message"]
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("key,value", [("folds", "3"), ("threads", True), ("l2", "1"),
+                                       ("mode", 3), ("target_leaves", 2.5), ("seed", None)])
+def test_pipeline_config_value_types_exit_2(tmp_path, small_corpus, capsys, key, value):
+    config = {"transfers": str(small_corpus["transfers"]), "tokens": str(small_corpus["tokens"]),
+              "accounts": str(small_corpus["accounts"]), "methods": str(small_corpus["methods"]),
+              "out": str(tmp_path / "run"), key: value}
+    (tmp_path / "cfg.json").write_text(json.dumps(config), encoding="utf-8")
+    _, err = run(capsys, ["pipeline", "--config", str(tmp_path / "cfg.json")], code=2)
+    assert err["error"]["type"] == "InputError"
+    assert f"pipeline config {key!r} must be" in err["error"]["message"]
+    assert not (tmp_path / "run").exists()  # rejected before ingest
+
+
+def test_pipeline_config_accepts_ints_for_floats():
+    PipelineConfig(transfers="t", tokens="k", accounts="a", out="o", l2=1, threshold=1,
+                   alpha=0, target_leaves=None).check()
+
+
+def test_pipeline_failure_manifest(tmp_path, small_corpus, pipeline_run, monkeypatch, capsys):
+    def failing(feats, sigs):
+        raise RuntimeError("matcher failed")
+
+    monkeypatch.setattr(cli, "match_signatures", failing)
+    out = tmp_path / "run"
+    _, err = run(capsys, [
+        "pipeline", "--transfers", str(small_corpus["transfers"]),
+        "--tokens", str(small_corpus["tokens"]), "--accounts", str(small_corpus["accounts"]),
+        "--methods", str(small_corpus["methods"]), "--out", str(out),
+        "--model", "dt", "--seed", "5", "--min-matches", "1",
+    ], code=3)
+    assert err["error"]["stage"] == "match"
+    manifest = storage.read_json(out / "manifest.json")
+    assert manifest["failed_stage"] == "match"
+    assert manifest["error"] == {"type": "RuntimeError", "message": "matcher failed"}
+    assert manifest["stages"] == ["ingest", "featurize", "train", "eval", "prune", "signatures"]
+    assert set(manifest["timings"]) == set(manifest["peak_rss_mb"]) == set(manifest["stages"])
+    # what the completed stages wrote is intact, the failed stage left nothing
+    complete = storage.read_json(pipeline_run / "manifest.json")["artifacts"]
+    written = sorted(p.relative_to(out).as_posix() for p in out.rglob("*")
+                     if p.is_file() and p.name != "manifest.json")
+    assert written and not any(name.endswith(".tmp") for name in written)
+    assert "matches.jsonl" not in written
+    for name in written:
+        assert storage.sha256_file(out / name) == complete[name], name
+
+
+def test_pipeline_input_error_failure_manifest(tmp_path, capsys):
+    root = write_mini_corpus(tmp_path / "raw")
+    (root / "tokens.json").write_text('[{"contract": "0xt1", "category": "Bogus"}]',
+                                      encoding="utf-8")
+    run(capsys, ["pipeline", "--transfers", str(root / "transfers.csv"),
+                 "--tokens", str(root / "tokens.json"), "--accounts", str(root / "accounts.json"),
+                 "--methods", str(root / "methods.csv"), "--out", str(tmp_path / "run")], code=2)
+    manifest = storage.read_json(tmp_path / "run" / "manifest.json")
+    assert manifest["failed_stage"] == "ingest" and manifest["stages"] == []
+    assert manifest["error"]["type"] == "InputError"
+    assert "Bogus" in manifest["error"]["message"]
+
+
+def test_pipeline_reads_back_neither_store_nor_features(tmp_path, small_corpus, pipeline_run,
+                                                       monkeypatch, capsys):
+    """Featurize works on ingest's transactions and train and match on its
+    table, with the same artifacts as the file-based stages."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("the pipeline read back an artifact")
+
+    for name in ("line_to_tx", "iter_store", "read_features"):
+        monkeypatch.setattr(storage, name, refuse)
+    out = tmp_path / "run"
+    run(capsys, [
+        "pipeline", "--transfers", str(small_corpus["transfers"]),
+        "--tokens", str(small_corpus["tokens"]), "--accounts", str(small_corpus["accounts"]),
+        "--methods", str(small_corpus["methods"]), "--out", str(out),
+        "--model", "dt", "--seed", "5", "--min-matches", "1",
+    ])
+    artifacts = storage.read_json(out / "manifest.json")["artifacts"]
+    assert artifacts == storage.read_json(pipeline_run / "manifest.json")["artifacts"]
 
 
 def test_pipeline_input_error_names_stage(tmp_path, capsys):

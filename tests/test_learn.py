@@ -5,21 +5,29 @@ import pytest
 
 from motifscope import learn
 from motifscope.motif import OOV_KEY
+from motifscope.table import FeatureTable
 
 
 # ---------------------------------------------------------------------------
 # vocabulary and vectorization
 # ---------------------------------------------------------------------------
 
+def _dataset(rows, **kwargs):
+    """build_dataset over (tx_hash, ego, features, label) rows."""
+    table = FeatureTable.build([r[0] for r in rows], [r[1] for r in rows], [r[2] for r in rows])
+    return learn.build_dataset(table, [r[3] for r in rows], **kwargs)
+
+
 def test_vocabulary_sorted_with_oov_last():
-    vocab = learn.build_vocabulary([{"b": 1, "a": 2}, {"c": 1}])
-    assert vocab == ["a", "b", "c", OOV_KEY]
+    ds = _dataset([("t1", "e1", {"b": 1, "a": 2}, "Swap"), ("t2", "e1", {"c": 1}, "Swap")])
+    assert ds.vocabulary == ["a", "b", "c", OOV_KEY]
 
 
 def test_vectorize_sums_unknown_keys_into_oov():
     vocab = ["a", "b", OOV_KEY]
-    X = learn.vectorize([{"a": 2, "zz": 3, "qq": 4}, {"b": 1}], vocab)
-    assert X.tolist() == [[2.0, 0.0, 7.0], [0.0, 1.0, 0.0]]
+    ds = _dataset([("t1", "e1", {"a": 2, "zz": 3, "qq": 4}, "Swap"), ("t2", "e1", {"b": 1}, "Swap")],
+                  vocabulary=vocab)
+    assert ds.X.tolist() == [[2.0, 0.0, 7.0], [0.0, 1.0, 0.0]]
 
 
 def test_build_dataset_sorted_classes_and_metadata():
@@ -28,7 +36,7 @@ def test_build_dataset_sorted_classes_and_metadata():
         ("t2", "e2", {"b": 2}, "Mint"),
         ("t3", "e1", {"a": 1, "b": 1}, "Swap"),
     ]
-    ds = learn.build_dataset(rows)
+    ds = _dataset(rows)
     assert ds.classes == ["Mint", "Swap"]
     assert ds.y.tolist() == [1, 0, 1]
     assert ds.vocabulary == ["a", "b", OOV_KEY]
@@ -40,14 +48,14 @@ def test_build_dataset_sorted_classes_and_metadata():
 
 def test_build_dataset_with_fixed_classes_and_vocabulary():
     rows = [("t1", "e1", {"new_key": 5}, "Swap")]
-    ds = learn.build_dataset(rows, classes=["Mint", "Swap"], vocabulary=["a", OOV_KEY])
+    ds = _dataset(rows, classes=["Mint", "Swap"], vocabulary=["a", OOV_KEY])
     assert ds.y.tolist() == [1]
     assert ds.X.tolist() == [[0.0, 5.0]]  # unseen key lands in OOV
 
 
 def test_build_dataset_rejects_empty():
     with pytest.raises(ValueError):
-        learn.build_dataset([])
+        _dataset([])
 
 
 # ---------------------------------------------------------------------------

@@ -155,7 +155,7 @@ def test_template_edges_present_in_features(small_corpus):
     expected = {arch.name: template_edge_keys(arch) for arch in cfg.archetypes}
     labels = storage.read_labels(small_corpus["labels"])
     checked = 0
-    for tx_hash, ego, feats in storage.iter_features(small_corpus["features"]):
+    for tx_hash, ego, feats in storage.read_features(small_corpus["features"]).rows():
         group = labels[(tx_hash, ego)]
         assert expected[group] <= set(feats), f"{group} template missing from {tx_hash}"
         checked += 1
