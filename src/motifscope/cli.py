@@ -291,52 +291,34 @@ def load_signatures(path) -> list[LeafSignature]:
         return [LeafSignature.from_json(s) for s in obj.get("signatures", [])]
 
 
-MATCH_MEMO_SIZE = 1 << 16  # distinct key sets remembered before the memo starts over
-
-
 def match_features(table: FeatureTable, signatures: list[LeafSignature],
                    out) -> list[tuple[str, tuple[int, ...]]]:
     """Match every row of the table against the signatures into matches
     JSONL; returns the (ego, leaves) of every line written, in row order.
 
-    A match depends only on the keys with a positive count, so each distinct
-    sequence of them is matched once (up to MATCH_MEMO_SIZE sequences at a
-    time), and each distinct result's line middle is encoded once. Lines
-    carry storage.dumps' sorted keys."""
-    by_keys: dict[bytes, tuple[tuple[int, ...], str]] = {}
+    Each distinct row of the table is matched once, each distinct result's
+    line middle is encoded once, and every line is written through row_of.
+    Lines carry storage.dumps' sorted keys."""
     by_result: dict[tuple, tuple[tuple[int, ...], str]] = {}
-    pairs = [None] * table.n_rows
     dumps = storage.dumps
-    vocab, indices, counts, indptr = table.vocabulary, table.indices, table.counts, table.indptr
-    positive = counts > 0
-    # row i's positive keys, as int32 bytes: present[key_bounds[i]:key_bounds[i + 1]]
-    present = indices[positive].tobytes()
-    key_bounds = np.concatenate(([0], np.cumsum(positive)))[indptr] * 4
-    text, tx_bounds = table.tx_hashes.text, np.concatenate(([0], table.tx_hashes.ends))
+    hits = []  # (leaves, line middle) per distinct row
+    for feats in table.distinct_rows():
+        leaves, groups = match_signatures(feats, signatures)
+        result = (tuple(leaves), tuple(groups))
+        hit = by_result.get(result)
+        if hit is None:
+            hit = by_result[result] = (
+                result[0], f',"groups":{dumps(groups)},"leaves":{dumps(leaves)},"tx_hash":')
+        hits.append(hit)
     egos = table.ego_names.tolist()
     ego_json = [dumps(ego) for ego in egos]
-    # memoryviews yield each row's numbers without a list of them all
-    rows = zip(*map(memoryview, (tx_bounds[:-1], tx_bounds[1:], key_bounds[:-1], key_bounds[1:],
-                                 indptr[:-1], indptr[1:], table.ego_ids)))
+    pairs = []
     with storage.replacing(out) as (tmp,), open(tmp, "w", encoding="utf-8") as fh:
-        for i, (tx_start, tx_end, key_start, key_end, start, stop, ego) in enumerate(rows):
-            keys = present[key_start:key_end]
-            hit = by_keys.get(keys)
-            if hit is None:
-                feats = dict(zip([vocab[c] for c in indices[start:stop].tolist()],
-                                 counts[start:stop].tolist()))
-                leaves, groups = match_signatures(feats, signatures)
-                result = (tuple(leaves), tuple(groups))
-                hit = by_result.get(result)
-                if hit is None:
-                    hit = by_result[result] = (
-                        result[0], f',"groups":{dumps(groups)},"leaves":{dumps(leaves)},"tx_hash":')
-                if len(by_keys) >= MATCH_MEMO_SIZE:
-                    by_keys.clear()
-                by_keys[keys] = hit
-            leaves, middle = hit
-            fh.write('{"ego":' + ego_json[ego] + middle + dumps(text[tx_start:tx_end]) + "}\n")
-            pairs[i] = (egos[ego], leaves)
+        for tx_hash, ego, row in zip(table.tx_hashes.tolist(), table.ego_ids.tolist(),
+                                     table.row_of.tolist()):
+            leaves, middle = hits[row]
+            fh.write('{"ego":' + ego_json[ego] + middle + dumps(tx_hash) + "}\n")
+            pairs.append((egos[ego], leaves))
     return pairs
 
 
@@ -630,8 +612,8 @@ def _stage(manifest: dict, name: str, fn):
 
 def run_pipeline(cfg: PipelineConfig) -> dict:
     """ingest -> featurize -> train/eval -> prune -> signatures -> match ->
-    profile -> cluster, with a manifest of versions, seeds, timings, RSS and
-    digests.
+    profile -> cluster, with a manifest of versions, seeds, timings, RSS,
+    counters and digests.
 
     Stages hand each other in-memory objects: featurize works on ingest's
     transactions, and train and match on featurize's FeatureTable, so no
@@ -657,6 +639,7 @@ def run_pipeline(cfg: PipelineConfig) -> dict:
         "stages": [],
         "timings": {},
         "peak_rss_mb": {},
+        "counters": {},
         "artifacts": {},
         "notes": [],
     }
@@ -696,6 +679,7 @@ def _run_stages(cfg: PipelineConfig, out: Path, manifest: dict) -> None:
         catalog=motif.load_catalog(cfg.catalog) if cfg.catalog else None, max_nodes=cfg.max_nodes,
     )).table
     del transactions
+    manifest["counters"]["featurize"] = {"rows": table.n_rows, "distinct_rows": table.n_distinct}
 
     signatures = None
     if cfg.methods is not None:

@@ -67,9 +67,7 @@ def _process_chunk(catalog: MotifCatalog, mode: str, max_nodes: int,
         hashes.append(tx[0])
         egos.append(tx[1])
         feature_maps.append(feats)
-    # the lines carry sorted keys, and so do the table's rows
-    table = FeatureTable.build(hashes, egos, feature_maps, sort_keys=True)
-    return "\n".join(out), oversize, rejected, table
+    return "\n".join(out), oversize, rejected, FeatureTable.build(hashes, egos, feature_maps)
 
 
 @dataclass

@@ -34,7 +34,6 @@ class Dataset:
     classes: list[str]
     vocabulary: list[str]
     tx_hashes: list[str] = field(default_factory=list)
-    egos: list[str] = field(default_factory=list)
 
     @property
     def n_rows(self) -> int:
@@ -43,9 +42,6 @@ class Dataset:
     @cached_property
     def ranked(self) -> models.RankedMatrix:
         return models.rank_encode(self.X)
-
-    def class_counts(self) -> np.ndarray:
-        return np.bincount(self.y, minlength=len(self.classes))
 
 
 def build_dataset(
@@ -57,8 +53,10 @@ def build_dataset(
     """Assemble a table's rows, labelled by `labels` (one per row), into a Dataset.
 
     The vocabulary defaults to the sorted keys of the rows plus OOV_KEY. X is
-    built straight from the table's CSR arrays: a key outside the vocabulary
-    adds its count into the OOV column, in the row's key order.
+    built straight from the table's CSR arrays, once per distinct row and
+    then indexed by row_of: a key outside the vocabulary adds its count into
+    the OOV column, in vocabulary order, which gives the same X as any other
+    order while each partial sum stays below 2**53.
     """
     if not table.n_rows:
         raise ValueError("cannot build a dataset from zero labeled rows")
@@ -71,18 +69,16 @@ def build_dataset(
     index = {key: col for col, key in enumerate(vocabulary)}
     oov = index[OOV_KEY]
     column = np.array([index.get(key, oov) for key in table.vocabulary], dtype=np.intp)
-    n = table.n_rows
-    X = np.zeros((n, len(vocabulary)))
-    rows = np.repeat(np.arange(n), np.diff(table.indptr))
-    np.add.at(X, (rows, column[table.indices]), table.counts)
+    distinct = np.zeros((table.n_distinct, len(vocabulary)))
+    rows = np.repeat(np.arange(table.n_distinct), np.diff(table.indptr))
+    np.add.at(distinct, (rows, column[table.indices]), table.counts)
     y = np.array([class_index[label] for label in labels], dtype=np.int64)
     return Dataset(
-        X=X,
+        X=distinct[table.row_of],
         y=y,
         classes=classes,
         vocabulary=vocabulary,
         tx_hashes=table.tx_hashes.tolist(),
-        egos=table.egos(),
     )
 
 

@@ -313,16 +313,6 @@ class DecisionTree:
             out[idx] = leaf.leaf_id
         return out
 
-    def decision_path(self, x: np.ndarray) -> list[tuple[TreeNode, bool]]:
-        """(node, went_left) pairs from root to the leaf for a single row."""
-        path = []
-        node = self.root
-        while not node.is_leaf:
-            left = bool(x[node.feature] <= node.threshold)
-            path.append((node, left))
-            node = node.left if left else node.right
-        return path
-
     # -- serialization ------------------------------------------------------
 
     def to_dict(self) -> dict:

@@ -12,7 +12,6 @@ share, feeds it straight from a stored transaction, with no ETN object.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from typing import Optional
 
@@ -260,25 +259,6 @@ def transaction_features(tx: tuple[str, str, Optional[str], list], catalog: Moti
         oversize = labels is not None and len(flags) > max_nodes
         feats.update(count_from_groups(catalog, group_counterparts(flags, types, labels), oversize))
     return feats, rejected
-
-
-def count_motifs_untyped(tx: tuple[str, str, Optional[str], list],
-                         catalog: MotifCatalog) -> dict[str, int]:
-    """Per-shape counts ignoring account types (shape id -> count), from its
-    own pass over the rows: the reference typed counts marginalize to."""
-    _, ego, _, rows = tx
-    outs = {dst for src, dst, *_ in rows if src == ego}
-    ins = {src for src, dst, *_ in rows if dst == ego}
-    states = sorted(Counter(RECIP if n in outs and n in ins else OUT if n in outs else IN
-                            for n in outs | ins).items())
-    counts = {catalog.two_node[s].id: n for s, n in states if s in catalog.two_node}
-    for i, (s1, n1) in enumerate(states):
-        for s2, n2 in states[i:]:
-            shape = catalog.three_node.get((s1, s2))
-            pairs = n1 * (n1 - 1) // 2 if s1 == s2 else n1 * n2
-            if shape is not None and pairs:
-                counts[shape.id] = pairs
-    return counts
 
 
 def normalize_mode(mode: str) -> str:

@@ -272,17 +272,6 @@ def hcluster(Z_rows: np.ndarray, method: str = "ward") -> ClusteringResult:
     return ClusteringResult(Zm, assignments, silhouettes, chosen, notes)
 
 
-def canonical_labels(labels: Sequence[int]) -> np.ndarray:
-    """Relabel clusters by first appearance, for permutation-invariant tests."""
-    mapping: dict[int, int] = {}
-    out = np.empty(len(labels), dtype=np.int64)
-    for i, lab in enumerate(labels):
-        if lab not in mapping:
-            mapping[lab] = len(mapping)
-        out[i] = mapping[lab]
-    return out
-
-
 # ---------------------------------------------------------------------------
 # plot-data export
 # ---------------------------------------------------------------------------

@@ -173,10 +173,10 @@ def read_labels(path) -> dict[tuple[str, str], str]:
 
 
 def read_features(path) -> FeatureTable:
-    """features.jsonl as a FeatureTable, rows and each row's keys in file
-    order. A line that is not an object with a string tx_hash, a string ego
-    (default ""), and a features object of int64 integer counts raises
-    InputError naming the file and line."""
+    """features.jsonl as a FeatureTable, rows in file order; a row's keys
+    come back in vocabulary order, not file order. A line that is not an
+    object with a string tx_hash, a string ego (default ""), and a features
+    object of int64 integer counts raises InputError naming the file and line."""
     chunks, hashes, egos, feature_maps = [], [], [], []
     for lineno, obj in _jsonl_rows(path, "features"):
         try:

@@ -1,10 +1,13 @@
 """The feature table: featurize's hand-off to train and match.
 
 A FeatureTable holds one row per featurized transaction: its tx hash, its
-ego, and its feature counts as CSR arrays over a sorted vocabulary. The
-featurize workers build one table per chunk and `concat` joins them in chunk
-order, so the table does not depend on the worker count; `storage.
-read_features` builds the same table from a features.jsonl file.
+ego, and `row_of`, its index among the distinct feature rows. Rows repeat
+heavily, so only the distinct rows are stored: CSR arrays over a sorted
+vocabulary, in first-seen order, each row's entries in vocabulary order.
+The featurize workers build one table per chunk and `concat` joins them in
+chunk order and deduplicates again, so the table does not depend on the
+worker count or chunk size; `storage.read_features` builds the same table
+from a features.jsonl file.
 
 Tx hashes and the distinct egos are each packed into one string with end
 offsets, so a table costs no object per row and keeps alive none of the
@@ -51,37 +54,38 @@ class FeatureTable:
     ego_names: Strings  # the distinct egos, in first-seen order
     ego_ids: np.ndarray  # int32: row i's ego is ego_names[ego_ids[i]]
     vocabulary: list[str]  # sorted feature keys
-    indptr: np.ndarray  # int64: row i's entries are indptr[i]:indptr[i + 1]
-    indices: np.ndarray  # int32 into vocabulary; a row keeps the order of its keys
+    row_of: np.ndarray  # int32: row i's features are distinct row row_of[i]
+    indptr: np.ndarray  # int64: distinct row j's entries are indptr[j]:indptr[j + 1]
+    indices: np.ndarray  # int32 into vocabulary, ascending within a distinct row
     counts: np.ndarray  # int64
 
     @property
     def n_rows(self) -> int:
         return len(self.tx_hashes)
 
+    @property
+    def n_distinct(self) -> int:
+        return len(self.indptr) - 1
+
     @classmethod
     def build(cls, tx_hashes: Sequence[str], egos: Sequence[str],
-              feature_maps: Sequence[dict[str, int]], sort_keys: bool = False) -> "FeatureTable":
-        """The table of rows given as columns. A row's entries keep its
-        map's order, or key order with sort_keys."""
+              feature_maps: Sequence[dict[str, int]]) -> "FeatureTable":
+        """The table of rows given as columns."""
         keys = list(chain.from_iterable(feature_maps))
         vocabulary = sorted(set(keys))
         position = {key: i for i, key in enumerate(vocabulary)}
         indices = np.fromiter(map(position.__getitem__, keys), np.int32, len(keys))
         counts = np.fromiter(chain.from_iterable(map(dict.values, feature_maps)), np.int64, len(keys))
         lengths = np.fromiter(map(len, feature_maps), np.int64, len(feature_maps))
-        indptr = np.zeros(len(lengths) + 1, dtype=np.int64)
-        np.cumsum(lengths, out=indptr[1:])
-        if sort_keys:
-            rows = np.repeat(np.arange(len(lengths)) * len(vocabulary), lengths)
-            order = np.argsort(rows + indices, kind="stable")
-            indices, counts = indices[order], counts[order]
+        # each row's entries in vocabulary order, so that equal maps have equal entries
+        order = np.argsort(np.repeat(np.arange(len(lengths)) * len(vocabulary), lengths) + indices,
+                           kind="stable")
         ego_index = {ego: i for i, ego in enumerate(dict.fromkeys(egos))}
         return cls(
             tx_hashes=Strings.pack(tx_hashes),
             ego_names=Strings.pack(list(ego_index)),
             ego_ids=np.fromiter(map(ego_index.__getitem__, egos), np.int32, len(egos)),
-            vocabulary=vocabulary, indptr=indptr, indices=indices, counts=counts,
+            vocabulary=vocabulary, **_distinct(lengths, indices[order], counts[order]),
         )
 
     @classmethod
@@ -93,46 +97,72 @@ class FeatureTable:
         position = {key: i for i, key in enumerate(vocabulary)}
         ego_names = [t.ego_names.tolist() for t in tables]
         ego_index = {ego: i for i, ego in enumerate(dict.fromkeys(chain.from_iterable(ego_names)))}
-        entry_offsets = np.cumsum([0] + [len(t.indices) for t in tables[:-1]])
+        # a sorted vocabulary maps into the sorted union in order, so entries stay ascending
+        stacked = _distinct(
+            np.concatenate([np.diff(t.indptr) for t in tables]),
+            np.concatenate([np.array([position[k] for k in t.vocabulary], dtype=np.int32)[t.indices]
+                            for t in tables]),
+            np.concatenate([t.counts for t in tables]))
+        row_offsets = np.cumsum([0] + [t.n_distinct for t in tables[:-1]])
+        stacked["row_of"] = stacked["row_of"][np.concatenate([
+            t.row_of + off for t, off in zip(tables, row_offsets)])]
         return cls(
             tx_hashes=Strings.concat([t.tx_hashes for t in tables]),
             ego_names=Strings.pack(list(ego_index)),
             ego_ids=np.concatenate([
                 np.array([ego_index[e] for e in names], dtype=np.int32)[t.ego_ids]
                 for t, names in zip(tables, ego_names)]),
-            vocabulary=vocabulary,
-            indptr=np.concatenate([np.zeros(1, np.int64)] + [
-                t.indptr[1:] + off for t, off in zip(tables, entry_offsets)]),
-            indices=np.concatenate([
-                np.array([position[k] for k in t.vocabulary], dtype=np.int32)[t.indices]
-                for t in tables]),
-            counts=np.concatenate([t.counts for t in tables]),
+            vocabulary=vocabulary, **stacked,
         )
 
     def egos(self) -> list[str]:
         names = self.ego_names.tolist()
         return [names[i] for i in self.ego_ids.tolist()]
 
-    def rows(self) -> Iterator[tuple[str, str, dict[str, int]]]:
-        """(tx_hash, ego, features) per row, keys in the row's order."""
+    def distinct_rows(self) -> list[dict[str, int]]:
+        """Each distinct row's features, keys in vocabulary order."""
         vocab, indptr = self.vocabulary, self.indptr.tolist()
         indices, counts = self.indices.tolist(), self.counts.tolist()
-        for i, (tx_hash, ego) in enumerate(zip(self.tx_hashes.tolist(), self.egos())):
-            start, stop = indptr[i], indptr[i + 1]
-            yield tx_hash, ego, {vocab[c]: n for c, n in zip(indices[start:stop], counts[start:stop])}
+        return [{vocab[c]: n for c, n in zip(indices[start:stop], counts[start:stop])}
+                for start, stop in zip(indptr, indptr[1:])]
+
+    def rows(self) -> Iterator[tuple[str, str, dict[str, int]]]:
+        """(tx_hash, ego, features) per row, keys in vocabulary order."""
+        maps = self.distinct_rows()
+        for tx_hash, ego, row in zip(self.tx_hashes.tolist(), self.egos(), self.row_of.tolist()):
+            yield tx_hash, ego, dict(maps[row])
 
     def take(self, rows: Sequence[int]) -> "FeatureTable":
-        """The given rows, in the given order, over the same vocabulary and egos."""
+        """The given rows, in the given order, over the same vocabulary and
+        egos, with only the distinct rows they use."""
         rows = np.asarray(rows, dtype=np.int64)
-        starts = self.indptr[rows]
-        lengths = self.indptr[rows + 1] - starts
+        used = self.row_of[rows]
+        starts = self.indptr[used]
+        lengths = self.indptr[used + 1] - starts
         indptr = np.zeros(len(rows) + 1, dtype=np.int64)
         np.cumsum(lengths, out=indptr[1:])
         entries = np.repeat(starts - indptr[:-1], lengths) + np.arange(indptr[-1])
         hashes = self.tx_hashes.tolist()
         return FeatureTable(
             tx_hashes=Strings.pack([hashes[i] for i in rows.tolist()]),
-            ego_names=self.ego_names, ego_ids=self.ego_ids[rows],
-            vocabulary=self.vocabulary, indptr=indptr,
-            indices=self.indices[entries], counts=self.counts[entries],
+            ego_names=self.ego_names, ego_ids=self.ego_ids[rows], vocabulary=self.vocabulary,
+            **_distinct(lengths, self.indices[entries], self.counts[entries]),
         )
+
+
+_ENTRY_BYTES = 16  # an entry as two int64: index, count
+
+
+def _distinct(lengths: np.ndarray, indices: np.ndarray, counts: np.ndarray) -> dict:
+    """row_of and the CSR of the distinct rows, in first-seen order, of the
+    rows with the given lengths and entries; rows are equal when their
+    entries' bytes are."""
+    data = np.stack([indices.astype(np.int64), counts], axis=1).tobytes()
+    bounds = np.concatenate(([0], np.cumsum(lengths) * _ENTRY_BYTES)).tolist()
+    first: dict[bytes, int] = {}
+    row_of = np.fromiter((first.setdefault(data[a:b], len(first)) for a, b in zip(bounds, bounds[1:])),
+                         np.int32, len(lengths))
+    distinct = np.frombuffer(b"".join(first), dtype=np.int64).reshape(-1, 2)
+    ends = np.cumsum(np.fromiter(map(len, first), np.int64, len(first))) // _ENTRY_BYTES
+    return {"row_of": row_of, "indptr": np.concatenate(([0], ends)),
+            "indices": distinct[:, 0].astype(np.int32), "counts": distinct[:, 1].copy()}

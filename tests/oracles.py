@@ -19,6 +19,7 @@ import numpy as np
 
 from motifscope import ingest
 from motifscope.etn import EgoTransferNetwork
+from motifscope.motif import IN, OUT, RECIP
 
 SAMPLE_CATEGORIES = ("Cryptocurrency", "Stablecoin", "Synthetic", "Marketplace", "Unlabeled")
 
@@ -139,9 +140,38 @@ def brute_force_motifs_untyped(etn: EgoTransferNetwork, catalog) -> dict[str, in
     return counts
 
 
+def count_motifs_untyped(tx: tuple, catalog) -> dict[str, int]:
+    """Per-shape counts ignoring account types (shape id -> count), from its
+    own pass over the stored rows: the reference typed counts marginalize to."""
+    _, ego, _, rows = tx
+    outs = {dst for src, dst, *_ in rows if src == ego}
+    ins = {src for src, dst, *_ in rows if dst == ego}
+    states = sorted(Counter(RECIP if n in outs and n in ins else OUT if n in outs else IN
+                            for n in outs | ins).items())
+    counts = {catalog.two_node[s].id: n for s, n in states if s in catalog.two_node}
+    for i, (s1, n1) in enumerate(states):
+        for s2, n2 in states[i:]:
+            shape = catalog.three_node.get((s1, s2))
+            pairs = n1 * (n1 - 1) // 2 if s1 == s2 else n1 * n2
+            if shape is not None and pairs:
+                counts[shape.id] = pairs
+    return counts
+
+
 # ---------------------------------------------------------------------------
 # silhouette by per-point loops
 # ---------------------------------------------------------------------------
+
+def canonical_labels(labels) -> np.ndarray:
+    """Relabel clusters by first appearance, for permutation-invariant tests."""
+    mapping: dict[int, int] = {}
+    out = np.empty(len(labels), dtype=np.int64)
+    for i, lab in enumerate(labels):
+        if lab not in mapping:
+            mapping[lab] = len(mapping)
+        out[i] = mapping[lab]
+    return out
+
 
 def brute_force_silhouette(X: np.ndarray, labels) -> float:
     X = np.asarray(X, dtype=float)

@@ -26,7 +26,6 @@ from motifscope.learn import (
 from motifscope.models import DecisionTree, logistic_loss_grad
 from motifscope.profile import (
     build_profiles,
-    canonical_labels,
     filter_min_matches,
     hcluster,
     silhouette_score,
@@ -43,7 +42,9 @@ from oracles import (
     brute_force_maximal_itemsets,
     brute_force_motifs,
     brute_force_silhouette,
+    canonical_labels,
     central_difference,
+    count_motifs_untyped,
     random_tx,
 )
 
@@ -251,7 +252,7 @@ def test_criterion_03_type_marginalization(capsys):
         for key, count in typed.items():
             shape = key.split("(")[0]
             by_shape[shape] = by_shape.get(shape, 0) + count
-        if by_shape != motif.count_motifs_untyped(tx, CATALOG):
+        if by_shape != count_motifs_untyped(tx, CATALOG):
             mismatches += 1
     _report(capsys, 3, mismatches == 0,
             f"typed counts marginalize exactly to untyped per-shape counts on 1000 "

@@ -653,9 +653,7 @@ def _signature(leaf, group, items):
                          item_supports={}, support=1.0)
 
 
-@pytest.mark.parametrize("memo_size", [cli.MATCH_MEMO_SIZE, 1])
-def test_match_features_once_per_key_set_equals_oracle(tmp_path, monkeypatch, memo_size):
-    monkeypatch.setattr(cli, "MATCH_MEMO_SIZE", memo_size)
+def test_match_features_once_per_key_set_equals_oracle(tmp_path, monkeypatch):
     signatures = [_signature(3, "Swap", ["a", "b"]), _signature(1, "Swap", ["a"]),
                   _signature(7, "Deposit", ["c"]), _signature(7, "Repay", ["d"]),
                   _signature(9, "Borrow", [])]
@@ -663,6 +661,7 @@ def test_match_features_once_per_key_set_equals_oracle(tmp_path, monkeypatch, me
         {"a": 1, "b": 2},
         {"b": 5, "a": 1},            # the same key set, reordered
         {"a": 1, "b": 2},            # repeated
+        {"b": 2, "a": 1},            # repeated, keys reordered: the same distinct row
         {"a": 1, "b": 0, "c": 3},    # a zero count is an absent key
         {"a": 1, "b": 1, "c": 3},    # the same keys as the row above, another present set
         {"a": 2, "c": 1},            # the same present set as the row above
@@ -686,7 +685,8 @@ def test_match_features_once_per_key_set_equals_oracle(tmp_path, monkeypatch, me
 
     monkeypatch.setattr(cli, "match_signatures", counting)
     out = tmp_path / "matches.jsonl"
-    pairs = cli.match_features(storage.read_features(features), signatures, out)
+    table = storage.read_features(features)
+    pairs = cli.match_features(table, signatures, out)
     expected_lines, expected_pairs = [], []
     for i, feats in enumerate(rows):
         leaves, groups = brute_force_match(feats, signatures)
@@ -695,11 +695,9 @@ def test_match_features_once_per_key_set_equals_oracle(tmp_path, monkeypatch, me
         expected_pairs.append((f"0xe{i % 3}", tuple(leaves)))
     assert out.read_text(encoding="utf-8").splitlines(keepends=True) == expected_lines
     assert pairs == expected_pairs
-    present = {tuple(k for k, c in feats.items() if c > 0) for feats in rows}
-    if memo_size > len(rows):
-        assert len(calls) == len(present) < len(rows)
-    else:  # the memo started over: some key sets were matched again
-        assert len(present) < len(calls) < len(rows)
+    # one call per distinct row: the same keys and counts in any key order
+    distinct = {tuple(sorted(feats.items())) for feats in rows}
+    assert len(calls) == table.n_distinct == len(distinct) < len(rows)
 
 
 def test_match_failure_keeps_previous_matches(tmp_path, small_corpus, trained, monkeypatch):
@@ -936,6 +934,14 @@ def test_pipeline_records_stage_rss(pipeline_run):
     assert set(rss) == set(manifest["stages"])
     marks = [rss[stage] for stage in manifest["stages"]]
     assert marks[0] > 0 and marks == sorted(marks)  # a high-water mark never falls
+
+
+def test_pipeline_records_featurize_counters(pipeline_run):
+    manifest = storage.read_json(pipeline_run / "manifest.json")
+    lines = (pipeline_run / "features.jsonl").read_text(encoding="utf-8").splitlines()
+    distinct = {tuple(sorted(json.loads(line)["features"].items())) for line in lines}
+    assert manifest["counters"] == {"featurize": {"rows": 2000, "distinct_rows": len(distinct)}}
+    assert len(lines) == 2000 and len(distinct) < 2000
 
 
 def test_pipeline_missing_input_exit_2(tmp_path, small_corpus, capsys):

@@ -41,9 +41,7 @@ def test_build_dataset_sorted_classes_and_metadata():
     assert ds.y.tolist() == [1, 0, 1]
     assert ds.vocabulary == ["a", "b", OOV_KEY]
     assert ds.tx_hashes == ["t1", "t2", "t3"]
-    assert ds.egos == ["e1", "e2", "e1"]
     assert ds.n_rows == 3
-    assert ds.class_counts().tolist() == [1, 2]
 
 
 def test_build_dataset_with_fixed_classes_and_vocabulary():
@@ -218,7 +216,6 @@ def test_evaluate_pools_confusion_and_averages():
     X = np.zeros((rows, 1))
     ds = learn.Dataset(
         X=X, y=y, classes=["a", "b"], vocabulary=["x"], tx_hashes=[str(i) for i in range(rows)],
-        egos=[""] * rows,
     )
     folds = learn.stratified_kfold(y, k=5, seed=0)
     report = learn.evaluate(ds, folds, lambda train_idx: _Majority(0))

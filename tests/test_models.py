@@ -152,16 +152,6 @@ def test_tree_leaf_ids_preorder_and_apply(rng):
         assert tree.predict(X[i : i + 1])[0] == node.prediction
 
 
-def test_tree_decision_path():
-    X = np.array([[0.0], [1.0], [2.0], [3.0]])
-    y = np.array([0, 0, 1, 1])
-    tree = DecisionTree.fit(X, y, min_leaf=1)
-    path = tree.decision_path(np.array([0.5]))
-    assert len(path) == 1
-    node, went_left = path[0]
-    assert node is tree.root and went_left
-
-
 def test_tree_weighted_majority():
     X = np.zeros((3, 1))
     y = np.array([0, 0, 1])

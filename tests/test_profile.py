@@ -7,7 +7,6 @@ from motifscope import profile as prof
 from motifscope.profile import (
     Profiles,
     build_profiles,
-    canonical_labels,
     emit_clustermap_data,
     filter_min_matches,
     hcluster,
@@ -16,7 +15,7 @@ from motifscope.profile import (
     zscore_columns,
 )
 
-from oracles import brute_force_silhouette
+from oracles import brute_force_silhouette, canonical_labels
 
 
 def profile_blobs(rng, n_per=20, k=3, d=4, spread=0.05):

@@ -24,7 +24,8 @@ def assert_same_table(a: FeatureTable, b: FeatureTable) -> None:
         b.tx_hashes.text, b.ego_names.text, b.vocabulary)
 
     def arrays(t):
-        return t.tx_hashes.ends, t.ego_names.ends, t.ego_ids, t.indptr, t.indices, t.counts
+        return (t.tx_hashes.ends, t.ego_names.ends, t.ego_ids, t.row_of, t.indptr, t.indices,
+                t.counts)
 
     for x, y in zip(arrays(a), arrays(b)):
         assert x.dtype == y.dtype and np.array_equal(x, y)
@@ -32,24 +33,32 @@ def assert_same_table(a: FeatureTable, b: FeatureTable) -> None:
 
 @pytest.mark.parametrize("mode", MODES)
 def test_featurize_table_equals_table_read_back(small_corpus, tmp_path, monkeypatch, mode):
-    monkeypatch.setattr(featurize, "CHUNK_LINES", 300)  # several chunks to concatenate
     wide_store(tmp_path / "wide")
     for store, max_nodes in ((small_corpus["store"], motif.DEFAULT_MAX_NODES),
                              (tmp_path / "wide", 4)):
         tables, texts = [], []
-        for threads in (1, 2):
-            out = tmp_path / f"features{threads}.jsonl"
-            stats = featurize.featurize_store(store, mode, out, threads=threads,
-                                              max_nodes=max_nodes)
-            assert stats.transactions == stats.table.n_rows
-            assert_same_table(stats.table, storage.read_features(out))
-            tables.append(stats.table)
-            texts.append(out.read_bytes())
-        assert_same_table(*tables)
-        assert texts[0] == texts[1]
-        # rows keep the keys' sorted order, as the lines do
-        for tx_hash, ego, feats in tables[0].rows():
+        # several chunks to concatenate, and one
+        for chunk_lines in (300, featurize.CHUNK_LINES):
+            monkeypatch.setattr(featurize, "CHUNK_LINES", chunk_lines)
+            for threads in (1, 2):
+                out = tmp_path / f"features{threads}.jsonl"
+                stats = featurize.featurize_store(store, mode, out, threads=threads,
+                                                  max_nodes=max_nodes)
+                assert stats.transactions == stats.table.n_rows
+                assert_same_table(stats.table, storage.read_features(out))
+                tables.append(stats.table)
+                texts.append(out.read_bytes())
+        for table, text in zip(tables[1:], texts[1:]):
+            assert_same_table(table, tables[0])
+            assert text == texts[0]
+        # rows come back with sorted keys, as the lines carry them
+        lines = texts[0].decode("utf-8").splitlines()
+        assert len(lines) == tables[0].n_rows
+        for line, (tx_hash, ego, feats) in zip(lines, tables[0].rows()):
             assert list(feats) == sorted(feats)
+            assert json.loads(line)["features"] == feats
+        rows = [tuple(feats.items()) for _, _, feats in tables[0].rows()]
+        assert tables[0].n_distinct == len(set(rows))
 
 
 @pytest.mark.parametrize("threads", [1, 2])
@@ -93,7 +102,7 @@ def _check_dataset(table, labels_path, parsed, classes=None, vocabulary=None):
     assert ds.X.tobytes() == X.tobytes()
     assert ds.y.tolist() == y.tolist()
     assert (ds.classes, ds.vocabulary) == (ref_classes, ref_vocabulary)
-    assert ds.tx_hashes == [r[0] for r in rows] and ds.egos == [r[1] for r in rows]
+    assert ds.tx_hashes == [r[0] for r in rows]
     return ds
 
 
@@ -195,6 +204,72 @@ def test_read_features_rejects_non_string_hash(tmp_path):
     path.write_text('{"tx_hash":7,"ego":"e","features":{}}\n', encoding="utf-8")
     with pytest.raises(ingest.InputError, match=re.escape(f"bad features file {path}:1: ")):
         storage.read_features(path)
+
+
+def _random_map(rng, keys):
+    """A feature map in random key order, with zero counts and empty maps."""
+    chosen = rng.sample(keys, rng.randint(0, 4))
+    return {key: rng.choice([0, 1, 2, 7, -3, 2 ** 40]) for key in chosen}
+
+
+def test_table_equals_per_row_oracle():
+    """build, concat, take and rows() against per-row dicts: equal maps,
+    whatever their key order, share one distinct row, also across chunks."""
+    rng = random.Random(11)
+    keys = ["m1(E,A)", "m2(A,C)", "(A,E)Stablecoin", "b", "a", OOV_KEY]
+    for trial in range(40):
+        shared = _random_map(rng, keys)  # repeated in every chunk
+        chunks = []
+        for c in range(rng.randint(1, 4)):
+            maps = [_random_map(rng, keys) for _ in range(rng.randint(0, 12))]
+            maps += [dict(reversed(list(shared.items()))), dict(shared)]
+            rng.shuffle(maps)
+            # a few repeats of earlier maps, in another key order
+            maps += [dict(rng.sample(list(m.items()), len(m))) for m in rng.choices(maps, k=3)]
+            hashes = [f"t{trial}.{c}.{i}" for i in range(len(maps))]
+            egos = [f"e{rng.randint(0, 3)}" for _ in maps]
+            chunks.append(list(zip(hashes, egos, maps)))
+        oracle = [row for chunk in chunks for row in chunk]
+        tables = [FeatureTable.build(*zip(*chunk)) for chunk in chunks]
+        table = FeatureTable.concat(tables)
+        assert_same_table(table, FeatureTable.build(*zip(*oracle)))
+        for t, rows in [(table, oracle)] + list(zip(tables, chunks)):
+            got = list(t.rows())
+            assert got == rows
+            for _, _, feats in got:
+                assert list(feats) == sorted(feats)
+            distinct = {tuple(sorted(feats.items())) for _, _, feats in rows}
+            assert t.n_distinct == len(distinct)
+            assert len(t.row_of) == t.n_rows and t.row_of.dtype == np.int32
+            # a distinct row is stored once: the shared map has one row id
+            ids = {int(t.row_of[i]) for i, (_, _, feats) in enumerate(rows) if feats == shared}
+            assert len(ids) == 1
+        picked = rng.sample(range(len(oracle)), rng.randint(1, len(oracle)))
+        taken = table.take(picked)
+        assert list(taken.rows()) == [oracle[i] for i in picked]
+        assert taken.vocabulary == table.vocabulary
+        assert taken.n_distinct == len({tuple(sorted(oracle[i][2].items())) for i in picked})
+        # the same distinct rows, in the same first-seen order, as a table of the picked rows
+        built = FeatureTable.build(*zip(*[oracle[i] for i in picked]))
+        assert np.array_equal(taken.row_of, built.row_of)
+        assert taken.distinct_rows() == built.distinct_rows()
+
+
+def test_take_keeps_only_the_distinct_rows_it_uses(tmp_path):
+    """A key seen only in unlabelled rows stays out of the dataset's vocabulary."""
+    rows = [("t1", "e1", {"a": 1}), ("t2", "e1", {"unlabelled_only": 4}),
+            ("t3", "e2", {"a": 1, "b": 2}), ("t4", "e2", {"a": 1})]
+    table = FeatureTable.build(*zip(*rows))
+    taken = table.take([3, 0, 2])
+    assert taken.n_distinct == 2
+    assert taken.row_of.tolist() == [0, 0, 1]
+    assert taken.distinct_rows() == [{"a": 1}, {"a": 1, "b": 2}]
+    labels = tmp_path / "labels.csv"
+    labels.write_text("tx_hash,ego,method_group\nt1,e1,Swap\nt3,e2,Mint\nt4,e2,Swap\n",
+                      encoding="utf-8")
+    ds = cli.load_dataset(table, labels)
+    assert ds.vocabulary == ["a", "b", OOV_KEY]
+    assert ds.X.tolist() == [[1, 0, 0], [1, 2, 0], [1, 0, 0]]
 
 
 def test_table_take_and_rows():
