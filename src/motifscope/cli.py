@@ -153,7 +153,8 @@ def load_dataset(table: FeatureTable, labels_path, classes=None, vocabulary=None
 
 def fit_model(kind: str, dataset: Dataset, rows, params: dict, seed: int):
     """Fit one class-weighted model of `kind` on dataset's `rows` (the single
-    fit dispatch). Trees index the dataset's one rank encoding."""
+    fit dispatch). Trees fit on the dataset's pairs, through its one rank
+    encoding, and the rows' pair indices."""
     y = dataset.y[rows]
     n_classes = len(dataset.classes)
     sw = sample_weights(y, n_classes)
@@ -161,13 +162,15 @@ def fit_model(kind: str, dataset: Dataset, rows, params: dict, seed: int):
     if kind == "lr":
         return LogisticModel.fit(dataset.X[rows], y, sw, n_classes=n_classes, l2=params.get("l2", 1.0))
     if kind == "dt":
-        return DecisionTree.fit(dataset.ranked[rows], y, sw, n_classes=n_classes, min_leaf=min_leaf)
+        return DecisionTree.fit(dataset.ranked, dataset.pair_y, sw, n_classes=n_classes,
+                                min_leaf=min_leaf, pair_of=dataset.pair_of[rows])
     if kind == "rf":
         if params.get("trees", 100) < 1:
             raise InputError(f"trees must be at least 1, got {params['trees']}")
         return RandomForest.fit(
-            dataset.ranked[rows], y, sw, n_classes=n_classes, n_trees=params.get("trees", 100),
+            dataset.ranked, dataset.pair_y, sw, n_classes=n_classes, n_trees=params.get("trees", 100),
             min_leaf=min_leaf, max_features=params.get("max_features", "sqrt"), seed=seed,
+            pair_of=dataset.pair_of[rows],
         )
     raise InputError(f"unknown model kind {kind!r}")
 
@@ -234,7 +237,7 @@ def _ccp_cv_rows(path, params: dict, dataset: Dataset, folds, fold_trees=None):
         fold_path = ccp_path(tree)
         for ai, entry in enumerate(path):
             sub, _ = select_pruned(fold_path, alpha=entry.alpha)
-            pooled[ai] += confusion_matrix(dataset.y[test_idx], sub.predict(dataset.X[test_idx]), K)
+            pooled[ai] += confusion_matrix(dataset.y[test_idx], dataset.predict(sub, test_idx), K)
     return [macro_scores(cm) for cm in pooled]
 
 
@@ -270,7 +273,8 @@ def write_signatures(spec: ModelSpec, dataset: Dataset, threshold: float, method
     if spec.kind != "dt":
         raise InputError("signature mining requires a decision-tree model")
     signatures, discrepancies = mine_signatures(
-        spec.instance, dataset.X, spec.vocabulary, spec.classes, threshold=threshold, method=method,
+        spec.instance, dataset.pairs, spec.vocabulary, spec.classes, threshold=threshold,
+        method=method, counts=dataset.counts,
     )
     storage.write_json(out, {
         "format": "motifscope-signatures",
@@ -422,7 +426,7 @@ def cmd_featurize(args) -> int:
     catalog = motif.load_catalog(args.catalog) if args.catalog else None
     stats = featurize_store(
         args.store, args.mode, args.out,
-        threads=args.threads, catalog=catalog, max_nodes=args.max_nodes,
+        threads=args.threads, catalog=catalog, max_nodes=args.max_nodes, build_table=False,
     )
     _print({
         "transactions": stats.transactions,
@@ -693,6 +697,7 @@ def _run_stages(cfg: PipelineConfig, out: Path, manifest: dict) -> None:
                                         out / "model.json")
 
         dataset, spec = _stage(manifest, "train", train)
+        manifest["counters"]["train"] = {"rows": dataset.n_rows, "distinct_pairs": dataset.n_pairs}
         folds, report = _stage(manifest, "eval", lambda: cross_validate(
             spec, dataset, cfg.folds, cfg.seed, out / "eval_report.json"))
         # prune-CV reuses eval's fold models when they are the trees it needs

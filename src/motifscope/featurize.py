@@ -19,7 +19,7 @@ import os
 from dataclasses import dataclass
 from functools import partial
 from itertools import islice
-from typing import Iterable, Sequence
+from typing import Iterable, Optional, Sequence
 
 from . import motif, storage
 from .ingest import _open
@@ -51,10 +51,11 @@ def _chunk_transactions(chunk) -> Iterable[tuple]:
     return (decode(line, path, lineno) for lineno, line in enumerate(lines, first) if line.strip())
 
 
-def _process_chunk(catalog: MotifCatalog, mode: str, max_nodes: int,
-                   chunk) -> tuple[str, int, int, FeatureTable]:
-    """Featurize one chunk into (joined output lines, oversize, rejected,
-    the chunk's FeatureTable); a bad store line raises InputError."""
+def _process_chunk(catalog: MotifCatalog, mode: str, max_nodes: int, build_table: bool,
+                   chunk) -> tuple[str, int, int, int, Optional[FeatureTable]]:
+    """Featurize one chunk into (joined output lines, rows, oversize,
+    rejected, the chunk's FeatureTable or None when not built); a bad store
+    line raises InputError."""
     out, hashes, egos, feature_maps = [], [], [], []
     oversize = rejected = 0
     features = motif.transaction_features
@@ -67,7 +68,8 @@ def _process_chunk(catalog: MotifCatalog, mode: str, max_nodes: int,
         hashes.append(tx[0])
         egos.append(tx[1])
         feature_maps.append(feats)
-    return "\n".join(out), oversize, rejected, FeatureTable.build(hashes, egos, feature_maps)
+    table = FeatureTable.build(hashes, egos, feature_maps) if build_table else None
+    return "\n".join(out), len(out), oversize, rejected, table
 
 
 @dataclass
@@ -75,7 +77,7 @@ class FeaturizeStats:
     transactions: int
     oversize: int
     rejected_transfers: int
-    table: FeatureTable
+    table: Optional[FeatureTable]
 
 
 def _store_chunks(path, chunk_lines: int):
@@ -94,9 +96,11 @@ def featurize_store(
     threads: int = 1,
     catalog: MotifCatalog | None = None,
     max_nodes: int = DEFAULT_MAX_NODES,
+    build_table: bool = True,
 ) -> FeaturizeStats:
     """Featurize every transaction of `store` into out_path (JSONL) and
-    return the counts and the FeatureTable of the lines written.
+    return the counts and, unless build_table is false, the FeatureTable of
+    the lines written.
 
     store is a store directory, or the list of (tx_hash, ego, method group,
     rows) tuples that was written to one. Such a list is consumed: each
@@ -115,7 +119,7 @@ def featurize_store(
         box = [store]
         chunks = [range(start, min(start + CHUNK_LINES, len(store)))
                   for start in range(0, len(store), CHUNK_LINES)]
-    work = partial(_process_chunk, catalog, mode, max_nodes)
+    work = partial(_process_chunk, catalog, mode, max_nodes, build_table)
     try:
         with storage.replacing(out_path) as (tmp_path,), open(tmp_path, "w", encoding="utf-8") as out:
             if threads <= 1:
@@ -130,11 +134,12 @@ def featurize_store(
 
 
 def _collect(out, results, box: list) -> FeaturizeStats:
-    """Write each chunk's lines in order and concatenate the chunk tables;
-    release each chunk of the in-memory transactions in `box` once written."""
+    """Write each chunk's lines in order and concatenate the chunk tables, if
+    built; release each chunk of the in-memory transactions in `box` once
+    written."""
     tables = []
     oversize = rejected = done = 0
-    for text, ov, rej, table in results:
+    for text, rows, ov, rej, table in results:
         if text:
             out.write(text)
             out.write("\n")
@@ -142,8 +147,8 @@ def _collect(out, results, box: list) -> FeaturizeStats:
         rejected += rej
         tables.append(table)
         if box:
-            box[0][done:done + table.n_rows] = [None] * table.n_rows
-            done += table.n_rows
-    table = FeatureTable.concat(tables)
-    return FeaturizeStats(transactions=table.n_rows, oversize=oversize, rejected_transfers=rejected,
+            box[0][done:done + rows] = [None] * rows
+        done += rows
+    table = FeatureTable.concat(tables) if None not in tables else None
+    return FeaturizeStats(transactions=done, oversize=oversize, rejected_transfers=rejected,
                           table=table)

@@ -16,32 +16,64 @@ from .table import FeatureTable
 
 @dataclass
 class Dataset:
-    """Dense design matrix with a fixed, lexicographic feature vocabulary.
+    """Labelled rows over a fixed, lexicographic feature vocabulary, held as
+    their distinct (row, class) pairs.
 
     The vocabulary is closed over the training corpus; the trailing OOV
     column absorbs feature keys unseen at training time so models can score
     transactions from outside the corpus.
 
-    `ranked` is X rank-encoded (`models.RankedMatrix`: per-column codes in
-    a narrow unsigned dtype plus each column's sorted uniques), computed on
-    first use and cached. Trees fitted on folds, bootstrap samples or the
-    whole set index these codes, so X is encoded once however many trees
-    are fitted on it.
+    Rows repeat heavily, so the dataset stores the distinct (feature row,
+    class) pairs as a small dense matrix, `pairs` with classes `pair_y`, and
+    `pair_of`, each row's pair. Trees fit on the pairs with each row's pair
+    index (`models.DecisionTree.fit`'s `pair_of`), predict once per pair, and
+    signatures are mined over the pairs with their multiplicities `counts`.
+    `ranked` is the pairs rank-encoded (`models.RankedMatrix`), computed once
+    on first use, so every tree fitted on folds, bootstrap samples or the
+    whole set indexes one encoding. `X`, the dense row matrix `pairs[pair_of]`,
+    and `y` are expanded on first use: logistic regression fits and predicts
+    on X.
     """
 
-    X: np.ndarray
-    y: np.ndarray
+    pairs: np.ndarray  # (n_pairs, vocabulary) float
+    pair_y: np.ndarray  # int64: pair p's class
+    pair_of: np.ndarray  # intp: row i is pair pair_of[i]
     classes: list[str]
     vocabulary: list[str]
     tx_hashes: list[str] = field(default_factory=list)
 
     @property
     def n_rows(self) -> int:
-        return self.X.shape[0]
+        return len(self.pair_of)
+
+    @property
+    def n_pairs(self) -> int:
+        return len(self.pair_y)
+
+    @cached_property
+    def X(self) -> np.ndarray:
+        return self.pairs[self.pair_of]
+
+    @cached_property
+    def y(self) -> np.ndarray:
+        return self.pair_y[self.pair_of]
+
+    @cached_property
+    def counts(self) -> np.ndarray:
+        """Each pair's number of rows."""
+        return np.bincount(self.pair_of, minlength=self.n_pairs)
 
     @cached_property
     def ranked(self) -> models.RankedMatrix:
-        return models.rank_encode(self.X)
+        return models.rank_encode(self.pairs)
+
+    def predict(self, model, rows) -> np.ndarray:
+        """model's predicted class indices for the given rows: a tree's (or
+        any model's but a logistic one) made once per pair and indexed by
+        pair_of, a logistic model's made on X as when it was fitted."""
+        if isinstance(model, models.LogisticModel):
+            return model.predict(self.X[rows])
+        return model.predict(self.pairs)[self.pair_of[rows]]
 
 
 def build_dataset(
@@ -52,11 +84,12 @@ def build_dataset(
 ) -> Dataset:
     """Assemble a table's rows, labelled by `labels` (one per row), into a Dataset.
 
-    The vocabulary defaults to the sorted keys of the rows plus OOV_KEY. X is
-    built straight from the table's CSR arrays, once per distinct row and
-    then indexed by row_of: a key outside the vocabulary adds its count into
-    the OOV column, in vocabulary order, which gives the same X as any other
-    order while each partial sum stays below 2**53.
+    The vocabulary defaults to the sorted keys of the rows plus OOV_KEY. The
+    pairs are filled straight from the table's CSR arrays, once per distinct
+    row: a key outside the vocabulary adds its count into the OOV column, in
+    vocabulary order, which gives the same row as any other order while each
+    partial sum stays below 2**53. A pair is a distinct row and a class, in
+    the order of (row_of, class).
     """
     if not table.n_rows:
         raise ValueError("cannot build a dataset from zero labeled rows")
@@ -73,9 +106,12 @@ def build_dataset(
     rows = np.repeat(np.arange(table.n_distinct), np.diff(table.indptr))
     np.add.at(distinct, (rows, column[table.indices]), table.counts)
     y = np.array([class_index[label] for label in labels], dtype=np.int64)
+    _, first, pair_of = np.unique(table.row_of.astype(np.int64) * len(classes) + y,
+                                  return_index=True, return_inverse=True)
     return Dataset(
-        X=distinct[table.row_of],
-        y=y,
+        pairs=distinct[table.row_of[first]],
+        pair_y=y[first],
+        pair_of=pair_of,
         classes=classes,
         vocabulary=vocabulary,
         tx_hashes=table.tx_hashes.tolist(),
@@ -110,17 +146,20 @@ def stratified_kfold(
     if k < 2:
         raise InputError(f"folds must be at least 2, got {k}")
     n = len(y)
+    y = np.asarray(y)
     if groups is None:
-        unit_rows = [np.array([i]) for i in range(n)]
-        unit_labels = np.asarray(y)
+        unit_of = np.arange(n)
+        unit_labels = y
     else:
-        by_group: dict[str, list[int]] = {}
-        for i, g in enumerate(groups):
-            by_group.setdefault(g, []).append(i)
-        unit_rows = [np.array(rows) for rows in by_group.values()]
-        unit_labels = np.array([y[rows[0]] for rows in unit_rows])
+        # units are the groups in order of first occurrence
+        _, first, inverse = np.unique(np.asarray(groups), return_index=True, return_inverse=True)
+        order = np.argsort(first)
+        rank = np.empty_like(order)
+        rank[order] = np.arange(len(order))
+        unit_of = rank[inverse.reshape(-1)]
+        unit_labels = y[first[order]]
     rng = np.random.default_rng(seed)
-    fold_units: list[list[int]] = [[] for _ in range(k)]
+    fold_of = np.empty(len(unit_labels), dtype=np.intp)
     for ci in np.unique(unit_labels):
         members = np.flatnonzero(unit_labels == ci)
         if len(members) < k:
@@ -132,17 +171,9 @@ def stratified_kfold(
         # rotate which folds receive the remainder so totals stay balanced
         rot = int(ci) % k
         sizes = sizes[-rot:] + sizes[:-rot] if rot else sizes
-        start = 0
-        for f, size in enumerate(sizes):
-            fold_units[f].extend(members[start : start + size])
-            start += size
-    folds = []
-    for f in range(k):
-        test = np.sort(np.concatenate([unit_rows[u] for u in fold_units[f]]))
-        mask = np.ones(n, dtype=bool)
-        mask[test] = False
-        folds.append((np.flatnonzero(mask), test))
-    return folds
+        fold_of[members] = np.repeat(np.arange(k), sizes)
+    row_fold = fold_of[unit_of]
+    return [(np.flatnonzero(row_fold != f), np.flatnonzero(row_fold == f)) for f in range(k)]
 
 
 def confusion_matrix(y_true: np.ndarray, y_pred: np.ndarray, n_classes: int) -> np.ndarray:
@@ -200,9 +231,10 @@ def evaluate(
     """Cross-validate: fit per fold, average macro metrics, pool confusion.
 
     fit_fn gets a fold's train row indices into the dataset and returns a
-    fitted model, so fits can index one shared encoding of X rather than a
-    copied row subset. The report keeps the fold models, so a later step on
-    the same folds can reuse them instead of refitting.
+    fitted model, so fits can index one shared encoding of the pairs rather
+    than a copied row subset; test rows are predicted by dataset.predict.
+    The report keeps the fold models, so a later step on the same folds can
+    reuse them instead of refitting.
     """
     n_classes = len(dataset.classes)
     models = []
@@ -211,8 +243,7 @@ def evaluate(
     for train_idx, test_idx in folds:
         model = fit_fn(train_idx)
         models.append(model)
-        y_pred = model.predict(dataset.X[test_idx])
-        cm = confusion_matrix(dataset.y[test_idx], y_pred, n_classes)
+        cm = confusion_matrix(dataset.y[test_idx], dataset.predict(model, test_idx), n_classes)
         pooled += cm
         per_fold.append(macro_scores(cm))
     averages = {

@@ -7,13 +7,26 @@ node split then reduces to bincounts over the rank codes, which keeps training
 linear in node size instead of paying a sort per node. A fit encodes a float
 matrix once per call (a forest once for all its trees), and callers that fit
 many trees on row subsets of one matrix encode it once and pass the codes.
+
+A fit's rows may repeat. `DecisionTree.fit` and `RandomForest.fit` then take
+the distinct (row, class) pairs as X and y and, as `pair_of`, each row's pair,
+and grow the tree of the rows, bit for bit, from an integer multiplicity per
+pair. One grower serves both; only the per-bin class-weight sum differs:
+- on rows (no `pair_of`; or weights that differ within a class, or every
+  multiplicity 1, where the pairs are expanded back to rows): the weighted
+  `np.bincount`, a sequential sum in row order;
+- on pairs (a multiplicity above 1 and one weight w_c per class): the bin's
+  integer count m of class-c rows, looked up in S_c = cumsum([0, w_c, w_c,
+  ...]), which is that sequential sum, as every term is w_c.
+Sample counts and `min_leaf` tests sum integer multiplicities, and
+`total_weight` stays the sum of the per-row weights.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from typing import Optional, Sequence, Union
+from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 from scipy.optimize import minimize
@@ -212,28 +225,48 @@ class DecisionTree:
         min_leaf: int = 10,
         max_features: Optional[int] = None,
         rng: Optional[np.random.Generator] = None,
+        pair_of: Optional[np.ndarray] = None,
     ) -> "DecisionTree":
+        """Fit on the rows of X and y, weighted by sample_weight (one per row).
+
+        With pair_of, row i is X[pair_of[i]] of class y[pair_of[i]]: X and y
+        hold the distinct (row, class) pairs, and the tree is bit for bit the
+        one fitted on X[pair_of], y[pair_of] and sample_weight.
+        """
         # node splits are bincounts over the rank codes
         ranked = rank_encode(X)
-        n = ranked.shape[0]
-        K = int(n_classes if n_classes is not None else y.max() + 1)
-        if sample_weight is None:
-            sample_weight = np.ones(n)
         y = np.asarray(y, dtype=np.int64)
+        K = int(n_classes if n_classes is not None else _row_classes(y, pair_of).max() + 1)
+        if sample_weight is None:
+            sample_weight = np.ones(ranked.shape[0] if pair_of is None else len(pair_of))
         total_weight = float(sample_weight.sum())
+        weight, sums = sample_weight, None  # each unit's bincount weight; the class-sum lookup
+        if pair_of is not None:
+            counts = np.bincount(pair_of, minlength=len(y))
+            sums = _class_sums(y, K, sample_weight, pair_of, counts)
+            if sums is None:  # rows again
+                ranked, y = ranked[pair_of], y[pair_of]
+            else:
+                weight = counts
+        n_units = ranked.shape[0]
 
         def make_node(idx: np.ndarray) -> TreeNode:
-            value = np.bincount(y[idx], weights=sample_weight[idx], minlength=K)
-            weight = float(value.sum())
-            return TreeNode(value, len(idx), weight, _node_gini(value, weight))
+            value = np.bincount(y[idx], weights=weight[idx], minlength=K)
+            n_samples = len(idx)
+            if sums is not None:
+                n_samples, value = int(value.sum()), sums(value)
+            weight_sum = float(value.sum())
+            return TreeNode(value, n_samples, weight_sum, _node_gini(value, weight_sum))
 
-        root = make_node(np.arange(n))
-        stack = [(root, np.arange(n))]
+        # pairs no row uses are no unit of any node
+        start = np.arange(n_units) if sums is None else np.flatnonzero(weight)
+        root = make_node(start)
+        stack = [(root, start)]
         while stack:
             node, idx = stack.pop()
-            if len(idx) < 2 * min_leaf or node.gini <= 0.0:
+            if node.n_samples < 2 * min_leaf or node.gini <= 0.0:
                 continue
-            split = _best_split(ranked.codes, ranked.uniques, y, sample_weight, idx, node, K,
+            split = _best_split(ranked.codes, ranked.uniques, y, weight, sums, idx, node, K,
                                 min_leaf, max_features, rng)
             if split is None:
                 continue
@@ -363,11 +396,38 @@ class DecisionTree:
         return tree
 
 
+def _row_classes(y: np.ndarray, pair_of: Optional[np.ndarray]) -> np.ndarray:
+    return np.asarray(y) if pair_of is None else np.asarray(y)[pair_of]
+
+
+def _class_sums(y: np.ndarray, K: int, sample_weight: np.ndarray, pair_of: np.ndarray,
+                counts: np.ndarray) -> Optional[Callable[[np.ndarray], np.ndarray]]:
+    """For a fit on pairs with one weight w_c per class, the lookup that
+    turns row counts m[..., c] into class-weight sums: table[offset[c] + m],
+    where the table holds each class's cumsum of its weight after a 0, which
+    is what np.bincount adds up over m rows of weight w_c, one by one. None
+    when the fit must run on rows: weights differ within a class, or no pair
+    repeats, so a lookup would save nothing."""
+    if len(counts) == 0 or counts.max() <= 1:
+        return None
+    row_class = y[pair_of]
+    class_weight = np.zeros(K)
+    class_weight[row_class] = sample_weight
+    if not np.array_equal(class_weight[row_class], sample_weight):
+        return None
+    class_rows = np.bincount(row_class, minlength=K)
+    offset = np.concatenate(([0], np.cumsum(class_rows + 1)[:-1]))
+    table = np.concatenate([np.concatenate(([0.0], np.cumsum(np.full(m, w))))
+                            for w, m in zip(class_weight.tolist(), class_rows.tolist())])
+    return lambda m: table[offset + m.astype(np.intp)]
+
+
 def _best_split(
     codes: np.ndarray,
     uniques: Sequence[np.ndarray],
     y: np.ndarray,
-    sample_weight: np.ndarray,
+    weight: np.ndarray,
+    sums: Optional[Callable[[np.ndarray], np.ndarray]],
     idx: np.ndarray,
     node: TreeNode,
     K: int,
@@ -375,6 +435,9 @@ def _best_split(
     max_features: Optional[int],
     rng: Optional[np.random.Generator],
 ) -> Optional[tuple[int, float, np.ndarray]]:
+    """The best split of the node whose units (rows, or pairs when sums is
+    given) are idx, or None; weight is each unit's sample weight on rows and
+    its multiplicity on pairs."""
     d = codes.shape[1]
     if max_features is not None and max_features < d:
         if rng is None:
@@ -382,9 +445,13 @@ def _best_split(
         features = np.sort(rng.choice(d, size=max_features, replace=False))
     else:
         features = np.arange(d)
+    if sums is not None:
+        # a feature constant across the node's pairs cannot split it
+        node_codes = codes[idx]
+        features = features[(node_codes[:, features] != node_codes[0, features]).any(axis=0)]
     y_node = y[idx]
-    sw_node = sample_weight[idx]
-    n_node = len(idx)
+    w_node = weight[idx]
+    n_node = node.n_samples
     eps = 1e-12 * max(1.0, node.weight)
     best_dec = eps
     best: Optional[tuple[int, float, np.ndarray, int]] = None
@@ -392,11 +459,16 @@ def _best_split(
         # widened so codes_f * K cannot overflow the narrow code dtype
         codes_f = codes[idx, f].astype(np.intp)
         uf = len(uniques[f])
-        cnt = np.bincount(codes_f, minlength=uf)
+        if sums is None:
+            cnt = np.bincount(codes_f, minlength=uf)
+        else:
+            cnt = np.bincount(codes_f, weights=w_node, minlength=uf).astype(np.int64)
         present = np.flatnonzero(cnt)
         if present.size < 2:
             continue
-        mat = np.bincount(codes_f * K + y_node, weights=sw_node, minlength=uf * K).reshape(uf, K)
+        mat = np.bincount(codes_f * K + y_node, weights=w_node, minlength=uf * K).reshape(uf, K)
+        if sums is not None:  # mat holds each bin's row count per class
+            mat = sums(mat)
         cw = np.cumsum(mat, axis=0)
         cn = np.cumsum(cnt)
         pos = present[:-1]  # boundary after each present value except the last
@@ -447,10 +519,16 @@ class RandomForest:
         min_leaf: int = 10,
         max_features: Optional[str] = "sqrt",
         seed: int = 0,
+        pair_of: Optional[np.ndarray] = None,
     ) -> "RandomForest":
+        """Fit n_trees trees, each on a bootstrap sample of the rows; with
+        pair_of, X and y hold the distinct (row, class) pairs as in
+        DecisionTree.fit. A tree gets its sample as indices into X, so it
+        fits on the multiplicities of the rows drawn."""
         ranked = rank_encode(X)  # once for all the trees
-        n, d = ranked.shape
-        K = int(n_classes if n_classes is not None else y.max() + 1)
+        d = ranked.shape[1]
+        n = ranked.shape[0] if pair_of is None else len(pair_of)
+        K = int(n_classes if n_classes is not None else _row_classes(y, pair_of).max() + 1)
         if sample_weight is None:
             sample_weight = np.ones(n)
         if max_features == "sqrt":
@@ -466,13 +544,14 @@ class RandomForest:
             boot = rng.integers(0, n, size=n)
             trees.append(
                 DecisionTree.fit(
-                    ranked[boot],
-                    y[boot],
+                    ranked,
+                    y,
                     sample_weight=sample_weight[boot],
                     n_classes=K,
                     min_leaf=min_leaf,
                     max_features=m,
                     rng=rng,
+                    pair_of=boot if pair_of is None else pair_of[boot],
                 )
             )
         return cls(trees=trees, n_classes=K)

@@ -221,30 +221,40 @@ class LeafSignature:
         )
 
 
+def _supports(presence: np.ndarray, counts: Optional[np.ndarray]):
+    """(row counts, their total, each item's share of the rows): row r of
+    presence stands for counts[r] rows, one each when counts is None. Shares
+    are integer sums divided once, so they do not depend on how rows repeat."""
+    if counts is None:
+        counts = np.ones(presence.shape[0], dtype=np.int64)
+    n = counts.sum()
+    return counts, n, (counts @ presence) / n
+
+
 def greedy_itemset(
     presence: np.ndarray,
     keys: Sequence[str],
     threshold: float = SUPPORT_THRESHOLD,
+    counts: Optional[np.ndarray] = None,
 ) -> tuple[list[int], float]:
     """Grow an itemset greedily in descending single-item support.
 
     An item is added only while the joint support stays strictly above the
     threshold. Because support is monotone non-increasing under growth, an
     item rejected once can never be added later, so the single pass already
-    yields a maximal set.
+    yields a maximal set. Row r of presence stands for counts[r] rows.
     """
-    n = presence.shape[0]
-    singles = presence.sum(axis=0) / n
+    counts, n, singles = _supports(presence, counts)
     candidates = [j for j in range(presence.shape[1]) if singles[j] > threshold]
     candidates.sort(key=lambda j: (-singles[j], keys[j]))
-    mask = np.ones(n, dtype=bool)
+    mask = np.ones(presence.shape[0], dtype=bool)
     chosen: list[int] = []
     for j in candidates:
         grown = mask & presence[:, j]
-        if grown.sum() / n > threshold:
+        if counts[grown].sum() / n > threshold:
             chosen.append(j)
             mask = grown
-    support = mask.sum() / n if chosen else 0.0
+    support = counts[mask].sum() / n if chosen else 0.0
     return chosen, float(support)
 
 
@@ -252,16 +262,16 @@ def exhaustive_maximal_itemsets(
     presence: np.ndarray,
     threshold: float = SUPPORT_THRESHOLD,
     max_items: int = 15,
+    counts: Optional[np.ndarray] = None,
 ) -> list[tuple[frozenset[int], float]]:
     """All maximal frequent itemsets by bitmask enumeration.
 
     The universe is restricted to items whose single support exceeds the
     threshold — any other item is provably absent from every frequent set by
     support monotonicity. Only usable when that universe has <= max_items
-    members.
+    members. Row r of presence stands for counts[r] rows.
     """
-    n = presence.shape[0]
-    singles = presence.sum(axis=0) / n
+    counts, n, singles = _supports(presence, counts)
     universe = [j for j in range(presence.shape[1]) if singles[j] > threshold]
     if len(universe) > max_items:
         raise ValueError(f"{len(universe)} candidate items exceed the exhaustive limit {max_items}")
@@ -269,13 +279,15 @@ def exhaustive_maximal_itemsets(
     if u == 0:
         return []
     # encode each row as a bitmask over the candidate universe
-    bits = np.zeros(n, dtype=np.int64)
+    bits = np.zeros(presence.shape[0], dtype=np.int64)
     for pos, j in enumerate(universe):
         bits |= presence[:, j].astype(np.int64) << pos
-    patterns, counts = np.unique(bits, return_counts=True)
+    patterns, inverse = np.unique(bits, return_inverse=True)
+    rows = np.zeros(len(patterns), dtype=np.int64)  # the rows of each pattern
+    np.add.at(rows, inverse, counts)
     frequent: dict[int, float] = {}
     for s in range(1, 1 << u):
-        sup = counts[(patterns & s) == s].sum() / n
+        sup = rows[(patterns & s) == s].sum() / n
         if sup > threshold:
             frequent[s] = float(sup)
     maximal = []
@@ -293,6 +305,7 @@ def mine_leaf_itemset(
     threshold: float = SUPPORT_THRESHOLD,
     method: str = "greedy",
     verify_limit: int = 15,
+    counts: Optional[np.ndarray] = None,
 ) -> tuple[list[int], float, list[str]]:
     """Mine one leaf; returns (column indices, joint support, discrepancy log).
 
@@ -300,13 +313,15 @@ def mine_leaf_itemset(
     exhaustive limit are cross-checked; a greedy set shorter than the longest
     exhaustive maximal itemset is reported (not silently accepted). The
     exhaustive method raises ValueError when the universe exceeds the limit.
+    Row r of presence stands for counts[r] rows.
     """
     discrepancies: list[str] = []
-    chosen, support = greedy_itemset(presence, keys, threshold)
-    n_candidates = int((presence.sum(axis=0) / presence.shape[0] > threshold).sum())
+    chosen, support = greedy_itemset(presence, keys, threshold, counts)
+    n_candidates = int((_supports(presence, counts)[2] > threshold).sum())
     if method == "exhaustive" or n_candidates <= verify_limit:
         # no candidates: no maximal itemsets, and greedy's ([], 0.0) stands
-        maximal = exhaustive_maximal_itemsets(presence, threshold, max_items=verify_limit)
+        maximal = exhaustive_maximal_itemsets(presence, threshold, max_items=verify_limit,
+                                              counts=counts)
         if maximal:
             best_len = max(len(m) for m, _ in maximal)
             if method == "exhaustive":
@@ -332,10 +347,17 @@ def mine_signatures(
     classes: Sequence[str],
     threshold: float = SUPPORT_THRESHOLD,
     method: str = "greedy",
+    counts: Optional[np.ndarray] = None,
 ) -> tuple[list[LeafSignature], list[str]]:
-    """Mine a signature for every leaf of the (pruned) tree over its own rows."""
+    """Mine a signature for every leaf of the (pruned) tree over its own rows.
+
+    Row r of X stands for counts[r] rows (one each when counts is None), so
+    a dataset's pairs and their counts give the signatures of its rows:
+    supports are integer row counts divided once.
+    """
     if method not in ("greedy", "exhaustive"):
         raise ValueError(f"unknown mining method {method!r}")
+    counts = np.ones(X.shape[0], dtype=np.int64) if counts is None else counts
     leaf_of_row = tree.apply(X)
     signatures = []
     all_discrepancies: list[str] = []
@@ -344,8 +366,9 @@ def mine_signatures(
         if rows.size == 0:
             continue
         presence = X[rows] > 0
-        singles = presence.sum(axis=0) / rows.size
-        cols, support, notes = mine_leaf_itemset(presence, vocabulary, threshold, method)
+        singles = _supports(presence, counts[rows])[2]
+        cols, support, notes = mine_leaf_itemset(presence, vocabulary, threshold, method,
+                                                 counts=counts[rows])
         for note in notes:
             all_discrepancies.append(f"leaf {leaf.leaf_id}: {note}")
         items = sorted(vocabulary[j] for j in cols)
@@ -355,7 +378,7 @@ def mine_signatures(
                 leaf_id=int(leaf.leaf_id),
                 group=classes[leaf.prediction],
                 probability=prob,
-                samples=int(rows.size),
+                samples=int(counts[rows].sum()),
                 items=items,
                 item_supports={vocabulary[j]: float(singles[j]) for j in cols},
                 support=support,

@@ -227,6 +227,63 @@ def brute_force_maximal_itemsets(presence: np.ndarray, threshold: float):
 
 
 # ---------------------------------------------------------------------------
+# stratified folds with units grouped through a dict
+# ---------------------------------------------------------------------------
+
+def reference_stratified_kfold(y, k=10, seed=0, groups=None):
+    """learn.stratified_kfold as a dict of group -> rows in first-seen order,
+    one index array per unit and a concatenation per fold."""
+    n = len(y)
+    if groups is None:
+        unit_rows = [np.array([i]) for i in range(n)]
+        unit_labels = np.asarray(y)
+    else:
+        by_group: dict[str, list[int]] = {}
+        for i, g in enumerate(groups):
+            by_group.setdefault(g, []).append(i)
+        unit_rows = [np.array(rows) for rows in by_group.values()]
+        unit_labels = np.array([y[rows[0]] for rows in unit_rows])
+    rng = np.random.default_rng(seed)
+    fold_units: list[list[int]] = [[] for _ in range(k)]
+    for ci in np.unique(unit_labels):
+        members = np.flatnonzero(unit_labels == ci)
+        members = members[rng.permutation(len(members))]
+        sizes = [len(members) // k + (1 if f < len(members) % k else 0) for f in range(k)]
+        rot = int(ci) % k
+        sizes = sizes[-rot:] + sizes[:-rot] if rot else sizes
+        start = 0
+        for f, size in enumerate(sizes):
+            fold_units[f].extend(members[start : start + size])
+            start += size
+    folds = []
+    for f in range(k):
+        test = np.sort(np.concatenate([unit_rows[u] for u in fold_units[f]]))
+        mask = np.ones(n, dtype=bool)
+        mask[test] = False
+        folds.append((np.flatnonzero(mask), test))
+    return folds
+
+
+# ---------------------------------------------------------------------------
+# a random forest fitted on its bootstrap rows
+# ---------------------------------------------------------------------------
+
+def reference_forest(X, y, sample_weight, n_classes, n_trees, min_leaf, max_features, seed):
+    """models.RandomForest.fit's trees, each fitted on the float rows of its
+    bootstrap sample (X[boot], y[boot], sample_weight[boot]) with the same
+    draws; max_features is a number of features or None."""
+    from motifscope.models import DecisionTree, RandomForest
+
+    trees = []
+    for child in np.random.SeedSequence(seed).spawn(n_trees):
+        rng = np.random.default_rng(child)
+        boot = rng.integers(0, len(y), size=len(y))
+        trees.append(DecisionTree.fit(X[boot], y[boot], sample_weight[boot], n_classes=n_classes,
+                                      min_leaf=min_leaf, max_features=max_features, rng=rng))
+    return RandomForest(trees=trees, n_classes=n_classes)
+
+
+# ---------------------------------------------------------------------------
 # signature matching by a per-signature subset test
 # ---------------------------------------------------------------------------
 

@@ -938,10 +938,19 @@ def test_pipeline_records_stage_rss(pipeline_run):
 
 def test_pipeline_records_featurize_counters(pipeline_run):
     manifest = storage.read_json(pipeline_run / "manifest.json")
-    lines = (pipeline_run / "features.jsonl").read_text(encoding="utf-8").splitlines()
-    distinct = {tuple(sorted(json.loads(line)["features"].items())) for line in lines}
-    assert manifest["counters"] == {"featurize": {"rows": 2000, "distinct_rows": len(distinct)}}
+    lines = [json.loads(line) for line in
+             (pipeline_run / "features.jsonl").read_text(encoding="utf-8").splitlines()]
+    distinct = {tuple(sorted(obj["features"].items())) for obj in lines}
+    labels = storage.read_labels(pipeline_run / "store" / storage.LABELS_FILE)
+    groups = [labels.get((obj["tx_hash"], obj["ego"])) for obj in lines]
+    pairs = [(tuple(sorted(obj["features"].items())), group)
+             for obj, group in zip(lines, groups) if group in cli.METHOD_GROUPS]
+    assert manifest["counters"] == {
+        "featurize": {"rows": 2000, "distinct_rows": len(distinct)},
+        "train": {"rows": len(pairs), "distinct_pairs": len(set(pairs))},
+    }
     assert len(lines) == 2000 and len(distinct) < 2000
+    assert len(set(pairs)) < len(pairs) <= 2000
 
 
 def test_pipeline_missing_input_exit_2(tmp_path, small_corpus, capsys):

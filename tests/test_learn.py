@@ -213,9 +213,9 @@ class _Majority:
 def test_evaluate_pools_confusion_and_averages():
     rows = 40
     y = np.repeat([0, 1], [30, 10])
-    X = np.zeros((rows, 1))
-    ds = learn.Dataset(
-        X=X, y=y, classes=["a", "b"], vocabulary=["x"], tx_hashes=[str(i) for i in range(rows)],
+    ds = learn.Dataset(  # every row is [0.0]: one pair per class
+        pairs=np.zeros((2, 1)), pair_y=np.array([0, 1]), pair_of=y, classes=["a", "b"],
+        vocabulary=["x"], tx_hashes=[str(i) for i in range(rows)],
     )
     folds = learn.stratified_kfold(y, k=5, seed=0)
     report = learn.evaluate(ds, folds, lambda train_idx: _Majority(0))
@@ -226,3 +226,44 @@ def test_evaluate_pools_confusion_and_averages():
         assert report.averages[key] == pytest.approx(
             float(np.mean([f[key] for f in report.per_fold]))
         )
+
+
+def test_kfold_equals_grouping_oracle(rng):
+    """Units grouped by np.unique in first-seen order give the folds of the
+    dict grouping: random hashes repeated up to four times, uneven classes,
+    and rows without groups."""
+    from oracles import reference_stratified_kfold
+
+    for trial in range(30):
+        k = int(rng.integers(2, 11))
+        n_groups = int(rng.integers(6 * k, 200))
+        # a group's rows share its class; classes of uneven size
+        group_class = rng.choice(4, size=n_groups, p=[0.5, 0.25, 0.15, 0.1])
+        group_class[:4 * k] = np.repeat(np.arange(4), k)  # every class has k units
+        names = [f"0x{int(h):x}" for h in rng.permutation(10 ** 6)[:n_groups]]
+        rows = rng.permutation(np.repeat(np.arange(n_groups), rng.integers(1, 5, size=n_groups)))
+        y = group_class[rows]
+        groups = [names[g] for g in rows]
+        for grouping in (groups, None):
+            got = learn.stratified_kfold(y, k=k, seed=trial, groups=grouping)
+            expected = reference_stratified_kfold(y, k=k, seed=trial, groups=grouping)
+            assert len(got) == k
+            for (train, test), (ref_train, ref_test) in zip(got, expected):
+                assert np.array_equal(train, ref_train) and np.array_equal(test, ref_test)
+                assert train.dtype == ref_train.dtype and test.dtype == ref_test.dtype
+
+
+def test_dataset_pairs_are_the_distinct_row_class_pairs():
+    """Rows with equal features and class share a pair; X and y expand the
+    pairs through pair_of, and counts are the pairs' row counts."""
+    rows = [{"a": 1}, {"b": 2}, {"a": 1}, {"a": 1}, {"b": 2}, {"a": 1, "b": 1}]
+    labels = ["Swap", "Swap", "Swap", "Mint", "Swap", "Mint"]
+    ds = learn.build_dataset(
+        FeatureTable.build([f"t{i}" for i in range(6)], ["e"] * 6, rows), labels)
+    pairs = {(tuple(x), c) for x, c in zip(ds.pairs.tolist(), ds.pair_y.tolist())}
+    assert ds.n_pairs == len(pairs) == 4
+    assert ds.X.tolist() == [[1, 0, 0], [0, 2, 0], [1, 0, 0], [1, 0, 0], [0, 2, 0], [1, 1, 0]]
+    assert ds.y.tolist() == [1, 1, 1, 0, 1, 0]
+    assert np.array_equal(ds.X, ds.pairs[ds.pair_of]) and np.array_equal(ds.y, ds.pair_y[ds.pair_of])
+    assert ds.counts.tolist() == np.bincount(ds.pair_of).tolist() and ds.counts.sum() == 6
+    assert sorted(ds.counts.tolist()) == [1, 1, 2, 2]

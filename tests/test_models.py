@@ -309,3 +309,140 @@ def test_fit_on_shared_encoding_matches_fit_on_rows(name, kind, rng):
     assert fit(_local_wide_encoding(X[rows])) == expected
     if kind == "tree":
         assert len(expected["nodes"]) > 5
+
+
+# ---------------------------------------------------------------------------
+# fits on distinct (row, class) pairs with multiplicities
+# ---------------------------------------------------------------------------
+
+def _pairs(X, y, K):
+    """(pair matrix, pair classes, each row's pair) of rows X with classes y."""
+    _, first, pair_of = np.unique(X, axis=0, return_index=True, return_inverse=True)
+    _, first, pair_of = np.unique(pair_of.reshape(-1) * K + y, return_index=True,
+                                  return_inverse=True)
+    return X[first], y[first], pair_of
+
+
+def _repeating_case(rng, n=900, n_distinct=60, d=5, K=3):
+    """Rows drawn, some often and some rarely, from a few distinct rows, with
+    classes mostly a function of the row and partly noise, so rows repeat and
+    some rows carry two classes. Columns 1, 2 and 4 hold ties; column 3 has a
+    value of its own in nearly every distinct row, so a row subset that
+    misses a rare row leaves a gap between the values it uses. Class 2 is
+    exactly the rows with x0 = 5, so the node that split isolates is pure."""
+    pool = rng.integers(0, 4, size=(n_distinct, d)).astype(float)
+    pool[:, 3] = np.round(rng.normal(size=n_distinct), 2)
+    pool[:10, 0] = 5.0
+    p = 1.0 / np.arange(1, n_distinct + 1)
+    rows = rng.choice(n_distinct, size=n, p=p / p.sum())
+    X = pool[rows]
+    y = np.where(X[:, 3] < 0, X[:, 1] + X[:, 2] >= 4, X[:, 3] > 0.6).astype(np.int64)
+    noise = rng.random(n) < 0.1
+    y[noise] = 1 - y[noise]
+    y[X[:, 0] == 5.0] = 2
+    return X, y
+
+
+def _tree_json(tree):
+    import json
+    return json.dumps(tree.to_dict())
+
+
+@pytest.mark.parametrize("trial", range(6))
+@pytest.mark.parametrize("min_leaf", [1, 7, 25])
+def test_tree_on_pairs_equals_tree_on_rows(rng, trial, min_leaf):
+    """A fold of repeating rows fitted on its pairs and multiplicities gives
+    the tree of the rows, bit for bit; pairs the fold does not use have
+    multiplicity 0."""
+    K = 3
+    X, y = _repeating_case(rng)
+    pairs, pair_y, pair_of = _pairs(X, y, K)
+    rows = learn.stratified_kfold(y, k=3, seed=trial)[0][1]  # a third of the rows
+    sw = learn.sample_weights(y[rows], K)
+    counts = np.bincount(pair_of[rows], minlength=len(pair_y))
+    assert (counts == 0).any() and counts.max() > 1
+    assert models._class_sums(pair_y, K, sw, pair_of[rows], counts) is not None  # the count path
+    expected = DecisionTree.fit(X[rows], y[rows], sw, n_classes=K, min_leaf=min_leaf)
+    got = DecisionTree.fit(pairs, pair_y, sw, n_classes=K, min_leaf=min_leaf,
+                           pair_of=pair_of[rows])
+    assert _tree_json(got) == _tree_json(expected)
+    assert expected.n_leaves > 2
+    assert any(leaf.gini == 0.0 and leaf.n_samples >= 2 * min_leaf for leaf in expected.leaves())
+    assert (got.predict(pairs)[pair_of[rows]] == expected.predict(X[rows])).all()
+
+
+def test_tree_on_pairs_min_leaf_at_the_boundary():
+    """The one split leaves exactly min_leaf rows on its left: it is taken at
+    min_leaf and refused at min_leaf + 1, on pairs as on rows."""
+    X = np.repeat([[0.0], [1.0], [2.0]], [4, 3, 9], axis=0)
+    y = np.repeat([1, 1, 0], [4, 3, 9])
+    y[[0, 8]] = [0, 1]  # some rows of a repeated value carry the other class
+    pairs, pair_y, pair_of = _pairs(X, y, 2)
+    sw = learn.sample_weights(y, 2)
+    for min_leaf, splits in ((7, True), (8, False)):
+        expected = DecisionTree.fit(X, y, sw, n_classes=2, min_leaf=min_leaf)
+        got = DecisionTree.fit(pairs, pair_y, sw, n_classes=2, min_leaf=min_leaf, pair_of=pair_of)
+        assert _tree_json(got) == _tree_json(expected)
+        assert (not expected.root.is_leaf) == splits
+        if splits:
+            assert expected.root.left.n_samples == min_leaf
+
+
+def test_tree_on_pairs_falls_back_to_rows(rng):
+    """Weights that differ within a class, or pairs that never repeat, fit on
+    the rows again, and give the rows' tree."""
+    K = 3
+    X, y = _repeating_case(rng)
+    pairs, pair_y, pair_of = _pairs(X, y, K)
+    uneven = rng.uniform(0.5, 2.0, size=len(y))
+    assert models._class_sums(pair_y, K, uneven, pair_of, np.bincount(pair_of)) is None
+    expected = DecisionTree.fit(X, y, uneven, n_classes=K, min_leaf=5)
+    got = DecisionTree.fit(pairs, pair_y, uneven, n_classes=K, min_leaf=5, pair_of=pair_of)
+    assert _tree_json(got) == _tree_json(expected)
+    # every multiplicity 1: the rows are distinct, in an order other than the pairs'
+    Xd = rng.normal(size=(300, 4))
+    yd = (Xd[:, 0] + 0.3 * rng.normal(size=300) > 0).astype(np.int64) + (Xd[:, 1] > 1)
+    pairs, pair_y, pair_of = _pairs(Xd, yd, K)
+    sw = learn.sample_weights(yd, K)
+    assert models._class_sums(pair_y, K, sw, pair_of, np.bincount(pair_of)) is None
+    assert not np.array_equal(pair_of, np.arange(300))
+    expected = DecisionTree.fit(Xd, yd, sw, n_classes=K, min_leaf=5)
+    got = DecisionTree.fit(pairs, pair_y, sw, n_classes=K, min_leaf=5, pair_of=pair_of)
+    assert _tree_json(got) == _tree_json(expected)
+
+
+@pytest.mark.parametrize("max_features", ["sqrt", None])
+def test_forest_on_pairs_equals_forest_on_bootstrap_rows(rng, max_features):
+    """Forest members fitted on the multiplicities of their bootstrap draws
+    equal trees fitted on the drawn rows, with the same feature draws."""
+    from oracles import reference_forest
+
+    K = 3
+    X, y = _repeating_case(rng, d=9)
+    pairs, pair_y, pair_of = _pairs(X, y, K)
+    rows = np.sort(rng.choice(len(y), size=450, replace=False))
+    sw = learn.sample_weights(y[rows], K)
+    expected = reference_forest(X[rows], y[rows], sw, K, n_trees=6, min_leaf=4,
+                                max_features=3 if max_features else None, seed=11)
+    got = RandomForest.fit(pairs, pair_y, sw, n_classes=K, n_trees=6, min_leaf=4,
+                           max_features=max_features, seed=11, pair_of=pair_of[rows])
+    assert [_tree_json(t) for t in got.trees] == [_tree_json(t) for t in expected.trees]
+    # a forest on plain rows draws the same samples and fits them as pairs too
+    plain = RandomForest.fit(X[rows], y[rows], sw, n_classes=K, n_trees=6, min_leaf=4,
+                             max_features=max_features, seed=11)
+    assert [_tree_json(t) for t in plain.trees] == [_tree_json(t) for t in expected.trees]
+
+
+def test_fits_on_pairs_count_classes_of_their_rows():
+    """Without n_classes, a fit on pairs has as many classes as its rows
+    have, not as the pairs have."""
+    X = np.repeat([[0.0], [1.0], [2.0]], 4, axis=0)
+    y = np.repeat([0, 1, 2], 4)
+    pairs, pair_y, pair_of = _pairs(X, y, 3)
+    rows = np.arange(8)  # classes 0 and 1 only
+    expected = DecisionTree.fit(X[rows], y[rows], min_leaf=2)
+    got = DecisionTree.fit(pairs, pair_y, min_leaf=2, pair_of=pair_of[rows])
+    assert got.n_classes == expected.n_classes == 2
+    assert _tree_json(got) == _tree_json(expected)
+    forest = RandomForest.fit(pairs, pair_y, n_trees=2, min_leaf=2, pair_of=pair_of[rows])
+    assert forest.n_classes == 2 and all(t.n_classes == 2 for t in forest.trees)

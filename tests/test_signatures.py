@@ -345,3 +345,32 @@ def test_tree_to_dot_output(small_tree, small_dataset):
     assert any(cls in dot for cls in small_dataset.classes)
     n_leaf_boxes = dot.count("shape=box")
     assert n_leaf_boxes == small_tree.n_leaves
+
+
+@pytest.mark.parametrize("method", ["greedy", "exhaustive"])
+def test_mine_signatures_on_pairs_equals_rows(rng, method):
+    """Mining a dataset's pairs with their row counts gives the signatures of
+    its rows, floats and all."""
+    from motifscope import learn
+
+    d, K = 8, 3
+    pool = (rng.random((30, d)) < np.linspace(0.95, 0.3, d)).astype(float)
+    pool *= rng.integers(1, 4, size=pool.shape)
+    pool_class = rng.integers(0, K, size=30)
+    pool_class[pool[:, 0] == 0] = 2
+    rows = rng.integers(0, 30, size=700)
+    X, y = pool[rows], pool_class[rows]
+    y[rng.random(700) < 0.05] = 1
+    tree = DecisionTree.fit(X, y, learn.sample_weights(y, K), n_classes=K, min_leaf=20)
+    assert tree.n_leaves >= 3
+    _, first, pair_of = np.unique(rows * K + y, return_index=True, return_inverse=True)
+    pairs, counts = X[first], np.bincount(pair_of)
+    vocabulary = [f"k{j}" for j in range(d)]
+    classes = ["Borrow", "Mint", "Swap"]
+    expected = mine_signatures(tree, X, vocabulary, classes, threshold=0.6, method=method)
+    got = mine_signatures(tree, pairs, vocabulary, classes, threshold=0.6, method=method,
+                          counts=counts)
+    assert [vars(s) for s in got[0]] == [vars(s) for s in expected[0]]
+    assert got[1] == expected[1]
+    assert sum(len(s.items) for s in expected[0]) >= 4
+    assert sum(s.samples for s in expected[0]) == 700

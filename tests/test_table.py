@@ -85,6 +85,29 @@ def test_featurize_from_ingest_memory_equals_store(small_corpus, tmp_path, monke
     assert featurize._TRANSACTIONS == ()
 
 
+@pytest.mark.parametrize("threads", [1, 2])
+def test_featurize_subcommand_builds_no_table(small_corpus, tmp_path, monkeypatch, capsys, threads):
+    """The featurize subcommand only prints counts: it builds no table, and
+    writes the bytes and counts of the path that builds one."""
+    monkeypatch.setattr(featurize, "CHUNK_LINES", 300)
+    with_table = featurize.featurize_store(small_corpus["store"], "MxE", tmp_path / "table.jsonl",
+                                           threads=threads)
+    assert with_table.table.n_rows == with_table.transactions == 2000
+
+    def refuse(*args):
+        raise AssertionError("a feature table was built")
+
+    monkeypatch.setattr(FeatureTable, "build", refuse)
+    monkeypatch.setattr(FeatureTable, "concat", refuse)
+    out = tmp_path / "features.jsonl"
+    assert cli.main(["featurize", "--store", str(small_corpus["store"]), "--mode", "MxE",
+                     "--out", str(out), "--threads", str(threads)]) == 0
+    assert out.read_bytes() == (tmp_path / "table.jsonl").read_bytes()
+    printed = json.loads(capsys.readouterr().out)
+    assert (printed["transactions"], printed["oversize"], printed["rejected_transfers"]) == (
+        with_table.transactions, with_table.oversize, with_table.rejected_transfers)
+
+
 def _write_features(path, rows):
     with open(path, "w", encoding="utf-8") as fh:
         for tx_hash, ego, feats in rows:
