@@ -15,7 +15,7 @@ import time
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional
+from typing import Mapping, Optional
 
 import numpy as np
 
@@ -140,9 +140,10 @@ def _features_mode(path) -> Optional[str]:
     return None
 
 
-def load_dataset(table: FeatureTable, labels_path, classes=None, vocabulary=None) -> Dataset:
-    """The table's rows whose label is a retained method group, as a Dataset."""
-    labels = storage.read_labels(labels_path)
+def load_dataset(table: FeatureTable, labels: Mapping[tuple[str, str], str], classes=None,
+                 vocabulary=None) -> Dataset:
+    """The table's rows whose label, looked up in `labels` by (tx_hash, ego),
+    is a retained method group, as a Dataset."""
     groups = [labels.get(key) for key in zip(table.tx_hashes.tolist(), table.egos())]
     keep = [i for i, group in enumerate(groups) if group in METHOD_GROUPS]
     if not keep:
@@ -179,15 +180,18 @@ def fit_model(kind: str, dataset: Dataset, rows, params: dict, seed: int):
 # stages: in-memory inputs, artifacts written, results returned
 # ---------------------------------------------------------------------------
 
-def ingest_to_store(transfers, tokens, accounts, methods, method_groups, out) -> tuple[dict, list]:
-    """Write the store; returns the ingest report and the stored transactions."""
+def ingest_to_store(transfers, tokens, accounts, methods, method_groups, out
+                    ) -> tuple[dict, list, dict[tuple[str, str], str]]:
+    """Write the store; returns the ingest report, the stored transactions
+    and the labels written to labels.csv, as storage.read_labels reads them."""
     loaded = read_transfers(transfers, TokenRegistry.from_file(tokens), AccountRegistry.from_file(accounts))
     method_of = {}
     if methods:
         mapping = load_method_mapping(method_groups or PACKAGED_METHOD_GROUPS)
         method_of = load_method_labels(methods, mapping)
     transactions = list(loaded.transactions(method_of))
-    label_counts = Counter(group for _, _, group, _ in transactions if group)
+    labels = {(tx_hash, ego): group for tx_hash, ego, group, _ in transactions if group is not None}
+    label_counts = Counter(group for group in labels.values() if group)
     report = {
         "transfers_read": loaded.kept + len(loaded.rejects),
         "transfers_kept": loaded.kept,
@@ -198,7 +202,7 @@ def ingest_to_store(transfers, tokens, accounts, methods, method_groups, out) ->
     }
     del loaded, method_of  # the transactions hold all that is needed from here on
     storage.write_store(out, transactions, report)
-    return report, transactions
+    return report, transactions, labels
 
 
 def train_model(dataset: Dataset, kind: str, mode: str, params: dict, seed: int, out) -> ModelSpec:
@@ -301,10 +305,10 @@ def match_features(table: FeatureTable, signatures: list[LeafSignature],
     JSONL; returns the (ego, leaves) of every line written, in row order.
 
     Each distinct row of the table is matched once, each distinct result's
-    line middle is encoded once, and every line is written through row_of.
-    Lines carry storage.dumps' sorted keys."""
+    line middle is encoded once, and every line is written through row_of
+    with only its ego and tx hash encoded: the bytes of storage.dumps."""
     by_result: dict[tuple, tuple[tuple[int, ...], str]] = {}
-    dumps = storage.dumps
+    dumps, enc = storage.dumps, storage.dumps_str
     hits = []  # (leaves, line middle) per distinct row
     for feats in table.distinct_rows():
         leaves, groups = match_signatures(feats, signatures)
@@ -315,13 +319,13 @@ def match_features(table: FeatureTable, signatures: list[LeafSignature],
                 result[0], f',"groups":{dumps(groups)},"leaves":{dumps(leaves)},"tx_hash":')
         hits.append(hit)
     egos = table.ego_names.tolist()
-    ego_json = [dumps(ego) for ego in egos]
+    ego_json = [enc(ego) for ego in egos]
     pairs = []
     with storage.replacing(out) as (tmp,), open(tmp, "w", encoding="utf-8") as fh:
         for tx_hash, ego, row in zip(table.tx_hashes.tolist(), table.ego_ids.tolist(),
                                      table.row_of.tolist()):
             leaves, middle = hits[row]
-            fh.write('{"ego":' + ego_json[ego] + middle + dumps(tx_hash) + "}\n")
+            fh.write(f'{{"ego":{ego_json[ego]}{middle}{enc(tx_hash)}}}\n')
             pairs.append((egos[ego], leaves))
     return pairs
 
@@ -437,8 +441,15 @@ def cmd_featurize(args) -> int:
     return 0
 
 
+def _read_dataset(args, spec: Optional[ModelSpec] = None) -> Dataset:
+    """load_dataset on --features and --labels, over the model's classes and
+    vocabulary when a model is given."""
+    return load_dataset(storage.read_features(args.features), storage.read_labels(args.labels),
+                        *((spec.classes, spec.vocabulary) if spec else ()))
+
+
 def cmd_train(args) -> int:
-    dataset = load_dataset(storage.read_features(args.features), args.labels)
+    dataset = _read_dataset(args)
     params = {
         "l2": args.l2,
         "min_leaf": args.min_leaf,
@@ -457,8 +468,7 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     spec = load_model(args.model)
-    dataset = load_dataset(storage.read_features(args.features), args.labels, spec.classes,
-                           spec.vocabulary)
+    dataset = _read_dataset(args, spec)
     _, report = cross_validate(spec, dataset, args.folds, args.seed, args.report)
     _print({"model": spec.kind, "folds": args.folds, "averages": report.averages,
             "report": args.report})
@@ -469,8 +479,7 @@ def cmd_prune(args) -> int:
     spec = load_model(args.model)
     cv = None
     if args.path and args.features and args.labels:
-        dataset = load_dataset(storage.read_features(args.features), args.labels, spec.classes,
-                               spec.vocabulary)
+        dataset = _read_dataset(args, spec)
         folds = stratified_kfold(dataset.y, k=args.folds, seed=args.seed, groups=dataset.tx_hashes)
         cv = (dataset, folds, None)
     _, entry, path = prune_model(spec, args.target_leaves, args.alpha, args.out,
@@ -482,8 +491,7 @@ def cmd_prune(args) -> int:
 
 def cmd_signatures(args) -> int:
     spec = load_model(args.model)
-    dataset = load_dataset(storage.read_features(args.features), args.labels, spec.classes,
-                           spec.vocabulary)
+    dataset = _read_dataset(args, spec)
     signatures, discrepancies = write_signatures(spec, dataset, args.threshold, args.method,
                                                  args.out)
     _print({"leaves": len(signatures),
@@ -674,16 +682,23 @@ def run_pipeline(cfg: PipelineConfig) -> dict:
 
 def _run_stages(cfg: PipelineConfig, out: Path, manifest: dict) -> None:
     store_dir = out / "store"
-    _, transactions = _stage(manifest, "ingest", lambda: ingest_to_store(
+    report, transactions, labels = _stage(manifest, "ingest", lambda: ingest_to_store(
         cfg.transfers, cfg.tokens, cfg.accounts, cfg.methods, cfg.method_groups, store_dir,
     ))
+    manifest["counters"]["ingest"] = {
+        "transactions": report["transactions"], "kept": report["transfers_kept"],
+        "rejected": report["rejected"], "spam_filtered": report["transactions_spam_filtered"]}
     # featurize empties the list of transactions as it goes; the table is dropped after match
-    table = _stage(manifest, "featurize", lambda: featurize_store(
+    stats = _stage(manifest, "featurize", lambda: featurize_store(
         transactions, cfg.mode, str(out / "features.jsonl"), threads=cfg.threads,
         catalog=motif.load_catalog(cfg.catalog) if cfg.catalog else None, max_nodes=cfg.max_nodes,
-    )).table
+    ))
     del transactions
-    manifest["counters"]["featurize"] = {"rows": table.n_rows, "distinct_rows": table.n_distinct}
+    table = stats.table
+    manifest["counters"]["featurize"] = {
+        "rows": table.n_rows, "distinct_rows": table.n_distinct, "oversize": stats.oversize,
+        "rejected_transfers": stats.rejected_transfers}
+    del stats  # so that `del table` frees the table
 
     signatures = None
     if cfg.methods is not None:
@@ -692,7 +707,7 @@ def _run_stages(cfg: PipelineConfig, out: Path, manifest: dict) -> None:
                   "max_features": "sqrt"}
 
         def train():
-            dataset = load_dataset(table, store_dir / storage.LABELS_FILE)
+            dataset = load_dataset(table, labels)
             return dataset, train_model(dataset, cfg.model, mode, params, cfg.seed,
                                         out / "model.json")
 

@@ -1,15 +1,22 @@
 """Bulk feature extraction over a transaction store.
 
-This is the throughput-critical stage. Each transaction is featurized by
-motif.transaction_features (the one per-transaction featurizer, which the
-library calls too) and encoded by storage.dumps. The transactions come
-either from the store on disk, whose lines storage.line_to_tx decodes one
-chunk at a time, or from the list that ingest holds in memory, which forked
-workers inherit and index by range, so no line is decoded or pickled. Both
-feed one worker loop. Chunks are spread across worker processes; workers are
-pure and chunks are merged in input order, so the lines and the FeatureTable
-are bit-identical regardless of worker count. test_motif.py checks this path
-against the brute-force oracles.
+This is the throughput-critical stage. It runs the two halves of
+motif.transaction_features, the one per-transaction featurizer: every
+transaction is reduced to its shape (motif.transaction_shape), the canonical
+form of its typed ego network up to what the features see, and the map is
+built (motif.shape_features) and JSON-encoded once per distinct shape in a
+chunk. Shapes repeat heavily (200,000 transactions of a scoring corpus hold
+a few hundred), so only the tally and each line's ego and tx hash are per-row
+work; the chunk's FeatureTable is built from its distinct maps.
+
+The transactions come either from the store on disk, whose lines
+storage.line_to_tx decodes one chunk at a time, or from the list that ingest
+holds in memory, which forked workers inherit and index by range, so no line
+is decoded or pickled. Both feed one worker loop. Chunks are spread across
+worker processes; workers are pure and chunks are merged in input order, so
+the lines and the FeatureTable are bit-identical regardless of worker count.
+test_featurize.py checks this path against the plain featurizer and the
+brute-force oracles.
 """
 
 from __future__ import annotations
@@ -23,7 +30,7 @@ from typing import Iterable, Optional, Sequence
 
 from . import motif, storage
 from .ingest import _open
-from .motif import DEFAULT_MAX_NODES, OVERSIZE_KEY, MotifCatalog
+from .motif import DEFAULT_MAX_NODES, MotifCatalog
 from .table import FeatureTable
 
 CHUNK_LINES = 8192
@@ -55,20 +62,38 @@ def _process_chunk(catalog: MotifCatalog, mode: str, max_nodes: int, build_table
                    chunk) -> tuple[str, int, int, int, Optional[FeatureTable]]:
     """Featurize one chunk into (joined output lines, rows, oversize,
     rejected, the chunk's FeatureTable or None when not built); a bad store
-    line raises InputError."""
-    out, hashes, egos, feature_maps = [], [], [], []
+    line raises InputError.
+
+    Each row is reduced to its shape (motif.transaction_shape), which is all
+    its feature map depends on. A memo maps each of the chunk's shapes to its
+    index among the chunk's distinct maps, so motif counting and the JSON of
+    the map run once per distinct shape: the map's encoded line middle
+    `,"features":{...},"mode":...,"tx_hash":` is kept, and a line is the
+    row's ego and tx hash around it, the bytes storage.dumps gives for the
+    whole object. The memo lives for one chunk, so it holds at most
+    CHUNK_LINES shapes. The chunk table is built from the distinct maps and
+    each row's map index, so its flatten, sort and deduplication run once
+    per shape too.
+    """
+    memo: dict[motif.Shape, int] = {}
+    maps, middles, map_of, out, hashes, egos = [], [], [], [], [], []
     oversize = rejected = 0
-    features = motif.transaction_features
-    dumps = storage.dumps
+    tally, enc = motif.transaction_shape, storage.dumps_str
+    tail = f',"mode":{enc(mode)},"tx_hash":'
     for tx in _chunk_transactions(chunk):
-        feats, rej = features(tx, catalog, mode, max_nodes)
+        shape, rej = tally(tx, mode, max_nodes)
         rejected += rej
-        oversize += OVERSIZE_KEY in feats
-        out.append(dumps({"tx_hash": tx[0], "ego": tx[1], "mode": mode, "features": feats}))
+        oversize += shape[2]
+        index = memo.setdefault(shape, len(maps))
+        if index == len(maps):
+            feats = motif.shape_features(catalog, shape)
+            maps.append(feats)
+            middles.append(',"features":' + storage.dumps(feats) + tail)
+        out.append(f'{{"ego":{enc(tx[1])}{middles[index]}{enc(tx[0])}}}')
+        map_of.append(index)
         hashes.append(tx[0])
         egos.append(tx[1])
-        feature_maps.append(feats)
-    table = FeatureTable.build(hashes, egos, feature_maps) if build_table else None
+    table = FeatureTable.build(hashes, egos, maps, map_of) if build_table else None
     return "\n".join(out), len(out), oversize, rejected, table
 
 

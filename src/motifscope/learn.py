@@ -151,13 +151,12 @@ def stratified_kfold(
         unit_of = np.arange(n)
         unit_labels = y
     else:
-        # units are the groups in order of first occurrence
-        _, first, inverse = np.unique(np.asarray(groups), return_index=True, return_inverse=True)
-        order = np.argsort(first)
-        rank = np.empty_like(order)
-        rank[order] = np.arange(len(order))
-        unit_of = rank[inverse.reshape(-1)]
-        unit_labels = y[first[order]]
+        # units are the groups in order of first occurrence; integer codes
+        # keep np.unique off a fixed-width string array of every group
+        index: dict = {}
+        unit_of = np.fromiter((index.setdefault(g, len(index)) for g in groups), np.intp, n)
+        _, first = np.unique(unit_of, return_index=True)
+        unit_labels = y[first]
     rng = np.random.default_rng(seed)
     fold_of = np.empty(len(unit_labels), dtype=np.intp)
     for ci in np.unique(unit_labels):

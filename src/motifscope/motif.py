@@ -6,14 +6,18 @@ touches the ego, each counterpart sits in exactly one of three states
 subgraph counts reduce to combinatorics over (state, account type) groups.
 This makes counts exact in O(counterparts) regardless of network size; the
 all-out star is just the special case with a single group. count_from_groups
-is that kernel; transaction_features, which featurize.py and the library
-share, feeds it straight from a stored transaction, with no ETN object.
+is that kernel. transaction_shape reduces a stored transaction, with no ETN
+object, to its shape: the groups and edge-label counts that its feature map
+depends on, sorted, so that neither accounts nor row order show. shape_features
+builds the map from the shape; transaction_features, the one featurizer, is
+the two composed, and featurize.py calls the two halves so that the
+transactions of one shape share one map.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 from .ingest import _schema, read_json
 
@@ -169,10 +173,11 @@ def group_counterparts(
 
 def count_from_groups(
     catalog: MotifCatalog,
-    groups: dict[tuple[int, str, tuple[str, ...]], int],
+    groups: Sequence[tuple[tuple[int, str, tuple[str, ...]], int]],
     oversize: bool = False,
 ) -> dict[str, int]:
-    """Typed motif counts from (state, type, labels) group sizes.
+    """Typed motif counts from the ((state, type, labels), size) items of
+    group_counterparts, in sorted order.
 
     Induced matching: a counterpart pair matches the 3-node shape whose
     states equal the pair's states, and nothing else, so subset counts are
@@ -184,8 +189,7 @@ def count_from_groups(
     counts: dict[str, int] = {}
     two_node = catalog.two_node
     three_node = catalog.three_node
-    items = sorted(groups.items())
-    for (state, ntype, labels), n in items:
+    for (state, ntype, labels), n in groups:
         shape = two_node.get(state)
         if shape is not None:
             key = f"{shape.id}(E,{ntype})"
@@ -193,12 +197,12 @@ def count_from_groups(
     if oversize:
         counts[OVERSIZE_KEY] = 1
         return counts
-    for i, ((s1, t1, l1), n1) in enumerate(items):
+    for i, ((s1, t1, l1), n1) in enumerate(groups):
         shape = three_node.get((s1, s1))
         if shape is not None and n1 >= 2:
             key = _pair_key(shape.id, t1, t1, l1 + l1)
             counts[key] = counts.get(key, 0) + n1 * (n1 - 1) // 2
-        for (s2, t2, l2), n2 in items[i + 1 :]:
+        for (s2, t2, l2), n2 in groups[i + 1 :]:
             canon = (s1, s2) if s1 <= s2 else (s2, s1)
             shape = three_node.get(canon)
             if shape is None:
@@ -218,22 +222,28 @@ def _pair_key(sid: str, ta: str, tb: str, labels: tuple[str, ...]) -> str:
     return f"{key}|{'+'.join(sorted(labels))}" if labels else key
 
 
-def transaction_features(tx: tuple[str, str, Optional[str], list], catalog: MotifCatalog,
-                         mode: str, max_nodes: int = DEFAULT_MAX_NODES) -> tuple[dict[str, int], int]:
-    """(sparse feature map, rows touching no ego) of one stored transaction.
+# A transaction's shape: (the sorted group_counterparts items, empty under E;
+# the sorted edge-label counts, empty unless E or M+E; oversize).
+Shape = tuple[tuple, tuple, bool]
 
-    A counterpart keeps the type of the first row it appears in. M counts
-    typed motifs, E the edge labels "(S,T)category" (parallel edges
-    included), M+E both, and MxE each motif instance keyed with its edge
-    labels; above max_nodes counterparts MxE keeps only the 2-node keys and
-    sets OVERSIZE_KEY, as the pair key space degenerates on airdrops.
+
+def transaction_shape(tx: tuple[str, str, Optional[str], list], mode: str,
+                      max_nodes: int = DEFAULT_MAX_NODES) -> tuple[Shape, int]:
+    """(shape, rows touching no ego) of one stored transaction.
+
+    The shape is a canonical form of the typed ego network up to what the
+    features of `mode` can see: the counterpart groups and the edge-label
+    counts, each sorted, and the oversize flag. Transactions with
+    equal shapes have equal feature maps (shape_features), whatever their
+    accounts, hashes and row order. A counterpart keeps the type of the
+    first row it appears in; edge labels are "(S,T)category".
     """
     if mode not in MODES:
         raise ValueError(f"unknown feature mode {mode!r} (expected one of {MODES})")
     _, ego, _, rows = tx
     want_e = mode in ("E", "M+E")
     labels: Optional[dict[str, list[str]]] = {} if mode == "MxE" else None
-    feats: dict[str, int] = {}
+    edges: dict[str, int] = {}
     flags: dict[str, int] = {}
     types: dict[str, str] = {}
     rejected = 0
@@ -252,13 +262,38 @@ def transaction_features(tx: tuple[str, str, Optional[str], list], catalog: Moti
         if label is None:
             label = _EDGE_LABELS[ek] = f"({ek[0]},{ek[1]}){ek[2]}"
         if want_e:
-            feats[label] = feats.get(label, 0) + 1
+            edges[label] = edges.get(label, 0) + 1
         if labels is not None:
             labels.setdefault(other, []).append(label)
-    if mode != "E":
-        oversize = labels is not None and len(flags) > max_nodes
-        feats.update(count_from_groups(catalog, group_counterparts(flags, types, labels), oversize))
-    return feats, rejected
+    edge_counts = tuple(sorted(edges.items()))
+    if mode == "E":
+        return ((), edge_counts, False), rejected
+    oversize = labels is not None and len(flags) > max_nodes
+    return (tuple(sorted(group_counterparts(flags, types, labels).items())), edge_counts,
+            oversize), rejected
+
+
+def shape_features(catalog: MotifCatalog, shape: Shape) -> dict[str, int]:
+    """The sparse feature map of a transaction_shape: the motif keys of
+    count_from_groups, then the edge labels in sorted order."""
+    groups, edges, oversize = shape
+    feats = count_from_groups(catalog, groups, oversize)
+    feats.update(edges)
+    return feats
+
+
+def transaction_features(tx: tuple[str, str, Optional[str], list], catalog: MotifCatalog,
+                         mode: str, max_nodes: int = DEFAULT_MAX_NODES) -> tuple[dict[str, int], int]:
+    """(sparse feature map, rows touching no ego) of one stored transaction:
+    shape_features of its transaction_shape.
+
+    M counts typed motifs, E the edge labels "(S,T)category" (parallel edges
+    included), M+E both, and MxE each motif instance keyed with its edge
+    labels; above max_nodes counterparts MxE keeps only the 2-node keys and
+    sets OVERSIZE_KEY, as the pair key space degenerates on airdrops.
+    """
+    shape, rejected = transaction_shape(tx, mode, max_nodes)
+    return shape_features(catalog, shape), rejected
 
 
 def normalize_mode(mode: str) -> str:

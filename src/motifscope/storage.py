@@ -45,6 +45,11 @@ _C_ENCODE = json.encoder.c_make_encoder and json.encoder.c_make_encoder(
     _ENCODER.key_separator, _ENCODER.item_separator, True, False, True)
 
 
+# A string's JSON text, the same as dumps(string) but with no per-call set-up:
+# featurize and match write each line's ego and tx hash through it.
+dumps_str = json.encoder.encode_basestring_ascii
+
+
 def dumps(obj) -> str:
     if _C_ENCODE is None:
         return _ENCODER.encode(obj)

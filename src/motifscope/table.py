@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain
-from typing import Iterator, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -42,6 +42,13 @@ class Strings:
 
     def __len__(self) -> int:
         return len(self.ends)
+
+    def take(self, rows: np.ndarray) -> "Strings":
+        """The strings at `rows`, in that order."""
+        ends = self.ends[rows]
+        starts = ends - np.diff(self.ends, prepend=0)[rows]
+        text = self.text
+        return Strings.pack([text[a:b] for a, b in zip(starts.tolist(), ends.tolist())])
 
     def tolist(self) -> list[str]:
         text, ends = self.text, self.ends.tolist()
@@ -69,8 +76,12 @@ class FeatureTable:
 
     @classmethod
     def build(cls, tx_hashes: Sequence[str], egos: Sequence[str],
-              feature_maps: Sequence[dict[str, int]]) -> "FeatureTable":
-        """The table of rows given as columns."""
+              feature_maps: Sequence[dict[str, int]],
+              map_of: Optional[Sequence[int]] = None) -> "FeatureTable":
+        """The table of rows given as columns: row i's features are
+        feature_maps[i], or feature_maps[map_of[i]] when map_of is given.
+        Then each map is flattened, sorted and deduplicated once however many
+        rows share it, and the maps must come in the order of their first use."""
         keys = list(chain.from_iterable(feature_maps))
         vocabulary = sorted(set(keys))
         position = {key: i for i, key in enumerate(vocabulary)}
@@ -80,12 +91,15 @@ class FeatureTable:
         # each row's entries in vocabulary order, so that equal maps have equal entries
         order = np.argsort(np.repeat(np.arange(len(lengths)) * len(vocabulary), lengths) + indices,
                            kind="stable")
+        distinct = _distinct(lengths, indices[order], counts[order])
+        if map_of is not None:
+            distinct["row_of"] = distinct["row_of"][np.asarray(map_of, dtype=np.intp)]
         ego_index = {ego: i for i, ego in enumerate(dict.fromkeys(egos))}
         return cls(
             tx_hashes=Strings.pack(tx_hashes),
             ego_names=Strings.pack(list(ego_index)),
             ego_ids=np.fromiter(map(ego_index.__getitem__, egos), np.int32, len(egos)),
-            vocabulary=vocabulary, **_distinct(lengths, indices[order], counts[order]),
+            vocabulary=vocabulary, **distinct,
         )
 
     @classmethod
@@ -134,19 +148,23 @@ class FeatureTable:
 
     def take(self, rows: Sequence[int]) -> "FeatureTable":
         """The given rows, in the given order, over the same vocabulary and
-        egos, with only the distinct rows they use."""
+        egos, with only the distinct rows they use, in first-seen order."""
         rows = np.asarray(rows, dtype=np.int64)
-        used = self.row_of[rows]
-        starts = self.indptr[used]
-        lengths = self.indptr[used + 1] - starts
-        indptr = np.zeros(len(rows) + 1, dtype=np.int64)
+        used, first, inverse = np.unique(self.row_of[rows], return_index=True, return_inverse=True)
+        order = np.argsort(first)
+        rank = np.empty(len(order), dtype=np.int32)
+        rank[order] = np.arange(len(order))
+        kept = used[order]
+        starts = self.indptr[kept]
+        lengths = self.indptr[kept + 1] - starts
+        indptr = np.zeros(len(kept) + 1, dtype=np.int64)
         np.cumsum(lengths, out=indptr[1:])
         entries = np.repeat(starts - indptr[:-1], lengths) + np.arange(indptr[-1])
-        hashes = self.tx_hashes.tolist()
         return FeatureTable(
-            tx_hashes=Strings.pack([hashes[i] for i in rows.tolist()]),
-            ego_names=self.ego_names, ego_ids=self.ego_ids[rows], vocabulary=self.vocabulary,
-            **_distinct(lengths, self.indices[entries], self.counts[entries]),
+            tx_hashes=self.tx_hashes.take(rows), ego_names=self.ego_names,
+            ego_ids=self.ego_ids[rows], vocabulary=self.vocabulary,
+            row_of=rank[inverse.reshape(-1)], indptr=indptr,
+            indices=self.indices[entries], counts=self.counts[entries],
         )
 
 

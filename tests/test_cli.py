@@ -945,12 +945,21 @@ def test_pipeline_records_featurize_counters(pipeline_run):
     groups = [labels.get((obj["tx_hash"], obj["ego"])) for obj in lines]
     pairs = [(tuple(sorted(obj["features"].items())), group)
              for obj, group in zip(lines, groups) if group in cli.METHOD_GROUPS]
+    report = storage.read_json(pipeline_run / "store" / storage.REPORT_FILE)
+    off_ego = sum(ego not in row[:2]
+                  for _, ego, _, rows in storage.iter_store(pipeline_run / "store") for row in rows)
     assert manifest["counters"] == {
-        "featurize": {"rows": 2000, "distinct_rows": len(distinct)},
+        "ingest": {"transactions": report["transactions"], "kept": report["transfers_kept"],
+                   "rejected": report["rejected"],
+                   "spam_filtered": report["transactions_spam_filtered"]},
+        "featurize": {"rows": 2000, "distinct_rows": len(distinct),
+                      "oversize": sum(motif.OVERSIZE_KEY in obj["features"] for obj in lines),
+                      "rejected_transfers": off_ego},
         "train": {"rows": len(pairs), "distinct_pairs": len(set(pairs))},
     }
     assert len(lines) == 2000 and len(distinct) < 2000
     assert len(set(pairs)) < len(pairs) <= 2000
+    assert report["transactions"] == 2000 and report["transfers_kept"] > 2000
 
 
 def test_pipeline_missing_input_exit_2(tmp_path, small_corpus, capsys):
@@ -1033,6 +1042,24 @@ def test_pipeline_reads_back_neither_store_nor_features(tmp_path, small_corpus, 
 
     for name in ("line_to_tx", "iter_store", "read_features"):
         monkeypatch.setattr(storage, name, refuse)
+    out = tmp_path / "run"
+    run(capsys, [
+        "pipeline", "--transfers", str(small_corpus["transfers"]),
+        "--tokens", str(small_corpus["tokens"]), "--accounts", str(small_corpus["accounts"]),
+        "--methods", str(small_corpus["methods"]), "--out", str(out),
+        "--model", "dt", "--seed", "5", "--min-matches", "1",
+    ])
+    artifacts = storage.read_json(out / "manifest.json")["artifacts"]
+    assert artifacts == storage.read_json(pipeline_run / "manifest.json")["artifacts"]
+
+
+def test_pipeline_takes_labels_from_ingest(tmp_path, small_corpus, pipeline_run, monkeypatch,
+                                           capsys):
+    """Train labels the table from ingest's map, not from labels.csv read back."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("the pipeline read labels.csv back")
+
+    monkeypatch.setattr(storage, "read_labels", refuse)
     out = tmp_path / "run"
     run(capsys, [
         "pipeline", "--transfers", str(small_corpus["transfers"]),

@@ -1,0 +1,138 @@
+"""Featurize's shape memo: chunks featurized once per distinct shape write the
+lines and tables of the plain per-row featurizer, and the oracles' maps; the
+pure-Python JSON encoder writes the same bytes as the C one."""
+
+import json
+
+import pytest
+
+from motifscope import cli, featurize, motif, storage
+from motifscope.signatures import LeafSignature
+from motifscope.table import FeatureTable
+
+from oracles import random_tx
+from test_motif import oracle_features
+from test_table import assert_same_table
+
+MAX_NODES = 4  # small, so that MxE has oversize transactions
+
+
+def renamed(tx, rng, tag):
+    """tx under a new hash, ego and counterpart names, its rows permuted:
+    another transaction of the same shape. The names need JSON escapes."""
+    _, ego, group, rows = tx
+    names = {ego: f'0xé{tag}"e'}
+
+    def name(account):
+        return names.setdefault(account, f"0x{tag}.{len(names)}")
+
+    rows = [[name(r[0]), name(r[1]), *r[2:]] for r in rows]
+    order = rng.permutation(len(rows)).tolist()
+    return f"tx{tag}\t\\ü", names[ego], group, [rows[i] for i in order]
+
+
+def random_transactions(rng, n):
+    """n random stored transactions whose shapes recur: about half are an
+    earlier one renamed, and about a fifth of the others carry a row that
+    does not touch the ego."""
+    txs = []
+    for i in range(n):
+        if txs and rng.random() < 0.5:
+            tx = renamed(txs[int(rng.integers(len(txs)))], rng, i)
+        else:
+            tx = renamed(random_tx(rng), rng, i)
+            if rng.random() < 0.2:
+                tx[3].append(["0xs1", "0xs2", "A", "C", "0xt", "TOK", "Stablecoin", 1.0, 1])
+        txs.append(tx)
+    return txs
+
+
+def plain_lines(txs, catalog, mode, max_nodes=MAX_NODES):
+    """(lines, feature maps, oversize, rejected) by transaction_features and
+    storage.dumps, one row at a time."""
+    results = [motif.transaction_features(tx, catalog, mode, max_nodes) for tx in txs]
+    lines = [storage.dumps({"tx_hash": tx[0], "ego": tx[1], "mode": mode, "features": feats})
+             for tx, (feats, _) in zip(txs, results)]
+    maps = [feats for feats, _ in results]
+    return (lines, maps, sum(motif.OVERSIZE_KEY in feats for feats in maps),
+            sum(rejected for _, rejected in results))
+
+
+@pytest.mark.parametrize("mode", motif.MODES)
+def test_memoized_chunks_equal_plain_featurizer_and_oracles(rng, mode):
+    catalog = motif.enumerate_catalog()
+    txs = random_transactions(rng, 400)
+    lines, maps, oversize, rejected = plain_lines(txs, catalog, mode)
+    assert maps == [oracle_features(tx, catalog, mode, MAX_NODES) for tx in txs]
+    assert rejected > 0 and (oversize > 0) == (mode == "MxE")
+    for size in (64, len(txs)):
+        chunks = [txs[i:i + size] for i in range(0, len(txs), size)]
+        results = [featurize._process_chunk(catalog, mode, MAX_NODES, True, chunk)
+                   for chunk in chunks]
+        assert "\n".join(text for text, *_ in results).split("\n") == lines
+        assert [sum(r[k] for r in results) for k in (1, 2, 3)] == [len(txs), oversize, rejected]
+        for start, (*_, table) in zip(range(0, len(txs), size), results):
+            chunk = txs[start:start + size]
+            assert_same_table(table, FeatureTable.build(
+                [tx[0] for tx in chunk], [tx[1] for tx in chunk], maps[start:start + size]))
+
+
+@pytest.mark.parametrize("mode", motif.MODES)
+def test_one_shape_in_any_row_order_takes_one_memo_entry(rng, mode, monkeypatch):
+    catalog = motif.enumerate_catalog()
+    copies = [renamed(random_tx(rng, 9), rng, 0)]
+    copies += [renamed(copies[0], rng, i) for i in range(1, 40)]
+    assert len({tuple(map(tuple, tx[3])) for tx in copies}) > 1  # the rows come in other orders
+    shapes = []
+    real = motif.shape_features
+    monkeypatch.setattr(motif, "shape_features",
+                        lambda catalog, shape: shapes.append(shape) or real(catalog, shape))
+    text, rows, _, _, table = featurize._process_chunk(catalog, mode, MAX_NODES, True, copies)
+    assert len(shapes) == 1 and rows == 40 and table.n_distinct == 1
+    assert text.split("\n") == plain_lines(copies, catalog, mode)[0]
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_shapes_recurring_across_chunks(rng, tmp_path, monkeypatch, threads):
+    """A shape seen in several chunks gets one distinct row in the joined table."""
+    catalog = motif.enumerate_catalog()
+    txs = random_transactions(rng, 300)
+    lines, maps, _, _ = plain_lines(txs, catalog, "MxE", motif.DEFAULT_MAX_NODES)
+    monkeypatch.setattr(featurize, "CHUNK_LINES", 32)
+    out = tmp_path / "features.jsonl"
+    stats = featurize.featurize_store(list(txs), "MxE", out, threads=threads, catalog=catalog)
+    assert out.read_text(encoding="utf-8") == "".join(line + "\n" for line in lines)
+    table = stats.table
+    assert_same_table(table, FeatureTable.build([tx[0] for tx in txs], [tx[1] for tx in txs], maps))
+    chunks_of_row = {(int(row), i // 32) for i, row in enumerate(table.row_of)}
+    assert len(chunks_of_row) > table.n_distinct
+
+
+@pytest.mark.parametrize("pure", [False, True], ids=["no-cached-encoder", "pure-python"])
+def test_encoder_fallback_writes_the_same_bytes(rng, tmp_path, monkeypatch, pure):
+    """featurize_store, from a store or from memory, and match_features write
+    the same bytes without storage's cached C encoder, and with no C
+    accelerator at all; the names need \\u and backslash escapes."""
+    txs = random_transactions(rng, 200)
+    storage.write_store(tmp_path / "store", txs)
+
+    def write_all(tag):
+        paths = [tmp_path / f"{tag}.{name}.jsonl" for name in ("store", "memory", "matches")]
+        stats = featurize.featurize_store(tmp_path / "store", "M+E", paths[0])
+        featurize.featurize_store(list(txs), "M+E", paths[1])
+        key, other = list(stats.table.distinct_rows()[0])[:2]
+        signatures = [LeafSignature(1, 'Sw"ép', 1.0, 5, [key], {key: 1.0}, 1.0),
+                      LeafSignature(4, "Mint", 1.0, 5, [key, other], {key: 1.0, other: 1.0}, 1.0)]
+        cli.match_features(stats.table, signatures, paths[2])
+        return [path.read_bytes() for path in paths]
+
+    expected = write_all("c")
+    assert b"\\u00e9" in expected[0] and b"\\t\\\\" in expected[0] and b'\\"e' in expected[2]
+    assert b'"leaves":[1,4]' in expected[2] and b'"leaves":[]' in expected[2]
+    monkeypatch.setattr(storage, "_C_ENCODE", None)
+    if pure:
+        monkeypatch.setattr(json.encoder, "c_make_encoder", None)
+        monkeypatch.setattr(json.encoder, "encode_basestring_ascii",
+                            json.encoder.py_encode_basestring_ascii)
+        monkeypatch.setattr(storage, "dumps_str", json.encoder.py_encode_basestring_ascii)
+    assert write_all("fallback") == expected

@@ -282,8 +282,9 @@ def test_streamed_store_matches_reference(small_corpus, tmp_path, corpus):
     raw = small_corpus["raw"] if corpus == "synth" else write_tricky_corpus(tmp_path / "raw")
     inputs = (raw / "transfers.csv", raw / "tokens.json", raw / "accounts.json",
               raw / "methods.csv", PACKAGED_METHOD_GROUPS)
-    report, _ = ingest_to_store(*inputs, tmp_path / "streamed")
+    report, _, labels = ingest_to_store(*inputs, tmp_path / "streamed")
     assert report == reference_ingest(*inputs, tmp_path / "reference")
+    assert labels == storage.read_labels(tmp_path / "streamed" / storage.LABELS_FILE)
     for name in (storage.STORE_FILE, storage.LABELS_FILE, storage.REPORT_FILE):
         assert filecmp.cmp(tmp_path / "streamed" / name, tmp_path / "reference" / name,
                            shallow=False), name

@@ -278,20 +278,22 @@ def wide_store(store_dir):
                                                     ("0xin", all_in))])
 
 
+def oracle_features(tx, catalog, mode, max_nodes=motif.DEFAULT_MAX_NODES):
+    """A stored transaction's features from the brute-force oracles over its
+    ETN: M+E is the union of M and E."""
+    network = etn_mod.build_etn(tx)
+    if mode == "MxE":
+        return brute_force_motif_edge_features(network, catalog, max_nodes)
+    feats = brute_force_motifs(network, catalog) if mode != "E" else {}
+    if mode != "M":
+        feats.update(brute_force_edge_features(network))
+    return feats
+
+
 def _reference_features(store_dir, catalog, mode, max_nodes=motif.DEFAULT_MAX_NODES):
-    """Each stored transaction's features from the brute-force oracles over
-    its ETN: M+E is the union of M and E."""
-    expected = {}
-    for tx in storage.iter_store(store_dir):
-        network = etn_mod.build_etn(tx)
-        if mode == "MxE":
-            feats = brute_force_motif_edge_features(network, catalog, max_nodes)
-        else:
-            feats = brute_force_motifs(network, catalog) if mode != "E" else {}
-            if mode != "M":
-                feats.update(brute_force_edge_features(network))
-        expected[(tx[0], tx[1])] = feats
-    return expected
+    """Each stored transaction's oracle_features, by (tx_hash, ego)."""
+    return {(tx[0], tx[1]): oracle_features(tx, catalog, mode, max_nodes)
+            for tx in storage.iter_store(store_dir)}
 
 
 @pytest.mark.parametrize("mode", ["M", "E", "M+E", "MxE"])

@@ -66,7 +66,7 @@ def test_featurize_from_ingest_memory_equals_store(small_corpus, tmp_path, monke
     """The pipeline's path: ingest's own tuples, featurized without a store decode."""
     monkeypatch.setattr(featurize, "CHUNK_LINES", 300)
     inputs = [small_corpus[k] for k in ("transfers", "tokens", "accounts", "methods")]
-    _, transactions = cli.ingest_to_store(*inputs, None, tmp_path / "store")
+    _, transactions, _ = cli.ingest_to_store(*inputs, None, tmp_path / "store")
     n = len(transactions)
     from_store = featurize.featurize_store(tmp_path / "store", "MxE", tmp_path / "store.jsonl")
 
@@ -119,7 +119,7 @@ def _check_dataset(table, labels_path, parsed, classes=None, vocabulary=None):
     labels = storage.read_labels(labels_path)
     rows = [(tx, ego, feats, labels[(tx, ego)]) for tx, ego, feats in parsed
             if labels.get((tx, ego)) in ingest.METHOD_GROUPS]
-    ds = cli.load_dataset(table, labels_path, classes, vocabulary)
+    ds = cli.load_dataset(table, labels, classes, vocabulary)
     X, y, ref_classes, ref_vocabulary = reference_dataset(rows, classes, vocabulary)
     assert ds.X.dtype == X.dtype and ds.X.shape == X.shape
     assert ds.X.tobytes() == X.tobytes()
@@ -290,7 +290,7 @@ def test_take_keeps_only_the_distinct_rows_it_uses(tmp_path):
     labels = tmp_path / "labels.csv"
     labels.write_text("tx_hash,ego,method_group\nt1,e1,Swap\nt3,e2,Mint\nt4,e2,Swap\n",
                       encoding="utf-8")
-    ds = cli.load_dataset(table, labels)
+    ds = cli.load_dataset(table, storage.read_labels(labels))
     assert ds.vocabulary == ["a", "b", OOV_KEY]
     assert ds.X.tolist() == [[1, 0, 0], [1, 2, 0], [1, 0, 0]]
 
