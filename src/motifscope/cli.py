@@ -27,8 +27,6 @@ from .ingest import (
     METHOD_GROUPS,
     TokenRegistry,
     UNKNOWN,
-    _bad_line,
-    _jsonl_rows,
     _schema,
     load_method_labels,
     load_method_mapping,
@@ -131,13 +129,6 @@ def load_model(path) -> ModelSpec:
             raise InputError(f"unknown model kind {kind!r} in {path}")
         return ModelSpec(kind, obj["mode"], obj["classes"], obj["vocabulary"], obj["params"],
                          _MODEL_KINDS[kind].from_dict(obj["model"]))
-
-
-def _features_mode(path) -> Optional[str]:
-    """Mode recorded on the first line of a features file (None if empty)."""
-    for _, obj in _jsonl_rows(path, "features"):
-        return obj.get("mode")
-    return None
 
 
 def load_dataset(table: FeatureTable, labels: Mapping[tuple[str, str], str], classes=None,
@@ -303,41 +294,12 @@ def match_features(table: FeatureTable, signatures: list[LeafSignature],
                    out) -> list[tuple[str, tuple[int, ...]]]:
     """Match every row of the table against the signatures into matches
     JSONL; returns the (ego, leaves) of every line written, in row order.
-
-    Each distinct row of the table is matched once, each distinct result's
-    line middle is encoded once, and every line is written through row_of
-    with only its ego and tx hash encoded: the bytes of storage.dumps."""
-    by_result: dict[tuple, tuple[tuple[int, ...], str]] = {}
-    dumps, enc = storage.dumps, storage.dumps_str
-    hits = []  # (leaves, line middle) per distinct row
-    for feats in table.distinct_rows():
-        leaves, groups = match_signatures(feats, signatures)
-        result = (tuple(leaves), tuple(groups))
-        hit = by_result.get(result)
-        if hit is None:
-            hit = by_result[result] = (
-                result[0], f',"groups":{dumps(groups)},"leaves":{dumps(leaves)},"tx_hash":')
-        hits.append(hit)
-    egos = table.ego_names.tolist()
-    ego_json = [enc(ego) for ego in egos]
-    pairs = []
-    with storage.replacing(out) as (tmp,), open(tmp, "w", encoding="utf-8") as fh:
-        for tx_hash, ego, row in zip(table.tx_hashes.tolist(), table.ego_ids.tolist(),
-                                     table.row_of.tolist()):
-            leaves, middle = hits[row]
-            fh.write(f'{{"ego":{ego_json[ego]}{middle}{enc(tx_hash)}}}\n')
-            pairs.append((egos[ego], leaves))
-    return pairs
-
-
-def _read_matches(path):
-    """(ego, leaves) from a matches.jsonl file, for the profile subcommand."""
-    for lineno, obj in _jsonl_rows(path, "matches"):
-        try:
-            row = obj["ego"], obj.get("leaves", [])
-        except (AttributeError, KeyError, TypeError) as exc:
-            raise _bad_line("matches", path, lineno, exc) from exc
-        yield row
+    Each distinct row of the table is matched once."""
+    results = [match_signatures(feats, signatures) for feats in table.distinct_rows()]
+    storage.write_rows(out, table, [{"groups": groups, "leaves": leaves}
+                                    for leaves, groups in results])
+    leaves = [tuple(hit) for hit, _ in results]
+    return list(zip(table.egos(), map(leaves.__getitem__, table.row_of.tolist())))
 
 
 def write_profiles(matches, out) -> Profiles:
@@ -430,10 +392,11 @@ def cmd_featurize(args) -> int:
     catalog = motif.load_catalog(args.catalog) if args.catalog else None
     stats = featurize_store(
         args.store, args.mode, args.out,
-        threads=args.threads, catalog=catalog, max_nodes=args.max_nodes, build_table=False,
+        threads=args.threads, catalog=catalog, max_nodes=args.max_nodes,
     )
     _print({
         "transactions": stats.transactions,
+        "distinct_rows": stats.table.n_distinct,
         "oversize": stats.oversize,
         "rejected_transfers": stats.rejected_transfers,
         "out": args.out,
@@ -456,7 +419,7 @@ def cmd_train(args) -> int:
         "trees": args.trees,
         "max_features": None if args.max_features == "all" else args.max_features,
     }
-    file_mode = _features_mode(args.features)
+    file_mode = storage.features_mode(args.features)
     mode = motif.normalize_mode(args.mode) if args.mode else (file_mode or "M+E")
     if args.mode and file_mode and mode != file_mode:
         raise InputError(f"--mode {mode} does not match the features file mode {file_mode}")
@@ -509,7 +472,7 @@ def cmd_match(args) -> int:
 
 
 def cmd_profile(args) -> int:
-    profiles = write_profiles(_read_matches(args.matches), args.out)
+    profiles = write_profiles(storage.read_matches(args.matches), args.out)
     _print({"accounts": len(profiles.accounts), "signatures": len(profiles.leaf_ids),
             "out": args.out})
     return 0

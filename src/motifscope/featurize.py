@@ -4,17 +4,19 @@ This is the throughput-critical stage. It runs the two halves of
 motif.transaction_features, the one per-transaction featurizer: every
 transaction is reduced to its shape (motif.transaction_shape), the canonical
 form of its typed ego network up to what the features see, and the map is
-built (motif.shape_features) and JSON-encoded once per distinct shape in a
-chunk. Shapes repeat heavily (200,000 transactions of a scoring corpus hold
-a few hundred), so only the tally and each line's ego and tx hash are per-row
-work; the chunk's FeatureTable is built from its distinct maps.
+built (motif.shape_features) once per distinct shape in a chunk. Shapes
+repeat heavily (200,000 transactions of a scoring corpus hold a few
+hundred), so only the tally is per-row work; each chunk's FeatureTable is
+built from its distinct maps, and the chunk tables are joined into one.
+features.jsonl is written from that table by storage.write_rows, which
+encodes each distinct row once.
 
 The transactions come either from the store on disk, whose lines
 storage.line_to_tx decodes one chunk at a time, or from the list that ingest
 holds in memory, which forked workers inherit and index by range, so no line
 is decoded or pickled. Both feed one worker loop. Chunks are spread across
 worker processes; workers are pure and chunks are merged in input order, so
-the lines and the FeatureTable are bit-identical regardless of worker count.
+the FeatureTable and its lines are bit-identical regardless of worker count.
 test_featurize.py checks this path against the plain featurizer and the
 brute-force oracles.
 """
@@ -26,7 +28,7 @@ import os
 from dataclasses import dataclass
 from functools import partial
 from itertools import islice
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 from . import motif, storage
 from .ingest import _open
@@ -58,43 +60,34 @@ def _chunk_transactions(chunk) -> Iterable[tuple]:
     return (decode(line, path, lineno) for lineno, line in enumerate(lines, first) if line.strip())
 
 
-def _process_chunk(catalog: MotifCatalog, mode: str, max_nodes: int, build_table: bool,
-                   chunk) -> tuple[str, int, int, int, Optional[FeatureTable]]:
-    """Featurize one chunk into (joined output lines, rows, oversize,
-    rejected, the chunk's FeatureTable or None when not built); a bad store
-    line raises InputError.
+def _process_chunk(catalog: MotifCatalog, mode: str, max_nodes: int,
+                   chunk) -> tuple[int, int, FeatureTable]:
+    """Featurize one chunk into (oversize, rejected, the chunk's
+    FeatureTable); a bad store line raises InputError.
 
     Each row is reduced to its shape (motif.transaction_shape), which is all
     its feature map depends on. A memo maps each of the chunk's shapes to its
-    index among the chunk's distinct maps, so motif counting and the JSON of
-    the map run once per distinct shape: the map's encoded line middle
-    `,"features":{...},"mode":...,"tx_hash":` is kept, and a line is the
-    row's ego and tx hash around it, the bytes storage.dumps gives for the
-    whole object. The memo lives for one chunk, so it holds at most
+    index among the chunk's distinct maps, so motif counting runs once per
+    distinct shape. The memo lives for one chunk, so it holds at most
     CHUNK_LINES shapes. The chunk table is built from the distinct maps and
     each row's map index, so its flatten, sort and deduplication run once
     per shape too.
     """
     memo: dict[motif.Shape, int] = {}
-    maps, middles, map_of, out, hashes, egos = [], [], [], [], [], []
+    maps, map_of, hashes, egos = [], [], [], []
     oversize = rejected = 0
-    tally, enc = motif.transaction_shape, storage.dumps_str
-    tail = f',"mode":{enc(mode)},"tx_hash":'
+    tally = motif.transaction_shape
     for tx in _chunk_transactions(chunk):
         shape, rej = tally(tx, mode, max_nodes)
         rejected += rej
         oversize += shape[2]
         index = memo.setdefault(shape, len(maps))
         if index == len(maps):
-            feats = motif.shape_features(catalog, shape)
-            maps.append(feats)
-            middles.append(',"features":' + storage.dumps(feats) + tail)
-        out.append(f'{{"ego":{enc(tx[1])}{middles[index]}{enc(tx[0])}}}')
+            maps.append(motif.shape_features(catalog, shape))
         map_of.append(index)
         hashes.append(tx[0])
         egos.append(tx[1])
-    table = FeatureTable.build(hashes, egos, maps, map_of) if build_table else None
-    return "\n".join(out), len(out), oversize, rejected, table
+    return oversize, rejected, FeatureTable.build(hashes, egos, maps, map_of)
 
 
 @dataclass
@@ -102,7 +95,7 @@ class FeaturizeStats:
     transactions: int
     oversize: int
     rejected_transfers: int
-    table: Optional[FeatureTable]
+    table: FeatureTable
 
 
 def _store_chunks(path, chunk_lines: int):
@@ -121,19 +114,16 @@ def featurize_store(
     threads: int = 1,
     catalog: MotifCatalog | None = None,
     max_nodes: int = DEFAULT_MAX_NODES,
-    build_table: bool = True,
 ) -> FeaturizeStats:
-    """Featurize every transaction of `store` into out_path (JSONL) and
-    return the counts and, unless build_table is false, the FeatureTable of
-    the lines written.
+    """Featurize every transaction of `store`, write the FeatureTable's rows
+    to out_path (JSONL, by storage.write_rows) and return it with the counts.
 
     store is a store directory, or the list of (tx_hash, ego, method group,
     rows) tuples that was written to one. Such a list is consumed: each
-    chunk's entries are set to None once its lines are written, so the
-    transactions are released while the table grows. The output is written
-    to a temporary file next to out_path and moved into place only when
-    every transaction featurized; a malformed store line raises InputError
-    naming the store path and line number.
+    chunk's entries are set to None once it is featurized, so the
+    transactions are released while the table grows. out_path is written
+    only when every transaction featurized; a malformed store line raises
+    InputError naming the store path and line number.
     """
     mode = motif.normalize_mode(mode)
     if catalog is None:
@@ -144,36 +134,34 @@ def featurize_store(
         box = [store]
         chunks = [range(start, min(start + CHUNK_LINES, len(store)))
                   for start in range(0, len(store), CHUNK_LINES)]
-    work = partial(_process_chunk, catalog, mode, max_nodes, build_table)
+    work = partial(_process_chunk, catalog, mode, max_nodes)
     try:
-        with storage.replacing(out_path) as (tmp_path,), open(tmp_path, "w", encoding="utf-8") as out:
-            if threads <= 1:
-                if box:  # in this process a chunk is its slice of the list
-                    chunks = (store[chunk.start:chunk.stop] for chunk in chunks)
-                return _collect(out, map(work, chunks), box)
+        if threads <= 1:
+            if box:  # in this process a chunk is its slice of the list
+                chunks = (store[chunk.start:chunk.stop] for chunk in chunks)
+            stats = _collect(map(work, chunks), box)
+        else:
             ctx = mp.get_context("fork") if "fork" in mp.get_all_start_methods() else mp.get_context()
             with ctx.Pool(threads, initializer=_inherit, initargs=(box,)) as pool:
-                return _collect(out, pool.imap(work, chunks, chunksize=1), box)
+                stats = _collect(pool.imap(work, chunks, chunksize=1), box)
     finally:
         box.clear()  # the pool keeps its initargs: the box must not keep the transactions
+    storage.write_rows(out_path, stats.table,
+                       [{"features": feats, "mode": mode} for feats in stats.table.distinct_rows()])
+    return stats
 
 
-def _collect(out, results, box: list) -> FeaturizeStats:
-    """Write each chunk's lines in order and concatenate the chunk tables, if
-    built; release each chunk of the in-memory transactions in `box` once
-    written."""
+def _collect(results, box: list) -> FeaturizeStats:
+    """Sum the chunks' counts and concatenate their tables in order; release
+    each chunk of the in-memory transactions in `box` once featurized."""
     tables = []
     oversize = rejected = done = 0
-    for text, rows, ov, rej, table in results:
-        if text:
-            out.write(text)
-            out.write("\n")
+    for ov, rej, table in results:
         oversize += ov
         rejected += rej
         tables.append(table)
         if box:
-            box[0][done:done + rows] = [None] * rows
-        done += rows
-    table = FeatureTable.concat(tables) if None not in tables else None
+            box[0][done:done + table.n_rows] = [None] * table.n_rows
+        done += table.n_rows
     return FeaturizeStats(transactions=done, oversize=oversize, rejected_transfers=rejected,
-                          table=table)
+                          table=FeatureTable.concat(tables))

@@ -2,14 +2,16 @@
 
 Large intermediates are JSON-lines (streamable, diff-able); tabular exports
 are CSV. This module owns writing: every artifact is written through
-`replacing`, by `write_text`, `write_csv`, `write_json` or a streaming
-writer, so a failed write leaves the previous file. Files are read through
-the readers in `ingest`. All writers are deterministic: sorted keys, fixed
-separators, no timestamps, so identical inputs produce byte-identical
+`replacing`, by `write_text`, `write_csv`, `write_json`, `write_rows` or
+`write_store`, so a failed write leaves the previous file. Files are read
+through the readers in `ingest`. All writers are deterministic: sorted keys,
+fixed separators, no timestamps, so identical inputs produce byte-identical
 artifacts. The store holds one transaction per line; `line_to_tx` is its
 only decoder, and it returns the (tx_hash, ego, method group or None, rows)
-tuple that `write_store` takes. `read_features` is the one reader of a
-features file, into the `table.FeatureTable` that featurize also returns.
+tuple that `write_store` takes. features.jsonl and matches.jsonl hold one
+line per row of a `table.FeatureTable`, and `write_rows` is their one
+writer; `read_features` (with `features_mode`) and `read_matches` read
+them back.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import hashlib
 import json
 import os
 from contextlib import contextmanager
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator, Optional, Sequence
 
 # read_json is re-exported: artifacts are read back as storage.read_json
 from .ingest import InputError, _bad_line, _csv_rows, _jsonl_rows, _open, read_json
@@ -46,7 +48,7 @@ _C_ENCODE = json.encoder.c_make_encoder and json.encoder.c_make_encoder(
 
 
 # A string's JSON text, the same as dumps(string) but with no per-call set-up:
-# featurize and match write each line's ego and tx hash through it.
+# write_rows encodes each line's tx hash through it.
 dumps_str = json.encoder.encode_basestring_ascii
 
 
@@ -87,6 +89,20 @@ def write_csv(path, header: list, rows: Iterable[list]) -> None:
 
 def write_json(path, obj) -> None:
     write_text(path, dumps(obj) + "\n")
+
+
+def write_rows(path, table: FeatureTable, fields: Sequence[dict]) -> None:
+    """Write one JSON line per table row, in row order: the object of the
+    row's ego, its tx hash and fields[row_of[i]], whose keys must sort
+    between "ego" and "tx_hash". The lines are the bytes of dumps of each
+    whole object, but each distinct row's fields and each distinct ego are
+    encoded once, and a line adds only its tx hash."""
+    enc = dumps_str
+    middles = [f",{dumps(obj)[1:-1]},\"tx_hash\":" for obj in fields]
+    heads = [f'{{"ego":{enc(ego)}' for ego in table.ego_names.tolist()]
+    rows = zip(table.tx_hashes.tolist(), table.ego_ids.tolist(), table.row_of.tolist())
+    with replacing(path) as (tmp,), open(tmp, "w", encoding="utf-8") as fh:
+        fh.writelines(f"{heads[ego]}{middles[row]}{enc(tx_hash)}}}\n" for tx_hash, ego, row in rows)
 
 
 def line_to_tx(line: str, path, lineno: int) -> tuple[str, str, Optional[str], list[list]]:
@@ -206,6 +222,23 @@ def read_features(path) -> FeatureTable:
             hashes, egos, feature_maps = [], [], []
     chunks.append(FeatureTable.build(hashes, egos, feature_maps))
     return FeatureTable.concat(chunks)
+
+
+def features_mode(path) -> Optional[str]:
+    """The mode recorded on the first line of a features file (None if empty)."""
+    for _, obj in _jsonl_rows(path, "features"):
+        return obj.get("mode")
+    return None
+
+
+def read_matches(path) -> Iterator[tuple[str, list[int]]]:
+    """(ego, leaves) per line of a matches file, for the profile subcommand."""
+    for lineno, obj in _jsonl_rows(path, "matches"):
+        try:
+            row = obj["ego"], obj.get("leaves", [])
+        except (AttributeError, KeyError, TypeError) as exc:
+            raise _bad_line("matches", path, lineno, exc) from exc
+        yield row
 
 
 def sha256_file(path) -> str:

@@ -6,8 +6,9 @@ heavily, so only the distinct rows are stored: CSR arrays over a sorted
 vocabulary, in first-seen order, each row's entries in vocabulary order.
 The featurize workers build one table per chunk and `concat` joins them in
 chunk order and deduplicates again, so the table does not depend on the
-worker count or chunk size; `storage.read_features` builds the same table
-from a features.jsonl file.
+worker count or chunk size. features.jsonl and matches.jsonl are written
+from a table, one line per row, by `storage.write_rows`, and
+`storage.read_features` builds the same table from a features.jsonl file.
 
 Tx hashes and the distinct egos are each packed into one string with end
 offsets, so a table costs no object per row and keeps alive none of the

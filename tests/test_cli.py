@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, artifact formats, pipeline manifest."""
 
 import csv
+import dataclasses
 import json
 import os
 import re
@@ -804,6 +805,19 @@ def test_pipeline_config_round_trip():
         PipelineConfig.from_json({"bogus_key": 1})
 
 
+def test_pipeline_parser_has_a_flag_per_config_field():
+    """cmd_pipeline overrides every PipelineConfig field whose flag is passed,
+    so each field needs a flag of its name that defaults to None."""
+    parser = build_parser()
+    fields = dataclasses.fields(PipelineConfig)
+    defaults = vars(parser.parse_args(["pipeline"]))
+    assert {f.name: defaults.get(f.name, "no flag") for f in fields} == {f.name: None for f in fields}
+    for f in fields:
+        value = "1" if f.default is None else str(f.default)
+        args = parser.parse_args(["pipeline", f"--{f.name.replace('_', '-')}", value])
+        assert getattr(args, f.name) is not None, f.name
+
+
 def test_pipeline_requires_inputs(tmp_path, capsys):
     _, err = run(capsys, ["pipeline", "--out", str(tmp_path / "run")], code=2)
     assert "missing" in err["error"]["message"]
@@ -878,7 +892,7 @@ def test_pipeline_profiles_and_clusters_from_memory(tmp_path, small_corpus, pipe
     def refuse(*args, **kwargs):
         raise AssertionError("re-parse or n x n matrix in the pipeline")
 
-    monkeypatch.setattr(cli, "_read_matches", refuse)
+    monkeypatch.setattr(storage, "read_matches", refuse)
     monkeypatch.setattr(profile, "pairwise_distances", refuse)
     monkeypatch.setattr(profile, "pdist", refuse)
     out = tmp_path / "run"

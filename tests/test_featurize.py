@@ -58,8 +58,15 @@ def plain_lines(txs, catalog, mode, max_nodes=MAX_NODES):
             sum(rejected for _, rejected in results))
 
 
+def written_lines(table, mode, path):
+    """The lines storage.write_rows writes for a featurize table."""
+    storage.write_rows(path, table, [{"features": feats, "mode": mode}
+                                     for feats in table.distinct_rows()])
+    return path.read_text(encoding="utf-8").splitlines()
+
+
 @pytest.mark.parametrize("mode", motif.MODES)
-def test_memoized_chunks_equal_plain_featurizer_and_oracles(rng, mode):
+def test_memoized_chunks_equal_plain_featurizer_and_oracles(rng, tmp_path, mode):
     catalog = motif.enumerate_catalog()
     txs = random_transactions(rng, 400)
     lines, maps, oversize, rejected = plain_lines(txs, catalog, mode)
@@ -67,18 +74,18 @@ def test_memoized_chunks_equal_plain_featurizer_and_oracles(rng, mode):
     assert rejected > 0 and (oversize > 0) == (mode == "MxE")
     for size in (64, len(txs)):
         chunks = [txs[i:i + size] for i in range(0, len(txs), size)]
-        results = [featurize._process_chunk(catalog, mode, MAX_NODES, True, chunk)
-                   for chunk in chunks]
-        assert "\n".join(text for text, *_ in results).split("\n") == lines
-        assert [sum(r[k] for r in results) for k in (1, 2, 3)] == [len(txs), oversize, rejected]
+        results = [featurize._process_chunk(catalog, mode, MAX_NODES, chunk) for chunk in chunks]
+        assert [sum(r[0] for r in results), sum(r[1] for r in results),
+                sum(r[2].n_rows for r in results)] == [oversize, rejected, len(txs)]
         for start, (*_, table) in zip(range(0, len(txs), size), results):
             chunk = txs[start:start + size]
             assert_same_table(table, FeatureTable.build(
                 [tx[0] for tx in chunk], [tx[1] for tx in chunk], maps[start:start + size]))
+            assert written_lines(table, mode, tmp_path / "chunk.jsonl") == lines[start:start + size]
 
 
 @pytest.mark.parametrize("mode", motif.MODES)
-def test_one_shape_in_any_row_order_takes_one_memo_entry(rng, mode, monkeypatch):
+def test_one_shape_in_any_row_order_takes_one_memo_entry(rng, tmp_path, mode, monkeypatch):
     catalog = motif.enumerate_catalog()
     copies = [renamed(random_tx(rng, 9), rng, 0)]
     copies += [renamed(copies[0], rng, i) for i in range(1, 40)]
@@ -87,9 +94,9 @@ def test_one_shape_in_any_row_order_takes_one_memo_entry(rng, mode, monkeypatch)
     real = motif.shape_features
     monkeypatch.setattr(motif, "shape_features",
                         lambda catalog, shape: shapes.append(shape) or real(catalog, shape))
-    text, rows, _, _, table = featurize._process_chunk(catalog, mode, MAX_NODES, True, copies)
-    assert len(shapes) == 1 and rows == 40 and table.n_distinct == 1
-    assert text.split("\n") == plain_lines(copies, catalog, mode)[0]
+    _, _, table = featurize._process_chunk(catalog, mode, MAX_NODES, copies)
+    assert len(shapes) == 1 and table.n_rows == 40 and table.n_distinct == 1
+    assert written_lines(table, mode, tmp_path / "f.jsonl") == plain_lines(copies, catalog, mode)[0]
 
 
 @pytest.mark.parametrize("threads", [1, 2])

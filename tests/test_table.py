@@ -86,26 +86,23 @@ def test_featurize_from_ingest_memory_equals_store(small_corpus, tmp_path, monke
 
 
 @pytest.mark.parametrize("threads", [1, 2])
-def test_featurize_subcommand_builds_no_table(small_corpus, tmp_path, monkeypatch, capsys, threads):
-    """The featurize subcommand only prints counts: it builds no table, and
-    writes the bytes and counts of the path that builds one."""
+def test_featurize_subcommand_writes_and_prints_what_featurize_store_does(
+        small_corpus, tmp_path, monkeypatch, capsys, threads):
+    """The featurize subcommand writes the bytes of featurize_store and prints
+    its counts, the table's distinct rows among them."""
     monkeypatch.setattr(featurize, "CHUNK_LINES", 300)
-    with_table = featurize.featurize_store(small_corpus["store"], "MxE", tmp_path / "table.jsonl",
-                                           threads=threads)
-    assert with_table.table.n_rows == with_table.transactions == 2000
-
-    def refuse(*args):
-        raise AssertionError("a feature table was built")
-
-    monkeypatch.setattr(FeatureTable, "build", refuse)
-    monkeypatch.setattr(FeatureTable, "concat", refuse)
+    stats = featurize.featurize_store(small_corpus["store"], "MxE", tmp_path / "table.jsonl",
+                                      threads=threads)
+    assert stats.table.n_rows == stats.transactions == 2000
     out = tmp_path / "features.jsonl"
     assert cli.main(["featurize", "--store", str(small_corpus["store"]), "--mode", "MxE",
                      "--out", str(out), "--threads", str(threads)]) == 0
     assert out.read_bytes() == (tmp_path / "table.jsonl").read_bytes()
     printed = json.loads(capsys.readouterr().out)
-    assert (printed["transactions"], printed["oversize"], printed["rejected_transfers"]) == (
-        with_table.transactions, with_table.oversize, with_table.rejected_transfers)
+    assert printed == {"transactions": stats.transactions, "distinct_rows": stats.table.n_distinct,
+                       "oversize": stats.oversize, "rejected_transfers": stats.rejected_transfers,
+                       "out": str(out)}
+    assert 1 < printed["distinct_rows"] == storage.read_features(out).n_distinct < 2000
 
 
 def _write_features(path, rows):
