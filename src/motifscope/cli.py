@@ -439,9 +439,14 @@ def cmd_eval(args) -> int:
 
 
 def cmd_prune(args) -> int:
+    if args.features or args.labels:
+        flags = {"--path": args.path, "--features": args.features, "--labels": args.labels}
+        if missing := [flag for flag, value in flags.items() if not value]:
+            raise InputError(f"prune --features and --labels fill the CV columns of --path; "
+                             f"missing {' and '.join(missing)}")
     spec = load_model(args.model)
     cv = None
-    if args.path and args.features and args.labels:
+    if args.path and args.features:
         dataset = _read_dataset(args, spec)
         folds = stratified_kfold(dataset.y, k=args.folds, seed=args.seed, groups=dataset.tx_hashes)
         cv = (dataset, folds, None)

@@ -2,11 +2,15 @@
 
 The tree is grown with weighted Gini impurity so the cost-complexity pruning
 and per-leaf signature mining in signatures.py can reuse its internal node
-statistics. Feature values are rank-encoded into a `RankedMatrix`; every
-node split then reduces to bincounts over the rank codes, which keeps training
-linear in node size instead of paying a sort per node. A fit encodes a float
-matrix once per call (a forest once for all its trees), and callers that fit
-many trees on row subsets of one matrix encode it once and pass the codes.
+statistics. A `DecisionTree` is one set of arrays over its nodes in preorder
+(the node table that `to_dict` writes): the grower appends each node as it
+pops it, a leaf's id is its rank among the leaves, prediction routes all rows
+down one level at a time, and `collapsed` makes a pruned copy. Feature values
+are rank-encoded into a `RankedMatrix`; every node split then reduces to
+bincounts over the rank codes, which keeps training linear in node size
+instead of paying a sort per node. A fit encodes a float matrix once per call
+(a forest once for all its trees), and callers that fit many trees on row
+subsets of one matrix encode it once and pass the codes.
 
 A fit's rows may repeat. `DecisionTree.fit` and `RandomForest.fit` then take
 the distinct (row, class) pairs as X and y and, as `pair_of`, each row's pair,
@@ -26,7 +30,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Iterable, Optional, Sequence, Union
 
 import numpy as np
 from scipy.optimize import minimize
@@ -177,43 +181,30 @@ def rank_encode(X: Union[np.ndarray, RankedMatrix]) -> RankedMatrix:
 # decision tree
 # ---------------------------------------------------------------------------
 
-class TreeNode:
-    __slots__ = ("feature", "threshold", "left", "right", "value", "n_samples", "weight", "gini", "leaf_id")
-
-    def __init__(self, value: np.ndarray, n_samples: int, weight: float, gini: float):
-        self.feature: Optional[int] = None
-        self.threshold: float = 0.0
-        self.left: Optional["TreeNode"] = None
-        self.right: Optional["TreeNode"] = None
-        self.value = value  # per-class weight sums
-        self.n_samples = n_samples  # raw count
-        self.weight = weight
-        self.gini = gini  # unnormalized: W * (1 - sum p^2)
-        self.leaf_id: Optional[int] = None
-
-    @property
-    def is_leaf(self) -> bool:
-        return self.feature is None
-
-    @property
-    def prediction(self) -> int:
-        # argmax returns the first maximum, i.e. the lowest class index on ties
-        return int(np.argmax(self.value))
-
-
 def _node_gini(value: np.ndarray, weight: float) -> float:
     if weight <= 0:
         return 0.0
     return float(weight - (value @ value) / weight)
 
 
-@dataclass
+@dataclass(eq=False)
 class DecisionTree:
-    root: TreeNode
+    """A binary tree as arrays over its nodes in preorder: node 0 is the root
+    and an inner node's left child is the node after it. A row goes left when
+    X[row, feature] <= threshold; feature, threshold, left and right are -1
+    at a leaf. A leaf's id is its rank among the leaves in preorder."""
+
+    feature: np.ndarray  # (nodes,)
+    threshold: np.ndarray  # (nodes,)
+    left: np.ndarray  # (nodes,)
+    right: np.ndarray  # (nodes,)
+    value: np.ndarray  # (nodes, n_classes) per-class weight sums
+    n_samples: np.ndarray  # (nodes,) raw counts
+    weight: np.ndarray  # (nodes,)
+    gini: np.ndarray  # (nodes,) unnormalized: W * (1 - sum p^2)
     n_classes: int
     min_leaf: int = 10
     total_weight: float = 0.0
-    n_leaves: int = 0
 
     @classmethod
     def fit(
@@ -250,121 +241,102 @@ class DecisionTree:
                 weight = counts
         n_units = ranked.shape[0]
 
-        def make_node(idx: np.ndarray) -> TreeNode:
+        # per node: [feature, threshold, left, right] and (value, n_samples, weight, gini)
+        splits, stats = [], []
+        # pairs no row uses are no unit of any node
+        start = np.arange(n_units) if sums is None else np.flatnonzero(weight)
+        stack = [(start, -1)]  # a node's units and, for a right child, its parent
+        while stack:
+            idx, parent = stack.pop()
+            node = len(stats)  # nodes are appended as popped, in preorder
+            if parent >= 0:
+                splits[parent][3] = node
             value = np.bincount(y[idx], weights=weight[idx], minlength=K)
             n_samples = len(idx)
             if sums is not None:
                 n_samples, value = int(value.sum()), sums(value)
             weight_sum = float(value.sum())
-            return TreeNode(value, n_samples, weight_sum, _node_gini(value, weight_sum))
-
-        # pairs no row uses are no unit of any node
-        start = np.arange(n_units) if sums is None else np.flatnonzero(weight)
-        root = make_node(start)
-        stack = [(root, start)]
-        while stack:
-            node, idx = stack.pop()
-            if node.n_samples < 2 * min_leaf or node.gini <= 0.0:
+            gini = _node_gini(value, weight_sum)
+            stats.append((value, n_samples, weight_sum, gini))
+            splits.append([-1, -1.0, -1, -1])
+            if n_samples < 2 * min_leaf or gini <= 0.0:
                 continue
-            split = _best_split(ranked.codes, ranked.uniques, y, weight, sums, idx, node, K,
+            split = _best_split(ranked.codes, ranked.uniques, y, weight, sums, idx, stats[-1], K,
                                 min_leaf, max_features, rng)
             if split is None:
                 continue
             feature, threshold, left_mask = split
-            node.feature = feature
-            node.threshold = threshold
-            left = make_node(idx[left_mask])
-            right = make_node(idx[~left_mask])
-            node.left, node.right = left, right
-            # push right first so the left child is processed next (preorder)
-            stack.append((right, idx[~left_mask]))
-            stack.append((left, idx[left_mask]))
-        tree = cls(root=root, n_classes=K, min_leaf=min_leaf, total_weight=total_weight)
-        tree.renumber_leaves()
-        tree._check_min_leaf()
+            splits[node][:3] = feature, threshold, node + 1  # the left child is popped next
+            stack.append((idx[~left_mask], node))
+            stack.append((idx[left_mask], -1))
+        tree = cls(*map(np.array, zip(*splits)), *map(np.array, zip(*stats)), K, min_leaf,
+                   total_weight)
+        small = (tree.left < 0) & (tree.n_samples < min_leaf)
+        if small[1:].any():
+            raise AssertionError(f"a leaf violates min_leaf={min_leaf}")
         return tree
 
     # -- structure ----------------------------------------------------------
 
-    def nodes(self) -> list[TreeNode]:
-        """Preorder node list."""
-        out, stack = [], [self.root]
-        while stack:
-            node = stack.pop()
-            out.append(node)
-            if not node.is_leaf:
-                stack.append(node.right)
-                stack.append(node.left)
-        return out
+    @property
+    def n_leaves(self) -> int:
+        return int((self.left < 0).sum())
 
-    def leaves(self) -> list[TreeNode]:
-        return [node for node in self.nodes() if node.is_leaf]
+    def leaves(self) -> np.ndarray:
+        """The leaves' nodes in preorder: leaf id k is node leaves()[k]."""
+        return np.flatnonzero(self.left < 0)
 
-    def renumber_leaves(self) -> None:
-        count = 0
-        for node in self.nodes():
-            if node.is_leaf:
-                node.leaf_id = count
-                count += 1
-            else:
-                node.leaf_id = None
-        self.n_leaves = count
+    def collapsed(self, nodes: Iterable[int]) -> "DecisionTree":
+        """This tree with each of the given nodes made a leaf. The nodes below
+        them go; the rest keep their order and are numbered again."""
+        feature, threshold, left, right, *stats = self._arrays()
+        split = left >= 0
+        split[list(nodes)] = False
+        keep = np.zeros_like(split)
+        keep[0] = True
+        for i, (l, r) in enumerate(zip(left.tolist(), right.tolist())):  # parents come first
+            if keep[i] and split[i]:
+                keep[l] = keep[r] = True
+        new, split = np.cumsum(keep) - 1, split[keep]
+        links = (feature[keep], threshold[keep], new[left[keep]], new[right[keep]])
+        return DecisionTree(*(np.where(split, a, -1) for a in links), *(a[keep] for a in stats),
+                            self.n_classes, self.min_leaf, self.total_weight)
 
-    def _check_min_leaf(self) -> None:
-        for leaf in self.leaves():
-            if leaf is not self.root and leaf.n_samples < self.min_leaf:
-                raise AssertionError(
-                    f"leaf with {leaf.n_samples} samples violates min_leaf={self.min_leaf}"
-                )
+    def _arrays(self) -> tuple[np.ndarray, ...]:
+        return (self.feature, self.threshold, self.left, self.right, self.value,
+                self.n_samples, self.weight, self.gini)
 
     # -- inference ----------------------------------------------------------
 
-    def _route(self, X: np.ndarray) -> list[tuple[TreeNode, np.ndarray]]:
+    def _leaf_of(self, X: np.ndarray) -> np.ndarray:
+        """The leaf node each row of X reaches; all rows go down one level a step."""
         X = np.asarray(X, dtype=float)
-        pairs = []
-        stack = [(self.root, np.arange(X.shape[0]))]
-        while stack:
-            node, idx = stack.pop()
-            if node.is_leaf:
-                pairs.append((node, idx))
-                continue
-            mask = X[idx, node.feature] <= node.threshold
-            stack.append((node.right, idx[~mask]))
-            stack.append((node.left, idx[mask]))
-        return pairs
+        node = np.zeros(X.shape[0], dtype=np.int64)
+        rows = np.arange(X.shape[0])
+        while rows.size:
+            at = node[rows]
+            inner = self.left[at] >= 0
+            rows, at = rows[inner], at[inner]
+            go_left = X[rows, self.feature[at]] <= self.threshold[at]
+            node[rows] = np.where(go_left, self.left[at], self.right[at])
+        return node
 
     def predict(self, X: np.ndarray) -> np.ndarray:
-        out = np.empty(X.shape[0], dtype=np.int64)
-        for leaf, idx in self._route(X):
-            out[idx] = leaf.prediction
-        return out
+        # argmax returns the first maximum, i.e. the lowest class index on ties
+        return self.value.argmax(axis=1)[self._leaf_of(X)]
 
     def apply(self, X: np.ndarray) -> np.ndarray:
         """Leaf id (preorder numbering) reached by each row."""
-        out = np.empty(X.shape[0], dtype=np.int64)
-        for leaf, idx in self._route(X):
-            out[idx] = leaf.leaf_id
-        return out
+        return (np.cumsum(self.left < 0) - 1)[self._leaf_of(X)]
 
     # -- serialization ------------------------------------------------------
 
     def to_dict(self) -> dict:
-        nodes = self.nodes()
-        index = {id(node): i for i, node in enumerate(nodes)}
         rows = []
-        for node in nodes:
-            rows.append(
-                {
-                    "feature": node.feature,
-                    "threshold": node.threshold if not node.is_leaf else None,
-                    "left": index[id(node.left)] if node.left else None,
-                    "right": index[id(node.right)] if node.right else None,
-                    "value": [float(v) for v in node.value],
-                    "n": node.n_samples,
-                    "weight": node.weight,
-                    "gini": node.gini,
-                }
-            )
+        for f, t, l, r, v, n, w, g in zip(*(a.tolist() for a in self._arrays())):
+            f, t, l, r = (None,) * 4 if l < 0 else (f, t, l, r)
+            rows.append({"feature": f, "threshold": t, "left": l, "right": r,
+                         "value": v, "n": n, "weight": w, "gini": g})
         return {
             "kind": "tree",
             "n_classes": self.n_classes,
@@ -375,25 +347,37 @@ class DecisionTree:
 
     @classmethod
     def from_dict(cls, obj: dict) -> "DecisionTree":
+        """The tree of a to_dict() object; ValueError unless its nodes are one
+        binary tree numbered in preorder."""
         rows = obj["nodes"]
-        nodes = [
-            TreeNode(np.asarray(r["value"], dtype=float), int(r["n"]), float(r["weight"]), float(r["gini"]))
-            for r in rows
-        ]
-        for node, r in zip(nodes, rows):
-            if r["feature"] is not None:
-                node.feature = int(r["feature"])
-                node.threshold = float(r["threshold"])
-                node.left = nodes[r["left"]]
-                node.right = nodes[r["right"]]
-        tree = cls(
-            root=nodes[0],
-            n_classes=int(obj["n_classes"]),
-            min_leaf=int(obj["min_leaf"]),
-            total_weight=float(obj["total_weight"]),
-        )
-        tree.renumber_leaves()
+        _check_preorder(rows)
+        split = [(-1, -1.0, -1, -1) if r["feature"] is None else
+                 (int(r["feature"]), float(r["threshold"]), r["left"], r["right"]) for r in rows]
+        stats = (("value", float), ("n", np.int64), ("weight", float), ("gini", float))
+        tree = cls(*map(np.array, zip(*split)),
+                   *(np.array([r[key] for r in rows], dtype=dtype) for key, dtype in stats),
+                   int(obj["n_classes"]), int(obj["min_leaf"]), float(obj["total_weight"]))
+        if tree.value.shape != (len(rows), tree.n_classes):
+            raise ValueError(f"tree node values are not {tree.n_classes} per node")
         return tree
+
+
+def _check_preorder(rows: list) -> None:
+    """Raise ValueError unless a walk from node 0 that goes left first meets
+    every node once, in index order, and every split feature is >= 0."""
+    n, seen, stack = len(rows), 0, [0]
+    while stack:
+        i = stack.pop()
+        if i != seen or i >= n:
+            raise ValueError(f"tree nodes are not in preorder: a link to node {i} where "
+                             f"node {seen} belongs ({n} nodes)")
+        seen += 1
+        if rows[i]["feature"] is not None:
+            if rows[i]["feature"] < 0:
+                raise ValueError(f"negative feature at tree node {i}")
+            stack += [rows[i]["right"], rows[i]["left"]]
+    if seen < n:
+        raise ValueError(f"{n - seen} of {n} tree nodes are not reachable from node 0")
 
 
 def _row_classes(y: np.ndarray, pair_of: Optional[np.ndarray]) -> np.ndarray:
@@ -429,7 +413,7 @@ def _best_split(
     weight: np.ndarray,
     sums: Optional[Callable[[np.ndarray], np.ndarray]],
     idx: np.ndarray,
-    node: TreeNode,
+    stats: tuple[np.ndarray, int, float, float],
     K: int,
     min_leaf: int,
     max_features: Optional[int],
@@ -437,7 +421,8 @@ def _best_split(
 ) -> Optional[tuple[int, float, np.ndarray]]:
     """The best split of the node whose units (rows, or pairs when sums is
     given) are idx, or None; weight is each unit's sample weight on rows and
-    its multiplicity on pairs."""
+    its multiplicity on pairs. stats is the node's (value, n_samples, weight,
+    gini)."""
     d = codes.shape[1]
     if max_features is not None and max_features < d:
         if rng is None:
@@ -451,8 +436,8 @@ def _best_split(
         features = features[(node_codes[:, features] != node_codes[0, features]).any(axis=0)]
     y_node = y[idx]
     w_node = weight[idx]
-    n_node = node.n_samples
-    eps = 1e-12 * max(1.0, node.weight)
+    value, n_node, weight_node, gini = stats
+    eps = 1e-12 * max(1.0, weight_node)
     best_dec = eps
     best: Optional[tuple[int, float, np.ndarray, int]] = None
     for f in features:
@@ -479,12 +464,12 @@ def _best_split(
             continue
         left_vals = cw[pos]
         left_w = left_vals.sum(axis=1)
-        right_vals = node.value - left_vals
-        right_w = node.weight - left_w
+        right_vals = value - left_vals
+        right_w = weight_node - left_w
         with np.errstate(divide="ignore", invalid="ignore"):
             left_g = np.where(left_w > 0, left_w - (left_vals**2).sum(axis=1) / left_w, 0.0)
             right_g = np.where(right_w > 0, right_w - (right_vals**2).sum(axis=1) / right_w, 0.0)
-        dec = node.gini - left_g - right_g
+        dec = gini - left_g - right_g
         dec[~valid] = -np.inf
         j = int(np.argmax(dec))
         if dec[j] > best_dec:

@@ -3,8 +3,11 @@
 Pruning follows the standard minimal cost-complexity construction: repeatedly
 collapse the internal node(s) with the smallest effective alpha
 g(t) = (R(t) - R(T_t)) / (|leaves(T_t)| - 1) where R is the weighted-impurity
-share of the root total. Signatures are maximal frequent feature itemsets
-(binarized presence) mined per leaf of the pruned tree.
+share of the root total. The path is computed on the tree's preorder node
+arrays; each entry keeps the ids of the nodes collapsed so far and builds its
+tree with `DecisionTree.collapsed`. Signatures are maximal frequent feature
+itemsets (binarized presence) mined per leaf of the pruned tree, and a
+signature's leaf id is its leaf's rank in preorder.
 """
 
 from __future__ import annotations
@@ -40,7 +43,7 @@ class CcpEntry:
 
     @property
     def tree(self) -> DecisionTree:
-        return _tree_with_collapsed(self._source, self.pruned_ids)
+        return self._source.collapsed(self.pruned_ids)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"CcpEntry(alpha={self.alpha:.6g}, leaves={self.leaf_count})"
@@ -60,17 +63,6 @@ class CcpPath:
         return [e.alpha for e in self.entries]
 
 
-def _tree_with_collapsed(tree: DecisionTree, pruned_ids: frozenset) -> DecisionTree:
-    obj = tree.to_dict()
-    rows = [dict(row) for row in obj["nodes"]]
-    for i in pruned_ids:
-        rows[i]["feature"] = None
-        rows[i]["threshold"] = None
-        rows[i]["left"] = None
-        rows[i]["right"] = None
-    return DecisionTree.from_dict({**obj, "nodes": rows})
-
-
 def ccp_path(tree: DecisionTree) -> CcpPath:
     """Weakest-link pruning path from the unpruned tree down to the root leaf.
 
@@ -78,25 +70,17 @@ def ccp_path(tree: DecisionTree) -> CcpPath:
     the returned path are strictly increasing and leaf counts strictly
     decreasing, starting from the alpha = 0 unpruned entry.
     """
-    nodes = tree.nodes()  # preorder, same indexing as to_dict()
-    n = len(nodes)
-    index = {id(nd): i for i, nd in enumerate(nodes)}
-    left = np.full(n, -1, dtype=np.int64)
-    right = np.full(n, -1, dtype=np.int64)
-    for i, nd in enumerate(nodes):
-        if not nd.is_leaf:
-            left[i] = index[id(nd.left)]
-            right[i] = index[id(nd.right)]
-    R = np.array([nd.gini / tree.total_weight if tree.total_weight > 0 else 0.0 for nd in nodes])
+    left, right = tree.left, tree.right  # preorder, same indexing as to_dict()
+    n = len(left)
+    R = tree.gini / tree.total_weight if tree.total_weight > 0 else np.zeros(n)
     parent = np.full(n, -1, dtype=np.int64)
-    for i in range(n):
-        if left[i] != -1:
-            parent[left[i]] = i
-            parent[right[i]] = i
+    inner = np.flatnonzero(left >= 0)
+    parent[left[inner]] = inner
+    parent[right[inner]] = inner
 
     pruned: set[int] = set()
     path = CcpPath([CcpEntry(0.0, tree.n_leaves, frozenset(), tree)])
-    if tree.root.is_leaf:
+    if n == 1:
         return path
     while True:
         hidden = np.zeros(n, dtype=bool)
@@ -340,6 +324,13 @@ def mine_leaf_itemset(
     return list(chosen), support, discrepancies
 
 
+def _majority(tree: DecisionTree, node: int) -> tuple[int, float]:
+    """A node's predicted class (the lowest on ties) and its weight share."""
+    value, weight = tree.value[node], tree.weight[node]
+    prediction = int(np.argmax(value))
+    return prediction, float(value[prediction] / weight) if weight > 0 else 0.0
+
+
 def mine_signatures(
     tree: DecisionTree,
     X: np.ndarray,
@@ -361,8 +352,8 @@ def mine_signatures(
     leaf_of_row = tree.apply(X)
     signatures = []
     all_discrepancies: list[str] = []
-    for leaf in tree.leaves():
-        rows = np.flatnonzero(leaf_of_row == leaf.leaf_id)
+    for leaf_id, node in enumerate(tree.leaves().tolist()):
+        rows = np.flatnonzero(leaf_of_row == leaf_id)
         if rows.size == 0:
             continue
         presence = X[rows] > 0
@@ -370,13 +361,13 @@ def mine_signatures(
         cols, support, notes = mine_leaf_itemset(presence, vocabulary, threshold, method,
                                                  counts=counts[rows])
         for note in notes:
-            all_discrepancies.append(f"leaf {leaf.leaf_id}: {note}")
+            all_discrepancies.append(f"leaf {leaf_id}: {note}")
         items = sorted(vocabulary[j] for j in cols)
-        prob = float(leaf.value[leaf.prediction] / leaf.weight) if leaf.weight > 0 else 0.0
+        prediction, prob = _majority(tree, node)
         signatures.append(
             LeafSignature(
-                leaf_id=int(leaf.leaf_id),
-                group=classes[leaf.prediction],
+                leaf_id=leaf_id,
+                group=classes[prediction],
                 probability=prob,
                 samples=int(counts[rows].sum()),
                 items=items,
@@ -404,21 +395,18 @@ def match_signatures(features: dict[str, float], signatures: Iterable[LeafSignat
 # ---------------------------------------------------------------------------
 
 def tree_to_dot(tree: DecisionTree, vocabulary: Sequence[str], classes: Sequence[str]) -> str:
-    lines = ["digraph pruned_tree {", "  node [fontname=\"Helvetica\"];"]
-    nodes = tree.nodes()
-    index = {id(nd): i for i, nd in enumerate(nodes)}
-    for i, nd in enumerate(nodes):
-        if nd.is_leaf:
-            prob = nd.value[nd.prediction] / nd.weight if nd.weight > 0 else 0.0
-            label = f"leaf {nd.leaf_id}\\n{classes[nd.prediction]}\\nn={nd.n_samples} p={prob:.2f}"
+    lines, edges = ["digraph pruned_tree {", "  node [fontname=\"Helvetica\"];"], []
+    leaf_ids = iter(range(tree.n_leaves))
+    splits = (a.tolist() for a in (tree.feature, tree.threshold, tree.left, tree.right))
+    for i, (f, t, l, r) in enumerate(zip(*splits)):
+        if l < 0:
+            prediction, prob = _majority(tree, i)
+            label = (f"leaf {next(leaf_ids)}\\n{classes[prediction]}\\n"
+                     f"n={tree.n_samples[i]} p={prob:.2f}")
             lines.append(f'  n{i} [shape=box, style=rounded, label="{label}"];')
         else:
-            key = vocabulary[nd.feature] if nd.feature < len(vocabulary) else f"f{nd.feature}"
+            key = vocabulary[f] if f < len(vocabulary) else f"f{f}"
             key = key.replace('"', '\\"')
-            lines.append(f'  n{i} [shape=ellipse, label="{key}\\n<= {nd.threshold:g}"];')
-    for i, nd in enumerate(nodes):
-        if not nd.is_leaf:
-            lines.append(f'  n{i} -> n{index[id(nd.left)]} [label="yes"];')
-            lines.append(f'  n{i} -> n{index[id(nd.right)]} [label="no"];')
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+            lines.append(f'  n{i} [shape=ellipse, label="{key}\\n<= {t:g}"];')
+            edges += [f'  n{i} -> n{l} [label="yes"];', f'  n{i} -> n{r} [label="no"];']
+    return "\n".join(lines + edges + ["}"]) + "\n"

@@ -284,6 +284,36 @@ def reference_forest(X, y, sample_weight, n_classes, n_trees, min_leaf, max_feat
 
 
 # ---------------------------------------------------------------------------
+# a pruned tree by a recursive walk over its to_dict() rows
+# ---------------------------------------------------------------------------
+
+def reference_collapse(obj: dict, pruned_ids) -> dict:
+    """A tree's to_dict() object with each node of pruned_ids made a leaf:
+    a recursive walk from the root keeps the nodes that no pruned node lies
+    above, and their rows are renumbered in the order the walk meets them."""
+    rows = obj["nodes"]
+    order: list[int] = []
+
+    def walk(i: int) -> None:
+        order.append(i)
+        if rows[i]["feature"] is not None and i not in pruned_ids:
+            walk(rows[i]["left"])
+            walk(rows[i]["right"])
+
+    walk(0)
+    renumber = {old: new for new, old in enumerate(order)}
+    out = []
+    for i in order:
+        row = dict(rows[i])
+        if i in pruned_ids or row["feature"] is None:
+            row.update(feature=None, threshold=None, left=None, right=None)
+        else:
+            row.update(left=renumber[row["left"]], right=renumber[row["right"]])
+        out.append(row)
+    return {**obj, "nodes": out}
+
+
+# ---------------------------------------------------------------------------
 # signature matching by a per-signature subset test
 # ---------------------------------------------------------------------------
 

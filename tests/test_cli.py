@@ -21,6 +21,7 @@ from motifscope.signatures import LeafSignature
 from oracles import brute_force_match
 
 GROUPS8 = sorted(ingest.METHOD_GROUPS)
+MODEL_FILES = Path(__file__).parent / "data" / "model_format"
 
 
 def run(capsys, argv, code=0):
@@ -619,6 +620,43 @@ def test_prune_argument_errors(trained, small_corpus, tmp_path, capsys):
     _, err = run(capsys, ["prune", "--model", str(lr_path), "--alpha", "0",
                           "--out", str(tmp_path / "p.json")], code=2)
     assert "decision-tree" in err["error"]["message"]
+    # the CV flags are refused where they would be ignored, naming the missing flag
+    feats, labels = str(small_corpus["features"]), str(small_corpus["labels"])
+    path_csv = tmp_path / "path.csv"
+    for flags, missing in ((["--path", str(path_csv), "--features", feats], "--labels"),
+                           (["--path", str(path_csv), "--labels", labels], "--features"),
+                           (["--features", feats, "--labels", labels], "--path")):
+        _, err = run(capsys, ["prune", "--model", str(trained["model"]), "--alpha", "0",
+                              "--out", str(tmp_path / "p.json"), *flags], code=2)
+        assert err["error"]["message"].endswith(f"missing {missing}"), err["error"]["message"]
+    assert not (tmp_path / "p.json").exists() and not path_csv.exists()
+
+
+@pytest.mark.parametrize("link", [0, 10**6])
+@pytest.mark.parametrize("kind", ["dt", "rf"])
+def test_tree_nodes_not_in_preorder_exit_2(small_corpus, tmp_path, kind, link):
+    """A model file whose node 0 links left to itself or past the node table
+    is exit 2 naming the file. The first once looped with growing memory and
+    the second was exit 3 on an IndexError, so each runs in a child process
+    with a timeout."""
+    obj = storage.read_json(MODEL_FILES / f"{kind}_model.json")
+    tree = obj["model"]["trees"][1] if kind == "rf" else obj["model"]
+    assert tree["nodes"][0]["left"] == 1
+    tree["nodes"][0]["left"] = link
+    bad = tmp_path / "bad.json"
+    storage.write_json(bad, obj)
+    if kind == "dt":
+        argv = ["prune", "--model", str(bad), "--alpha", "0", "--out", str(tmp_path / "p.json")]
+    else:
+        argv = ["eval", "--model", str(bad), "--features", str(small_corpus["features"]),
+                "--labels", str(small_corpus["labels"]), "--report", str(tmp_path / "r.json")]
+    env = {**os.environ, "PYTHONPATH": str(Path(motifscope.__file__).parent.parent)}
+    proc = subprocess.run([sys.executable, "-m", "motifscope", *argv], capture_output=True,
+                          text=True, env=env, timeout=20)
+    assert proc.returncode == 2, proc.stderr
+    message = json.loads(proc.stderr)["error"]["message"]
+    assert message.startswith(f"bad model file {bad}: ValueError: "), message
+    assert "preorder" in message
 
 
 def test_signatures_envelope(trained, capsys):

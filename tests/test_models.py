@@ -1,9 +1,11 @@
 """Logistic regression, decision tree, and random forest internals."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from motifscope import learn, models
+from motifscope import cli, learn, models, storage
 from motifscope.models import DecisionTree, LogisticModel, RandomForest, RankedMatrix
 
 from oracles import central_difference
@@ -102,7 +104,7 @@ def test_logistic_model_applies_class_weights():
 def test_tree_pure_target_is_single_leaf():
     X = np.arange(20, dtype=float).reshape(-1, 1)
     tree = DecisionTree.fit(X, np.zeros(20, dtype=np.int64), n_classes=2, min_leaf=1)
-    assert tree.root.is_leaf
+    assert tree.left[0] == -1
     assert tree.n_leaves == 1
     assert tree.predict(X).tolist() == [0] * 20
 
@@ -111,9 +113,9 @@ def test_tree_learns_midpoint_threshold():
     X = np.array([[0.0], [1.0], [2.0], [3.0]])
     y = np.array([0, 0, 1, 1])
     tree = DecisionTree.fit(X, y, min_leaf=1)
-    assert not tree.root.is_leaf
-    assert tree.root.feature == 0
-    assert tree.root.threshold == pytest.approx(1.5)
+    assert tree.left[0] != -1
+    assert tree.feature[0] == 0
+    assert tree.threshold[0] == pytest.approx(1.5)
     assert tree.n_leaves == 2
     assert tree.predict(np.array([[1.4], [1.6]])).tolist() == [0, 1]
 
@@ -124,7 +126,7 @@ def test_tree_min_leaf_enforced(rng):
     tree = DecisionTree.fit(X, y, min_leaf=17)
     assert tree.n_leaves > 1
     for leaf in tree.leaves():
-        assert leaf.n_samples >= 17
+        assert tree.n_samples[leaf] >= 17
 
 
 def test_tree_tie_breaks_to_lowest_feature():
@@ -132,32 +134,42 @@ def test_tree_tie_breaks_to_lowest_feature():
     X = np.column_stack([col, col])  # two identical perfect splitters
     y = np.array([0, 0, 1, 1])
     tree = DecisionTree.fit(X, y, min_leaf=1)
-    assert tree.root.feature == 0
+    assert tree.feature[0] == 0
 
 
 def test_tree_leaf_ids_preorder_and_apply(rng):
     X = rng.normal(size=(300, 4))
     y = ((X[:, 0] > 0).astype(int) + (X[:, 1] > 0).astype(int)).astype(np.int64)
     tree = DecisionTree.fit(X, y, min_leaf=10)
-    leaves = tree.leaves()
-    assert [leaf.leaf_id for leaf in leaves] == list(range(tree.n_leaves))
+    # the nodes are numbered in preorder, and leaf ids count the leaves in order
+    order, stack = [], [0]
+    while stack:
+        node = stack.pop()
+        order.append(node)
+        if tree.left[node] != -1:
+            stack += [tree.right[node], tree.left[node]]
+    assert order == list(range(len(tree.left)))
+    leaves = tree.leaves().tolist()
+    assert leaves == [i for i in range(len(tree.left)) if tree.left[i] == -1]
+    assert len(leaves) == tree.n_leaves
     assigned = tree.apply(X)
     assert set(assigned.tolist()) <= set(range(tree.n_leaves))
     # apply and predict agree with a per-row walk down the tree
     for i in rng.choice(len(X), size=20, replace=False):
-        node = tree.root
-        while not node.is_leaf:
-            node = node.left if X[i, node.feature] <= node.threshold else node.right
-        assert assigned[i] == node.leaf_id
-        assert tree.predict(X[i : i + 1])[0] == node.prediction
+        node = 0
+        while tree.left[node] != -1:
+            goes_left = X[i, tree.feature[node]] <= tree.threshold[node]
+            node = tree.left[node] if goes_left else tree.right[node]
+        assert assigned[i] == leaves.index(node)
+        assert tree.predict(X[i : i + 1])[0] == np.argmax(tree.value[node])
 
 
 def test_tree_weighted_majority():
     X = np.zeros((3, 1))
     y = np.array([0, 0, 1])
     tree = DecisionTree.fit(X, y, sample_weight=np.array([1.0, 1.0, 5.0]), min_leaf=3)
-    assert tree.root.is_leaf
-    assert tree.root.value.tolist() == [2.0, 5.0]
+    assert tree.left[0] == -1
+    assert tree.value[0].tolist() == [2.0, 5.0]
     assert tree.predict(X).tolist() == [1, 1, 1]
 
 
@@ -186,6 +198,78 @@ def test_tree_deterministic(rng):
     a = DecisionTree.fit(X, y, min_leaf=8)
     b = DecisionTree.fit(X, y, min_leaf=8)
     assert a.to_dict() == b.to_dict()
+
+
+def _small_tree_dict():
+    """A 7-node tree in preorder: splits at 0, 2 and 4, leaves 1, 3, 5 and 6."""
+    X = np.arange(8, dtype=float).reshape(-1, 1)
+    obj = DecisionTree.fit(X, np.repeat([0, 1, 2, 3], 2), min_leaf=1).to_dict()
+    assert [(r["left"], r["right"]) for r in obj["nodes"]] == [
+        (1, 2), (None, None), (3, 4), (None, None), (5, 6), (None, None), (None, None)]
+    return obj
+
+
+def _set(i, **fields):
+    def edit(obj):
+        obj["nodes"][i].update(fields)
+    return edit
+
+
+MALFORMED_TABLES = {
+    "left to itself": _set(0, left=0),
+    "left past the table": _set(0, left=10**6),
+    "right to an earlier node": _set(4, right=3),
+    "children swapped": _set(0, left=2, right=1),
+    "an extra node no split reaches": lambda obj: obj["nodes"].append(dict(obj["nodes"][-1])),
+    "no nodes": lambda obj: obj["nodes"].clear(),
+    "a negative child": _set(4, right=-1),
+    "a negative feature": _set(2, feature=-1),
+    "a value short of the others": _set(1, value=[1.0]),
+    "values of another class count": lambda obj: obj.update(n_classes=5),
+    "a split with no left child": _set(2, left=None),
+    "a float child index": _set(0, left=1.0),
+}
+
+
+@pytest.mark.parametrize("case", list(MALFORMED_TABLES))
+def test_from_dict_rejects_a_table_that_is_not_a_preorder_tree(case):
+    obj = _small_tree_dict()
+    assert DecisionTree.from_dict(obj).to_dict() == obj
+    MALFORMED_TABLES[case](obj)
+    with pytest.raises((TypeError, ValueError)):
+        DecisionTree.from_dict(obj)
+    with pytest.raises((TypeError, ValueError)):
+        RandomForest.from_dict({"n_classes": 4, "trees": [_small_tree_dict(), obj]})
+
+
+# ---------------------------------------------------------------------------
+# model files written while trees were linked node objects
+# ---------------------------------------------------------------------------
+
+MODEL_FILES = Path(__file__).parent / "data" / "model_format"
+
+
+@pytest.mark.parametrize("name", ["dt", "pruned", "rf"])
+def test_model_files_load_and_score_as_recorded(name, tmp_path):
+    """dt_model.json, rf_model.json (3 trees) and pruned.json (6 leaves) were
+    written by `motifscope train` and `prune` before trees were held as node
+    arrays, on a 600-transaction uniform M+E corpus with some labels changed
+    at random. scored.json holds rows over their vocabulary (the distinct
+    rows, perturbed rows and rows at each split's threshold) and what each
+    model's predict and apply gave on them then. A file must load, give back
+    its own bytes when saved, and score the rows exactly as recorded."""
+    path = MODEL_FILES / ("pruned.json" if name == "pruned" else f"{name}_model.json")
+    spec = cli.load_model(path)
+    assert spec.instance.to_dict() == storage.read_json(path)["model"]
+    spec.save(tmp_path / "again.json")
+    assert (tmp_path / "again.json").read_bytes() == path.read_bytes()
+    scored = storage.read_json(MODEL_FILES / "scored.json")
+    rows = np.array(scored["rows"])
+    assert spec.instance.predict(rows).tolist() == scored[f"{name}_predict"]
+    trees = spec.instance.trees if name == "rf" else [spec.instance]
+    applied = [tree.apply(rows).tolist() for tree in trees]
+    assert applied == (scored["rf_apply"] if name == "rf" else [scored[f"{name}_apply"]])
+    assert len({tuple(a) for a in zip(*applied)}) > 5  # the rows reach many leaves
 
 
 # ---------------------------------------------------------------------------
@@ -367,7 +451,8 @@ def test_tree_on_pairs_equals_tree_on_rows(rng, trial, min_leaf):
                            pair_of=pair_of[rows])
     assert _tree_json(got) == _tree_json(expected)
     assert expected.n_leaves > 2
-    assert any(leaf.gini == 0.0 and leaf.n_samples >= 2 * min_leaf for leaf in expected.leaves())
+    assert any(expected.gini[leaf] == 0.0 and expected.n_samples[leaf] >= 2 * min_leaf
+               for leaf in expected.leaves())
     assert (got.predict(pairs)[pair_of[rows]] == expected.predict(X[rows])).all()
 
 
@@ -383,9 +468,9 @@ def test_tree_on_pairs_min_leaf_at_the_boundary():
         expected = DecisionTree.fit(X, y, sw, n_classes=2, min_leaf=min_leaf)
         got = DecisionTree.fit(pairs, pair_y, sw, n_classes=2, min_leaf=min_leaf, pair_of=pair_of)
         assert _tree_json(got) == _tree_json(expected)
-        assert (not expected.root.is_leaf) == splits
+        assert (expected.left[0] != -1) == splits
         if splits:
-            assert expected.root.left.n_samples == min_leaf
+            assert expected.n_samples[expected.left[0]] == min_leaf
 
 
 def test_tree_on_pairs_falls_back_to_rows(rng):

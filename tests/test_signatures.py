@@ -1,10 +1,12 @@
 """CCP pruning path, per-leaf itemset mining, signature matching."""
 
+import re
+
 import numpy as np
 import pytest
 
 from motifscope import signatures as sig_mod
-from motifscope.models import DecisionTree
+from motifscope.models import DecisionTree, RandomForest
 from motifscope.signatures import (
     LeafSignature,
     ccp_path,
@@ -17,7 +19,7 @@ from motifscope.signatures import (
     tree_to_dot,
 )
 
-from oracles import brute_force_match, brute_force_maximal_itemsets
+from oracles import brute_force_match, brute_force_maximal_itemsets, reference_collapse
 
 
 def blocky(values_y, reps=10):
@@ -101,6 +103,39 @@ def test_ccp_path_invariants_on_random_trees(rng):
 
 def test_ccp_path_invariants_on_corpus_tree(small_tree):
     assert_path_invariants(small_tree, ccp_path(small_tree))
+
+
+def test_pruned_trees_equal_the_collapse_oracle(rng):
+    """Each path entry's tree, and the tree with any set of nodes collapsed,
+    is the oracle's: the unpruned rows with the subtrees below the pruned
+    nodes dropped and the rest renumbered in preorder. The trees include
+    ties in g (all of blocky([0, 1, 2, 3])'s nodes; integer features) and
+    the trees of a forest."""
+    trees = [DecisionTree.fit(*blocky([0, 1, 2, 3]), min_leaf=10),
+             DecisionTree.fit(*blocky([0, 1, 0, 1, 2, 2, 0, 1]), min_leaf=5)]
+    for _ in range(6):
+        n = int(rng.integers(80, 400))
+        X = rng.integers(0, 4, size=(n, 4)).astype(float)
+        y = (X[:, 0] + rng.integers(0, 3, size=n) > 2).astype(np.int64) + (X[:, 1] > 2)
+        trees.append(DecisionTree.fit(X, y, min_leaf=int(rng.integers(1, 8))))
+    X, y = blocky([0, 1, 2, 0, 2, 1, 1, 0], reps=12)
+    X = np.column_stack([X, rng.normal(size=len(y))])
+    trees += RandomForest.fit(X, y, n_trees=4, min_leaf=3, seed=2).trees
+    ties = nested = 0
+    for tree in trees:
+        obj = tree.to_dict()
+        path = ccp_path(tree)
+        for before, entry in zip([None, *path.entries], path.entries):
+            assert entry.tree.to_dict() == reference_collapse(obj, entry.pruned_ids)
+            if before is not None:
+                ties += len(entry.pruned_ids) - len(before.pruned_ids) > 1
+        inner = [i for i, row in enumerate(obj["nodes"]) if row["feature"] is not None]
+        for _ in range(5):
+            size = int(rng.integers(0, len(inner) + 1))
+            ids = set(rng.choice(inner, size=size, replace=False).tolist())
+            nested += any(obj["nodes"][i]["left"] in ids for i in ids)
+            assert tree.collapsed(ids).to_dict() == reference_collapse(obj, ids)
+    assert ties > 0 and nested > 0
 
 
 def test_pruned_tree_prediction_tie_breaks_low_index():
@@ -263,7 +298,7 @@ def test_mine_signatures_per_leaf(small_tree, small_dataset):
         small_tree, small_dataset.X, small_dataset.vocabulary, small_dataset.classes
     )
     assert notes == []
-    leaf_ids = {leaf.leaf_id for leaf in small_tree.leaves()}
+    leaf_ids = set(range(len(small_tree.leaves())))  # leaf id k is the k-th leaf in preorder
     assert {s.leaf_id for s in sigs} <= leaf_ids
     assert len(sigs) >= 1
     for s in sigs:
@@ -345,6 +380,14 @@ def test_tree_to_dot_output(small_tree, small_dataset):
     assert any(cls in dot for cls in small_dataset.classes)
     n_leaf_boxes = dot.count("shape=box")
     assert n_leaf_boxes == small_tree.n_leaves
+    # one yes and one no edge per split, to its children; leaves numbered in preorder
+    edges = re.findall(r"n(\d+) -> n(\d+) \[label=\"(yes|no)\"\]", dot)
+    splits = np.flatnonzero(small_tree.left != -1).tolist()
+    assert sorted(edges) == sorted(
+        [(str(i), str(small_tree.left[i]), "yes") for i in splits]
+        + [(str(i), str(small_tree.right[i]), "no") for i in splits])
+    leaves = re.findall(r"n(\d+) \[shape=box, style=rounded, label=\"leaf (\d+)", dot)
+    assert leaves == [(str(node), str(k)) for k, node in enumerate(small_tree.leaves())]
 
 
 @pytest.mark.parametrize("method", ["greedy", "exhaustive"])
