@@ -203,15 +203,21 @@ def train_model(dataset: Dataset, kind: str, mode: str, params: dict, seed: int,
     return spec
 
 
-def cross_validate(spec: ModelSpec, dataset: Dataset, k: int, seed: int, out):
-    """Stratified k-fold CV of spec's model kind; writes the report and
-    returns (folds, report), the report holding the fold models."""
-    folds = stratified_kfold(dataset.y, k=k, seed=seed, groups=dataset.tx_hashes)
+def cv_folds(dataset: Dataset, k: int, seed: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The dataset's k stratified folds, a transaction's rows in one fold;
+    InputError names a class with fewer transactions than k."""
+    return stratified_kfold(dataset.y, k=k, seed=seed, groups=dataset.tx_hashes,
+                            classes=dataset.classes)
+
+
+def cross_validate(spec: ModelSpec, dataset: Dataset, folds, seed: int, out):
+    """CV of spec's model kind over folds; writes the report and returns
+    it, holding the fold models."""
     report = evaluate(
         dataset, folds, lambda rows: fit_model(spec.kind, dataset, rows, spec.params, seed)
     )
     storage.write_json(out, report.to_json())
-    return folds, report
+    return report
 
 
 def _ccp_cv_rows(path, params: dict, dataset: Dataset, folds, fold_trees=None):
@@ -432,7 +438,8 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     spec = load_model(args.model)
     dataset = _read_dataset(args, spec)
-    _, report = cross_validate(spec, dataset, args.folds, args.seed, args.report)
+    report = cross_validate(spec, dataset, cv_folds(dataset, args.folds, args.seed), args.seed,
+                            args.report)
     _print({"model": spec.kind, "folds": args.folds, "averages": report.averages,
             "report": args.report})
     return 0
@@ -448,8 +455,7 @@ def cmd_prune(args) -> int:
     cv = None
     if args.path and args.features:
         dataset = _read_dataset(args, spec)
-        folds = stratified_kfold(dataset.y, k=args.folds, seed=args.seed, groups=dataset.tx_hashes)
-        cv = (dataset, folds, None)
+        cv = (dataset, cv_folds(dataset, args.folds, args.seed), None)
     _, entry, path = prune_model(spec, args.target_leaves, args.alpha, args.out,
                                  path_csv=args.path, dot=args.dot, cv=cv)
     _print({"alpha": entry.alpha, "leaves": entry.leaf_count, "path_entries": len(path),
@@ -676,13 +682,14 @@ def _run_stages(cfg: PipelineConfig, out: Path, manifest: dict) -> None:
 
         def train():
             dataset = load_dataset(table, labels)
-            return dataset, train_model(dataset, cfg.model, mode, params, cfg.seed,
-                                        out / "model.json")
+            folds = cv_folds(dataset, cfg.folds, cfg.seed)  # before a fit: every class fills them
+            return dataset, folds, train_model(dataset, cfg.model, mode, params, cfg.seed,
+                                               out / "model.json")
 
-        dataset, spec = _stage(manifest, "train", train)
+        dataset, folds, spec = _stage(manifest, "train", train)
         manifest["counters"]["train"] = {"rows": dataset.n_rows, "distinct_pairs": dataset.n_pairs}
-        folds, report = _stage(manifest, "eval", lambda: cross_validate(
-            spec, dataset, cfg.folds, cfg.seed, out / "eval_report.json"))
+        report = _stage(manifest, "eval", lambda: cross_validate(
+            spec, dataset, folds, cfg.seed, out / "eval_report.json"))
         # prune-CV reuses eval's fold models when they are the trees it needs
         fold_trees = report.models if cfg.model == "dt" else None
         # the signature flow always runs on a decision tree (the paper's Fig. 6)

@@ -136,12 +136,15 @@ def stratified_kfold(
     k: int = 10,
     seed: int = 0,
     groups: Optional[Sequence[str]] = None,
+    classes: Optional[Sequence[str]] = None,
 ) -> list[tuple[np.ndarray, np.ndarray]]:
     """Stratified k-fold index pairs (train, test).
 
     Per-fold class counts stay within one of n_c/k. When groups are given
     (tx hashes), rows of one group always land in the same fold, keeping
     duplicated transactions out of train/test splits of the same fold.
+    A class with fewer units (groups, or rows) than k raises InputError,
+    naming the class by classes[index] when the names are given.
     """
     if k < 2:
         raise InputError(f"folds must be at least 2, got {k}")
@@ -162,9 +165,10 @@ def stratified_kfold(
     for ci in np.unique(unit_labels):
         members = np.flatnonzero(unit_labels == ci)
         if len(members) < k:
-            raise ValueError(
-                f"class index {ci} has only {len(members)} units but k={k} folds were requested"
-            )
+            name = f"class {classes[ci]!r}" if classes is not None else f"class index {ci}"
+            units = "rows" if groups is None else "transactions"
+            raise InputError(f"{name} has {len(members)} {units} but --folds is {k}; "
+                             f"every fold needs one of each class")
         members = members[rng.permutation(len(members))]
         sizes = [len(members) // k + (1 if f < len(members) % k else 0) for f in range(k)]
         # rotate which folds receive the remainder so totals stay balanced

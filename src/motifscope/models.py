@@ -7,8 +7,7 @@ statistics. A `DecisionTree` is one set of arrays over its nodes in preorder
 pops it, a leaf's id is its rank among the leaves, prediction routes all rows
 down one level at a time, and `collapsed` makes a pruned copy. Feature values
 are rank-encoded into a `RankedMatrix`; every node split then reduces to
-bincounts over the rank codes, which keeps training linear in node size
-instead of paying a sort per node. A fit encodes a float matrix once per call
+bincounts over the rank codes. A fit encodes a float matrix once per call
 (a forest once for all its trees), and callers that fit many trees on row
 subsets of one matrix encode it once and pass the codes.
 
@@ -24,6 +23,18 @@ pair. One grower serves both; only the per-bin class-weight sum differs:
   ...]), which is that sequential sum, as every term is w_c.
 Sample counts and `min_leaf` tests sum integer multiplicities, and
 `total_weight` stays the sum of the per-row weights.
+
+Split search (`_best_split`) bins a node's units by code or, where a column
+has more codes than the node has units, by a code's rank among the codes the
+node uses (a sort of the node's codes). A node of n units thus costs at most
+O(n log n) per feature, never O(the column's codes). On pairs it searches
+every feature of the node in one pass (the histogram split search of Ke et
+al., "LightGBM", 2017): one bincount into a (feature, bin, class) array, one
+cumsum along the bins and one flat argmax. On rows it goes feature by
+feature, as on a wide dense X such as 50k rows the one pass's (rows x
+features) temporaries cost more than the loop saves. Both find the split of
+a loop over the features with a bin per code of the column, which
+`tests/oracles.py` keeps as the reference.
 """
 
 from __future__ import annotations
@@ -422,7 +433,8 @@ def _best_split(
     """The best split of the node whose units (rows, or pairs when sums is
     given) are idx, or None; weight is each unit's sample weight on rows and
     its multiplicity on pairs. stats is the node's (value, n_samples, weight,
-    gini)."""
+    gini). The split is the first, in (feature, code) order, of those with
+    the largest Gini decrease, if that exceeds a rounding margin."""
     d = codes.shape[1]
     if max_features is not None and max_features < d:
         if rng is None:
@@ -430,58 +442,101 @@ def _best_split(
         features = np.sort(rng.choice(d, size=max_features, replace=False))
     else:
         features = np.arange(d)
-    if sums is not None:
-        # a feature constant across the node's pairs cannot split it
-        node_codes = codes[idx]
-        features = features[(node_codes[:, features] != node_codes[0, features]).any(axis=0)]
-    y_node = y[idx]
-    w_node = weight[idx]
-    value, n_node, weight_node, gini = stats
-    eps = 1e-12 * max(1.0, weight_node)
-    best_dec = eps
-    best: Optional[tuple[int, float, np.ndarray, int]] = None
+    node_codes = codes[idx]
+    # a feature constant across the node's units cannot split it
+    features = features[(node_codes[:, features] != node_codes[0, features]).any(axis=0)]
+    if not features.size:
+        return None
+    y_node, w_node, eps = y[idx], weight[idx], 1e-12 * max(1.0, stats[2])
+    if sums is None:
+        found = _row_split(node_codes, features, y_node, w_node, stats, K, min_leaf, eps)
+    else:
+        found = _pair_split(node_codes, features, y_node, w_node, sums, stats, K, min_leaf, eps)
+    if found is None:
+        return None
+    f, boundary = found  # units whose code is <= boundary go left
+    codes_f = node_codes[:, f]
+    left = codes_f <= boundary
+    threshold = float((uniques[f][boundary] + uniques[f][codes_f[~left].min()]) / 2.0)
+    return f, threshold, left
+
+
+def _row_split(codes, features, y, weight, stats, K, min_leaf, eps):
+    """The best (feature, boundary code) on rows, one feature at a time, as
+    on a wide dense X (50k rows) one pass's (rows x features) arrays cost
+    more than the loop saves: a bin per code, each bin's class weights
+    summed by np.bincount in row order. When a feature's largest code in the
+    node reaches its row count, the bins are the codes the node uses."""
+    best, best_dec = None, eps
     for f in features:
         # widened so codes_f * K cannot overflow the narrow code dtype
-        codes_f = codes[idx, f].astype(np.intp)
-        uf = len(uniques[f])
-        if sums is None:
-            cnt = np.bincount(codes_f, minlength=uf)
-        else:
-            cnt = np.bincount(codes_f, weights=w_node, minlength=uf).astype(np.int64)
-        present = np.flatnonzero(cnt)
-        if present.size < 2:
-            continue
-        mat = np.bincount(codes_f * K + y_node, weights=w_node, minlength=uf * K).reshape(uf, K)
-        if sums is not None:  # mat holds each bin's row count per class
-            mat = sums(mat)
-        cw = np.cumsum(mat, axis=0)
-        cn = np.cumsum(cnt)
-        pos = present[:-1]  # boundary after each present value except the last
-        left_n = cn[pos]
-        right_n = n_node - left_n
-        valid = (left_n >= min_leaf) & (right_n >= min_leaf)
-        if not valid.any():
-            continue
-        left_vals = cw[pos]
-        left_w = left_vals.sum(axis=1)
-        right_vals = value - left_vals
-        right_w = weight_node - left_w
-        with np.errstate(divide="ignore", invalid="ignore"):
-            left_g = np.where(left_w > 0, left_w - (left_vals**2).sum(axis=1) / left_w, 0.0)
-            right_g = np.where(right_w > 0, right_w - (right_vals**2).sum(axis=1) / right_w, 0.0)
-        dec = gini - left_g - right_g
-        dec[~valid] = -np.inf
+        codes_f = codes[:, f].astype(np.intp)
+        code_of = None
+        if codes_f.max() >= len(codes_f):
+            code_of, codes_f = np.unique(codes_f, return_inverse=True)
+        cnt = np.bincount(codes_f)
+        mat = np.bincount(codes_f * K + y, weights=weight, minlength=len(cnt) * K)
+        dec = _gini_decrease(np.cumsum(mat.reshape(-1, K), axis=0), np.cumsum(cnt), cnt > 0,
+                             stats, min_leaf)
         j = int(np.argmax(dec))
         if dec[j] > best_dec:
-            best_dec = dec[j]
-            best = (int(f), j, codes_f, pos[j])
-    if best is None:
+            best_dec, best = dec[j], (int(f), j if code_of is None else int(code_of[j]))
+    return best
+
+
+def _pair_split(codes, features, y, weight, sums, stats, K, min_leaf, eps):
+    """The best (feature, boundary code) on pairs, all features in one pass:
+    one bincount of the row counts per (feature, bin, class), the class-sum
+    lookup, a cumsum along the bins and one flat argmax over every (feature,
+    cut). A bin is a code or, when the node's largest code reaches its pair
+    count, a code's rank among the feature's codes the node uses, so the
+    arrays grow with the node and not with the columns. Bins no pair fills
+    add exactly 0.0 to the cumsums, and argmax takes the first maximum in
+    (feature, cut) order, so the split is the one a search feature by
+    feature finds."""
+    n, F = len(codes), len(features)
+    key = codes[:, features].astype(np.intp)  # (pair, feature) -> bin, then the count key
+    U = int(key.max()) + 1
+    ranked = U > n
+    if ranked:
+        offset = np.arange(F) * U
+        key += offset
+        present, key = np.unique(key, return_inverse=True)
+        first = np.searchsorted(present, offset)
+        key = key.reshape(n, F) - first
+        U = int(np.diff(first, append=len(present)).max())
+    key += np.arange(F) * U
+    key *= K
+    key += y[:, None]
+    m = np.bincount(key.ravel(), weights=np.repeat(weight.astype(float), F),
+                    minlength=F * U * K).reshape(F, U, K)
+    cnt = m.sum(axis=2)
+    dec = _gini_decrease(np.cumsum(sums(m), axis=1), np.cumsum(cnt, axis=1), cnt > 0, stats,
+                         min_leaf)
+    best = int(np.argmax(dec))
+    if not dec.flat[best] > eps:
         return None
-    f, j, codes_f, boundary = best
-    present = np.flatnonzero(np.bincount(codes_f, minlength=len(uniques[f])))
-    nxt = present[np.searchsorted(present, boundary) + 1]
-    threshold = float((uniques[f][boundary] + uniques[f][nxt]) / 2.0)
-    return f, threshold, codes_f <= boundary
+    fi, b = divmod(best, U)
+    f = int(features[fi])
+    return f, int(np.unique(codes[:, f])[b]) if ranked else b
+
+
+def _gini_decrease(cw: np.ndarray, cn: np.ndarray, present: np.ndarray,
+                   stats: tuple[np.ndarray, int, float, float], min_leaf: int) -> np.ndarray:
+    """The Gini decrease of a cut after each bin, given the cumulative class
+    weights cw (..., bins, K) and unit counts cn (..., bins); -inf after a bin
+    no unit fills or where a side gets fewer than min_leaf units, or none."""
+    value, n_node, weight_node, gini = stats
+    left_w = cw.sum(axis=-1)
+    right_w = weight_node - left_w
+    right_vals = value - cw
+    with np.errstate(divide="ignore", invalid="ignore"):
+        left_g = np.where(left_w > 0, left_w - (cw**2).sum(axis=-1) / left_w, 0.0)
+        right_g = np.where(right_w > 0, right_w - (right_vals**2).sum(axis=-1) / right_w, 0.0)
+    dec = gini - left_g - right_g
+    right_n = n_node - cn
+    dec[~(present & (cn >= min_leaf) & (right_n >= max(min_leaf, 1)))] = -np.inf
+    return dec
 
 
 # ---------------------------------------------------------------------------

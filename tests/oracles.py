@@ -284,6 +284,72 @@ def reference_forest(X, y, sample_weight, n_classes, n_trees, min_leaf, max_feat
 
 
 # ---------------------------------------------------------------------------
+# split search feature by feature over the column's codes
+# ---------------------------------------------------------------------------
+
+def reference_best_split(codes, uniques, y, weight, sums, idx, stats, K, min_leaf,
+                         max_features, rng):
+    """models._best_split by a loop over the features, each searched with a
+    bin per code of the whole column (used or not in the node) and a cut
+    after each code present in the node; a feature's best cut replaces the
+    best so far only if it is strictly larger. Same arguments and result."""
+    d = codes.shape[1]
+    if max_features is not None and max_features < d:
+        features = np.sort(rng.choice(d, size=max_features, replace=False))
+    else:
+        features = np.arange(d)
+    if sums is not None:
+        node_codes = codes[idx]
+        features = features[(node_codes[:, features] != node_codes[0, features]).any(axis=0)]
+    y_node = y[idx]
+    w_node = weight[idx]
+    value, n_node, weight_node, gini = stats
+    best_dec = 1e-12 * max(1.0, weight_node)
+    best = None
+    for f in features:
+        codes_f = codes[idx, f].astype(np.intp)
+        uf = len(uniques[f])
+        if sums is None:
+            cnt = np.bincount(codes_f, minlength=uf)
+        else:
+            cnt = np.bincount(codes_f, weights=w_node, minlength=uf).astype(np.int64)
+        present = np.flatnonzero(cnt)
+        if present.size < 2:
+            continue
+        mat = np.bincount(codes_f * K + y_node, weights=w_node, minlength=uf * K).reshape(uf, K)
+        if sums is not None:
+            mat = sums(mat)
+        cw = np.cumsum(mat, axis=0)
+        cn = np.cumsum(cnt)
+        pos = present[:-1]
+        left_n = cn[pos]
+        right_n = n_node - left_n
+        valid = (left_n >= min_leaf) & (right_n >= min_leaf)
+        if not valid.any():
+            continue
+        left_vals = cw[pos]
+        left_w = left_vals.sum(axis=1)
+        right_vals = value - left_vals
+        right_w = weight_node - left_w
+        with np.errstate(divide="ignore", invalid="ignore"):
+            left_g = np.where(left_w > 0, left_w - (left_vals**2).sum(axis=1) / left_w, 0.0)
+            right_g = np.where(right_w > 0, right_w - (right_vals**2).sum(axis=1) / right_w, 0.0)
+        dec = gini - left_g - right_g
+        dec[~valid] = -np.inf
+        j = int(np.argmax(dec))
+        if dec[j] > best_dec:
+            best_dec = dec[j]
+            best = (int(f), codes_f, pos[j])
+    if best is None:
+        return None
+    f, codes_f, boundary = best
+    present = np.flatnonzero(np.bincount(codes_f, minlength=len(uniques[f])))
+    nxt = present[np.searchsorted(present, boundary) + 1]
+    threshold = float((uniques[f][boundary] + uniques[f][nxt]) / 2.0)
+    return f, threshold, codes_f <= boundary
+
+
+# ---------------------------------------------------------------------------
 # a pruned tree by a recursive walk over its to_dict() rows
 # ---------------------------------------------------------------------------
 

@@ -145,11 +145,15 @@ def test_out_of_range_parameter_exit_2(small_corpus, trained, tmp_path, capsys, 
     assert not (tmp_path / "m.json").exists()
 
 
-def test_stage_error_exit_3(small_corpus, trained, tmp_path, capsys):
-    # 3000 folds exceeds every class count -> ValueError inside the stage
+def test_stage_error_exit_3(small_corpus, trained, tmp_path, capsys, monkeypatch):
+    # a ValueError raised inside the stage, not by its input checks
+    def failing_evaluate(*args, **kwargs):
+        raise ValueError("evaluation failed")
+
+    monkeypatch.setattr(cli, "evaluate", failing_evaluate)
     _, err = run(capsys, [
         "eval", "--model", str(trained["model"]), "--features", str(small_corpus["features"]),
-        "--labels", str(small_corpus["labels"]), "--folds", "3000",
+        "--labels", str(small_corpus["labels"]), "--folds", "3",
         "--report", str(tmp_path / "r.json"),
     ], code=3)
     assert err["error"]["stage"] == "eval"
@@ -860,6 +864,25 @@ def test_pipeline_requires_inputs(tmp_path, capsys):
     _, err = run(capsys, ["pipeline", "--out", str(tmp_path / "run")], code=2)
     assert "missing" in err["error"]["message"]
 
+
+
+def test_pipeline_class_with_fewer_transactions_than_folds_fails_before_train(tmp_path, capsys):
+    """A labelled class with fewer transactions than --folds stops the run at
+    exit 2 in the train stage, naming the class, before a model is written."""
+    raw, out = tmp_path / "raw", tmp_path / "run"
+    assert main(["synth", "--n", "1500", "--out", str(raw), "--seed", "0"]) == 0
+    capsys.readouterr()
+    _, err = run(capsys, [
+        "pipeline", "--transfers", str(raw / "transfers.csv"), "--tokens", str(raw / "tokens.json"),
+        "--accounts", str(raw / "accounts.json"), "--methods", str(raw / "methods.csv"),
+        "--out", str(out), "--folds", "3",
+    ], code=2)
+    assert err["error"]["stage"] == "train" and err["error"]["type"] == "InputError"
+    match = re.fullmatch(r"class '(\w+)' has ([0-2]) transactions but --folds is 3; "
+                         r"every fold needs one of each class", err["error"]["message"])
+    assert match and match[1] in GROUPS8
+    assert not (out / "model.json").exists() and not (out / "eval_report.json").exists()
+    assert storage.read_json(out / "manifest.json")["stages"] == ["ingest", "featurize"]
 
 @pytest.fixture(scope="module")
 def pipeline_run(tmp_path_factory, small_corpus):

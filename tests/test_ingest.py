@@ -2,8 +2,8 @@
 
 import csv
 import filecmp
+import io
 import json
-import types
 
 import pytest
 
@@ -326,20 +326,16 @@ def test_failed_store_write_leaves_previous_store(tmp_path, monkeypatch):
     ingest_to_store(*inputs, out)
     before = {p.name: p.read_bytes() for p in out.iterdir()}
 
-    class FailingWriter:
-        """csv.writer that fails on its third row, after two store lines are out."""
+    dumps, calls = storage.dumps, []
 
-        def __init__(self, fh):
-            self.writer = csv.writer(fh)
-            self.rows = 0
+    def failing_dumps(obj):
+        """storage.dumps, failing on its third call, after two store lines are out."""
+        calls.append(obj)
+        if len(calls) == 3:
+            raise RuntimeError("disk full")
+        return dumps(obj)
 
-        def writerow(self, row):
-            self.rows += 1
-            if self.rows == 3:
-                raise RuntimeError("disk full")
-            return self.writer.writerow(row)
-
-    monkeypatch.setattr(storage, "csv", types.SimpleNamespace(writer=FailingWriter))
+    monkeypatch.setattr(storage, "dumps", failing_dumps)
     with pytest.raises(RuntimeError, match="disk full"):
         ingest_to_store(*inputs, out)
     # the previous store is as it was, and no temporary file is left
@@ -354,3 +350,19 @@ def test_read_labels_rejects_malformed_row(tmp_path, row):
         storage.read_labels(path)
     path.write_text("tx_hash,ego,method_group\ntx1,0xe1,Swap\n\ntx2,0xe1,Mint\n", encoding="utf-8")
     assert storage.read_labels(path) == {("tx1", "0xe1"): "Swap", ("tx2", "0xe1"): "Mint"}
+
+
+def test_labels_csv_is_csv_writer_output(tmp_path):
+    """labels.csv holds the bytes csv.writer writes for its rows, for fields
+    with commas, quotes, CR, LF, empty strings, spaces and non-ASCII text, and
+    reads back as written."""
+    fields = ["tx", "", "a,b", 'say "hi"', "line\nbreak", "cr\rhere", "crlf\r\n", " pad ",
+              '"', ",", "ünï", "x" * 70]
+    rows = [(tx, ego, group) for tx in fields for ego in fields[:4] for group in fields[::3]]
+    storage.write_store(tmp_path, [(tx, ego, group, []) for tx, ego, group in rows]
+                        + [("tx-unlabelled", "0xe", None, [])])
+    expected = io.StringIO(newline="")
+    csv.writer(expected).writerows([("tx_hash", "ego", "method_group"), *rows])
+    assert (tmp_path / storage.LABELS_FILE).read_bytes() == expected.getvalue().encode("utf-8")
+    assert storage.read_labels(tmp_path / storage.LABELS_FILE) == {
+        (tx, ego): group for tx, ego, group in rows}

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from motifscope import learn
+from motifscope.ingest import InputError
 from motifscope.motif import OOV_KEY
 from motifscope.table import FeatureTable
 
@@ -127,6 +128,8 @@ def test_kfold_class_smaller_than_k_is_fatal():
     y = np.array([0] * 20 + [1] * 5)
     with pytest.raises(ValueError):
         learn.stratified_kfold(y, k=10)
+    with pytest.raises(InputError, match="^class 'Mint' has 5 rows but --folds is 10;"):
+        learn.stratified_kfold(y, k=10, classes=["Swap", "Mint"])
 
 
 def test_kfold_property_random_datasets(rng):

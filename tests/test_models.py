@@ -8,7 +8,7 @@ import pytest
 from motifscope import cli, learn, models, storage
 from motifscope.models import DecisionTree, LogisticModel, RandomForest, RankedMatrix
 
-from oracles import central_difference
+from oracles import central_difference, reference_best_split
 
 
 def blobs(rng, n_per=60, centers=((0, 0), (4, 4), (0, 5)), scale=0.5):
@@ -531,3 +531,145 @@ def test_fits_on_pairs_count_classes_of_their_rows():
     assert _tree_json(got) == _tree_json(expected)
     forest = RandomForest.fit(pairs, pair_y, n_trees=2, min_leaf=2, pair_of=pair_of[rows])
     assert forest.n_classes == 2 and all(t.n_classes == 2 for t in forest.trees)
+
+
+# ---------------------------------------------------------------------------
+# split search against the feature-by-feature reference
+# ---------------------------------------------------------------------------
+
+def _same_split(got, expected):
+    if got is None or expected is None:
+        return got is None and expected is None
+    return (got[0] == expected[0] and got[1] == expected[1]
+            and np.array_equal(got[2], expected[2]))
+
+
+def _node_stats(y, weight, sums, idx, K):
+    """A node's (value, n_samples, weight, gini) as DecisionTree.fit makes it."""
+    value = np.bincount(y[idx], weights=weight[idx], minlength=K)
+    n_samples = len(idx)
+    if sums is not None:
+        n_samples, value = int(value.sum()), sums(value)
+    weight_sum = float(value.sum())
+    return value, n_samples, weight_sum, models._node_gini(value, weight_sum)
+
+
+def _random_pairs(rng, dtype, n_pairs=120, d=8, K=3):
+    """(ranked pairs, pair classes, multiplicities, row weights, pair_of): columns
+    of 1 to 300 codes (at most 256 for uint8), two duplicated columns, so
+    every decrease of the first ties with the second, and a fifth of the
+    pairs used by no row."""
+    widths = rng.choice([1, 2, 3, 6, 40, 300 if dtype == np.uint16 else 200], size=d)
+    codes = np.column_stack([rng.integers(0, w, size=n_pairs) for w in widths]).astype(dtype)
+    codes[:, d - 1] = codes[:, 2]
+    uniques = tuple(np.sort(rng.choice(10_000, size=max(int(w), int(c.max()) + 1),
+                                       replace=False)) / 8.0 for w, c in zip(widths, codes.T))
+    y = rng.integers(0, K, size=n_pairs)
+    counts = rng.integers(1, 6, size=n_pairs) * (rng.random(n_pairs) >= 0.2)
+    pair_of = np.repeat(np.arange(n_pairs), counts)
+    sw = learn.sample_weights(y[pair_of], K)
+    return RankedMatrix(codes, uniques), y, counts, sw, pair_of
+
+
+@pytest.mark.parametrize("dtype", [np.uint8, np.uint16])
+@pytest.mark.parametrize("K", [3, 9])
+@pytest.mark.parametrize("trial", range(6))
+def test_pair_split_equals_feature_by_feature_search(rng, dtype, K, trial):
+    """On random pairs (zero multiplicities, tied columns, wide and narrow
+    columns, fewer classes than numpy's 8-term summation blocks and more),
+    the one-pass search returns the loop's feature, threshold and left mask:
+    at the root and at a random subset, for min_leaf 1 and 0, at the smaller
+    side of the loop's split and one above it, and with max_features draws
+    that leave both generators in the same state."""
+    ranked, y, counts, sw, pair_of = _random_pairs(rng, dtype, K=K)
+    sums = models._class_sums(y, K, sw, pair_of, counts)
+    assert sums is not None
+    used = np.flatnonzero(counts)
+    for idx in (used, np.sort(rng.choice(used, size=len(used) // 3, replace=False))):
+        stats = _node_stats(y, counts, sums, idx, K)
+        args = (ranked.codes, ranked.uniques, y, counts, sums, idx, stats, K)
+        expected = reference_best_split(*args, 1, None, None)
+        assert _same_split(models._best_split(*args, 1, None, None), expected)
+        if expected is not None:
+            side = counts[idx][expected[2]].sum(), counts[idx][~expected[2]].sum()
+            for min_leaf in (0, min(side), min(side) + 1, stats[1] // 2 + 1):
+                assert _same_split(models._best_split(*args, min_leaf, None, None),
+                                   reference_best_split(*args, min_leaf, None, None))
+        for seed in range(4):
+            got_rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            assert _same_split(models._best_split(*args, 2, 3, got_rng),
+                               reference_best_split(*args, 2, 3, ref_rng))
+            assert got_rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+def test_pair_split_ties_and_unsplittable_nodes():
+    """Tied decreases go to the first feature and the first cut, as in the
+    loop; a node whose features are all constant, or whose every cut leaves
+    a side under min_leaf, is not split."""
+    K = 2
+    # cuts after code 0 and after code 2 of column 0 have equal decreases;
+    # column 1 repeats column 0, and column 2 is constant
+    ranked = models.rank_encode(np.array([[0, 0, 4], [1, 1, 4], [2, 2, 4], [3, 3, 4]], float))
+    y = np.array([0, 1, 1, 0])
+    counts = np.array([3, 3, 3, 3])
+    pair_of = np.repeat(np.arange(4), counts)
+    sw = np.ones(len(pair_of))
+    sums = models._class_sums(y, K, sw, pair_of, counts)
+    idx = np.arange(4)
+    stats = _node_stats(y, counts, sums, idx, K)
+    args = (ranked.codes, ranked.uniques, y, counts, sums, idx, stats, K)
+    got = models._best_split(*args, 1, None, None)
+    assert _same_split(got, reference_best_split(*args, 1, None, None))
+    assert got[0] == 0 and got[1] == 0.5 and got[2].tolist() == [True, False, False, False]
+    assert models._best_split(*args, 7, None, None) is None
+    only_constant = (ranked.codes[:, [2]], ranked.uniques[2:], y, counts, sums, idx, stats, K)
+    assert models._best_split(*only_constant, 1, None, None) is None
+    assert reference_best_split(*only_constant, 1, None, None) is None
+
+
+@pytest.mark.parametrize("trial", range(4))
+def test_row_split_equals_feature_by_feature_search(rng, trial):
+    """On rows, the search with a bin per present code for columns wider than
+    the node returns the loop's split: continuous and integer columns, with
+    uneven weights, at the root and at a random subset."""
+    K = 3
+    X = np.column_stack([rng.normal(size=300), rng.integers(0, 4, size=300),
+                         np.round(rng.normal(size=300), 1)])
+    y = rng.integers(0, K, size=300)
+    ranked = models.rank_encode(X)
+    w = rng.uniform(0.5, 2.0, size=300)
+    for idx in (np.arange(300), np.sort(rng.choice(300, size=60, replace=False))):
+        stats = _node_stats(y, w, None, idx, K)
+        for min_leaf in (1, 5, 25):
+            args = (ranked.codes, ranked.uniques, y, w, None, idx, stats, K, min_leaf)
+            assert _same_split(models._best_split(*args, None, None),
+                               reference_best_split(*args, None, None))
+
+
+def _grown(search, monkeypatch, fit):
+    with monkeypatch.context() as patch:
+        patch.setattr(models, "_best_split", search)
+        return fit()
+
+
+@pytest.mark.parametrize("dtype", [np.uint8, np.uint16])
+def test_trees_equal_trees_grown_with_the_reference_search(rng, monkeypatch, dtype):
+    """Trees and forests grown with the reference search equal the package's,
+    array for array, on pairs (with zero multiplicities) and on rows."""
+    K = 3
+    ranked, y, counts, sw, pair_of = _random_pairs(rng, dtype, n_pairs=300, K=K)
+    X = np.column_stack([u[c] for u, c in zip(ranked.uniques, ranked.codes.T)])
+    fits = [
+        lambda: DecisionTree.fit(ranked, y, sw, n_classes=K, min_leaf=2, pair_of=pair_of),
+        lambda: DecisionTree.fit(X[pair_of], y[pair_of], sw, n_classes=K, min_leaf=3),
+        lambda: RandomForest.fit(ranked, y, sw, n_classes=K, n_trees=3, min_leaf=2, seed=4,
+                                 pair_of=pair_of),
+    ]
+    for fit in fits:
+        got, expected = fit(), _grown(reference_best_split, monkeypatch, fit)
+        got_trees = got.trees if isinstance(got, RandomForest) else [got]
+        expected_trees = expected.trees if isinstance(got, RandomForest) else [expected]
+        for a, b in zip(got_trees, expected_trees, strict=True):
+            assert a.n_leaves > 3
+            for x, z in zip(a._arrays(), b._arrays()):
+                assert x.dtype == z.dtype and np.array_equal(x, z)
