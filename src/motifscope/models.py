@@ -27,14 +27,14 @@ Sample counts and `min_leaf` tests sum integer multiplicities, and
 Split search (`_best_split`) bins a node's units by code or, where a column
 has more codes than the node has units, by a code's rank among the codes the
 node uses (a sort of the node's codes). A node of n units thus costs at most
-O(n log n) per feature, never O(the column's codes). On pairs it searches
-every feature of the node in one pass (the histogram split search of Ke et
-al., "LightGBM", 2017): one bincount into a (feature, bin, class) array, one
-cumsum along the bins and one flat argmax. On rows it goes feature by
-feature, as on a wide dense X such as 50k rows the one pass's (rows x
-features) temporaries cost more than the loop saves. Both find the split of
-a loop over the features with a bin per code of the column, which
-`tests/oracles.py` keeps as the reference.
+O(n log n) per feature, never O(the column's codes). It searches the node's
+features a block at a time, as many as fit `SPLIT_CELLS` (unit, feature)
+cells, so all of them at once on most nodes (the histogram split search of
+Ke et al., "LightGBM", 2017): one bincount into a (feature, bin, class)
+array, one cumsum along the bins and one flat argmax per block. The block
+bounds the temporaries on wide, dense fits such as 50k rows. The search finds
+the split of a loop over the features with a bin per code of the column,
+which `tests/oracles.py` keeps as the reference.
 """
 
 from __future__ import annotations
@@ -277,6 +277,8 @@ class DecisionTree:
             if split is None:
                 continue
             feature, threshold, left_mask = split
+            if left_mask.all() or not left_mask.any():
+                raise AssertionError(f"the split of node {node} leaves a side empty")
             splits[node][:3] = feature, threshold, node + 1  # the left child is popped next
             stack.append((idx[~left_mask], node))
             stack.append((idx[left_mask], -1))
@@ -417,6 +419,11 @@ def _class_sums(y: np.ndarray, K: int, sample_weight: np.ndarray, pair_of: np.nd
     return lambda m: table[offset + m.astype(np.intp)]
 
 
+# (unit, feature) cells one pass of a split search covers: its key and weight
+# temporaries take 8 bytes a cell, and its count arrays at most K times that
+SPLIT_CELLS = 1 << 18
+
+
 def _best_split(
     codes: np.ndarray,
     uniques: Sequence[np.ndarray],
@@ -442,60 +449,45 @@ def _best_split(
         features = np.sort(rng.choice(d, size=max_features, replace=False))
     else:
         features = np.arange(d)
-    node_codes = codes[idx]
+    sub = codes.take(idx, axis=0)  # two takes copy faster than one np.ix_ index
+    if len(features) < d:
+        sub = sub.take(features, axis=1)
     # a feature constant across the node's units cannot split it
-    features = features[(node_codes[:, features] != node_codes[0, features]).any(axis=0)]
+    varies = (sub != sub[0]).any(axis=0)
+    if not varies.all():
+        features, sub = features[varies], sub[:, varies]
     if not features.size:
         return None
-    y_node, w_node, eps = y[idx], weight[idx], 1e-12 * max(1.0, stats[2])
-    if sums is None:
-        found = _row_split(node_codes, features, y_node, w_node, stats, K, min_leaf, eps)
-    else:
-        found = _pair_split(node_codes, features, y_node, w_node, sums, stats, K, min_leaf, eps)
-    if found is None:
+    y_node, w_node = y[idx], weight[idx]
+    best, best_dec = None, 1e-12 * max(1.0, stats[2])
+    step = max(1, SPLIT_CELLS // len(idx))
+    for start in range(0, len(features), step):
+        dec, column, boundary = _block_split(sub[:, start:start + step], y_node, w_node, sums,
+                                             stats, K, min_leaf)
+        if dec > best_dec:  # strict: ties go to the earlier block
+            best_dec, best = dec, (start + column, boundary)
+    if best is None:
         return None
-    f, boundary = found  # units whose code is <= boundary go left
-    codes_f = node_codes[:, f]
+    column, boundary = best  # units whose code is <= boundary go left
+    f, codes_f = int(features[column]), sub[:, column]
     left = codes_f <= boundary
     threshold = float((uniques[f][boundary] + uniques[f][codes_f[~left].min()]) / 2.0)
     return f, threshold, left
 
 
-def _row_split(codes, features, y, weight, stats, K, min_leaf, eps):
-    """The best (feature, boundary code) on rows, one feature at a time, as
-    on a wide dense X (50k rows) one pass's (rows x features) arrays cost
-    more than the loop saves: a bin per code, each bin's class weights
-    summed by np.bincount in row order. When a feature's largest code in the
-    node reaches its row count, the bins are the codes the node uses."""
-    best, best_dec = None, eps
-    for f in features:
-        # widened so codes_f * K cannot overflow the narrow code dtype
-        codes_f = codes[:, f].astype(np.intp)
-        code_of = None
-        if codes_f.max() >= len(codes_f):
-            code_of, codes_f = np.unique(codes_f, return_inverse=True)
-        cnt = np.bincount(codes_f)
-        mat = np.bincount(codes_f * K + y, weights=weight, minlength=len(cnt) * K)
-        dec = _gini_decrease(np.cumsum(mat.reshape(-1, K), axis=0), np.cumsum(cnt), cnt > 0,
-                             stats, min_leaf)
-        j = int(np.argmax(dec))
-        if dec[j] > best_dec:
-            best_dec, best = dec[j], (int(f), j if code_of is None else int(code_of[j]))
-    return best
-
-
-def _pair_split(codes, features, y, weight, sums, stats, K, min_leaf, eps):
-    """The best (feature, boundary code) on pairs, all features in one pass:
-    one bincount of the row counts per (feature, bin, class), the class-sum
-    lookup, a cumsum along the bins and one flat argmax over every (feature,
-    cut). A bin is a code or, when the node's largest code reaches its pair
-    count, a code's rank among the feature's codes the node uses, so the
-    arrays grow with the node and not with the columns. Bins no pair fills
-    add exactly 0.0 to the cumsums, and argmax takes the first maximum in
-    (feature, cut) order, so the split is the one a search feature by
-    feature finds."""
-    n, F = len(codes), len(features)
-    key = codes[:, features].astype(np.intp)  # (pair, feature) -> bin, then the count key
+def _block_split(codes, y, weight, sums, stats, K, min_leaf):
+    """(decrease, column, boundary code) of the best cut of a node over the
+    columns of codes, all in one pass: one bincount per (column, bin, class)
+    of the units' weights (their row counts on pairs, then the class-sum
+    lookup), a cumsum along the bins and one flat argmax over every (column,
+    cut). A bin is a code or, when the node's largest code reaches its unit
+    count, a code's rank among the column's codes the node uses, so the
+    arrays grow with the node and not with the columns. Each bin's class
+    weights are summed in unit order, bins no unit fills add exactly 0.0 to
+    the cumsums, and argmax takes the first maximum in (column, cut) order,
+    so the cut is the one a search column by column finds."""
+    n, F = codes.shape
+    key = codes.astype(np.intp)  # (unit, column) -> bin, then the count key
     U = int(key.max()) + 1
     ranked = U > n
     if ranked:
@@ -506,19 +498,19 @@ def _pair_split(codes, features, y, weight, sums, stats, K, min_leaf, eps):
         key = key.reshape(n, F) - first
         U = int(np.diff(first, append=len(present)).max())
     key += np.arange(F) * U
+    if sums is None:
+        cnt = np.bincount(key.ravel(), minlength=F * U).reshape(F, U)
     key *= K
     key += y[:, None]
-    m = np.bincount(key.ravel(), weights=np.repeat(weight.astype(float), F),
-                    minlength=F * U * K).reshape(F, U, K)
-    cnt = m.sum(axis=2)
-    dec = _gini_decrease(np.cumsum(sums(m), axis=1), np.cumsum(cnt, axis=1), cnt > 0, stats,
+    cw = np.bincount(key.ravel(), weights=np.repeat(weight.astype(float, copy=False), F),
+                     minlength=F * U * K).reshape(F, U, K)
+    if sums is not None:
+        cnt, cw = cw.sum(axis=2), sums(cw)
+    dec = _gini_decrease(np.cumsum(cw, axis=1), np.cumsum(cnt, axis=1), cnt > 0, stats,
                          min_leaf)
     best = int(np.argmax(dec))
-    if not dec.flat[best] > eps:
-        return None
-    fi, b = divmod(best, U)
-    f = int(features[fi])
-    return f, int(np.unique(codes[:, f])[b]) if ranked else b
+    column, b = divmod(best, U)
+    return dec.flat[best], column, int(np.unique(codes[:, column])[b]) if ranked else b
 
 
 def _gini_decrease(cw: np.ndarray, cn: np.ndarray, present: np.ndarray,

@@ -150,19 +150,12 @@ def write_store(store_dir, transactions: Iterable[tuple[str, str, Optional[str],
             tmps[1], "w", encoding="utf-8", newline=""
         ) as lfh:
             writer = csv.writer(lfh)
-            lfh.write("tx_hash,ego,method_group\r\n")
+            writer.writerow(["tx_hash", "ego", "method_group"])
             for tx_hash, ego, group, rows in transactions:
                 fh.write(dumps({"tx": tx_hash, "ego": ego, "mg": group, "tr": rows}))
                 fh.write("\n")
                 if group is not None:
-                    # csv.writer's line when no field holds a comma, quote, CR
-                    # or LF; a row that does goes through its minimal quoting
-                    line = f"{tx_hash},{ego},{group}"
-                    if (line.count(",") == 2 and '"' not in line and "\n" not in line
-                            and "\r" not in line):
-                        lfh.write(line + "\r\n")
-                    else:
-                        writer.writerow([tx_hash, ego, group])
+                    writer.writerow([tx_hash, ego, group])
         if report is not None:
             write_json(tmps[2], report)
     return store_path

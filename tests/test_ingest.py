@@ -2,7 +2,6 @@
 
 import csv
 import filecmp
-import io
 import json
 
 import pytest
@@ -352,17 +351,13 @@ def test_read_labels_rejects_malformed_row(tmp_path, row):
     assert storage.read_labels(path) == {("tx1", "0xe1"): "Swap", ("tx2", "0xe1"): "Mint"}
 
 
-def test_labels_csv_is_csv_writer_output(tmp_path):
-    """labels.csv holds the bytes csv.writer writes for its rows, for fields
-    with commas, quotes, CR, LF, empty strings, spaces and non-ASCII text, and
-    reads back as written."""
+def test_labels_csv_reads_back_as_written(tmp_path):
+    """labels.csv round-trips fields with commas, quotes, CR, LF, empty
+    strings, spaces and non-ASCII text."""
     fields = ["tx", "", "a,b", 'say "hi"', "line\nbreak", "cr\rhere", "crlf\r\n", " pad ",
               '"', ",", "ünï", "x" * 70]
     rows = [(tx, ego, group) for tx in fields for ego in fields[:4] for group in fields[::3]]
     storage.write_store(tmp_path, [(tx, ego, group, []) for tx, ego, group in rows]
                         + [("tx-unlabelled", "0xe", None, [])])
-    expected = io.StringIO(newline="")
-    csv.writer(expected).writerows([("tx_hash", "ego", "method_group"), *rows])
-    assert (tmp_path / storage.LABELS_FILE).read_bytes() == expected.getvalue().encode("utf-8")
     assert storage.read_labels(tmp_path / storage.LABELS_FILE) == {
         (tx, ego): group for tx, ego, group in rows}

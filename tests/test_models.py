@@ -571,16 +571,23 @@ def _random_pairs(rng, dtype, n_pairs=120, d=8, K=3):
     return RankedMatrix(codes, uniques), y, counts, sw, pair_of
 
 
+# one pass over all features, a few features a pass, and one feature a pass
+CELLS = [models.SPLIT_CELLS, 300, 1]
+
+
 @pytest.mark.parametrize("dtype", [np.uint8, np.uint16])
 @pytest.mark.parametrize("K", [3, 9])
+@pytest.mark.parametrize("cells", CELLS)
 @pytest.mark.parametrize("trial", range(6))
-def test_pair_split_equals_feature_by_feature_search(rng, dtype, K, trial):
+def test_pair_split_equals_feature_by_feature_search(rng, monkeypatch, dtype, K, cells, trial):
     """On random pairs (zero multiplicities, tied columns, wide and narrow
     columns, fewer classes than numpy's 8-term summation blocks and more),
-    the one-pass search returns the loop's feature, threshold and left mask:
-    at the root and at a random subset, for min_leaf 1 and 0, at the smaller
-    side of the loop's split and one above it, and with max_features draws
-    that leave both generators in the same state."""
+    the search returns the loop's feature, threshold and left mask, however
+    many features a pass covers: at the root and at a random subset, for
+    min_leaf 1 and 0, at the smaller side of the loop's split and one above
+    it, and with max_features draws that leave both generators in the same
+    state."""
+    monkeypatch.setattr(models, "SPLIT_CELLS", cells)
     ranked, y, counts, sw, pair_of = _random_pairs(rng, dtype, K=K)
     sums = models._class_sums(y, K, sw, pair_of, counts)
     assert sums is not None
@@ -627,11 +634,13 @@ def test_pair_split_ties_and_unsplittable_nodes():
     assert reference_best_split(*only_constant, 1, None, None) is None
 
 
+@pytest.mark.parametrize("cells", CELLS)
 @pytest.mark.parametrize("trial", range(4))
-def test_row_split_equals_feature_by_feature_search(rng, trial):
+def test_row_split_equals_feature_by_feature_search(rng, monkeypatch, cells, trial):
     """On rows, the search with a bin per present code for columns wider than
     the node returns the loop's split: continuous and integer columns, with
     uneven weights, at the root and at a random subset."""
+    monkeypatch.setattr(models, "SPLIT_CELLS", cells)
     K = 3
     X = np.column_stack([rng.normal(size=300), rng.integers(0, 4, size=300),
                          np.round(rng.normal(size=300), 1)])
@@ -653,9 +662,11 @@ def _grown(search, monkeypatch, fit):
 
 
 @pytest.mark.parametrize("dtype", [np.uint8, np.uint16])
-def test_trees_equal_trees_grown_with_the_reference_search(rng, monkeypatch, dtype):
+@pytest.mark.parametrize("cells", [models.SPLIT_CELLS, 1])
+def test_trees_equal_trees_grown_with_the_reference_search(rng, monkeypatch, dtype, cells):
     """Trees and forests grown with the reference search equal the package's,
     array for array, on pairs (with zero multiplicities) and on rows."""
+    monkeypatch.setattr(models, "SPLIT_CELLS", cells)
     K = 3
     ranked, y, counts, sw, pair_of = _random_pairs(rng, dtype, n_pairs=300, K=K)
     X = np.column_stack([u[c] for u, c in zip(ranked.uniques, ranked.codes.T)])
@@ -673,3 +684,13 @@ def test_trees_equal_trees_grown_with_the_reference_search(rng, monkeypatch, dty
             assert a.n_leaves > 3
             for x, z in zip(a._arrays(), b._arrays()):
                 assert x.dtype == z.dtype and np.array_equal(x, z)
+
+
+def test_a_split_that_leaves_a_side_empty_fails_the_fit(rng, monkeypatch):
+    """A split search that sends every unit one way fails the fit instead of
+    growing the same node forever."""
+    X, y = blobs(rng)
+    monkeypatch.setattr(models, "_best_split",
+                        lambda *args: (0, 0.0, np.ones(len(args[5]), dtype=bool)))
+    with pytest.raises(AssertionError, match="leaves a side empty"):
+        DecisionTree.fit(X, y, min_leaf=2)
