@@ -36,8 +36,8 @@ from .ingest import (
 from .learn import (
     Dataset,
     build_dataset,
+    class_weights,
     evaluate,
-    sample_weights,
     stratified_kfold,
 )
 from .models import DecisionTree, LogisticModel, RandomForest
@@ -127,8 +127,12 @@ def load_model(path) -> ModelSpec:
         kind = obj.get("kind")
         if kind not in _MODEL_KINDS:
             raise InputError(f"unknown model kind {kind!r} in {path}")
-        return ModelSpec(kind, obj["mode"], obj["classes"], obj["vocabulary"], obj["params"],
+        spec = ModelSpec(kind, obj["mode"], obj["classes"], obj["vocabulary"], obj["params"],
                          _MODEL_KINDS[kind].from_dict(obj["model"]))
+        for key, names in (("classes", spec.classes), ("vocabulary", spec.vocabulary)):
+            if type(names) is not list or not {*map(type, names)} <= {str}:
+                raise TypeError(f"{key} must be a list of strings")
+        return spec
 
 
 def load_dataset(table: FeatureTable, labels: Mapping[tuple[str, str], str], classes=None,
@@ -149,18 +153,19 @@ def fit_model(kind: str, dataset: Dataset, rows, params: dict, seed: int):
     encoding, and the rows' pair indices."""
     y = dataset.y[rows]
     n_classes = len(dataset.classes)
-    sw = sample_weights(y, n_classes)
+    cw = class_weights(y, n_classes)
     min_leaf = params.get("min_leaf", 10)
     if kind == "lr":
-        return LogisticModel.fit(dataset.X[rows], y, sw, n_classes=n_classes, l2=params.get("l2", 1.0))
+        return LogisticModel.fit(dataset.X[rows], y, cw[y], n_classes=n_classes,
+                                 l2=params.get("l2", 1.0))
     if kind == "dt":
-        return DecisionTree.fit(dataset.ranked, dataset.pair_y, sw, n_classes=n_classes,
+        return DecisionTree.fit(dataset.ranked, dataset.pair_y, cw, n_classes=n_classes,
                                 min_leaf=min_leaf, pair_of=dataset.pair_of[rows])
     if kind == "rf":
         if params.get("trees", 100) < 1:
             raise InputError(f"trees must be at least 1, got {params['trees']}")
         return RandomForest.fit(
-            dataset.ranked, dataset.pair_y, sw, n_classes=n_classes, n_trees=params.get("trees", 100),
+            dataset.ranked, dataset.pair_y, cw, n_classes=n_classes, n_trees=params.get("trees", 100),
             min_leaf=min_leaf, max_features=params.get("max_features", "sqrt"), seed=seed,
             pair_of=dataset.pair_of[rows],
         )

@@ -25,8 +25,8 @@ class Dataset:
 
     Rows repeat heavily, so the dataset stores the distinct (feature row,
     class) pairs as a small dense matrix, `pairs` with classes `pair_y`, and
-    `pair_of`, each row's pair. Trees fit on the pairs with each row's pair
-    index (`models.DecisionTree.fit`'s `pair_of`), predict once per pair, and
+    `pair_of`, each row's pair. Trees fit on the pairs
+    (`models.DecisionTree.fit`'s `pair_of`) and predict once per pair, and
     signatures are mined over the pairs with their multiplicities `counts`.
     `ranked` is the pairs rank-encoded (`models.RankedMatrix`), computed once
     on first use, so every tree fitted on folds, bootstrap samples or the
@@ -125,10 +125,6 @@ def class_weights(y: np.ndarray, n_classes: int) -> np.ndarray:
         missing = [i for i, c in enumerate(counts) if c == 0]
         raise ValueError(f"cannot weight empty classes (indices {missing})")
     return len(y) / (n_classes * counts.astype(float))
-
-
-def sample_weights(y: np.ndarray, n_classes: int) -> np.ndarray:
-    return class_weights(y, n_classes)[y]
 
 
 def stratified_kfold(

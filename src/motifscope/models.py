@@ -11,18 +11,14 @@ bincounts over the rank codes. A fit encodes a float matrix once per call
 (a forest once for all its trees), and callers that fit many trees on row
 subsets of one matrix encode it once and pass the codes.
 
-A fit's rows may repeat. `DecisionTree.fit` and `RandomForest.fit` then take
-the distinct (row, class) pairs as X and y and, as `pair_of`, each row's pair,
-and grow the tree of the rows, bit for bit, from an integer multiplicity per
-pair. One grower serves both; only the per-bin class-weight sum differs:
-- on rows (no `pair_of`; or weights that differ within a class, or every
-  multiplicity 1, where the pairs are expanded back to rows): the weighted
-  `np.bincount`, a sequential sum in row order;
-- on pairs (a multiplicity above 1 and one weight w_c per class): the bin's
-  integer count m of class-c rows, looked up in S_c = cumsum([0, w_c, w_c,
-  ...]), which is that sequential sum, as every term is w_c.
-Sample counts and `min_leaf` tests sum integer multiplicities, and
-`total_weight` stays the sum of the per-row weights.
+A fit weights each row by its class, w_c = class_weight[c], the class-prior
+weighting of CART (Breiman et al., 1984). Its units are distinct (row, class)
+pairs: `DecisionTree.fit` and `RandomForest.fit` take the pairs as X and y
+and, as `pair_of`, each row's pair (without it, row i is pair i), and grow
+the tree of the rows, bit for bit, from an integer multiplicity per pair.
+Sample counts and `min_leaf` tests sum multiplicities, and a bin's class-c
+weight is read at its count m of class-c rows from S_c = cumsum([0, w_c,
+w_c, ...]), which is the sequential sum of those rows' weights.
 
 Split search (`_best_split`) bins a node's units by code or, where a column
 has more codes than the node has units, by a code's rank among the codes the
@@ -222,57 +218,47 @@ class DecisionTree:
         cls,
         X: Union[np.ndarray, RankedMatrix],
         y: np.ndarray,
-        sample_weight: Optional[np.ndarray] = None,
+        class_weight: Optional[np.ndarray] = None,
         n_classes: Optional[int] = None,
         min_leaf: int = 10,
         max_features: Optional[int] = None,
         rng: Optional[np.random.Generator] = None,
         pair_of: Optional[np.ndarray] = None,
     ) -> "DecisionTree":
-        """Fit on the rows of X and y, weighted by sample_weight (one per row).
-
-        With pair_of, row i is X[pair_of[i]] of class y[pair_of[i]]: X and y
-        hold the distinct (row, class) pairs, and the tree is bit for bit the
-        one fitted on X[pair_of], y[pair_of] and sample_weight.
-        """
+        """Fit on the rows X[pair_of], y[pair_of] (X and y without pair_of),
+        a row of class c weighted class_weight[c] (default 1). X and y may
+        hold each distinct (row, class) pair once: the tree is bit for bit
+        the one of the rows, fitted from each pair's multiplicity."""
         # node splits are bincounts over the rank codes
         ranked = rank_encode(X)
         y = np.asarray(y, dtype=np.int64)
-        K = int(n_classes if n_classes is not None else _row_classes(y, pair_of).max() + 1)
-        if sample_weight is None:
-            sample_weight = np.ones(ranked.shape[0] if pair_of is None else len(pair_of))
-        total_weight = float(sample_weight.sum())
-        weight, sums = sample_weight, None  # each unit's bincount weight; the class-sum lookup
-        if pair_of is not None:
-            counts = np.bincount(pair_of, minlength=len(y))
-            sums = _class_sums(y, K, sample_weight, pair_of, counts)
-            if sums is None:  # rows again
-                ranked, y = ranked[pair_of], y[pair_of]
-            else:
-                weight = counts
-        n_units = ranked.shape[0]
+        if pair_of is None:
+            pair_of = np.arange(len(y))
+        row_y = y[pair_of]
+        K = int(n_classes if n_classes is not None else row_y.max() + 1)
+        class_weight = np.ones(K) if class_weight is None else np.asarray(class_weight, float)
+        total_weight = float(class_weight[row_y].sum())
+        counts = np.bincount(pair_of, minlength=len(y))  # each pair's multiplicity
+        sums = _class_sums(class_weight, np.bincount(row_y, minlength=K))
 
         # per node: [feature, threshold, left, right] and (value, n_samples, weight, gini)
         splits, stats = [], []
         # pairs no row uses are no unit of any node
-        start = np.arange(n_units) if sums is None else np.flatnonzero(weight)
-        stack = [(start, -1)]  # a node's units and, for a right child, its parent
+        stack = [(np.flatnonzero(counts), -1)]  # a node's units and, for a right child, its parent
         while stack:
             idx, parent = stack.pop()
             node = len(stats)  # nodes are appended as popped, in preorder
             if parent >= 0:
                 splits[parent][3] = node
-            value = np.bincount(y[idx], weights=weight[idx], minlength=K)
-            n_samples = len(idx)
-            if sums is not None:
-                n_samples, value = int(value.sum()), sums(value)
+            class_rows = np.bincount(y[idx], weights=counts[idx], minlength=K)
+            n_samples, value = int(class_rows.sum()), sums(class_rows)
             weight_sum = float(value.sum())
             gini = _node_gini(value, weight_sum)
             stats.append((value, n_samples, weight_sum, gini))
             splits.append([-1, -1.0, -1, -1])
             if n_samples < 2 * min_leaf or gini <= 0.0:
                 continue
-            split = _best_split(ranked.codes, ranked.uniques, y, weight, sums, idx, stats[-1], K,
+            split = _best_split(ranked.codes, ranked.uniques, y, counts, sums, idx, stats[-1], K,
                                 min_leaf, max_features, rng)
             if split is None:
                 continue
@@ -361,9 +347,11 @@ class DecisionTree:
     @classmethod
     def from_dict(cls, obj: dict) -> "DecisionTree":
         """The tree of a to_dict() object; ValueError unless its nodes are one
-        binary tree numbered in preorder."""
+        binary tree numbered in preorder, each with an int64 count n."""
         rows = obj["nodes"]
         _check_preorder(rows)
+        if not all(type(r["n"]) is int and -(1 << 63) <= r["n"] < 1 << 63 for r in rows):
+            raise ValueError("a tree node's n is not a 64-bit integer")
         split = [(-1, -1.0, -1, -1) if r["feature"] is None else
                  (int(r["feature"]), float(r["threshold"]), r["left"], r["right"]) for r in rows]
         stats = (("value", float), ("n", np.int64), ("weight", float), ("gini", float))
@@ -393,26 +381,12 @@ def _check_preorder(rows: list) -> None:
         raise ValueError(f"{n - seen} of {n} tree nodes are not reachable from node 0")
 
 
-def _row_classes(y: np.ndarray, pair_of: Optional[np.ndarray]) -> np.ndarray:
-    return np.asarray(y) if pair_of is None else np.asarray(y)[pair_of]
-
-
-def _class_sums(y: np.ndarray, K: int, sample_weight: np.ndarray, pair_of: np.ndarray,
-                counts: np.ndarray) -> Optional[Callable[[np.ndarray], np.ndarray]]:
-    """For a fit on pairs with one weight w_c per class, the lookup that
-    turns row counts m[..., c] into class-weight sums: table[offset[c] + m],
-    where the table holds each class's cumsum of its weight after a 0, which
-    is what np.bincount adds up over m rows of weight w_c, one by one. None
-    when the fit must run on rows: weights differ within a class, or no pair
-    repeats, so a lookup would save nothing."""
-    if len(counts) == 0 or counts.max() <= 1:
-        return None
-    row_class = y[pair_of]
-    class_weight = np.zeros(K)
-    class_weight[row_class] = sample_weight
-    if not np.array_equal(class_weight[row_class], sample_weight):
-        return None
-    class_rows = np.bincount(row_class, minlength=K)
+def _class_sums(class_weight: np.ndarray, class_rows: np.ndarray
+                ) -> Callable[[np.ndarray], np.ndarray]:
+    """The lookup that turns row counts m[..., c] into class-weight sums:
+    table[offset[c] + m], where the table holds each class's cumsum of its
+    weight after a 0 (class_rows[c] + 1 entries), which is what np.bincount
+    adds up over m rows of weight w_c, one by one."""
     offset = np.concatenate(([0], np.cumsum(class_rows + 1)[:-1]))
     table = np.concatenate([np.concatenate(([0.0], np.cumsum(np.full(m, w))))
                             for w, m in zip(class_weight.tolist(), class_rows.tolist())])
@@ -428,8 +402,8 @@ def _best_split(
     codes: np.ndarray,
     uniques: Sequence[np.ndarray],
     y: np.ndarray,
-    weight: np.ndarray,
-    sums: Optional[Callable[[np.ndarray], np.ndarray]],
+    counts: np.ndarray,
+    sums: Callable[[np.ndarray], np.ndarray],
     idx: np.ndarray,
     stats: tuple[np.ndarray, int, float, float],
     K: int,
@@ -437,11 +411,11 @@ def _best_split(
     max_features: Optional[int],
     rng: Optional[np.random.Generator],
 ) -> Optional[tuple[int, float, np.ndarray]]:
-    """The best split of the node whose units (rows, or pairs when sums is
-    given) are idx, or None; weight is each unit's sample weight on rows and
-    its multiplicity on pairs. stats is the node's (value, n_samples, weight,
-    gini). The split is the first, in (feature, code) order, of those with
-    the largest Gini decrease, if that exceeds a rounding margin."""
+    """The best split of the node whose pairs are idx, or None; counts is
+    each pair's multiplicity and sums the class-sum lookup. stats is the
+    node's (value, n_samples, weight, gini). The split is the first, in
+    (feature, code) order, of those with the largest Gini decrease, if that
+    exceeds a rounding margin."""
     d = codes.shape[1]
     if max_features is not None and max_features < d:
         if rng is None:
@@ -458,11 +432,11 @@ def _best_split(
         features, sub = features[varies], sub[:, varies]
     if not features.size:
         return None
-    y_node, w_node = y[idx], weight[idx]
+    y_node, m_node = y[idx], counts[idx]
     best, best_dec = None, 1e-12 * max(1.0, stats[2])
     step = max(1, SPLIT_CELLS // len(idx))
     for start in range(0, len(features), step):
-        dec, column, boundary = _block_split(sub[:, start:start + step], y_node, w_node, sums,
+        dec, column, boundary = _block_split(sub[:, start:start + step], y_node, m_node, sums,
                                              stats, K, min_leaf)
         if dec > best_dec:  # strict: ties go to the earlier block
             best_dec, best = dec, (start + column, boundary)
@@ -475,17 +449,16 @@ def _best_split(
     return f, threshold, left
 
 
-def _block_split(codes, y, weight, sums, stats, K, min_leaf):
+def _block_split(codes, y, counts, sums, stats, K, min_leaf):
     """(decrease, column, boundary code) of the best cut of a node over the
     columns of codes, all in one pass: one bincount per (column, bin, class)
-    of the units' weights (their row counts on pairs, then the class-sum
-    lookup), a cumsum along the bins and one flat argmax over every (column,
-    cut). A bin is a code or, when the node's largest code reaches its unit
-    count, a code's rank among the column's codes the node uses, so the
-    arrays grow with the node and not with the columns. Each bin's class
-    weights are summed in unit order, bins no unit fills add exactly 0.0 to
-    the cumsums, and argmax takes the first maximum in (column, cut) order,
-    so the cut is the one a search column by column finds."""
+    of the units' row counts, the class-sum lookup on them, a cumsum along
+    the bins and one flat argmax over every (column, cut). A bin is a code
+    or, when the node's largest code reaches its unit count, a code's rank
+    among the column's codes the node uses, so the arrays grow with the node
+    and not with the columns. Bins no unit fills add exactly 0.0 to the
+    cumsums, and argmax takes the first maximum in (column, cut) order, so
+    the cut is the one a search column by column finds."""
     n, F = codes.shape
     key = codes.astype(np.intp)  # (unit, column) -> bin, then the count key
     U = int(key.max()) + 1
@@ -498,14 +471,11 @@ def _block_split(codes, y, weight, sums, stats, K, min_leaf):
         key = key.reshape(n, F) - first
         U = int(np.diff(first, append=len(present)).max())
     key += np.arange(F) * U
-    if sums is None:
-        cnt = np.bincount(key.ravel(), minlength=F * U).reshape(F, U)
     key *= K
     key += y[:, None]
-    cw = np.bincount(key.ravel(), weights=np.repeat(weight.astype(float, copy=False), F),
+    cw = np.bincount(key.ravel(), weights=np.repeat(counts.astype(float), F),
                      minlength=F * U * K).reshape(F, U, K)
-    if sums is not None:
-        cnt, cw = cw.sum(axis=2), sums(cw)
+    cnt, cw = cw.sum(axis=2), sums(cw)
     dec = _gini_decrease(np.cumsum(cw, axis=1), np.cumsum(cnt, axis=1), cnt > 0, stats,
                          min_leaf)
     best = int(np.argmax(dec))
@@ -545,7 +515,7 @@ class RandomForest:
         cls,
         X: Union[np.ndarray, RankedMatrix],
         y: np.ndarray,
-        sample_weight: Optional[np.ndarray] = None,
+        class_weight: Optional[np.ndarray] = None,
         n_classes: Optional[int] = None,
         n_trees: int = 100,
         min_leaf: int = 10,
@@ -553,16 +523,16 @@ class RandomForest:
         seed: int = 0,
         pair_of: Optional[np.ndarray] = None,
     ) -> "RandomForest":
-        """Fit n_trees trees, each on a bootstrap sample of the rows; with
-        pair_of, X and y hold the distinct (row, class) pairs as in
-        DecisionTree.fit. A tree gets its sample as indices into X, so it
-        fits on the multiplicities of the rows drawn."""
+        """Fit n_trees trees, each on a bootstrap sample of the rows; X, y,
+        class_weight and pair_of are as in DecisionTree.fit. A tree gets its
+        sample as indices into X, so it fits on the multiplicities of the
+        rows drawn."""
         ranked = rank_encode(X)  # once for all the trees
         d = ranked.shape[1]
-        n = ranked.shape[0] if pair_of is None else len(pair_of)
-        K = int(n_classes if n_classes is not None else _row_classes(y, pair_of).max() + 1)
-        if sample_weight is None:
-            sample_weight = np.ones(n)
+        if pair_of is None:
+            pair_of = np.arange(len(y))
+        n = len(pair_of)
+        K = int(n_classes if n_classes is not None else np.asarray(y)[pair_of].max() + 1)
         if max_features == "sqrt":
             m: Optional[int] = max(1, int(np.sqrt(d)))
         elif max_features is None:
@@ -578,12 +548,12 @@ class RandomForest:
                 DecisionTree.fit(
                     ranked,
                     y,
-                    sample_weight=sample_weight[boot],
+                    class_weight=class_weight,
                     n_classes=K,
                     min_leaf=min_leaf,
                     max_features=m,
                     rng=rng,
-                    pair_of=boot if pair_of is None else pair_of[boot],
+                    pair_of=pair_of[boot],
                 )
             )
         return cls(trees=trees, n_classes=K)

@@ -124,9 +124,12 @@ def read_profiles_csv(path) -> Profiles:
         if len(row) != len(header):
             raise _bad_line("profiles", path, lineno, f"{len(row)} fields, expected {len(header)}")
         try:
-            counts.append([int(v) for v in row[2:]])
+            values = [int(v) for v in row[2:]]
+            if not all(-storage._INT64 <= v < storage._INT64 for v in values):
+                raise ValueError("a count is outside the 64-bit integers")
         except ValueError as exc:
             raise _bad_line("profiles", path, lineno, exc) from exc
+        counts.append(values)
         accounts.append(row[0])
     raw = np.array(counts, dtype=np.int64) if counts else np.zeros((0, len(leaf_ids)), dtype=np.int64)
     return Profiles(accounts=accounts, leaf_ids=leaf_ids, raw=raw)

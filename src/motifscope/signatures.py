@@ -196,6 +196,10 @@ class LeafSignature:
 
     @classmethod
     def from_json(cls, obj: dict) -> "LeafSignature":
+        """The signature of a to_json() object; TypeError unless its group
+        and items are strings."""
+        if type(obj["group"]) is not str or not {*map(type, obj["items"])} <= {str}:
+            raise TypeError("a signature's group and items must be strings")
         return cls(
             leaf_id=int(obj["leaf"]), group=obj["group"],
             probability=float(obj.get("probability", 0.0)), samples=int(obj.get("samples", 0)),

@@ -232,13 +232,19 @@ def features_mode(path) -> Optional[str]:
 
 
 def read_matches(path) -> Iterator[tuple[str, list[int]]]:
-    """(ego, leaves) per line of a matches file, for the profile subcommand."""
+    """(ego, leaves) per line of a matches file, for the profile subcommand.
+    A line that is not an object with a string ego and a list of integer
+    leaves raises InputError naming the file and line."""
     for lineno, obj in _jsonl_rows(path, "matches"):
         try:
-            row = obj["ego"], obj.get("leaves", [])
+            ego, leaves = obj["ego"], obj.get("leaves", [])
+            if type(ego) is not str:
+                raise TypeError("ego must be a string")
+            if type(leaves) is not list or not {*map(type, leaves)} <= {int}:
+                raise TypeError("leaves must be a list of integers")
         except (AttributeError, KeyError, TypeError) as exc:
             raise _bad_line("matches", path, lineno, exc) from exc
-        yield row
+        yield ego, leaves
 
 
 def sha256_file(path) -> str:

@@ -59,11 +59,11 @@ def small_dataset(small_corpus) -> learn.Dataset:
 
 @pytest.fixture(scope="session")
 def small_tree(small_dataset) -> DecisionTree:
-    sw = learn.sample_weights(small_dataset.y, len(small_dataset.classes))
+    cw = learn.class_weights(small_dataset.y, len(small_dataset.classes))
     return DecisionTree.fit(
         small_dataset.X,
         small_dataset.y,
-        sw,
+        cw,
         n_classes=len(small_dataset.classes),
         min_leaf=10,
     )

@@ -268,17 +268,17 @@ def reference_stratified_kfold(y, k=10, seed=0, groups=None):
 # a random forest fitted on its bootstrap rows
 # ---------------------------------------------------------------------------
 
-def reference_forest(X, y, sample_weight, n_classes, n_trees, min_leaf, max_features, seed):
+def reference_forest(X, y, class_weight, n_classes, n_trees, min_leaf, max_features, seed):
     """models.RandomForest.fit's trees, each fitted on the float rows of its
-    bootstrap sample (X[boot], y[boot], sample_weight[boot]) with the same
-    draws; max_features is a number of features or None."""
+    bootstrap sample (X[boot], y[boot]) with the same draws; max_features is
+    a number of features or None."""
     from motifscope.models import DecisionTree, RandomForest
 
     trees = []
     for child in np.random.SeedSequence(seed).spawn(n_trees):
         rng = np.random.default_rng(child)
         boot = rng.integers(0, len(y), size=len(y))
-        trees.append(DecisionTree.fit(X[boot], y[boot], sample_weight[boot], n_classes=n_classes,
+        trees.append(DecisionTree.fit(X[boot], y[boot], class_weight, n_classes=n_classes,
                                       min_leaf=min_leaf, max_features=max_features, rng=rng))
     return RandomForest(trees=trees, n_classes=n_classes)
 
@@ -287,7 +287,7 @@ def reference_forest(X, y, sample_weight, n_classes, n_trees, min_leaf, max_feat
 # split search feature by feature over the column's codes
 # ---------------------------------------------------------------------------
 
-def reference_best_split(codes, uniques, y, weight, sums, idx, stats, K, min_leaf,
+def reference_best_split(codes, uniques, y, counts, sums, idx, stats, K, min_leaf,
                          max_features, rng):
     """models._best_split by a loop over the features, each searched with a
     bin per code of the whole column (used or not in the node) and a cut
@@ -298,27 +298,19 @@ def reference_best_split(codes, uniques, y, weight, sums, idx, stats, K, min_lea
         features = np.sort(rng.choice(d, size=max_features, replace=False))
     else:
         features = np.arange(d)
-    if sums is not None:
-        node_codes = codes[idx]
-        features = features[(node_codes[:, features] != node_codes[0, features]).any(axis=0)]
-    y_node = y[idx]
-    w_node = weight[idx]
+    y_node, m_node = y[idx], counts[idx]
     value, n_node, weight_node, gini = stats
     best_dec = 1e-12 * max(1.0, weight_node)
     best = None
     for f in features:
         codes_f = codes[idx, f].astype(np.intp)
         uf = len(uniques[f])
-        if sums is None:
-            cnt = np.bincount(codes_f, minlength=uf)
-        else:
-            cnt = np.bincount(codes_f, weights=w_node, minlength=uf).astype(np.int64)
+        cnt = np.bincount(codes_f, weights=m_node, minlength=uf).astype(np.int64)
         present = np.flatnonzero(cnt)
         if present.size < 2:
             continue
-        mat = np.bincount(codes_f * K + y_node, weights=w_node, minlength=uf * K).reshape(uf, K)
-        if sums is not None:
-            mat = sums(mat)
+        mat = sums(np.bincount(codes_f * K + y_node, weights=m_node,
+                               minlength=uf * K).reshape(uf, K))
         cw = np.cumsum(mat, axis=0)
         cn = np.cumsum(cnt)
         pos = present[:-1]

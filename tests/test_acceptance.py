@@ -18,9 +18,9 @@ from motifscope.cli import PACKAGED_METHOD_GROUPS, PipelineConfig, run_pipeline
 from motifscope.featurize import featurize_store
 from motifscope.learn import (
     build_dataset,
+    class_weights,
     confusion_matrix,
     macro_scores,
-    sample_weights,
     stratified_kfold,
 )
 from motifscope.models import DecisionTree, logistic_loss_grad
@@ -82,8 +82,9 @@ def check_ccp_invariants(tree: DecisionTree) -> None:
     CCP_CHECKED[0] += 1
 
 
-def fit_tree(X, y, sw, n_classes, min_leaf=10) -> DecisionTree:
-    tree = DecisionTree.fit(X, y, sw, n_classes=n_classes, min_leaf=min_leaf)
+def fit_tree(X, y, n_classes, min_leaf=10) -> DecisionTree:
+    tree = DecisionTree.fit(X, y, class_weights(y, n_classes), n_classes=n_classes,
+                            min_leaf=min_leaf)
     check_ccp_invariants(tree)
     return tree
 
@@ -161,10 +162,10 @@ def corpus50k(tmp_path_factory):
     folds = stratified_kfold(ds.y, k=10, seed=0, groups=ds.tx_hashes)
     fold_f1 = []
     for tr, te in folds:
-        tree = fit_tree(ds.X[tr], ds.y[tr], sample_weights(ds.y[tr], K), K)
+        tree = fit_tree(ds.X[tr], ds.y[tr], K)
         cm = confusion_matrix(ds.y[te], tree.predict(ds.X[te]), K)
         fold_f1.append(macro_scores(cm)["f1"])
-    tree = fit_tree(ds.X, ds.y, sample_weights(ds.y, K), K)
+    tree = fit_tree(ds.X, ds.y, K)
     signatures, discrepancies = mine_signatures(
         tree, ds.X, ds.vocabulary, ds.classes, threshold=SUPPORT_THRESHOLD, method="greedy"
     )
@@ -190,7 +191,7 @@ def mixcorpus(tmp_path_factory):
     _, store, features = build_corpus(root, 6_000, seed=777, noise=0.0, n_egos=60, mixes=mixes)
     ds = labeled_dataset(store, features)
     K = len(ds.classes)
-    tree = fit_tree(ds.X, ds.y, sample_weights(ds.y, K), K)
+    tree = fit_tree(ds.X, ds.y, K)
     signatures, discrepancies = mine_signatures(
         tree, ds.X, ds.vocabulary, ds.classes, threshold=SUPPORT_THRESHOLD, method="greedy"
     )
@@ -312,7 +313,7 @@ def test_criterion_06_ccp_path_invariants(corpus50k, mixcorpus, small_tree, caps
         X = rng.integers(0, 4, size=(n, d)).astype(float)
         y = rng.integers(0, K, n)
         y[:K] = np.arange(K)
-        fit_tree(X, y, sample_weights(y, K), K, min_leaf=int(rng.integers(1, 10)))
+        fit_tree(X, y, K, min_leaf=int(rng.integers(1, 10)))
     ok = not CCP_VIOLATIONS and CCP_CHECKED[0] >= 38
     _report(capsys, 6, ok,
             f"pruning paths on all {CCP_CHECKED[0]} trees trained in this suite have "

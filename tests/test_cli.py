@@ -285,6 +285,17 @@ INPUT_KINDS = ["transfers", "tokens", "accounts", "methods", "method groups", "c
 
 # (kind, fault) -> content that decodes but is not a valid file of its kind,
 # and the line it is on
+def _one_leaf_model(classes=("Swap",), vocabulary=("m1(E,A)", "__oov__"), n=1) -> str:
+    """A dt model file whose tree is one leaf, with the given fields."""
+    leaf = {"feature": None, "threshold": None, "left": None, "right": None, "value": [1.0],
+            "n": n, "weight": 1.0, "gini": 0.0}
+    return json.dumps({
+        "format": "motifscope-model", "kind": "dt", "mode": "M+E", "classes": classes,
+        "vocabulary": vocabulary, "params": {},
+        "model": {"kind": "tree", "n_classes": 1, "min_leaf": 10, "total_weight": 1.0,
+                  "nodes": [leaf]}})
+
+
 INVALID_INPUTS = {
     ("catalog", "invalid"): (json.dumps([{"id": "m1", "nodes": ["E", "i", "j"],
                                           "edges": [["E", "i"], ["i", "j"]]}]), None),
@@ -316,6 +327,19 @@ INVALID_INPUTS = {
         '{"tx_hash":1,"ego":"e","mode":"M+E","features":{}}\n', 1),
     ("features (train)", "invalid count float"): (
         '{"tx_hash":"t","ego":"e","mode":"M+E","features":{"m1(E,A)":1.5}}\n', 1),
+    ("matches", "invalid ego list"): ('{"ego":"e","leaves":[1]}\n{"ego":["e"],"leaves":[1]}\n', 2),
+    ("matches", "invalid leaves nested"): ('{"ego":"e","leaves":[[1]]}\n', 1),
+    ("profiles", "invalid count overflow"): (f"account,total,leaf_1\n0xa,1,{2**70}\n", 2),
+    ("signatures", "invalid items list"): (json.dumps({
+        "format": "motifscope-signatures",
+        "signatures": [{"leaf": 1, "group": "Swap", "items": [["m1(E,A)"]]}]}), None),
+    ("signatures", "invalid group list"): (json.dumps({
+        "format": "motifscope-signatures",
+        "signatures": [{"leaf": 1, "group": ["Swap"], "items": ["m1(E,A)"]}]}), None),
+    ("model", "invalid classes"): (_one_leaf_model(classes=5), None),
+    ("model", "invalid vocabulary entry"): (
+        _one_leaf_model(vocabulary=["m1(E,A)", ["x"], "__oov__"]), None),
+    ("model", "invalid node n"): (_one_leaf_model(n=1e300), None),
 }
 
 

@@ -65,6 +65,8 @@ def test_class_weights_formula():
     y = np.array([0, 0, 0, 1])
     w = learn.class_weights(y, 2)
     assert w.tolist() == [4 / (2 * 3), 4 / (2 * 1)]
+    # weighted class totals equalize
+    assert 3 * w[0] == pytest.approx(w[1])
 
 
 def test_class_weight_ratio_matches_corpus_extremes():
@@ -81,14 +83,6 @@ def test_class_weight_ratio_matches_corpus_extremes():
 def test_class_weights_require_every_class():
     with pytest.raises(ValueError):
         learn.class_weights(np.array([0, 0]), 2)
-
-
-def test_sample_weights_broadcast():
-    y = np.array([0, 1, 1, 1])
-    sw = learn.sample_weights(y, 2)
-    assert sw.tolist() == [2.0, 2 / 3, 2 / 3, 2 / 3]
-    # weighted class totals equalize
-    assert sw[y == 0].sum() == pytest.approx(sw[y == 1].sum())
 
 
 # ---------------------------------------------------------------------------

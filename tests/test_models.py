@@ -88,10 +88,8 @@ def test_logistic_model_applies_class_weights():
     rng = np.random.default_rng(0)
     X = np.vstack([rng.normal(0.0, 1.0, size=(180, 1)), rng.normal(1.0, 1.0, size=(20, 1))])
     y = np.repeat([0, 1], [180, 20])
-    from motifscope.learn import sample_weights
-
     plain = LogisticModel.fit(X, y, n_classes=2)
-    weighted = LogisticModel.fit(X, y, sample_weights(y, 2), n_classes=2)
+    weighted = LogisticModel.fit(X, y, learn.class_weights(y, 2)[y], n_classes=2)
     recall_plain = (plain.predict(X)[y == 1] == 1).mean()
     recall_weighted = (weighted.predict(X)[y == 1] == 1).mean()
     assert recall_weighted > recall_plain
@@ -167,7 +165,7 @@ def test_tree_leaf_ids_preorder_and_apply(rng):
 def test_tree_weighted_majority():
     X = np.zeros((3, 1))
     y = np.array([0, 0, 1])
-    tree = DecisionTree.fit(X, y, sample_weight=np.array([1.0, 1.0, 5.0]), min_leaf=3)
+    tree = DecisionTree.fit(X, y, class_weight=np.array([1.0, 5.0]), min_leaf=3)
     assert tree.left[0] == -1
     assert tree.value[0].tolist() == [2.0, 5.0]
     assert tree.predict(X).tolist() == [1, 1, 1]
@@ -380,13 +378,13 @@ def test_fit_on_shared_encoding_matches_fit_on_rows(name, kind, rng):
     """Fitting on rows of the whole matrix's encoding (codes a row subset does
     not use, narrow dtypes) gives the same model as fitting on X[rows]."""
     X, y, rows, _ = _encoding_case(name, rng)
-    sw = learn.sample_weights(y[rows], 3)
+    cw = learn.class_weights(y[rows], 3)
     if kind == "tree":
         def fit(data):
-            return DecisionTree.fit(data, y[rows], sw, n_classes=3, min_leaf=3).to_dict()
+            return DecisionTree.fit(data, y[rows], cw, n_classes=3, min_leaf=3).to_dict()
     else:
         def fit(data):
-            return RandomForest.fit(data, y[rows], sw, n_classes=3, n_trees=4, min_leaf=3,
+            return RandomForest.fit(data, y[rows], cw, n_classes=3, n_trees=4, min_leaf=3,
                                     seed=5).to_dict()
     expected = fit(X[rows])
     assert fit(models.rank_encode(X)[rows]) == expected
@@ -442,14 +440,19 @@ def test_tree_on_pairs_equals_tree_on_rows(rng, trial, min_leaf):
     X, y = _repeating_case(rng)
     pairs, pair_y, pair_of = _pairs(X, y, K)
     rows = learn.stratified_kfold(y, k=3, seed=trial)[0][1]  # a third of the rows
-    sw = learn.sample_weights(y[rows], K)
+    cw = learn.class_weights(y[rows], K)
     counts = np.bincount(pair_of[rows], minlength=len(pair_y))
     assert (counts == 0).any() and counts.max() > 1
-    assert models._class_sums(pair_y, K, sw, pair_of[rows], counts) is not None  # the count path
-    expected = DecisionTree.fit(X[rows], y[rows], sw, n_classes=K, min_leaf=min_leaf)
-    got = DecisionTree.fit(pairs, pair_y, sw, n_classes=K, min_leaf=min_leaf,
+    expected = DecisionTree.fit(X[rows], y[rows], cw, n_classes=K, min_leaf=min_leaf)
+    got = DecisionTree.fit(pairs, pair_y, cw, n_classes=K, min_leaf=min_leaf,
                            pair_of=pair_of[rows])
     assert _tree_json(got) == _tree_json(expected)
+    # a leaf's class weights are np.bincount's sums of its rows' weights
+    leaf, y_rows = expected.apply(X[rows]), y[rows]
+    for k, node in enumerate(expected.leaves()):
+        at = leaf == k
+        assert expected.value[node].tolist() == np.bincount(
+            y_rows[at], weights=cw[y_rows[at]], minlength=K).tolist()
     assert expected.n_leaves > 2
     assert any(expected.gini[leaf] == 0.0 and expected.n_samples[leaf] >= 2 * min_leaf
                for leaf in expected.leaves())
@@ -463,36 +466,27 @@ def test_tree_on_pairs_min_leaf_at_the_boundary():
     y = np.repeat([1, 1, 0], [4, 3, 9])
     y[[0, 8]] = [0, 1]  # some rows of a repeated value carry the other class
     pairs, pair_y, pair_of = _pairs(X, y, 2)
-    sw = learn.sample_weights(y, 2)
+    cw = learn.class_weights(y, 2)
     for min_leaf, splits in ((7, True), (8, False)):
-        expected = DecisionTree.fit(X, y, sw, n_classes=2, min_leaf=min_leaf)
-        got = DecisionTree.fit(pairs, pair_y, sw, n_classes=2, min_leaf=min_leaf, pair_of=pair_of)
+        expected = DecisionTree.fit(X, y, cw, n_classes=2, min_leaf=min_leaf)
+        got = DecisionTree.fit(pairs, pair_y, cw, n_classes=2, min_leaf=min_leaf, pair_of=pair_of)
         assert _tree_json(got) == _tree_json(expected)
         assert (expected.left[0] != -1) == splits
         if splits:
             assert expected.n_samples[expected.left[0]] == min_leaf
 
 
-def test_tree_on_pairs_falls_back_to_rows(rng):
-    """Weights that differ within a class, or pairs that never repeat, fit on
-    the rows again, and give the rows' tree."""
+def test_tree_on_pairs_that_never_repeat_equals_tree_on_rows(rng):
+    """Every multiplicity 1: distinct rows fitted as pairs, in an order other
+    than the rows', give the rows' tree."""
     K = 3
-    X, y = _repeating_case(rng)
+    X = rng.normal(size=(300, 4))
+    y = (X[:, 0] + 0.3 * rng.normal(size=300) > 0).astype(np.int64) + (X[:, 1] > 1)
     pairs, pair_y, pair_of = _pairs(X, y, K)
-    uneven = rng.uniform(0.5, 2.0, size=len(y))
-    assert models._class_sums(pair_y, K, uneven, pair_of, np.bincount(pair_of)) is None
-    expected = DecisionTree.fit(X, y, uneven, n_classes=K, min_leaf=5)
-    got = DecisionTree.fit(pairs, pair_y, uneven, n_classes=K, min_leaf=5, pair_of=pair_of)
-    assert _tree_json(got) == _tree_json(expected)
-    # every multiplicity 1: the rows are distinct, in an order other than the pairs'
-    Xd = rng.normal(size=(300, 4))
-    yd = (Xd[:, 0] + 0.3 * rng.normal(size=300) > 0).astype(np.int64) + (Xd[:, 1] > 1)
-    pairs, pair_y, pair_of = _pairs(Xd, yd, K)
-    sw = learn.sample_weights(yd, K)
-    assert models._class_sums(pair_y, K, sw, pair_of, np.bincount(pair_of)) is None
     assert not np.array_equal(pair_of, np.arange(300))
-    expected = DecisionTree.fit(Xd, yd, sw, n_classes=K, min_leaf=5)
-    got = DecisionTree.fit(pairs, pair_y, sw, n_classes=K, min_leaf=5, pair_of=pair_of)
+    cw = learn.class_weights(y, K)
+    expected = DecisionTree.fit(X, y, cw, n_classes=K, min_leaf=5)
+    got = DecisionTree.fit(pairs, pair_y, cw, n_classes=K, min_leaf=5, pair_of=pair_of)
     assert _tree_json(got) == _tree_json(expected)
 
 
@@ -506,14 +500,14 @@ def test_forest_on_pairs_equals_forest_on_bootstrap_rows(rng, max_features):
     X, y = _repeating_case(rng, d=9)
     pairs, pair_y, pair_of = _pairs(X, y, K)
     rows = np.sort(rng.choice(len(y), size=450, replace=False))
-    sw = learn.sample_weights(y[rows], K)
-    expected = reference_forest(X[rows], y[rows], sw, K, n_trees=6, min_leaf=4,
+    cw = learn.class_weights(y[rows], K)
+    expected = reference_forest(X[rows], y[rows], cw, K, n_trees=6, min_leaf=4,
                                 max_features=3 if max_features else None, seed=11)
-    got = RandomForest.fit(pairs, pair_y, sw, n_classes=K, n_trees=6, min_leaf=4,
+    got = RandomForest.fit(pairs, pair_y, cw, n_classes=K, n_trees=6, min_leaf=4,
                            max_features=max_features, seed=11, pair_of=pair_of[rows])
     assert [_tree_json(t) for t in got.trees] == [_tree_json(t) for t in expected.trees]
     # a forest on plain rows draws the same samples and fits them as pairs too
-    plain = RandomForest.fit(X[rows], y[rows], sw, n_classes=K, n_trees=6, min_leaf=4,
+    plain = RandomForest.fit(X[rows], y[rows], cw, n_classes=K, n_trees=6, min_leaf=4,
                              max_features=max_features, seed=11)
     assert [_tree_json(t) for t in plain.trees] == [_tree_json(t) for t in expected.trees]
 
@@ -544,21 +538,19 @@ def _same_split(got, expected):
             and np.array_equal(got[2], expected[2]))
 
 
-def _node_stats(y, weight, sums, idx, K):
+def _node_stats(y, counts, sums, idx, K):
     """A node's (value, n_samples, weight, gini) as DecisionTree.fit makes it."""
-    value = np.bincount(y[idx], weights=weight[idx], minlength=K)
-    n_samples = len(idx)
-    if sums is not None:
-        n_samples, value = int(value.sum()), sums(value)
+    class_rows = np.bincount(y[idx], weights=counts[idx], minlength=K)
+    value = sums(class_rows)
     weight_sum = float(value.sum())
-    return value, n_samples, weight_sum, models._node_gini(value, weight_sum)
+    return value, int(class_rows.sum()), weight_sum, models._node_gini(value, weight_sum)
 
 
 def _random_pairs(rng, dtype, n_pairs=120, d=8, K=3):
-    """(ranked pairs, pair classes, multiplicities, row weights, pair_of): columns
-    of 1 to 300 codes (at most 256 for uint8), two duplicated columns, so
-    every decrease of the first ties with the second, and a fifth of the
-    pairs used by no row."""
+    """(ranked pairs, pair classes, multiplicities, class weights, pair_of):
+    columns of 1 to 300 codes (at most 256 for uint8), two duplicated
+    columns, so every decrease of the first ties with the second, and a
+    fifth of the pairs used by no row."""
     widths = rng.choice([1, 2, 3, 6, 40, 300 if dtype == np.uint16 else 200], size=d)
     codes = np.column_stack([rng.integers(0, w, size=n_pairs) for w in widths]).astype(dtype)
     codes[:, d - 1] = codes[:, 2]
@@ -567,30 +559,16 @@ def _random_pairs(rng, dtype, n_pairs=120, d=8, K=3):
     y = rng.integers(0, K, size=n_pairs)
     counts = rng.integers(1, 6, size=n_pairs) * (rng.random(n_pairs) >= 0.2)
     pair_of = np.repeat(np.arange(n_pairs), counts)
-    sw = learn.sample_weights(y[pair_of], K)
-    return RankedMatrix(codes, uniques), y, counts, sw, pair_of
+    cw = learn.class_weights(y[pair_of], K)
+    return RankedMatrix(codes, uniques), y, counts, cw, pair_of
 
 
-# one pass over all features, a few features a pass, and one feature a pass
-CELLS = [models.SPLIT_CELLS, 300, 1]
-
-
-@pytest.mark.parametrize("dtype", [np.uint8, np.uint16])
-@pytest.mark.parametrize("K", [3, 9])
-@pytest.mark.parametrize("cells", CELLS)
-@pytest.mark.parametrize("trial", range(6))
-def test_pair_split_equals_feature_by_feature_search(rng, monkeypatch, dtype, K, cells, trial):
-    """On random pairs (zero multiplicities, tied columns, wide and narrow
-    columns, fewer classes than numpy's 8-term summation blocks and more),
-    the search returns the loop's feature, threshold and left mask, however
-    many features a pass covers: at the root and at a random subset, for
-    min_leaf 1 and 0, at the smaller side of the loop's split and one above
-    it, and with max_features draws that leave both generators in the same
-    state."""
-    monkeypatch.setattr(models, "SPLIT_CELLS", cells)
-    ranked, y, counts, sw, pair_of = _random_pairs(rng, dtype, K=K)
-    sums = models._class_sums(y, K, sw, pair_of, counts)
-    assert sums is not None
+def _check_split_search(rng, ranked, y, counts, class_weight, K):
+    """The search returns the loop's feature, threshold and left mask: at the
+    root and at a random subset, for min_leaf 1 and 0, at the smaller side
+    of the loop's split and one above it, and with max_features draws that
+    leave both generators in the same state."""
+    sums = models._class_sums(class_weight, np.bincount(np.repeat(y, counts), minlength=K))
     used = np.flatnonzero(counts)
     for idx in (used, np.sort(rng.choice(used, size=len(used) // 3, replace=False))):
         stats = _node_stats(y, counts, sums, idx, K)
@@ -609,6 +587,23 @@ def test_pair_split_equals_feature_by_feature_search(rng, monkeypatch, dtype, K,
             assert got_rng.bit_generator.state == ref_rng.bit_generator.state
 
 
+# one pass over all features, a few features a pass, and one feature a pass
+CELLS = [models.SPLIT_CELLS, 300, 1]
+
+
+@pytest.mark.parametrize("dtype", [np.uint8, np.uint16])
+@pytest.mark.parametrize("K", [3, 9])
+@pytest.mark.parametrize("cells", CELLS)
+@pytest.mark.parametrize("trial", range(6))
+def test_pair_split_equals_feature_by_feature_search(rng, monkeypatch, dtype, K, cells, trial):
+    """On random pairs (zero multiplicities, tied columns, wide and narrow
+    columns, fewer classes than numpy's 8-term summation blocks and more),
+    the search finds the loop's split, however many features a pass covers."""
+    monkeypatch.setattr(models, "SPLIT_CELLS", cells)
+    ranked, y, counts, cw, _ = _random_pairs(rng, dtype, K=K)
+    _check_split_search(rng, ranked, y, counts, cw, K)
+
+
 def test_pair_split_ties_and_unsplittable_nodes():
     """Tied decreases go to the first feature and the first cut, as in the
     loop; a node whose features are all constant, or whose every cut leaves
@@ -619,9 +614,7 @@ def test_pair_split_ties_and_unsplittable_nodes():
     ranked = models.rank_encode(np.array([[0, 0, 4], [1, 1, 4], [2, 2, 4], [3, 3, 4]], float))
     y = np.array([0, 1, 1, 0])
     counts = np.array([3, 3, 3, 3])
-    pair_of = np.repeat(np.arange(4), counts)
-    sw = np.ones(len(pair_of))
-    sums = models._class_sums(y, K, sw, pair_of, counts)
+    sums = models._class_sums(np.ones(K), np.array([6, 6]))
     idx = np.arange(4)
     stats = _node_stats(y, counts, sums, idx, K)
     args = (ranked.codes, ranked.uniques, y, counts, sums, idx, stats, K)
@@ -637,22 +630,16 @@ def test_pair_split_ties_and_unsplittable_nodes():
 @pytest.mark.parametrize("cells", CELLS)
 @pytest.mark.parametrize("trial", range(4))
 def test_row_split_equals_feature_by_feature_search(rng, monkeypatch, cells, trial):
-    """On rows, the search with a bin per present code for columns wider than
-    the node returns the loop's split: continuous and integer columns, with
-    uneven weights, at the root and at a random subset."""
+    """Rows are pairs of multiplicity 1: on continuous, integer and rounded
+    columns, with uneven class weights, the search (with a bin per present
+    code for columns wider than the node) finds the loop's split."""
     monkeypatch.setattr(models, "SPLIT_CELLS", cells)
     K = 3
     X = np.column_stack([rng.normal(size=300), rng.integers(0, 4, size=300),
                          np.round(rng.normal(size=300), 1)])
     y = rng.integers(0, K, size=300)
-    ranked = models.rank_encode(X)
-    w = rng.uniform(0.5, 2.0, size=300)
-    for idx in (np.arange(300), np.sort(rng.choice(300, size=60, replace=False))):
-        stats = _node_stats(y, w, None, idx, K)
-        for min_leaf in (1, 5, 25):
-            args = (ranked.codes, ranked.uniques, y, w, None, idx, stats, K, min_leaf)
-            assert _same_split(models._best_split(*args, None, None),
-                               reference_best_split(*args, None, None))
+    _check_split_search(rng, models.rank_encode(X), y, np.ones(300, dtype=np.int64),
+                        rng.uniform(0.5, 2.0, size=K), K)
 
 
 def _grown(search, monkeypatch, fit):
@@ -668,12 +655,12 @@ def test_trees_equal_trees_grown_with_the_reference_search(rng, monkeypatch, dty
     array for array, on pairs (with zero multiplicities) and on rows."""
     monkeypatch.setattr(models, "SPLIT_CELLS", cells)
     K = 3
-    ranked, y, counts, sw, pair_of = _random_pairs(rng, dtype, n_pairs=300, K=K)
+    ranked, y, counts, cw, pair_of = _random_pairs(rng, dtype, n_pairs=300, K=K)
     X = np.column_stack([u[c] for u, c in zip(ranked.uniques, ranked.codes.T)])
     fits = [
-        lambda: DecisionTree.fit(ranked, y, sw, n_classes=K, min_leaf=2, pair_of=pair_of),
-        lambda: DecisionTree.fit(X[pair_of], y[pair_of], sw, n_classes=K, min_leaf=3),
-        lambda: RandomForest.fit(ranked, y, sw, n_classes=K, n_trees=3, min_leaf=2, seed=4,
+        lambda: DecisionTree.fit(ranked, y, cw, n_classes=K, min_leaf=2, pair_of=pair_of),
+        lambda: DecisionTree.fit(X[pair_of], y[pair_of], cw, n_classes=K, min_leaf=3),
+        lambda: RandomForest.fit(ranked, y, cw, n_classes=K, n_trees=3, min_leaf=2, seed=4,
                                  pair_of=pair_of),
     ]
     for fit in fits:

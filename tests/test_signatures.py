@@ -404,7 +404,7 @@ def test_mine_signatures_on_pairs_equals_rows(rng, method):
     rows = rng.integers(0, 30, size=700)
     X, y = pool[rows], pool_class[rows]
     y[rng.random(700) < 0.05] = 1
-    tree = DecisionTree.fit(X, y, learn.sample_weights(y, K), n_classes=K, min_leaf=20)
+    tree = DecisionTree.fit(X, y, learn.class_weights(y, K), n_classes=K, min_leaf=20)
     assert tree.n_leaves >= 3
     _, first, pair_of = np.unique(rows * K + y, return_index=True, return_inverse=True)
     pairs, counts = X[first], np.bincount(pair_of)
