@@ -94,6 +94,10 @@ def _fail(stage: str, exc: BaseException, code: int) -> int:
 
 _MODEL_KINDS = {"lr": LogisticModel, "dt": DecisionTree, "rf": RandomForest}
 
+# the values the --mode, --model and --linkage flags and those pipeline config fields accept
+_CHOICES = {"mode": ("M", "E", "ME", "M+E", "MxE"), "model": tuple(_MODEL_KINDS),
+            "linkage": LINKAGES}
+
 
 @dataclass
 class ModelSpec:
@@ -560,7 +564,8 @@ class PipelineConfig:
             return cls.from_json(read_json(path, "pipeline config"))
 
     def check(self) -> None:
-        """Raise InputError for a missing required path or a value of the wrong type."""
+        """Raise InputError for a missing required path, a value of the wrong
+        type, or a mode, model or linkage that the flags do not accept."""
         for f in dataclasses.fields(self):
             value = getattr(self, f.name)
             kind = f.type.removeprefix("Optional[").removesuffix("]")
@@ -569,6 +574,10 @@ class PipelineConfig:
             if not (value is None and kind != f.type or type(value) in _CONFIG_TYPES[kind]):
                 raise InputError(f"pipeline config {f.name!r} must be {kind}, "
                                  f"got {type(value).__name__} {value!r}")
+            choices = _CHOICES.get(f.name)
+            if choices and value not in choices:
+                raise InputError(f"pipeline config {f.name!r} must be one of {list(choices)}, "
+                                 f"got {value!r}")
 
 
 # accepted value types per annotation, which is a string (annotations are postponed);
@@ -781,7 +790,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("featurize", help="extract motif/edge features")
     p.add_argument("--store", required=True)
-    p.add_argument("--mode", default="M+E", choices=["M", "E", "ME", "M+E", "MxE"])
+    p.add_argument("--mode", default="M+E", choices=_CHOICES["mode"])
     p.add_argument("--out", required=True)
     p.add_argument("--catalog", default=None, help="motif catalog JSON override")
     p.add_argument("--max-nodes", dest="max_nodes", type=int, default=motif.DEFAULT_MAX_NODES)
@@ -791,8 +800,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", parents=[seeded], help="fit a classifier on labeled features")
     p.add_argument("--features", required=True)
     p.add_argument("--labels", required=True)
-    p.add_argument("--model", required=True, choices=["lr", "dt", "rf"])
-    p.add_argument("--mode", default=None, choices=["M", "E", "ME", "M+E", "MxE"])
+    p.add_argument("--model", required=True, choices=_CHOICES["model"])
+    p.add_argument("--mode", default=None, choices=_CHOICES["mode"])
     p.add_argument("--l2", type=float, default=1.0)
     p.add_argument("--min-leaf", dest="min_leaf", type=int, default=10)
     p.add_argument("--trees", type=int, default=100)
@@ -842,7 +851,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("cluster", help="hierarchical clustering of profiles")
     p.add_argument("--profiles", required=True)
-    p.add_argument("--linkage", default="ward", choices=list(LINKAGES))
+    p.add_argument("--linkage", default="ward", choices=_CHOICES["linkage"])
     p.add_argument("--min-matches", dest="min_matches", type=int, default=DEFAULT_MIN_MATCHES)
     p.add_argument("--out", required=True)
     p.add_argument("--plotdata", default=None)
@@ -871,8 +880,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method-groups", dest="method_groups", default=None)
     p.add_argument("--signatures", default=None, help="pre-mined signatures for match-only runs")
     p.add_argument("--out", default=None)
-    p.add_argument("--mode", default=None, choices=["M", "E", "ME", "M+E", "MxE"])
-    p.add_argument("--model", default=None, choices=["lr", "dt", "rf"])
+    p.add_argument("--mode", default=None, choices=_CHOICES["mode"])
+    p.add_argument("--model", default=None, choices=_CHOICES["model"])
     p.add_argument("--folds", type=int, default=None)
     p.add_argument("--min-leaf", dest="min_leaf", type=int, default=None)
     p.add_argument("--l2", type=float, default=None)
@@ -881,7 +890,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--target-leaves", dest="target_leaves", type=int, default=None)
     p.add_argument("--alpha", type=float, default=None)
     p.add_argument("--min-matches", dest="min_matches", type=int, default=None)
-    p.add_argument("--linkage", default=None, choices=list(LINKAGES))
+    p.add_argument("--linkage", default=None, choices=_CHOICES["linkage"])
     p.add_argument("--catalog", default=None)
     p.add_argument("--max-nodes", dest="max_nodes", type=int, default=None)
     p.set_defaults(func=cmd_pipeline)

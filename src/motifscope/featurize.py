@@ -6,19 +6,19 @@ transaction is reduced to its shape (motif.transaction_shape), the canonical
 form of its typed ego network up to what the features see, and the map is
 built (motif.shape_features) once per distinct shape in a chunk. Shapes
 repeat heavily (200,000 transactions of a scoring corpus hold a few
-hundred), so only the tally is per-row work; each chunk's FeatureTable is
-built from its distinct maps, and the chunk tables are joined into one.
-features.jsonl is written from that table by storage.write_rows, which
-encodes each distinct row once.
+hundred), so only the tally is per-row work. A chunk returns its maps and
+each row's index among them; the parent appends them in chunk order and
+builds the FeatureTable once. features.jsonl is written from that table by
+storage.write_rows, which encodes each distinct row once.
 
 The transactions come either from the store on disk, whose lines
 storage.line_to_tx decodes one chunk at a time, or from the list that ingest
-holds in memory, which forked workers inherit and index by range, so no line
-is decoded or pickled. Both feed one worker loop. Chunks are spread across
-worker processes; workers are pure and chunks are merged in input order, so
-the FeatureTable and its lines are bit-identical regardless of worker count.
-test_featurize.py checks this path against the plain featurizer and the
-brute-force oracles.
+holds in memory, which this process and forked workers index by range, so
+no line is decoded and no tx hash is pickled. Both feed one worker loop.
+Chunks are spread across worker processes; workers are pure and chunks are
+merged in input order, so the FeatureTable and its lines are bit-identical
+regardless of worker count. test_featurize.py checks this path against the
+plain featurizer and the brute-force oracles.
 """
 
 from __future__ import annotations
@@ -28,7 +28,9 @@ import os
 from dataclasses import dataclass
 from functools import partial
 from itertools import islice
-from typing import Iterable, Sequence
+from typing import Sequence
+
+import numpy as np
 
 from . import motif, storage
 from .ingest import _open
@@ -37,8 +39,8 @@ from .table import FeatureTable
 
 CHUNK_LINES = 8192
 
-# In a pool worker: the in-memory transactions that range chunks index, set by
-# the pool's initializer, which a forked worker runs on the inherited list.
+# The in-memory transactions that range chunks index: set by _inherit in this
+# process for a serial run, or in each pool worker, which a fork gives the list.
 _TRANSACTIONS: Sequence = ()
 
 
@@ -47,37 +49,35 @@ def _inherit(box: list) -> None:
     _TRANSACTIONS = box[0] if box else ()
 
 
-def _chunk_transactions(chunk) -> Iterable[tuple]:
-    """A chunk's stored tuples: given as a list, a range of the transactions a
-    worker inherited, or (store path, first line number, lines) decoded by
-    storage.line_to_tx."""
-    if isinstance(chunk, list):
-        return chunk
+def _chunk_transactions(chunk) -> Sequence[tuple]:
+    """A chunk's stored tuples: a range of the in-memory transactions, or
+    (store path, first line number, lines) decoded by storage.line_to_tx."""
     if isinstance(chunk, range):
         return _TRANSACTIONS[chunk.start:chunk.stop]
     path, first, lines = chunk
     decode = storage.line_to_tx
-    return (decode(line, path, lineno) for lineno, line in enumerate(lines, first) if line.strip())
+    return [decode(line, path, lineno) for lineno, line in enumerate(lines, first) if line.strip()]
 
 
-def _process_chunk(catalog: MotifCatalog, mode: str, max_nodes: int,
-                   chunk) -> tuple[int, int, FeatureTable]:
-    """Featurize one chunk into (oversize, rejected, the chunk's
-    FeatureTable); a bad store line raises InputError.
+def _process_chunk(catalog: MotifCatalog, mode: str, max_nodes: int, chunk) -> tuple:
+    """Featurize one chunk into (oversize, rejected, maps, map_of, names): row
+    i's features are maps[map_of[i]], the maps in the order of their first
+    use. names is the rows' (tx hashes, egos) for a chunk decoded from a
+    store, and None for a range of the in-memory transactions, which the
+    parent holds. A bad store line raises InputError.
 
     Each row is reduced to its shape (motif.transaction_shape), which is all
     its feature map depends on. A memo maps each of the chunk's shapes to its
-    index among the chunk's distinct maps, so motif counting runs once per
-    distinct shape. The memo lives for one chunk, so it holds at most
-    CHUNK_LINES shapes. The chunk table is built from the distinct maps and
-    each row's map index, so its flatten, sort and deduplication run once
-    per shape too.
+    index among the chunk's maps, so motif counting runs once per distinct
+    shape. The memo lives for one chunk, so it holds at most CHUNK_LINES
+    shapes.
     """
     memo: dict[motif.Shape, int] = {}
-    maps, map_of, hashes, egos = [], [], [], []
+    maps, map_of = [], []
     oversize = rejected = 0
     tally = motif.transaction_shape
-    for tx in _chunk_transactions(chunk):
+    txs = _chunk_transactions(chunk)
+    for tx in txs:
         shape, rej = tally(tx, mode, max_nodes)
         rejected += rej
         oversize += shape[2]
@@ -85,9 +85,8 @@ def _process_chunk(catalog: MotifCatalog, mode: str, max_nodes: int,
         if index == len(maps):
             maps.append(motif.shape_features(catalog, shape))
         map_of.append(index)
-        hashes.append(tx[0])
-        egos.append(tx[1])
-    return oversize, rejected, FeatureTable.build(hashes, egos, maps, map_of)
+    names = None if isinstance(chunk, range) else ([tx[0] for tx in txs], [tx[1] for tx in txs])
+    return oversize, rejected, maps, np.array(map_of, dtype=np.int32), names
 
 
 @dataclass
@@ -120,8 +119,8 @@ def featurize_store(
 
     store is a store directory, or the list of (tx_hash, ego, method group,
     rows) tuples that was written to one. Such a list is consumed: each
-    chunk's entries are set to None once it is featurized, so the
-    transactions are released while the table grows. out_path is written
+    chunk's entries are set to None once it is featurized, so only the
+    chunks still to come are held whole. out_path is written
     only when every transaction featurized; a malformed store line raises
     InputError naming the store path and line number.
     """
@@ -137,31 +136,40 @@ def featurize_store(
     work = partial(_process_chunk, catalog, mode, max_nodes)
     try:
         if threads <= 1:
-            if box:  # in this process a chunk is its slice of the list
-                chunks = (store[chunk.start:chunk.stop] for chunk in chunks)
+            _inherit(box)  # this process indexes the list as a worker does
             stats = _collect(map(work, chunks), box)
         else:
             ctx = mp.get_context("fork") if "fork" in mp.get_all_start_methods() else mp.get_context()
             with ctx.Pool(threads, initializer=_inherit, initargs=(box,)) as pool:
                 stats = _collect(pool.imap(work, chunks, chunksize=1), box)
     finally:
-        box.clear()  # the pool keeps its initargs: the box must not keep the transactions
+        # neither the pool, which keeps its initargs, nor this module may keep the transactions
+        box.clear()
+        _inherit(box)
     storage.write_rows(out_path, stats.table,
                        [{"features": feats, "mode": mode} for feats in stats.table.distinct_rows()])
     return stats
 
 
 def _collect(results, box: list) -> FeaturizeStats:
-    """Sum the chunks' counts and concatenate their tables in order; release
-    each chunk of the in-memory transactions in `box` once featurized."""
-    tables = []
-    oversize = rejected = done = 0
-    for ov, rej, table in results:
+    """Sum the chunks' counts, append their maps and rows in order and build
+    the table once. The rows of a range chunk take their tx hash and ego
+    from the in-memory transactions in `box`, whose entries are then
+    released."""
+    maps, map_of, hashes, egos = [], [], [], []
+    oversize = rejected = 0
+    for ov, rej, chunk_maps, chunk_map_of, names in results:
         oversize += ov
         rejected += rej
-        tables.append(table)
-        if box:
-            box[0][done:done + table.n_rows] = [None] * table.n_rows
-        done += table.n_rows
-    return FeaturizeStats(transactions=done, oversize=oversize, rejected_transfers=rejected,
-                          table=FeatureTable.concat(tables))
+        map_of.append(chunk_map_of + len(maps))
+        maps += chunk_maps
+        if names is None:
+            start = len(hashes)
+            txs = box[0][start:start + len(chunk_map_of)]
+            box[0][start:start + len(txs)] = [None] * len(txs)
+            names = [tx[0] for tx in txs], [tx[1] for tx in txs]
+        hashes += names[0]
+        egos += names[1]
+    table = FeatureTable.build(hashes, egos, maps, np.concatenate([np.empty(0, np.int32), *map_of]))
+    return FeaturizeStats(transactions=len(hashes), oversize=oversize,
+                          rejected_transfers=rejected, table=table)

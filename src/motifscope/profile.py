@@ -110,6 +110,9 @@ def write_profiles_csv(profiles: Profiles, path) -> None:
 
 
 def read_profiles_csv(path) -> Profiles:
+    """Profiles from a write_profiles_csv file. A row whose counts are not
+    integers from 0 to 2^63 - 1, or whose total is not their sum, raises
+    InputError naming the file and line."""
     rows = _csv_rows(path, "profiles")
     header = next(rows, None)
     if not header or header[:2] != ["account", "total"] or not all(
@@ -124,9 +127,13 @@ def read_profiles_csv(path) -> Profiles:
         if len(row) != len(header):
             raise _bad_line("profiles", path, lineno, f"{len(row)} fields, expected {len(header)}")
         try:
-            values = [int(v) for v in row[2:]]
-            if not all(-storage._INT64 <= v < storage._INT64 for v in values):
-                raise ValueError("a count is outside the 64-bit integers")
+            total, values = int(row[1]), [int(v) for v in row[2:]]
+            if not all(0 <= v < storage._INT64 for v in values):
+                raise ValueError("a count is negative or outside the 64-bit integers")
+            if total != sum(values):
+                raise ValueError(f"total {total} is not the sum of the row's counts, {sum(values)}")
+            if total >= storage._INT64:
+                raise ValueError("the counts sum beyond the 64-bit integers")
         except ValueError as exc:
             raise _bad_line("profiles", path, lineno, exc) from exc
         counts.append(values)

@@ -11,7 +11,7 @@ only decoder, and it returns the (tx_hash, ego, method group or None, rows)
 tuple that `write_store` takes. features.jsonl and matches.jsonl hold one
 line per row of a `table.FeatureTable`, and `write_rows` is their one
 writer; `read_features` (with `features_mode`) and `read_matches` read
-them back.
+them back, `read_features` with one `FeatureTable.build`.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ from .table import FeatureTable
 STORE_FILE = "transactions.jsonl"
 REPORT_FILE = "ingest_report.json"
 LABELS_FILE = "labels.csv"
-_FEATURES_CHUNK = 8192  # features lines parsed before they are packed into a table
 _INT64 = 1 << 63
 
 # One store line: {"tx": hash, "ego": account, "mg": group-or-null,
@@ -197,8 +196,11 @@ def read_features(path) -> FeatureTable:
     """features.jsonl as a FeatureTable, rows in file order; a row's keys
     come back in vocabulary order, not file order. A line that is not an
     object with a string tx_hash, a string ego (default ""), and a features
-    object of int64 integer counts raises InputError naming the file and line."""
-    chunks, hashes, egos, feature_maps = [], [], [], []
+    object of int64 integer counts raises InputError naming the file and line.
+    Each map is kept once per key order it comes in, and the table is built
+    once from the kept maps."""
+    memo: dict[tuple, int] = {}
+    maps, map_of, hashes, egos = [], [], [], []
     for lineno, obj in _jsonl_rows(path, "features"):
         try:
             tx_hash, ego, feats = obj["tx_hash"], obj.get("ego", ""), obj["features"]
@@ -216,12 +218,11 @@ def read_features(path) -> FeatureTable:
             raise _bad_line("features", path, lineno, exc) from exc
         hashes.append(tx_hash)
         egos.append(ego)
-        feature_maps.append(feats)
-        if len(hashes) == _FEATURES_CHUNK:
-            chunks.append(FeatureTable.build(hashes, egos, feature_maps))
-            hashes, egos, feature_maps = [], [], []
-    chunks.append(FeatureTable.build(hashes, egos, feature_maps))
-    return FeatureTable.concat(chunks)
+        index = memo.setdefault(tuple(feats.items()), len(maps))
+        if index == len(maps):
+            maps.append(feats)
+        map_of.append(index)
+    return FeatureTable.build(hashes, egos, maps, map_of)
 
 
 def features_mode(path) -> Optional[str]:

@@ -4,11 +4,13 @@ A FeatureTable holds one row per featurized transaction: its tx hash, its
 ego, and `row_of`, its index among the distinct feature rows. Rows repeat
 heavily, so only the distinct rows are stored: CSR arrays over a sorted
 vocabulary, in first-seen order, each row's entries in vocabulary order.
-The featurize workers build one table per chunk and `concat` joins them in
-chunk order and deduplicates again, so the table does not depend on the
-worker count or chunk size. features.jsonl and matches.jsonl are written
-from a table, one line per row, by `storage.write_rows`, and
-`storage.read_features` builds the same table from a features.jsonl file.
+A table is built once, by `build`, from each row's tx hash and ego, a list
+of feature maps and each row's index among them. Featurize gives it the maps
+of every chunk in chunk order, and `storage.read_features` the maps of a
+features.jsonl file; a map that repeats, in any key order, becomes one
+distinct row, so the table does not depend on the worker count or chunk
+size. features.jsonl and matches.jsonl are written from a table, one line
+per row, by `storage.write_rows`.
 
 Tx hashes and the distinct egos are each packed into one string with end
 offsets, so a table costs no object per row and keeps alive none of the
@@ -34,12 +36,6 @@ class Strings:
     @classmethod
     def pack(cls, strings: Sequence[str]) -> "Strings":
         return cls("".join(strings), np.cumsum(np.fromiter(map(len, strings), np.int64, len(strings))))
-
-    @classmethod
-    def concat(cls, parts: Sequence["Strings"]) -> "Strings":
-        offsets = np.cumsum([0] + [len(p.text) for p in parts[:-1]])
-        return cls("".join(p.text for p in parts),
-                   np.concatenate([p.ends + off for p, off in zip(parts, offsets)]))
 
     def __len__(self) -> int:
         return len(self.ends)
@@ -82,7 +78,11 @@ class FeatureTable:
         """The table of rows given as columns: row i's features are
         feature_maps[i], or feature_maps[map_of[i]] when map_of is given.
         Then each map is flattened, sorted and deduplicated once however many
-        rows share it, and the maps must come in the order of their first use."""
+        rows share it, and the maps must come in the order of their first use.
+        Equal maps, in any key order, become one distinct row, so the maps
+        may repeat: several chunks' maps, one chunk after another, with each
+        chunk's map_of shifted by the maps before it, give the table of all
+        the chunks' rows."""
         keys = list(chain.from_iterable(feature_maps))
         vocabulary = sorted(set(keys))
         position = {key: i for i, key in enumerate(vocabulary)}
@@ -101,33 +101,6 @@ class FeatureTable:
             ego_names=Strings.pack(list(ego_index)),
             ego_ids=np.fromiter(map(ego_index.__getitem__, egos), np.int32, len(egos)),
             vocabulary=vocabulary, **distinct,
-        )
-
-    @classmethod
-    def concat(cls, tables: Sequence["FeatureTable"]) -> "FeatureTable":
-        """The rows of every table, in order, over the union vocabulary."""
-        if not tables:
-            return cls.build([], [], [])
-        vocabulary = sorted(set().union(*(t.vocabulary for t in tables)))
-        position = {key: i for i, key in enumerate(vocabulary)}
-        ego_names = [t.ego_names.tolist() for t in tables]
-        ego_index = {ego: i for i, ego in enumerate(dict.fromkeys(chain.from_iterable(ego_names)))}
-        # a sorted vocabulary maps into the sorted union in order, so entries stay ascending
-        stacked = _distinct(
-            np.concatenate([np.diff(t.indptr) for t in tables]),
-            np.concatenate([np.array([position[k] for k in t.vocabulary], dtype=np.int32)[t.indices]
-                            for t in tables]),
-            np.concatenate([t.counts for t in tables]))
-        row_offsets = np.cumsum([0] + [t.n_distinct for t in tables[:-1]])
-        stacked["row_of"] = stacked["row_of"][np.concatenate([
-            t.row_of + off for t, off in zip(tables, row_offsets)])]
-        return cls(
-            tx_hashes=Strings.concat([t.tx_hashes for t in tables]),
-            ego_names=Strings.pack(list(ego_index)),
-            ego_ids=np.concatenate([
-                np.array([ego_index[e] for e in names], dtype=np.int32)[t.ego_ids]
-                for t, names in zip(tables, ego_names)]),
-            vocabulary=vocabulary, **stacked,
         )
 
     def egos(self) -> list[str]:

@@ -330,6 +330,9 @@ INVALID_INPUTS = {
     ("matches", "invalid ego list"): ('{"ego":"e","leaves":[1]}\n{"ego":["e"],"leaves":[1]}\n', 2),
     ("matches", "invalid leaves nested"): ('{"ego":"e","leaves":[[1]]}\n', 1),
     ("profiles", "invalid count overflow"): (f"account,total,leaf_1\n0xa,1,{2**70}\n", 2),
+    ("profiles", "invalid negative count"): ("account,total,leaf_1,leaf_2\n0xb,3,3,0\n"
+                                             "0xa,1,-5,6\n", 3),
+    ("profiles", "invalid total"): ("account,total,leaf_1,leaf_2\n0xa,4,1,2\n", 2),
     ("signatures", "invalid items list"): (json.dumps({
         "format": "motifscope-signatures",
         "signatures": [{"leaf": 1, "group": "Swap", "items": [["m1(E,A)"]]}]}), None),
@@ -1074,7 +1077,8 @@ def test_pipeline_missing_input_exit_2(tmp_path, small_corpus, capsys):
 
 
 @pytest.mark.parametrize("key,value", [("folds", "3"), ("threads", True), ("l2", "1"),
-                                       ("mode", 3), ("target_leaves", 2.5), ("seed", None)])
+                                       ("mode", 3), ("target_leaves", 2.5), ("seed", None),
+                                       ("mode", "XYZ"), ("model", "svm"), ("linkage", "single")])
 def test_pipeline_config_value_types_exit_2(tmp_path, small_corpus, capsys, key, value):
     config = {"transfers": str(small_corpus["transfers"]), "tokens": str(small_corpus["tokens"]),
               "accounts": str(small_corpus["accounts"]), "methods": str(small_corpus["methods"]),

@@ -3,7 +3,9 @@ lines and tables of the plain per-row featurizer, and the oracles' maps; the
 pure-Python JSON encoder writes the same bytes as the C one."""
 
 import json
+import pickle
 
+import numpy as np
 import pytest
 
 from motifscope import cli, featurize, motif, storage
@@ -66,22 +68,28 @@ def written_lines(table, mode, path):
 
 
 @pytest.mark.parametrize("mode", motif.MODES)
-def test_memoized_chunks_equal_plain_featurizer_and_oracles(rng, tmp_path, mode):
+def test_memoized_chunks_equal_plain_featurizer_and_oracles(rng, tmp_path, monkeypatch, mode):
     catalog = motif.enumerate_catalog()
     txs = random_transactions(rng, 400)
     lines, maps, oversize, rejected = plain_lines(txs, catalog, mode)
     assert maps == [oracle_features(tx, catalog, mode, MAX_NODES) for tx in txs]
     assert rejected > 0 and (oversize > 0) == (mode == "MxE")
+    monkeypatch.setattr(featurize, "_TRANSACTIONS", txs)
     for size in (64, len(txs)):
-        chunks = [txs[i:i + size] for i in range(0, len(txs), size)]
+        chunks = [range(i, min(i + size, len(txs))) for i in range(0, len(txs), size)]
         results = [featurize._process_chunk(catalog, mode, MAX_NODES, chunk) for chunk in chunks]
         assert [sum(r[0] for r in results), sum(r[1] for r in results),
-                sum(r[2].n_rows for r in results)] == [oversize, rejected, len(txs)]
-        for start, (*_, table) in zip(range(0, len(txs), size), results):
-            chunk = txs[start:start + size]
+                sum(len(r[3]) for r in results)] == [oversize, rejected, len(txs)]
+        for chunk, (_, _, chunk_maps, map_of, names) in zip(chunks, results):
+            assert names is None and map_of.dtype == np.int32
+            # the chunk's maps in the order of their first use, each used
+            assert list(dict.fromkeys(map_of.tolist())) == list(range(len(chunk_maps)))
+            assert [chunk_maps[i] for i in map_of.tolist()] == maps[chunk.start:chunk.stop]
+            table = FeatureTable.build([txs[i][0] for i in chunk], [txs[i][1] for i in chunk],
+                                       chunk_maps, map_of)
             assert_same_table(table, FeatureTable.build(
-                [tx[0] for tx in chunk], [tx[1] for tx in chunk], maps[start:start + size]))
-            assert written_lines(table, mode, tmp_path / "chunk.jsonl") == lines[start:start + size]
+                [txs[i][0] for i in chunk], [txs[i][1] for i in chunk], maps[chunk.start:chunk.stop]))
+            assert written_lines(table, mode, tmp_path / "chunk.jsonl") == lines[chunk.start:chunk.stop]
 
 
 @pytest.mark.parametrize("mode", motif.MODES)
@@ -94,9 +102,28 @@ def test_one_shape_in_any_row_order_takes_one_memo_entry(rng, tmp_path, mode, mo
     real = motif.shape_features
     monkeypatch.setattr(motif, "shape_features",
                         lambda catalog, shape: shapes.append(shape) or real(catalog, shape))
-    _, _, table = featurize._process_chunk(catalog, mode, MAX_NODES, copies)
-    assert len(shapes) == 1 and table.n_rows == 40 and table.n_distinct == 1
+    monkeypatch.setattr(featurize, "_TRANSACTIONS", copies)
+    _, _, maps, map_of, _ = featurize._process_chunk(catalog, mode, MAX_NODES, range(40))
+    assert len(shapes) == len(maps) == 1 and map_of.tolist() == [0] * 40
+    table = FeatureTable.build([tx[0] for tx in copies], [tx[1] for tx in copies], maps, map_of)
     assert written_lines(table, mode, tmp_path / "f.jsonl") == plain_lines(copies, catalog, mode)[0]
+
+
+def test_worker_result_sends_back_no_name_the_parent_holds(rng, tmp_path, monkeypatch):
+    """A range chunk's result holds no tx hash or ego, which the parent has in
+    its list; a chunk decoded from a store returns them, with the same maps."""
+    catalog = motif.enumerate_catalog()
+    txs = random_transactions(rng, 60)
+    monkeypatch.setattr(featurize, "_TRANSACTIONS", txs)
+    result = featurize._process_chunk(catalog, "M+E", MAX_NODES, range(len(txs)))
+    assert result[4] is None
+    pickled = pickle.dumps(result)
+    assert not [name for tx in txs for name in tx[:2] if name.encode("utf-8") in pickled]
+    storage.write_store(tmp_path / "store", txs)
+    chunk = next(featurize._store_chunks(storage.store_path(tmp_path / "store"), len(txs)))
+    *counts, maps, map_of, names = featurize._process_chunk(catalog, "M+E", MAX_NODES, chunk)
+    assert (counts, maps, map_of.tolist()) == (list(result[:2]), result[2], result[3].tolist())
+    assert names == ([tx[0] for tx in txs], [tx[1] for tx in txs])
 
 
 @pytest.mark.parametrize("threads", [1, 2])

@@ -232,11 +232,27 @@ def _random_map(rng, keys):
     return {key: rng.choice([0, 1, 2, 7, -3, 2 ** 40]) for key in chosen}
 
 
+def _chunk_maps(chunks):
+    """The maps and map_of that featurize builds its table from: each chunk's
+    maps, in first-use order and without a repeat in the same key order,
+    one chunk after another, with each chunk's map indices shifted by the
+    maps before it."""
+    maps, map_of = [], []
+    for chunk in chunks:
+        memo: dict = {}
+        map_of += [len(maps) + memo.setdefault(tuple(feats.items()), len(memo))
+                   for _, _, feats in chunk]
+        maps += [dict(items) for items in memo]
+    return maps, map_of
+
+
 def test_table_equals_per_row_oracle():
-    """build, concat, take and rows() against per-row dicts: equal maps,
-    whatever their key order, share one distinct row, also across chunks."""
+    """build from chunk-ordered maps, take and rows() against per-row dicts:
+    equal maps, whatever their key order, share one distinct row, also
+    across chunks."""
     rng = random.Random(11)
     keys = ["m1(E,A)", "m2(A,C)", "(A,E)Stablecoin", "b", "a", OOV_KEY]
+    crossed = 0  # trials where a map repeats across chunks in another key order
     for trial in range(40):
         shared = _random_map(rng, keys)  # repeated in every chunk
         chunks = []
@@ -251,7 +267,11 @@ def test_table_equals_per_row_oracle():
             chunks.append(list(zip(hashes, egos, maps)))
         oracle = [row for chunk in chunks for row in chunk]
         tables = [FeatureTable.build(*zip(*chunk)) for chunk in chunks]
-        table = FeatureTable.concat(tables)
+        maps, map_of = _chunk_maps(chunks)
+        # the shared map comes once per chunk and key order: build merges them
+        assert sum(m == shared for m in maps) >= len(chunks) * min(len(shared), 2)
+        crossed += len(chunks) > 1 and len(shared) > 1
+        table = FeatureTable.build([r[0] for r in oracle], [r[1] for r in oracle], maps, map_of)
         assert_same_table(table, FeatureTable.build(*zip(*oracle)))
         for t, rows in [(table, oracle)] + list(zip(tables, chunks)):
             got = list(t.rows())
@@ -273,6 +293,7 @@ def test_table_equals_per_row_oracle():
         built = FeatureTable.build(*zip(*[oracle[i] for i in picked]))
         assert np.array_equal(taken.row_of, built.row_of)
         assert taken.distinct_rows() == built.distinct_rows()
+    assert crossed > 5
 
 
 def test_take_keeps_only_the_distinct_rows_it_uses(tmp_path):
@@ -300,9 +321,14 @@ def test_table_take_and_rows():
     picked = table.take([2, 0])
     assert list(picked.rows()) == [("t3", "e2", {"c": 0}), ("t1", "e2", {"b": 1, "a": 2})]
     assert picked.vocabulary == table.vocabulary == ["a", "b", "c"]
-    empty = FeatureTable.concat([])
-    assert empty.n_rows == 0 and list(empty.rows()) == []
-    assert_same_table(FeatureTable.concat([table.take([0]), table.take([1, 2])]), table)
+    for empty in (FeatureTable.build([], [], []), FeatureTable.build([], [], [], [])):
+        assert empty.n_rows == empty.n_distinct == 0 and list(empty.rows()) == []
+        assert empty.vocabulary == [] and empty.row_of.dtype == np.int32
+    # two chunks' distinct rows, the second's row_of shifted, build the whole table
+    parts = [table.take([0]), table.take([1, 2])]
+    assert_same_table(FeatureTable.build(
+        ["t1", "t2", "t3"], ["e2", "e1", "e2"], [m for p in parts for m in p.distinct_rows()],
+        np.concatenate([parts[0].row_of, parts[1].row_of + parts[0].n_distinct])), table)
 
 
 def test_dumps_equals_json_dumps():
