@@ -136,7 +136,23 @@ def load_model(path) -> ModelSpec:
         for key, names in (("classes", spec.classes), ("vocabulary", spec.vocabulary)):
             if type(names) is not list or not {*map(type, names)} <= {str}:
                 raise TypeError(f"{key} must be a list of strings")
+        if spec.mode not in motif.MODES:
+            raise ValueError(f"mode must be one of {list(motif.MODES)}, got {spec.mode!r}")
+        if type(spec.params) is not dict:
+            raise TypeError(f"params must be an object, got {type(spec.params).__name__}")
+        for key, (what, ok) in _MODEL_PARAMS.items():
+            if key in spec.params and not ok(spec.params[key]):
+                raise TypeError(f"params {key!r} must be {what}, got {spec.params[key]!r}")
         return spec
+
+
+# the fit parameters that eval and prune-CV read from a model file, and what each may be
+_MODEL_PARAMS = {
+    "min_leaf": ("an integer", lambda v: type(v) is int),
+    "trees": ("an integer", lambda v: type(v) is int),
+    "l2": ("a number", lambda v: type(v) in (int, float)),
+    "max_features": ('"sqrt", null or an integer', lambda v: v in ("sqrt", None) or type(v) is int),
+}
 
 
 def load_dataset(table: FeatureTable, labels: Mapping[tuple[str, str], str], classes=None,
@@ -251,6 +267,18 @@ def _ccp_cv_rows(path, params: dict, dataset: Dataset, folds, fold_trees=None):
     return [macro_scores(cm) for cm in pooled]
 
 
+def _check_pruning_target(target_leaves, alpha, name) -> None:
+    """Raise InputError unless at most one of target_leaves (at least 1) and
+    alpha (a number >= 0) is set; name(key) says where a value came from."""
+    if target_leaves is not None and alpha is not None:
+        raise InputError(f"{name('target_leaves')} and {name('alpha')} exclude each other; "
+                         f"set one")
+    if target_leaves is not None and target_leaves < 1:
+        raise InputError(f"{name('target_leaves')} must be at least 1, got {target_leaves}")
+    if alpha is not None and not alpha >= 0:
+        raise InputError(f"{name('alpha')} must be a number >= 0, got {alpha}")
+
+
 def prune_model(spec: ModelSpec, target_leaves, alpha, out, path_csv=None, dot=None, cv=None):
     """Prune spec's tree along its cost-complexity path and write the pruned
     model, plus the alpha/leaves table and the pruned tree as DOT when asked.
@@ -262,6 +290,7 @@ def prune_model(spec: ModelSpec, target_leaves, alpha, out, path_csv=None, dot=N
         raise InputError("prune requires a decision-tree model")
     if target_leaves is None and alpha is None:
         raise InputError("pass --target-leaves or --alpha")
+    _check_pruning_target(target_leaves, alpha, lambda key: "--" + key.replace("_", "-"))
     path = ccp_path(spec.instance)
     tree, entry = select_pruned(path, target_leaves=target_leaves, alpha=alpha)
     params = {**spec.params, "pruned_alpha": entry.alpha, "pruned_leaves": entry.leaf_count}
@@ -560,16 +589,24 @@ class PipelineConfig:
 
     @classmethod
     def from_file(cls, path) -> "PipelineConfig":
+        """The config in a JSON file; a value that check() rejects raises
+        InputError naming the file (the required paths may come from flags)."""
         with _schema("pipeline config", path):
-            return cls.from_json(read_json(path, "pipeline config"))
+            cfg = cls.from_json(read_json(path, "pipeline config"))
+        try:
+            cfg.check(required=())
+        except InputError as exc:
+            raise InputError(f"bad pipeline config {path}: {exc}") from None
+        return cfg
 
-    def check(self) -> None:
+    def check(self, required=("transfers", "tokens", "accounts", "out")) -> None:
         """Raise InputError for a missing required path, a value of the wrong
-        type, or a mode, model or linkage that the flags do not accept."""
+        type, a mode, model or linkage that the flags do not accept, or a
+        pruning target that prune refuses."""
         for f in dataclasses.fields(self):
             value = getattr(self, f.name)
             kind = f.type.removeprefix("Optional[").removesuffix("]")
-            if f.name in ("transfers", "tokens", "accounts", "out") and not value:
+            if f.name in required and not value:
                 raise InputError(f"pipeline config is missing {f.name!r}")
             if not (value is None and kind != f.type or type(value) in _CONFIG_TYPES[kind]):
                 raise InputError(f"pipeline config {f.name!r} must be {kind}, "
@@ -578,6 +615,8 @@ class PipelineConfig:
             if choices and value not in choices:
                 raise InputError(f"pipeline config {f.name!r} must be one of {list(choices)}, "
                                  f"got {value!r}")
+        _check_pruning_target(self.target_leaves, self.alpha,
+                              lambda key: f"pipeline config {key!r}")
 
 
 # accepted value types per annotation, which is a string (annotations are postponed);

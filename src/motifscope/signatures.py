@@ -1,18 +1,21 @@
 """Cost-complexity pruning, per-leaf signature mining, and signature matching.
 
-Pruning follows the standard minimal cost-complexity construction: repeatedly
-collapse the internal node(s) with the smallest effective alpha
+Pruning follows the minimal cost-complexity construction of Breiman et al.
+(Classification and Regression Trees, 1984): repeatedly collapse the internal
+node(s) with the smallest effective alpha
 g(t) = (R(t) - R(T_t)) / (|leaves(T_t)| - 1) where R is the weighted-impurity
-share of the root total. The path is computed on the tree's preorder node
-arrays; each entry keeps the ids of the nodes collapsed so far and builds its
-tree with `DecisionTree.collapsed`. Signatures are maximal frequent feature
-itemsets (binarized presence) mined per leaf of the pruned tree, and a
-signature's leaf id is its leaf's rank in preorder.
+share of the root total. The path is a list of `CcpEntry`, computed on the
+tree's preorder node arrays with one reverse-preorder pass per step that
+treats the nodes collapsed so far as leaves; each entry keeps their ids and
+builds its tree with `DecisionTree.collapsed`. Signatures are maximal
+frequent feature itemsets (binarized presence) mined per leaf of the pruned
+tree, and a signature's leaf id is its leaf's rank in preorder.
 """
 
 from __future__ import annotations
 
 import logging
+import math
 import warnings
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
@@ -30,106 +33,58 @@ SUPPORT_THRESHOLD = 0.8
 # cost-complexity pruning
 # ---------------------------------------------------------------------------
 
+@dataclass(frozen=True)
 class CcpEntry:
     """One point on the pruning path; the snapshot tree is rebuilt on demand."""
 
-    __slots__ = ("alpha", "leaf_count", "pruned_ids", "_source")
-
-    def __init__(self, alpha: float, leaf_count: int, pruned_ids: frozenset, source: DecisionTree):
-        self.alpha = alpha
-        self.leaf_count = leaf_count
-        self.pruned_ids = pruned_ids
-        self._source = source
+    alpha: float
+    leaf_count: int
+    pruned_ids: frozenset
+    source: DecisionTree = field(repr=False)
 
     @property
     def tree(self) -> DecisionTree:
-        return self._source.collapsed(self.pruned_ids)
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"CcpEntry(alpha={self.alpha:.6g}, leaves={self.leaf_count})"
+        return self.source.collapsed(self.pruned_ids)
 
 
-@dataclass
-class CcpPath:
-    entries: list[CcpEntry] = field(default_factory=list)
-
-    def __iter__(self):
-        return iter(self.entries)
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def alphas(self) -> list[float]:
-        return [e.alpha for e in self.entries]
-
-
-def ccp_path(tree: DecisionTree) -> CcpPath:
+def ccp_path(tree: DecisionTree) -> list[CcpEntry]:
     """Weakest-link pruning path from the unpruned tree down to the root leaf.
 
     Ties (several nodes sharing the minimal g) collapse together; alphas on
     the returned path are strictly increasing and leaf counts strictly
     decreasing, starting from the alpha = 0 unpruned entry.
     """
-    left, right = tree.left, tree.right  # preorder, same indexing as to_dict()
+    left, right = tree.left.tolist(), tree.right.tolist()  # preorder
     n = len(left)
-    R = tree.gini / tree.total_weight if tree.total_weight > 0 else np.zeros(n)
-    parent = np.full(n, -1, dtype=np.int64)
-    inner = np.flatnonzero(left >= 0)
-    parent[left[inner]] = inner
-    parent[right[inner]] = inner
-
+    R = (tree.gini / tree.total_weight if tree.total_weight > 0 else np.zeros(n)).tolist()
+    end = list(range(1, n + 1))  # node i's subtree is the nodes i .. end[i] - 1
+    for i in range(n - 1, -1, -1):
+        if left[i] >= 0:
+            end[i] = end[right[i]]
+    path: list[CcpEntry] = []
     pruned: set[int] = set()
-    path = CcpPath([CcpEntry(0.0, tree.n_leaves, frozenset(), tree)])
-    if n == 1:
-        return path
+    alpha = 0.0
     while True:
-        hidden = np.zeros(n, dtype=bool)
-        for i in range(n):  # preorder: parents precede children
-            if left[i] == -1:
-                continue
-            if hidden[i] or i in pruned:
-                hidden[left[i]] = True
-                hidden[right[i]] = True
-        leaves_cnt = np.zeros(n, dtype=np.int64)
-        R_sub = np.zeros(n)
-        g = np.full(n, np.inf)
+        leaves, R_sub, g = [1] * n, R[:], [math.inf] * n
         for i in range(n - 1, -1, -1):  # reverse preorder = children first
-            if hidden[i]:
-                continue
-            if left[i] == -1 or i in pruned:
-                leaves_cnt[i] = 1
-                R_sub[i] = R[i]
-                continue
-            leaves_cnt[i] = leaves_cnt[left[i]] + leaves_cnt[right[i]]
-            R_sub[i] = R_sub[left[i]] + R_sub[right[i]]
-            g[i] = (R[i] - R_sub[i]) / (leaves_cnt[i] - 1)
-        if leaves_cnt[0] == 1:
-            break
-        g_min = g.min()
-        cut_set = {int(i) for i in np.flatnonzero(g <= g_min + 1e-15 * (1.0 + abs(g_min)))}
-        pruned.update(cut_set)
-        # leaf count after the collapse: only topmost cut nodes remove leaves
-        removed = 0
-        for i in cut_set:
-            j = int(parent[i])
-            while j != -1 and j not in cut_set:
-                j = int(parent[j])
-            if j == -1 and not hidden[i]:
-                removed += leaves_cnt[i] - 1
-        new_count = int(leaves_cnt[0] - removed)
-        last = path.entries[-1]
-        if g_min <= last.alpha + 1e-15 * (1.0 + abs(last.alpha)):
-            # same alpha (floating ties): extend the previous snapshot
-            path.entries[-1] = CcpEntry(last.alpha, new_count, frozenset(pruned), tree)
-        else:
-            path.entries.append(CcpEntry(float(g_min), new_count, frozenset(pruned), tree))
-        if new_count == 1:
-            break
-    return path
+            l, r = left[i], right[i]
+            if l >= 0 and i not in pruned:  # a pruned node is a leaf
+                leaves[i] = leaves[l] + leaves[r]
+                R_sub[i] = R_sub[l] + R_sub[r]
+                g[i] = (R[i] - R_sub[i]) / (leaves[i] - 1)
+        for i in pruned:  # the nodes below a pruned node are gone
+            g[i + 1:end[i]] = [math.inf] * (end[i] - i - 1)
+        if path and alpha <= path[-1].alpha + 1e-15 * (1.0 + abs(path[-1].alpha)):
+            alpha = path.pop().alpha  # same alpha (floating ties): extend the previous snapshot
+        path.append(CcpEntry(alpha, leaves[0], frozenset(pruned), tree))
+        if leaves[0] == 1:
+            return path
+        alpha = min(g)
+        pruned.update(i for i, gi in enumerate(g) if gi <= alpha + 1e-15 * (1.0 + abs(alpha)))
 
 
 def select_pruned(
-    path: CcpPath,
+    path: list[CcpEntry],
     target_leaves: Optional[int] = None,
     alpha: Optional[float] = None,
 ) -> tuple[DecisionTree, CcpEntry]:
@@ -142,28 +97,22 @@ def select_pruned(
     """
     if (target_leaves is None) == (alpha is None):
         raise ValueError("specify exactly one of target_leaves or alpha")
-    if not path.entries:
+    if not path:
         raise ValueError("empty pruning path")
     if target_leaves is not None:
         if target_leaves < 1:
             raise ValueError("target_leaves must be >= 1")
-        chosen = None
-        for entry in path.entries:  # ascending alpha
-            if entry.leaf_count <= target_leaves:
-                chosen = entry
-                break
-        if chosen is None:  # pragma: no cover - last entry always has 1 leaf
-            chosen = path.entries[-1]
+        chosen = next(e for e in path if e.leaf_count <= target_leaves)  # ascending alpha
         if chosen.leaf_count != target_leaves:
             warnings.warn(
                 f"no pruning level with exactly {target_leaves} leaves; "
                 f"selected {chosen.leaf_count} leaves (alpha={chosen.alpha:.6g})"
             )
     else:
-        if alpha < 0:
-            raise ValueError("alpha must be nonnegative")
-        chosen = path.entries[0]
-        for entry in path.entries[1:]:
+        if not alpha >= 0:
+            raise ValueError("alpha must be a nonnegative number")
+        chosen = path[0]
+        for entry in path[1:]:
             if entry.alpha <= alpha:
                 chosen = entry
     return chosen.tree, chosen

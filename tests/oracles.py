@@ -372,6 +372,74 @@ def reference_collapse(obj: dict, pruned_ids) -> dict:
 
 
 # ---------------------------------------------------------------------------
+# the weakest-link pruning path with explicit hidden nodes and a parent walk
+# ---------------------------------------------------------------------------
+
+def reference_ccp_path(tree) -> list[tuple[float, int, frozenset]]:
+    """(alpha, leaf count, pruned node ids) of each entry on a tree's
+    weakest-link pruning path. Each step marks the nodes hidden below a
+    pruned node in a forward pass, computes g on the visible nodes in a
+    reverse pass, and counts the leaves a cut removes by walking up a parent
+    array from each cut node."""
+    left, right = tree.left, tree.right  # preorder, same indexing as to_dict()
+    n = len(left)
+    R = tree.gini / tree.total_weight if tree.total_weight > 0 else np.zeros(n)
+    parent = np.full(n, -1, dtype=np.int64)
+    inner = np.flatnonzero(left >= 0)
+    parent[left[inner]] = inner
+    parent[right[inner]] = inner
+
+    pruned: set[int] = set()
+    path = [(0.0, tree.n_leaves, frozenset())]
+    if n == 1:
+        return path
+    while True:
+        hidden = np.zeros(n, dtype=bool)
+        for i in range(n):  # preorder: parents precede children
+            if left[i] == -1:
+                continue
+            if hidden[i] or i in pruned:
+                hidden[left[i]] = True
+                hidden[right[i]] = True
+        leaves_cnt = np.zeros(n, dtype=np.int64)
+        R_sub = np.zeros(n)
+        g = np.full(n, np.inf)
+        for i in range(n - 1, -1, -1):  # reverse preorder = children first
+            if hidden[i]:
+                continue
+            if left[i] == -1 or i in pruned:
+                leaves_cnt[i] = 1
+                R_sub[i] = R[i]
+                continue
+            leaves_cnt[i] = leaves_cnt[left[i]] + leaves_cnt[right[i]]
+            R_sub[i] = R_sub[left[i]] + R_sub[right[i]]
+            g[i] = (R[i] - R_sub[i]) / (leaves_cnt[i] - 1)
+        if leaves_cnt[0] == 1:
+            break
+        g_min = g.min()
+        cut_set = {int(i) for i in np.flatnonzero(g <= g_min + 1e-15 * (1.0 + abs(g_min)))}
+        pruned.update(cut_set)
+        # leaf count after the collapse: only topmost cut nodes remove leaves
+        removed = 0
+        for i in cut_set:
+            j = int(parent[i])
+            while j != -1 and j not in cut_set:
+                j = int(parent[j])
+            if j == -1 and not hidden[i]:
+                removed += leaves_cnt[i] - 1
+        new_count = int(leaves_cnt[0] - removed)
+        last = path[-1][0]
+        if g_min <= last + 1e-15 * (1.0 + abs(last)):
+            # same alpha (floating ties): extend the previous snapshot
+            path[-1] = (last, new_count, frozenset(pruned))
+        else:
+            path.append((float(g_min), new_count, frozenset(pruned)))
+        if new_count == 1:
+            break
+    return path
+
+
+# ---------------------------------------------------------------------------
 # signature matching by a per-signature subset test
 # ---------------------------------------------------------------------------
 

@@ -63,7 +63,7 @@ def _report(capsys, criterion: int, ok: bool, text: str) -> None:
 
 
 def check_ccp_invariants(tree: DecisionTree) -> None:
-    entries = ccp_path(tree).entries
+    entries = ccp_path(tree)
     alphas = [e.alpha for e in entries]
     counts = [e.leaf_count for e in entries]
     if alphas[0] != 0.0:

@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, artifact formats, pipeline manifest."""
 
+import argparse
 import csv
 import dataclasses
 import json
@@ -285,13 +286,14 @@ INPUT_KINDS = ["transfers", "tokens", "accounts", "methods", "method groups", "c
 
 # (kind, fault) -> content that decodes but is not a valid file of its kind,
 # and the line it is on
-def _one_leaf_model(classes=("Swap",), vocabulary=("m1(E,A)", "__oov__"), n=1) -> str:
+def _one_leaf_model(classes=("Swap",), vocabulary=("m1(E,A)", "__oov__"), n=1, mode="M+E",
+                    params=None) -> str:
     """A dt model file whose tree is one leaf, with the given fields."""
     leaf = {"feature": None, "threshold": None, "left": None, "right": None, "value": [1.0],
             "n": n, "weight": 1.0, "gini": 0.0}
     return json.dumps({
-        "format": "motifscope-model", "kind": "dt", "mode": "M+E", "classes": classes,
-        "vocabulary": vocabulary, "params": {},
+        "format": "motifscope-model", "kind": "dt", "mode": mode, "classes": classes,
+        "vocabulary": vocabulary, "params": {} if params is None else params,
         "model": {"kind": "tree", "n_classes": 1, "min_leaf": 10, "total_weight": 1.0,
                   "nodes": [leaf]}})
 
@@ -343,6 +345,13 @@ INVALID_INPUTS = {
     ("model", "invalid vocabulary entry"): (
         _one_leaf_model(vocabulary=["m1(E,A)", ["x"], "__oov__"]), None),
     ("model", "invalid node n"): (_one_leaf_model(n=1e300), None),
+    ("model", "invalid params list"): (_one_leaf_model(params=[]), None),
+    ("model", "invalid min_leaf string"): (_one_leaf_model(params={"min_leaf": "x"}), None),
+    ("model", "invalid mode"): (_one_leaf_model(mode=5), None),
+    ("pipeline config", "invalid target_leaves 0"): (json.dumps({"target_leaves": 0}), None),
+    ("pipeline config", "invalid negative alpha"): (json.dumps({"alpha": -1.0}), None),
+    ("pipeline config", "invalid both pruning targets"): (
+        json.dumps({"target_leaves": 3, "alpha": 0.1}), None),
 }
 
 
@@ -661,6 +670,19 @@ def test_prune_argument_errors(trained, small_corpus, tmp_path, capsys):
                               "--out", str(tmp_path / "p.json"), *flags], code=2)
         assert err["error"]["message"].endswith(f"missing {missing}"), err["error"]["message"]
     assert not (tmp_path / "p.json").exists() and not path_csv.exists()
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--target-leaves", "3", "--alpha", "0.1"], "--target-leaves and --alpha exclude each other"),
+    (["--target-leaves", "0"], "--target-leaves must be at least 1, got 0"),
+    (["--alpha", "-1"], "--alpha must be a number >= 0, got -1.0"),
+    (["--alpha", "nan"], "--alpha must be a number >= 0, got nan")],
+    ids=["both", "target_leaves 0", "alpha -1", "alpha nan"])
+def test_prune_bad_target_exit_2(trained, tmp_path, capsys, flags, message):
+    _, err = run(capsys, ["prune", "--model", str(trained["model"]), *flags,
+                          "--out", str(tmp_path / "p.json")], code=2)
+    assert err["error"]["type"] == "InputError" and message in err["error"]["message"]
+    assert not (tmp_path / "p.json").exists()
 
 
 @pytest.mark.parametrize("link", [0, 10**6])
@@ -1078,7 +1100,8 @@ def test_pipeline_missing_input_exit_2(tmp_path, small_corpus, capsys):
 
 @pytest.mark.parametrize("key,value", [("folds", "3"), ("threads", True), ("l2", "1"),
                                        ("mode", 3), ("target_leaves", 2.5), ("seed", None),
-                                       ("mode", "XYZ"), ("model", "svm"), ("linkage", "single")])
+                                       ("mode", "XYZ"), ("model", "svm"), ("linkage", "single"),
+                                       ("target_leaves", 0), ("alpha", -1.0)])
 def test_pipeline_config_value_types_exit_2(tmp_path, small_corpus, capsys, key, value):
     config = {"transfers": str(small_corpus["transfers"]), "tokens": str(small_corpus["tokens"]),
               "accounts": str(small_corpus["accounts"]), "methods": str(small_corpus["methods"]),
@@ -1088,6 +1111,18 @@ def test_pipeline_config_value_types_exit_2(tmp_path, small_corpus, capsys, key,
     assert err["error"]["type"] == "InputError"
     assert f"pipeline config {key!r} must be" in err["error"]["message"]
     assert not (tmp_path / "run").exists()  # rejected before ingest
+
+
+def test_pipeline_one_pruning_target_exit_2(tmp_path, small_corpus, capsys):
+    """A target leaf count and an alpha from flags are refused before ingest."""
+    _, err = run(capsys, [
+        "pipeline", "--transfers", str(small_corpus["transfers"]),
+        "--tokens", str(small_corpus["tokens"]), "--accounts", str(small_corpus["accounts"]),
+        "--methods", str(small_corpus["methods"]), "--out", str(tmp_path / "run"),
+        "--target-leaves", "3", "--alpha", "0.1"], code=2)
+    assert err["error"]["message"] == ("pipeline config 'target_leaves' and pipeline config "
+                                       "'alpha' exclude each other; set one")
+    assert not (tmp_path / "run").exists()
 
 
 def test_pipeline_config_accepts_ints_for_floats():
@@ -1265,6 +1300,28 @@ def test_removed_flags_are_rejected(capsys):
         assert f"unrecognized arguments: {' '.join(argv[-2:])}" in capsys.readouterr().err
 
 
+def _cli_options() -> dict:
+    """Each subcommand's options as [option strings, dest, default, choices],
+    and each pipeline config field's default, as JSON reads them back."""
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    options = {
+        "commands": {name: [[a.option_strings, a.dest, a.default,
+                             None if a.choices is None else list(a.choices)]
+                            for a in p._actions if a.option_strings]
+                     for name, p in sub.choices.items()},
+        "pipeline_config": {f.name: f.default for f in dataclasses.fields(PipelineConfig)},
+    }
+    return json.loads(json.dumps(options))
+
+
+def test_cli_options_match_the_committed_list():
+    """A flag, default, choice or config field added, dropped or changed shows
+    as an edit of tests/data/cli_options.json, which holds _cli_options()."""
+    committed = json.loads((Path(__file__).parent / "data" / "cli_options.json").read_text(
+        encoding="utf-8"))
+    assert _cli_options() == committed
+
+
 def test_write_json_failure_leaves_previous_file(tmp_path):
     path = tmp_path / "model.json"
     storage.write_json(path, {"ok": 1})
@@ -1286,6 +1343,9 @@ def test_readme_library_block_runs(tmp_path, monkeypatch):
     assert len(transactions) == 40
     assert all(group in GROUPS8 for _, _, group, _ in transactions)
     assert namespace["counts"].items() <= namespace["features"].items()
+    entry, pruned = namespace["entry"], namespace["pruned"]
+    assert entry in namespace["path"] and entry.alpha <= 0.01
+    assert pruned.n_leaves == entry.leaf_count <= namespace["tree"].n_leaves
 
 
 def _readme_commands():

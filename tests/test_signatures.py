@@ -19,7 +19,12 @@ from motifscope.signatures import (
     tree_to_dot,
 )
 
-from oracles import brute_force_match, brute_force_maximal_itemsets, reference_collapse
+from oracles import (
+    brute_force_match,
+    brute_force_maximal_itemsets,
+    reference_ccp_path,
+    reference_collapse,
+)
 
 
 def blocky(values_y, reps=10):
@@ -30,15 +35,15 @@ def blocky(values_y, reps=10):
 
 
 def assert_path_invariants(tree, path):
-    alphas = path.alphas()
-    counts = [e.leaf_count for e in path.entries]
+    alphas = [e.alpha for e in path]
+    counts = [e.leaf_count for e in path]
     assert alphas[0] == 0.0
     assert all(b > a for a, b in zip(alphas, alphas[1:]))
     assert all(b < a for a, b in zip(counts, counts[1:]))
     assert counts[0] == tree.n_leaves
     assert counts[-1] == 1
-    assert path.entries[0].tree.to_dict() == tree.to_dict()
-    for entry in path.entries:
+    assert path[0].tree.to_dict() == tree.to_dict()
+    for entry in path:
         assert entry.tree.n_leaves == entry.leaf_count
 
 
@@ -54,7 +59,7 @@ def test_ccp_path_depth_one_two_entries():
     assert_path_invariants(tree, path)
     assert len(path) == 2
     # g(root) = unnormalized gini / W = (40 * 0.5) / 40
-    assert path.entries[1].alpha == pytest.approx(0.5)
+    assert path[1].alpha == pytest.approx(0.5)
 
 
 def test_ccp_path_hand_computed_two_steps():
@@ -64,8 +69,8 @@ def test_ccp_path_hand_computed_two_steps():
     assert tree.n_leaves == 3
     path = ccp_path(tree)
     assert_path_invariants(tree, path)
-    assert [e.leaf_count for e in path.entries] == [3, 2, 1]
-    assert path.alphas() == pytest.approx([0.0, 0.25, 0.375])
+    assert [e.leaf_count for e in path] == [3, 2, 1]
+    assert [e.alpha for e in path] == pytest.approx([0.0, 0.25, 0.375])
 
 
 def test_ccp_path_merges_equal_alphas():
@@ -76,8 +81,8 @@ def test_ccp_path_merges_equal_alphas():
     assert tree.n_leaves == 4
     path = ccp_path(tree)
     assert_path_invariants(tree, path)
-    assert [e.leaf_count for e in path.entries] == [4, 1]
-    assert path.alphas() == pytest.approx([0.0, 0.25])
+    assert [e.leaf_count for e in path] == [4, 1]
+    assert [e.alpha for e in path] == pytest.approx([0.0, 0.25])
 
 
 def test_ccp_path_single_leaf_tree():
@@ -86,7 +91,7 @@ def test_ccp_path_single_leaf_tree():
     tree = DecisionTree.fit(X, y, min_leaf=10, n_classes=2)
     path = ccp_path(tree)
     assert len(path) == 1
-    assert path.entries[0].leaf_count == 1
+    assert path[0].leaf_count == 1
 
 
 def test_ccp_path_invariants_on_random_trees(rng):
@@ -125,7 +130,7 @@ def test_pruned_trees_equal_the_collapse_oracle(rng):
     for tree in trees:
         obj = tree.to_dict()
         path = ccp_path(tree)
-        for before, entry in zip([None, *path.entries], path.entries):
+        for before, entry in zip([None, *path], path):
             assert entry.tree.to_dict() == reference_collapse(obj, entry.pruned_ids)
             if before is not None:
                 ties += len(entry.pruned_ids) - len(before.pruned_ids) > 1
@@ -136,6 +141,43 @@ def test_pruned_trees_equal_the_collapse_oracle(rng):
             nested += any(obj["nodes"][i]["left"] in ids for i in ids)
             assert tree.collapsed(ids).to_dict() == reference_collapse(obj, ids)
     assert ties > 0 and nested > 0
+
+
+def test_ccp_path_equals_the_reference_path(rng):
+    """Every entry's alpha, leaf count and pruned ids are exactly those of
+    the reference path (hidden-node pass and parent walk per step), on
+    trees with tied g, class weights, forest trees and a single leaf, and
+    on a tree whose second cut ties the first only once the first is made,
+    through rounding, so that it extends the first cut's entry."""
+    left, right = np.array([1, 2, 3, -1, -1, -1, -1]), np.array([6, 5, 4, -1, -1, -1, -1])
+    gini = [120.58666222656643, 20.586662226566435, 17.766505616029377, 5.322887580421551,
+            12.159843313973697, 2.5363818889029286, 0.0]
+    extended = DecisionTree(np.where(left < 0, -1, 0), np.where(left < 0, -1.0, 0.5), left, right,
+                            np.ones((7, 2)), np.full(7, 10), np.ones(7), np.array(gini), 2, 1, 1.0)
+    assert [(e.leaf_count, e.pruned_ids) for e in ccp_path(extended)] == [
+        (4, frozenset()), (2, {1, 2}), (1, {0, 1, 2})]
+    trees = [extended,
+             DecisionTree.fit(np.zeros((20, 1)), np.zeros(20, dtype=np.int64), min_leaf=10,
+                              n_classes=2),
+             DecisionTree.fit(*blocky([0, 1, 2, 3]), min_leaf=10),
+             DecisionTree.fit(*blocky([0, 1, 0, 1, 2, 2, 0, 1]), min_leaf=5)]
+    for trial in range(24):
+        n, d = int(rng.integers(60, 400)), int(rng.integers(2, 6))
+        X = rng.normal(size=(n, d)) if trial % 2 else rng.integers(0, 4, size=(n, d)).astype(float)
+        y = (X[:, 0] + rng.normal(size=n) > 0).astype(np.int64) + (X[:, 1] > 0.5)
+        if trial % 3 == 0:
+            y = rng.integers(0, 3, size=n)
+        cw = rng.uniform(0.5, 3.0, size=3) if trial % 4 < 2 else None
+        trees.append(DecisionTree.fit(X, y, cw, n_classes=3, min_leaf=int(rng.integers(1, 10))))
+    X, y = blocky([0, 1, 2, 0, 2, 1, 1, 0], reps=12)
+    X = np.column_stack([X, rng.normal(size=len(y))])
+    trees += RandomForest.fit(X, y, n_trees=3, min_leaf=2, seed=4).trees
+    ties = 0
+    for tree in trees:
+        path = [(e.alpha, e.leaf_count, e.pruned_ids) for e in ccp_path(tree)]
+        assert path == reference_ccp_path(tree)
+        ties += any(len(b) - len(a) > 1 for (_, _, a), (_, _, b) in zip(path, path[1:]))
+    assert trees[1].n_leaves == 1 and ties > 1
 
 
 def test_pruned_tree_prediction_tie_breaks_low_index():
@@ -188,6 +230,8 @@ def test_select_pruned_argument_validation():
         select_pruned(path, target_leaves=0)
     with pytest.raises(ValueError):
         select_pruned(path, alpha=-0.5)
+    with pytest.raises(ValueError):
+        select_pruned(path, alpha=float("nan"))
 
 
 # ---------------------------------------------------------------------------
