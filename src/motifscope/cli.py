@@ -159,12 +159,11 @@ def load_dataset(table: FeatureTable, labels: Mapping[tuple[str, str], str], cla
                  vocabulary=None) -> Dataset:
     """The table's rows whose label, looked up in `labels` by (tx_hash, ego),
     is a retained method group, as a Dataset."""
-    groups = [labels.get(key) for key in zip(table.tx_hashes.tolist(), table.egos())]
-    keep = [i for i, group in enumerate(groups) if group in METHOD_GROUPS]
-    if not keep:
+    groups = [group if group in METHOD_GROUPS else None
+              for group in map(labels.get, zip(table.tx_hashes.tolist(), table.egos()))]
+    if not any(groups):
         raise InputError("no feature rows with labels in the retained method groups")
-    return build_dataset(table.take(keep), [groups[i] for i in keep],
-                         classes=classes, vocabulary=vocabulary)
+    return build_dataset(table, groups, classes=classes, vocabulary=vocabulary)
 
 
 def fit_model(kind: str, dataset: Dataset, rows, params: dict, seed: int):
@@ -326,11 +325,14 @@ def write_signatures(spec: ModelSpec, dataset: Dataset, threshold: float, method
     return signatures, discrepancies
 
 
-def load_signatures(path) -> list[LeafSignature]:
+def load_signatures(path, mode: Optional[str]) -> list[LeafSignature]:
+    """The signatures of a signatures file, which must have been mined in
+    the features mode `mode` when the file and `mode` both name one."""
     with _schema("signatures file", path):
         obj = read_json(path, "signatures file")
         if obj.get("format") != "motifscope-signatures":
             raise InputError(f"{path} is not a motifscope signatures file")
+        _check_mode("features mode", mode, f"signatures file {path}", obj.get("mode"))
         return [LeafSignature.from_json(s) for s in obj.get("signatures", [])]
 
 
@@ -448,11 +450,20 @@ def cmd_featurize(args) -> int:
     return 0
 
 
+def _check_mode(name: str, mode: Optional[str], other: str, other_mode: Optional[str]) -> None:
+    """InputError naming both feature modes when both are known and differ."""
+    if mode and other_mode and mode != other_mode:
+        raise InputError(f"{name} {mode} does not match the {other} mode {other_mode}")
+
+
 def _read_dataset(args, spec: Optional[ModelSpec] = None) -> Dataset:
     """load_dataset on --features and --labels, over the model's classes and
-    vocabulary when a model is given."""
-    return load_dataset(storage.read_features(args.features), storage.read_labels(args.labels),
-                        *((spec.classes, spec.vocabulary) if spec else ()))
+    vocabulary when a model is given, whose mode must be the features file's."""
+    dataset = load_dataset(storage.read_features(args.features), storage.read_labels(args.labels),
+                           *((spec.classes, spec.vocabulary) if spec else ()))
+    if spec:
+        _check_mode("model mode", spec.mode, "features file", storage.features_mode(args.features))
+    return dataset
 
 
 def cmd_train(args) -> int:
@@ -465,8 +476,7 @@ def cmd_train(args) -> int:
     }
     file_mode = storage.features_mode(args.features)
     mode = motif.normalize_mode(args.mode) if args.mode else (file_mode or "M+E")
-    if args.mode and file_mode and mode != file_mode:
-        raise InputError(f"--mode {mode} does not match the features file mode {file_mode}")
+    _check_mode("--mode", mode, "features file", file_mode)
     train_model(dataset, args.model, mode, params, args.seed, args.out)
     _print({"model": args.model, "rows": dataset.n_rows, "classes": dataset.classes,
             "features": len(dataset.vocabulary), "out": args.out})
@@ -513,8 +523,9 @@ def cmd_signatures(args) -> int:
 
 
 def cmd_match(args) -> int:
-    signatures = load_signatures(args.signatures)
-    pairs = match_features(storage.read_features(args.features), signatures, args.out)
+    table = storage.read_features(args.features)
+    signatures = load_signatures(args.signatures, storage.features_mode(args.features))
+    pairs = match_features(table, signatures, args.out)
     _print({"transactions": len(pairs), "matched": sum(1 for _, leaves in pairs if leaves),
             "out": args.out})
     return 0
@@ -589,14 +600,16 @@ class PipelineConfig:
 
     @classmethod
     def from_file(cls, path) -> "PipelineConfig":
-        """The config in a JSON file; a value that check() rejects raises
-        InputError naming the file (the required paths may come from flags)."""
+        """The config in a JSON file; an unknown key or a value that check()
+        rejects raises InputError naming the file (the required paths may
+        come from flags)."""
         with _schema("pipeline config", path):
-            cfg = cls.from_json(read_json(path, "pipeline config"))
-        try:
-            cfg.check(required=())
-        except InputError as exc:
-            raise InputError(f"bad pipeline config {path}: {exc}") from None
+            obj = read_json(path, "pipeline config")
+            try:
+                cfg = cls.from_json(obj)
+                cfg.check(required=())
+            except InputError as exc:
+                raise InputError(f"bad pipeline config {path}: {exc}") from None
         return cfg
 
     def check(self, required=("transfers", "tokens", "accounts", "out")) -> None:
@@ -708,6 +721,12 @@ def run_pipeline(cfg: PipelineConfig) -> dict:
 
 
 def _run_stages(cfg: PipelineConfig, out: Path, manifest: dict) -> None:
+    mode = motif.normalize_mode(cfg.mode)
+    signatures = None
+    if cfg.methods is None:  # match-only: the signatures and their mode are checked before ingest
+        if not cfg.signatures:
+            raise InputError("no methods file and no pre-mined signatures: nothing to match")
+        signatures = load_signatures(cfg.signatures, mode)
     store_dir = out / "store"
     report, transactions, labels = _stage(manifest, "ingest", lambda: ingest_to_store(
         cfg.transfers, cfg.tokens, cfg.accounts, cfg.methods, cfg.method_groups, store_dir,
@@ -727,9 +746,7 @@ def _run_stages(cfg: PipelineConfig, out: Path, manifest: dict) -> None:
         "rejected_transfers": stats.rejected_transfers}
     del stats  # so that `del table` frees the table
 
-    signatures = None
     if cfg.methods is not None:
-        mode = motif.normalize_mode(cfg.mode)
         params = {"l2": cfg.l2, "min_leaf": cfg.min_leaf, "trees": cfg.trees,
                   "max_features": "sqrt"}
 
@@ -758,14 +775,11 @@ def _run_stages(cfg: PipelineConfig, out: Path, manifest: dict) -> None:
             dot=out / "pruned_tree.dot", cv=(dataset, folds, fold_trees)))
         signatures, _ = _stage(manifest, "signatures", lambda: write_signatures(
             pruned, dataset, cfg.threshold, "greedy", out / "signatures.json"))
-    elif not cfg.signatures:
-        raise InputError("no methods file and no pre-mined signatures: nothing to match")
     else:
         manifest["notes"].append("match-only run: no labels; using provided signatures")
 
-    matches = _stage(manifest, "match", lambda: match_features(
-        table, load_signatures(cfg.signatures) if signatures is None else signatures,
-        out / "matches.jsonl"))
+    matches = _stage(manifest, "match", lambda: match_features(table, signatures,
+                                                               out / "matches.jsonl"))
     del table
     profiles = _stage(manifest, "profile", lambda: write_profiles(matches, out / "profiles.csv"))
     del matches

@@ -1,9 +1,11 @@
-"""Dataset assembly, class weighting, stratified CV, and evaluation."""
+"""Dataset assembly from a feature table's labelled rows, class weighting,
+stratified CV, and evaluation."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import compress
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -78,43 +80,56 @@ class Dataset:
 
 def build_dataset(
     table: FeatureTable,
-    labels: Sequence[str],
+    labels: Sequence[Optional[str]],
     classes: Optional[list[str]] = None,
     vocabulary: Optional[list[str]] = None,
 ) -> Dataset:
-    """Assemble a table's rows, labelled by `labels` (one per row), into a Dataset.
+    """Assemble a table's labelled rows, read in place, into a Dataset:
+    `labels` holds one label per table row, None for a row that stays out.
 
-    The vocabulary defaults to the sorted keys of the rows plus OOV_KEY. The
-    pairs are filled straight from the table's CSR arrays, once per distinct
-    row: a key outside the vocabulary adds its count into the OOV column, in
-    vocabulary order, which gives the same row as any other order while each
-    partial sum stays below 2**53. A pair is a distinct row and a class, in
-    the order of (row_of, class).
+    The classes default to the sorted labels; a label outside given classes
+    raises InputError. The vocabulary defaults to the sorted keys of the
+    distinct rows that kept rows use, plus OOV_KEY. The pairs are filled
+    straight from the CSR arrays, once per distinct row: a key outside the
+    vocabulary adds its count into the OOV column, in vocabulary order, which
+    gives the same row as any other order while each partial sum stays below
+    2**53. A pair is a distinct row and a class, in the order of the table's
+    (row_of, class), so unlabelled rows may change the pair order; trees,
+    forests and signatures do not depend on it, as every sum they take is
+    over integer row counts.
     """
-    if not table.n_rows:
+    keep = np.array([label is not None for label in labels], dtype=bool)
+    names = list(compress(labels, keep))
+    if not names:
         raise ValueError("cannot build a dataset from zero labeled rows")
     if classes is None:
-        classes = sorted(set(labels))
+        classes = sorted(set(names))
     class_index = {c: i for i, c in enumerate(classes)}
+    if unknown := sorted(set(names) - class_index.keys()):
+        raise InputError(f"labels {unknown} are not among the classes {classes}")
+    row_of = table.row_of[keep].astype(np.int64)
+    used = np.bincount(row_of, minlength=table.n_distinct) > 0
+    entry_row = np.repeat(np.arange(table.n_distinct), np.diff(table.indptr))
+    entries = used[entry_row]
     if vocabulary is None:
-        used = [table.vocabulary[c] for c in np.unique(table.indices).tolist()]
-        vocabulary = [key for key in used if key != OOV_KEY] + [OOV_KEY]
+        keys = [table.vocabulary[c] for c in np.unique(table.indices[entries]).tolist()]
+        vocabulary = [key for key in keys if key != OOV_KEY] + [OOV_KEY]
     index = {key: col for col, key in enumerate(vocabulary)}
     oov = index[OOV_KEY]
     column = np.array([index.get(key, oov) for key in table.vocabulary], dtype=np.intp)
-    distinct = np.zeros((table.n_distinct, len(vocabulary)))
-    rows = np.repeat(np.arange(table.n_distinct), np.diff(table.indptr))
-    np.add.at(distinct, (rows, column[table.indices]), table.counts)
-    y = np.array([class_index[label] for label in labels], dtype=np.int64)
-    _, first, pair_of = np.unique(table.row_of.astype(np.int64) * len(classes) + y,
-                                  return_index=True, return_inverse=True)
+    local = np.cumsum(used) - 1  # a used distinct row's row in `distinct`
+    distinct = np.zeros((local[-1] + 1, len(vocabulary)))
+    np.add.at(distinct, (local[entry_row[entries]], column[table.indices[entries]]),
+              table.counts[entries])
+    y = np.array([class_index[name] for name in names], dtype=np.int64)
+    _, first, pair_of = np.unique(row_of * len(classes) + y, return_index=True, return_inverse=True)
     return Dataset(
-        pairs=distinct[table.row_of[first]],
+        pairs=distinct[local[row_of[first]]],
         pair_y=y[first],
         pair_of=pair_of,
         classes=classes,
         vocabulary=vocabulary,
-        tx_hashes=table.tx_hashes.tolist(),
+        tx_hashes=list(compress(table.tx_hashes.tolist(), keep)),
     )
 
 

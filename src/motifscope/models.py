@@ -8,8 +8,8 @@ pops it, a leaf's id is its rank among the leaves, prediction routes all rows
 down one level at a time, and `collapsed` makes a pruned copy. Feature values
 are rank-encoded into a `RankedMatrix`; every node split then reduces to
 bincounts over the rank codes. A fit encodes a float matrix once per call
-(a forest once for all its trees), and callers that fit many trees on row
-subsets of one matrix encode it once and pass the codes.
+(a forest once for all its trees); callers that fit many trees on row
+subsets of one matrix encode it once and pass each subset as `pair_of`.
 
 A fit weights each row by its class, w_c = class_weight[c], the class-prior
 weighting of CART (Breiman et al., 1984). Its units are distinct (row, class)
@@ -150,9 +150,9 @@ class RankedMatrix:
 
     codes[i, f] is the index of X[i, f] in uniques[f]. The codes use the
     narrowest unsigned dtype that holds the largest per-column unique count.
-    Indexing rows keeps the uniques, so a row subset may leave some codes
-    unused; split search only looks at the codes present in a node, which
-    makes a fit on `ranked[rows]` identical to one on `X[rows]`.
+    A fit on a row subset, given as `pair_of`, may leave some codes unused;
+    split search only looks at the codes present in a node, which makes it
+    identical to a fit on `X[rows]`.
     """
 
     codes: np.ndarray  # (n, d)
@@ -161,9 +161,6 @@ class RankedMatrix:
     @property
     def shape(self) -> tuple[int, int]:
         return self.codes.shape
-
-    def __getitem__(self, rows) -> "RankedMatrix":
-        return RankedMatrix(self.codes[rows], self.uniques)
 
 
 def rank_encode(X: Union[np.ndarray, RankedMatrix]) -> RankedMatrix:

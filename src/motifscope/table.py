@@ -40,13 +40,6 @@ class Strings:
     def __len__(self) -> int:
         return len(self.ends)
 
-    def take(self, rows: np.ndarray) -> "Strings":
-        """The strings at `rows`, in that order."""
-        ends = self.ends[rows]
-        starts = ends - np.diff(self.ends, prepend=0)[rows]
-        text = self.text
-        return Strings.pack([text[a:b] for a, b in zip(starts.tolist(), ends.tolist())])
-
     def tolist(self) -> list[str]:
         text, ends = self.text, self.ends.tolist()
         return [text[start:end] for start, end in zip([0] + ends, ends)]
@@ -119,27 +112,6 @@ class FeatureTable:
         maps = self.distinct_rows()
         for tx_hash, ego, row in zip(self.tx_hashes.tolist(), self.egos(), self.row_of.tolist()):
             yield tx_hash, ego, dict(maps[row])
-
-    def take(self, rows: Sequence[int]) -> "FeatureTable":
-        """The given rows, in the given order, over the same vocabulary and
-        egos, with only the distinct rows they use, in first-seen order."""
-        rows = np.asarray(rows, dtype=np.int64)
-        used, first, inverse = np.unique(self.row_of[rows], return_index=True, return_inverse=True)
-        order = np.argsort(first)
-        rank = np.empty(len(order), dtype=np.int32)
-        rank[order] = np.arange(len(order))
-        kept = used[order]
-        starts = self.indptr[kept]
-        lengths = self.indptr[kept + 1] - starts
-        indptr = np.zeros(len(kept) + 1, dtype=np.int64)
-        np.cumsum(lengths, out=indptr[1:])
-        entries = np.repeat(starts - indptr[:-1], lengths) + np.arange(indptr[-1])
-        return FeatureTable(
-            tx_hashes=self.tx_hashes.take(rows), ego_names=self.ego_names,
-            ego_ids=self.ego_ids[rows], vocabulary=self.vocabulary,
-            row_of=rank[inverse.reshape(-1)], indptr=indptr,
-            indices=self.indices[entries], counts=self.counts[entries],
-        )
 
 
 _ENTRY_BYTES = 16  # an entry as two int64: index, count

@@ -599,6 +599,78 @@ def test_eval_rejects_junk_model(small_corpus, tmp_path, capsys):
     assert "not a motifscope model" in err["error"]["message"]
 
 
+def _dataset_argv(command, model, features, labels, tmp):
+    """argv of a subcommand that reads a model, --features and --labels."""
+    inputs = ["--model", str(model), "--features", str(features), "--labels", str(labels)]
+    return {"eval": ["eval", *inputs, "--report", str(tmp / "r.json")],
+            "signatures": ["signatures", *inputs, "--out", str(tmp / "s.json")],
+            "prune": ["prune", *inputs, "--alpha", "0", "--path", str(tmp / "p.csv"),
+                      "--out", str(tmp / "p.json")]}[command]
+
+
+@pytest.fixture(scope="module")
+def mint_free_model(tmp_path_factory, small_corpus):
+    """A dt model trained on labels.csv without its Mint rows."""
+    out = tmp_path_factory.mktemp("mintfree")
+    with open(small_corpus["labels"], newline="", encoding="utf-8") as fh:
+        rows = [row for row in csv.reader(fh) if row[2] != "Mint"]
+    with open(out / "labels.csv", "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerows(rows)
+    assert main(["train", "--features", str(small_corpus["features"]),
+                 "--labels", str(out / "labels.csv"), "--model", "dt",
+                 "--out", str(out / "model.json")]) == 0
+    return out / "model.json"
+
+
+@pytest.mark.parametrize("command", ["eval", "signatures", "prune"])
+def test_label_outside_model_classes_exit_2(small_corpus, mint_free_model, tmp_path, capsys,
+                                           command):
+    """A label the model has no class for exits 2 naming it and the model's classes."""
+    _, err = run(capsys, _dataset_argv(command, mint_free_model, small_corpus["features"],
+                                       small_corpus["labels"], tmp_path), code=2)
+    assert err["error"]["type"] == "InputError"
+    assert "['Mint']" in err["error"]["message"]
+    assert str([g for g in GROUPS8 if g != "Mint"]) in err["error"]["message"]
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.fixture(scope="module")
+def mxe_features(tmp_path_factory, small_corpus):
+    out = tmp_path_factory.mktemp("mxe") / "features.jsonl"
+    assert main(["featurize", "--store", str(small_corpus["store"]), "--mode", "MxE",
+                 "--out", str(out)]) == 0
+    return out
+
+
+@pytest.mark.parametrize("command", ["eval", "signatures", "prune", "match", "pipeline"])
+def test_features_of_another_mode_exit_2(small_corpus, trained, mxe_features, tmp_path, capsys,
+                                         command):
+    """M+E models and signatures refuse MxE features (eval, prune with
+    --features, signatures and match), and a match-only MxE pipeline refuses
+    M+E signatures before ingest."""
+    if command == "match":
+        argv = ["match", "--signatures", str(trained["signatures"]),
+                "--features", str(mxe_features), "--out", str(tmp_path / "m.jsonl")]
+    elif command == "pipeline":
+        argv = ["pipeline", "--transfers", str(small_corpus["transfers"]),
+                "--tokens", str(small_corpus["tokens"]),
+                "--accounts", str(small_corpus["accounts"]),
+                "--signatures", str(trained["signatures"]), "--mode", "MxE",
+                "--out", str(tmp_path / "run")]
+    else:
+        model = trained["pruned" if command == "signatures" else "model"]
+        argv = _dataset_argv(command, model, mxe_features, small_corpus["labels"], tmp_path)
+    _, err = run(capsys, argv, code=2)
+    assert err["error"]["type"] == "InputError"
+    assert re.search(r"M\+E does not match .* mode MxE|MxE does not match .* mode M\+E",
+                     err["error"]["message"]), err["error"]["message"]
+    if command == "pipeline":
+        manifest = storage.read_json(tmp_path / "run" / "manifest.json")
+        assert manifest["stages"] == [] and not (tmp_path / "run" / "store").exists()
+    else:
+        assert list(tmp_path.iterdir()) == []
+
+
 # ---------------------------------------------------------------------------
 # prune / signatures / match / profile / cluster
 # ---------------------------------------------------------------------------
@@ -727,7 +799,8 @@ def test_signatures_envelope(trained, capsys):
 
 
 def test_match_jsonl(small_corpus, trained):
-    lines = [json.loads(l) for l in open(trained["matches"], encoding="utf-8") if l.strip()]
+    lines = [json.loads(l) for l in trained["matches"].read_text(encoding="utf-8").splitlines()
+             if l.strip()]
     assert len(lines) == 2000
     labels = storage.read_labels(small_corpus["labels"])
     matched = 0
@@ -807,7 +880,7 @@ def test_match_failure_keeps_previous_matches(tmp_path, small_corpus, trained, m
     monkeypatch.setattr(cli, "match_signatures", failing)
     with pytest.raises(RuntimeError, match="matcher failed"):
         cli.match_features(storage.read_features(small_corpus["features"]),
-                           cli.load_signatures(trained["signatures"]), out)
+                           cli.load_signatures(trained["signatures"], "M+E"), out)
     assert out.read_text(encoding="utf-8") == "previous\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["matches.jsonl"]
 
@@ -1041,7 +1114,8 @@ def test_pipeline_config_file_with_override(tmp_path, small_corpus, capsys):
     cfg_path.write_text(json.dumps({"bad_key": True}), encoding="utf-8")
     _, err = run(capsys, ["pipeline", "--config", str(cfg_path),
                           "--out", str(tmp_path / "run")], code=2)
-    assert "unknown pipeline config keys" in err["error"]["message"]
+    assert f"bad pipeline config {cfg_path}: unknown pipeline config keys: ['bad_key']" \
+        == err["error"]["message"]
 
 
 def test_pipeline_timings(pipeline_run):
@@ -1336,12 +1410,17 @@ def test_readme_library_block_runs(tmp_path, monkeypatch):
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
     block = re.search(r"## Library\n+```python\n(.*?)```", readme, re.S).group(1)
     synth.generate(synth.load_config(), 40, 3, tmp_path / "corpus")
+    methods = tmp_path / "corpus" / "methods.csv"
+    header, *lines = methods.read_text(encoding="utf-8").splitlines(keepends=True)
+    methods.write_text(header + "".join(lines[5:]), encoding="utf-8")  # 5 unlabelled transactions
     monkeypatch.chdir(tmp_path)
     namespace: dict = {}
     exec(block, namespace)
     transactions = namespace["transactions"]
-    assert len(transactions) == 40
-    assert all(group in GROUPS8 for _, _, group, _ in transactions)
+    unlabelled = sum(group is None for _, _, group, _ in transactions)
+    assert len(transactions) == 40 and unlabelled >= 5
+    assert all(group in GROUPS8 for _, _, group, _ in transactions if group is not None)
+    assert namespace["dataset"].n_rows == len(transactions) - unlabelled
     assert namespace["counts"].items() <= namespace["features"].items()
     entry, pruned = namespace["entry"], namespace["pruned"]
     assert entry in namespace["path"] and entry.alpha <= 0.01

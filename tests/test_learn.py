@@ -1,9 +1,11 @@
 """Vocabulary/dataset assembly, class weights, stratified CV, metrics."""
 
+import random
+
 import numpy as np
 import pytest
 
-from motifscope import learn
+from motifscope import learn, models, signatures, storage
 from motifscope.ingest import InputError
 from motifscope.motif import OOV_KEY
 from motifscope.table import FeatureTable
@@ -264,3 +266,49 @@ def test_dataset_pairs_are_the_distinct_row_class_pairs():
     assert np.array_equal(ds.X, ds.pairs[ds.pair_of]) and np.array_equal(ds.y, ds.pair_y[ds.pair_of])
     assert ds.counts.tolist() == np.bincount(ds.pair_of).tolist() and ds.counts.sum() == 6
     assert sorted(ds.counts.tolist()) == [1, 1, 2, 2]
+
+
+def test_build_dataset_rejects_label_outside_classes():
+    rows = [("t1", "e1", {"a": 1}, "Swap"), ("t2", "e1", {"a": 2}, "Mint")]
+    with pytest.raises(InputError, match=r"\['Mint'\] are not among the classes \['Borrow', 'Swap'\]"):
+        _dataset(rows, classes=["Borrow", "Swap"])
+
+
+def test_in_place_dataset_equals_dataset_of_labelled_rows():
+    """A table with unlabelled rows (label None) gives the dataset of a table
+    of its labelled rows alone: the same classes, vocabulary, X and y, and
+    the same trees, forests and signatures, although unlabelled rows that
+    come first may reorder the distinct rows and so the pairs."""
+    rng = random.Random(7)
+    keys = ["m1(E,A)", "m2(A,C)", "(A,E)Stablecoin", "b", OOV_KEY]
+    reordered = narrowed = 0
+    for trial in range(40):
+        shapes = [{k: rng.randint(1, 3) for k in rng.sample(keys, rng.randint(0, 3))}
+                  for _ in range(rng.randint(2, 8))]
+        shapes.append({"unlabelled_only": 1, **shapes[0]})  # a key only unlabelled rows have
+        rows = [(f"t{i}", f"e{rng.randint(0, 2)}", dict(rng.choice(shapes)),
+                 rng.choice([None, "Mint", "Swap", "Transfer"])) for i in range(rng.randint(4, 60))]
+        rows[rng.randrange(len(rows))] = ("t", "e", dict(shapes[0]), "Swap")
+        rows = [(*r[:3], None if "unlabelled_only" in r[2] else r[3]) for r in rows]
+        table = FeatureTable.build(*list(zip(*rows))[:3])
+        ds = learn.build_dataset(table, [r[3] for r in rows])
+        ref = _dataset([r for r in rows if r[3] is not None])
+        narrowed += "unlabelled_only" in table.vocabulary  # a key the dataset leaves out
+        assert (ds.classes, ds.vocabulary, ds.tx_hashes) == (ref.classes, ref.vocabulary,
+                                                             ref.tx_hashes)
+        assert ds.X.tobytes() == ref.X.tobytes() and ds.y.tolist() == ref.y.tolist()
+        reordered += not np.array_equal(ds.pair_of, ref.pair_of)
+        fits = []
+        for d in (ds, ref):
+            K = len(d.classes)
+            cw = learn.class_weights(d.y, K) if len(set(d.y.tolist())) == K else None
+            tree = models.DecisionTree.fit(d.ranked, d.pair_y, cw, n_classes=K, min_leaf=1,
+                                           pair_of=d.pair_of)
+            forest = models.RandomForest.fit(d.ranked, d.pair_y, cw, n_classes=K, n_trees=3,
+                                             min_leaf=1, seed=trial, pair_of=d.pair_of)
+            sigs, discrepancies = signatures.mine_signatures(
+                tree, d.pairs, d.vocabulary, d.classes, threshold=0.5, counts=d.counts)
+            fits.append((storage.dumps(tree.to_dict()), storage.dumps(forest.to_dict()),
+                         [s.to_json() for s in sigs], discrepancies))
+        assert fits[0] == fits[1]
+    assert reordered > 5 and narrowed > 5

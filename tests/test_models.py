@@ -365,30 +365,27 @@ def test_rank_encode_codes(name, rng):
     for f, uniq in enumerate(ranked.uniques):
         assert (np.diff(uniq) > 0).all()
         assert (uniq[ranked.codes[:, f]] == X[:, f]).all()
-    sub = ranked[rows]
-    assert sub.shape == (len(rows), X.shape[1])
-    assert sub.uniques is ranked.uniques
-    assert (sub.codes == ranked.codes[rows]).all()
-    assert models.rank_encode(sub) is sub
+    assert models.rank_encode(ranked) is ranked
 
 
 @pytest.mark.parametrize("name", ENCODING_CASES)
 @pytest.mark.parametrize("kind", ["tree", "forest"])
 def test_fit_on_shared_encoding_matches_fit_on_rows(name, kind, rng):
-    """Fitting on rows of the whole matrix's encoding (codes a row subset does
-    not use, narrow dtypes) gives the same model as fitting on X[rows]."""
+    """Fitting on rows of the whole matrix's encoding, given as pair_of (codes
+    a row subset does not use, narrow dtypes), gives the same model as
+    fitting on X[rows]."""
     X, y, rows, _ = _encoding_case(name, rng)
     cw = learn.class_weights(y[rows], 3)
     if kind == "tree":
-        def fit(data):
-            return DecisionTree.fit(data, y[rows], cw, n_classes=3, min_leaf=3).to_dict()
+        def fit(data, labels, **kw):
+            return DecisionTree.fit(data, labels, cw, n_classes=3, min_leaf=3, **kw).to_dict()
     else:
-        def fit(data):
-            return RandomForest.fit(data, y[rows], cw, n_classes=3, n_trees=4, min_leaf=3,
-                                    seed=5).to_dict()
-    expected = fit(X[rows])
-    assert fit(models.rank_encode(X)[rows]) == expected
-    assert fit(_local_wide_encoding(X[rows])) == expected
+        def fit(data, labels, **kw):
+            return RandomForest.fit(data, labels, cw, n_classes=3, n_trees=4, min_leaf=3,
+                                    seed=5, **kw).to_dict()
+    expected = fit(X[rows], y[rows])
+    assert fit(models.rank_encode(X), y, pair_of=rows) == expected
+    assert fit(_local_wide_encoding(X[rows]), y[rows]) == expected
     if kind == "tree":
         assert len(expected["nodes"]) > 5
 

@@ -247,7 +247,7 @@ def _chunk_maps(chunks):
 
 
 def test_table_equals_per_row_oracle():
-    """build from chunk-ordered maps, take and rows() against per-row dicts:
+    """build from chunk-ordered maps and rows() against per-row dicts:
     equal maps, whatever their key order, share one distinct row, also
     across chunks."""
     rng = random.Random(11)
@@ -284,15 +284,6 @@ def test_table_equals_per_row_oracle():
             # a distinct row is stored once: the shared map has one row id
             ids = {int(t.row_of[i]) for i, (_, _, feats) in enumerate(rows) if feats == shared}
             assert len(ids) == 1
-        picked = rng.sample(range(len(oracle)), rng.randint(1, len(oracle)))
-        taken = table.take(picked)
-        assert list(taken.rows()) == [oracle[i] for i in picked]
-        assert taken.vocabulary == table.vocabulary
-        assert taken.n_distinct == len({tuple(sorted(oracle[i][2].items())) for i in picked})
-        # the same distinct rows, in the same first-seen order, as a table of the picked rows
-        built = FeatureTable.build(*zip(*[oracle[i] for i in picked]))
-        assert np.array_equal(taken.row_of, built.row_of)
-        assert taken.distinct_rows() == built.distinct_rows()
     assert crossed > 5
 
 
@@ -301,10 +292,6 @@ def test_take_keeps_only_the_distinct_rows_it_uses(tmp_path):
     rows = [("t1", "e1", {"a": 1}), ("t2", "e1", {"unlabelled_only": 4}),
             ("t3", "e2", {"a": 1, "b": 2}), ("t4", "e2", {"a": 1})]
     table = FeatureTable.build(*zip(*rows))
-    taken = table.take([3, 0, 2])
-    assert taken.n_distinct == 2
-    assert taken.row_of.tolist() == [0, 0, 1]
-    assert taken.distinct_rows() == [{"a": 1}, {"a": 1, "b": 2}]
     labels = tmp_path / "labels.csv"
     labels.write_text("tx_hash,ego,method_group\nt1,e1,Swap\nt3,e2,Mint\nt4,e2,Swap\n",
                       encoding="utf-8")
@@ -318,14 +305,13 @@ def test_table_take_and_rows():
                                [{"b": 1, "a": 2}, {}, {"c": 0}])
     assert list(table.rows()) == [("t1", "e2", {"b": 1, "a": 2}), ("t2", "e1", {}),
                                   ("t3", "e2", {"c": 0})]
-    picked = table.take([2, 0])
-    assert list(picked.rows()) == [("t3", "e2", {"c": 0}), ("t1", "e2", {"b": 1, "a": 2})]
-    assert picked.vocabulary == table.vocabulary == ["a", "b", "c"]
+    assert table.vocabulary == ["a", "b", "c"]
     for empty in (FeatureTable.build([], [], []), FeatureTable.build([], [], [], [])):
         assert empty.n_rows == empty.n_distinct == 0 and list(empty.rows()) == []
         assert empty.vocabulary == [] and empty.row_of.dtype == np.int32
     # two chunks' distinct rows, the second's row_of shifted, build the whole table
-    parts = [table.take([0]), table.take([1, 2])]
+    parts = [FeatureTable.build(["t1"], ["e2"], [{"b": 1, "a": 2}]),
+             FeatureTable.build(["t2", "t3"], ["e1", "e2"], [{}, {"c": 0}])]
     assert_same_table(FeatureTable.build(
         ["t1", "t2", "t3"], ["e2", "e1", "e2"], [m for p in parts for m in p.distinct_rows()],
         np.concatenate([parts[0].row_of, parts[1].row_of + parts[0].n_distinct])), table)
