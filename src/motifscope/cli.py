@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import math
 import os
 import resource
 import sys
@@ -140,19 +141,34 @@ def load_model(path) -> ModelSpec:
             raise ValueError(f"mode must be one of {list(motif.MODES)}, got {spec.mode!r}")
         if type(spec.params) is not dict:
             raise TypeError(f"params must be an object, got {type(spec.params).__name__}")
-        for key, (what, ok) in _MODEL_PARAMS.items():
-            if key in spec.params and not ok(spec.params[key]):
-                raise TypeError(f"params {key!r} must be {what}, got {spec.params[key]!r}")
+        _check_params(spec.params, lambda key: f"bad model file {path}: params {key!r}")
         return spec
 
 
-# the fit parameters that eval and prune-CV read from a model file, and what each may be
+# the fit parameters that eval and prune-CV read from a model file, and what each may be:
+# the one rule for the train flags, the pipeline config and model files
 _MODEL_PARAMS = {
-    "min_leaf": ("an integer", lambda v: type(v) is int),
-    "trees": ("an integer", lambda v: type(v) is int),
-    "l2": ("a number", lambda v: type(v) in (int, float)),
-    "max_features": ('"sqrt", null or an integer', lambda v: v in ("sqrt", None) or type(v) is int),
+    "min_leaf": ("an integer >= 1", lambda v: type(v) is int and v >= 1),
+    "trees": ("an integer >= 1", lambda v: type(v) is int and v >= 1),
+    "l2": ("a finite number >= 0", lambda v: type(v) in (int, float) and 0 <= v < math.inf),
+    "max_features": ('"sqrt", null or an integer >= 1',
+                     lambda v: v in ("sqrt", None) or type(v) is int and v >= 1),
 }
+# the signature support threshold, a fraction of a leaf's rows
+_THRESHOLD = {"threshold": ("a number >= 0 and < 1", lambda v: 0 <= v < 1)}
+
+
+def _check_params(values: Mapping, name, rules=_MODEL_PARAMS) -> None:
+    """Raise InputError for the first value in `values` that its rule in
+    `rules` refuses; name(key) says where the value came from."""
+    for key, (what, ok) in rules.items():
+        if key in values and not ok(values[key]):
+            raise InputError(f"{name(key)} must be {what}, got {values[key]!r}")
+
+
+def _flag(key: str) -> str:
+    """The flag of a parameter or config key."""
+    return "--" + key.replace("_", "-")
 
 
 def load_dataset(table: FeatureTable, labels: Mapping[tuple[str, str], str], classes=None,
@@ -168,26 +184,20 @@ def load_dataset(table: FeatureTable, labels: Mapping[tuple[str, str], str], cla
 
 def fit_model(kind: str, dataset: Dataset, rows, params: dict, seed: int):
     """Fit one class-weighted model of `kind` on dataset's `rows` (the single
-    fit dispatch). Trees fit on the dataset's pairs, through its one rank
-    encoding, and the rows' pair indices."""
-    y = dataset.y[rows]
+    fit dispatch). Every kind fits on the dataset's pairs and the rows' pair
+    indices; trees take the pairs through their one rank encoding."""
     n_classes = len(dataset.classes)
-    cw = class_weights(y, n_classes)
+    shared = dict(class_weight=class_weights(dataset.y[rows], n_classes), n_classes=n_classes,
+                  pair_of=dataset.pair_of[rows])
     min_leaf = params.get("min_leaf", 10)
     if kind == "lr":
-        return LogisticModel.fit(dataset.X[rows], y, cw[y], n_classes=n_classes,
-                                 l2=params.get("l2", 1.0))
+        return LogisticModel.fit(dataset.pairs, dataset.pair_y, l2=params.get("l2", 1.0), **shared)
     if kind == "dt":
-        return DecisionTree.fit(dataset.ranked, dataset.pair_y, cw, n_classes=n_classes,
-                                min_leaf=min_leaf, pair_of=dataset.pair_of[rows])
+        return DecisionTree.fit(dataset.ranked, dataset.pair_y, min_leaf=min_leaf, **shared)
     if kind == "rf":
-        if params.get("trees", 100) < 1:
-            raise InputError(f"trees must be at least 1, got {params['trees']}")
-        return RandomForest.fit(
-            dataset.ranked, dataset.pair_y, cw, n_classes=n_classes, n_trees=params.get("trees", 100),
-            min_leaf=min_leaf, max_features=params.get("max_features", "sqrt"), seed=seed,
-            pair_of=dataset.pair_of[rows],
-        )
+        return RandomForest.fit(dataset.ranked, dataset.pair_y, n_trees=params.get("trees", 100),
+                                min_leaf=min_leaf, max_features=params.get("max_features", "sqrt"),
+                                seed=seed, **shared)
     raise InputError(f"unknown model kind {kind!r}")
 
 
@@ -289,7 +299,7 @@ def prune_model(spec: ModelSpec, target_leaves, alpha, out, path_csv=None, dot=N
         raise InputError("prune requires a decision-tree model")
     if target_leaves is None and alpha is None:
         raise InputError("pass --target-leaves or --alpha")
-    _check_pruning_target(target_leaves, alpha, lambda key: "--" + key.replace("_", "-"))
+    _check_pruning_target(target_leaves, alpha, _flag)
     path = ccp_path(spec.instance)
     tree, entry = select_pruned(path, target_leaves=target_leaves, alpha=alpha)
     params = {**spec.params, "pruned_alpha": entry.alpha, "pruned_leaves": entry.leaf_count}
@@ -467,13 +477,14 @@ def _read_dataset(args, spec: Optional[ModelSpec] = None) -> Dataset:
 
 
 def cmd_train(args) -> int:
-    dataset = _read_dataset(args)
     params = {
         "l2": args.l2,
         "min_leaf": args.min_leaf,
         "trees": args.trees,
         "max_features": None if args.max_features == "all" else args.max_features,
     }
+    _check_params(params, _flag)
+    dataset = _read_dataset(args)
     file_mode = storage.features_mode(args.features)
     mode = motif.normalize_mode(args.mode) if args.mode else (file_mode or "M+E")
     _check_mode("--mode", mode, "features file", file_mode)
@@ -512,6 +523,7 @@ def cmd_prune(args) -> int:
 
 
 def cmd_signatures(args) -> int:
+    _check_params(vars(args), _flag, _THRESHOLD)
     spec = load_model(args.model)
     dataset = _read_dataset(args, spec)
     signatures, discrepancies = write_signatures(spec, dataset, args.threshold, args.method,
@@ -614,8 +626,9 @@ class PipelineConfig:
 
     def check(self, required=("transfers", "tokens", "accounts", "out")) -> None:
         """Raise InputError for a missing required path, a value of the wrong
-        type, a mode, model or linkage that the flags do not accept, or a
-        pruning target that prune refuses."""
+        type, a mode, model or linkage that the flags do not accept, a fit
+        parameter or threshold out of its range, or a pruning target that
+        prune refuses."""
         for f in dataclasses.fields(self):
             value = getattr(self, f.name)
             kind = f.type.removeprefix("Optional[").removesuffix("]")
@@ -628,8 +641,11 @@ class PipelineConfig:
             if choices and value not in choices:
                 raise InputError(f"pipeline config {f.name!r} must be one of {list(choices)}, "
                                  f"got {value!r}")
-        _check_pruning_target(self.target_leaves, self.alpha,
-                              lambda key: f"pipeline config {key!r}")
+        def name(key):
+            return f"pipeline config {key!r}"
+
+        _check_params(vars(self), name, {**_MODEL_PARAMS, **_THRESHOLD})
+        _check_pruning_target(self.target_leaves, self.alpha, name)
 
 
 # accepted value types per annotation, which is a string (annotations are postponed);

@@ -27,14 +27,13 @@ class Dataset:
 
     Rows repeat heavily, so the dataset stores the distinct (feature row,
     class) pairs as a small dense matrix, `pairs` with classes `pair_y`, and
-    `pair_of`, each row's pair. Trees fit on the pairs
-    (`models.DecisionTree.fit`'s `pair_of`) and predict once per pair, and
-    signatures are mined over the pairs with their multiplicities `counts`.
-    `ranked` is the pairs rank-encoded (`models.RankedMatrix`), computed once
-    on first use, so every tree fitted on folds, bootstrap samples or the
-    whole set indexes one encoding. `X`, the dense row matrix `pairs[pair_of]`,
-    and `y` are expanded on first use: logistic regression fits and predicts
-    on X.
+    `pair_of`, each row's pair. Every model kind fits on the pairs and a row
+    subset's `pair_of` and predicts once per pair, and signatures are mined
+    over the pairs with their multiplicities `counts`. `ranked` is the pairs
+    rank-encoded (`models.RankedMatrix`), computed once on first use, so
+    every tree fitted on folds, bootstrap samples or the whole set indexes
+    one encoding. `X`, the row matrix `pairs[pair_of]`, and `y` are expanded
+    on first use for code that wants the rows, such as a benchmark gauge.
     """
 
     pairs: np.ndarray  # (n_pairs, vocabulary) float
@@ -70,11 +69,8 @@ class Dataset:
         return models.rank_encode(self.pairs)
 
     def predict(self, model, rows) -> np.ndarray:
-        """model's predicted class indices for the given rows: a tree's (or
-        any model's but a logistic one) made once per pair and indexed by
-        pair_of, a logistic model's made on X as when it was fitted."""
-        if isinstance(model, models.LogisticModel):
-            return model.predict(self.X[rows])
+        """model's predicted class indices for the given rows, made once per
+        pair and indexed by pair_of."""
         return model.predict(self.pairs)[self.pair_of[rows]]
 
 

@@ -12,13 +12,15 @@ bincounts over the rank codes. A fit encodes a float matrix once per call
 subsets of one matrix encode it once and pass each subset as `pair_of`.
 
 A fit weights each row by its class, w_c = class_weight[c], the class-prior
-weighting of CART (Breiman et al., 1984). Its units are distinct (row, class)
-pairs: `DecisionTree.fit` and `RandomForest.fit` take the pairs as X and y
-and, as `pair_of`, each row's pair (without it, row i is pair i), and grow
-the tree of the rows, bit for bit, from an integer multiplicity per pair.
-Sample counts and `min_leaf` tests sum multiplicities, and a bin's class-c
-weight is read at its count m of class-c rows from S_c = cumsum([0, w_c,
-w_c, ...]), which is the sequential sum of those rows' weights.
+weighting of CART (Breiman et al., 1984). Every kind's `fit` takes distinct
+(row, class) pairs as X and y and, as `pair_of`, each row's pair (without
+it, row i is pair i), and fits the model of the rows from an integer
+multiplicity per pair, so no fit needs the rows (`learn.Dataset.X`).
+Logistic regression weights pair p's loss term w_c times its multiplicity.
+A tree is the rows' tree bit for bit: sample counts and `min_leaf` tests sum
+multiplicities, and a bin's class-c weight is read at its count m of class-c
+rows from S_c = cumsum([0, w_c, w_c, ...]), the sequential sum of those
+rows' weights.
 
 Split search (`_best_split`) bins a node's units by code or, where a column
 has more codes than the node has units, by a code's rank among the codes the
@@ -76,7 +78,7 @@ def logistic_loss_grad(
 
 @dataclass
 class LogisticModel:
-    """One-vs-rest logistic regression trained with L-BFGS-B."""
+    """One-vs-rest logistic regression trained with L-BFGS-B on (row, class) pairs."""
 
     weights: np.ndarray  # (K, d)
     biases: np.ndarray  # (K,)
@@ -87,15 +89,19 @@ class LogisticModel:
         cls,
         X: np.ndarray,
         y: np.ndarray,
-        sample_weight: Optional[np.ndarray] = None,
+        class_weight: Optional[np.ndarray] = None,
         n_classes: Optional[int] = None,
         l2: float = 1.0,
         max_iter: int = 500,
+        pair_of: Optional[np.ndarray] = None,
     ) -> "LogisticModel":
-        n, d = X.shape
-        K = int(n_classes if n_classes is not None else y.max() + 1)
-        if sample_weight is None:
-            sample_weight = np.ones(n)
+        """Fit on the rows X[pair_of], y[pair_of] as DecisionTree.fit does: pair
+        p is one loss term, weighted class_weight[y[p]] times its row count."""
+        counts = np.ones(len(y)) if pair_of is None else np.bincount(pair_of, minlength=len(y))
+        d = X.shape[1]
+        K = int(n_classes if n_classes is not None else y[counts > 0].max() + 1)
+        class_weight = np.ones(K) if class_weight is None else np.asarray(class_weight, float)
+        sample_weight = class_weight[y] * counts
         weights = np.zeros((K, d))
         biases = np.zeros(K)
         for k in range(K):

@@ -578,6 +578,28 @@ def reference_ingest(transfers, tokens, accounts, methods, method_groups, out) -
 
 
 # ---------------------------------------------------------------------------
+# logistic regression on the expanded rows
+# ---------------------------------------------------------------------------
+
+def reference_logistic_fit(X, y, sample_weight, n_classes, l2=1.0, max_iter=500):
+    """(weights, biases) of one-vs-rest logistic regression fitted on every
+    row of X, row i weighted sample_weight[i]: one loss term per row, not
+    per distinct (row, class) pair."""
+    from scipy.optimize import minimize
+
+    from motifscope.models import logistic_loss_grad
+
+    d = X.shape[1]
+    weights, biases = np.zeros((n_classes, d)), np.zeros(n_classes)
+    for k in range(n_classes):
+        t = (y == k).astype(float)
+        res = minimize(logistic_loss_grad, np.zeros(d + 1), args=(X, t, sample_weight, l2),
+                       method="L-BFGS-B", jac=True, options={"maxiter": max_iter})
+        weights[k], biases[k] = res.x[:-1], res.x[-1]
+    return weights, biases
+
+
+# ---------------------------------------------------------------------------
 # finite-difference gradients
 # ---------------------------------------------------------------------------
 

@@ -119,16 +119,17 @@ def test_input_error_exit_2_with_json(tmp_path, capsys):
     assert err["error"]["type"] == "InputError"
 
 
-@pytest.mark.parametrize("argv, name", [
-    (["eval", "--folds", "1"], "folds"),
-    (["eval", "--folds", "0"], "folds"),
-    (["prune", "--folds", "1"], "folds"),
-    (["train", "--model", "rf", "--trees", "0"], "trees"),
-    (["pipeline", "--folds", "1"], "folds"),
-    (["pipeline", "--model", "rf", "--trees", "0"], "trees"),
+@pytest.mark.parametrize("argv, prefix", [
+    (["eval", "--folds", "1"], "folds must be at least "),
+    (["eval", "--folds", "0"], "folds must be at least "),
+    (["prune", "--folds", "1"], "folds must be at least "),
+    (["train", "--model", "rf", "--trees", "0"], "--trees must be an integer >= 1, got 0"),
+    (["pipeline", "--folds", "1"], "folds must be at least "),
+    (["pipeline", "--model", "rf", "--trees", "0"],
+     "pipeline config 'trees' must be an integer >= 1, got 0"),
 ], ids=["eval-folds-1", "eval-folds-0", "prune-folds-1", "train-trees-0", "pipeline-folds-1",
         "pipeline-trees-0"])
-def test_out_of_range_parameter_exit_2(small_corpus, trained, tmp_path, capsys, argv, name):
+def test_out_of_range_parameter_exit_2(small_corpus, trained, tmp_path, capsys, argv, prefix):
     data = ["--features", str(small_corpus["features"]), "--labels", str(small_corpus["labels"])]
     extra = {
         "eval": ["--model", str(trained["model"]), *data, "--report", str(tmp_path / "r.json")],
@@ -142,8 +143,77 @@ def test_out_of_range_parameter_exit_2(small_corpus, trained, tmp_path, capsys, 
     }[argv[0]]
     _, err = run(capsys, argv + extra, code=2)
     assert err["error"]["type"] == "InputError"
-    assert err["error"]["message"].startswith(f"{name} must be at least "), err["error"]["message"]
+    assert err["error"]["message"].startswith(prefix), err["error"]["message"]
     assert not (tmp_path / "m.json").exists()
+
+
+# (key, value, what the value must be) of fit parameters out of their range
+BAD_MODEL_PARAMS = [("min_leaf", 0, "an integer >= 1"), ("min_leaf", -1, "an integer >= 1"),
+                    ("trees", 0, "an integer >= 1"), ("l2", -1.0, "a finite number >= 0"),
+                    ("l2", float("nan"), "a finite number >= 0"),
+                    ("l2", float("inf"), "a finite number >= 0")]
+
+
+# the --max-features flag takes only its choices and the pipeline has no such key
+@pytest.mark.parametrize("command, key, value, what", [
+    pytest.param(command, *case, id=f"{command}-{case[0]}-{case[1]}")
+    for command in ("train", "pipeline", "eval")
+    for case in BAD_MODEL_PARAMS + [("max_features", 0, '"sqrt", null or an integer >= 1'),
+                                    ("max_features", "all", '"sqrt", null or an integer >= 1')]
+    if command == "eval" or case[0] != "max_features"])
+def test_model_parameter_out_of_range_exit_2(small_corpus, trained, tmp_path, capsys, command,
+                                             key, value, what):
+    """A fit parameter out of its range exits 2 before any work, naming the
+    train flag, the pipeline config key or the model file."""
+    flag = ["--" + key.replace("_", "-"), str(value)]
+    if command == "train":  # features that do not exist: the check comes first
+        argv = ["train", "--features", str(tmp_path / "none.jsonl"), "--labels",
+                str(tmp_path / "none.csv"), "--model", "rf", *flag, "--out", str(tmp_path / "m")]
+        where = flag[0]
+    elif command == "pipeline":
+        argv = ["pipeline", "--transfers", str(small_corpus["transfers"]),
+                "--tokens", str(small_corpus["tokens"]), "--accounts", str(small_corpus["accounts"]),
+                "--methods", str(small_corpus["methods"]), *flag, "--out", str(tmp_path / "m")]
+        where = f"pipeline config {key!r}"
+    else:
+        model = storage.read_json(trained["model"])
+        model["params"][key] = value
+        bad = tmp_path / "model.json"
+        bad.write_text(json.dumps(model), encoding="utf-8")
+        argv = ["eval", "--model", str(bad), "--features", str(small_corpus["features"]),
+                "--labels", str(small_corpus["labels"]), "--report", str(tmp_path / "m")]
+        where = f"bad model file {bad}: params {key!r}"
+    _, err = run(capsys, argv, code=2)
+    assert err["error"]["type"] == "InputError"
+    assert err["error"]["message"] == f"{where} must be {what}, got {value!r}"
+    assert not (tmp_path / "m").exists()  # no model, run directory or report
+
+
+@pytest.mark.parametrize("where", ["signatures", "pipeline flag", "pipeline config"])
+@pytest.mark.parametrize("value", ["-1", "1", "1.5", "nan"])
+def test_threshold_outside_0_1_exit_2(small_corpus, trained, tmp_path, capsys, where, value):
+    """The support threshold is a fraction in [0, 1): signatures refuses
+    another before it reads its inputs, and the pipeline before ingest."""
+    inputs = ["--transfers", str(small_corpus["transfers"]), "--tokens", str(small_corpus["tokens"]),
+              "--accounts", str(small_corpus["accounts"]), "--methods", str(small_corpus["methods"])]
+    out = tmp_path / "out"
+    if where == "signatures":
+        argv = ["signatures", "--model", str(tmp_path / "none.json"), "--features",
+                str(small_corpus["features"]), "--labels", str(small_corpus["labels"]),
+                "--threshold", value, "--out", str(out)]
+        message = f"--threshold must be a number >= 0 and < 1, got {float(value)!r}"
+    elif where == "pipeline flag":
+        argv = ["pipeline", *inputs, "--threshold", value, "--out", str(out)]
+        message = f"pipeline config 'threshold' must be a number >= 0 and < 1, got {float(value)!r}"
+    else:
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"threshold": float(value)}), encoding="utf-8")
+        argv = ["pipeline", "--config", str(config), *inputs, "--out", str(out)]
+        message = (f"bad pipeline config {config}: pipeline config 'threshold' must be a number "
+                   f">= 0 and < 1, got {float(value)!r}")
+    _, err = run(capsys, argv, code=2)
+    assert err["error"]["type"] == "InputError" and err["error"]["message"] == message
+    assert not out.exists()
 
 
 def test_stage_error_exit_3(small_corpus, trained, tmp_path, capsys, monkeypatch):
@@ -1200,7 +1270,7 @@ def test_pipeline_one_pruning_target_exit_2(tmp_path, small_corpus, capsys):
 
 
 def test_pipeline_config_accepts_ints_for_floats():
-    PipelineConfig(transfers="t", tokens="k", accounts="a", out="o", l2=1, threshold=1,
+    PipelineConfig(transfers="t", tokens="k", accounts="a", out="o", l2=1, threshold=0,
                    alpha=0, target_leaves=None).check()
 
 

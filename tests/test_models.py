@@ -89,7 +89,7 @@ def test_logistic_model_applies_class_weights():
     X = np.vstack([rng.normal(0.0, 1.0, size=(180, 1)), rng.normal(1.0, 1.0, size=(20, 1))])
     y = np.repeat([0, 1], [180, 20])
     plain = LogisticModel.fit(X, y, n_classes=2)
-    weighted = LogisticModel.fit(X, y, learn.class_weights(y, 2)[y], n_classes=2)
+    weighted = LogisticModel.fit(X, y, learn.class_weights(y, 2), n_classes=2)
     recall_plain = (plain.predict(X)[y == 1] == 1).mean()
     recall_weighted = (weighted.predict(X)[y == 1] == 1).mean()
     assert recall_weighted > recall_plain
@@ -522,6 +522,48 @@ def test_fits_on_pairs_count_classes_of_their_rows():
     assert _tree_json(got) == _tree_json(expected)
     forest = RandomForest.fit(pairs, pair_y, n_trees=2, min_leaf=2, pair_of=pair_of[rows])
     assert forest.n_classes == 2 and all(t.n_classes == 2 for t in forest.trees)
+
+
+@pytest.mark.parametrize("trial", range(4))
+def test_logistic_on_pairs_equals_logistic_on_rows(rng, trial):
+    """LR fitted on the pairs, pair p weighted class_weight[y[p]] times its
+    multiplicity, is the fit of the rows with one weighted loss term each,
+    on the whole set and on a fold: weights and biases agree to 1e-9 and
+    the predictions are equal."""
+    from oracles import reference_logistic_fit
+
+    K = 3
+    X, y = _repeating_case(rng)
+    pairs, pair_y, pair_of = _pairs(X, y, K)
+    sizes = np.bincount(y, minlength=K)
+    assert sizes.max() > 3 * sizes.min() and len(pairs) < len(y) / 5  # imbalanced, repeating
+    for rows in (np.arange(len(y)), learn.stratified_kfold(y, k=3, seed=trial)[0][1]):
+        cw = learn.class_weights(y[rows], K)
+        weights, biases = reference_logistic_fit(X[rows], y[rows], cw[y[rows]], K)
+        got = LogisticModel.fit(pairs, pair_y, cw, n_classes=K, pair_of=pair_of[rows])
+        assert np.abs(weights).max() > 0.1
+        assert np.abs(got.weights - weights).max() < 1e-9
+        assert np.abs(got.biases - biases).max() < 1e-9
+        expected = np.argmax(X[rows] @ weights.T + biases, axis=1)
+        assert len(set(expected.tolist())) == K
+        assert (got.predict(pairs)[pair_of[rows]] == expected).all()
+        assert (got.predict(X[rows]) == expected).all()
+
+
+@pytest.mark.parametrize("kind", ["lr", "dt", "rf"])
+def test_dataset_predicts_every_kind_once_per_pair(rng, kind):
+    """A model of any kind fitted on a row subset predicts each row through
+    its pair as it predicts the row itself."""
+    K = 3
+    X, y = _repeating_case(rng)
+    pairs, pair_y, pair_of = _pairs(X, y, K)
+    dataset = learn.Dataset(pairs, pair_y, pair_of, ["a", "b", "c"], list("vwxyz"))
+    train, test = learn.stratified_kfold(y, k=3, seed=1)[0]
+    model = cli.fit_model(kind, dataset, train, {"min_leaf": 4, "trees": 5}, seed=2)
+    for rows in (train, test):
+        got = dataset.predict(model, rows)
+        assert (got == model.predict(dataset.X[rows])).all()
+        assert len(set(got.tolist())) > 1
 
 
 # ---------------------------------------------------------------------------
