@@ -1445,12 +1445,14 @@ def test_removed_flags_are_rejected(capsys):
 
 
 def _cli_options() -> dict:
-    """Each subcommand's options as [option strings, dest, default, choices],
-    and each pipeline config field's default, as JSON reads them back."""
+    """Each subcommand's options as [option strings, dest, default, choices,
+    help, type name, required], and each pipeline config field's default, as
+    JSON reads them back."""
     sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
     options = {
         "commands": {name: [[a.option_strings, a.dest, a.default,
-                             None if a.choices is None else list(a.choices)]
+                             None if a.choices is None else list(a.choices), a.help,
+                             getattr(a.type, "__name__", None), a.required]
                             for a in p._actions if a.option_strings]
                      for name, p in sub.choices.items()},
         "pipeline_config": {f.name: f.default for f in dataclasses.fields(PipelineConfig)},
@@ -1459,8 +1461,9 @@ def _cli_options() -> dict:
 
 
 def test_cli_options_match_the_committed_list():
-    """A flag, default, choice or config field added, dropped or changed shows
-    as an edit of tests/data/cli_options.json, which holds _cli_options()."""
+    """A flag, default, choice, help text, type, required mark or config field
+    added, dropped or changed shows as an edit of tests/data/cli_options.json,
+    which holds _cli_options()."""
     committed = json.loads((Path(__file__).parent / "data" / "cli_options.json").read_text(
         encoding="utf-8"))
     assert _cli_options() == committed
