@@ -14,9 +14,9 @@ import resource
 import sys
 import time
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Mapping, Optional
+from typing import Callable, Mapping, NamedTuple, Optional
 
 import numpy as np
 
@@ -90,14 +90,80 @@ def _fail(stage: str, exc: BaseException, code: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# model (de)serialization envelope
+# parameters and the model (de)serialization envelope
 # ---------------------------------------------------------------------------
 
 _MODEL_KINDS = {"lr": LogisticModel, "dt": DecisionTree, "rf": RandomForest}
 
-# the values the --mode, --model and --linkage flags and those pipeline config fields accept
-_CHOICES = {"mode": ("M", "E", "ME", "M+E", "MxE"), "model": tuple(_MODEL_KINDS),
-            "linkage": LINKAGES}
+
+class Param(NamedTuple):
+    """A tunable parameter: type (int or float, where an int is also a float
+    and a bool is neither; None where the choices or the rule decide),
+    default, rule (what a value must be, and its test), choices and help."""
+
+    type: Optional[type]
+    default: object
+    what: Optional[str] = None
+    ok: Optional[Callable] = None
+    choices: tuple = ()
+    help: Optional[str] = None
+
+
+# Every tunable parameter, declared once: the subcommand and pipeline flags, the PipelineConfig
+# defaults, fit_model's fallbacks and the checks of flags, config and model files read it.
+PARAMS = {
+    "mode": Param(None, "M+E", choices=tuple(motif.MODE_SPELLINGS)),
+    "model": Param(None, "dt", choices=tuple(_MODEL_KINDS)),
+    "seed": Param(int, 0, help="random seed (default 0)"),
+    "threads": Param(int, 1, help="worker processes (default 1)"),
+    "folds": Param(int, 10),
+    "min_leaf": Param(int, 10, "an integer >= 1", lambda v: v >= 1),
+    "l2": Param(float, 1.0, "a finite number >= 0", lambda v: 0 <= v < math.inf),
+    "trees": Param(int, 100, "an integer >= 1", lambda v: v >= 1),
+    "max_features": Param(None, "sqrt", '"sqrt", null or an integer >= 1',
+                          lambda v: v in ("sqrt", None) or type(v) is int and v >= 1),
+    # the signature support threshold, a fraction of a leaf's rows
+    "threshold": Param(float, SUPPORT_THRESHOLD, "a number >= 0 and < 1", lambda v: 0 <= v < 1),
+    "target_leaves": Param(int, None, "at least 1", lambda v: v >= 1),
+    "alpha": Param(float, None, "a number >= 0", lambda v: v >= 0),
+    "min_matches": Param(int, DEFAULT_MIN_MATCHES),
+    "linkage": Param(None, "ward", choices=LINKAGES),
+    "max_nodes": Param(int, motif.DEFAULT_MAX_NODES),
+}
+# the parameters of a fit, which a model file keeps and eval and prune-CV read back
+FIT_PARAMS = ("min_leaf", "trees", "l2", "max_features")
+
+
+def _flag(key: str) -> str:
+    """The flag of a parameter or config key."""
+    return "--" + key.replace("_", "-")
+
+
+def _check_params(values: Mapping, name=_flag, keys=PARAMS) -> None:
+    """Raise InputError for the first of `keys` whose value in `values` its
+    PARAMS entry refuses; a key missing from `values`, or None where the
+    default is None, is unset. name(key) says where the value came from."""
+    for key in keys:
+        param, value = PARAMS[key], values.get(key)
+        if key not in values or value is None and param.default is None:
+            continue
+        if param.type and type(value) not in ((int, float) if param.type is float else (int,)):
+            raise InputError(f"{name(key)} must be {param.type.__name__}, "
+                             f"got {type(value).__name__} {value!r}")
+        if param.choices and value not in param.choices:
+            raise InputError(f"{name(key)} must be one of {list(param.choices)}, got {value!r}")
+        if param.ok and not param.ok(value):
+            raise InputError(f"{name(key)} must be {param.what}, got {value!r}")
+
+
+def _add_flags(parser, *keys: str, **settings) -> None:
+    """Add the flag of each key, whose type, default, choices and help its
+    PARAMS entry gives unless `settings` does."""
+    for key in keys:
+        param = PARAMS.get(key, Param(None, None))
+        parser.add_argument(_flag(key), **{
+            "type": param.type, "default": param.default, "choices": param.choices or None,
+            "help": param.help, **settings})
 
 
 @dataclass
@@ -141,34 +207,9 @@ def load_model(path) -> ModelSpec:
             raise ValueError(f"mode must be one of {list(motif.MODES)}, got {spec.mode!r}")
         if type(spec.params) is not dict:
             raise TypeError(f"params must be an object, got {type(spec.params).__name__}")
-        _check_params(spec.params, lambda key: f"bad model file {path}: params {key!r}")
+        _check_params(spec.params, lambda key: f"bad model file {path}: params {key!r}",
+                      FIT_PARAMS)
         return spec
-
-
-# the fit parameters that eval and prune-CV read from a model file, and what each may be:
-# the one rule for the train flags, the pipeline config and model files
-_MODEL_PARAMS = {
-    "min_leaf": ("an integer >= 1", lambda v: type(v) is int and v >= 1),
-    "trees": ("an integer >= 1", lambda v: type(v) is int and v >= 1),
-    "l2": ("a finite number >= 0", lambda v: type(v) in (int, float) and 0 <= v < math.inf),
-    "max_features": ('"sqrt", null or an integer >= 1',
-                     lambda v: v in ("sqrt", None) or type(v) is int and v >= 1),
-}
-# the signature support threshold, a fraction of a leaf's rows
-_THRESHOLD = {"threshold": ("a number >= 0 and < 1", lambda v: 0 <= v < 1)}
-
-
-def _check_params(values: Mapping, name, rules=_MODEL_PARAMS) -> None:
-    """Raise InputError for the first value in `values` that its rule in
-    `rules` refuses; name(key) says where the value came from."""
-    for key, (what, ok) in rules.items():
-        if key in values and not ok(values[key]):
-            raise InputError(f"{name(key)} must be {what}, got {values[key]!r}")
-
-
-def _flag(key: str) -> str:
-    """The flag of a parameter or config key."""
-    return "--" + key.replace("_", "-")
 
 
 def load_dataset(table: FeatureTable, labels: Mapping[tuple[str, str], str], classes=None,
@@ -189,15 +230,15 @@ def fit_model(kind: str, dataset: Dataset, rows, params: dict, seed: int):
     n_classes = len(dataset.classes)
     shared = dict(class_weight=class_weights(dataset.y[rows], n_classes), n_classes=n_classes,
                   pair_of=dataset.pair_of[rows])
-    min_leaf = params.get("min_leaf", 10)
+    params = {**{key: PARAMS[key].default for key in FIT_PARAMS}, **params}
     if kind == "lr":
-        return LogisticModel.fit(dataset.pairs, dataset.pair_y, l2=params.get("l2", 1.0), **shared)
+        return LogisticModel.fit(dataset.pairs, dataset.pair_y, l2=params["l2"], **shared)
     if kind == "dt":
-        return DecisionTree.fit(dataset.ranked, dataset.pair_y, min_leaf=min_leaf, **shared)
+        return DecisionTree.fit(dataset.ranked, dataset.pair_y, min_leaf=params["min_leaf"], **shared)
     if kind == "rf":
-        return RandomForest.fit(dataset.ranked, dataset.pair_y, n_trees=params.get("trees", 100),
-                                min_leaf=min_leaf, max_features=params.get("max_features", "sqrt"),
-                                seed=seed, **shared)
+        return RandomForest.fit(dataset.ranked, dataset.pair_y, n_trees=params["trees"],
+                                min_leaf=params["min_leaf"],
+                                max_features=params["max_features"], seed=seed, **shared)
     raise InputError(f"unknown model kind {kind!r}")
 
 
@@ -277,15 +318,11 @@ def _ccp_cv_rows(path, params: dict, dataset: Dataset, folds, fold_trees=None):
 
 
 def _check_pruning_target(target_leaves, alpha, name) -> None:
-    """Raise InputError unless at most one of target_leaves (at least 1) and
-    alpha (a number >= 0) is set; name(key) says where a value came from."""
+    """Raise InputError when both target_leaves and alpha are set; name(key)
+    says where a value came from."""
     if target_leaves is not None and alpha is not None:
         raise InputError(f"{name('target_leaves')} and {name('alpha')} exclude each other; "
                          f"set one")
-    if target_leaves is not None and target_leaves < 1:
-        raise InputError(f"{name('target_leaves')} must be at least 1, got {target_leaves}")
-    if alpha is not None and not alpha >= 0:
-        raise InputError(f"{name('alpha')} must be a number >= 0, got {alpha}")
 
 
 def prune_model(spec: ModelSpec, target_leaves, alpha, out, path_csv=None, dot=None, cv=None):
@@ -300,6 +337,7 @@ def prune_model(spec: ModelSpec, target_leaves, alpha, out, path_csv=None, dot=N
     if target_leaves is None and alpha is None:
         raise InputError("pass --target-leaves or --alpha")
     _check_pruning_target(target_leaves, alpha, _flag)
+    _check_params({"target_leaves": target_leaves, "alpha": alpha})
     path = ccp_path(spec.instance)
     tree, entry = select_pruned(path, target_leaves=target_leaves, alpha=alpha)
     params = {**spec.params, "pruned_alpha": entry.alpha, "pruned_leaves": entry.leaf_count}
@@ -477,16 +515,12 @@ def _read_dataset(args, spec: Optional[ModelSpec] = None) -> Dataset:
 
 
 def cmd_train(args) -> int:
-    params = {
-        "l2": args.l2,
-        "min_leaf": args.min_leaf,
-        "trees": args.trees,
-        "max_features": None if args.max_features == "all" else args.max_features,
-    }
-    _check_params(params, _flag)
+    params = {key: getattr(args, key) for key in FIT_PARAMS}
+    params["max_features"] = None if args.max_features == "all" else args.max_features
+    _check_params(params)
     dataset = _read_dataset(args)
     file_mode = storage.features_mode(args.features)
-    mode = motif.normalize_mode(args.mode) if args.mode else (file_mode or "M+E")
+    mode = motif.normalize_mode(args.mode) if args.mode else (file_mode or PARAMS["mode"].default)
     _check_mode("--mode", mode, "features file", file_mode)
     train_model(dataset, args.model, mode, params, args.seed, args.out)
     _print({"model": args.model, "rows": dataset.n_rows, "classes": dataset.classes,
@@ -523,7 +557,7 @@ def cmd_prune(args) -> int:
 
 
 def cmd_signatures(args) -> int:
-    _check_params(vars(args), _flag, _THRESHOLD)
+    _check_params(vars(args), keys=["threshold"])
     spec = load_model(args.model)
     dataset = _read_dataset(args, spec)
     signatures, discrepancies = write_signatures(spec, dataset, args.threshold, args.method,
@@ -576,28 +610,31 @@ def cmd_synth(args) -> int:
 
 @dataclass
 class PipelineConfig:
+    """A pipeline run's paths and PARAMS, in the order of the pipeline's flags."""
+
+    seed: int = PARAMS["seed"].default
+    threads: int = PARAMS["threads"].default
     transfers: Optional[str] = None
     tokens: Optional[str] = None
     accounts: Optional[str] = None
     methods: Optional[str] = None
     method_groups: Optional[str] = None
-    signatures: Optional[str] = None  # match-only runs: pre-mined signatures
+    signatures: Optional[str] = field(
+        default=None, metadata={"help": "pre-mined signatures for match-only runs"})
     out: Optional[str] = None
-    mode: str = "M+E"
-    model: str = "dt"
-    seed: int = 0
-    threads: int = 1
-    folds: int = 10
-    min_leaf: int = 10
-    l2: float = 1.0
-    trees: int = 100
-    threshold: float = SUPPORT_THRESHOLD
-    target_leaves: Optional[int] = None
-    alpha: Optional[float] = None
-    min_matches: int = DEFAULT_MIN_MATCHES
-    linkage: str = "ward"
-    max_nodes: int = motif.DEFAULT_MAX_NODES
+    mode: str = PARAMS["mode"].default
+    model: str = PARAMS["model"].default
+    folds: int = PARAMS["folds"].default
+    min_leaf: int = PARAMS["min_leaf"].default
+    l2: float = PARAMS["l2"].default
+    trees: int = PARAMS["trees"].default
+    threshold: float = PARAMS["threshold"].default
+    target_leaves: Optional[int] = PARAMS["target_leaves"].default
+    alpha: Optional[float] = PARAMS["alpha"].default
+    min_matches: int = PARAMS["min_matches"].default
+    linkage: str = PARAMS["linkage"].default
     catalog: Optional[str] = None
+    max_nodes: int = PARAMS["max_nodes"].default
 
     def to_json(self) -> dict:
         return dataclasses.asdict(self)
@@ -625,32 +662,18 @@ class PipelineConfig:
         return cfg
 
     def check(self, required=("transfers", "tokens", "accounts", "out")) -> None:
-        """Raise InputError for a missing required path, a value of the wrong
-        type, a mode, model or linkage that the flags do not accept, a fit
-        parameter or threshold out of its range, or a pruning target that
-        prune refuses."""
+        """Raise InputError for a missing required path, a path that is not a
+        string, a parameter that its PARAMS entry refuses, or two pruning
+        targets."""
+        name = "pipeline config {!r}".format
         for f in dataclasses.fields(self):
             value = getattr(self, f.name)
-            kind = f.type.removeprefix("Optional[").removesuffix("]")
             if f.name in required and not value:
                 raise InputError(f"pipeline config is missing {f.name!r}")
-            if not (value is None and kind != f.type or type(value) in _CONFIG_TYPES[kind]):
-                raise InputError(f"pipeline config {f.name!r} must be {kind}, "
-                                 f"got {type(value).__name__} {value!r}")
-            choices = _CHOICES.get(f.name)
-            if choices and value not in choices:
-                raise InputError(f"pipeline config {f.name!r} must be one of {list(choices)}, "
-                                 f"got {value!r}")
-        def name(key):
-            return f"pipeline config {key!r}"
-
-        _check_params(vars(self), name, {**_MODEL_PARAMS, **_THRESHOLD})
+            if f.name not in PARAMS and not (value is None or type(value) is str):
+                raise InputError(f"{name(f.name)} must be str, got {type(value).__name__} {value!r}")
+        _check_params(vars(self), name)
         _check_pruning_target(self.target_leaves, self.alpha, name)
-
-
-# accepted value types per annotation, which is a string (annotations are postponed);
-# bool is not an int here
-_CONFIG_TYPES = {"str": (str,), "int": (int,), "float": (int, float)}
 
 
 def _peak_rss_mb() -> float:
@@ -763,8 +786,7 @@ def _run_stages(cfg: PipelineConfig, out: Path, manifest: dict) -> None:
     del stats  # so that `del table` frees the table
 
     if cfg.methods is not None:
-        params = {"l2": cfg.l2, "min_leaf": cfg.min_leaf, "trees": cfg.trees,
-                  "max_features": "sqrt"}
+        params = {key: getattr(cfg, key, PARAMS[key].default) for key in FIT_PARAMS}
 
         def train():
             dataset = load_dataset(table, labels)
@@ -833,7 +855,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"motifscope {__version__}")
     seeded = argparse.ArgumentParser(add_help=False)
-    seeded.add_argument("--seed", type=int, default=0, help="random seed (default 0)")
+    _add_flags(seeded, "seed")
     sub = parser.add_subparsers(dest="cmd", required=True)
 
     p = sub.add_parser("ingest", help="load and validate raw files into a store")
@@ -859,22 +881,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("featurize", help="extract motif/edge features")
     p.add_argument("--store", required=True)
-    p.add_argument("--mode", default="M+E", choices=_CHOICES["mode"])
+    _add_flags(p, "mode")
     p.add_argument("--out", required=True)
     p.add_argument("--catalog", default=None, help="motif catalog JSON override")
-    p.add_argument("--max-nodes", dest="max_nodes", type=int, default=motif.DEFAULT_MAX_NODES)
-    p.add_argument("--threads", type=int, default=1, help="worker processes (default 1)")
+    _add_flags(p, "max_nodes", "threads")
     p.set_defaults(func=cmd_featurize)
 
     p = sub.add_parser("train", parents=[seeded], help="fit a classifier on labeled features")
     p.add_argument("--features", required=True)
     p.add_argument("--labels", required=True)
-    p.add_argument("--model", required=True, choices=_CHOICES["model"])
-    p.add_argument("--mode", default=None, choices=_CHOICES["mode"])
-    p.add_argument("--l2", type=float, default=1.0)
-    p.add_argument("--min-leaf", dest="min_leaf", type=int, default=10)
-    p.add_argument("--trees", type=int, default=100)
-    p.add_argument("--max-features", dest="max_features", default="sqrt", choices=["sqrt", "all"])
+    _add_flags(p, "model", required=True, default=None)
+    _add_flags(p, "mode", default=None)
+    _add_flags(p, "l2", "min_leaf", "trees")
+    _add_flags(p, "max_features", choices=["sqrt", "all"])
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_train)
 
@@ -882,19 +901,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True)
     p.add_argument("--features", required=True)
     p.add_argument("--labels", required=True)
-    p.add_argument("--folds", type=int, default=10)
+    _add_flags(p, "folds")
     p.add_argument("--report", required=True)
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("prune", parents=[seeded], help="cost-complexity pruning")
     p.add_argument("--model", required=True, help="trained dt model JSON")
-    p.add_argument("--target-leaves", dest="target_leaves", type=int, default=None)
-    p.add_argument("--alpha", type=float, default=None)
+    _add_flags(p, "target_leaves", "alpha")
     p.add_argument("--out", required=True)
     p.add_argument("--path", default=None, help="write the alpha/leaves/CV-metric table (CSV)")
     p.add_argument("--features", default=None, help="features for the CV columns of --path")
     p.add_argument("--labels", default=None)
-    p.add_argument("--folds", type=int, default=10)
+    _add_flags(p, "folds")
     p.add_argument("--dot", default=None, help="write pruned tree in DOT format")
     p.set_defaults(func=cmd_prune)
 
@@ -902,7 +920,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True, help="pruned dt model JSON")
     p.add_argument("--features", required=True)
     p.add_argument("--labels", required=True)
-    p.add_argument("--threshold", type=float, default=SUPPORT_THRESHOLD)
+    _add_flags(p, "threshold")
     p.add_argument("--method", default="greedy", choices=["greedy", "exhaustive"])
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_signatures)
@@ -920,8 +938,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("cluster", help="hierarchical clustering of profiles")
     p.add_argument("--profiles", required=True)
-    p.add_argument("--linkage", default="ward", choices=_CHOICES["linkage"])
-    p.add_argument("--min-matches", dest="min_matches", type=int, default=DEFAULT_MIN_MATCHES)
+    _add_flags(p, "linkage", "min_matches")
     p.add_argument("--out", required=True)
     p.add_argument("--plotdata", default=None)
     p.set_defaults(func=cmd_cluster)
@@ -936,32 +953,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", default=None, help="archetype config JSON")
     p.set_defaults(func=cmd_synth)
 
-    # pipeline declares its own globals with None defaults so a config file's
-    # seed/threads are only overridden when the flags are actually passed
+    # a flag per config field, each defaulting to None so that only the flags passed
+    # override a config file; --config follows the run-wide --seed and --threads
     p = sub.add_parser("pipeline", help="run all stages end to end")
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--threads", type=int, default=None)
-    p.add_argument("--config", default=None, help="pipeline config JSON")
-    p.add_argument("--transfers", default=None)
-    p.add_argument("--tokens", default=None)
-    p.add_argument("--accounts", default=None)
-    p.add_argument("--methods", default=None)
-    p.add_argument("--method-groups", dest="method_groups", default=None)
-    p.add_argument("--signatures", default=None, help="pre-mined signatures for match-only runs")
-    p.add_argument("--out", default=None)
-    p.add_argument("--mode", default=None, choices=_CHOICES["mode"])
-    p.add_argument("--model", default=None, choices=_CHOICES["model"])
-    p.add_argument("--folds", type=int, default=None)
-    p.add_argument("--min-leaf", dest="min_leaf", type=int, default=None)
-    p.add_argument("--l2", type=float, default=None)
-    p.add_argument("--trees", type=int, default=None)
-    p.add_argument("--threshold", type=float, default=None)
-    p.add_argument("--target-leaves", dest="target_leaves", type=int, default=None)
-    p.add_argument("--alpha", type=float, default=None)
-    p.add_argument("--min-matches", dest="min_matches", type=int, default=None)
-    p.add_argument("--linkage", default=None, choices=_CHOICES["linkage"])
-    p.add_argument("--catalog", default=None)
-    p.add_argument("--max-nodes", dest="max_nodes", type=int, default=None)
+    for f in dataclasses.fields(PipelineConfig):
+        if f.name == "transfers":
+            p.add_argument("--config", default=None, help="pipeline config JSON")
+        _add_flags(p, f.name, default=None, help=f.metadata.get("help"))
     p.set_defaults(func=cmd_pipeline)
     return parser
 

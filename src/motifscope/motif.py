@@ -25,6 +25,8 @@ from .ingest import _schema, read_json
 OUT, IN, RECIP = 0, 1, 2
 
 MODES = ("M", "E", "M+E", "MxE")
+# the spelling of each mode that the --mode flags accept -> the mode; any case is accepted
+MODE_SPELLINGS = {"M": "M", "E": "E", "ME": "M+E", "M+E": "M+E", "MxE": "MxE"}
 OOV_KEY = "__oov__"
 OVERSIZE_KEY = "__oversize__"
 DEFAULT_MAX_NODES = 500
@@ -297,9 +299,8 @@ def transaction_features(tx: tuple[str, str, Optional[str], list], catalog: Moti
 
 
 def normalize_mode(mode: str) -> str:
-    """Canonicalize CLI spellings: ME -> M+E, MxE/MXE -> MxE."""
-    aliases = {"M": "M", "E": "E", "ME": "M+E", "M+E": "M+E", "MXE": "MxE", "MxE": "MxE"}
-    canon = aliases.get(mode) or aliases.get(mode.upper())
+    """Canonicalize CLI spellings in any case: ME -> M+E, MxE/MXE -> MxE."""
+    canon = {spelling.upper(): m for spelling, m in MODE_SPELLINGS.items()}.get(mode.upper())
     if canon is None:
         raise ValueError(f"unknown feature mode {mode!r} (expected one of M, E, ME, MxE)")
     return canon
