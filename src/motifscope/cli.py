@@ -1,5 +1,10 @@
 """Command-line interface and pipeline orchestration.
 
+Every tunable parameter is declared once, in PARAMS: its type, default,
+choices or range, and help. The subcommand flags, the pipeline's flags,
+PipelineConfig's defaults, fit_model's fallbacks and _check_params (the
+flags, the pipeline config and a model file's params) all read it.
+
 Exit codes: 0 success, 2 unusable input (InputError), 3 stage failure.
 Failures print a machine-readable JSON object on stderr.
 """
@@ -45,6 +50,7 @@ from .models import DecisionTree, LogisticModel, RandomForest
 from .profile import (
     DEFAULT_MIN_MATCHES,
     LINKAGES,
+    MAX_CLUSTER_ACCOUNTS,
     Profiles,
     build_profiles,
     emit_clustermap_data,
@@ -109,14 +115,14 @@ class Param(NamedTuple):
     help: Optional[str] = None
 
 
-# Every tunable parameter, declared once: the subcommand and pipeline flags, the PipelineConfig
-# defaults, fit_model's fallbacks and the checks of flags, config and model files read it.
+# every tunable parameter, declared once (see the module docstring)
 PARAMS = {
     "mode": Param(None, "M+E", choices=tuple(motif.MODE_SPELLINGS)),
     "model": Param(None, "dt", choices=tuple(_MODEL_KINDS)),
     "seed": Param(int, 0, help="random seed (default 0)"),
-    "threads": Param(int, 1, help="worker processes (default 1)"),
-    "folds": Param(int, 10),
+    "threads": Param(int, 1, "an integer >= 1", lambda v: v >= 1,
+                     help="worker processes (default 1)"),
+    "folds": Param(int, 10, "an integer >= 2", lambda v: v >= 2),
     "min_leaf": Param(int, 10, "an integer >= 1", lambda v: v >= 1),
     "l2": Param(float, 1.0, "a finite number >= 0", lambda v: 0 <= v < math.inf),
     "trees": Param(int, 100, "an integer >= 1", lambda v: v >= 1),
@@ -126,9 +132,9 @@ PARAMS = {
     "threshold": Param(float, SUPPORT_THRESHOLD, "a number >= 0 and < 1", lambda v: 0 <= v < 1),
     "target_leaves": Param(int, None, "at least 1", lambda v: v >= 1),
     "alpha": Param(float, None, "a number >= 0", lambda v: v >= 0),
-    "min_matches": Param(int, DEFAULT_MIN_MATCHES),
+    "min_matches": Param(int, DEFAULT_MIN_MATCHES, "an integer >= 0", lambda v: v >= 0),
     "linkage": Param(None, "ward", choices=LINKAGES),
-    "max_nodes": Param(int, motif.DEFAULT_MAX_NODES),
+    "max_nodes": Param(int, motif.DEFAULT_MAX_NODES, "an integer >= 1", lambda v: v >= 1),
 }
 # the parameters of a fit, which a model file keeps and eval and prune-CV read back
 FIT_PARAMS = ("min_leaf", "trees", "l2", "max_features")
@@ -404,9 +410,13 @@ def write_profiles(matches, out) -> Profiles:
 
 
 def cluster_profiles(profiles: Profiles, linkage: str, out, plotdata=None):
-    """Cluster already-filtered profiles; writes the assignments and plot data."""
+    """Cluster already-filtered profiles, 2 to MAX_CLUSTER_ACCOUNTS accounts;
+    writes the assignments and plot data."""
     if len(profiles.accounts) < 2:
         raise InputError("clustering needs at least 2 accounts after filtering")
+    if len(profiles.accounts) > MAX_CLUSTER_ACCOUNTS:
+        raise InputError(f"clustering {len(profiles.accounts)} accounts exceeds the cap of "
+                         f"{MAX_CLUSTER_ACCOUNTS} accounts")
     result = hcluster(profiles.zscored, method=linkage)
     storage.write_json(out, result.to_json(profiles.accounts))
     if plotdata:
@@ -483,6 +493,7 @@ def cmd_etn(args) -> int:
 
 
 def cmd_featurize(args) -> int:
+    _check_params(vars(args))
     catalog = motif.load_catalog(args.catalog) if args.catalog else None
     stats = featurize_store(
         args.store, args.mode, args.out,
@@ -585,6 +596,7 @@ def cmd_profile(args) -> int:
 
 
 def cmd_cluster(args) -> int:
+    _check_params(vars(args))
     profiles = filter_min_matches(read_profiles_csv(args.profiles), args.min_matches)
     result = cluster_profiles(profiles, args.linkage, args.out, args.plotdata)
     _print({"accounts": len(profiles.accounts), "chosen_k": result.chosen_k,
@@ -822,13 +834,13 @@ def _run_stages(cfg: PipelineConfig, out: Path, manifest: dict) -> None:
     profiles = _stage(manifest, "profile", lambda: write_profiles(matches, out / "profiles.csv"))
     del matches
     profiles = filter_min_matches(profiles, cfg.min_matches)
-    if len(profiles.accounts) >= 2:
+    if 2 <= len(profiles.accounts) <= MAX_CLUSTER_ACCOUNTS:
         _stage(manifest, "cluster", lambda: cluster_profiles(
             profiles, cfg.linkage, out / "clusters.json", out / "plotdata"))
     else:
         manifest["notes"].append(
             f"clustering skipped: {len(profiles.accounts)} account(s) after the "
-            f"min-matches filter (need 2)"
+            f"min-matches filter (need 2 to {MAX_CLUSTER_ACCOUNTS})"
         )
 
 

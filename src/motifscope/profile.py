@@ -26,6 +26,10 @@ from .ingest import _bad_line, _csv_rows
 LINKAGES = ("ward", "complete", "average")
 DEFAULT_MIN_MATCHES = 10
 K_CAP = 15
+# The most accounts the CLI clusters. scipy's linkage holds all n(n-1)/2 pair
+# distances as doubles, and about twice that at its peak: 122 MB measured at
+# 4,000 accounts, about 0.8 GB at this cap and more than 3 GB at 28,000.
+MAX_CLUSTER_ACCOUNTS = 10_000
 
 
 @dataclass

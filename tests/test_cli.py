@@ -124,11 +124,25 @@ def test_input_error_exit_2_with_json(tmp_path, capsys):
     (["eval", "--folds", "0"], "folds must be at least "),
     (["prune", "--folds", "1"], "folds must be at least "),
     (["train", "--model", "rf", "--trees", "0"], "--trees must be an integer >= 1, got 0"),
-    (["pipeline", "--folds", "1"], "folds must be at least "),
+    (["pipeline", "--folds", "1"], "pipeline config 'folds' must be an integer >= 2, got 1"),
     (["pipeline", "--model", "rf", "--trees", "0"],
      "pipeline config 'trees' must be an integer >= 1, got 0"),
+    (["featurize", "--threads", "0"], "--threads must be an integer >= 1, got 0"),
+    (["featurize", "--threads", "-2"], "--threads must be an integer >= 1, got -2"),
+    (["featurize", "--max-nodes", "0"], "--max-nodes must be an integer >= 1, got 0"),
+    (["featurize", "--max-nodes", "-1"], "--max-nodes must be an integer >= 1, got -1"),
+    (["cluster", "--min-matches", "-1"], "--min-matches must be an integer >= 0, got -1"),
+    (["pipeline", "--threads", "0"], "pipeline config 'threads' must be an integer >= 1, got 0"),
+    (["pipeline", "--min-matches", "-5"],
+     "pipeline config 'min_matches' must be an integer >= 0, got -5"),
+    (["pipeline", "--max-nodes", "-1", "--mode", "MxE"],
+     "pipeline config 'max_nodes' must be an integer >= 1, got -1"),
+    (["pipeline", "--max-nodes", "0"], "pipeline config 'max_nodes' must be an integer >= 1, got 0"),
 ], ids=["eval-folds-1", "eval-folds-0", "prune-folds-1", "train-trees-0", "pipeline-folds-1",
-        "pipeline-trees-0"])
+        "pipeline-trees-0", "featurize-threads-0", "featurize-threads--2",
+        "featurize-max-nodes-0", "featurize-max-nodes--1", "cluster-min-matches--1",
+        "pipeline-threads-0", "pipeline-min-matches--5", "pipeline-max-nodes--1",
+        "pipeline-max-nodes-0"])
 def test_out_of_range_parameter_exit_2(small_corpus, trained, tmp_path, capsys, argv, prefix):
     data = ["--features", str(small_corpus["features"]), "--labels", str(small_corpus["labels"])]
     extra = {
@@ -136,6 +150,8 @@ def test_out_of_range_parameter_exit_2(small_corpus, trained, tmp_path, capsys, 
         "prune": ["--model", str(trained["model"]), *data, "--alpha", "0",
                   "--path", str(tmp_path / "path.csv"), "--out", str(tmp_path / "p.json")],
         "train": [*data, "--out", str(tmp_path / "m.json")],
+        "featurize": ["--store", str(small_corpus["store"]), "--out", str(tmp_path / "m.json")],
+        "cluster": ["--profiles", str(trained["profiles"]), "--out", str(tmp_path / "m.json")],
         "pipeline": ["--transfers", str(small_corpus["transfers"]),
                      "--tokens", str(small_corpus["tokens"]),
                      "--accounts", str(small_corpus["accounts"]),
@@ -145,6 +161,7 @@ def test_out_of_range_parameter_exit_2(small_corpus, trained, tmp_path, capsys, 
     assert err["error"]["type"] == "InputError"
     assert err["error"]["message"].startswith(prefix), err["error"]["message"]
     assert not (tmp_path / "m.json").exists()
+    assert not (tmp_path / "run").exists()  # the pipeline refuses before ingest
 
 
 # (key, value, what the value must be) of fit parameters out of their range
@@ -1005,6 +1022,35 @@ def test_cluster_needs_two_accounts(tmp_path, capsys):
     assert "at least 2 accounts" in err["error"]["message"]
 
 
+def test_accounts_above_the_cluster_cap(tmp_path, small_corpus, pipeline_run, monkeypatch,
+                                        capsys):
+    """Above MAX_CLUSTER_ACCOUNTS accounts, cluster exits 2 naming the count
+    and the cap, and the pipeline skips its cluster stage with a note."""
+    accounts = len(storage.read_json(pipeline_run / "clusters.json")["assignments"])
+    cluster = ["cluster", "--profiles", str(pipeline_run / "profiles.csv"), "--min-matches", "1",
+               "--out", str(tmp_path / "c.json")]
+    monkeypatch.setattr(cli, "MAX_CLUSTER_ACCOUNTS", accounts - 1)
+    _, err = run(capsys, cluster, code=2)
+    assert err["error"]["message"] == (f"clustering {accounts} accounts exceeds the cap of "
+                                       f"{accounts - 1} accounts")
+    assert not (tmp_path / "c.json").exists()
+    out = tmp_path / "run"
+    run(capsys, ["pipeline", "--transfers", str(small_corpus["transfers"]),
+                 "--tokens", str(small_corpus["tokens"]),
+                 "--accounts", str(small_corpus["accounts"]),
+                 "--methods", str(small_corpus["methods"]), "--out", str(out),
+                 "--model", "dt", "--seed", "5", "--min-matches", "1"])
+    manifest = storage.read_json(out / "manifest.json")
+    assert manifest["stages"] == ["ingest", "featurize", "train", "eval", "prune",
+                                  "signatures", "match", "profile"]
+    assert (f"clustering skipped: {accounts} account(s) after the min-matches filter "
+            f"(need 2 to {accounts - 1})") in manifest["notes"]
+    assert not (out / "clusters.json").exists()
+    monkeypatch.setattr(cli, "MAX_CLUSTER_ACCOUNTS", accounts)  # at the cap it clusters
+    run(capsys, cluster)
+    assert storage.read_json(tmp_path / "c.json") == storage.read_json(pipeline_run / "clusters.json")
+
+
 def test_profile_rejects_bad_header(tmp_path, capsys):
     bad = tmp_path / "bad.csv"
     bad.write_text("foo,bar\n1,2\n", encoding="utf-8")
@@ -1245,7 +1291,8 @@ def test_pipeline_missing_input_exit_2(tmp_path, small_corpus, capsys):
 @pytest.mark.parametrize("key,value", [("folds", "3"), ("threads", True), ("l2", "1"),
                                        ("mode", 3), ("target_leaves", 2.5), ("seed", None),
                                        ("mode", "XYZ"), ("model", "svm"), ("linkage", "single"),
-                                       ("target_leaves", 0), ("alpha", -1.0)])
+                                       ("target_leaves", 0), ("alpha", -1.0), ("folds", 1),
+                                       ("threads", 0), ("min_matches", -1), ("max_nodes", 0)])
 def test_pipeline_config_value_types_exit_2(tmp_path, small_corpus, capsys, key, value):
     config = {"transfers": str(small_corpus["transfers"]), "tokens": str(small_corpus["tokens"]),
               "accounts": str(small_corpus["accounts"]), "methods": str(small_corpus["methods"]),
