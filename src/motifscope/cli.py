@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import math
 import os
 import resource
@@ -252,16 +253,17 @@ def fit_model(kind: str, dataset: Dataset, rows, params: dict, seed: int):
 # stages: in-memory inputs, artifacts written, results returned
 # ---------------------------------------------------------------------------
 
-def ingest_to_store(transfers, tokens, accounts, methods, method_groups, out
-                    ) -> tuple[dict, list, dict[tuple[str, str], str]]:
-    """Write the store; returns the ingest report, the stored transactions
-    and the labels written to labels.csv, as storage.read_labels reads them."""
+def ingest_to_store(transfers, tokens, accounts, methods, method_groups, out,
+                    write=storage._now) -> tuple[dict, list, dict[tuple[str, str], str]]:
+    """Write the store through `write`; returns the ingest report, the
+    stored transactions and the labels written to labels.csv, as
+    storage.read_labels reads them."""
     loaded = read_transfers(transfers, TokenRegistry.from_file(tokens), AccountRegistry.from_file(accounts))
     method_of = {}
     if methods:
         mapping = load_method_mapping(method_groups or PACKAGED_METHOD_GROUPS)
         method_of = load_method_labels(methods, mapping)
-    transactions = list(loaded.transactions(method_of))
+    transactions = loaded.transactions(method_of)
     labels = {(tx_hash, ego): group for tx_hash, ego, group, _ in transactions if group is not None}
     label_counts = Counter(group for group in labels.values() if group)
     report = {
@@ -273,7 +275,7 @@ def ingest_to_store(transfers, tokens, accounts, methods, method_groups, out
         "labeled": dict(sorted(label_counts.items())),
     }
     del loaded, method_of  # the transactions hold all that is needed from here on
-    storage.write_store(out, transactions, report)
+    write(storage.write_store, out, transactions, report)
     return report, transactions, labels
 
 
@@ -390,14 +392,14 @@ def load_signatures(path, mode: Optional[str]) -> list[LeafSignature]:
         return [LeafSignature.from_json(s) for s in obj.get("signatures", [])]
 
 
-def match_features(table: FeatureTable, signatures: list[LeafSignature],
-                   out) -> list[tuple[str, tuple[int, ...]]]:
+def match_features(table: FeatureTable, signatures: list[LeafSignature], out,
+                   write=storage._now) -> list[tuple[str, tuple[int, ...]]]:
     """Match every row of the table against the signatures into matches
-    JSONL; returns the (ego, leaves) of every line written, in row order.
-    Each distinct row of the table is matched once."""
+    JSONL, written through `write`; returns the (ego, leaves) of every line,
+    in row order. Each distinct row of the table is matched once."""
     results = [match_signatures(feats, signatures) for feats in table.distinct_rows()]
-    storage.write_rows(out, table, [{"groups": groups, "leaves": leaves}
-                                    for leaves, groups in results])
+    write(storage.write_rows, out, table, [{"groups": groups, "leaves": leaves}
+                                           for leaves, groups in results])
     leaves = [tuple(hit) for hit, _ in results]
     return list(zip(table.egos(), map(leaves.__getitem__, table.row_of.tolist())))
 
@@ -723,8 +725,15 @@ def run_pipeline(cfg: PipelineConfig) -> dict:
     stage reads back the store or features.jsonl. The labelled rows become
     one Dataset, eval's folds are reused by prune-CV, and so are eval's fold
     trees when the model is a decision tree. Profiles are built from the
-    match stage's (ego, leaves), not from matches.jsonl. A failed stage
-    leaves a manifest naming it, the error and the stages completed.
+    match stage's (ego, leaves), not from matches.jsonl.
+
+    With `threads` >= 2 the store, features.jsonl and matches.jsonl are
+    written by forked writer processes (storage.Writer) while the stages
+    after the one that submitted them run; every write is waited for before
+    the artifacts are hashed. The manifest's `writes` lists each write's
+    stage, seconds and whether it ran inline. A failed stage, or a failed
+    write, which fails the stage that submitted it, leaves a manifest naming
+    it, the error and the stages completed before it.
     """
     cfg.check()
     import scipy
@@ -746,6 +755,8 @@ def run_pipeline(cfg: PipelineConfig) -> dict:
         "artifacts": {},
         "notes": [],
     }
+    writer = storage.Writer(background=cfg.threads >= 2)
+    manifest["writes"] = writer.records
     for name in ("transfers", "tokens", "accounts", "methods", "method_groups", "signatures", "catalog"):
         path = getattr(cfg, name)
         if path:
@@ -756,13 +767,21 @@ def run_pipeline(cfg: PipelineConfig) -> dict:
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
     try:
-        _run_stages(cfg, out, manifest)
+        with writer:  # leaving the block waits for every write
+            _run_stages(cfg, out, manifest, writer)
     except Exception as exc:
+        if writer.failed is not None:  # the earliest stage to fail: a write's precedes what raised here
+            exc = StageError(*writer.failed)
+            stages = manifest["stages"]
+            if exc.stage in stages:
+                del stages[stages.index(exc.stage):]
+            for key in ("timings", "peak_rss_mb"):
+                manifest[key] = {stage: manifest[key][stage] for stage in stages}
         cause = exc.cause if isinstance(exc, StageError) else exc
         manifest["failed_stage"] = getattr(exc, "stage", "pipeline")
         manifest["error"] = {"type": type(cause).__name__, "message": str(cause)}
         storage.write_json(out / "manifest.json", manifest)
-        raise
+        raise exc
     for path in sorted(out.rglob("*")):
         if path.is_file() and path.name != "manifest.json":
             manifest["artifacts"][path.relative_to(out).as_posix()] = storage.sha256_file(path)
@@ -771,7 +790,7 @@ def run_pipeline(cfg: PipelineConfig) -> dict:
     return manifest
 
 
-def _run_stages(cfg: PipelineConfig, out: Path, manifest: dict) -> None:
+def _run_stages(cfg: PipelineConfig, out: Path, manifest: dict, writer: storage.Writer) -> None:
     mode = motif.normalize_mode(cfg.mode)
     signatures = None
     if cfg.methods is None:  # match-only: the signatures and their mode are checked before ingest
@@ -781,14 +800,16 @@ def _run_stages(cfg: PipelineConfig, out: Path, manifest: dict) -> None:
     store_dir = out / "store"
     report, transactions, labels = _stage(manifest, "ingest", lambda: ingest_to_store(
         cfg.transfers, cfg.tokens, cfg.accounts, cfg.methods, cfg.method_groups, store_dir,
+        functools.partial(writer.submit, "ingest"),
     ))
     manifest["counters"]["ingest"] = {
         "transactions": report["transactions"], "kept": report["transfers_kept"],
         "rejected": report["rejected"], "spam_filtered": report["transactions_spam_filtered"]}
     # featurize empties the list of transactions as it goes; the table is dropped after match
     stats = _stage(manifest, "featurize", lambda: featurize_store(
-        transactions, cfg.mode, str(out / "features.jsonl"), threads=cfg.threads,
+        transactions, cfg.mode, str(out / "features.jsonl"),
         catalog=motif.load_catalog(cfg.catalog) if cfg.catalog else None, max_nodes=cfg.max_nodes,
+        write=functools.partial(writer.submit, "featurize"),
     ))
     del transactions
     table = stats.table
@@ -828,8 +849,8 @@ def _run_stages(cfg: PipelineConfig, out: Path, manifest: dict) -> None:
     else:
         manifest["notes"].append("match-only run: no labels; using provided signatures")
 
-    matches = _stage(manifest, "match", lambda: match_features(table, signatures,
-                                                               out / "matches.jsonl"))
+    matches = _stage(manifest, "match", lambda: match_features(
+        table, signatures, out / "matches.jsonl", functools.partial(writer.submit, "match")))
     del table
     profiles = _stage(manifest, "profile", lambda: write_profiles(matches, out / "profiles.csv"))
     del matches

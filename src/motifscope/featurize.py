@@ -13,12 +13,13 @@ storage.write_rows, which encodes each distinct row once.
 
 The transactions come either from the store on disk, whose lines
 storage.line_to_tx decodes one chunk at a time, or from the list that ingest
-holds in memory, which this process and forked workers index by range, so
-no line is decoded and no tx hash is pickled. Both feed one worker loop.
-Chunks are spread across worker processes; workers are pure and chunks are
+holds in memory. A store's chunks are spread across worker processes, since
+decoding its lines is most of their cost; workers are pure and chunks are
 merged in input order, so the FeatureTable and its lines are bit-identical
-regardless of worker count. test_featurize.py checks this path against the
-plain featurizer and the brute-force oracles.
+regardless of worker count. The in-memory list is featurized in this
+process, with no fork: a pool is no faster there. Both feed one chunk
+function. test_featurize.py checks this path against the plain featurizer
+and the brute-force oracles.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ import os
 from dataclasses import dataclass
 from functools import partial
 from itertools import islice
-from typing import Sequence
 
 import numpy as np
 
@@ -39,21 +39,12 @@ from .table import FeatureTable
 
 CHUNK_LINES = 8192
 
-# The in-memory transactions that range chunks index: set by _inherit in this
-# process for a serial run, or in each pool worker, which a fork gives the list.
-_TRANSACTIONS: Sequence = ()
 
-
-def _inherit(box: list) -> None:
-    global _TRANSACTIONS
-    _TRANSACTIONS = box[0] if box else ()
-
-
-def _chunk_transactions(chunk) -> Sequence[tuple]:
-    """A chunk's stored tuples: a range of the in-memory transactions, or
-    (store path, first line number, lines) decoded by storage.line_to_tx."""
-    if isinstance(chunk, range):
-        return _TRANSACTIONS[chunk.start:chunk.stop]
+def _chunk_transactions(chunk) -> list:
+    """A chunk's stored tuples: a list of in-memory transactions, or (store
+    path, first line number, lines) decoded by storage.line_to_tx."""
+    if isinstance(chunk, list):
+        return chunk
     path, first, lines = chunk
     decode = storage.line_to_tx
     return [decode(line, path, lineno) for lineno, line in enumerate(lines, first) if line.strip()]
@@ -63,8 +54,8 @@ def _process_chunk(catalog: MotifCatalog, mode: str, max_nodes: int, chunk) -> t
     """Featurize one chunk into (oversize, rejected, maps, map_of, names): row
     i's features are maps[map_of[i]], the maps in the order of their first
     use. names is the rows' (tx hashes, egos) for a chunk decoded from a
-    store, and None for a range of the in-memory transactions, which the
-    parent holds. A bad store line raises InputError.
+    store, and None for a list of in-memory transactions, which the caller
+    holds. A bad store line raises InputError.
 
     Each row is reduced to its shape (motif.transaction_shape), which is all
     its feature map depends on. A memo maps each of the chunk's shapes to its
@@ -85,7 +76,7 @@ def _process_chunk(catalog: MotifCatalog, mode: str, max_nodes: int, chunk) -> t
         if index == len(maps):
             maps.append(motif.shape_features(catalog, shape))
         map_of.append(index)
-    names = None if isinstance(chunk, range) else ([tx[0] for tx in txs], [tx[1] for tx in txs])
+    names = None if isinstance(chunk, list) else ([tx[0] for tx in txs], [tx[1] for tx in txs])
     return oversize, rejected, maps, np.array(map_of, dtype=np.int32), names
 
 
@@ -113,49 +104,43 @@ def featurize_store(
     threads: int = 1,
     catalog: MotifCatalog | None = None,
     max_nodes: int = DEFAULT_MAX_NODES,
+    write=storage._now,
 ) -> FeaturizeStats:
     """Featurize every transaction of `store`, write the FeatureTable's rows
-    to out_path (JSONL, by storage.write_rows) and return it with the counts.
+    to out_path (JSONL, by storage.write_rows, through `write`) and return
+    it with the counts.
 
-    store is a store directory, or the list of (tx_hash, ego, method group,
-    rows) tuples that was written to one. Such a list is consumed: each
-    chunk's entries are set to None once it is featurized, so only the
-    chunks still to come are held whole. out_path is written
-    only when every transaction featurized; a malformed store line raises
+    store is a store directory, whose chunks `threads` worker processes
+    featurize, or the list of (tx_hash, ego, method group, rows) tuples that
+    was written to one, which this process featurizes. Such a list is
+    consumed: each chunk's entries are set to None once it is featurized, so
+    only the chunks still to come are held whole. out_path is written only
+    when every transaction featurized; a malformed store line raises
     InputError naming the store path and line number.
     """
     mode = motif.normalize_mode(mode)
     if catalog is None:
         catalog = motif.enumerate_catalog()
-    if isinstance(store, (str, os.PathLike)):
-        box, chunks = [], _store_chunks(storage.store_path(store), CHUNK_LINES)
-    else:
-        box = [store]
-        chunks = [range(start, min(start + CHUNK_LINES, len(store)))
-                  for start in range(0, len(store), CHUNK_LINES)]
     work = partial(_process_chunk, catalog, mode, max_nodes)
-    try:
-        if threads <= 1:
-            _inherit(box)  # this process indexes the list as a worker does
-            stats = _collect(map(work, chunks), box)
-        else:
-            ctx = mp.get_context("fork") if "fork" in mp.get_all_start_methods() else mp.get_context()
-            with ctx.Pool(threads, initializer=_inherit, initargs=(box,)) as pool:
-                stats = _collect(pool.imap(work, chunks, chunksize=1), box)
-    finally:
-        # neither the pool, which keeps its initargs, nor this module may keep the transactions
-        box.clear()
-        _inherit(box)
-    storage.write_rows(out_path, stats.table,
-                       [{"features": feats, "mode": mode} for feats in stats.table.distinct_rows()])
+    if not isinstance(store, (str, os.PathLike)):
+        chunks = (store[start:start + CHUNK_LINES] for start in range(0, len(store), CHUNK_LINES))
+        stats = _collect(map(work, chunks), store)
+    elif threads <= 1:
+        stats = _collect(map(work, _store_chunks(storage.store_path(store), CHUNK_LINES)))
+    else:
+        chunks = _store_chunks(storage.store_path(store), CHUNK_LINES)
+        ctx = mp.get_context("fork") if "fork" in mp.get_all_start_methods() else mp.get_context()
+        with ctx.Pool(threads) as pool:
+            stats = _collect(pool.imap(work, chunks, chunksize=1))
+    write(storage.write_rows, out_path, stats.table,
+          [{"features": feats, "mode": mode} for feats in stats.table.distinct_rows()])
     return stats
 
 
-def _collect(results, box: list) -> FeaturizeStats:
+def _collect(results, transactions: list | None = None) -> FeaturizeStats:
     """Sum the chunks' counts, append their maps and rows in order and build
-    the table once. The rows of a range chunk take their tx hash and ego
-    from the in-memory transactions in `box`, whose entries are then
-    released."""
+    the table once. The rows of an in-memory chunk take their tx hash and
+    ego from `transactions`, whose entries are then released."""
     maps, map_of, hashes, egos = [], [], [], []
     oversize = rejected = 0
     for ov, rej, chunk_maps, chunk_map_of, names in results:
@@ -165,8 +150,8 @@ def _collect(results, box: list) -> FeaturizeStats:
         maps += chunk_maps
         if names is None:
             start = len(hashes)
-            txs = box[0][start:start + len(chunk_map_of)]
-            box[0][start:start + len(txs)] = [None] * len(txs)
+            txs = transactions[start:start + len(chunk_map_of)]
+            transactions[start:start + len(txs)] = [None] * len(txs)
             names = [tx[0] for tx in txs], [tx[1] for tx in txs]
         hashes += names[0]
         egos += names[1]

@@ -3,7 +3,9 @@
 Large intermediates are JSON-lines (streamable, diff-able); tabular exports
 are CSV. This module owns writing: every artifact is written through
 `replacing`, by `write_text`, `write_csv`, `write_json`, `write_rows` or
-`write_store`, so a failed write leaves the previous file. Files are read
+`write_store`, so a failed write leaves the previous file. A pipeline stage
+hands such a write to a `Writer`, which runs it at once or in a forked writer
+process while the stage's caller goes on computing. Files are read
 through the readers in `ingest`. All writers are deterministic: sorted keys,
 fixed separators, no timestamps, so identical inputs produce byte-identical
 artifacts. The store holds one transaction per line; `line_to_tx` is its
@@ -17,9 +19,15 @@ them back, `read_features` with one `FeatureTable.build`.
 from __future__ import annotations
 
 import csv
+import gc
 import hashlib
 import json
+import multiprocessing as mp
 import os
+import pickle
+import signal
+import sys
+import time
 from contextlib import contextmanager
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -72,6 +80,106 @@ def replacing(*paths):
             if os.path.exists(tmp):
                 os.remove(tmp)
         raise
+
+
+def _now(write, *args) -> None:
+    """Run a write at once: the default `write` of a stage that writes an artifact."""
+    write(*args)
+
+
+class Writer:
+    """Runs a pipeline's artifact writes: submit(stage, write, *args) calls
+    write(*args), a writer of this module.
+
+    In the background, where "fork" is a start method, each write runs in a
+    child forked from this process. The child inherits the write's
+    arguments, so nothing is pickled, and the caller goes on computing while
+    the child encodes. Otherwise a write runs at once. Leaving the `with`
+    block waits for every write, in the order they were submitted; a block
+    left by an interrupt terminates the writes still running. `failed` is
+    then (stage, exception) of the first write that raised, which leaving a
+    block that raised nothing raises. `records` holds each finished write's
+    stage, seconds and whether it ran inline.
+    """
+
+    def __init__(self, background: bool):
+        methods = mp.get_all_start_methods()
+        self._ctx = mp.get_context("fork") if background and "fork" in methods else None
+        self._running: list = []  # (stage, process, connection) per write in the background
+        self.failed: Optional[tuple[str, BaseException]] = None
+        self.records: list[dict] = []
+
+    def submit(self, stage: str, write, *args) -> None:
+        if self._ctx is None:
+            start = time.perf_counter()
+            write(*args)
+            self._record(stage, time.perf_counter() - start, inline=True)
+            return
+        conn, child_conn = self._ctx.Pipe(duplex=False)
+        child = self._ctx.Process(target=_write_in_child, args=(child_conn, write, args))
+        child.start()
+        child_conn.close()
+        self._running.append((stage, child, conn))
+
+    def _record(self, stage: str, seconds: float, inline: bool) -> None:
+        self.records.append({"stage": stage, "seconds": round(seconds, 6), "inline": inline})
+
+    def __enter__(self) -> "Writer":
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        if exc_type is not None and not issubclass(exc_type, Exception):
+            self._stop()
+        try:
+            while self._running:
+                stage, child, conn = self._running[0]
+                try:
+                    seconds, error = conn.recv()
+                except EOFError:  # the child ended before it could answer: it was killed
+                    seconds, error = None, None
+                child.join()
+                if seconds is None:
+                    error = RuntimeError(f"the writer process exited with code {child.exitcode}")
+                else:
+                    self._record(stage, seconds, inline=False)
+                del self._running[0]
+                child.close()
+                conn.close()
+                if error is not None and self.failed is None:
+                    self.failed = stage, error
+        finally:
+            self._stop()  # an interrupt while waiting
+        if exc_type is None and self.failed is not None:
+            raise self.failed[1]
+
+    def _stop(self) -> None:
+        """Terminate the writes still running and wait for them to end."""
+        for _, child, conn in self._running:
+            child.terminate()
+            child.join()
+            child.close()
+            conn.close()
+        self._running.clear()
+
+
+def _write_in_child(conn, write, args) -> None:
+    """A writer process: run the write with the collector off and send back
+    (seconds, None) or (seconds, the exception). A terminated write exits
+    through `replacing`, which removes its .tmp files."""
+    gc.disable()
+    signal.signal(signal.SIGTERM, lambda signum, frame: sys.exit(128 + signum))
+    start = time.perf_counter()
+    error = None
+    try:
+        write(*args)
+    except Exception as exc:
+        error = exc
+        try:
+            pickle.loads(pickle.dumps(exc))
+        except Exception:  # an exception that does not survive the pipe is sent as text
+            error = RuntimeError(f"{type(exc).__name__}: {exc}")
+    conn.send((time.perf_counter() - start, error))
+    conn.close()
 
 
 def write_text(path, text: str) -> None:

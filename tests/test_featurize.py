@@ -68,16 +68,16 @@ def written_lines(table, mode, path):
 
 
 @pytest.mark.parametrize("mode", motif.MODES)
-def test_memoized_chunks_equal_plain_featurizer_and_oracles(rng, tmp_path, monkeypatch, mode):
+def test_memoized_chunks_equal_plain_featurizer_and_oracles(rng, tmp_path, mode):
     catalog = motif.enumerate_catalog()
     txs = random_transactions(rng, 400)
     lines, maps, oversize, rejected = plain_lines(txs, catalog, mode)
     assert maps == [oracle_features(tx, catalog, mode, MAX_NODES) for tx in txs]
     assert rejected > 0 and (oversize > 0) == (mode == "MxE")
-    monkeypatch.setattr(featurize, "_TRANSACTIONS", txs)
     for size in (64, len(txs)):
         chunks = [range(i, min(i + size, len(txs))) for i in range(0, len(txs), size)]
-        results = [featurize._process_chunk(catalog, mode, MAX_NODES, chunk) for chunk in chunks]
+        results = [featurize._process_chunk(catalog, mode, MAX_NODES, txs[chunk.start:chunk.stop])
+                   for chunk in chunks]
         assert [sum(r[0] for r in results), sum(r[1] for r in results),
                 sum(len(r[3]) for r in results)] == [oversize, rejected, len(txs)]
         for chunk, (_, _, chunk_maps, map_of, names) in zip(chunks, results):
@@ -102,20 +102,19 @@ def test_one_shape_in_any_row_order_takes_one_memo_entry(rng, tmp_path, mode, mo
     real = motif.shape_features
     monkeypatch.setattr(motif, "shape_features",
                         lambda catalog, shape: shapes.append(shape) or real(catalog, shape))
-    monkeypatch.setattr(featurize, "_TRANSACTIONS", copies)
-    _, _, maps, map_of, _ = featurize._process_chunk(catalog, mode, MAX_NODES, range(40))
+    _, _, maps, map_of, _ = featurize._process_chunk(catalog, mode, MAX_NODES, copies)
     assert len(shapes) == len(maps) == 1 and map_of.tolist() == [0] * 40
     table = FeatureTable.build([tx[0] for tx in copies], [tx[1] for tx in copies], maps, map_of)
     assert written_lines(table, mode, tmp_path / "f.jsonl") == plain_lines(copies, catalog, mode)[0]
 
 
-def test_worker_result_sends_back_no_name_the_parent_holds(rng, tmp_path, monkeypatch):
-    """A range chunk's result holds no tx hash or ego, which the parent has in
-    its list; a chunk decoded from a store returns them, with the same maps."""
+def test_worker_result_sends_back_no_name_the_parent_holds(rng, tmp_path):
+    """An in-memory chunk's result holds no tx hash or ego, which the caller
+    has in its list; a chunk decoded from a store returns them, with the
+    same maps."""
     catalog = motif.enumerate_catalog()
     txs = random_transactions(rng, 60)
-    monkeypatch.setattr(featurize, "_TRANSACTIONS", txs)
-    result = featurize._process_chunk(catalog, "M+E", MAX_NODES, range(len(txs)))
+    result = featurize._process_chunk(catalog, "M+E", MAX_NODES, list(txs))
     assert result[4] is None
     pickled = pickle.dumps(result)
     assert not [name for tx in txs for name in tx[:2] if name.encode("utf-8") in pickled]
