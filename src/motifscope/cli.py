@@ -120,7 +120,7 @@ class Param(NamedTuple):
 PARAMS = {
     "mode": Param(None, "M+E", choices=tuple(motif.MODE_SPELLINGS)),
     "model": Param(None, "dt", choices=tuple(_MODEL_KINDS)),
-    "seed": Param(int, 0, help="random seed (default 0)"),
+    "seed": Param(int, 0, "an integer >= 0", lambda v: v >= 0, help="random seed (default 0)"),
     "threads": Param(int, 1, "an integer >= 1", lambda v: v >= 1,
                      help="worker processes (default 1)"),
     "folds": Param(int, 10, "an integer >= 2", lambda v: v >= 2),
@@ -530,7 +530,7 @@ def _read_dataset(args, spec: Optional[ModelSpec] = None) -> Dataset:
 def cmd_train(args) -> int:
     params = {key: getattr(args, key) for key in FIT_PARAMS}
     params["max_features"] = None if args.max_features == "all" else args.max_features
-    _check_params(params)
+    _check_params({**params, "seed": args.seed})
     dataset = _read_dataset(args)
     file_mode = storage.features_mode(args.features)
     mode = motif.normalize_mode(args.mode) if args.mode else (file_mode or PARAMS["mode"].default)
@@ -542,6 +542,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    _check_params(vars(args), keys=["seed"])
     spec = load_model(args.model)
     dataset = _read_dataset(args, spec)
     report = cross_validate(spec, dataset, cv_folds(dataset, args.folds, args.seed), args.seed,
@@ -552,6 +553,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_prune(args) -> int:
+    _check_params(vars(args), keys=["seed"])
     if args.features or args.labels:
         flags = {"--path": args.path, "--features": args.features, "--labels": args.labels}
         if missing := [flag for flag, value in flags.items() if not value]:
@@ -607,6 +609,7 @@ def cmd_cluster(args) -> int:
 
 
 def cmd_synth(args) -> int:
+    _check_params(vars(args), keys=["seed"])
     config = load_config(args.config)
     mixes = load_mixes(args.mixes) if args.mixes else None
     result = generate(

@@ -10,14 +10,17 @@ are rejected with a reason code and counted, never silently dropped.
 `read_transfers` reads transfers.csv in one streaming pass straight into the
 store's compact transfer rows, grouped by (tx_hash, ego). A transaction is
 the tuple (tx_hash, ego, method group or None, rows) throughout:
-`LoadResult.transactions` yields it, `storage.write_store` writes it and
-`storage.iter_store` reads it back.
+`LoadResult.transactions` lists it, `storage.write_store` writes it and
+`storage.iter_store` reads it back. Both build their rows with the cyclic
+garbage collector paused: the rows hold no cycles, and a collection walks
+every row built so far.
 """
 
 from __future__ import annotations
 
 import csv
 import functools
+import gc
 import json
 from collections import Counter
 from contextlib import contextmanager
@@ -209,6 +212,18 @@ def read_json(path, what: str = "JSON file"):
 
 
 @contextmanager
+def _gc_paused():
+    """Pause the cyclic garbage collector, restoring the caller's state after."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
+@contextmanager
 def _schema(what: str, path):
     """Raise the errors of a document of the wrong shape as InputError naming the file."""
     try:
@@ -261,16 +276,17 @@ class LoadResult:
     def reject_counts(self) -> dict[str, int]:
         return dict(Counter(reason for _, reason in self.rejects))
 
+    @_gc_paused()
     def transactions(self, method_of: Optional[dict[str, str]] = None
-                     ) -> Iterator[tuple[str, str, Optional[str], list[tuple]]]:
+                     ) -> list[tuple[str, str, Optional[str], list[tuple]]]:
         """(tx_hash, ego, method group or None, rows) of every group no spam
-        token touched; method groups join on tx_hash."""
+        token touched, in group order; method groups join on tx_hash."""
         method_of = method_of or {}
-        for key, rows in self.groups.items():
-            if key not in self.spam:
-                yield key[0], key[1], method_of.get(key[0]), rows
+        return [(key[0], key[1], method_of.get(key[0]), rows)
+                for key, rows in self.groups.items() if key not in self.spam]
 
 
+@_gc_paused()
 def read_transfers(path, tokens: TokenRegistry, accounts: AccountRegistry) -> LoadResult:
     """Read transfers.csv in one streaming pass: validate each row, resolve
     its token category and account types, and group it by (tx_hash, ego).

@@ -4,11 +4,13 @@ import argparse
 import csv
 import dataclasses
 import json
+import multiprocessing
 import os
 import re
 import shlex
 import subprocess
 import sys
+import time
 import types
 from pathlib import Path
 
@@ -138,11 +140,18 @@ def test_input_error_exit_2_with_json(tmp_path, capsys):
     (["pipeline", "--max-nodes", "-1", "--mode", "MxE"],
      "pipeline config 'max_nodes' must be an integer >= 1, got -1"),
     (["pipeline", "--max-nodes", "0"], "pipeline config 'max_nodes' must be an integer >= 1, got 0"),
+    (["pipeline", "--seed", "-1", "--folds", "3"],
+     "pipeline config 'seed' must be an integer >= 0, got -1"),
+    (["train", "--model", "dt", "--seed", "-1"], "--seed must be an integer >= 0, got -1"),
+    (["eval", "--seed", "-1"], "--seed must be an integer >= 0, got -1"),
+    (["prune", "--seed", "-1"], "--seed must be an integer >= 0, got -1"),
+    (["synth", "--seed", "-1"], "--seed must be an integer >= 0, got -1"),
 ], ids=["eval-folds-1", "eval-folds-0", "prune-folds-1", "train-trees-0", "pipeline-folds-1",
         "pipeline-trees-0", "featurize-threads-0", "featurize-threads--2",
         "featurize-max-nodes-0", "featurize-max-nodes--1", "cluster-min-matches--1",
         "pipeline-threads-0", "pipeline-min-matches--5", "pipeline-max-nodes--1",
-        "pipeline-max-nodes-0"])
+        "pipeline-max-nodes-0", "pipeline-seed--1", "train-seed--1", "eval-seed--1",
+        "prune-seed--1", "synth-seed--1"])
 def test_out_of_range_parameter_exit_2(small_corpus, trained, tmp_path, capsys, argv, prefix):
     data = ["--features", str(small_corpus["features"]), "--labels", str(small_corpus["labels"])]
     extra = {
@@ -152,6 +161,7 @@ def test_out_of_range_parameter_exit_2(small_corpus, trained, tmp_path, capsys, 
         "train": [*data, "--out", str(tmp_path / "m.json")],
         "featurize": ["--store", str(small_corpus["store"]), "--out", str(tmp_path / "m.json")],
         "cluster": ["--profiles", str(trained["profiles"]), "--out", str(tmp_path / "m.json")],
+        "synth": ["--n", "100", "--out", str(tmp_path / "m.json")],
         "pipeline": ["--transfers", str(small_corpus["transfers"]),
                      "--tokens", str(small_corpus["tokens"]),
                      "--accounts", str(small_corpus["accounts"]),
@@ -1292,7 +1302,8 @@ def test_pipeline_missing_input_exit_2(tmp_path, small_corpus, capsys):
                                        ("mode", 3), ("target_leaves", 2.5), ("seed", None),
                                        ("mode", "XYZ"), ("model", "svm"), ("linkage", "single"),
                                        ("target_leaves", 0), ("alpha", -1.0), ("folds", 1),
-                                       ("threads", 0), ("min_matches", -1), ("max_nodes", 0)])
+                                       ("threads", 0), ("min_matches", -1), ("max_nodes", 0),
+                                       ("seed", -1)])
 def test_pipeline_config_value_types_exit_2(tmp_path, small_corpus, capsys, key, value):
     config = {"transfers": str(small_corpus["transfers"]), "tokens": str(small_corpus["tokens"]),
               "accounts": str(small_corpus["accounts"]), "methods": str(small_corpus["methods"]),
@@ -1321,7 +1332,9 @@ def test_pipeline_config_accepts_ints_for_floats():
                    alpha=0, target_leaves=None).check()
 
 
-def test_pipeline_failure_manifest(tmp_path, small_corpus, pipeline_run, monkeypatch, capsys):
+@pytest.mark.parametrize("threads", [1, 2])
+def test_pipeline_failure_manifest(tmp_path, small_corpus, pipeline_run, monkeypatch, capsys,
+                                   threads):
     def failing(feats, sigs):
         raise RuntimeError("matcher failed")
 
@@ -1331,7 +1344,7 @@ def test_pipeline_failure_manifest(tmp_path, small_corpus, pipeline_run, monkeyp
         "pipeline", "--transfers", str(small_corpus["transfers"]),
         "--tokens", str(small_corpus["tokens"]), "--accounts", str(small_corpus["accounts"]),
         "--methods", str(small_corpus["methods"]), "--out", str(out),
-        "--model", "dt", "--seed", "5", "--min-matches", "1",
+        "--model", "dt", "--seed", "5", "--min-matches", "1", "--threads", str(threads),
     ], code=3)
     assert err["error"]["stage"] == "match"
     manifest = storage.read_json(out / "manifest.json")
@@ -1344,9 +1357,103 @@ def test_pipeline_failure_manifest(tmp_path, small_corpus, pipeline_run, monkeyp
     written = sorted(p.relative_to(out).as_posix() for p in out.rglob("*")
                      if p.is_file() and p.name != "manifest.json")
     assert written and not any(name.endswith(".tmp") for name in written)
+    assert {"store/transactions.jsonl", "features.jsonl"} <= set(written)
     assert "matches.jsonl" not in written
     for name in written:
         assert storage.sha256_file(out / name) == complete[name], name
+    assert multiprocessing.active_children() == []
+
+
+def _pipeline_argv(small_corpus, out, threads, signatures=None):
+    """The pipeline_run command, or a match-only run against `signatures`, at `threads`."""
+    argv = ["pipeline", "--transfers", str(small_corpus["transfers"]),
+            "--tokens", str(small_corpus["tokens"]), "--accounts", str(small_corpus["accounts"]),
+            "--out", str(out), "--threads", str(threads), "--min-matches", "1"]
+    if signatures:
+        return argv + ["--signatures", str(signatures)]
+    return argv + ["--methods", str(small_corpus["methods"]), "--model", "dt", "--seed", "5"]
+
+
+@pytest.mark.parametrize("match_only", [False, True], ids=["labelled", "match-only"])
+def test_pipeline_writers_write_the_bytes_of_inline_writes(tmp_path, small_corpus, pipeline_run,
+                                                           capsys, match_only):
+    """At threads 2 the store, features.jsonl and matches.jsonl are written in
+    writer processes; every artifact digest is the one of threads 1, and the
+    manifest records each write's stage, seconds and where it ran."""
+    signatures = pipeline_run / "signatures.json" if match_only else None
+    manifests = []
+    for threads in (1, 2):
+        out = tmp_path / f"run{threads}"
+        run(capsys, _pipeline_argv(small_corpus, out, threads, signatures))
+        manifests.append(storage.read_json(out / "manifest.json"))
+        assert multiprocessing.active_children() == []
+    inline, background = manifests
+    assert inline["artifacts"] == background["artifacts"]
+    assert {"store/transactions.jsonl", "store/labels.csv", "store/ingest_report.json",
+            "features.jsonl", "matches.jsonl"} <= set(inline["artifacts"])
+    if not match_only:
+        assert inline["artifacts"] == storage.read_json(pipeline_run / "manifest.json")["artifacts"]
+    for manifest, in_writer in zip(manifests, (False, True)):
+        writes = manifest["writes"]
+        assert [(w["stage"], w["inline"]) for w in writes] == [
+            (stage, not in_writer) for stage in ("ingest", "featurize", "match")]
+        assert all(type(w["seconds"]) is float and w["seconds"] >= 0 for w in writes)
+        # the writes stay outside the digests and the stage keys
+        assert set(manifest["timings"]) == set(manifest["stages"]) | {"total"}
+        assert set(manifest["peak_rss_mb"]) == set(manifest["stages"])
+
+
+def _leave_a_tmp_then(error):
+    """A stand-in for storage.write_rows that starts its file, then raises `error`."""
+    def write_rows(path, table, fields):
+        with storage.replacing(path) as (tmp,):
+            Path(tmp).write_text("a partial line", encoding="utf-8")
+            raise error
+    return write_rows
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_failed_write_fails_the_stage_that_submitted_it(tmp_path, small_corpus, monkeypatch,
+                                                        capsys, threads):
+    """A write that raises, inline or in a writer process, exits 3 as its
+    stage's failure with the write's error, leaves no .tmp file and no
+    process behind."""
+    monkeypatch.setattr(storage, "write_rows", _leave_a_tmp_then(OSError(28, "disk full")))
+    out = tmp_path / "run"
+    _, err = run(capsys, _pipeline_argv(small_corpus, out, threads), code=3)
+    assert err["error"] == {"stage": "featurize", "type": "OSError",
+                            "message": "[Errno 28] disk full"}
+    manifest = storage.read_json(out / "manifest.json")
+    assert manifest["failed_stage"] == "featurize"
+    assert manifest["error"] == {"type": "OSError", "message": "[Errno 28] disk full"}
+    assert manifest["stages"] == ["ingest"]
+    assert set(manifest["timings"]) == set(manifest["peak_rss_mb"]) == {"ingest"}
+    assert not [p for p in out.rglob("*") if p.name.endswith(".tmp")]
+    assert not (out / "features.jsonl").exists() and (out / "store" / storage.STORE_FILE).exists()
+    assert multiprocessing.active_children() == []
+
+
+def test_interrupted_run_terminates_its_writers(tmp_path, small_corpus, monkeypatch, capsys):
+    """An interrupt ends the writes still running, which remove their .tmp files."""
+    def slow_store(store_dir, transactions, report=None):
+        os.makedirs(store_dir, exist_ok=True)
+        with storage.replacing(Path(store_dir) / storage.STORE_FILE) as (tmp,):
+            Path(tmp).write_text("a partial line", encoding="utf-8")
+            time.sleep(60)
+
+    def interrupt(feats, sigs):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(storage, "write_store", slow_store)
+    monkeypatch.setattr(cli, "match_signatures", interrupt)
+    out = tmp_path / "run"
+    start = time.perf_counter()
+    with pytest.raises(KeyboardInterrupt):
+        main(_pipeline_argv(small_corpus, out, 2))
+    assert time.perf_counter() - start < 30
+    assert multiprocessing.active_children() == []
+    assert not [p for p in out.rglob("*") if p.name.endswith(".tmp")]
+    assert not (out / "store" / storage.STORE_FILE).exists()
 
 
 def test_pipeline_input_error_failure_manifest(tmp_path, capsys):

@@ -2,6 +2,7 @@
 
 import csv
 import filecmp
+import gc
 import json
 
 import pytest
@@ -154,6 +155,42 @@ def test_spam_filter_drops_whole_transaction(tmp_path, registry, accounts):
     ]
     result = ingest.read_transfers(write_transfers(tmp_path / "t.csv", rows), registry, accounts)
     assert [tx_hash for tx_hash, _, _, _ in result.transactions()] == ["tx2"]
+
+
+@pytest.mark.parametrize("caller_gc", [True, False], ids=["gc-on", "gc-off"])
+def test_ingest_pauses_the_collector_and_restores_it(tmp_path, registry, caller_gc):
+    """read_transfers and transactions() build their rows with the cyclic GC
+    paused, and leave it as the caller had it: after a read, after a read
+    that raises InputError, and when the caller had it off."""
+    seen = []
+
+    class Accounts(ingest.AccountRegistry):
+        def kind_of(self, address):
+            seen.append(gc.isenabled())
+            return super().kind_of(address)
+
+    class Methods(dict):
+        def get(self, key, default=None):
+            seen.append(gc.isenabled())
+            return super().get(key, default)
+
+    rows = ["tx1,0xe,0xa,0xe,0xtok1,USDC,1.0,100", "tx2,0xe,0xe,0xb,0xtok1,USDC,2.0,101"]
+    was = gc.isenabled()
+    (gc.enable if caller_gc else gc.disable)()
+    try:
+        result = ingest.read_transfers(write_transfers(tmp_path / "t.csv", rows), registry,
+                                       Accounts())
+        assert gc.isenabled() is caller_gc
+        assert len(result.transactions(Methods(tx1="Swap"))) == 2
+        assert gc.isenabled() is caller_gc
+        bad = tmp_path / "bad.csv"
+        bad.write_text("tx_hash,ego\n", encoding="utf-8")
+        with pytest.raises(ingest.InputError):
+            ingest.read_transfers(bad, registry, Accounts())
+        assert gc.isenabled() is caller_gc
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert len(seen) == 5 and not any(seen)  # 3 accounts looked up, 2 method joins
 
 
 def test_method_mapping_aliases_and_exclusions(tmp_path):
