@@ -4,22 +4,21 @@ This is the throughput-critical stage. It runs the two halves of
 motif.transaction_features, the one per-transaction featurizer: every
 transaction is reduced to its shape (motif.transaction_shape), the canonical
 form of its typed ego network up to what the features see, and the map is
-built (motif.shape_features) once per distinct shape in a chunk. Shapes
+built (motif.shape_features) once per distinct shape of a pass. Shapes
 repeat heavily (200,000 transactions of a scoring corpus hold a few
-hundred), so only the tally is per-row work. A chunk returns its maps and
-each row's index among them; the parent appends them in chunk order and
-builds the FeatureTable once. features.jsonl is written from that table by
-storage.write_rows, which encodes each distinct row once.
+hundred), so only the tally is per-row work. `_featurize` is that pass, the
+one per-transaction loop: it returns the maps and each row's index among
+them, and the FeatureTable is built from them once. features.jsonl is written
+from that table by storage.write_rows, which encodes each distinct row once.
 
-The transactions come either from the store on disk, whose lines
-storage.line_to_tx decodes one chunk at a time, or from the list that ingest
-holds in memory. A store's chunks are spread across worker processes, since
-decoding its lines is most of their cost; workers are pure and chunks are
-merged in input order, so the FeatureTable and its lines are bit-identical
-regardless of worker count. The in-memory list is featurized in this
-process, with no fork: a pool is no faster there. Both feed one chunk
-function. test_featurize.py checks this path against the plain featurizer
-and the brute-force oracles.
+The transactions come from the list that ingest holds in memory, which one
+pass in this process reads and releases entry by entry, or from the store on
+disk. A store is read in one pass over storage.iter_store, or with `threads`
+>= 2 in CHUNK_LINES slices that worker processes decode and featurize, since
+decoding its lines is most of their cost. Workers are pure and their results
+are merged in input order, so the FeatureTable and its lines are
+bit-identical regardless of worker count. test_featurize.py checks the pass
+against the plain featurizer and the brute-force oracles.
 """
 
 from __future__ import annotations
@@ -40,35 +39,20 @@ from .table import FeatureTable
 CHUNK_LINES = 8192
 
 
-def _chunk_transactions(chunk) -> list:
-    """A chunk's stored tuples: a list of in-memory transactions, or (store
-    path, first line number, lines) decoded by storage.line_to_tx."""
-    if isinstance(chunk, list):
-        return chunk
-    path, first, lines = chunk
-    decode = storage.line_to_tx
-    return [decode(line, path, lineno) for lineno, line in enumerate(lines, first) if line.strip()]
-
-
-def _process_chunk(catalog: MotifCatalog, mode: str, max_nodes: int, chunk) -> tuple:
-    """Featurize one chunk into (oversize, rejected, maps, map_of, names): row
-    i's features are maps[map_of[i]], the maps in the order of their first
-    use. names is the rows' (tx hashes, egos) for a chunk decoded from a
-    store, and None for a list of in-memory transactions, which the caller
-    holds. A bad store line raises InputError.
+def _featurize(catalog: MotifCatalog, mode: str, max_nodes: int, transactions) -> tuple:
+    """Featurize stored tuples into (oversize, rejected, maps, map_of, hashes,
+    egos): row i's tx hash and ego are hashes[i] and egos[i], and its
+    features maps[map_of[i]], the maps in the order of their first use.
 
     Each row is reduced to its shape (motif.transaction_shape), which is all
-    its feature map depends on. A memo maps each of the chunk's shapes to its
-    index among the chunk's maps, so motif counting runs once per distinct
-    shape. The memo lives for one chunk, so it holds at most CHUNK_LINES
-    shapes.
+    its feature map depends on. A memo maps each shape of the pass to its
+    index among the maps, so motif counting runs once per distinct shape.
     """
     memo: dict[motif.Shape, int] = {}
-    maps, map_of = [], []
+    maps, map_of, hashes, egos = [], [], [], []
     oversize = rejected = 0
     tally = motif.transaction_shape
-    txs = _chunk_transactions(chunk)
-    for tx in txs:
+    for tx in transactions:
         shape, rej = tally(tx, mode, max_nodes)
         rejected += rej
         oversize += shape[2]
@@ -76,8 +60,22 @@ def _process_chunk(catalog: MotifCatalog, mode: str, max_nodes: int, chunk) -> t
         if index == len(maps):
             maps.append(motif.shape_features(catalog, shape))
         map_of.append(index)
-    names = None if isinstance(chunk, list) else ([tx[0] for tx in txs], [tx[1] for tx in txs])
-    return oversize, rejected, maps, np.array(map_of, dtype=np.int32), names
+        hashes.append(tx[0])
+        egos.append(tx[1])
+    return oversize, rejected, maps, np.array(map_of, dtype=np.int32), hashes, egos
+
+
+def _featurize_lines(catalog: MotifCatalog, mode: str, max_nodes: int, chunk) -> tuple:
+    """A pool worker: _featurize a (store path, first line number, lines) chunk."""
+    path, first, lines = chunk
+    return _featurize(catalog, mode, max_nodes, storage._decode(lines, path, first))
+
+
+def _released(transactions: list):
+    """Each entry of the list, which is set to None as it is handed out."""
+    for i, tx in enumerate(transactions):
+        transactions[i] = None
+        yield tx
 
 
 @dataclass
@@ -110,24 +108,22 @@ def featurize_store(
     to out_path (JSONL, by storage.write_rows, through `write`) and return
     it with the counts.
 
-    store is a store directory, whose chunks `threads` worker processes
-    featurize, or the list of (tx_hash, ego, method group, rows) tuples that
-    was written to one, which this process featurizes. Such a list is
-    consumed: each chunk's entries are set to None once it is featurized, so
-    only the chunks still to come are held whole. out_path is written only
-    when every transaction featurized; a malformed store line raises
-    InputError naming the store path and line number.
+    store is a store directory, which `threads` >= 2 worker processes
+    featurize chunk by chunk, or the list of (tx_hash, ego, method group,
+    rows) tuples that was written to one, which this process featurizes.
+    Such a list is consumed: each entry is set to None as it is read.
+    out_path is written only when every transaction featurized; a malformed
+    store line raises InputError naming the store path and line number.
     """
     mode = motif.normalize_mode(mode)
     if catalog is None:
         catalog = motif.enumerate_catalog()
-    work = partial(_process_chunk, catalog, mode, max_nodes)
     if not isinstance(store, (str, os.PathLike)):
-        chunks = (store[start:start + CHUNK_LINES] for start in range(0, len(store), CHUNK_LINES))
-        stats = _collect(map(work, chunks), store)
+        stats = _collect([_featurize(catalog, mode, max_nodes, _released(store))])
     elif threads <= 1:
-        stats = _collect(map(work, _store_chunks(storage.store_path(store), CHUNK_LINES)))
+        stats = _collect([_featurize(catalog, mode, max_nodes, storage.iter_store(store))])
     else:
+        work = partial(_featurize_lines, catalog, mode, max_nodes)
         chunks = _store_chunks(storage.store_path(store), CHUNK_LINES)
         ctx = mp.get_context("fork") if "fork" in mp.get_all_start_methods() else mp.get_context()
         with ctx.Pool(threads) as pool:
@@ -137,24 +133,18 @@ def featurize_store(
     return stats
 
 
-def _collect(results, transactions: list | None = None) -> FeaturizeStats:
-    """Sum the chunks' counts, append their maps and rows in order and build
-    the table once. The rows of an in-memory chunk take their tx hash and
-    ego from `transactions`, whose entries are then released."""
+def _collect(results) -> FeaturizeStats:
+    """Sum the results' counts, append their maps and rows in order and build
+    the table once."""
     maps, map_of, hashes, egos = [], [], [], []
     oversize = rejected = 0
-    for ov, rej, chunk_maps, chunk_map_of, names in results:
+    for ov, rej, part_maps, part_map_of, part_hashes, part_egos in results:
         oversize += ov
         rejected += rej
-        map_of.append(chunk_map_of + len(maps))
-        maps += chunk_maps
-        if names is None:
-            start = len(hashes)
-            txs = transactions[start:start + len(chunk_map_of)]
-            transactions[start:start + len(txs)] = [None] * len(txs)
-            names = [tx[0] for tx in txs], [tx[1] for tx in txs]
-        hashes += names[0]
-        egos += names[1]
+        map_of.append(part_map_of + len(maps))
+        maps += part_maps
+        hashes += part_hashes
+        egos += part_egos
     table = FeatureTable.build(hashes, egos, maps, np.concatenate([np.empty(0, np.int32), *map_of]))
     return FeaturizeStats(transactions=len(hashes), oversize=oversize,
                           rejected_transfers=rejected, table=table)

@@ -1,6 +1,6 @@
 """Ego motif catalog, typed motif counting, and edge-list features.
 
-Counting works on the collapsed simple view of an ETN. Because every edge
+Counting sees an ETN with its parallel edges collapsed. Because every edge
 touches the ego, each counterpart sits in exactly one of three states
 (ego sends to it, it sends to ego, or both), so induced 2- and 3-node
 subgraph counts reduce to combinatorics over (state, account type) groups.
@@ -11,7 +11,7 @@ object, to its shape: the groups and edge-label counts that its feature map
 depends on, sorted, so that neither accounts nor row order show. shape_features
 builds the map from the shape; transaction_features, the one featurizer, is
 the two composed, and featurize.py calls the two halves so that the
-transactions of one shape share one map.
+transactions of one shape share one map per pass.
 """
 
 from __future__ import annotations
@@ -155,31 +155,13 @@ def _catalog_shape(entry: dict) -> MotifShape:
     return MotifShape(id=sid, states=tuple(states))
 
 
-def group_counterparts(
-    flags: dict[str, int],
-    types: dict[str, str],
-    labels: dict[str, list[str]] | None = None,
-) -> dict[tuple[int, str, tuple[str, ...]], int]:
-    """Counterparts grouped by (state, type, labels) for count_from_groups.
-
-    flags maps a counterpart to 1 (ego sends to it), 2 (it sends to ego) or
-    3 (both), i.e. state + 1. labels, given under MxE, maps it to its edge
-    labels; the group key holds them as a sorted tuple, and () otherwise.
-    """
-    groups: dict[tuple[int, str, tuple[str, ...]], int] = {}
-    for node, f in flags.items():
-        key = (f - 1, types[node], tuple(sorted(labels[node])) if labels is not None else ())
-        groups[key] = groups.get(key, 0) + 1
-    return groups
-
-
 def count_from_groups(
     catalog: MotifCatalog,
     groups: Sequence[tuple[tuple[int, str, tuple[str, ...]], int]],
     oversize: bool = False,
 ) -> dict[str, int]:
     """Typed motif counts from the ((state, type, labels), size) items of
-    group_counterparts, in sorted order.
+    counterpart groups, in sorted order: the groups of a transaction_shape.
 
     Induced matching: a counterpart pair matches the 3-node shape whose
     states equal the pair's states, and nothing else, so subset counts are
@@ -224,8 +206,9 @@ def _pair_key(sid: str, ta: str, tb: str, labels: tuple[str, ...]) -> str:
     return f"{key}|{'+'.join(sorted(labels))}" if labels else key
 
 
-# A transaction's shape: (the sorted group_counterparts items, empty under E;
-# the sorted edge-label counts, empty unless E or M+E; oversize).
+# A transaction's shape: (the sorted ((state, type, labels), size) counterpart
+# groups, empty under E; the sorted edge-label counts, empty unless E or M+E;
+# oversize).
 Shape = tuple[tuple, tuple, bool]
 
 
@@ -235,7 +218,9 @@ def transaction_shape(tx: tuple[str, str, Optional[str], list], mode: str,
 
     The shape is a canonical form of the typed ego network up to what the
     features of `mode` can see: the counterpart groups and the edge-label
-    counts, each sorted, and the oversize flag. Transactions with
+    counts, each sorted, and the oversize flag. A counterpart's group is its
+    state (ego sends to it, it sends to ego, or both), its type and, under
+    MxE, its edge labels in sorted order (() otherwise). Transactions with
     equal shapes have equal feature maps (shape_features), whatever their
     accounts, hashes and row order. A counterpart keeps the type of the
     first row it appears in; edge labels are "(S,T)category".
@@ -270,9 +255,12 @@ def transaction_shape(tx: tuple[str, str, Optional[str], list], mode: str,
     edge_counts = tuple(sorted(edges.items()))
     if mode == "E":
         return ((), edge_counts, False), rejected
+    groups: dict[tuple[int, str, tuple[str, ...]], int] = {}
+    for node, f in flags.items():  # f is state + 1: 1 out, 2 in, 3 both
+        key = (f - 1, types[node], tuple(sorted(labels[node])) if labels is not None else ())
+        groups[key] = groups.get(key, 0) + 1
     oversize = labels is not None and len(flags) > max_nodes
-    return (tuple(sorted(group_counterparts(flags, types, labels).items())), edge_counts,
-            oversize), rejected
+    return (tuple(sorted(groups.items())), edge_counts, oversize), rejected
 
 
 def shape_features(catalog: MotifCatalog, shape: Shape) -> dict[str, int]:

@@ -279,9 +279,15 @@ def iter_store(store_dir) -> Iterator[tuple[str, str, Optional[str], list[list]]
     """Every stored transaction as line_to_tx decodes it, in store order."""
     path = store_path(store_dir)
     with _open(path, "store") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if line.strip():
-                yield line_to_tx(line, path, lineno)
+        yield from _decode(fh, path)
+
+
+def _decode(lines: Iterable[str], path, first: int = 1) -> Iterator[tuple]:
+    """line_to_tx of each non-blank line of `lines`, which start at line
+    `first` of the store at `path`."""
+    for lineno, line in enumerate(lines, first):
+        if line.strip():
+            yield line_to_tx(line, path, lineno)
 
 
 def read_labels(path) -> dict[tuple[str, str], str]:

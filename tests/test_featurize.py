@@ -1,9 +1,9 @@
-"""Featurize's shape memo: chunks featurized once per distinct shape write the
-lines and tables of the plain per-row featurizer, and the oracles' maps; the
-pure-Python JSON encoder writes the same bytes as the C one."""
+"""Featurize's shape memo: a pass, or the pool's chunks, featurized once per
+distinct shape write the lines and tables of the plain per-row featurizer,
+and the oracles' maps; the pure-Python JSON encoder writes the same bytes as
+the C one."""
 
 import json
-import pickle
 
 import numpy as np
 import pytest
@@ -69,6 +69,8 @@ def written_lines(table, mode, path):
 
 @pytest.mark.parametrize("mode", motif.MODES)
 def test_memoized_chunks_equal_plain_featurizer_and_oracles(rng, tmp_path, mode):
+    """A pass over the whole list, and passes over its chunks as pool
+    workers make, give the plain featurizer's maps, table and lines."""
     catalog = motif.enumerate_catalog()
     txs = random_transactions(rng, 400)
     lines, maps, oversize, rejected = plain_lines(txs, catalog, mode)
@@ -76,20 +78,28 @@ def test_memoized_chunks_equal_plain_featurizer_and_oracles(rng, tmp_path, mode)
     assert rejected > 0 and (oversize > 0) == (mode == "MxE")
     for size in (64, len(txs)):
         chunks = [range(i, min(i + size, len(txs))) for i in range(0, len(txs), size)]
-        results = [featurize._process_chunk(catalog, mode, MAX_NODES, txs[chunk.start:chunk.stop])
+        results = [featurize._featurize(catalog, mode, MAX_NODES, txs[chunk.start:chunk.stop])
                    for chunk in chunks]
         assert [sum(r[0] for r in results), sum(r[1] for r in results),
                 sum(len(r[3]) for r in results)] == [oversize, rejected, len(txs)]
-        for chunk, (_, _, chunk_maps, map_of, names) in zip(chunks, results):
-            assert names is None and map_of.dtype == np.int32
+        for chunk, (_, _, chunk_maps, map_of, hashes, egos) in zip(chunks, results):
+            assert map_of.dtype == np.int32
+            assert (hashes, egos) == ([txs[i][0] for i in chunk], [txs[i][1] for i in chunk])
             # the chunk's maps in the order of their first use, each used
             assert list(dict.fromkeys(map_of.tolist())) == list(range(len(chunk_maps)))
             assert [chunk_maps[i] for i in map_of.tolist()] == maps[chunk.start:chunk.stop]
-            table = FeatureTable.build([txs[i][0] for i in chunk], [txs[i][1] for i in chunk],
-                                       chunk_maps, map_of)
-            assert_same_table(table, FeatureTable.build(
-                [txs[i][0] for i in chunk], [txs[i][1] for i in chunk], maps[chunk.start:chunk.stop]))
+            table = FeatureTable.build(hashes, egos, chunk_maps, map_of)
+            assert_same_table(table, FeatureTable.build(hashes, egos, maps[chunk.start:chunk.stop]))
             assert written_lines(table, mode, tmp_path / "chunk.jsonl") == lines[chunk.start:chunk.stop]
+
+
+def counting_shapes(monkeypatch) -> list:
+    """The shapes motif.shape_features is called with from now on."""
+    shapes = []
+    real = motif.shape_features
+    monkeypatch.setattr(motif, "shape_features",
+                        lambda catalog, shape: shapes.append(shape) or real(catalog, shape))
+    return shapes
 
 
 @pytest.mark.parametrize("mode", motif.MODES)
@@ -98,42 +108,52 @@ def test_one_shape_in_any_row_order_takes_one_memo_entry(rng, tmp_path, mode, mo
     copies = [renamed(random_tx(rng, 9), rng, 0)]
     copies += [renamed(copies[0], rng, i) for i in range(1, 40)]
     assert len({tuple(map(tuple, tx[3])) for tx in copies}) > 1  # the rows come in other orders
-    shapes = []
-    real = motif.shape_features
-    monkeypatch.setattr(motif, "shape_features",
-                        lambda catalog, shape: shapes.append(shape) or real(catalog, shape))
-    _, _, maps, map_of, _ = featurize._process_chunk(catalog, mode, MAX_NODES, copies)
+    shapes = counting_shapes(monkeypatch)
+    _, _, maps, map_of, hashes, egos = featurize._featurize(catalog, mode, MAX_NODES, copies)
     assert len(shapes) == len(maps) == 1 and map_of.tolist() == [0] * 40
-    table = FeatureTable.build([tx[0] for tx in copies], [tx[1] for tx in copies], maps, map_of)
+    assert (hashes, egos) == ([tx[0] for tx in copies], [tx[1] for tx in copies])
+    table = FeatureTable.build(hashes, egos, maps, map_of)
     assert written_lines(table, mode, tmp_path / "f.jsonl") == plain_lines(copies, catalog, mode)[0]
 
 
-def test_worker_result_sends_back_no_name_the_parent_holds(rng, tmp_path):
-    """An in-memory chunk's result holds no tx hash or ego, which the caller
-    has in its list; a chunk decoded from a store returns them, with the
-    same maps."""
+def test_one_pass_counts_each_shape_of_the_input_once(rng, tmp_path, monkeypatch):
+    """The in-memory list and a store read by one process are each one pass:
+    a shape recurring across CHUNK_LINES slices is counted once."""
+    catalog = motif.enumerate_catalog()
+    txs = random_transactions(rng, 300)
+    storage.write_store(tmp_path / "store", txs)
+    distinct = {motif.transaction_shape(tx, "MxE")[0] for tx in txs}
+    monkeypatch.setattr(featurize, "CHUNK_LINES", 32)
+    shapes = counting_shapes(monkeypatch)
+    for source in (list(txs), tmp_path / "store"):
+        shapes.clear()
+        featurize.featurize_store(source, "MxE", tmp_path / "features.jsonl", catalog=catalog)
+        assert len(shapes) == len(distinct) and set(shapes) == distinct
+
+
+def test_store_chunk_equals_a_pass_over_the_list(rng, tmp_path):
+    """A pool worker's chunk decoded from a store gives what a pass over the
+    stored tuples gives."""
     catalog = motif.enumerate_catalog()
     txs = random_transactions(rng, 60)
-    result = featurize._process_chunk(catalog, "M+E", MAX_NODES, list(txs))
-    assert result[4] is None
-    pickled = pickle.dumps(result)
-    assert not [name for tx in txs for name in tx[:2] if name.encode("utf-8") in pickled]
+    result = featurize._featurize(catalog, "M+E", MAX_NODES, list(txs))
     storage.write_store(tmp_path / "store", txs)
     chunk = next(featurize._store_chunks(storage.store_path(tmp_path / "store"), len(txs)))
-    *counts, maps, map_of, names = featurize._process_chunk(catalog, "M+E", MAX_NODES, chunk)
+    *counts, maps, map_of, hashes, egos = featurize._featurize_lines(catalog, "M+E", MAX_NODES, chunk)
     assert (counts, maps, map_of.tolist()) == (list(result[:2]), result[2], result[3].tolist())
-    assert names == ([tx[0] for tx in txs], [tx[1] for tx in txs])
+    assert (hashes, egos) == (result[4], result[5]) == ([tx[0] for tx in txs], [tx[1] for tx in txs])
 
 
-@pytest.mark.parametrize("threads", [1, 2])
-def test_shapes_recurring_across_chunks(rng, tmp_path, monkeypatch, threads):
-    """A shape seen in several chunks gets one distinct row in the joined table."""
+def test_shapes_recurring_across_chunks(rng, tmp_path, monkeypatch):
+    """A shape seen in several of the pool's chunks gets one distinct row in
+    the joined table."""
     catalog = motif.enumerate_catalog()
     txs = random_transactions(rng, 300)
     lines, maps, _, _ = plain_lines(txs, catalog, "MxE", motif.DEFAULT_MAX_NODES)
+    storage.write_store(tmp_path / "store", txs)
     monkeypatch.setattr(featurize, "CHUNK_LINES", 32)
     out = tmp_path / "features.jsonl"
-    stats = featurize.featurize_store(list(txs), "MxE", out, threads=threads, catalog=catalog)
+    stats = featurize.featurize_store(tmp_path / "store", "MxE", out, threads=2, catalog=catalog)
     assert out.read_text(encoding="utf-8") == "".join(line + "\n" for line in lines)
     table = stats.table
     assert_same_table(table, FeatureTable.build([tx[0] for tx in txs], [tx[1] for tx in txs], maps))

@@ -65,7 +65,6 @@ def test_featurize_table_equals_table_read_back(small_corpus, tmp_path, monkeypa
 def test_featurize_from_ingest_memory_equals_store(small_corpus, tmp_path, monkeypatch, threads):
     """The pipeline's path: ingest's own tuples, featurized in this process
     (no pool at any `threads`) without a store decode."""
-    monkeypatch.setattr(featurize, "CHUNK_LINES", 300)
     inputs = [small_corpus[k] for k in ("transfers", "tokens", "accounts", "methods")]
     _, transactions, _ = cli.ingest_to_store(*inputs, None, tmp_path / "store")
     n = len(transactions)
@@ -82,7 +81,7 @@ def test_featurize_from_ingest_memory_equals_store(small_corpus, tmp_path, monke
     assert_same_table(in_memory.table, from_store.table)
     assert (in_memory.transactions, in_memory.oversize, in_memory.rejected_transfers) == (
         from_store.transactions, from_store.oversize, from_store.rejected_transfers)
-    # the list is released chunk by chunk as its lines are written
+    # the list is released entry by entry as it is read
     assert transactions == [None] * n
 
 
