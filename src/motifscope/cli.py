@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
+import gc
 import math
 import os
 import resource
@@ -34,6 +35,7 @@ from .ingest import (
     METHOD_GROUPS,
     TokenRegistry,
     UNKNOWN,
+    _gc_paused,
     _schema,
     load_method_labels,
     load_method_mapping,
@@ -542,7 +544,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    _check_params(vars(args), keys=["seed"])
+    _check_params(vars(args), keys=["seed", "folds"])
     spec = load_model(args.model)
     dataset = _read_dataset(args, spec)
     report = cross_validate(spec, dataset, cv_folds(dataset, args.folds, args.seed), args.seed,
@@ -553,7 +555,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_prune(args) -> int:
-    _check_params(vars(args), keys=["seed"])
+    _check_params(vars(args), keys=["seed", "folds"])
     if args.features or args.labels:
         flags = {"--path": args.path, "--features": args.features, "--labels": args.labels}
         if missing := [flag for flag, value in flags.items() if not value]:
@@ -737,6 +739,10 @@ def run_pipeline(cfg: PipelineConfig) -> dict:
     stage, seconds and whether it ran inline. A failed stage, or a failed
     write, which fails the stage that submitted it, leaves a manifest naming
     it, the error and the stages completed before it.
+
+    The collector is paused through ingest, and what ingest built is then
+    frozen (gc.freeze) for the stages after it and unfrozen when the run
+    ends, unless the caller had frozen objects.
     """
     cfg.check()
     import scipy
@@ -769,9 +775,10 @@ def run_pipeline(cfg: PipelineConfig) -> dict:
                 raise InputError(f"cannot read {name} file {path}: {exc}") from exc
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
+    freeze = gc.get_freeze_count() == 0  # a caller's own frozen objects stay frozen
     try:
         with writer:  # leaving the block waits for every write
-            _run_stages(cfg, out, manifest, writer)
+            _run_stages(cfg, out, manifest, writer, freeze)
     except Exception as exc:
         if writer.failed is not None:  # the earliest stage to fail: a write's precedes what raised here
             exc = StageError(*writer.failed)
@@ -785,6 +792,9 @@ def run_pipeline(cfg: PipelineConfig) -> dict:
         manifest["error"] = {"type": type(cause).__name__, "message": str(cause)}
         storage.write_json(out / "manifest.json", manifest)
         raise exc
+    finally:
+        if freeze:
+            gc.unfreeze()
     for path in sorted(out.rglob("*")):
         if path.is_file() and path.name != "manifest.json":
             manifest["artifacts"][path.relative_to(out).as_posix()] = storage.sha256_file(path)
@@ -793,7 +803,8 @@ def run_pipeline(cfg: PipelineConfig) -> dict:
     return manifest
 
 
-def _run_stages(cfg: PipelineConfig, out: Path, manifest: dict, writer: storage.Writer) -> None:
+def _run_stages(cfg: PipelineConfig, out: Path, manifest: dict, writer: storage.Writer,
+                freeze: bool) -> None:
     mode = motif.normalize_mode(cfg.mode)
     signatures = None
     if cfg.methods is None:  # match-only: the signatures and their mode are checked before ingest
@@ -801,10 +812,15 @@ def _run_stages(cfg: PipelineConfig, out: Path, manifest: dict, writer: storage.
             raise InputError("no methods file and no pre-mined signatures: nothing to match")
         signatures = load_signatures(cfg.signatures, mode)
     store_dir = out / "store"
-    report, transactions, labels = _stage(manifest, "ingest", lambda: ingest_to_store(
-        cfg.transfers, cfg.tokens, cfg.accounts, cfg.methods, cfg.method_groups, store_dir,
-        functools.partial(writer.submit, "ingest"),
-    ))
+    # ingest's rows hold no cycles: the collector stays paused until they are
+    # frozen, so that no collection walks them
+    with _gc_paused():
+        report, transactions, labels = _stage(manifest, "ingest", lambda: ingest_to_store(
+            cfg.transfers, cfg.tokens, cfg.accounts, cfg.methods, cfg.method_groups, store_dir,
+            functools.partial(writer.submit, "ingest"),
+        ))
+        if freeze:
+            gc.freeze()
     manifest["counters"]["ingest"] = {
         "transactions": report["transactions"], "kept": report["transfers_kept"],
         "rejected": report["rejected"], "spam_filtered": report["transactions_spam_filtered"]}

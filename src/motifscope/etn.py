@@ -3,8 +3,8 @@
 Built from a stored transaction, the (tx_hash, ego, method group, rows)
 tuple that `storage.iter_store` yields, whose rows already carry resolved
 account types and token categories. Every edge touches the ego account.
-Parallel edges are kept (they feed the edge-list features) and collapsed to
-a simple view for motif matching.
+Parallel edges are kept: they feed the edge-list features, while motif
+counting (motif.transaction_shape) sees only whether an edge runs each way.
 """
 
 from __future__ import annotations
@@ -19,10 +19,6 @@ class EgoTransferNetwork:
     node_types: dict[str, str]  # node id -> E/A/C/N; exactly one E
     edges: list[tuple[str, str, str]]  # (source, target, token category), parallel allowed
     rejected: list[tuple[str, str]] = field(default_factory=list)  # (from, to) not touching ego
-
-    @property
-    def simple_view(self) -> set[tuple[str, str]]:
-        return {(src, dst) for src, dst, _ in self.edges}
 
     def counterparts(self) -> list[str]:
         return [n for n in self.node_types if n != self.ego]

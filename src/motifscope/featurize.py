@@ -108,10 +108,11 @@ def featurize_store(
     to out_path (JSONL, by storage.write_rows, through `write`) and return
     it with the counts.
 
-    store is a store directory, which `threads` >= 2 worker processes
-    featurize chunk by chunk, or the list of (tx_hash, ego, method group,
-    rows) tuples that was written to one, which this process featurizes.
-    Such a list is consumed: each entry is set to None as it is read.
+    store is a store directory, which this process reads in one pass or
+    `threads` >= 2 worker processes featurize in CHUNK_LINES slices, or the
+    list of (tx_hash, ego, method group, rows) tuples that was written to
+    one, which this process featurizes in one pass. Such a list is consumed:
+    each entry is set to None as it is read.
     out_path is written only when every transaction featurized; a malformed
     store line raises InputError naming the store path and line number.
     """

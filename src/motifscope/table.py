@@ -6,10 +6,10 @@ heavily, so only the distinct rows are stored: CSR arrays over a sorted
 vocabulary, in first-seen order, each row's entries in vocabulary order.
 A table is built once, by `build`, from each row's tx hash and ego, a list
 of feature maps and each row's index among them. Featurize gives it the maps
-of every chunk in chunk order, and `storage.read_features` the maps of a
-features.jsonl file; a map that repeats, in any key order, becomes one
-distinct row, so the table does not depend on the worker count or chunk
-size. features.jsonl and matches.jsonl are written from a table, one line
+of its pass, or of its workers' slices in order, and
+`storage.read_features` the maps of a features.jsonl file; a map that
+repeats, in any key order, becomes one distinct row, so the table does not
+depend on the worker count or slice size. features.jsonl and matches.jsonl are written from a table, one line
 per row, by `storage.write_rows`.
 
 Tx hashes and the distinct egos are each packed into one string with end
@@ -73,9 +73,9 @@ class FeatureTable:
         Then each map is flattened, sorted and deduplicated once however many
         rows share it, and the maps must come in the order of their first use.
         Equal maps, in any key order, become one distinct row, so the maps
-        may repeat: several chunks' maps, one chunk after another, with each
-        chunk's map_of shifted by the maps before it, give the table of all
-        the chunks' rows."""
+        may repeat: several slices' maps, one slice after another, with each
+        slice's map_of shifted by the maps before it, give the table of all
+        the slices' rows."""
         keys = list(chain.from_iterable(feature_maps))
         vocabulary = sorted(set(keys))
         position = {key: i for i, key in enumerate(vocabulary)}

@@ -63,6 +63,11 @@ def _typed_key(shape, types: tuple[str, ...]) -> str:
     return f"{shape.id}(E,{','.join(types)})"
 
 
+def simple_view(etn: EgoTransferNetwork) -> set[tuple[str, str]]:
+    """The ETN's (source, target) pairs, its parallel edges collapsed."""
+    return {(src, dst) for src, dst, _ in etn.edges}
+
+
 def _matched_subsets(etn: EgoTransferNetwork, catalog, sizes=(1, 2)):
     """Yield (shape, role types, subset) for every counterpart subset whose
     induced simple-view subgraph matches a catalog shape.
@@ -72,7 +77,7 @@ def _matched_subsets(etn: EgoTransferNetwork, catalog, sizes=(1, 2)):
     """
     nodes = sorted(etn.counterparts())
     types = etn.node_types
-    simple = etn.simple_view
+    simple = simple_view(etn)
     for r in sizes:
         for subset in itertools.combinations(nodes, r):
             keep = set(subset) | {etn.ego}

@@ -3,6 +3,7 @@
 import argparse
 import csv
 import dataclasses
+import gc
 import json
 import multiprocessing
 import os
@@ -122,9 +123,9 @@ def test_input_error_exit_2_with_json(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("argv, prefix", [
-    (["eval", "--folds", "1"], "folds must be at least "),
-    (["eval", "--folds", "0"], "folds must be at least "),
-    (["prune", "--folds", "1"], "folds must be at least "),
+    (["eval", "--folds", "1"], "--folds must be an integer >= 2, got 1"),
+    (["eval", "--folds", "0"], "--folds must be an integer >= 2, got 0"),
+    (["prune", "--folds", "1"], "--folds must be an integer >= 2, got 1"),
     (["train", "--model", "rf", "--trees", "0"], "--trees must be an integer >= 1, got 0"),
     (["pipeline", "--folds", "1"], "pipeline config 'folds' must be an integer >= 2, got 1"),
     (["pipeline", "--model", "rf", "--trees", "0"],
@@ -172,6 +173,14 @@ def test_out_of_range_parameter_exit_2(small_corpus, trained, tmp_path, capsys, 
     assert err["error"]["message"].startswith(prefix), err["error"]["message"]
     assert not (tmp_path / "m.json").exists()
     assert not (tmp_path / "run").exists()  # the pipeline refuses before ingest
+
+
+def test_prune_checks_folds_without_a_cv_path(trained, tmp_path, capsys):
+    """prune refuses --folds 1 before any work, though only --path would use it."""
+    _, err = run(capsys, ["prune", "--model", str(trained["model"]), "--alpha", "0",
+                          "--folds", "1", "--out", str(tmp_path / "p.json")], code=2)
+    assert err["error"]["message"] == "--folds must be an integer >= 2, got 1"
+    assert not (tmp_path / "p.json").exists()
 
 
 # (key, value, what the value must be) of fit parameters out of their range
@@ -1362,6 +1371,49 @@ def test_pipeline_failure_manifest(tmp_path, small_corpus, pipeline_run, monkeyp
     for name in written:
         assert storage.sha256_file(out / name) == complete[name], name
     assert multiprocessing.active_children() == []
+
+
+def test_pipeline_freezes_what_ingest_built_and_unfreezes_it(tmp_path, small_corpus, monkeypatch,
+                                                             capsys):
+    """Ingest runs with the collector paused and the stages after it with
+    ingest's rows frozen, and the run leaves the collector and the freeze
+    count as it found them: after a run, after a run whose match stage
+    fails, and when the caller had frozen objects of its own, which stay
+    frozen and keep the run from freezing."""
+    ingesting, featurizing = [], []
+    ingest_to_store, featurize_store = cli.ingest_to_store, cli.featurize_store
+
+    def ingest(*args, **kwargs):
+        ingesting.append(gc.isenabled())
+        return ingest_to_store(*args, **kwargs)
+
+    def featurize(*args, **kwargs):
+        featurizing.append((gc.isenabled(), gc.get_freeze_count()))
+        return featurize_store(*args, **kwargs)
+
+    def failing(feats, sigs):
+        raise RuntimeError("matcher failed")
+
+    monkeypatch.setattr(cli, "ingest_to_store", ingest)
+    monkeypatch.setattr(cli, "featurize_store", featurize)
+    assert gc.isenabled() and gc.get_freeze_count() == 0
+    run(capsys, _pipeline_argv(small_corpus, tmp_path / "ok", 1))
+    assert ingesting == [False] and featurizing[-1][0] and featurizing[-1][1] > 0
+    assert gc.isenabled() and gc.get_freeze_count() == 0
+    monkeypatch.setattr(cli, "match_signatures", failing)
+    run(capsys, _pipeline_argv(small_corpus, tmp_path / "failed", 1), code=3)
+    assert featurizing[-1][1] > 0 and gc.isenabled() and gc.get_freeze_count() == 0
+    kept = [object()]
+    gc.freeze()
+    try:
+        before = gc.get_freeze_count()
+        run(capsys, _pipeline_argv(small_corpus, tmp_path / "caller", 1), code=3)
+        # a frozen object may be freed by refcount, so the count can only fall
+        assert before >= featurizing[-1][1] >= gc.get_freeze_count() > 0
+        assert not any(obj is kept for obj in gc.get_objects())  # still frozen
+    finally:
+        gc.unfreeze()
+    assert any(obj is kept for obj in gc.get_objects())
 
 
 def _pipeline_argv(small_corpus, out, threads, signatures=None):
