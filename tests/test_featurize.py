@@ -144,16 +144,17 @@ def test_store_chunk_equals_a_pass_over_the_list(rng, tmp_path):
     assert (hashes, egos) == (result[4], result[5]) == ([tx[0] for tx in txs], [tx[1] for tx in txs])
 
 
-def test_shapes_recurring_across_chunks(rng, tmp_path, monkeypatch):
-    """A shape seen in several of the pool's chunks gets one distinct row in
-    the joined table."""
+@pytest.mark.parametrize("threads", [1, 2])
+def test_shapes_recurring_across_chunks(rng, tmp_path, monkeypatch, threads):
+    """A shape seen in several CHUNK_LINES slices gets one distinct row in the
+    joined table, read in one pass at threads 1 or in the pool's chunks."""
     catalog = motif.enumerate_catalog()
     txs = random_transactions(rng, 300)
     lines, maps, _, _ = plain_lines(txs, catalog, "MxE", motif.DEFAULT_MAX_NODES)
     storage.write_store(tmp_path / "store", txs)
     monkeypatch.setattr(featurize, "CHUNK_LINES", 32)
     out = tmp_path / "features.jsonl"
-    stats = featurize.featurize_store(tmp_path / "store", "MxE", out, threads=2, catalog=catalog)
+    stats = featurize.featurize_store(tmp_path / "store", "MxE", out, threads=threads, catalog=catalog)
     assert out.read_text(encoding="utf-8") == "".join(line + "\n" for line in lines)
     table = stats.table
     assert_same_table(table, FeatureTable.build([tx[0] for tx in txs], [tx[1] for tx in txs], maps))
