@@ -260,23 +260,15 @@ def ingest_to_store(transfers, tokens, accounts, methods, method_groups, out,
     """Write the store through `write`; returns the ingest report, the
     stored transactions and the labels written to labels.csv, as
     storage.read_labels reads them."""
-    loaded = read_transfers(transfers, TokenRegistry.from_file(tokens), AccountRegistry.from_file(accounts))
-    method_of = {}
+    method_of = None
     if methods:
         mapping = load_method_mapping(method_groups or PACKAGED_METHOD_GROUPS)
         method_of = load_method_labels(methods, mapping)
-    transactions = loaded.transactions(method_of)
+    transactions, report = read_transfers(transfers, TokenRegistry.from_file(tokens),
+                                          AccountRegistry.from_file(accounts), method_of)
+    del method_of  # the transactions hold all that is needed from here on
+    # labels first: once a writer is forked, each refcount write here copies a shared page
     labels = {(tx_hash, ego): group for tx_hash, ego, group, _ in transactions if group is not None}
-    label_counts = Counter(group for group in labels.values() if group)
-    report = {
-        "transfers_read": loaded.kept + len(loaded.rejects),
-        "transfers_kept": loaded.kept,
-        "rejected": loaded.reject_counts(),
-        "transactions": len(transactions),
-        "transactions_spam_filtered": len(loaded.spam),
-        "labeled": dict(sorted(label_counts.items())),
-    }
-    del loaded, method_of  # the transactions hold all that is needed from here on
     write(storage.write_store, out, transactions, report)
     return report, transactions, labels
 

@@ -8,12 +8,12 @@ opened or decoded raises InputError naming the file, and the line for the
 two line-oriented formats. `storage` owns writing. Rows that fail validation
 are rejected with a reason code and counted, never silently dropped.
 `read_transfers` reads transfers.csv in one streaming pass straight into the
-store's compact transfer rows, grouped by (tx_hash, ego). A transaction is
-the tuple (tx_hash, ego, method group or None, rows) throughout:
-`LoadResult.transactions` lists it, `storage.write_store` writes it and
-`storage.iter_store` reads it back. Both build their rows with the cyclic
-garbage collector paused: the rows hold no cycles, and a collection walks
-every row built so far.
+store's compact transfer rows, grouped by (tx_hash, ego), and returns the
+transactions with the ingest report. A transaction is the tuple (tx_hash,
+ego, method group or None, rows) throughout: `read_transfers` lists it,
+`storage.write_store` writes it and `storage.iter_store` reads it back. Both
+build their rows with the cyclic garbage collector paused: the rows hold no
+cycles, and a collection walks every row built so far.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ import gc
 import json
 from collections import Counter
 from contextlib import contextmanager
-from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
 # Token categories (closed vocabulary; Unlabeled covers unknown tokens).
@@ -259,39 +258,20 @@ def _csv_rows(path, what: str) -> Iterator[list[str]]:
             raise _bad_line(what, path, reader.line_num, exc) from exc
 
 
-@dataclass
-class LoadResult:
-    """transfers.csv read in one pass, as store rows grouped by (tx_hash, ego).
-
-    A row is the store's transfer row: (from, to, from_type, to_type,
-    contract, symbol, category, amount, block). Groups keep the order in
-    which their key first appears, and rows keep input order within a group.
-    """
-
-    groups: dict[tuple[str, str], list[tuple]]
-    spam: set[tuple[str, str]]  # groups with a spam-token transfer
-    kept: int  # rows that passed validation, spam included
-    rejects: list[tuple[int, str]] = field(default_factory=list)
-
-    def reject_counts(self) -> dict[str, int]:
-        return dict(Counter(reason for _, reason in self.rejects))
-
-    @_gc_paused()
-    def transactions(self, method_of: Optional[dict[str, str]] = None
-                     ) -> list[tuple[str, str, Optional[str], list[tuple]]]:
-        """(tx_hash, ego, method group or None, rows) of every group no spam
-        token touched, in group order; method groups join on tx_hash."""
-        method_of = method_of or {}
-        return [(key[0], key[1], method_of.get(key[0]), rows)
-                for key, rows in self.groups.items() if key not in self.spam]
-
-
 @_gc_paused()
-def read_transfers(path, tokens: TokenRegistry, accounts: AccountRegistry) -> LoadResult:
+def read_transfers(path, tokens: TokenRegistry, accounts: AccountRegistry,
+                   method_of: Optional[dict[str, str]] = None) -> tuple[list, dict]:
     """Read transfers.csv in one streaming pass: validate each row, resolve
     its token category and account types, and group it by (tx_hash, ego).
 
-    Rejected rows carry (line_number, reason); reasons: malformed_row,
+    Returns (transactions, report). A transaction is (tx_hash, ego, method
+    group or None, rows) for each group no spam token touched, in the order
+    in which its key first appears, with method groups joined on tx_hash
+    from `method_of`. A row is the store's transfer row: (from, to,
+    from_type, to_type, contract, symbol, category, amount, block), in input
+    order within its group. The report is the store's ingest_report.json.
+
+    Rejected rows are counted by reason, in first-seen order: malformed_row,
     missing_tx_hash, missing_account, self_transfer, bad_amount,
     negative_amount, bad_block. Each distinct (contract, symbol) is looked up
     in the token registry once and each distinct address in the account
@@ -299,8 +279,8 @@ def read_transfers(path, tokens: TokenRegistry, accounts: AccountRegistry) -> Lo
     repeated strings share one object.
     """
     groups: dict[tuple[str, str], list[tuple]] = {}
-    spam: set[tuple[str, str]] = set()
-    rejects: list[tuple[int, str]] = []
+    spam: set[tuple[str, str]] = set()  # groups with a spam-token transfer
+    rejected: Counter[str] = Counter()
     kept = 0
     # (canonical string, kind) per address and (contract, symbol, category, spam) per token
     account = functools.cache(lambda addr: (addr, accounts.kind_of(addr)))
@@ -309,37 +289,37 @@ def read_transfers(path, tokens: TokenRegistry, accounts: AccountRegistry) -> Lo
     header = next(rows, None)
     if header is None or [h.strip() for h in header] != list(TRANSFER_COLUMNS):
         raise _bad_line("transfers", path, 1, f"header must be {','.join(TRANSFER_COLUMNS)}")
-    for lineno, row in enumerate(rows, start=2):
+    for row in rows:
         if not row:
             continue
         if len(row) != len(TRANSFER_COLUMNS):
-            rejects.append((lineno, "malformed_row"))
+            rejected["malformed_row"] += 1
             continue
         tx_hash, ego, src, dst, contract, symbol, amount_s, block_s = row
         if not tx_hash:
-            rejects.append((lineno, "missing_tx_hash"))
+            rejected["missing_tx_hash"] += 1
             continue
         if not src or not dst or not ego:
-            rejects.append((lineno, "missing_account"))
+            rejected["missing_account"] += 1
             continue
         if src == dst:
-            rejects.append((lineno, "self_transfer"))
+            rejected["self_transfer"] += 1
             continue
         try:
             amount = float(amount_s)
         except ValueError:
-            rejects.append((lineno, "bad_amount"))
+            rejected["bad_amount"] += 1
             continue
         if amount < 0 or amount != amount:
-            rejects.append((lineno, "negative_amount"))
+            rejected["negative_amount"] += 1
             continue
         try:
             block = int(block_s)
         except ValueError:
-            rejects.append((lineno, "bad_block"))
+            rejected["bad_block"] += 1
             continue
         if block < 0:
-            rejects.append((lineno, "bad_block"))
+            rejected["bad_block"] += 1
             continue
         kept += 1
         ego = account(ego)[0]
@@ -356,7 +336,19 @@ def read_transfers(path, tokens: TokenRegistry, accounts: AccountRegistry) -> Lo
             groups[key] = [tr]
         else:
             group.append(tr)
-    return LoadResult(groups, spam, kept, rejects)
+    method_of = method_of or {}
+    transactions = [(tx_hash, ego, method_of.get(tx_hash), group)
+                    for (tx_hash, ego), group in groups.items() if (tx_hash, ego) not in spam]
+    labeled = Counter(group for _, _, group, _ in transactions if group)
+    report = {
+        "transfers_read": kept + sum(rejected.values()),
+        "transfers_kept": kept,
+        "rejected": dict(rejected),
+        "transactions": len(transactions),
+        "transactions_spam_filtered": len(spam),
+        "labeled": dict(sorted(labeled.items())),
+    }
+    return transactions, report
 
 
 def load_method_mapping(path) -> dict[str, str]:

@@ -103,11 +103,11 @@ def make_raw(out, n, seed, skew="table2", noise=None, n_egos=None, mixes=None):
 def ingest_raw(raw, store):
     tokens = ingest.TokenRegistry.from_file(raw / "tokens.json")
     accounts = ingest.AccountRegistry.from_file(raw / "accounts.json")
-    loaded = ingest.read_transfers(raw / "transfers.csv", tokens, accounts)
-    assert loaded.rejects == []
     mapping = ingest.load_method_mapping(PACKAGED_METHOD_GROUPS)
     method_of = ingest.load_method_labels(raw / "methods.csv", mapping)
-    storage.write_store(store, loaded.transactions(method_of))
+    transactions, report = ingest.read_transfers(raw / "transfers.csv", tokens, accounts, method_of)
+    assert report["rejected"] == {}
+    storage.write_store(store, transactions)
 
 
 def build_corpus(root, n, seed, **kwargs):

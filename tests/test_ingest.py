@@ -34,9 +34,9 @@ def accounts():
     return ingest.AccountRegistry()
 
 
-def store_rows(result):
-    """The store rows of every group, in order."""
-    return [row for rows in result.groups.values() for row in rows]
+def store_rows(transactions):
+    """The store rows of every transaction, in order."""
+    return [row for _, _, _, rows in transactions for row in rows]
 
 
 def test_header_is_validated(tmp_path, registry, accounts):
@@ -64,10 +64,11 @@ def test_reject_reasons(tmp_path, registry, accounts):
         "tx9,0xe,0xa,0xe,0xtok1,USDC,1.0,xyz",  # bad_block
         "tx10,0xe,0xa,0xe,0xtok1,USDC,1.0,-5",  # bad_block
     ]
-    result = ingest.read_transfers(write_transfers(tmp_path / "t.csv", rows), registry, accounts)
-    assert result.kept == 1
-    assert list(result.groups) == [("tx1", "0xe")]
-    assert result.reject_counts() == {
+    transactions, report = ingest.read_transfers(write_transfers(tmp_path / "t.csv", rows),
+                                                 registry, accounts)
+    assert report["transfers_kept"] == 1 and report["transfers_read"] == len(rows)
+    assert [(tx_hash, ego) for tx_hash, ego, _, _ in transactions] == [("tx1", "0xe")]
+    assert report["rejected"] == {
         "malformed_row": 1,
         "missing_tx_hash": 1,
         "missing_account": 1,
@@ -76,8 +77,8 @@ def test_reject_reasons(tmp_path, registry, accounts):
         "negative_amount": 2,
         "bad_block": 2,
     }
-    # line numbers point at the offending CSV line (1-based, header is line 1)
-    assert result.rejects[0] == (3, "malformed_row")
+    # reasons in the order they first appear
+    assert list(report["rejected"])[:2] == ["malformed_row", "missing_tx_hash"]
 
 
 def test_category_resolution_and_fallback(tmp_path, registry, accounts):
@@ -86,8 +87,9 @@ def test_category_resolution_and_fallback(tmp_path, registry, accounts):
         "tx2,0xe,0xa,0xe,,WETH,1.0,100",  # symbol fallback
         "tx3,0xe,0xa,0xe,0xunknown,ZZZ,1.0,100",  # not in registry
     ]
-    result = ingest.read_transfers(write_transfers(tmp_path / "t.csv", rows), registry, accounts)
-    cats = [row[6] for row in store_rows(result)]
+    transactions, _ = ingest.read_transfers(write_transfers(tmp_path / "t.csv", rows), registry,
+                                            accounts)
+    cats = [row[6] for row in store_rows(transactions)]
     assert cats == ["Stablecoin", "Cryptocurrency", "Unlabeled"]
 
 
@@ -142,8 +144,9 @@ def test_group_transactions_partitions_by_hash_and_ego(tmp_path, registry, accou
         "tx1,0xe2,0xa,0xe2,0xtok1,USDC,1.0,100",  # same hash, other ego
         "tx2,0xe1,0xa,0xe1,0xtok1,USDC,1.0,101",
     ]
-    result = ingest.read_transfers(write_transfers(tmp_path / "t.csv", rows), registry, accounts)
-    keys = [(tx_hash, ego, len(rows)) for (tx_hash, ego), rows in result.groups.items()]
+    transactions, _ = ingest.read_transfers(write_transfers(tmp_path / "t.csv", rows), registry,
+                                            accounts)
+    keys = [(tx_hash, ego, len(rows)) for tx_hash, ego, _, rows in transactions]
     assert keys == [("tx1", "0xe1", 2), ("tx1", "0xe2", 1), ("tx2", "0xe1", 1)]
 
 
@@ -153,15 +156,18 @@ def test_spam_filter_drops_whole_transaction(tmp_path, registry, accounts):
         "tx1,0xe,0xb,0xe,0xspam,FREE,9.0,100",  # spam transfer taints tx1
         "tx2,0xe,0xa,0xe,0xtok1,USDC,1.0,101",
     ]
-    result = ingest.read_transfers(write_transfers(tmp_path / "t.csv", rows), registry, accounts)
-    assert [tx_hash for tx_hash, _, _, _ in result.transactions()] == ["tx2"]
+    transactions, report = ingest.read_transfers(write_transfers(tmp_path / "t.csv", rows),
+                                                 registry, accounts)
+    assert [tx_hash for tx_hash, _, _, _ in transactions] == ["tx2"]
+    assert report["transactions"] == 1 and report["transactions_spam_filtered"] == 1
+    assert report["transfers_kept"] == 3
 
 
 @pytest.mark.parametrize("caller_gc", [True, False], ids=["gc-on", "gc-off"])
 def test_ingest_pauses_the_collector_and_restores_it(tmp_path, registry, caller_gc):
-    """read_transfers and transactions() build their rows with the cyclic GC
-    paused, and leave it as the caller had it: after a read, after a read
-    that raises InputError, and when the caller had it off."""
+    """read_transfers builds its rows and joins the method groups with the
+    cyclic GC paused, and leaves it as the caller had it: after a read, after
+    a read that raises InputError, and when the caller had it off."""
     seen = []
 
     class Accounts(ingest.AccountRegistry):
@@ -178,10 +184,9 @@ def test_ingest_pauses_the_collector_and_restores_it(tmp_path, registry, caller_
     was = gc.isenabled()
     (gc.enable if caller_gc else gc.disable)()
     try:
-        result = ingest.read_transfers(write_transfers(tmp_path / "t.csv", rows), registry,
-                                       Accounts())
-        assert gc.isenabled() is caller_gc
-        assert len(result.transactions(Methods(tx1="Swap"))) == 2
+        transactions, _ = ingest.read_transfers(write_transfers(tmp_path / "t.csv", rows),
+                                                registry, Accounts(), Methods(tx1="Swap"))
+        assert len(transactions) == 2
         assert gc.isenabled() is caller_gc
         bad = tmp_path / "bad.csv"
         bad.write_text("tx_hash,ego\n", encoding="utf-8")
@@ -244,10 +249,11 @@ def test_attach_methods_joins_on_hash(tmp_path, registry, accounts):
         "tx1,0xe,0xa,0xe,0xtok1,USDC,1.0,100",
         "tx2,0xe,0xa,0xe,0xtok1,USDC,1.0,101",
     ]
-    result = ingest.read_transfers(write_transfers(tmp_path / "t.csv", rows), registry, accounts)
-    txs = list(result.transactions({"tx1": "Transfer"}))
+    txs, report = ingest.read_transfers(write_transfers(tmp_path / "t.csv", rows), registry,
+                                        accounts, {"tx1": "Transfer"})
     assert txs[0][2] == "Transfer"
     assert txs[1][2] is None
+    assert report["labeled"] == {"Transfer": 1}
 
 
 def test_methods_csv_header_validated(tmp_path):
@@ -261,8 +267,9 @@ def test_node_types_resolved_at_load(tmp_path, registry):
     accounts = ingest.AccountRegistry()
     accounts.add("0xc1", "contract")
     rows = ["tx1,0xe,0xc1,0xe,0xtok1,USDC,1.0,100"]
-    result = ingest.read_transfers(write_transfers(tmp_path / "t.csv", rows), registry, accounts)
-    row = store_rows(result)[0]
+    transactions, _ = ingest.read_transfers(write_transfers(tmp_path / "t.csv", rows), registry,
+                                            accounts)
+    row = store_rows(transactions)[0]
     assert (row[2], row[3]) == ("C", "E")
 
 

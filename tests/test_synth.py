@@ -102,8 +102,9 @@ def test_generate_empty_corpus_is_schema_valid(tmp_path):
         assert path.exists()
     tokens = ingest.TokenRegistry.from_file(tmp_path / "empty" / "tokens.json")
     accounts = ingest.AccountRegistry.from_file(tmp_path / "empty" / "accounts.json")
-    loaded = ingest.read_transfers(tmp_path / "empty" / "transfers.csv", tokens, accounts)
-    assert loaded.groups == {} and loaded.rejects == []
+    transactions, report = ingest.read_transfers(tmp_path / "empty" / "transfers.csv", tokens,
+                                                 accounts)
+    assert transactions == [] and report["transfers_read"] == 0 and report["rejected"] == {}
     assert ingest.load_method_labels(tmp_path / "empty" / "methods.csv", {}) == {}
 
 
@@ -193,9 +194,10 @@ def test_mixes_drive_per_ego_methods(tmp_path):
     group_of_tx = ingest.load_method_labels(out / "methods.csv", mapping)
     tokens = ingest.TokenRegistry.from_file(out / "tokens.json")
     accounts = ingest.AccountRegistry.from_file(out / "accounts.json")
-    loaded = ingest.read_transfers(out / "transfers.csv", tokens, accounts)
+    transactions, report = ingest.read_transfers(out / "transfers.csv", tokens, accounts)
+    assert report["transactions_spam_filtered"] == 0
     allowed = {"trader": {"Swap", "Transfer"}, "farmer": {"Deposit", "Withdraw"}}
-    for tx_hash, ego in loaded.groups:
+    for tx_hash, ego, _, _ in transactions:
         assert group_of_tx[tx_hash] in allowed[mix_of_ego[ego]]
 
 
@@ -204,8 +206,9 @@ def test_generated_accounts_cover_all_counterparties(small_corpus):
     registry = ingest.AccountRegistry.from_file(small_corpus["accounts"])
     known = {e["address"] for e in json.loads(small_corpus["accounts"].read_text())}
     tokens = ingest.TokenRegistry.from_file(small_corpus["tokens"])
-    loaded = ingest.read_transfers(small_corpus["transfers"], tokens, registry)
-    for rows in loaded.groups.values():
+    transactions, report = ingest.read_transfers(small_corpus["transfers"], tokens, registry)
+    assert report["transactions_spam_filtered"] == 0
+    for _, _, _, rows in transactions:
         for row in rows:
             assert row[0] in known  # from
             assert row[1] in known  # to

@@ -191,10 +191,10 @@ def test_ingest_transactions_survive_the_store_codec(tmp_path):
                        rng.choice(["USDC", "SPAM", "NÉW", ""]),
                        rng.choice(_AMOUNTS), rng.choice(_BLOCKS)]
                 writer.writerow(row if rng.random() > 0.05 else row[:-1])
-        loaded = ingest.read_transfers(path, tokens, accounts)
-        rejected += len(loaded.rejects)
-        method_of = {"t1": "Swap", "t,4": "Unknown"}
-        for tx in loaded.transactions(method_of):
+        transactions, report = ingest.read_transfers(path, tokens, accounts,
+                                                     {"t1": "Swap", "t,4": "Unknown"})
+        rejected += sum(report["rejected"].values())
+        for tx in transactions:
             line = storage.dumps({"tx": tx[0], "ego": tx[1], "mg": tx[2], "tr": tx[3]})
             back = storage.line_to_tx(line, path, 1)
             assert repr(back) == repr((tx[0], tx[1], tx[2], [list(r) for r in tx[3]]))
