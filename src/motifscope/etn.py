@@ -20,9 +20,6 @@ class EgoTransferNetwork:
     edges: list[tuple[str, str, str]]  # (source, target, token category), parallel allowed
     rejected: list[tuple[str, str]] = field(default_factory=list)  # (from, to) not touching ego
 
-    def counterparts(self) -> list[str]:
-        return [n for n in self.node_types if n != self.ego]
-
 
 def build_etn(tx: tuple[str, str, Optional[str], list]) -> EgoTransferNetwork:
     """Build the ETN of one stored transaction.

@@ -9,7 +9,8 @@ two line-oriented formats. `storage` owns writing. Rows that fail validation
 are rejected with a reason code and counted, never silently dropped.
 `read_transfers` reads transfers.csv in one streaming pass straight into the
 store's compact transfer rows, grouped by (tx_hash, ego), and returns the
-transactions with the ingest report. A transaction is the tuple (tx_hash,
+transactions with the object of ingest_report.json, which no other module
+builds. A transaction is the tuple (tx_hash,
 ego, method group or None, rows) throughout: `read_transfers` lists it,
 `storage.write_store` writes it and `storage.iter_store` reads it back. Both
 build their rows with the cyclic garbage collector paused: the rows hold no
@@ -22,6 +23,7 @@ import csv
 import functools
 import gc
 import json
+import math
 from collections import Counter
 from contextlib import contextmanager
 from typing import Iterator, Optional
@@ -272,8 +274,9 @@ def read_transfers(path, tokens: TokenRegistry, accounts: AccountRegistry,
     order within its group. The report is the store's ingest_report.json.
 
     Rejected rows are counted by reason, in first-seen order: malformed_row,
-    missing_tx_hash, missing_account, self_transfer, bad_amount,
-    negative_amount, bad_block. Each distinct (contract, symbol) is looked up
+    missing_tx_hash, missing_account, self_transfer, bad_amount (not a
+    number, or infinite, which no JSON number holds), negative_amount
+    (negative or NaN), bad_block. Each distinct (contract, symbol) is looked up
     in the token registry once and each distinct address in the account
     registry once; an address is E only where it equals the row's ego, and
     repeated strings share one object.
@@ -312,6 +315,9 @@ def read_transfers(path, tokens: TokenRegistry, accounts: AccountRegistry,
             continue
         if amount < 0 or amount != amount:
             rejected["negative_amount"] += 1
+            continue
+        if amount == math.inf:  # "inf", "Infinity" and overflows such as 1e400
+            rejected["bad_amount"] += 1
             continue
         try:
             block = int(block_s)

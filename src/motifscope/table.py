@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain
-from typing import Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -106,12 +106,6 @@ class FeatureTable:
         indices, counts = self.indices.tolist(), self.counts.tolist()
         return [{vocab[c]: n for c, n in zip(indices[start:stop], counts[start:stop])}
                 for start, stop in zip(indptr, indptr[1:])]
-
-    def rows(self) -> Iterator[tuple[str, str, dict[str, int]]]:
-        """(tx_hash, ego, features) per row, keys in vocabulary order."""
-        maps = self.distinct_rows()
-        for tx_hash, ego, row in zip(self.tx_hashes.tolist(), self.egos(), self.row_of.tolist()):
-            yield tx_hash, ego, dict(maps[row])
 
 
 _ENTRY_BYTES = 16  # an entry as two int64: index, count

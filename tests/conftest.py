@@ -10,6 +10,8 @@ from motifscope.cli import main
 from motifscope.models import DecisionTree
 from motifscope.table import FeatureTable
 
+from oracles import table_rows
+
 
 @pytest.fixture(scope="session")
 def small_corpus(tmp_path_factory):
@@ -51,7 +53,7 @@ def small_corpus(tmp_path_factory):
 @pytest.fixture(scope="session")
 def small_dataset(small_corpus) -> learn.Dataset:
     labels = storage.read_labels(small_corpus["labels"])
-    rows = [row for row in storage.read_features(small_corpus["features"]).rows()
+    rows = [row for row in table_rows(storage.read_features(small_corpus["features"]))
             if row[:2] in labels]
     return learn.build_dataset(FeatureTable.build(*zip(*rows)),
                                [labels[row[:2]] for row in rows])

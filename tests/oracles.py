@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import itertools
 import json
+import math
 import os
 from collections import Counter
 
@@ -68,6 +69,11 @@ def simple_view(etn: EgoTransferNetwork) -> set[tuple[str, str]]:
     return {(src, dst) for src, dst, _ in etn.edges}
 
 
+def counterparts(etn: EgoTransferNetwork) -> list[str]:
+    """The ETN's nodes other than its ego, in first-seen order."""
+    return [n for n in etn.node_types if n != etn.ego]
+
+
 def _matched_subsets(etn: EgoTransferNetwork, catalog, sizes=(1, 2)):
     """Yield (shape, role types, subset) for every counterpart subset whose
     induced simple-view subgraph matches a catalog shape.
@@ -75,7 +81,7 @@ def _matched_subsets(etn: EgoTransferNetwork, catalog, sizes=(1, 2)):
     Each subset's induced subgraph is matched against every catalog shape by
     trying all role bijections and comparing edge sets.
     """
-    nodes = sorted(etn.counterparts())
+    nodes = sorted(counterparts(etn))
     types = etn.node_types
     simple = simple_view(etn)
     for r in sizes:
@@ -115,7 +121,7 @@ def brute_force_motif_edge_features(
     and "__oversize__" is set.
     """
     types = etn.node_types
-    oversize = len(etn.counterparts()) > max_nodes
+    oversize = len(counterparts(etn)) > max_nodes
     counts: dict[str, int] = {}
     for shape, matched, subset in _matched_subsets(etn, catalog, (1,) if oversize else (1, 2)):
         labels = sorted(
@@ -461,8 +467,15 @@ def brute_force_match(features: dict, signatures) -> tuple[list, list]:
 
 
 # ---------------------------------------------------------------------------
-# a dataset by one dict lookup per feature
+# a table's rows expanded, and a dataset by one dict lookup per feature
 # ---------------------------------------------------------------------------
+
+def table_rows(table):
+    """(tx_hash, ego, features) per row of a FeatureTable, keys in vocabulary order."""
+    maps = table.distinct_rows()
+    for tx_hash, ego, row in zip(table.tx_hashes.tolist(), table.egos(), table.row_of.tolist()):
+        yield tx_hash, ego, dict(maps[row])
+
 
 def reference_dataset(rows, classes=None, vocabulary=None):
     """(X, y, classes, vocabulary) of (tx_hash, ego, features, label) rows:
@@ -527,6 +540,9 @@ def _reference_load_transfers(path, registry, accounts):
                 continue
             if amount < 0 or amount != amount:
                 rejects.append((lineno, "negative_amount"))
+                continue
+            if math.isinf(amount):
+                rejects.append((lineno, "bad_amount"))
                 continue
             try:
                 block = int(block_s)

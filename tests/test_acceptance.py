@@ -46,6 +46,7 @@ from oracles import (
     central_difference,
     count_motifs_untyped,
     random_tx,
+    table_rows,
 )
 
 CATALOG = motif.enumerate_catalog()
@@ -196,7 +197,7 @@ def mixcorpus(tmp_path_factory):
         tree, ds.X, ds.vocabulary, ds.classes, threshold=SUPPORT_THRESHOLD, method="greedy"
     )
     events: dict[str, list[int]] = {}
-    for tx, ego, feats in storage.read_features(features).rows():
+    for tx, ego, feats in table_rows(storage.read_features(features)):
         leaves, _ = match_signatures(feats, signatures)
         events.setdefault(ego, []).extend(leaves)
     profiles = filter_min_matches(build_profiles(sorted(events.items())), 10)
@@ -370,7 +371,7 @@ def test_criterion_08_synthetic_end_to_end(corpus50k, tmp_path_factory, capsys):
     _, held_store, held_features = build_corpus(held_root, 50_000, seed=99)
     held_labels = storage.read_labels(held_store / "labels.csv")
     only = total = 0
-    for tx, ego, feats in storage.read_features(held_features).rows():
+    for tx, ego, feats in table_rows(storage.read_features(held_features)):
         _, groups = match_signatures(feats, signatures)
         total += 1
         only += groups == [held_labels[(tx, ego)]]

@@ -96,8 +96,9 @@ def trained(tmp_path_factory, small_corpus):
     feats, labels = str(small_corpus["features"]), str(small_corpus["labels"])
     assert main(["train", "--features", feats, "--labels", labels,
                  "--model", "dt", "--out", str(paths["model"])]) == 0
-    assert main(["prune", "--model", str(paths["model"]), "--target-leaves", "20",
-                 "--out", str(paths["pruned"])]) == 0
+    with pytest.warns(UserWarning, match="no pruning level with exactly 20 leaves"):
+        assert main(["prune", "--model", str(paths["model"]), "--target-leaves", "20",
+                     "--out", str(paths["pruned"])]) == 0
     assert main(["signatures", "--model", str(paths["pruned"]), "--features", feats,
                  "--labels", labels, "--out", str(paths["signatures"])]) == 0
     assert main(["match", "--signatures", str(paths["signatures"]), "--features", feats,
@@ -1036,8 +1037,9 @@ def test_cluster_needs_two_accounts(tmp_path, capsys):
         writer.writerow(["account", "total", "leaf_0"])
         writer.writerow(["0xa0", 30, 30])
         writer.writerow(["0xa1", 2, 2])  # filtered by min-matches 10
-    _, err = run(capsys, ["cluster", "--profiles", str(profiles),
-                          "--out", str(tmp_path / "c.json")], code=2)
+    with pytest.warns(UserWarning, match=r"excluded 1 account\(s\) with fewer than 10"):
+        _, err = run(capsys, ["cluster", "--profiles", str(profiles),
+                              "--out", str(tmp_path / "c.json")], code=2)
     assert "at least 2 accounts" in err["error"]["message"]
 
 

@@ -2,7 +2,7 @@
 
 from motifscope import etn as etn_mod
 
-from oracles import simple_view
+from oracles import counterparts, simple_view
 
 
 def make_tx(transfers, ego="0xe", tx_hash="tx1"):
@@ -30,7 +30,7 @@ def test_build_etn_types_edges_and_simple_view():
     assert network.node_types == {"0xe": "E", "0xa": "A", "0xc": "C"}
     assert len(network.edges) == 4
     assert simple_view(network) == {("0xa", "0xe"), ("0xe", "0xc"), ("0xc", "0xe")}
-    assert sorted(network.counterparts()) == ["0xa", "0xc"]
+    assert sorted(counterparts(network)) == ["0xa", "0xc"]
     assert network.rejected == []
 
 

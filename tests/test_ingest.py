@@ -59,6 +59,8 @@ def test_reject_reasons(tmp_path, registry, accounts):
         "tx4,0xe,,0xe,0xtok1,USDC,1.0,100",  # missing_account
         "tx5,0xe,0xa,0xa,0xtok1,USDC,1.0,100",  # self_transfer
         "tx6,0xe,0xa,0xe,0xtok1,USDC,abc,100",  # bad_amount
+        "tx6,0xe,0xa,0xe,0xtok1,USDC,inf,100",  # bad_amount (infinite)
+        "tx6,0xe,0xa,0xe,0xtok1,USDC,1e400,100",  # bad_amount (overflows to infinity)
         "tx7,0xe,0xa,0xe,0xtok1,USDC,-3,100",  # negative_amount
         "tx8,0xe,0xa,0xe,0xtok1,USDC,nan,100",  # negative_amount (NaN)
         "tx9,0xe,0xa,0xe,0xtok1,USDC,1.0,xyz",  # bad_block
@@ -73,7 +75,7 @@ def test_reject_reasons(tmp_path, registry, accounts):
         "missing_tx_hash": 1,
         "missing_account": 1,
         "self_transfer": 1,
-        "bad_amount": 1,
+        "bad_amount": 3,
         "negative_amount": 2,
         "bad_block": 2,
     }
@@ -294,6 +296,7 @@ TRICKY_TRANSFERS = [
     "t6,,0xa1,0xe1,0xc1,USDC,1.0,10",  # missing_account
     "t6,0xe1,0xe1,0xe1,0xc1,USDC,1.0,10",  # self_transfer
     "t6,0xe1,0xa1,0xe1,0xc1,USDC,lots,10",  # bad_amount
+    "t6,0xe1,0xa1,0xe1,0xc1,USDC,Infinity,10",  # bad_amount: no JSON number holds it
     "t6,0xe1,0xa1,0xe1,0xc1,USDC,-1,10",  # negative_amount
     "t6,0xe1,0xa1,0xe1,0xc1,USDC,1.0,-2",  # bad_block
     "t5,0xe2,0xe2,0xa2,0xtok2,USDC,7,14",  # the contract wins over the symbol
@@ -333,8 +336,9 @@ def test_streamed_store_matches_reference(small_corpus, tmp_path, corpus):
                            shallow=False), name
     if corpus == "handwritten":
         assert report["rejected"] == {
-            reason: 1 for reason in ("malformed_row", "missing_tx_hash", "missing_account",
-                                     "self_transfer", "bad_amount", "negative_amount", "bad_block")}
+            reason: 1 + (reason == "bad_amount")
+            for reason in ("malformed_row", "missing_tx_hash", "missing_account",
+                           "self_transfer", "bad_amount", "negative_amount", "bad_block")}
         assert report["transactions"] == 5 and report["transactions_spam_filtered"] == 1
         types = {(tx_hash, ego): [(row[2], row[3]) for row in rows]
                  for tx_hash, ego, _, rows in storage.iter_store(tmp_path / "streamed")}

@@ -16,6 +16,7 @@ from oracles import (
     brute_force_motifs_untyped,
     count_motifs_untyped,
     random_tx,
+    table_rows,
 )
 
 
@@ -303,7 +304,7 @@ def test_featurize_store_matches_reference(small_corpus, tmp_path, mode):
     out = tmp_path / "features.jsonl"
     stats = featurize_store(small_corpus["store"], mode, out)
     expected = _reference_features(small_corpus["store"], motif.enumerate_catalog(), mode)
-    got = {(tx, ego): feats for tx, ego, feats in storage.read_features(out).rows()}
+    got = {(tx, ego): feats for tx, ego, feats in table_rows(storage.read_features(out))}
     assert stats.transactions == len(expected)
     assert got == expected
 
@@ -315,7 +316,7 @@ def test_featurize_store_matches_reference(small_corpus, tmp_path, mode):
     catalog = motif.load_catalog(tmp_path / "catalog.json")
     stats = featurize_store(tmp_path / "wide", mode, out, threads=2, catalog=catalog, max_nodes=4)
     expected = _reference_features(tmp_path / "wide", catalog, mode, max_nodes=4)
-    got = {(tx, ego): feats for tx, ego, feats in storage.read_features(out).rows()}
+    got = {(tx, ego): feats for tx, ego, feats in table_rows(storage.read_features(out))}
     assert got == expected
     assert (stats.transactions, stats.rejected_transfers) == (3, 1)  # 0xa01 -> 0xa02
     assert stats.oversize == (1 if mode == "MxE" else 0)

@@ -7,6 +7,8 @@ import pytest
 from motifscope import ingest, storage, synth
 from motifscope.cli import PACKAGED_METHOD_GROUPS
 
+from oracles import table_rows
+
 SLOT_TYPES = {"ego": "E", "null": "N", "address": "A", "contract": "C"}
 
 
@@ -156,7 +158,7 @@ def test_template_edges_present_in_features(small_corpus):
     expected = {arch.name: template_edge_keys(arch) for arch in cfg.archetypes}
     labels = storage.read_labels(small_corpus["labels"])
     checked = 0
-    for tx_hash, ego, feats in storage.read_features(small_corpus["features"]).rows():
+    for tx_hash, ego, feats in table_rows(storage.read_features(small_corpus["features"])):
         group = labels[(tx_hash, ego)]
         assert expected[group] <= set(feats), f"{group} template missing from {tx_hash}"
         checked += 1

@@ -13,7 +13,7 @@ from motifscope import cli, featurize, ingest, motif, storage
 from motifscope.motif import OOV_KEY
 from motifscope.table import FeatureTable
 
-from oracles import reference_dataset
+from oracles import reference_dataset, table_rows
 from test_motif import wide_store
 
 MODES = ["M", "E", "M+E", "MxE"]
@@ -54,10 +54,10 @@ def test_featurize_table_equals_table_read_back(small_corpus, tmp_path, monkeypa
         # rows come back with sorted keys, as the lines carry them
         lines = texts[0].decode("utf-8").splitlines()
         assert len(lines) == tables[0].n_rows
-        for line, (tx_hash, ego, feats) in zip(lines, tables[0].rows()):
+        for line, (tx_hash, ego, feats) in zip(lines, table_rows(tables[0])):
             assert list(feats) == sorted(feats)
             assert json.loads(line)["features"] == feats
-        rows = [tuple(feats.items()) for _, _, feats in tables[0].rows()]
+        rows = [tuple(feats.items()) for _, _, feats in table_rows(tables[0])]
         assert tables[0].n_distinct == len(set(rows))
 
 
@@ -274,7 +274,7 @@ def test_table_equals_per_row_oracle():
         table = FeatureTable.build([r[0] for r in oracle], [r[1] for r in oracle], maps, map_of)
         assert_same_table(table, FeatureTable.build(*zip(*oracle)))
         for t, rows in [(table, oracle)] + list(zip(tables, chunks)):
-            got = list(t.rows())
+            got = list(table_rows(t))
             assert got == rows
             for _, _, feats in got:
                 assert list(feats) == sorted(feats)
@@ -303,11 +303,11 @@ def test_take_keeps_only_the_distinct_rows_it_uses(tmp_path):
 def test_table_take_and_rows():
     table = FeatureTable.build(["t1", "t2", "t3"], ["e2", "e1", "e2"],
                                [{"b": 1, "a": 2}, {}, {"c": 0}])
-    assert list(table.rows()) == [("t1", "e2", {"b": 1, "a": 2}), ("t2", "e1", {}),
-                                  ("t3", "e2", {"c": 0})]
+    assert list(table_rows(table)) == [("t1", "e2", {"b": 1, "a": 2}), ("t2", "e1", {}),
+                                       ("t3", "e2", {"c": 0})]
     assert table.vocabulary == ["a", "b", "c"]
     for empty in (FeatureTable.build([], [], []), FeatureTable.build([], [], [], [])):
-        assert empty.n_rows == empty.n_distinct == 0 and list(empty.rows()) == []
+        assert empty.n_rows == empty.n_distinct == 0 and list(table_rows(empty)) == []
         assert empty.vocabulary == [] and empty.row_of.dtype == np.int32
     # two chunks' distinct rows, the second's row_of shifted, build the whole table
     parts = [FeatureTable.build(["t1"], ["e2"], [{"b": 1, "a": 2}]),
