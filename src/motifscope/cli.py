@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
-import gc
 import math
 import os
 import resource
@@ -712,6 +711,7 @@ def _stage(manifest: dict, name: str, fn):
     return out
 
 
+@_gc_paused()
 def run_pipeline(cfg: PipelineConfig) -> dict:
     """ingest -> featurize -> train/eval -> prune -> signatures -> match ->
     profile -> cluster, with a manifest of versions, seeds, timings, RSS,
@@ -732,9 +732,10 @@ def run_pipeline(cfg: PipelineConfig) -> dict:
     write, which fails the stage that submitted it, leaves a manifest naming
     it, the error and the stages completed before it.
 
-    The collector is paused through ingest, and what ingest built is then
-    frozen (gc.freeze) for the stages after it and unfrozen when the run
-    ends, unless the caller had frozen objects.
+    The whole run, writes included, runs with the cyclic garbage collector
+    paused, and the caller's collector state is restored when it ends. The
+    run builds millions of small objects, ingest's rows above all, and holds
+    no cycles among them, so a collection would only walk them.
     """
     cfg.check()
     import scipy
@@ -767,10 +768,9 @@ def run_pipeline(cfg: PipelineConfig) -> dict:
                 raise InputError(f"cannot read {name} file {path}: {exc}") from exc
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
-    freeze = gc.get_freeze_count() == 0  # a caller's own frozen objects stay frozen
     try:
         with writer:  # leaving the block waits for every write
-            _run_stages(cfg, out, manifest, writer, freeze)
+            _run_stages(cfg, out, manifest, writer)
     except Exception as exc:
         if writer.failed is not None:  # the earliest stage to fail: a write's precedes what raised here
             exc = StageError(*writer.failed)
@@ -784,9 +784,6 @@ def run_pipeline(cfg: PipelineConfig) -> dict:
         manifest["error"] = {"type": type(cause).__name__, "message": str(cause)}
         storage.write_json(out / "manifest.json", manifest)
         raise exc
-    finally:
-        if freeze:
-            gc.unfreeze()
     for path in sorted(out.rglob("*")):
         if path.is_file() and path.name != "manifest.json":
             manifest["artifacts"][path.relative_to(out).as_posix()] = storage.sha256_file(path)
@@ -795,8 +792,7 @@ def run_pipeline(cfg: PipelineConfig) -> dict:
     return manifest
 
 
-def _run_stages(cfg: PipelineConfig, out: Path, manifest: dict, writer: storage.Writer,
-                freeze: bool) -> None:
+def _run_stages(cfg: PipelineConfig, out: Path, manifest: dict, writer: storage.Writer) -> None:
     mode = motif.normalize_mode(cfg.mode)
     signatures = None
     if cfg.methods is None:  # match-only: the signatures and their mode are checked before ingest
@@ -804,15 +800,10 @@ def _run_stages(cfg: PipelineConfig, out: Path, manifest: dict, writer: storage.
             raise InputError("no methods file and no pre-mined signatures: nothing to match")
         signatures = load_signatures(cfg.signatures, mode)
     store_dir = out / "store"
-    # ingest's rows hold no cycles: the collector stays paused until they are
-    # frozen, so that no collection walks them
-    with _gc_paused():
-        report, transactions, labels = _stage(manifest, "ingest", lambda: ingest_to_store(
-            cfg.transfers, cfg.tokens, cfg.accounts, cfg.methods, cfg.method_groups, store_dir,
-            functools.partial(writer.submit, "ingest"),
-        ))
-        if freeze:
-            gc.freeze()
+    report, transactions, labels = _stage(manifest, "ingest", lambda: ingest_to_store(
+        cfg.transfers, cfg.tokens, cfg.accounts, cfg.methods, cfg.method_groups, store_dir,
+        functools.partial(writer.submit, "ingest"),
+    ))
     manifest["counters"]["ingest"] = {
         "transactions": report["transactions"], "kept": report["transfers_kept"],
         "rejected": report["rejected"], "spam_filtered": report["transactions_spam_filtered"]}

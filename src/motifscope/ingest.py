@@ -12,9 +12,10 @@ store's compact transfer rows, grouped by (tx_hash, ego), and returns the
 transactions with the object of ingest_report.json, which no other module
 builds. A transaction is the tuple (tx_hash, ego, method group or None,
 rows) throughout: `read_transfers` lists it, `storage.write_store` writes it
-and `storage.iter_store` reads it back. Both build their rows with the
-cyclic garbage collector paused: the rows hold no cycles, and a collection
-walks every row built so far.
+and `storage.iter_store` reads it back. `read_transfers` builds its rows
+with the cyclic garbage collector paused, as `cli.run_pipeline` does for its
+whole run: the rows hold no cycles, and a collection walks every row built
+so far.
 """
 
 from __future__ import annotations

@@ -19,7 +19,6 @@ them back, `read_features` with one `FeatureTable.build`.
 from __future__ import annotations
 
 import csv
-import gc
 import hashlib
 import json
 import multiprocessing as mp
@@ -93,8 +92,9 @@ class Writer:
 
     In the background, where "fork" is a start method, each write runs in a
     child forked from this process. The child inherits the write's
-    arguments, so nothing is pickled, and the caller goes on computing while
-    the child encodes. Otherwise a write runs at once. Leaving the `with`
+    arguments, so nothing is pickled, and the collector's state, which
+    `cli.run_pipeline` pauses for its whole run; the caller goes on
+    computing while the child encodes. Otherwise a write runs at once. Leaving the `with`
     block waits for every write, in the order they were submitted; a block
     left by an interrupt terminates the writes still running. `failed` is
     then (stage, exception) of the first write that raised, which leaving a
@@ -163,10 +163,10 @@ class Writer:
 
 
 def _write_in_child(conn, write, args) -> None:
-    """A writer process: run the write with the collector off and send back
-    (seconds, None) or (seconds, the exception). A terminated write exits
-    through `replacing`, which removes its .tmp files."""
-    gc.disable()
+    """A writer process: run the write and send back (seconds, None) or
+    (seconds, the exception), with the collector as the fork left it. A
+    terminated write exits through `replacing`, which removes its .tmp
+    files."""
     signal.signal(signal.SIGTERM, lambda signum, frame: sys.exit(128 + signum))
     start = time.perf_counter()
     error = None

@@ -1375,47 +1375,69 @@ def test_pipeline_failure_manifest(tmp_path, small_corpus, pipeline_run, monkeyp
     assert multiprocessing.active_children() == []
 
 
-def test_pipeline_freezes_what_ingest_built_and_unfreezes_it(tmp_path, small_corpus, monkeypatch,
-                                                             capsys):
-    """Ingest runs with the collector paused and the stages after it with
-    ingest's rows frozen, and the run leaves the collector and the freeze
-    count as it found them: after a run, after a run whose match stage
-    fails, and when the caller had frozen objects of its own, which stay
-    frozen and keep the run from freezing."""
-    ingesting, featurizing = [], []
-    ingest_to_store, featurize_store = cli.ingest_to_store, cli.featurize_store
+@pytest.mark.parametrize("caller_gc", [True, False], ids=["gc-on", "gc-off"])
+def test_pipeline_pauses_the_collector_for_the_whole_run(tmp_path, small_corpus, monkeypatch,
+                                                         capsys, caller_gc):
+    """Ingest, featurize, match and the forked store writer run with the
+    collector paused, and the run leaves it as the caller had it: after a
+    run, and after a run whose match stage fails."""
+    seen, writer_log = [], tmp_path / "writer_gc"
 
-    def ingest(*args, **kwargs):
-        ingesting.append(gc.isenabled())
-        return ingest_to_store(*args, **kwargs)
+    def recording(name, fn):
+        def recorded(*args, **kwargs):
+            seen.append((name, gc.isenabled()))
+            return fn(*args, **kwargs)
+        return recorded
 
-    def featurize(*args, **kwargs):
-        featurizing.append((gc.isenabled(), gc.get_freeze_count()))
-        return featurize_store(*args, **kwargs)
+    def write_store(*args, **kwargs):  # runs in the writer process at threads 2
+        with open(writer_log, "a", encoding="utf-8") as fh:
+            fh.write(f"{gc.isenabled()}\n")
+        return storage_write_store(*args, **kwargs)
 
-    def failing(feats, sigs):
+    def failing(*args, **kwargs):
         raise RuntimeError("matcher failed")
 
-    monkeypatch.setattr(cli, "ingest_to_store", ingest)
-    monkeypatch.setattr(cli, "featurize_store", featurize)
-    assert gc.isenabled() and gc.get_freeze_count() == 0
-    run(capsys, _pipeline_argv(small_corpus, tmp_path / "ok", 1))
-    assert ingesting == [False] and featurizing[-1][0] and featurizing[-1][1] > 0
-    assert gc.isenabled() and gc.get_freeze_count() == 0
-    monkeypatch.setattr(cli, "match_signatures", failing)
-    run(capsys, _pipeline_argv(small_corpus, tmp_path / "failed", 1), code=3)
-    assert featurizing[-1][1] > 0 and gc.isenabled() and gc.get_freeze_count() == 0
-    kept = [object()]
-    gc.freeze()
+    storage_write_store = storage.write_store
+    monkeypatch.setattr(storage, "write_store", write_store)
+    for name in ("ingest_to_store", "featurize_store", "match_features"):
+        monkeypatch.setattr(cli, name, recording(name, getattr(cli, name)))
+    was = gc.isenabled()
+    (gc.enable if caller_gc else gc.disable)()
     try:
-        before = gc.get_freeze_count()
-        run(capsys, _pipeline_argv(small_corpus, tmp_path / "caller", 1), code=3)
-        # a frozen object may be freed by refcount, so the count can only fall
-        assert before >= featurizing[-1][1] >= gc.get_freeze_count() > 0
-        assert not any(obj is kept for obj in gc.get_objects())  # still frozen
+        run(capsys, _pipeline_argv(small_corpus, tmp_path / "ok", 2))
+        assert gc.isenabled() is caller_gc
+        monkeypatch.setattr(cli, "match_features", recording("match_features", failing))
+        run(capsys, _pipeline_argv(small_corpus, tmp_path / "failed", 2), code=3)
+        assert gc.isenabled() is caller_gc
     finally:
-        gc.unfreeze()
-    assert any(obj is kept for obj in gc.get_objects())
+        (gc.enable if was else gc.disable)()
+    assert seen == [(name, False) for name in ("ingest_to_store", "featurize_store",
+                                               "match_features")] * 2
+    assert writer_log.read_text(encoding="utf-8") == "False\nFalse\n"
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("kind", ["dt", "lr", "rf", "match-only"])
+def test_pipeline_builds_no_reference_cycles(tmp_path, small_corpus, pipeline_run, kind):
+    """What pausing the collector for a whole run rests on: the run leaves
+    nothing that only a collection could free."""
+    cfg = PipelineConfig(transfers=str(small_corpus["transfers"]),
+                         tokens=str(small_corpus["tokens"]),
+                         accounts=str(small_corpus["accounts"]), out=str(tmp_path / "run"),
+                         threads=2, folds=3, trees=5, min_matches=1)
+    if kind == "match-only":
+        cfg.signatures = str(pipeline_run / "signatures.json")
+    else:
+        cfg.methods, cfg.model = str(small_corpus["methods"]), kind
+    was = gc.isenabled()
+    gc.disable()
+    try:
+        gc.collect()
+        run_pipeline(cfg)
+        assert gc.collect() == 0
+    finally:
+        if was:
+            gc.enable()
 
 
 def _pipeline_argv(small_corpus, out, threads, signatures=None):
