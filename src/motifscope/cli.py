@@ -2,8 +2,9 @@
 
 Every tunable parameter is declared once, in PARAMS: its type, default,
 choices or range, and help. The subcommand flags, the pipeline's flags,
-PipelineConfig's defaults, fit_model's fallbacks and _check_params (the
-flags, the pipeline config and a model file's params) all read it.
+PipelineConfig's defaults, fit_model's fallbacks and _check_params all read
+it; main checks a subcommand's flags before the command runs, and
+PipelineConfig.check the pipeline's config with its flags merged in.
 
 Exit codes: 0 success, 2 unusable input (InputError), 3 stage failure.
 Failures print a machine-readable JSON object on stderr.
@@ -166,12 +167,14 @@ def _check_params(values: Mapping, name=_flag, keys=PARAMS) -> None:
 
 def _add_flags(parser, *keys: str, **settings) -> None:
     """Add the flag of each key, whose type, default, choices and help its
-    PARAMS entry gives unless `settings` does."""
+    PARAMS entry gives unless `settings` does. The keys join the parser's
+    `params` default: main checks the values of those flags."""
     for key in keys:
         param = PARAMS.get(key, Param(None, None))
         parser.add_argument(_flag(key), **{
             "type": param.type, "default": param.default, "choices": param.choices or None,
             "help": param.help, **settings})
+    parser.set_defaults(params=[*(parser.get_default("params") or ()), *keys])
 
 
 @dataclass
@@ -488,7 +491,6 @@ def cmd_etn(args) -> int:
 
 
 def cmd_featurize(args) -> int:
-    _check_params(vars(args))
     catalog = motif.load_catalog(args.catalog) if args.catalog else None
     stats = featurize_store(
         args.store, args.mode, args.out,
@@ -523,7 +525,6 @@ def _read_dataset(args, spec: Optional[ModelSpec] = None) -> Dataset:
 def cmd_train(args) -> int:
     params = {key: getattr(args, key) for key in FIT_PARAMS}
     params["max_features"] = None if args.max_features == "all" else args.max_features
-    _check_params({**params, "seed": args.seed})
     dataset = _read_dataset(args)
     file_mode = storage.features_mode(args.features)
     mode = motif.normalize_mode(args.mode) if args.mode else (file_mode or PARAMS["mode"].default)
@@ -535,7 +536,6 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    _check_params(vars(args), keys=["seed", "folds"])
     spec = load_model(args.model)
     dataset = _read_dataset(args, spec)
     report = cross_validate(spec, dataset, cv_folds(dataset, args.folds, args.seed), args.seed,
@@ -546,7 +546,6 @@ def cmd_eval(args) -> int:
 
 
 def cmd_prune(args) -> int:
-    _check_params(vars(args), keys=["seed", "folds"])
     if args.features or args.labels:
         flags = {"--path": args.path, "--features": args.features, "--labels": args.labels}
         if missing := [flag for flag, value in flags.items() if not value]:
@@ -565,7 +564,6 @@ def cmd_prune(args) -> int:
 
 
 def cmd_signatures(args) -> int:
-    _check_params(vars(args), keys=["threshold"])
     spec = load_model(args.model)
     dataset = _read_dataset(args, spec)
     signatures, discrepancies = write_signatures(spec, dataset, args.threshold, args.method,
@@ -593,7 +591,6 @@ def cmd_profile(args) -> int:
 
 
 def cmd_cluster(args) -> int:
-    _check_params(vars(args))
     profiles = filter_min_matches(read_profiles_csv(args.profiles), args.min_matches)
     result = cluster_profiles(profiles, args.linkage, args.out, args.plotdata)
     _print({"accounts": len(profiles.accounts), "chosen_k": result.chosen_k,
@@ -602,7 +599,6 @@ def cmd_cluster(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    _check_params(vars(args), keys=["seed"])
     config = load_config(args.config)
     mixes = load_mixes(args.mixes) if args.mixes else None
     result = generate(
@@ -928,7 +924,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_flags(p, "model", required=True, default=None)
     _add_flags(p, "mode", default=None)
     _add_flags(p, "l2", "min_leaf", "trees")
-    _add_flags(p, "max_features", choices=["sqrt", "all"])
+    # argparse checks the flag's own choices; "all" is null
+    p.add_argument("--max-features", default=PARAMS["max_features"].default,
+                   choices=["sqrt", "all"])
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_train)
 
@@ -989,19 +987,23 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_synth)
 
     # a flag per config field, each defaulting to None so that only the flags passed
-    # override a config file; --config follows the run-wide --seed and --threads
+    # override a config file; --config follows the run-wide --seed and --threads.
+    # main checks none of them: run_pipeline checks the config they override.
     p = sub.add_parser("pipeline", help="run all stages end to end")
     for f in dataclasses.fields(PipelineConfig):
         if f.name == "transfers":
             p.add_argument("--config", default=None, help="pipeline config JSON")
         _add_flags(p, f.name, default=None, help=f.metadata.get("help"))
-    p.set_defaults(func=cmd_pipeline)
+    p.set_defaults(func=cmd_pipeline, params=())
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        # the PARAMS flags passed, before any work; a flag left at None is unset
+        _check_params({key: value for key, value in vars(args).items() if value is not None},
+                      keys=getattr(args, "params", ()))
         return args.func(args)
     except InputError as exc:
         return _fail(getattr(exc, "stage", args.cmd), exc, 2)

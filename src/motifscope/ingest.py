@@ -276,8 +276,9 @@ def read_transfers(path, tokens: TokenRegistry, accounts: AccountRegistry,
 
     Rejected rows are counted by reason, in first-seen order: malformed_row,
     missing_tx_hash, missing_account, self_transfer, bad_amount (not a
-    number, or infinite, which no JSON number holds), negative_amount
-    (negative or NaN), bad_block. Each distinct (contract, symbol) is looked up
+    number in ASCII without padding or digit-group underscores, or infinite,
+    which no JSON number holds), negative_amount (negative or NaN), bad_block
+    (not ASCII digits). Each distinct (contract, symbol) is looked up
     in the token registry once and each distinct address in the account
     registry once; an address is E only where it equals the row's ego, and
     repeated strings share one object.
@@ -309,6 +310,10 @@ def read_transfers(path, tokens: TokenRegistry, accounts: AccountRegistry,
         if src == dst:
             rejected["self_transfer"] += 1
             continue
+        # float() would also take "1_000", " 5 " and non-ASCII digits
+        if "_" in amount_s or not amount_s.isascii() or amount_s != amount_s.strip():
+            rejected["bad_amount"] += 1
+            continue
         try:
             amount = float(amount_s)
         except ValueError:
@@ -320,14 +325,10 @@ def read_transfers(path, tokens: TokenRegistry, accounts: AccountRegistry,
         if amount == math.inf:  # "inf", "Infinity" and overflows such as 1e400
             rejected["bad_amount"] += 1
             continue
-        try:
-            block = int(block_s)
-        except ValueError:
+        if not (block_s.isascii() and block_s.isdigit()):
             rejected["bad_block"] += 1
             continue
-        if block < 0:
-            rejected["bad_block"] += 1
-            continue
+        block = int(block_s)
         kept += 1
         ego = account(ego)[0]
         src, src_kind = account(src)

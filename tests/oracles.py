@@ -14,6 +14,8 @@ import itertools
 import json
 import math
 import os
+import re
+import string
 from collections import Counter
 
 import numpy as np
@@ -510,6 +512,11 @@ def _type_of(accounts, address, ego):
     return "E" if address == ego else accounts.kind_of(address)
 
 
+# the characters of an amount float() reads that has no padding, no
+# digit-group underscore and no non-ASCII digit
+_AMOUNT_CHARS = set(string.digits + string.ascii_letters + "+-.")
+
+
 def _reference_load_transfers(path, registry, accounts):
     """A (tx_hash, ego, store row) record per valid row, registries consulted
     row by row."""
@@ -534,6 +541,8 @@ def _reference_load_transfers(path, registry, accounts):
                 rejects.append((lineno, "self_transfer"))
                 continue
             try:
+                if not set(amount_s) <= _AMOUNT_CHARS:
+                    raise ValueError(f"not an ASCII number: {amount_s!r}")
                 amount = float(amount_s)
             except ValueError:
                 rejects.append((lineno, "bad_amount"))
@@ -544,14 +553,10 @@ def _reference_load_transfers(path, registry, accounts):
             if math.isinf(amount):
                 rejects.append((lineno, "bad_amount"))
                 continue
-            try:
-                block = int(block_s)
-            except ValueError:
+            if not re.fullmatch(r"[0-9]+", block_s):
                 rejects.append((lineno, "bad_block"))
                 continue
-            if block < 0:
-                rejects.append((lineno, "bad_block"))
-                continue
+            block = int(block_s)
             transfers.append((tx_hash, ego, [
                 src, dst, _type_of(accounts, src, ego), _type_of(accounts, dst, ego), contract,
                 symbol, registry.resolve(contract, symbol)[0], amount, block,

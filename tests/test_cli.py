@@ -123,7 +123,30 @@ def test_input_error_exit_2_with_json(tmp_path, capsys):
     assert err["error"]["type"] == "InputError"
 
 
-@pytest.mark.parametrize("argv, prefix", [
+# a value that each PARAMS rule refuses, as a flag would pass it
+REFUSED = {"seed": "-1", "threads": "0", "folds": "1", "min_leaf": "0", "l2": "-1", "trees": "0",
+           "threshold": "1", "target_leaves": "0", "alpha": "-1", "min_matches": "-1",
+           "max_nodes": "0"}
+
+
+def _walked_range_cases():
+    """(argv, message prefix) refusing each subcommand flag with a PARAMS rule
+    once, found by walking the parser; a flag with choices is argparse's."""
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    for command, parser in sub.choices.items():
+        for action in parser._actions:
+            param = cli.PARAMS.get(action.dest)
+            if action.option_strings and param and param.ok and not action.choices:
+                value = REFUSED[action.dest]
+                where = (f"pipeline config {action.dest!r}" if command == "pipeline"
+                         else action.option_strings[0])
+                yield pytest.param(
+                    [command, action.option_strings[0], value],
+                    f"{where} must be {param.what}, got {param.type(value)!r}",
+                    id=f"{command}-{action.option_strings[0][2:]}-{value}")
+
+
+OUT_OF_RANGE = [
     (["eval", "--folds", "1"], "--folds must be an integer >= 2, got 1"),
     (["eval", "--folds", "0"], "--folds must be an integer >= 2, got 0"),
     (["prune", "--folds", "1"], "--folds must be an integer >= 2, got 1"),
@@ -148,19 +171,26 @@ def test_input_error_exit_2_with_json(tmp_path, capsys):
     (["eval", "--seed", "-1"], "--seed must be an integer >= 0, got -1"),
     (["prune", "--seed", "-1"], "--seed must be an integer >= 0, got -1"),
     (["synth", "--seed", "-1"], "--seed must be an integer >= 0, got -1"),
-], ids=["eval-folds-1", "eval-folds-0", "prune-folds-1", "train-trees-0", "pipeline-folds-1",
-        "pipeline-trees-0", "featurize-threads-0", "featurize-threads--2",
-        "featurize-max-nodes-0", "featurize-max-nodes--1", "cluster-min-matches--1",
-        "pipeline-threads-0", "pipeline-min-matches--5", "pipeline-max-nodes--1",
-        "pipeline-max-nodes-0", "pipeline-seed--1", "train-seed--1", "eval-seed--1",
-        "prune-seed--1", "synth-seed--1"])
+]
+OUT_OF_RANGE_IDS = ["eval-folds-1", "eval-folds-0", "prune-folds-1", "train-trees-0",
+                    "pipeline-folds-1", "pipeline-trees-0", "featurize-threads-0",
+                    "featurize-threads--2", "featurize-max-nodes-0", "featurize-max-nodes--1",
+                    "cluster-min-matches--1", "pipeline-threads-0", "pipeline-min-matches--5",
+                    "pipeline-max-nodes--1", "pipeline-max-nodes-0", "pipeline-seed--1",
+                    "train-seed--1", "eval-seed--1", "prune-seed--1", "synth-seed--1"]
+
+
+@pytest.mark.parametrize("argv, prefix", [
+    *(pytest.param(*case, id=id_) for case, id_ in zip(OUT_OF_RANGE, OUT_OF_RANGE_IDS)),
+    *(case for case in _walked_range_cases() if case.id not in OUT_OF_RANGE_IDS)])
 def test_out_of_range_parameter_exit_2(small_corpus, trained, tmp_path, capsys, argv, prefix):
     data = ["--features", str(small_corpus["features"]), "--labels", str(small_corpus["labels"])]
     extra = {
         "eval": ["--model", str(trained["model"]), *data, "--report", str(tmp_path / "r.json")],
         "prune": ["--model", str(trained["model"]), *data, "--alpha", "0",
                   "--path", str(tmp_path / "path.csv"), "--out", str(tmp_path / "p.json")],
-        "train": [*data, "--out", str(tmp_path / "m.json")],
+        "train": [*data, "--model", "rf", "--out", str(tmp_path / "m.json")],
+        "signatures": ["--model", str(trained["pruned"]), *data, "--out", str(tmp_path / "m.json")],
         "featurize": ["--store", str(small_corpus["store"]), "--out", str(tmp_path / "m.json")],
         "cluster": ["--profiles", str(trained["profiles"]), "--out", str(tmp_path / "m.json")],
         "synth": ["--n", "100", "--out", str(tmp_path / "m.json")],
@@ -169,7 +199,7 @@ def test_out_of_range_parameter_exit_2(small_corpus, trained, tmp_path, capsys, 
                      "--accounts", str(small_corpus["accounts"]),
                      "--methods", str(small_corpus["methods"]), "--out", str(tmp_path / "run")],
     }[argv[0]]
-    _, err = run(capsys, argv + extra, code=2)
+    _, err = run(capsys, [argv[0], *extra, *argv[1:]], code=2)  # the case's flags win
     assert err["error"]["type"] == "InputError"
     assert err["error"]["message"].startswith(prefix), err["error"]["message"]
     assert not (tmp_path / "m.json").exists()

@@ -65,6 +65,15 @@ def test_reject_reasons(tmp_path, registry, accounts):
         "tx8,0xe,0xa,0xe,0xtok1,USDC,nan,100",  # negative_amount (NaN)
         "tx9,0xe,0xa,0xe,0xtok1,USDC,1.0,xyz",  # bad_block
         "tx10,0xe,0xa,0xe,0xtok1,USDC,1.0,-5",  # bad_block
+        # float() and int() would read these as 1000.0, 5.0 and -5.0, blocks 10, 3 and 7
+        "tx11,0xe,0xa,0xe,0xtok1,USDC,1_000,1_0",  # bad_amount (digit-group underscore)
+        "tx12,0xe,0xa,0xe,0xtok1,USDC, 5 ,\u0663",  # bad_amount (padding)
+        "tx13,0xe,0xa,0xe,0xtok1,USDC,\u0665,100",  # bad_amount (a non-ASCII digit)
+        "tx14,0xe,0xa,0xe,0xtok1,USDC, -5,100",  # bad_amount (padding), not negative_amount
+        "tx15,0xe,0xa,0xe,0xtok1,USDC,1.0,1_0",  # bad_block (digit-group underscore)
+        "tx16,0xe,0xa,0xe,0xtok1,USDC,1.0,\u0663",  # bad_block (a non-ASCII digit)
+        "tx17,0xe,0xa,0xe,0xtok1,USDC,1.0,+7",  # bad_block (a sign)
+        "tx18,0xe,0xa,0xe,0xtok1,USDC,1.0, 7",  # bad_block (padding)
     ]
     transactions, report = ingest.read_transfers(write_transfers(tmp_path / "t.csv", rows),
                                                  registry, accounts)
@@ -75,9 +84,9 @@ def test_reject_reasons(tmp_path, registry, accounts):
         "missing_tx_hash": 1,
         "missing_account": 1,
         "self_transfer": 1,
-        "bad_amount": 3,
+        "bad_amount": 7,
         "negative_amount": 2,
-        "bad_block": 2,
+        "bad_block": 6,
     }
     # reasons in the order they first appear
     assert list(report["rejected"])[:2] == ["malformed_row", "missing_tx_hash"]
@@ -299,6 +308,9 @@ TRICKY_TRANSFERS = [
     "t6,0xe1,0xa1,0xe1,0xc1,USDC,Infinity,10",  # bad_amount: no JSON number holds it
     "t6,0xe1,0xa1,0xe1,0xc1,USDC,-1,10",  # negative_amount
     "t6,0xe1,0xa1,0xe1,0xc1,USDC,1.0,-2",  # bad_block
+    "t6,0xe1,0xa1,0xe1,0xc1,USDC,1_000,1_0",  # bad_amount: a digit-group underscore
+    "t6,0xe1,0xa1,0xe1,0xc1,USDC, 5 ,\u0663",  # bad_amount: padding
+    "t6,0xe1,0xa1,0xe1,0xc1,USDC,1.0,+7",  # bad_block: a sign
     "t5,0xe2,0xe2,0xa2,0xtok2,USDC,7,14",  # the contract wins over the symbol
     "t5,0xe2,0xa2,0xe2,0xunknown,WETH,2,14",  # unregistered contract: the symbol decides
 ]
@@ -336,9 +348,8 @@ def test_streamed_store_matches_reference(small_corpus, tmp_path, corpus):
                            shallow=False), name
     if corpus == "handwritten":
         assert report["rejected"] == {
-            reason: 1 + (reason == "bad_amount")
-            for reason in ("malformed_row", "missing_tx_hash", "missing_account",
-                           "self_transfer", "bad_amount", "negative_amount", "bad_block")}
+            "malformed_row": 1, "missing_tx_hash": 1, "missing_account": 1, "self_transfer": 1,
+            "bad_amount": 4, "negative_amount": 1, "bad_block": 2}
         assert report["transactions"] == 5 and report["transactions_spam_filtered"] == 1
         types = {(tx_hash, ego): [(row[2], row[3]) for row in rows]
                  for tx_hash, ego, _, rows in storage.iter_store(tmp_path / "streamed")}

@@ -179,7 +179,7 @@ def test_ingest_transactions_survive_the_store_codec(tmp_path):
     accounts = ingest.AccountRegistry()
     accounts.add("0xc1", "contract")
     rejected = compared = 0
-    for trial in range(30):
+    for trial in range(40):
         path = tmp_path / f"transfers{trial}.csv"
         with open(path, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
