@@ -730,8 +730,8 @@ def run_pipeline(cfg: PipelineConfig) -> dict:
 
     The whole run, writes included, runs with the cyclic garbage collector
     paused, and the caller's collector state is restored when it ends. The
-    run builds millions of small objects, ingest's rows above all, and holds
-    no cycles among them, so a collection would only walk them.
+    run builds many small objects, ingest's rows above all, and no cycles
+    among them, so a collection would only walk them.
     """
     cfg.check()
     import scipy
