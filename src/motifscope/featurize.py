@@ -33,13 +33,13 @@ import numpy as np
 
 from . import motif, storage
 from .ingest import _open
-from .motif import DEFAULT_MAX_NODES, MotifCatalog
+from .motif import DEFAULT_MAX_NODES, Catalog
 from .table import FeatureTable
 
 CHUNK_LINES = 8192
 
 
-def _featurize(catalog: MotifCatalog, mode: str, max_nodes: int, transactions) -> tuple:
+def _featurize(catalog: Catalog, mode: str, max_nodes: int, transactions) -> tuple:
     """Featurize stored tuples into (oversize, rejected, maps, map_of, hashes,
     egos): row i's tx hash and ego are hashes[i] and egos[i], and its
     features maps[map_of[i]], the maps in the order of their first use.
@@ -65,7 +65,7 @@ def _featurize(catalog: MotifCatalog, mode: str, max_nodes: int, transactions) -
     return oversize, rejected, maps, np.array(map_of, dtype=np.int32), hashes, egos
 
 
-def _featurize_lines(catalog: MotifCatalog, mode: str, max_nodes: int, chunk) -> tuple:
+def _featurize_lines(catalog: Catalog, mode: str, max_nodes: int, chunk) -> tuple:
     """A pool worker: _featurize a (store path, first line number, lines) chunk."""
     path, first, lines = chunk
     return _featurize(catalog, mode, max_nodes, storage._decode(lines, path, first))
@@ -100,7 +100,7 @@ def featurize_store(
     mode: str,
     out_path,
     threads: int = 1,
-    catalog: MotifCatalog | None = None,
+    catalog: Catalog | None = None,
     max_nodes: int = DEFAULT_MAX_NODES,
     write=storage._now,
 ) -> FeaturizeStats:

@@ -16,7 +16,6 @@ transactions of one shape share one map per pass.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .ingest import _schema, read_json
@@ -25,7 +24,8 @@ from .ingest import _schema, read_json
 OUT, IN, RECIP = 0, 1, 2
 
 MODES = ("M", "E", "M+E", "MxE")
-# the spelling of each mode that the --mode flags accept -> the mode; any case is accepted
+# the spelling of each mode that the --mode flags and a config accept -> the mode;
+# normalize_mode, for library callers, also accepts them in any case
 MODE_SPELLINGS = {"M": "M", "E": "E", "ME": "M+E", "M+E": "M+E", "MxE": "MxE"}
 OOV_KEY = "__oov__"
 OVERSIZE_KEY = "__oversize__"
@@ -35,101 +35,41 @@ DEFAULT_MAX_NODES = 500
 _EDGE_LABELS: dict[tuple[str, str, str], str] = {}
 
 
-@dataclass(frozen=True)
-class MotifShape:
-    """One ego-rooted shape: the ego plus one or two neighbor roles.
-
-    states holds the neighbor roles' edge states in role order; a 3-node
-    shape is symmetric (automorphism 2) when both roles share a state.
-    """
-
-    id: str
-    states: tuple[int, ...]
-
-    @property
-    def size(self) -> int:
-        return 1 + len(self.states)
-
-    @property
-    def symmetric(self) -> bool:
-        return len(self.states) == 2 and self.states[0] == self.states[1]
-
-    def role_edges(self) -> list[tuple[str, str]]:
-        edges = []
-        for role, state in zip("ij", self.states):
-            if state in (OUT, RECIP):
-                edges.append(("E", role))
-            if state in (IN, RECIP):
-                edges.append((role, "E"))
-        return edges
+# A motif catalog: each ego-rooted shape's neighbor-role edge states, in
+# ascending order, -> its motif id. (OUT,) is the ego sending to one
+# neighbor; (IN, RECIP) a pair, one sending to the ego, one in both directions.
+Catalog = dict[tuple[int, ...], str]
 
 
-class MotifCatalog:
-    """Ordered, non-isomorphic collection of ego motif shapes."""
-
-    def __init__(self, shapes: list[MotifShape]):
-        self.shapes = list(shapes)
-        self.by_id = {s.id: s for s in self.shapes}
-        self.two_node: dict[int, MotifShape] = {}
-        self.three_node: dict[tuple[int, int], MotifShape] = {}
-        seen: set[tuple[int, ...]] = set()
-        for shape in self.shapes:
-            if len(shape.states) not in (1, 2):
-                raise ValueError(f"motif {shape.id}: only 2- and 3-node shapes are allowed")
-            canon = tuple(sorted(shape.states))
-            if canon in seen:
-                raise ValueError(f"motif {shape.id} is isomorphic to an earlier catalog entry")
-            seen.add(canon)
-            if len(shape.states) == 1:
-                self.two_node[shape.states[0]] = shape
-            else:
-                self.three_node[canon] = shape
-        if len(self.by_id) != len(self.shapes):
-            raise ValueError("duplicate motif ids in catalog")
-
-    def __len__(self) -> int:
-        return len(self.shapes)
-
-    def __iter__(self):
-        return iter(self.shapes)
-
-    def to_json(self) -> list[dict]:
-        out = []
-        for shape in self.shapes:
-            nodes = ["E"] + list("ij"[: len(shape.states)])
-            out.append({"id": shape.id, "nodes": nodes, "edges": shape.role_edges()})
-        return out
-
-
-def enumerate_catalog() -> MotifCatalog:
+def enumerate_catalog() -> Catalog:
     """All non-isomorphic ego-rooted shapes on 2 and 3 nodes.
 
     Every neighbor carries one of {out, in, reciprocal}; 3-node shapes are
-    deduplicated under the neighbor swap. Yields 3 + 6 = 9 shapes, ordered
+    deduplicated under the neighbor swap. Yields 3 + 6 = 9 shapes, m1-m9,
     two-node first, states ascending.
     """
-    shapes = []
-    n = 0
-    for state in (OUT, IN, RECIP):
-        n += 1
-        shapes.append(MotifShape(id=f"m{n}", states=(state,)))
-    for s1 in (OUT, IN, RECIP):
-        for s2 in (OUT, IN, RECIP):
-            if s2 < s1:
-                continue
-            n += 1
-            shapes.append(MotifShape(id=f"m{n}", states=(s1, s2)))
-    return MotifCatalog(shapes)
+    states = [(s,) for s in (OUT, IN, RECIP)]
+    states += [(s1, s2) for s1 in (OUT, IN, RECIP) for s2 in (OUT, IN, RECIP) if s1 <= s2]
+    return {shape: f"m{n}" for n, shape in enumerate(states, start=1)}
 
 
-def load_catalog(path) -> MotifCatalog:
+def load_catalog(path) -> Catalog:
     """Load a catalog override from JSON: [{id, nodes, edges:[[role,role]]}].
-    A catalog that does not describe valid ego motifs raises InputError."""
+    A catalog that does not describe valid, non-isomorphic ego motifs with
+    distinct ids raises InputError."""
     with _schema("motif catalog", path):
-        return MotifCatalog([_catalog_shape(entry) for entry in read_json(path, "motif catalog")])
+        catalog: Catalog = {}
+        for sid, states in [_catalog_shape(entry) for entry in read_json(path, "motif catalog")]:
+            if states in catalog:
+                raise ValueError(f"motif {sid} is isomorphic to an earlier catalog entry")
+            catalog[states] = sid
+        if len(set(catalog.values())) != len(catalog):
+            raise ValueError("duplicate motif ids in catalog")
+        return catalog
 
 
-def _catalog_shape(entry: dict) -> MotifShape:
+def _catalog_shape(entry: dict) -> tuple[str, tuple[int, ...]]:
+    """(id, role states in ascending order) of one catalog file entry."""
     sid = entry["id"]
     nodes = entry["nodes"]
     edges = [tuple(e) for e in entry["edges"]]
@@ -152,11 +92,11 @@ def _catalog_shape(entry: dict) -> MotifShape:
             raise ValueError(f"motif {sid}: edge ({a},{b}) does not touch E")
         if a == b or {a, b} - set(nodes):
             raise ValueError(f"motif {sid}: bad edge ({a},{b})")
-    return MotifShape(id=sid, states=tuple(states))
+    return sid, tuple(sorted(states))
 
 
 def count_from_groups(
-    catalog: MotifCatalog,
+    catalog: Catalog,
     groups: Sequence[tuple[tuple[int, str, tuple[str, ...]], int]],
     oversize: bool = False,
 ) -> dict[str, int]:
@@ -165,39 +105,32 @@ def count_from_groups(
 
     Induced matching: a counterpart pair matches the 3-node shape whose
     states equal the pair's states, and nothing else, so subset counts are
-    products / within-group pair counts over the groups. Non-empty labels
-    (MxE) append "|" and the instance's edge labels joined in sorted order
-    to each key. With oversize set, only 2-node keys are counted and
-    OVERSIZE_KEY is set instead of the pair keys.
+    products / within-group pair counts over the groups. A pair key lists its
+    types in the order of their states, sorted when the states are equal.
+    Non-empty labels (MxE) append "|" and the instance's edge labels joined
+    in sorted order to each key. With oversize set, only 2-node keys are
+    counted and OVERSIZE_KEY is set instead of the pair keys.
     """
     counts: dict[str, int] = {}
-    two_node = catalog.two_node
-    three_node = catalog.three_node
     for (state, ntype, labels), n in groups:
-        shape = two_node.get(state)
-        if shape is not None:
-            key = f"{shape.id}(E,{ntype})"
+        sid = catalog.get((state,))
+        if sid is not None:
+            key = f"{sid}(E,{ntype})"
             counts[f"{key}|{'+'.join(labels)}" if labels else key] = n
     if oversize:
         counts[OVERSIZE_KEY] = 1
         return counts
     for i, ((s1, t1, l1), n1) in enumerate(groups):
-        shape = three_node.get((s1, s1))
-        if shape is not None and n1 >= 2:
-            key = _pair_key(shape.id, t1, t1, l1 + l1)
+        sid = catalog.get((s1, s1))
+        if sid is not None and n1 >= 2:
+            key = _pair_key(sid, t1, t1, l1 + l1)
             counts[key] = counts.get(key, 0) + n1 * (n1 - 1) // 2
+        # the groups are sorted, so s1 <= s2, and t1 <= t2 when s1 == s2
         for (s2, t2, l2), n2 in groups[i + 1 :]:
-            canon = (s1, s2) if s1 <= s2 else (s2, s1)
-            shape = three_node.get(canon)
-            if shape is None:
-                continue
-            if s1 == s2:
-                ta, tb = (t1, t2) if t1 <= t2 else (t2, t1)
-            else:
-                # role order: the catalog's first role carries canon[0]
-                ta, tb = (t1, t2) if s1 == canon[0] else (t2, t1)
-            key = _pair_key(shape.id, ta, tb, l1 + l2)
-            counts[key] = counts.get(key, 0) + n1 * n2
+            sid = catalog.get((s1, s2))
+            if sid is not None:
+                key = _pair_key(sid, t1, t2, l1 + l2)
+                counts[key] = counts.get(key, 0) + n1 * n2
     return counts
 
 
@@ -263,7 +196,7 @@ def transaction_shape(tx: tuple[str, str, Optional[str], list], mode: str,
     return (tuple(sorted(groups.items())), edge_counts, oversize), rejected
 
 
-def shape_features(catalog: MotifCatalog, shape: Shape) -> dict[str, int]:
+def shape_features(catalog: Catalog, shape: Shape) -> dict[str, int]:
     """The sparse feature map of a transaction_shape: the motif keys of
     count_from_groups, then the edge labels in sorted order."""
     groups, edges, oversize = shape
@@ -272,7 +205,7 @@ def shape_features(catalog: MotifCatalog, shape: Shape) -> dict[str, int]:
     return feats
 
 
-def transaction_features(tx: tuple[str, str, Optional[str], list], catalog: MotifCatalog,
+def transaction_features(tx: tuple[str, str, Optional[str], list], catalog: Catalog,
                          mode: str, max_nodes: int = DEFAULT_MAX_NODES) -> tuple[dict[str, int], int]:
     """(sparse feature map, rows touching no ego) of one stored transaction:
     shape_features of its transaction_shape.

@@ -59,11 +59,26 @@ def random_tx(rng: np.random.Generator, n_counterparts: int | None = None) -> tu
 # motif counting by explicit subset enumeration
 # ---------------------------------------------------------------------------
 
-def _typed_key(shape, types: tuple[str, ...]) -> str:
+def role_edges(states: tuple[int, ...]) -> list[tuple[str, str]]:
+    """The (source, target) edges of a catalog shape over its roles: the ego
+    E and the neighbor roles i and j, which carry states[0] and states[1].
+    OUT is an edge E -> role, IN role -> E, RECIP both."""
+    directions = {OUT: ("out",), IN: ("in",), RECIP: ("out", "in")}
+    return [("E", role) if d == "out" else (role, "E")
+            for role, state in zip("ij", states) for d in directions[state]]
+
+
+def catalog_json(catalog) -> list[dict]:
+    """A catalog's items as the [{id, nodes, edges}] entries of a catalog file."""
+    return [{"id": sid, "nodes": ["E", *"ij"[:len(states)]], "edges": role_edges(states)}
+            for states, sid in catalog.items()]
+
+
+def _typed_key(sid: str, states: tuple[int, ...], types: tuple[str, ...]) -> str:
     # re-derives the documented key format: symmetric shapes sort the types
-    if len(types) == 2 and shape.states[0] == shape.states[1]:
+    if len(types) == 2 and states[0] == states[1]:
         types = tuple(sorted(types))
-    return f"{shape.id}(E,{','.join(types)})"
+    return f"{sid}(E,{','.join(types)})"
 
 
 def simple_view(etn: EgoTransferNetwork) -> set[tuple[str, str]]:
@@ -77,8 +92,9 @@ def counterparts(etn: EgoTransferNetwork) -> list[str]:
 
 
 def _matched_subsets(etn: EgoTransferNetwork, catalog, sizes=(1, 2)):
-    """Yield (shape, role types, subset) for every counterpart subset whose
-    induced simple-view subgraph matches a catalog shape.
+    """Yield (motif id, shape states, role types, subset) for every
+    counterpart subset whose induced simple-view subgraph matches a catalog
+    shape, the (states, id) items of the catalog.
 
     Each subset's induced subgraph is matched against every catalog shape by
     trying all role bijections and comparing edge sets.
@@ -90,24 +106,24 @@ def _matched_subsets(etn: EgoTransferNetwork, catalog, sizes=(1, 2)):
         for subset in itertools.combinations(nodes, r):
             keep = set(subset) | {etn.ego}
             induced = {(s, d) for s, d in simple if s in keep and d in keep}
-            for shape in catalog:
-                if shape.size != r + 1:
+            for states, sid in catalog.items():
+                if len(states) != r:
                     continue
                 roles = "ij"[:r]
                 for perm in itertools.permutations(subset):
                     assignment = dict(zip(roles, perm))
                     assignment["E"] = etn.ego
-                    expected = {(assignment[a], assignment[b]) for a, b in shape.role_edges()}
+                    expected = {(assignment[a], assignment[b]) for a, b in role_edges(states)}
                     if expected == induced:
-                        yield shape, tuple(types[n] for n in perm), subset
+                        yield sid, states, tuple(types[n] for n in perm), subset
                         break
 
 
 def brute_force_motifs(etn: EgoTransferNetwork, catalog) -> dict[str, int]:
     """Typed induced motif counts via 1-/2-subset enumeration."""
     counts: dict[str, int] = {}
-    for shape, matched, _ in _matched_subsets(etn, catalog):
-        key = _typed_key(shape, matched)
+    for sid, states, matched, _ in _matched_subsets(etn, catalog):
+        key = _typed_key(sid, states, matched)
         counts[key] = counts.get(key, 0) + 1
     return counts
 
@@ -125,13 +141,13 @@ def brute_force_motif_edge_features(
     types = etn.node_types
     oversize = len(counterparts(etn)) > max_nodes
     counts: dict[str, int] = {}
-    for shape, matched, subset in _matched_subsets(etn, catalog, (1,) if oversize else (1, 2)):
+    for sid, states, matched, subset in _matched_subsets(etn, catalog, (1,) if oversize else (1, 2)):
         labels = sorted(
             f"({types[src]},{types[dst]}){category}"
             for src, dst, category in etn.edges
             if src in subset or dst in subset
         )
-        key = f"{_typed_key(shape, matched)}|{'+'.join(labels)}"
+        key = f"{_typed_key(sid, states, matched)}|{'+'.join(labels)}"
         counts[key] = counts.get(key, 0) + 1
     if oversize:
         counts["__oversize__"] = 1
@@ -159,15 +175,18 @@ def count_motifs_untyped(tx: tuple, catalog) -> dict[str, int]:
     _, ego, _, rows = tx
     outs = {dst for src, dst, *_ in rows if src == ego}
     ins = {src for src, dst, *_ in rows if dst == ego}
-    states = sorted(Counter(RECIP if n in outs and n in ins else OUT if n in outs else IN
-                            for n in outs | ins).items())
-    counts = {catalog.two_node[s].id: n for s, n in states if s in catalog.two_node}
-    for i, (s1, n1) in enumerate(states):
-        for s2, n2 in states[i:]:
-            shape = catalog.three_node.get((s1, s2))
-            pairs = n1 * (n1 - 1) // 2 if s1 == s2 else n1 * n2
-            if shape is not None and pairs:
-                counts[shape.id] = pairs
+    per_state = Counter(RECIP if n in outs and n in ins else OUT if n in outs else IN
+                   for n in outs | ins)
+    counts = {}
+    for states, sid in catalog.items():
+        if len(states) == 1:
+            matched = per_state[states[0]]
+        elif states[0] == states[1]:
+            matched = per_state[states[0]] * (per_state[states[0]] - 1) // 2
+        else:
+            matched = per_state[states[0]] * per_state[states[1]]
+        if matched:
+            counts[sid] = matched
     return counts
 
 

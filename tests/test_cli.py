@@ -22,7 +22,7 @@ from motifscope import cli, ingest, models, motif, profile, storage, synth
 from motifscope.cli import PipelineConfig, build_parser, main, run_pipeline
 from motifscope.signatures import LeafSignature
 
-from oracles import brute_force_match
+from oracles import brute_force_match, catalog_json
 
 GROUPS8 = sorted(ingest.METHOD_GROUPS)
 MODEL_FILES = Path(__file__).parent / "data" / "model_format"
@@ -498,7 +498,7 @@ def _input_kinds(mini_store, small_corpus, trained, tmp):
     raw = mini_store.parent / "raw"
     feats, labels = str(small_corpus["features"]), str(small_corpus["labels"])
     sources = {
-        "catalog.json": motif.enumerate_catalog().to_json(),
+        "catalog.json": catalog_json(motif.enumerate_catalog()),
         "config.json": {"transfers": str(raw / "transfers.csv"), "tokens": str(raw / "tokens.json"),
                         "accounts": str(raw / "accounts.json"), "out": str(tmp / "run")},
         "mixes.json": [{"name": "m", "methods": {"Swap": 1.0}}],
@@ -677,7 +677,7 @@ def test_featurize_me_alias_and_catalog_override(mini_store, tmp_path, capsys):
     first = json.loads(default.read_text().splitlines()[0])
     assert first["mode"] == "M+E"
     catalog_path = tmp_path / "catalog.json"
-    catalog_path.write_text(json.dumps(motif.enumerate_catalog().to_json()), encoding="utf-8")
+    catalog_path.write_text(json.dumps(catalog_json(motif.enumerate_catalog())), encoding="utf-8")
     run(capsys, ["featurize", "--store", str(mini_store), "--mode", "ME",
                  "--out", str(override), "--catalog", str(catalog_path)])
     assert override.read_bytes() == default.read_bytes()

@@ -8,12 +8,14 @@ from pathlib import Path
 import pytest
 
 from motifscope import etn as etn_mod, motif, storage
+from motifscope.ingest import InputError
 
 from oracles import (
     brute_force_edge_features,
     brute_force_motif_edge_features,
     brute_force_motifs,
     brute_force_motifs_untyped,
+    catalog_json,
     count_motifs_untyped,
     random_tx,
     table_rows,
@@ -43,34 +45,50 @@ def features(tx, catalog, mode="M", max_nodes=motif.DEFAULT_MAX_NODES):
 
 def test_enumerated_catalog_has_nine_shapes():
     catalog = motif.enumerate_catalog()
-    assert len(catalog) == 9
-    assert [s.id for s in catalog] == [f"m{i}" for i in range(1, 10)]
-    assert sorted(catalog.two_node) == [motif.OUT, motif.IN, motif.RECIP]
-    assert len(catalog.three_node) == 6
-    assert catalog.by_id["m4"].symmetric
-    assert not catalog.by_id["m5"].symmetric
+    assert list(catalog.values()) == [f"m{i}" for i in range(1, 10)]
+    assert [len(states) for states in catalog] == [1, 1, 1, 2, 2, 2, 2, 2, 2]
+    assert all(list(states) == sorted(states) for states in catalog)
+    assert catalog[(motif.OUT, motif.OUT)] == "m4"
+    assert catalog[(motif.OUT, motif.IN)] == "m5"
 
 
-def test_catalog_rejects_isomorphic_duplicates():
-    shapes = [
-        motif.MotifShape(id="a", states=(motif.OUT, motif.IN)),
-        motif.MotifShape(id="b", states=(motif.IN, motif.OUT)),  # same shape, roles swapped
-    ]
-    with pytest.raises(ValueError):
-        motif.MotifCatalog(shapes)
+def write_catalog(path, entries):
+    path.write_text(json.dumps(entries), encoding="utf-8")
+    return path
 
 
-def test_catalog_rejects_oversized_shapes():
-    with pytest.raises(ValueError):
-        motif.MotifCatalog([motif.MotifShape(id="x", states=(0, 0, 0))])
+def rejected_catalog(tmp_path, entries) -> str:
+    """The problem load_catalog reports for a catalog file of `entries`."""
+    path = write_catalog(tmp_path / "catalog.json", entries)
+    with pytest.raises(InputError, match=f"^bad motif catalog {path}: ValueError: ") as err:
+        motif.load_catalog(path)
+    return str(err.value).split("ValueError: ", 1)[1]
+
+
+def test_catalog_rejects_isomorphic_duplicates(tmp_path):
+    entries = [{"id": "a", "nodes": ["E", "i", "j"], "edges": [["E", "i"], ["j", "E"]]},
+               {"id": "b", "nodes": ["E", "i", "j"], "edges": [["i", "E"], ["E", "j"]]}]
+    assert rejected_catalog(tmp_path, entries) == "motif b is isomorphic to an earlier catalog entry"
+
+
+def test_catalog_rejects_duplicate_ids(tmp_path):
+    entries = [{"id": "a", "nodes": ["E", "i"], "edges": [["E", "i"]]},
+               {"id": "a", "nodes": ["E", "i"], "edges": [["i", "E"]]}]
+    assert rejected_catalog(tmp_path, entries) == "duplicate motif ids in catalog"
 
 
 def test_catalog_json_round_trip(tmp_path):
     catalog = motif.enumerate_catalog()
-    path = tmp_path / "catalog.json"
-    path.write_text(json.dumps(catalog.to_json()), encoding="utf-8")
-    loaded = motif.load_catalog(path)
-    assert [(s.id, s.states) for s in loaded] == [(s.id, s.states) for s in catalog]
+    path = write_catalog(tmp_path / "catalog.json", catalog_json(catalog))
+    assert motif.load_catalog(path) == catalog
+
+
+def test_catalog_roles_in_any_order(tmp_path):
+    # each pair's roles listed with the larger state first: the loaded catalog,
+    # and with it the order of the types in every pair key, is the same
+    catalog = motif.enumerate_catalog()
+    reversed_roles = catalog_json({states[::-1]: sid for states, sid in catalog.items()})
+    assert motif.load_catalog(write_catalog(tmp_path / "catalog.json", reversed_roles)) == catalog
 
 
 @pytest.mark.parametrize(
@@ -85,9 +103,8 @@ def test_catalog_json_round_trip(tmp_path):
     ],
 )
 def test_load_catalog_validation(tmp_path, entry):
-    path = tmp_path / "catalog.json"
-    path.write_text(json.dumps([entry]), encoding="utf-8")
-    with pytest.raises(ValueError):
+    path = write_catalog(tmp_path / "catalog.json", [entry])
+    with pytest.raises(InputError):
         motif.load_catalog(path)
 
 
@@ -310,7 +327,7 @@ def test_featurize_store_matches_reference(small_corpus, tmp_path, mode):
 
     # wide transactions, a small max_nodes, a catalog subset and two workers
     wide_store(tmp_path / "wide")
-    subset = [e for e in motif.enumerate_catalog().to_json()
+    subset = [e for e in catalog_json(motif.enumerate_catalog())
               if e["id"] in ("m1", "m3", "m4", "m5", "m7")]
     (tmp_path / "catalog.json").write_text(json.dumps(subset), encoding="utf-8")
     catalog = motif.load_catalog(tmp_path / "catalog.json")
