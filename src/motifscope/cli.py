@@ -379,13 +379,18 @@ def write_signatures(spec: ModelSpec, dataset: Dataset, threshold: float, method
 
 def load_signatures(path, mode: Optional[str]) -> list[LeafSignature]:
     """The signatures of a signatures file, which must have been mined in
-    the features mode `mode` when the file and `mode` both name one."""
+    the features mode `mode` when the file and `mode` both name one, with
+    distinct leaf ids."""
     with _schema("signatures file", path):
         obj = read_json(path, "signatures file")
         if obj.get("format") != "motifscope-signatures":
             raise InputError(f"{path} is not a motifscope signatures file")
         _check_mode("features mode", mode, f"signatures file {path}", obj.get("mode"))
-        return [LeafSignature.from_json(s) for s in obj.get("signatures", [])]
+        signatures = [LeafSignature.from_json(s) for s in obj.get("signatures", [])]
+        leaves = Counter(s.leaf_id for s in signatures)
+        if repeated := sorted(leaf for leaf, n in leaves.items() if n > 1):
+            raise ValueError(f"leaves {repeated} have more than one signature")
+        return signatures
 
 
 def match_features(table: FeatureTable, signatures: list[LeafSignature], out,
@@ -711,7 +716,8 @@ def _stage(manifest: dict, name: str, fn):
 def run_pipeline(cfg: PipelineConfig) -> dict:
     """ingest -> featurize -> train/eval -> prune -> signatures -> match ->
     profile -> cluster, with a manifest of versions, seeds, timings, RSS,
-    counters and digests.
+    counters and digests. `out` holds one run: one that exists and is not
+    an empty directory raises InputError before any file is read or written.
 
     Stages hand each other in-memory objects: featurize works on ingest's
     transactions, and train and match on featurize's FeatureTable, so no
@@ -734,6 +740,9 @@ def run_pipeline(cfg: PipelineConfig) -> dict:
     among them, so a collection would only walk them.
     """
     cfg.check()
+    out = Path(cfg.out)
+    if out.exists() and not (out.is_dir() and next(out.iterdir(), None) is None):
+        raise InputError(f"pipeline out {out} exists and is not an empty directory")
     import scipy
 
     start = time.perf_counter()
@@ -762,7 +771,6 @@ def run_pipeline(cfg: PipelineConfig) -> dict:
                 manifest["inputs"][name] = storage.sha256_file(path)
             except OSError as exc:
                 raise InputError(f"cannot read {name} file {path}: {exc}") from exc
-    out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
     try:
         with writer:  # leaving the block waits for every write

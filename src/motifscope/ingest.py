@@ -94,15 +94,20 @@ class TokenRegistry:
 
     @classmethod
     def from_file(cls, path) -> "TokenRegistry":
+        """The registry of a JSON list of {contract, symbol, category, is_spam}
+        entries; a contract or symbol that is not a string, or an is_spam
+        that is not a JSON boolean, raises InputError naming the file."""
         reg = cls()
         with _schema("token registry", path):
             for entry in read_json(path, "token registry"):
-                reg.add(
-                    contract=entry.get("contract", ""),
-                    symbol=entry.get("symbol", ""),
-                    category=entry.get("category", "Unlabeled"),
-                    is_spam=bool(entry.get("is_spam", False)),
-                )
+                contract, symbol = entry.get("contract", ""), entry.get("symbol", "")
+                is_spam = entry.get("is_spam", False)
+                if type(contract) is not str or type(symbol) is not str:
+                    raise TypeError(f"contract {contract!r} and symbol {symbol!r} must be strings")
+                if type(is_spam) is not bool:
+                    raise TypeError(f"is_spam of {symbol or contract!r} must be true or false, "
+                                    f"not {is_spam!r}")
+                reg.add(contract, symbol, entry.get("category", "Unlabeled"), is_spam)
         return reg
 
     def add(self, contract: str, symbol: str, category: str, is_spam: bool) -> None:
@@ -387,14 +392,19 @@ def load_method_labels(path, mapping: dict[str, str]) -> dict[str, str]:
     Raw names resolve through `mapping` (from load_method_mapping), so merged
     groups arrive through their alias; excluded groups (Exit, Burn, Stake)
     and unmapped names resolve to Unknown. A later row for the same hash wins.
+    Blank lines are skipped; a row with one field or an empty tx_hash raises
+    InputError naming the file and line.
     """
     rows = _csv_rows(path, "methods")
     header = next(rows, None)
     if header is None or [h.strip() for h in header][:2] != ["tx_hash", "raw_method"]:
         raise _bad_line("methods", path, 1, "header must start tx_hash,raw_method")
     groups: dict[str, str] = {}
-    for row in rows:
+    for lineno, row in enumerate(rows, start=2):
         if len(row) >= 2 and row[0]:
             group = mapping.get(row[1].strip().casefold())
             groups[row[0]] = UNKNOWN if group is None or group in EXCLUDED_GROUPS else group
+        elif row:
+            raise _bad_line("methods", path, lineno,
+                            "empty tx_hash" if len(row) >= 2 else "1 field, expected 2 or more")
     return groups

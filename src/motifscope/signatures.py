@@ -146,15 +146,22 @@ class LeafSignature:
     @classmethod
     def from_json(cls, obj: dict) -> "LeafSignature":
         """The signature of a to_json() object; TypeError unless its group
-        and items are strings."""
+        and items are strings, its leaf and samples integers and its
+        probability, support and item supports numbers."""
+        leaf, samples = obj["leaf"], obj.get("samples", 0)
+        probability, support = obj.get("probability", 0.0), obj.get("support", 0.0)
+        item_supports = obj.get("item_supports", {})
         if type(obj["group"]) is not str or not {*map(type, obj["items"])} <= {str}:
             raise TypeError("a signature's group and items must be strings")
+        if type(leaf) is not int or type(samples) is not int:
+            raise TypeError(f"leaf {leaf!r} and samples {samples!r} must be integers")
+        if not {*map(type, [probability, support, *item_supports.values()])} <= {int, float}:
+            raise TypeError(f"leaf {leaf}: probability, support and item supports must be numbers")
         return cls(
-            leaf_id=int(obj["leaf"]), group=obj["group"],
-            probability=float(obj.get("probability", 0.0)), samples=int(obj.get("samples", 0)),
+            leaf_id=leaf, group=obj["group"], probability=float(probability), samples=samples,
             items=list(obj["items"]),
-            item_supports={k: float(v) for k, v in obj.get("item_supports", {}).items()},
-            support=float(obj.get("support", 0.0)),
+            item_supports={k: float(v) for k, v in item_supports.items()},
+            support=float(support),
         )
 
 

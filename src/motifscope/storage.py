@@ -32,6 +32,7 @@ from typing import Iterable, Iterator, Optional, Sequence
 
 # read_json is re-exported: artifacts are read back as storage.read_json
 from .ingest import InputError, _bad_line, _csv_rows, _jsonl_rows, _open, read_json
+from .motif import MODES
 from .table import FeatureTable
 
 STORE_FILE = "transactions.jsonl"
@@ -310,14 +311,17 @@ def read_features(path) -> FeatureTable:
     """features.jsonl as a FeatureTable, rows in file order; a row's keys
     come back in vocabulary order, not file order. A line that is not an
     object with a string tx_hash, a string ego (default ""), and a features
-    object of int64 integer counts raises InputError naming the file and line.
-    Each map is kept once per key order it comes in, and the table is built
-    once from the kept maps."""
+    object of int64 integer counts raises InputError naming the file and line,
+    and so does a line whose mode is not one of motif.MODES or is not the
+    first line's; an absent mode counts as one value. Each map is kept once
+    per key order it comes in, and the table is built once from the kept maps."""
     memo: dict[tuple, int] = {}
     maps, map_of, hashes, egos = [], [], [], []
+    first_mode = None
     for lineno, obj in _jsonl_rows(path, "features"):
         try:
             tx_hash, ego, feats = obj["tx_hash"], obj.get("ego", ""), obj["features"]
+            mode = obj.get("mode")
             if not (type(tx_hash) is type(ego) is str):
                 raise TypeError("tx_hash and ego must be strings")
             if type(feats) is not dict:
@@ -330,6 +334,14 @@ def read_features(path) -> FeatureTable:
                 raise TypeError(f"count {count!r} of {key!r} is not a 64-bit integer")
         except (AttributeError, KeyError, TypeError) as exc:
             raise _bad_line("features", path, lineno, exc) from exc
+        if mode is not None and mode not in MODES:
+            raise _bad_line("features", path, lineno,
+                            f"mode {mode!r} is not one of {', '.join(MODES)}")
+        if not hashes:
+            first_mode = mode
+        elif mode != first_mode:
+            raise _bad_line("features", path, lineno,
+                            f"mode {mode!r} differs from the first line's {first_mode!r}")
         hashes.append(tx_hash)
         egos.append(ego)
         index = memo.setdefault(tuple(feats.items()), len(maps))
@@ -340,7 +352,8 @@ def read_features(path) -> FeatureTable:
 
 
 def features_mode(path) -> Optional[str]:
-    """The mode recorded on the first line of a features file (None if empty)."""
+    """The mode recorded on the first line of a features file (None if empty
+    or absent), which read_features checks every line to share."""
     for _, obj in _jsonl_rows(path, "features"):
         return obj.get("mode")
     return None

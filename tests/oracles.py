@@ -63,9 +63,11 @@ def role_edges(states: tuple[int, ...]) -> list[tuple[str, str]]:
     """The (source, target) edges of a catalog shape over its roles: the ego
     E and the neighbor roles i and j, which carry states[0] and states[1].
     OUT is an edge E -> role, IN role -> E, RECIP both."""
-    directions = {OUT: ("out",), IN: ("in",), RECIP: ("out", "in")}
-    return [("E", role) if d == "out" else (role, "E")
-            for role, state in zip("ij", states) for d in directions[state]]
+    edges = []
+    for role, state in zip("ij", states):
+        out, into = ("E", role), (role, "E")
+        edges += {OUT: [out], IN: [into], RECIP: [out, into]}[state]
+    return edges
 
 
 def catalog_json(catalog) -> list[dict]:

@@ -489,6 +489,33 @@ INVALID_INPUTS = {
     ("pipeline config", "invalid negative alpha"): (json.dumps({"alpha": -1.0}), None),
     ("pipeline config", "invalid both pruning targets"): (
         json.dumps({"target_leaves": 3, "alpha": 0.1}), None),
+    ("tokens", "invalid spam string"): (json.dumps([
+        {"contract": "0xt1", "symbol": "USDC", "category": "Stablecoin", "is_spam": "false"}]),
+        None),
+    ("methods", "invalid one field"): ("tx_hash,raw_method\ntx1,swap\n\ntx2\n", 4),
+    ("methods", "invalid empty hash"): ("tx_hash,raw_method\n,swap\n", 2),
+    ("signatures", "invalid leaf string"): (json.dumps({
+        "format": "motifscope-signatures",
+        "signatures": [{"leaf": "7", "group": "Swap", "items": ["m1(E,A)"]}]}), None),
+    ("signatures", "invalid leaf bool"): (json.dumps({
+        "format": "motifscope-signatures",
+        "signatures": [{"leaf": True, "group": "Swap", "items": ["m1(E,A)"]}]}), None),
+    ("signatures", "invalid samples float"): (json.dumps({
+        "format": "motifscope-signatures",
+        "signatures": [{"leaf": 7, "group": "Swap", "items": [], "samples": 7.9}]}), None),
+    ("signatures", "invalid support string"): (json.dumps({
+        "format": "motifscope-signatures",
+        "signatures": [{"leaf": 7, "group": "Swap", "items": ["a"], "item_supports": {"a": "1"}}]}),
+        None),
+    ("signatures", "invalid repeated leaf"): (json.dumps({
+        "format": "motifscope-signatures",
+        "signatures": [{"leaf": 7, "group": "Swap", "items": ["m1(E,A)"]},
+                       {"leaf": 7, "group": "Mint", "items": ["m2(E,A)"]}]}), None),
+    ("features (train)", "invalid mode"): (
+        '{"tx_hash":"t","ego":"e","mode":"XYZ","features":{}}\n', 1),
+    ("features (match)", "invalid mixed modes"): (
+        '{"tx_hash":"t","ego":"e","mode":"M+E","features":{}}\n'
+        '{"tx_hash":"u","ego":"e","mode":"MxE","features":{}}\n', 2),
 }
 
 
@@ -1337,6 +1364,27 @@ def test_pipeline_missing_input_exit_2(tmp_path, small_corpus, capsys):
     assert err["error"]["type"] == "InputError"
     assert f"cannot read transfers file {missing}" in err["error"]["message"]
     assert not (tmp_path / "run").exists()
+
+
+def test_pipeline_refuses_an_out_that_is_not_empty(tmp_path, small_corpus, capsys):
+    """An out holding an earlier run's file, or an out that is a file, is
+    refused at exit 2 before any input is read or any file is written; an
+    empty out is used."""
+    stale = tmp_path / "run" / "model_lr.json"
+    stale.parent.mkdir()
+    stale.write_text("{}", encoding="utf-8")
+    missing = tmp_path / "missing.csv"
+    argv = ["pipeline", "--transfers", str(missing), "--tokens", str(small_corpus["tokens"]),
+            "--accounts", str(small_corpus["accounts"]), "--out"]
+    for out in (stale.parent, stale):
+        _, err = run(capsys, [*argv, str(out)], code=2)
+        assert err["error"] == {"type": "InputError", "stage": "pipeline", "message":
+                                f"pipeline out {out} exists and is not an empty directory"}
+    assert [p.name for p in stale.parent.iterdir()] == ["model_lr.json"]
+    assert stale.read_text(encoding="utf-8") == "{}"
+    (tmp_path / "empty").mkdir()
+    _, err = run(capsys, [*argv, str(tmp_path / "empty")], code=2)
+    assert f"cannot read transfers file {missing}" in err["error"]["message"]
 
 
 @pytest.mark.parametrize("key,value", [("folds", "3"), ("threads", True), ("l2", "1"),

@@ -4,6 +4,7 @@ import csv
 import filecmp
 import gc
 import json
+import re
 
 import pytest
 
@@ -114,6 +115,24 @@ def test_unknown_category_rejected():
     reg = ingest.TokenRegistry()
     with pytest.raises(ingest.InputError):
         reg.add("0x1", "ABC", "NotACategory", False)
+
+
+@pytest.mark.parametrize("entry,problem", [
+    ({"contract": "0x1", "is_spam": "false"}, "is_spam of '0x1' must be true or false, not 'false'"),
+    ({"symbol": "ABC", "is_spam": 0}, "is_spam of 'ABC' must be true or false, not 0"),
+    ({"contract": 7, "symbol": "ABC"}, "contract 7 and symbol 'ABC' must be strings"),
+    ({"contract": "0x1", "symbol": None}, "contract '0x1' and symbol None must be strings"),
+], ids=["spam string", "spam number", "contract number", "symbol null"])
+def test_token_registry_field_types(tmp_path, entry, problem):
+    path = tmp_path / "tokens.json"
+    path.write_text(json.dumps([entry]), encoding="utf-8")
+    message = f"bad token registry {path}: TypeError: {problem}"
+    with pytest.raises(ingest.InputError, match=f"^{re.escape(message)}$"):
+        ingest.TokenRegistry.from_file(path)
+    path.write_text(json.dumps([{"contract": "0x1", "symbol": "ABC", "is_spam": False},
+                                {"contract": "0x2", "is_spam": True}]), encoding="utf-8")
+    reg = ingest.TokenRegistry.from_file(path)
+    assert (reg.resolve("0x1", ""), reg.resolve("0x2", "")) == (("Unlabeled", False), (None, True))
 
 
 def test_account_types_are_ego_relative(tmp_path):

@@ -226,6 +226,23 @@ def test_read_features_rejects_non_string_hash(tmp_path):
         storage.read_features(path)
 
 
+@pytest.mark.parametrize("modes,lineno,problem", [
+    (['"M+E"', '"MxE"'], 2, "mode 'MxE' differs from the first line's 'M+E'"),
+    (['"XYZ"'], 1, "mode 'XYZ' is not one of M, E, M+E, MxE"),
+    (['"M"', '"M"', None], 3, "mode None differs from the first line's 'M'"),
+    ([None, '"E"'], 2, "mode 'E' differs from the first line's None"),
+    (['"M"', '"m"'], 2, "mode 'm' is not one of M, E, M+E, MxE"),
+], ids=["mixed", "unknown", "absent after M", "E after absent", "lower case"])
+def test_read_features_rejects_a_bad_or_mixed_mode(tmp_path, modes, lineno, problem):
+    path = tmp_path / "features.jsonl"
+    path.write_text("".join('{"tx_hash":"t%d","ego":"e",%s"features":{}}\n'
+                            % (i, f'"mode":{mode},' if mode else "")
+                            for i, mode in enumerate(modes)), encoding="utf-8")
+    message = f"bad features file {path}:{lineno}: {problem}"
+    with pytest.raises(ingest.InputError, match=f"^{re.escape(message)}$"):
+        storage.read_features(path)
+
+
 def _random_map(rng, keys):
     """A feature map in random key order, with zero counts and empty maps."""
     chosen = rng.sample(keys, rng.randint(0, 4))
