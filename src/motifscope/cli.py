@@ -380,11 +380,13 @@ def write_signatures(spec: ModelSpec, dataset: Dataset, threshold: float, method
 def load_signatures(path, mode: Optional[str]) -> list[LeafSignature]:
     """The signatures of a signatures file, which must have been mined in
     the features mode `mode` when the file and `mode` both name one, with
-    distinct leaf ids."""
+    distinct leaf ids. A mode the file names must be one of motif.MODES."""
     with _schema("signatures file", path):
         obj = read_json(path, "signatures file")
         if obj.get("format") != "motifscope-signatures":
             raise InputError(f"{path} is not a motifscope signatures file")
+        if obj.get("mode") is not None and obj["mode"] not in motif.MODES:
+            raise ValueError(f"mode {obj['mode']!r} is not one of {', '.join(motif.MODES)}")
         _check_mode("features mode", mode, f"signatures file {path}", obj.get("mode"))
         signatures = [LeafSignature.from_json(s) for s in obj.get("signatures", [])]
         leaves = Counter(s.leaf_id for s in signatures)

@@ -5,8 +5,11 @@ registries). This module owns reading: every input file and artifact is
 opened and decoded by one of three readers, `read_json` for JSON documents,
 `_jsonl_rows` for JSON lines and `_csv_rows` for CSV. A file that cannot be
 opened or decoded raises InputError naming the file, and the line for the
-two line-oriented formats. `storage` owns writing. Rows that fail validation
-are rejected with a reason code and counted, never silently dropped.
+two line-oriented formats. `_csv_rows` splits each line that has no quote and
+no NUL on its commas, and hands the rest of the file to csv.reader from the
+first line that has one; both give the same rows. `storage` owns writing.
+Rows that fail validation are rejected with a reason code and counted, never
+silently dropped.
 `read_transfers` reads transfers.csv in one streaming pass straight into the
 store's compact transfer rows, grouped by (tx_hash, ego), and returns the
 transactions with the object of ingest_report.json, which no other module
@@ -23,6 +26,7 @@ from __future__ import annotations
 import csv
 import functools
 import gc
+import itertools
 import json
 import math
 from collections import Counter
@@ -95,8 +99,9 @@ class TokenRegistry:
     @classmethod
     def from_file(cls, path) -> "TokenRegistry":
         """The registry of a JSON list of {contract, symbol, category, is_spam}
-        entries; a contract or symbol that is not a string, or an is_spam
-        that is not a JSON boolean, raises InputError naming the file."""
+        entries; a contract or symbol that is not a string, an entry with
+        neither, or an is_spam that is not a JSON boolean, raises InputError
+        naming the file."""
         reg = cls()
         with _schema("token registry", path):
             for entry in read_json(path, "token registry"):
@@ -104,6 +109,8 @@ class TokenRegistry:
                 is_spam = entry.get("is_spam", False)
                 if type(contract) is not str or type(symbol) is not str:
                     raise TypeError(f"contract {contract!r} and symbol {symbol!r} must be strings")
+                if not contract and not symbol:
+                    raise ValueError(f"entry {entry!r} has no contract and no symbol")
                 if type(is_spam) is not bool:
                     raise TypeError(f"is_spam of {symbol or contract!r} must be true or false, "
                                     f"not {is_spam!r}")
@@ -145,10 +152,14 @@ class AccountRegistry:
 
     @classmethod
     def from_file(cls, path) -> "AccountRegistry":
+        """The registry of a JSON list of {address, type} entries; an address
+        that is not a non-empty string raises InputError naming the file."""
         reg = cls()
         with _schema("account registry", path):
             for entry in read_json(path, "account registry"):
-                addr = entry.get("address", "")
+                addr = entry.get("address")
+                if type(addr) is not str or not addr:
+                    raise TypeError(f"address {addr!r} of {entry!r} must be a non-empty string")
                 kind = entry.get("type", "address").lower()
                 if kind not in ("ego", "address", "contract", "null"):
                     raise InputError(f"unknown account type {kind!r} for {addr}")
@@ -256,14 +267,31 @@ def _jsonl_rows(path, what: str) -> Iterator[tuple[int, object]]:
 
 
 def _csv_rows(path, what: str) -> Iterator[list[str]]:
-    """Rows of a UTF-8 CSV file. Bytes that do not decode and CSV syntax
-    errors raise InputError naming the file and line."""
+    """Rows of a UTF-8 CSV file, as csv.reader yields them. Bytes that do not
+    decode and CSV syntax errors raise InputError naming the file and line.
+
+    A line with no quote, no NUL and no more characters than
+    csv.field_size_limit() is split on its commas ([] for a blank line),
+    which is what csv.reader makes of it. From the first other line on,
+    csv.reader reads the rest of the file, since a quoted field may span
+    lines; the lines split before it count towards its line numbers. NUL
+    takes the reader's path because Python 3.10's reader refuses it."""
+    limit = csv.field_size_limit()
     with _open(path, what, newline="") as fh:
-        reader = csv.reader(fh)
+        split = 0  # lines split before the switch to csv.reader
+        for line in fh:
+            if '"' in line or "\0" in line or len(line) > limit:
+                break
+            split += 1
+            text = line.rstrip("\r\n")
+            yield text.split(",") if text else []
+        else:
+            return
+        reader = csv.reader(itertools.chain([line], fh))
         try:
             yield from reader
         except csv.Error as exc:
-            raise _bad_line(what, path, reader.line_num, exc) from exc
+            raise _bad_line(what, path, split + reader.line_num, exc) from exc
 
 
 @_gc_paused()

@@ -10,7 +10,10 @@ through the readers in `ingest`. All writers are deterministic: sorted keys,
 fixed separators, no timestamps, so identical inputs produce byte-identical
 artifacts. The store holds one transaction per line; `line_to_tx` is its
 only decoder, and it returns the (tx_hash, ego, method group or None, rows)
-tuple that `write_store` takes. features.jsonl and matches.jsonl hold one
+tuple that `write_store` takes. `write_store` writes a store line's keys by
+hand, in sorted order, around one `dumps` of its rows, which gives the bytes
+of `dumps` of the whole object; it joins a labels.csv line from fields quoted
+as csv.writer quotes them. features.jsonl and matches.jsonl hold one
 line per row of a `table.FeatureTable`, and `write_rows` is their one
 writer; `read_features` (with `features_mode`) and `read_matches` read
 them back, `read_features` with one `FeatureTable.build`.
@@ -247,26 +250,34 @@ def write_store(store_dir, transactions: Iterable[tuple[str, str, Optional[str],
                 report: Optional[dict] = None) -> str:
     """Write the transaction store from (tx_hash, ego, method group or None,
     transfer rows) tuples; returns the JSONL path. The files appear only
-    once all of them are written."""
+    once all of them are written. Both files are written line by line."""
     os.makedirs(store_dir, exist_ok=True)
     store_path = os.path.join(store_dir, STORE_FILE)
     paths = [store_path, os.path.join(store_dir, LABELS_FILE)]
     if report is not None:
         paths.append(os.path.join(store_dir, REPORT_FILE))
+    enc = dumps_str
     with replacing(*paths) as tmps:
         with open(tmps[0], "w", encoding="utf-8") as fh, open(
             tmps[1], "w", encoding="utf-8", newline=""
         ) as lfh:
-            writer = csv.writer(lfh)
-            writer.writerow(["tx_hash", "ego", "method_group"])
+            lfh.write("tx_hash,ego,method_group\r\n")
             for tx_hash, ego, group, rows in transactions:
-                fh.write(dumps({"tx": tx_hash, "ego": ego, "mg": group, "tr": rows}))
-                fh.write("\n")
+                mg = "null" if group is None else enc(group)
+                fh.write(f'{{"ego":{enc(ego)},"mg":{mg},"tr":{dumps(rows)},"tx":{enc(tx_hash)}}}\n')
                 if group is not None:
-                    writer.writerow([tx_hash, ego, group])
+                    lfh.write(f"{_csv_field(tx_hash)},{_csv_field(ego)},{_csv_field(group)}\r\n")
         if report is not None:
             write_json(tmps[2], report)
     return store_path
+
+
+def _csv_field(text: str) -> str:
+    """`text` as csv.writer writes a field in the excel dialect: quoted, with
+    its quotes doubled, when it holds a comma, a quote, CR or LF."""
+    if "," in text or '"' in text or "\r" in text or "\n" in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
 
 
 def store_path(store_dir) -> str:

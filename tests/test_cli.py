@@ -513,6 +513,12 @@ INVALID_INPUTS = {
                        {"leaf": 7, "group": "Mint", "items": ["m2(E,A)"]}]}), None),
     ("features (train)", "invalid mode"): (
         '{"tx_hash":"t","ego":"e","mode":"XYZ","features":{}}\n', 1),
+    ("signatures", "invalid mode"): (json.dumps({
+        "format": "motifscope-signatures", "mode": "XYZ",
+        "signatures": [{"leaf": 7, "group": "Swap", "items": ["m1(E,A)"]}]}), None),
+    ("accounts", "invalid no address"): (json.dumps([{"adress": "0xc0", "type": "contract"}]),
+                                         None),
+    ("tokens", "invalid no contract or symbol"): (json.dumps([{"category": "Stablecoin"}]), None),
     ("features (match)", "invalid mixed modes"): (
         '{"tx_hash":"t","ego":"e","mode":"M+E","features":{}}\n'
         '{"tx_hash":"u","ego":"e","mode":"MxE","features":{}}\n', 2),
@@ -960,6 +966,18 @@ def test_signatures_envelope(trained, capsys):
                             "items", "item_supports", "support"}
         assert sig["group"] in GROUPS8
         assert sig["items"] == sorted(sig["items"])
+
+
+def test_signatures_file_mode_must_be_a_features_mode(trained, tmp_path):
+    spec = storage.read_json(trained["signatures"])
+    path = tmp_path / "signatures.json"
+    path.write_text(json.dumps({**spec, "mode": "XYZ"}), encoding="utf-8")
+    message = f"bad signatures file {path}: ValueError: mode 'XYZ' is not one of M, E, M+E, MxE"
+    for mode in (None, "M+E"):
+        with pytest.raises(ingest.InputError, match=f"^{re.escape(message)}$"):
+            cli.load_signatures(path, mode)
+    path.write_text(json.dumps({**spec, "mode": None}), encoding="utf-8")
+    assert cli.load_signatures(path, "MxE") == cli.load_signatures(trained["signatures"], "M+E")
 
 
 def test_match_jsonl(small_corpus, trained):

@@ -3,9 +3,11 @@
 import csv
 import filecmp
 import gc
+import io
 import json
 import re
 
+import numpy as np
 import pytest
 
 from motifscope import ingest, storage
@@ -133,6 +135,21 @@ def test_token_registry_field_types(tmp_path, entry, problem):
                                 {"contract": "0x2", "is_spam": True}]), encoding="utf-8")
     reg = ingest.TokenRegistry.from_file(path)
     assert (reg.resolve("0x1", ""), reg.resolve("0x2", "")) == (("Unlabeled", False), (None, True))
+
+
+@pytest.mark.parametrize("cls, entry", [
+    (ingest.AccountRegistry, {"adress": "0xc0", "type": "contract"}),
+    (ingest.AccountRegistry, {"address": "", "type": "null"}),
+    (ingest.AccountRegistry, {"address": 7}),
+    (ingest.TokenRegistry, {"category": "Stablecoin"}),
+    (ingest.TokenRegistry, {"contract": "", "symbol": "", "is_spam": True}),
+], ids=["misspelt address", "empty address", "address number", "no token", "empty token"])
+def test_registry_refuses_entry_that_registers_nothing(tmp_path, cls, entry):
+    path = tmp_path / "registry.json"
+    path.write_text(json.dumps([entry]), encoding="utf-8")
+    what = "account" if cls is ingest.AccountRegistry else "token"
+    with pytest.raises(ingest.InputError, match=f"^bad {what} registry {re.escape(str(path))}: "):
+        cls.from_file(path)
 
 
 def test_account_types_are_ego_relative(tmp_path):
@@ -330,6 +347,8 @@ TRICKY_TRANSFERS = [
     "t6,0xe1,0xa1,0xe1,0xc1,USDC,1_000,1_0",  # bad_amount: a digit-group underscore
     "t6,0xe1,0xa1,0xe1,0xc1,USDC, 5 ,\u0663",  # bad_amount: padding
     "t6,0xe1,0xa1,0xe1,0xc1,USDC,1.0,+7",  # bad_block: a sign
+    '"t7,x",0xe1,0xa1,0xe1,0xc1,USDC,1.0,15',  # a comma in a tx hash: csv.reader from here on
+    't8,0xe1,"0xa""1",0xe1,0xc1,USDC,2.0,15',  # a doubled quote in an account
     "t5,0xe2,0xe2,0xa2,0xtok2,USDC,7,14",  # the contract wins over the symbol
     "t5,0xe2,0xa2,0xe2,0xunknown,WETH,2,14",  # unregistered contract: the symbol decides
 ]
@@ -349,7 +368,8 @@ def write_tricky_corpus(root):
         {"address": "0xnul1", "type": "null"},
     ]), encoding="utf-8")
     (root / "methods.csv").write_text(
-        "tx_hash,raw_method\nt1,Transfer\nt2,Swap\nt3,frobnicate\nt4,Transfer\nt2,Deposit\n",
+        'tx_hash,raw_method\nt1,Transfer\n"t7,x",Swap\nt2,Swap\nt3,frobnicate\nt4,Transfer\n'
+        't2,Deposit\n',
         encoding="utf-8")
     return root
 
@@ -369,7 +389,8 @@ def test_streamed_store_matches_reference(small_corpus, tmp_path, corpus):
         assert report["rejected"] == {
             "malformed_row": 1, "missing_tx_hash": 1, "missing_account": 1, "self_transfer": 1,
             "bad_amount": 4, "negative_amount": 1, "bad_block": 2}
-        assert report["transactions"] == 5 and report["transactions_spam_filtered"] == 1
+        assert report["transactions"] == 7 and report["transactions_spam_filtered"] == 1
+        assert labels[("t7,x", "0xe1")] == "Swap"
         types = {(tx_hash, ego): [(row[2], row[3]) for row in rows]
                  for tx_hash, ego, _, rows in storage.iter_store(tmp_path / "streamed")}
         assert types[("t3", "0xe1")] == [("A", "E")]
@@ -379,20 +400,28 @@ def test_streamed_store_matches_reference(small_corpus, tmp_path, corpus):
 @pytest.mark.parametrize("fault", ["undecodable byte", "oversized field"])
 @pytest.mark.parametrize("which", ["transfers", "methods"])
 def test_unreadable_csv_names_file_and_line(tmp_path, capsys, which, fault):
+    """The fault on line 4 and on the last line: methods.csv switches to
+    csv.reader at its quoted line 3, transfers.csv at its quoted rows before
+    the last line."""
     raw = write_tricky_corpus(tmp_path / "raw")
     path = raw / f"{which}.csv"
-    lines = path.read_bytes().splitlines(keepends=True)
+    original = path.read_bytes().splitlines(keepends=True)
     junk = b"\xff" if fault == "undecodable byte" else b"x" * 200_000
-    lines[3] = lines[3].replace(b",", b"," + junk, 1)
-    path.write_bytes(b"".join(lines))
     inputs = ["--transfers", str(raw / "transfers.csv"), "--tokens", str(raw / "tokens.json"),
               "--accounts", str(raw / "accounts.json"), "--methods", str(raw / "methods.csv")]
-    for command, store in (("ingest", tmp_path / "store"), ("pipeline", tmp_path / "run" / "store")):
-        assert main([command, *inputs, "--out", str(store.parent if command == "pipeline" else store)]) == 2
-        error = json.loads(capsys.readouterr().err)["error"]
-        assert error["stage"] == "ingest" and error["type"] == "InputError"
-        assert error["message"].startswith(f"bad {which} file {path}:4: "), error["message"]
-        assert not (store / storage.STORE_FILE).exists()
+    for index in (3, len(original) - 1):
+        lines = list(original)
+        lines[index] = lines[index].replace(b",", b"," + junk, 1)
+        path.write_bytes(b"".join(lines))
+        for command, store in (("ingest", tmp_path / f"store{index}"),
+                               ("pipeline", tmp_path / f"run{index}" / "store")):
+            out = store.parent if command == "pipeline" else store
+            assert main([command, *inputs, "--out", str(out)]) == 2
+            error = json.loads(capsys.readouterr().err)["error"]
+            assert error["stage"] == "ingest" and error["type"] == "InputError"
+            assert error["message"].startswith(f"bad {which} file {path}:{index + 1}: "), \
+                error["message"]
+            assert not (store / storage.STORE_FILE).exists()
 
 
 def test_failed_store_write_leaves_previous_store(tmp_path, monkeypatch):
@@ -430,12 +459,139 @@ def test_read_labels_rejects_malformed_row(tmp_path, row):
 
 
 def test_labels_csv_reads_back_as_written(tmp_path):
-    """labels.csv round-trips fields with commas, quotes, CR, LF, empty
-    strings, spaces and non-ASCII text."""
+    """labels.csv holds csv.writer's bytes and round-trips fields with
+    commas, quotes, CR, LF, empty strings, spaces, tabs, backslashes,
+    Unicode line breaks and non-ASCII text."""
     fields = ["tx", "", "a,b", 'say "hi"', "line\nbreak", "cr\rhere", "crlf\r\n", " pad ",
-              '"', ",", "ünï", "x" * 70]
+              '"', ",", "ünï", "x" * 70, '""', "\r", "tab\there", "back\\slash", "'single'",
+              "\u2028\x85\x0c", '"lead', "trail,", "€😀"]
     rows = [(tx, ego, group) for tx in fields for ego in fields[:4] for group in fields[::3]]
     storage.write_store(tmp_path, [(tx, ego, group, []) for tx, ego, group in rows]
                         + [("tx-unlabelled", "0xe", None, [])])
+    expected = io.StringIO(newline="")
+    csv.writer(expected).writerows([("tx_hash", "ego", "method_group"), *rows])
+    assert (tmp_path / storage.LABELS_FILE).read_bytes() == expected.getvalue().encode("utf-8")
     assert storage.read_labels(tmp_path / storage.LABELS_FILE) == {
         (tx, ego): group for tx, ego, group in rows}
+
+
+def test_store_lines_are_dumps_of_their_objects(tmp_path, monkeypatch):
+    """Each store line is storage.dumps of its {tx, ego, mg, tr} object, with
+    json's C encoder and with the pure-Python one."""
+    texts = ["t", "", 'q"uote', "back\\slash", "ctl\x00\x1f\t\n\r", "ünï€😀", "\u2028/"]
+    amounts = (1e-07, 0.1, 1e+16, 0.0, 1.0, 123456789.125, 5e-324, 1.7976931348623157e308)
+    rows = [("0xa", "0xb", "E", "A", "0xc", symbol, "Stablecoin", amount, 12 + i)
+            for i, (symbol, amount) in enumerate(zip(texts + texts, amounts))]
+    transactions = [(tx, ego, group, tr) for tx in texts for ego in texts[:3]
+                    for group in (None, *texts[1:4]) for tr in ([], rows, [list(rows[0])])]
+    expected = "".join(storage.dumps({"tx": tx, "ego": ego, "mg": group, "tr": tr}) + "\n"
+                       for tx, ego, group, tr in transactions).encode("utf-8")
+    assert expected.isascii()
+    for c_encode in (storage._C_ENCODE, None):
+        monkeypatch.setattr(storage, "_C_ENCODE", c_encode)
+        storage.write_store(tmp_path, transactions)
+        assert (tmp_path / storage.STORE_FILE).read_bytes() == expected
+    assert list(storage.iter_store(tmp_path)) == [
+        (tx, ego, group, [list(row) for row in tr]) for tx, ego, group, tr in transactions]
+
+
+# ---------------------------------------------------------------------------
+# the CSV reader: split lines, then csv.reader from the first other line
+# ---------------------------------------------------------------------------
+
+_PLAIN = ["a", "b", "7", " ", "é", "€", "x" * 30]
+_ANY = _PLAIN + [",", '"', "\r", "\n", "\0", '""']
+
+
+def _random_csv(rng, plain_lines: int) -> str:
+    """CSV text of `plain_lines` quote-free lines and then 40 lines of every
+    kind: quote-free, blank, quoted fields holding any of _ANY (which may span
+    lines), and unquoted text holding any of _ANY. Lines end in LF, CRLF or
+    CR; the last sometimes has no ending."""
+    def field(pieces):
+        return "".join(pieces[i] for i in rng.integers(len(pieces), size=rng.integers(0, 4)))
+
+    lines = []
+    for i in range(plain_lines + 40):
+        kind = 0 if i < plain_lines else rng.integers(4)
+        fields = range(rng.integers(1, 6))
+        if kind == 0:
+            text = ",".join(field(_PLAIN) for _ in fields)
+        elif kind == 1:
+            text = ""
+        elif kind == 2:
+            text = ",".join('"' + field(_ANY).replace('"', '""') + '"' if rng.random() < 0.5
+                            else field(_PLAIN) for _ in fields)
+        else:
+            text = field(_ANY)
+        lines.append(text + ("\n", "\r\n", "\r")[rng.integers(3)])
+    if rng.random() < 0.5:
+        lines[-1] = lines[-1].rstrip("\r\n")
+    return "".join(lines)
+
+
+def _reader_outcome(path):
+    """(rows, error message or None) of csv.reader over the file."""
+    rows = []
+    with open(path, encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            rows.extend(reader)
+        except csv.Error as exc:
+            return rows, f"bad test file {path}:{reader.line_num}: csv.Error: {exc}"
+    return rows, None
+
+
+def _csv_rows_outcome(path):
+    """(rows, error message or None) of ingest._csv_rows over the file."""
+    rows = []
+    try:
+        rows.extend(ingest._csv_rows(path, "test"))
+    except ingest.InputError as exc:
+        return rows, str(exc)
+    return rows, None
+
+
+@pytest.mark.parametrize("limit", [None, 40], ids=["default limit", "limit 40"])
+@pytest.mark.parametrize("seed", range(8))
+def test_csv_rows_match_csv_reader(tmp_path, seed, limit):
+    """_csv_rows yields csv.reader's rows, and a CSV error, such as a field
+    over csv.field_size_limit(), names the line csv.reader's line_num gives."""
+    rng = np.random.default_rng(seed)
+    path = tmp_path / "t.csv"
+    path.write_text(_random_csv(rng, plain_lines=int(rng.integers(0, 30))), encoding="utf-8",
+                    newline="")
+    old = csv.field_size_limit()
+    try:
+        if limit is not None:
+            csv.field_size_limit(limit)
+        expected = _reader_outcome(path)
+        assert _csv_rows_outcome(path) == expected
+    finally:
+        csv.field_size_limit(old)
+    assert limit is None or expected[1] is None or "field larger than field limit" in expected[1]
+
+
+def test_quoting_does_not_change_the_store(small_corpus, tmp_path):
+    """The corpus written with every field quoted, which csv.reader reads
+    line by line, and with minimal quoting, whose lines are split, gives the
+    store of the corpus as synth wrote it."""
+    raw = small_corpus["raw"]
+    stores = [tmp_path / "as written"]
+    ingest_to_store(raw / "transfers.csv", raw / "tokens.json", raw / "accounts.json",
+                    raw / "methods.csv", PACKAGED_METHOD_GROUPS, stores[0])
+    for quoting in (csv.QUOTE_ALL, csv.QUOTE_MINIMAL):
+        copy = tmp_path / f"quoting {quoting}"
+        copy.mkdir()
+        for name in ("transfers.csv", "methods.csv"):
+            with open(raw / name, encoding="utf-8", newline="") as src, \
+                    open(copy / name, "w", encoding="utf-8", newline="") as dst:
+                csv.writer(dst, quoting=quoting).writerows(csv.reader(src))
+        stores.append(copy / "store")
+        ingest_to_store(copy / "transfers.csv", raw / "tokens.json", raw / "accounts.json",
+                        copy / "methods.csv", PACKAGED_METHOD_GROUPS, stores[-1])
+    assert (tmp_path / f"quoting {csv.QUOTE_ALL}" / "transfers.csv").read_text(
+        encoding="utf-8").startswith('"tx_hash","ego",')
+    for name in (storage.STORE_FILE, storage.LABELS_FILE, storage.REPORT_FILE):
+        for store in stores[1:]:
+            assert filecmp.cmp(stores[0] / name, store / name, shallow=False), (store, name)
