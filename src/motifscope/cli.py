@@ -23,7 +23,7 @@ import time
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Mapping, NamedTuple, Optional
+from typing import Mapping, Optional
 
 import numpy as np
 
@@ -33,13 +33,16 @@ from .ingest import (
     AccountRegistry,
     InputError,
     METHOD_GROUPS,
+    Param,
     TokenRegistry,
     UNKNOWN,
+    _check_params,
+    _fields,
     _gc_paused,
     _schema,
+    _strings,
     load_method_labels,
     load_method_mapping,
-    read_json,
     read_transfers,
 )
 from .learn import (
@@ -105,19 +108,6 @@ def _fail(stage: str, exc: BaseException, code: int) -> int:
 _MODEL_KINDS = {"lr": LogisticModel, "dt": DecisionTree, "rf": RandomForest}
 
 
-class Param(NamedTuple):
-    """A tunable parameter: type (int or float, where an int is also a float
-    and a bool is neither; None where the choices or the rule decide),
-    default, rule (what a value must be, and its test), choices and help."""
-
-    type: Optional[type]
-    default: object
-    what: Optional[str] = None
-    ok: Optional[Callable] = None
-    choices: tuple = ()
-    help: Optional[str] = None
-
-
 # every tunable parameter, declared once (see the module docstring)
 PARAMS = {
     "mode": Param(None, "M+E", choices=tuple(motif.MODE_SPELLINGS)),
@@ -141,28 +131,25 @@ PARAMS = {
 }
 # the parameters of a fit, which a model file keeps and eval and prune-CV read back
 FIT_PARAMS = ("min_leaf", "trees", "l2", "max_features")
+# the fields of a model file, of its params (its fit's and prune's level) and of a signatures file
+_MODEL_FIELDS = {"format": Param(None, choices=("motifscope-model",)),
+                 "kind": Param(None, choices=tuple(_MODEL_KINDS)),
+                 "mode": Param(None, choices=motif.MODES),
+                 "classes": Param(list, what="a list of strings", ok=_strings),
+                 "vocabulary": Param(list, what="a list of strings", ok=_strings),
+                 "params": Param(dict), "model": Param(dict)}
+_MODEL_PARAMS = {**{key: PARAMS[key] for key in FIT_PARAMS},
+                 "pruned_alpha": PARAMS["alpha"], "pruned_leaves": PARAMS["target_leaves"]}
+_SIGNATURES_FIELDS = {"format": Param(None, choices=("motifscope-signatures",)),
+                      "mode": Param(None, None, choices=motif.MODES),
+                      "threshold": PARAMS["threshold"], "signatures": Param(list, []),
+                      "classes": Param(list, [], "a list of strings", _strings),
+                      "discrepancies": Param(list, [], "a list of strings", _strings)}
 
 
 def _flag(key: str) -> str:
     """The flag of a parameter or config key."""
     return "--" + key.replace("_", "-")
-
-
-def _check_params(values: Mapping, name=_flag, keys=PARAMS) -> None:
-    """Raise InputError for the first of `keys` whose value in `values` its
-    PARAMS entry refuses; a key missing from `values`, or None where the
-    default is None, is unset. name(key) says where the value came from."""
-    for key in keys:
-        param, value = PARAMS[key], values.get(key)
-        if key not in values or value is None and param.default is None:
-            continue
-        if param.type and type(value) not in ((int, float) if param.type is float else (int,)):
-            raise InputError(f"{name(key)} must be {param.type.__name__}, "
-                             f"got {type(value).__name__} {value!r}")
-        if param.choices and value not in param.choices:
-            raise InputError(f"{name(key)} must be one of {list(param.choices)}, got {value!r}")
-        if param.ok and not param.ok(value):
-            raise InputError(f"{name(key)} must be {param.what}, got {value!r}")
 
 
 def _add_flags(parser, *keys: str, **settings) -> None:
@@ -202,25 +189,11 @@ class ModelSpec:
 
 
 def load_model(path) -> ModelSpec:
-    with _schema("model file", path):
-        obj = read_json(path, "model file")
-        if obj.get("format") != "motifscope-model":
-            raise InputError(f"{path} is not a motifscope model file")
-        kind = obj.get("kind")
-        if kind not in _MODEL_KINDS:
-            raise InputError(f"unknown model kind {kind!r} in {path}")
-        spec = ModelSpec(kind, obj["mode"], obj["classes"], obj["vocabulary"], obj["params"],
-                         _MODEL_KINDS[kind].from_dict(obj["model"]))
-        for key, names in (("classes", spec.classes), ("vocabulary", spec.vocabulary)):
-            if type(names) is not list or not {*map(type, names)} <= {str}:
-                raise TypeError(f"{key} must be a list of strings")
-        if spec.mode not in motif.MODES:
-            raise ValueError(f"mode must be one of {list(motif.MODES)}, got {spec.mode!r}")
-        if type(spec.params) is not dict:
-            raise TypeError(f"params must be an object, got {type(spec.params).__name__}")
-        _check_params(spec.params, lambda key: f"bad model file {path}: params {key!r}",
-                      FIT_PARAMS)
-        return spec
+    with _schema("model file", path) as obj:
+        fields = _fields(obj, _MODEL_FIELDS)
+        _fields(fields["params"], _MODEL_PARAMS, "params")
+        return ModelSpec(fields["kind"], fields["mode"], fields["classes"], fields["vocabulary"],
+                         fields["params"], _MODEL_KINDS[fields["kind"]].from_dict(fields["model"]))
 
 
 def load_dataset(table: FeatureTable, labels: Mapping[tuple[str, str], str], classes=None,
@@ -341,7 +314,7 @@ def prune_model(spec: ModelSpec, target_leaves, alpha, out, path_csv=None, dot=N
     if target_leaves is None and alpha is None:
         raise InputError("pass --target-leaves or --alpha")
     _check_pruning_target(target_leaves, alpha, _flag)
-    _check_params({"target_leaves": target_leaves, "alpha": alpha})
+    _check_params({"target_leaves": target_leaves, "alpha": alpha}, PARAMS, _flag)
     path = ccp_path(spec.instance)
     tree, entry = select_pruned(path, target_leaves=target_leaves, alpha=alpha)
     params = {**spec.params, "pruned_alpha": entry.alpha, "pruned_leaves": entry.leaf_count}
@@ -380,15 +353,12 @@ def write_signatures(spec: ModelSpec, dataset: Dataset, threshold: float, method
 def load_signatures(path, mode: Optional[str]) -> list[LeafSignature]:
     """The signatures of a signatures file, which must have been mined in
     the features mode `mode` when the file and `mode` both name one, with
-    distinct leaf ids. A mode the file names must be one of motif.MODES."""
-    with _schema("signatures file", path):
-        obj = read_json(path, "signatures file")
-        if obj.get("format") != "motifscope-signatures":
-            raise InputError(f"{path} is not a motifscope signatures file")
-        if obj.get("mode") is not None and obj["mode"] not in motif.MODES:
-            raise ValueError(f"mode {obj['mode']!r} is not one of {', '.join(motif.MODES)}")
-        _check_mode("features mode", mode, f"signatures file {path}", obj.get("mode"))
-        signatures = [LeafSignature.from_json(s) for s in obj.get("signatures", [])]
+    distinct leaf ids."""
+    with _schema("signatures file", path) as obj:
+        fields = _fields(obj, _SIGNATURES_FIELDS)
+        _check_mode("features mode", mode, "signatures file", fields["mode"])
+        signatures = [LeafSignature.from_json(s, f"signature {i}")
+                      for i, s in enumerate(fields["signatures"])]
         leaves = Counter(s.leaf_id for s in signatures)
         if repeated := sorted(leaf for leaf, n in leaves.items() if n > 1):
             raise ValueError(f"leaves {repeated} have more than one signature")
@@ -665,13 +635,9 @@ class PipelineConfig:
         """The config in a JSON file; an unknown key or a value that check()
         rejects raises InputError naming the file (the required paths may
         come from flags)."""
-        with _schema("pipeline config", path):
-            obj = read_json(path, "pipeline config")
-            try:
-                cfg = cls.from_json(obj)
-                cfg.check(required=())
-            except InputError as exc:
-                raise InputError(f"bad pipeline config {path}: {exc}") from None
+        with _schema("pipeline config", path) as obj:
+            cfg = cls.from_json(obj)
+            cfg.check(required=())
         return cfg
 
     def check(self, required=("transfers", "tokens", "accounts", "out")) -> None:
@@ -685,7 +651,7 @@ class PipelineConfig:
                 raise InputError(f"pipeline config is missing {f.name!r}")
             if f.name not in PARAMS and not (value is None or type(value) is str):
                 raise InputError(f"{name(f.name)} must be str, got {type(value).__name__} {value!r}")
-        _check_params(vars(self), name)
+        _check_params(vars(self), PARAMS, name)
         _check_pruning_target(self.target_leaves, self.alpha, name)
 
 
@@ -1013,7 +979,7 @@ def main(argv=None) -> int:
     try:
         # the PARAMS flags passed, before any work; a flag left at None is unset
         _check_params({key: value for key, value in vars(args).items() if value is not None},
-                      keys=getattr(args, "params", ()))
+                      {key: PARAMS[key] for key in getattr(args, "params", ())}, _flag)
         return args.func(args)
     except InputError as exc:
         return _fail(getattr(exc, "stage", args.cmd), exc, 2)

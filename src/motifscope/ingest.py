@@ -7,7 +7,8 @@ opened and decoded by one of three readers, `read_json` for JSON documents,
 opened or decoded raises InputError naming the file, and the line for the
 two line-oriented formats. `_csv_rows` splits each line that has no quote and
 no NUL on its commas, and hands the rest of the file to csv.reader from the
-first line that has one; both give the same rows. `storage` owns writing.
+first line that has one; both give the same rows and lines. Each JSON object
+kind declares its fields as `Param`s, which `_fields` reads. `storage` owns writing.
 Rows that fail validation are rejected with a reason code and counted, never
 silently dropped.
 `read_transfers` reads transfers.csv in one streaming pass straight into the
@@ -31,7 +32,7 @@ import json
 import math
 from collections import Counter
 from contextlib import contextmanager
-from typing import Iterator, Optional
+from typing import Callable, Iterator, Mapping, NamedTuple, Optional
 
 # Token categories (closed vocabulary; Unlabeled covers unknown tokens).
 CATEGORIES = (
@@ -83,6 +84,55 @@ class InputError(ValueError):
     """Unusable input file or configuration (CLI exit code 2)."""
 
 
+class Param(NamedTuple):
+    """A parameter or JSON field: type (str, bool, int, float, list or dict; an
+    int is also a float, a bool neither; None: choices or rule decide), default
+    (... if required; None allows null), rule (what, test ok), choices, help."""
+
+    type: Optional[type]
+    default: object = ...
+    what: Optional[str] = None
+    ok: Optional[Callable] = None
+    choices: tuple = ()
+    help: Optional[str] = None
+
+
+def _check_params(values: Mapping, params: Mapping[str, Param], name) -> None:
+    """Raise InputError for the first key of `params` whose value in `values`
+    its Param refuses; a key missing from `values`, or None where the default
+    is None, is unset. name(key) says where the value came from."""
+    for key, param in params.items():
+        value = values.get(key)
+        if key not in values or value is None and param.default is None:
+            continue
+        if param.type and type(value) not in (param.type, int if param.type is float else None):
+            raise InputError(f"{name(key)} must be {param.type.__name__}, "
+                             f"got {type(value).__name__} {value!r}")
+        if param.choices and value not in param.choices:
+            raise InputError(f"{name(key)} must be one of {list(param.choices)}, got {value!r}")
+        if param.ok and not param.ok(value):
+            raise InputError(f"{name(key)} must be {param.what}, got {value!r}")
+
+
+def _fields(obj, fields: Mapping[str, Param], where: str = "") -> dict:
+    """The values of JSON object `obj` by its table `fields`, defaults filled
+    in. A non-object, a value that _check_params refuses, an unknown key and a
+    missing required key, in that order, raise InputError starting `where`."""
+    prefix = f"{where} " if where else ""
+    if type(obj) is not dict:
+        raise InputError(f"{where or 'the document'} must be an object, got {type(obj).__name__}")
+    _check_params(obj, fields, lambda key: f"{prefix}{key!r}")
+    if unknown := [key for key in obj if key not in fields]:
+        raise InputError(f"{prefix}{unknown[0]!r} is not one of the keys {list(fields)}")
+    if missing := [key for key, p in fields.items() if p.default is ... and key not in obj]:
+        raise InputError(f"{prefix}{missing[0]!r} is missing")
+    return {key: obj.get(key, param.default) for key, param in fields.items()}
+
+
+def _strings(v, n=None) -> bool:
+    return type(v) is list and n in (None, len(v)) and all(type(s) is str for s in v)
+
+
 def is_null_address(addr: str) -> bool:
     """The all-zero address (any length, with or without 0x prefix)."""
     body = addr[2:] if addr.startswith(("0x", "0X")) else addr
@@ -96,28 +146,21 @@ class TokenRegistry:
         self._by_contract: dict[str, tuple[Optional[str], bool]] = {}
         self._by_symbol: dict[str, tuple[Optional[str], bool]] = {}
 
+    _FIELDS = {"contract": Param(str, ""), "symbol": Param(str, ""),
+               "category": Param(str, "Unlabeled"), "is_spam": Param(bool, False)}
+
     @classmethod
     def from_file(cls, path) -> "TokenRegistry":
-        """The registry of a JSON list of {contract, symbol, category, is_spam}
-        entries; a contract or symbol that is not a string, an entry with
-        neither, or an is_spam that is not a JSON boolean, raises InputError
-        naming the file."""
+        """The registry of a JSON list of _FIELDS objects; add checks each category."""
         reg = cls()
-        with _schema("token registry", path):
-            for entry in read_json(path, "token registry"):
-                contract, symbol = entry.get("contract", ""), entry.get("symbol", "")
-                is_spam = entry.get("is_spam", False)
-                if type(contract) is not str or type(symbol) is not str:
-                    raise TypeError(f"contract {contract!r} and symbol {symbol!r} must be strings")
-                if not contract and not symbol:
-                    raise ValueError(f"entry {entry!r} has no contract and no symbol")
-                if type(is_spam) is not bool:
-                    raise TypeError(f"is_spam of {symbol or contract!r} must be true or false, "
-                                    f"not {is_spam!r}")
-                reg.add(contract, symbol, entry.get("category", "Unlabeled"), is_spam)
+        with _schema("token registry", path) as entries:
+            for i, entry in enumerate(entries):
+                reg.add(**_fields(entry, cls._FIELDS, f"entry {i}"))
         return reg
 
     def add(self, contract: str, symbol: str, category: str, is_spam: bool) -> None:
+        if not contract and not symbol:
+            raise InputError("a token needs a contract or a symbol")
         if is_spam:
             record = (None, True)  # spam tokens carry no category
         else:
@@ -150,20 +193,18 @@ class AccountRegistry:
         self._contracts: set[str] = set()
         self._nulls: set[str] = set()
 
+    _FIELDS = {"address": Param(str, what="a non-empty string", ok=bool),
+               "type": Param(str, "address", "ego, address, contract or null in any case",
+                             lambda v: v.lower() in ("ego", "address", "contract", "null"))}
+
     @classmethod
     def from_file(cls, path) -> "AccountRegistry":
-        """The registry of a JSON list of {address, type} entries; an address
-        that is not a non-empty string raises InputError naming the file."""
+        """The registry of a JSON list of _FIELDS objects."""
         reg = cls()
-        with _schema("account registry", path):
-            for entry in read_json(path, "account registry"):
-                addr = entry.get("address")
-                if type(addr) is not str or not addr:
-                    raise TypeError(f"address {addr!r} of {entry!r} must be a non-empty string")
-                kind = entry.get("type", "address").lower()
-                if kind not in ("ego", "address", "contract", "null"):
-                    raise InputError(f"unknown account type {kind!r} for {addr}")
-                reg.add(addr, kind)
+        with _schema("account registry", path) as entries:
+            for i, entry in enumerate(entries):
+                fields = _fields(entry, cls._FIELDS, f"entry {i}")
+                reg.add(fields["address"], fields["type"].lower())
         return reg
 
     def add(self, address: str, kind: str) -> None:
@@ -243,11 +284,12 @@ def _gc_paused():
 
 @contextmanager
 def _schema(what: str, path):
-    """Raise the errors of a document of the wrong shape as InputError naming the file."""
+    """The JSON document in `path`; the block's errors become InputError naming the file."""
+    doc = read_json(path, what)
     try:
-        yield
-    except InputError:
-        raise
+        yield doc
+    except InputError as exc:
+        raise InputError(f"bad {what} {path}: {exc}") from exc
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise InputError(f"bad {what} {path}: {type(exc).__name__}: {exc}") from exc
 
@@ -266,9 +308,10 @@ def _jsonl_rows(path, what: str) -> Iterator[tuple[int, object]]:
                 yield lineno, obj
 
 
-def _csv_rows(path, what: str) -> Iterator[list[str]]:
-    """Rows of a UTF-8 CSV file, as csv.reader yields them. Bytes that do not
-    decode and CSV syntax errors raise InputError naming the file and line.
+def _csv_rows(path, what: str) -> Iterator[tuple[int, list[str]]]:
+    """(line it starts on, row) for each row of a UTF-8 CSV file, as csv.reader
+    yields it. Bytes that do not decode and CSV syntax errors raise InputError
+    naming the file and line.
 
     A line with no quote, no NUL and no more characters than
     csv.field_size_limit() is split on its commas ([] for a blank line),
@@ -284,12 +327,15 @@ def _csv_rows(path, what: str) -> Iterator[list[str]]:
                 break
             split += 1
             text = line.rstrip("\r\n")
-            yield text.split(",") if text else []
+            yield split, text.split(",") if text else []
         else:
             return
         reader = csv.reader(itertools.chain([line], fh))
+        start = split + 1
         try:
-            yield from reader
+            for row in reader:
+                yield start, row
+                start = split + reader.line_num + 1
         except csv.Error as exc:
             raise _bad_line(what, path, split + reader.line_num, exc) from exc
 
@@ -324,10 +370,10 @@ def read_transfers(path, tokens: TokenRegistry, accounts: AccountRegistry,
     account = functools.cache(lambda addr: (addr, accounts.kind_of(addr)))
     token = functools.cache(lambda contract, symbol: (contract, symbol, *tokens.resolve(contract, symbol)))
     rows = _csv_rows(path, "transfers")
-    header = next(rows, None)
+    _, header = next(rows, (1, None))
     if header is None or [h.strip() for h in header] != list(TRANSFER_COLUMNS):
         raise _bad_line("transfers", path, 1, f"header must be {','.join(TRANSFER_COLUMNS)}")
-    for row in rows:
+    for _, row in rows:
         if not row:
             continue
         if len(row) != len(TRANSFER_COLUMNS):
@@ -399,17 +445,14 @@ def load_method_mapping(path) -> dict[str, str]:
     raw names that collide after normalization must agree on the group.
     """
     mapping: dict[str, str] = {}
-    with _schema("method mapping", path):
-        for name, group in read_json(path, "method mapping").items():
+    with _schema("method mapping", path) as obj:
+        for name, group in obj.items():
             key = name.strip().casefold()
             resolved = GROUP_ALIASES.get(group, group)
             if resolved not in METHOD_GROUPS and resolved not in EXCLUDED_GROUPS:
-                raise InputError(f"method mapping {path}: unknown group {group!r} for {name!r}")
+                raise InputError(f"unknown group {group!r} for {name!r}")
             if key in mapping and mapping[key] != resolved:
-                raise InputError(
-                    f"method mapping {path}: conflicting groups for {name!r} "
-                    f"({mapping[key]} vs {resolved})"
-                )
+                raise InputError(f"conflicting groups for {name!r} ({mapping[key]} vs {resolved})")
             mapping[key] = resolved
     return mapping
 
@@ -424,11 +467,11 @@ def load_method_labels(path, mapping: dict[str, str]) -> dict[str, str]:
     InputError naming the file and line.
     """
     rows = _csv_rows(path, "methods")
-    header = next(rows, None)
+    _, header = next(rows, (1, None))
     if header is None or [h.strip() for h in header][:2] != ["tx_hash", "raw_method"]:
         raise _bad_line("methods", path, 1, "header must start tx_hash,raw_method")
     groups: dict[str, str] = {}
-    for lineno, row in enumerate(rows, start=2):
+    for lineno, row in rows:
         if len(row) >= 2 and row[0]:
             group = mapping.get(row[1].strip().casefold())
             groups[row[0]] = UNKNOWN if group is None or group in EXCLUDED_GROUPS else group

@@ -45,6 +45,8 @@ import numpy as np
 from scipy.optimize import minimize
 from scipy.special import expit
 
+from .ingest import Param, _fields
+
 
 # ---------------------------------------------------------------------------
 # logistic regression (one-vs-rest)
@@ -137,13 +139,14 @@ class LogisticModel:
             "biases": self.biases.tolist(),
         }
 
+    _FIELDS = {"kind": Param(None, choices=("logistic",)), "l2": Param(float, 1.0),
+               "weights": Param(list), "biases": Param(list)}
+
     @classmethod
     def from_dict(cls, obj: dict) -> "LogisticModel":
-        return cls(
-            weights=np.asarray(obj["weights"], dtype=float),
-            biases=np.asarray(obj["biases"], dtype=float),
-            l2=float(obj.get("l2", 1.0)),
-        )
+        fields = _fields(obj, cls._FIELDS)
+        return cls(weights=np.asarray(fields["weights"], dtype=float),
+                   biases=np.asarray(fields["biases"], dtype=float), l2=fields["l2"])
 
 
 # ---------------------------------------------------------------------------
@@ -347,11 +350,15 @@ class DecisionTree:
             "nodes": rows,
         }
 
+    _FIELDS = {"kind": Param(None, choices=("tree",)), "n_classes": Param(int),
+               "min_leaf": Param(int), "total_weight": Param(float), "nodes": Param(list)}
+
     @classmethod
     def from_dict(cls, obj: dict) -> "DecisionTree":
         """The tree of a to_dict() object; ValueError unless its nodes are one
         binary tree numbered in preorder, each with an int64 count n."""
-        rows = obj["nodes"]
+        fields = _fields(obj, cls._FIELDS)
+        rows = fields["nodes"]
         _check_preorder(rows)
         if not all(type(r["n"]) is int and -(1 << 63) <= r["n"] < 1 << 63 for r in rows):
             raise ValueError("a tree node's n is not a 64-bit integer")
@@ -360,7 +367,7 @@ class DecisionTree:
         stats = (("value", float), ("n", np.int64), ("weight", float), ("gini", float))
         tree = cls(*map(np.array, zip(*split)),
                    *(np.array([r[key] for r in rows], dtype=dtype) for key, dtype in stats),
-                   int(obj["n_classes"]), int(obj["min_leaf"]), float(obj["total_weight"]))
+                   fields["n_classes"], fields["min_leaf"], fields["total_weight"])
         if tree.value.shape != (len(rows), tree.n_classes):
             raise ValueError(f"tree node values are not {tree.n_classes} per node")
         return tree
@@ -576,9 +583,11 @@ class RandomForest:
             "trees": [tree.to_dict() for tree in self.trees],
         }
 
+    _FIELDS = {"kind": Param(None, choices=("forest",)), "n_classes": Param(int),
+               "trees": Param(list, what="a non-empty list", ok=bool)}
+
     @classmethod
     def from_dict(cls, obj: dict) -> "RandomForest":
-        return cls(
-            trees=[DecisionTree.from_dict(t) for t in obj["trees"]],
-            n_classes=int(obj["n_classes"]),
-        )
+        fields = _fields(obj, cls._FIELDS)
+        return cls(trees=[DecisionTree.from_dict(t) for t in fields["trees"]],
+                   n_classes=fields["n_classes"])

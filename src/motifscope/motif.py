@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from .ingest import _schema, read_json
+from .ingest import Param, _fields, _schema, _strings
 
 # Counterpart states relative to the ego.
 OUT, IN, RECIP = 0, 1, 2
@@ -39,6 +39,9 @@ _EDGE_LABELS: dict[tuple[str, str, str], str] = {}
 # ascending order, -> its motif id. (OUT,) is the ego sending to one
 # neighbor; (IN, RECIP) a pair, one sending to the ego, one in both directions.
 Catalog = dict[tuple[int, ...], str]
+_CATALOG_FIELDS = {"id": Param(str), "nodes": Param(list, what="a list of strings", ok=_strings),
+                   "edges": Param(list, what="a list of [role, role] pairs",
+                                  ok=lambda v: all(_strings(e, 2) for e in v))}
 
 
 def enumerate_catalog() -> Catalog:
@@ -57,9 +60,9 @@ def load_catalog(path) -> Catalog:
     """Load a catalog override from JSON: [{id, nodes, edges:[[role,role]]}].
     A catalog that does not describe valid, non-isomorphic ego motifs with
     distinct ids raises InputError."""
-    with _schema("motif catalog", path):
+    with _schema("motif catalog", path) as entries:
         catalog: Catalog = {}
-        for sid, states in [_catalog_shape(entry) for entry in read_json(path, "motif catalog")]:
+        for sid, states in [_catalog_shape(entry, f"entry {i}") for i, entry in enumerate(entries)]:
             if states in catalog:
                 raise ValueError(f"motif {sid} is isomorphic to an earlier catalog entry")
             catalog[states] = sid
@@ -68,11 +71,11 @@ def load_catalog(path) -> Catalog:
         return catalog
 
 
-def _catalog_shape(entry: dict) -> tuple[str, tuple[int, ...]]:
+def _catalog_shape(entry, where: str) -> tuple[str, tuple[int, ...]]:
     """(id, role states in ascending order) of one catalog file entry."""
-    sid = entry["id"]
-    nodes = entry["nodes"]
-    edges = [tuple(e) for e in entry["edges"]]
+    fields = _fields(entry, _CATALOG_FIELDS, where)
+    sid, nodes = fields["id"], fields["nodes"]
+    edges = [tuple(e) for e in fields["edges"]]
     if "E" not in nodes:
         raise ValueError(f"motif {sid}: no ego role E")
     roles = [r for r in nodes if r != "E"]

@@ -118,14 +118,14 @@ def read_profiles_csv(path) -> Profiles:
     integers from 0 to 2^63 - 1, or whose total is not their sum, raises
     InputError naming the file and line."""
     rows = _csv_rows(path, "profiles")
-    header = next(rows, None)
+    _, header = next(rows, (1, None))
     if not header or header[:2] != ["account", "total"] or not all(
         h.startswith("leaf_") and h[5:].isdigit() for h in header[2:]
     ):
         raise _bad_line("profiles", path, 1, "header must be account,total,leaf_<id>...")
     leaf_ids = [int(h[5:]) for h in header[2:]]
     accounts, counts = [], []
-    for lineno, row in enumerate(rows, start=2):
+    for lineno, row in rows:
         if not row:
             continue
         if len(row) != len(header):

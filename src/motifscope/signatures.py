@@ -22,6 +22,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
+from .ingest import Param, _fields, _strings
 from .models import DecisionTree
 
 log = logging.getLogger("motifscope.signatures")
@@ -143,26 +144,18 @@ class LeafSignature:
             "support": round(self.support, 6),
         }
 
+    _FIELDS = {"leaf": Param(int), "group": Param(str), "samples": Param(int, 0),
+               "probability": Param(float, 0.0), "support": Param(float, 0.0),
+               "items": Param(list, what="a list of strings", ok=_strings),
+               "item_supports": Param(dict, {}, "an object of numbers",
+                                      lambda v: all(type(x) in (int, float) for x in v.values()))}
+
     @classmethod
-    def from_json(cls, obj: dict) -> "LeafSignature":
-        """The signature of a to_json() object; TypeError unless its group
-        and items are strings, its leaf and samples integers and its
-        probability, support and item supports numbers."""
-        leaf, samples = obj["leaf"], obj.get("samples", 0)
-        probability, support = obj.get("probability", 0.0), obj.get("support", 0.0)
-        item_supports = obj.get("item_supports", {})
-        if type(obj["group"]) is not str or not {*map(type, obj["items"])} <= {str}:
-            raise TypeError("a signature's group and items must be strings")
-        if type(leaf) is not int or type(samples) is not int:
-            raise TypeError(f"leaf {leaf!r} and samples {samples!r} must be integers")
-        if not {*map(type, [probability, support, *item_supports.values()])} <= {int, float}:
-            raise TypeError(f"leaf {leaf}: probability, support and item supports must be numbers")
-        return cls(
-            leaf_id=leaf, group=obj["group"], probability=float(probability), samples=samples,
-            items=list(obj["items"]),
-            item_supports={k: float(v) for k, v in item_supports.items()},
-            support=float(support),
-        )
+    def from_json(cls, obj, where: str = "") -> "LeafSignature":
+        """The signature of a to_json() object, read by _fields(obj, _FIELDS, where)."""
+        fields = _fields(obj, cls._FIELDS, where)
+        return cls(fields["leaf"], fields["group"], fields["probability"], fields["samples"],
+                   fields["items"], dict(fields["item_supports"]), fields["support"])
 
 
 def _supports(presence: np.ndarray, counts: Optional[np.ndarray]):

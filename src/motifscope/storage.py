@@ -307,10 +307,10 @@ def read_labels(path) -> dict[tuple[str, str], str]:
     Blank lines are skipped; a row without three fields raises InputError."""
     labels: dict[tuple[str, str], str] = {}
     rows = _csv_rows(path, "labels")
-    header = next(rows, None)
+    _, header = next(rows, (1, None))
     if header is None or [h.strip() for h in header] != ["tx_hash", "ego", "method_group"]:
         raise _bad_line("labels", path, 1, "header must be tx_hash,ego,method_group")
-    for lineno, row in enumerate(rows, start=2):
+    for lineno, row in rows:
         if len(row) == 3:
             labels[(row[0], row[1])] = row[2]
         elif row:

@@ -17,11 +17,23 @@ from importlib import resources
 from pathlib import Path
 from typing import Optional
 
-from .ingest import CATEGORIES, GROUP_ALIASES, InputError, METHOD_GROUPS, _schema, read_json
+from .ingest import (CATEGORIES, GROUP_ALIASES, InputError, METHOD_GROUPS, Param, _fields, _schema,
+                     _strings)
 
 NULL_ADDRESS = "0x" + "0" * 40
 DEFAULT_NOISE = 0.05
+PACKAGED_ARCHETYPES = Path(__file__).parent / "data" / "archetypes.json"
 _SLOT_KINDS = ("ego", "null", "address", "contract")
+_CONFIG_FIELDS = {"archetypes": Param(list, what="a non-empty list", ok=bool),
+                  "noise": Param(float, DEFAULT_NOISE, "a number >= 0 and < 1", lambda v: 0 <= v < 1)}
+_ARCHETYPE_FIELDS = {"name": Param(str, choices=METHOD_GROUPS),
+                     "table2_count": Param(int, 1, "an integer >= 0", lambda v: v >= 0),
+                     "edges": Param(list, what="a non-empty list of [slot, slot, token category]",
+                                    ok=lambda v: v and all(_strings(e, 3) and e[2] in CATEGORIES
+                                                           for e in v))}
+_MIX_FIELDS = {"name": Param(str, ""), "weight": Param(float, 1.0, "a number >= 0", lambda v: v >= 0),
+               "methods": Param(dict, what="an object of numbers >= 0, not all 0", ok=lambda v: all(
+                   type(w) in (int, float) and w >= 0 for w in v.values()) and sum(v.values()) > 0)}
 
 
 @dataclass
@@ -31,11 +43,7 @@ class Archetype:
     edges: list[tuple[str, str, str]]
 
     def validate(self) -> None:
-        if self.name not in METHOD_GROUPS:
-            raise InputError(f"archetype {self.name!r} is not one of the method groups")
-        if not self.edges:
-            raise InputError(f"archetype {self.name} has no edges")
-        for src, dst, category in self.edges:
+        for src, dst, _ in self.edges:
             for slot in (src, dst):
                 kind = slot.split(":", 1)[0]
                 if kind not in _SLOT_KINDS:
@@ -44,8 +52,6 @@ class Archetype:
                 raise InputError(f"archetype {self.name}: edge {src}->{dst} does not touch the ego")
             if src == dst:
                 raise InputError(f"archetype {self.name}: self-edge {src}->{dst}")
-            if category not in CATEGORIES:
-                raise InputError(f"archetype {self.name}: unknown category {category!r}")
 
 
 @dataclass
@@ -60,31 +66,16 @@ class SynthConfig:
         raise InputError(f"no archetype named {name!r}")
 
 
-def default_config_text() -> str:
-    return resources.files("motifscope.data").joinpath("archetypes.json").read_text("utf-8")
-
-
 def load_config(path: Optional[str] = None) -> SynthConfig:
-    if path is None:
-        raw = json.loads(default_config_text())
-    else:
-        raw = read_json(path, "archetype config")
-    archetypes = []
-    with _schema("archetype config", path):
-        for entry in raw.get("archetypes", []):
-            arch = Archetype(
-                name=entry.get("name", ""),
-                table2_count=int(entry.get("table2_count", 1)),
-                edges=[tuple(e) for e in entry.get("edges", [])],
-            )
+    with _schema("archetype config", path or PACKAGED_ARCHETYPES) as raw:
+        config = _fields(raw, _CONFIG_FIELDS)
+        archetypes = []
+        for i, entry in enumerate(config["archetypes"]):
+            fields = _fields(entry, _ARCHETYPE_FIELDS, f"archetype {i}")
+            arch = Archetype(fields["name"], fields["table2_count"], [*map(tuple, fields["edges"])])
             arch.validate()
             archetypes.append(arch)
-        noise = float(raw.get("noise", DEFAULT_NOISE))
-    if not archetypes:
-        raise InputError("archetype config defines no archetypes")
-    if not 0.0 <= noise < 1.0:
-        raise InputError(f"noise probability {noise} outside [0, 1)")
-    return SynthConfig(archetypes=archetypes, noise=noise)
+    return SynthConfig(archetypes=archetypes, noise=config["noise"])
 
 
 def _method_names_by_group() -> dict[str, list[str]]:
@@ -108,13 +99,8 @@ class Mix:
 
 
 def load_mixes(path: str) -> list[Mix]:
-    mixes = []
-    with _schema("mixes file", path):
-        for entry in read_json(path, "mixes file"):
-            methods = {str(k): float(v) for k, v in entry.get("methods", {}).items()}
-            if not methods or any(w < 0 for w in methods.values()) or sum(methods.values()) <= 0:
-                raise InputError(f"mix {entry.get('name')!r} has an unusable method distribution")
-            mixes.append(Mix(name=str(entry.get("name", "")), weight=float(entry.get("weight", 1.0)), methods=methods))
+    with _schema("mixes file", path) as entries:
+        mixes = [Mix(**_fields(entry, _MIX_FIELDS, f"mix {i}")) for i, entry in enumerate(entries)]
     if not mixes:
         raise InputError(f"mixes file {path} defines no mixes")
     return mixes

@@ -3,6 +3,7 @@
 import argparse
 import csv
 import dataclasses
+import functools
 import gc
 import json
 import multiprocessing
@@ -435,6 +436,18 @@ def _one_leaf_model(classes=("Swap",), vocabulary=("m1(E,A)", "__oov__"), n=1, m
                   "nodes": [leaf]}})
 
 
+def _model_with(**fields) -> str:
+    """_one_leaf_model() with `fields` set at its top level."""
+    return json.dumps({**json.loads(_one_leaf_model()), **fields})
+
+
+def _archetype_config(noise=0.05, **fields) -> str:
+    """An archetype config of one Swap archetype with `fields` set."""
+    return json.dumps({"noise": noise, "archetypes": [{
+        "name": "Swap", "table2_count": 1, "edges": [["ego", "contract:pool", "Stablecoin"]],
+        **fields}]})
+
+
 INVALID_INPUTS = {
     ("catalog", "invalid"): (json.dumps([{"id": "m1", "nodes": ["E", "i", "j"],
                                           "edges": [["E", "i"], ["i", "j"]]}]), None),
@@ -522,6 +535,47 @@ INVALID_INPUTS = {
     ("features (match)", "invalid mixed modes"): (
         '{"tx_hash":"t","ego":"e","mode":"M+E","features":{}}\n'
         '{"tx_hash":"u","ego":"e","mode":"MxE","features":{}}\n', 2),
+    # a quoted field spans lines 2 and 3, so the fault is on physical line 4
+    ("methods", "invalid one field after a quoted line break"): (
+        'tx_hash,raw_method\nt1,"multi\nline"\nt2\n', 4),
+    ("labels", "invalid short row after a quoted line break"): (
+        'tx_hash,ego,method_group\nt1,"e\n1",Swap\nt2,e\n', 4),
+    ("profiles", "invalid short row after a quoted line break"): (
+        'account,total,leaf_1\n"0x\na",1,1\n0xb,1\n', 4),
+    # misspelt, mistyped and unknown fields, each once loaded with no message
+    ("tokens", "invalid misspelt is_spam"): (json.dumps([
+        {"contract": "0xTok", "symbol": "SPAM", "isSpam": True}]), None),
+    ("accounts", "invalid misspelt type"): (json.dumps([{"address": "0xc0", "typ": "contract"}]),
+                                            None),
+    ("signatures", "invalid misspelt probability"): (json.dumps({
+        "format": "motifscope-signatures",
+        "signatures": [{"leaf": 7, "group": "Swap", "items": ["m1(E,A)"], "prob": 0.9}]}), None),
+    ("archetype config", "invalid fractional count"): (_archetype_config(table2_count=2.7), None),
+    ("archetype config", "invalid count string"): (_archetype_config(table2_count="3"), None),
+    ("archetype config", "invalid noise string"): (_archetype_config(noise="0.1"), None),
+    ("mixes", "invalid name number"): (json.dumps([{"name": 5, "methods": {"Swap": 1.0}}]), None),
+    ("mixes", "invalid weight bool"): (json.dumps([
+        {"name": "m", "weight": True, "methods": {"Swap": 1.0}}]), None),
+    ("mixes", "invalid share string"): (json.dumps([{"name": "m", "methods": {"Swap": "1"}}]),
+                                        None),
+    ("catalog", "invalid id number"): (json.dumps([
+        {"id": 5, "nodes": ["E", "i"], "edges": [["E", "i"]]}]), None),
+    ("catalog", "invalid nodes string"): (json.dumps([
+        {"id": "m1", "nodes": "Ei", "edges": [["E", "i"]]}]), None),
+    ("catalog", "invalid unknown key"): (json.dumps([
+        {"id": "m1", "nodes": ["E", "i"], "edges": [["E", "i"]], "note": "x"}]), None),
+    ("model", "invalid l2 string"): (_model_with(kind="lr", model={
+        "kind": "logistic", "l2": "2", "weights": [[0.0, 0.0]], "biases": [0.0]}), None),
+    ("model", "invalid unknown key"): (_model_with(note="x"), None),
+    ("model", "invalid forest without trees"): (_model_with(kind="rf", model={
+        "kind": "forest", "n_classes": 1, "trees": []}), None),
+    # refusals whose messages once left out the file
+    ("archetype config", "invalid unknown name"): (_archetype_config(name="Teleport"), None),
+    ("mixes", "invalid empty distribution"): (json.dumps([{"name": "m", "methods": {}}]), None),
+    ("tokens", "invalid unknown category"): (json.dumps([
+        {"contract": "0x1", "category": "Doubloons"}]), None),
+    ("accounts", "invalid unknown type"): (json.dumps([{"address": "0x1", "type": "wizard"}]),
+                                           None),
 }
 
 
@@ -538,7 +592,7 @@ def _input_kinds(mini_store, small_corpus, trained, tmp):
     }
     for name, obj in sources.items():
         (tmp / name).write_text(json.dumps(obj), encoding="utf-8")
-    (tmp / "archetypes.json").write_text(synth.default_config_text(), encoding="utf-8")
+    (tmp / "archetypes.json").write_text(synth.PACKAGED_ARCHETYPES.read_text(encoding="utf-8"), encoding="utf-8")
     ingest_flags = {"--transfers": raw / "transfers.csv", "--tokens": raw / "tokens.json",
                     "--accounts": raw / "accounts.json", "--methods": raw / "methods.csv",
                     "--method-groups": cli.PACKAGED_METHOD_GROUPS, "--out": tmp / "store"}
@@ -617,9 +671,88 @@ def test_every_input_file_kind_rejects_bad_file(mini_store, small_corpus, traine
     argv = [arg.replace("{bad}", str(bad)).replace("{bad_dir}", str(bad.parent)) for arg in argv]
     _, err = run(capsys, argv, code=2)
     assert err["error"]["type"] == "InputError"
-    assert str(bad) in err["error"]["message"]
+    assert err["error"]["message"].count(str(bad)) == 1, err["error"]["message"]
     if line is not None:
         assert f"{bad}:{line}: " in err["error"]["message"], err["error"]["message"]
+
+
+# each declared field table -> (the table, the file kind it reads, and where in
+# a file of that kind the object it reads sits)
+FIELD_TABLES = {
+    "token": (ingest.TokenRegistry._FIELDS, "tokens", lambda doc: doc[0]),
+    "account": (ingest.AccountRegistry._FIELDS, "accounts", lambda doc: doc[0]),
+    "catalog entry": (motif._CATALOG_FIELDS, "catalog", lambda doc: doc[0]),
+    "archetype config": (synth._CONFIG_FIELDS, "archetypes", lambda doc: doc),
+    "archetype": (synth._ARCHETYPE_FIELDS, "archetypes", lambda doc: doc["archetypes"][0]),
+    "mix": (synth._MIX_FIELDS, "mixes", lambda doc: doc[0]),
+    "model file": (cli._MODEL_FIELDS, "dt model", lambda doc: doc),
+    "model params": (cli._MODEL_PARAMS, "pruned model", lambda doc: doc["params"]),
+    "tree": (models.DecisionTree._FIELDS, "dt model", lambda doc: doc["model"]),
+    "forest": (models.RandomForest._FIELDS, "rf model", lambda doc: doc["model"]),
+    "logistic": (models.LogisticModel._FIELDS, "lr model", lambda doc: doc["model"]),
+    "signatures file": (cli._SIGNATURES_FIELDS, "signatures", lambda doc: doc),
+    "signature": (LeafSignature._FIELDS, "pipeline signatures", lambda doc: doc["signatures"][0]),
+}
+# a value of another JSON type than each declared type
+OTHER_TYPE = {int: True, bool: 1, float: "1", str: None, list: {}, dict: [], None: True}
+
+
+def _table_files(small_corpus, pipeline_run):
+    """file kind -> (a file of that kind that this repository commits or
+    writes, or a document where it has none, and its loader)."""
+    bench_data = Path(__file__).parent.parent / "bench" / "data"
+    signatures = functools.partial(cli.load_signatures, mode=None)
+    return {
+        "tokens": (small_corpus["tokens"], ingest.TokenRegistry.from_file),
+        "accounts": (small_corpus["accounts"], ingest.AccountRegistry.from_file),
+        "catalog": (catalog_json(motif.enumerate_catalog()), motif.load_catalog),
+        "archetypes": (Path(synth.__file__).parent / "data" / "archetypes.json", synth.load_config),
+        "mixes": ([{"name": "m", "weight": 1.0, "methods": {"Swap": 1.0}}], synth.load_mixes),
+        "dt model": (pipeline_run / "model.json", cli.load_model),
+        "pruned model": (pipeline_run / "pruned.json", cli.load_model),
+        "rf model": (MODEL_FILES / "rf_model.json", cli.load_model),
+        "lr model": (json.loads(_model_with(kind="lr", model={
+            "kind": "logistic", "l2": 1.0, "weights": [[0.0, 0.0]], "biases": [0.0]})),
+            cli.load_model),
+        "signatures": (bench_data / "score_signatures.json", signatures),
+        "pipeline signatures": (pipeline_run / "signatures.json", signatures),
+    }
+
+
+@pytest.mark.parametrize("table", list(FIELD_TABLES))
+def test_declared_fields_refuse_what_they_do_not_declare(small_corpus, pipeline_run, tmp_path,
+                                                          table):
+    """A file of each kind loads. Each field of its table, deleted where it
+    is required or given a value of another JSON type, and an unknown key
+    beside them, make it raise InputError naming the file once."""
+    modules = (ingest, motif, synth, models, motifscope.signatures, cli)
+    owners = [*modules, *(value for module in modules for value in vars(module).values()
+                          if isinstance(value, type) and value.__module__ == module.__name__)]
+    declared = {id(value) for owner in owners for name, value in vars(owner).items()
+                if name != "PARAMS" and type(value) is dict and value
+                and all(isinstance(param, ingest.Param) for param in value.values())}
+    assert declared == {id(fields) for fields, _, _ in FIELD_TABLES.values()}
+    fields, kind, locate = FIELD_TABLES[table]
+    source, load = _table_files(small_corpus, pipeline_run)[kind]
+    text = Path(source).read_text(encoding="utf-8") if isinstance(source, Path) else \
+        json.dumps(source)
+    path = tmp_path / "file.json"
+    path.write_text(text, encoding="utf-8")
+    load(path)
+
+    def refused(edit):
+        doc = json.loads(text)
+        edit(locate(doc))
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        with pytest.raises(ingest.InputError) as err:
+            load(path)
+        assert str(err.value).count(str(path)) == 1, err.value
+
+    for key, param in fields.items():
+        if param.default is ...:
+            refused(lambda obj: obj.pop(key))
+        refused(lambda obj: obj.update({key: OTHER_TYPE[param.type]}))
+    refused(lambda obj: obj.update({"unknown": 1}))
 
 
 def test_failed_artifact_writes_leave_previous_files(trained, tmp_path, monkeypatch, capsys):
@@ -766,7 +899,8 @@ def test_eval_rejects_junk_model(small_corpus, tmp_path, capsys):
                           "--features", str(small_corpus["features"]),
                           "--labels", str(small_corpus["labels"]),
                           "--report", str(tmp_path / "r.json")], code=2)
-    assert "not a motifscope model" in err["error"]["message"]
+    assert "'format' must be one of ['motifscope-model'], got 'something-else'" in \
+        err["error"]["message"]
 
 
 def _dataset_argv(command, model, features, labels, tmp):
@@ -972,7 +1106,7 @@ def test_signatures_file_mode_must_be_a_features_mode(trained, tmp_path):
     spec = storage.read_json(trained["signatures"])
     path = tmp_path / "signatures.json"
     path.write_text(json.dumps({**spec, "mode": "XYZ"}), encoding="utf-8")
-    message = f"bad signatures file {path}: ValueError: mode 'XYZ' is not one of M, E, M+E, MxE"
+    message = f"bad signatures file {path}: 'mode' must be one of ['M', 'E', 'M+E', 'MxE'], got 'XYZ'"
     for mode in (None, "M+E"):
         with pytest.raises(ingest.InputError, match=f"^{re.escape(message)}$"):
             cli.load_signatures(path, mode)
@@ -1698,7 +1832,8 @@ def test_pipeline_input_error_names_stage(tmp_path, capsys):
 def test_pipeline_matches_subcommand_chain(tmp_path, small_corpus, capsys, kind):
     """The pipeline's in-memory handoff (and, for dt, eval's fold trees reused
     by prune-CV) writes the same bytes as the subcommand chain, which reloads
-    every input and refits the fold trees."""
+    every input and refits the fold trees. The subcommands that read the
+    pipeline's own model and signatures files write the pipeline's bytes too."""
     out = tmp_path / "run"
     common = ["--seed", "5"]
     run(capsys, [
@@ -1732,6 +1867,18 @@ def test_pipeline_matches_subcommand_chain(tmp_path, small_corpus, capsys, kind)
                  "--out", str(chain / "matches.jsonl")])
     for name in compared:
         assert (chain / name).read_bytes() == (out / name).read_bytes(), name
+    again = tmp_path / "again"
+    again.mkdir()
+    run(capsys, ["eval", *data, "--model", str(out / "model.json"), "--folds", "4",
+                 "--report", str(again / "eval_report.json"), *common])
+    run(capsys, ["prune", "--model", str(out / ("model.json" if kind == "dt" else "model_dt.json")),
+                 "--alpha", "0", "--out", str(again / "pruned.json")])
+    run(capsys, ["signatures", *data, "--model", str(out / "pruned.json"),
+                 "--out", str(again / "signatures.json")])
+    run(capsys, ["match", "--features", str(out / "features.jsonl"),
+                 "--signatures", str(out / "signatures.json"), "--out", str(again / "matches.jsonl")])
+    for name in ("eval_report.json", "pruned.json", "signatures.json", "matches.jsonl"):
+        assert (again / name).read_bytes() == (out / name).read_bytes(), name
 
 
 @pytest.mark.parametrize("kind", ["dt", "rf"])

@@ -120,15 +120,15 @@ def test_unknown_category_rejected():
 
 
 @pytest.mark.parametrize("entry,problem", [
-    ({"contract": "0x1", "is_spam": "false"}, "is_spam of '0x1' must be true or false, not 'false'"),
-    ({"symbol": "ABC", "is_spam": 0}, "is_spam of 'ABC' must be true or false, not 0"),
-    ({"contract": 7, "symbol": "ABC"}, "contract 7 and symbol 'ABC' must be strings"),
-    ({"contract": "0x1", "symbol": None}, "contract '0x1' and symbol None must be strings"),
+    ({"contract": "0x1", "is_spam": "false"}, "entry 0 'is_spam' must be bool, got str 'false'"),
+    ({"symbol": "ABC", "is_spam": 0}, "entry 0 'is_spam' must be bool, got int 0"),
+    ({"contract": 7, "symbol": "ABC"}, "entry 0 'contract' must be str, got int 7"),
+    ({"contract": "0x1", "symbol": None}, "entry 0 'symbol' must be str, got NoneType None"),
 ], ids=["spam string", "spam number", "contract number", "symbol null"])
 def test_token_registry_field_types(tmp_path, entry, problem):
     path = tmp_path / "tokens.json"
     path.write_text(json.dumps([entry]), encoding="utf-8")
-    message = f"bad token registry {path}: TypeError: {problem}"
+    message = f"bad token registry {path}: {problem}"
     with pytest.raises(ingest.InputError, match=f"^{re.escape(message)}$"):
         ingest.TokenRegistry.from_file(path)
     path.write_text(json.dumps([{"contract": "0x1", "symbol": "ABC", "is_spam": False},
@@ -531,19 +531,23 @@ def _random_csv(rng, plain_lines: int) -> str:
 
 
 def _reader_outcome(path):
-    """(rows, error message or None) of csv.reader over the file."""
+    """((line the row starts on, row) pairs, error message or None) of
+    csv.reader over the file."""
     rows = []
     with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
+        start = 1
         try:
-            rows.extend(reader)
+            for row in reader:
+                rows.append((start, row))
+                start = reader.line_num + 1
         except csv.Error as exc:
             return rows, f"bad test file {path}:{reader.line_num}: csv.Error: {exc}"
     return rows, None
 
 
 def _csv_rows_outcome(path):
-    """(rows, error message or None) of ingest._csv_rows over the file."""
+    """((line, row) pairs, error message or None) of ingest._csv_rows over the file."""
     rows = []
     try:
         rows.extend(ingest._csv_rows(path, "test"))
@@ -555,8 +559,9 @@ def _csv_rows_outcome(path):
 @pytest.mark.parametrize("limit", [None, 40], ids=["default limit", "limit 40"])
 @pytest.mark.parametrize("seed", range(8))
 def test_csv_rows_match_csv_reader(tmp_path, seed, limit):
-    """_csv_rows yields csv.reader's rows, and a CSV error, such as a field
-    over csv.field_size_limit(), names the line csv.reader's line_num gives."""
+    """_csv_rows yields csv.reader's rows, each with the line it starts on by
+    csv.reader's line_num, and a CSV error, such as a field over
+    csv.field_size_limit(), names the line csv.reader's line_num gives."""
     rng = np.random.default_rng(seed)
     path = tmp_path / "t.csv"
     path.write_text(_random_csv(rng, plain_lines=int(rng.integers(0, 30))), encoding="utf-8",

@@ -237,7 +237,8 @@ def test_from_dict_rejects_a_table_that_is_not_a_preorder_tree(case):
     with pytest.raises((TypeError, ValueError)):
         DecisionTree.from_dict(obj)
     with pytest.raises((TypeError, ValueError)):
-        RandomForest.from_dict({"n_classes": 4, "trees": [_small_tree_dict(), obj]})
+        RandomForest.from_dict({"kind": "forest", "n_classes": 4,
+                                "trees": [_small_tree_dict(), obj]})
 
 
 # ---------------------------------------------------------------------------

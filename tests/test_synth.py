@@ -59,7 +59,7 @@ def test_archetype_validation(tmp_path, entry):
 
 def test_config_noise_bounds(tmp_path):
     path = tmp_path / "arch.json"
-    base = json.loads(synth.default_config_text())
+    base = json.loads(synth.PACKAGED_ARCHETYPES.read_text(encoding="utf-8"))
     base["noise"] = 1.5
     path.write_text(json.dumps(base), encoding="utf-8")
     with pytest.raises(ingest.InputError):
