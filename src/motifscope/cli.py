@@ -23,7 +23,7 @@ import time
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Mapping, Optional
+from typing import Iterable, Mapping, Optional
 
 import numpy as np
 
@@ -41,6 +41,7 @@ from .ingest import (
     _gc_paused,
     _schema,
     _strings,
+    join_methods,
     load_method_labels,
     load_method_mapping,
     read_transfers,
@@ -196,15 +197,22 @@ def load_model(path) -> ModelSpec:
                          fields["params"], _MODEL_KINDS[fields["kind"]].from_dict(fields["model"]))
 
 
-def load_dataset(table: FeatureTable, labels: Mapping[tuple[str, str], str], classes=None,
-                 vocabulary=None) -> Dataset:
-    """The table's rows whose label, looked up in `labels` by (tx_hash, ego),
-    is a retained method group, as a Dataset."""
-    groups = [group if group in METHOD_GROUPS else None
-              for group in map(labels.get, zip(table.tx_hashes.tolist(), table.egos()))]
+def labelled_dataset(table: FeatureTable, labels: Iterable[Optional[str]], classes=None,
+                     vocabulary=None) -> Dataset:
+    """The table's rows whose label, one per row in row order, is a retained
+    method group, as a Dataset."""
+    groups = [group if group in METHOD_GROUPS else None for group in labels]
     if not any(groups):
         raise InputError("no feature rows with labels in the retained method groups")
     return build_dataset(table, groups, classes=classes, vocabulary=vocabulary)
+
+
+def load_dataset(table: FeatureTable, labels: Mapping[tuple[str, str], str], classes=None,
+                 vocabulary=None) -> Dataset:
+    """labelled_dataset with each row's label looked up in `labels`, as
+    storage.read_labels reads labels.csv, by (tx_hash, ego)."""
+    return labelled_dataset(table, map(labels.get, zip(table.tx_hashes.tolist(), table.egos())),
+                            classes, vocabulary)
 
 
 def fit_model(kind: str, dataset: Dataset, rows, params: dict, seed: int):
@@ -231,19 +239,24 @@ def fit_model(kind: str, dataset: Dataset, rows, params: dict, seed: int):
 # ---------------------------------------------------------------------------
 
 def ingest_to_store(transfers, tokens, accounts, methods, method_groups, out,
-                    write=storage._now) -> tuple[dict, list, dict[tuple[str, str], str]]:
+                    write=storage._now) -> tuple[dict, list, Optional[list[Optional[str]]]]:
     """Write the store through `write`; returns the ingest report, the
-    stored transactions and the labels written to labels.csv, as
-    storage.read_labels reads them."""
-    method_of = None
-    if methods:
-        mapping = load_method_mapping(method_groups or PACKAGED_METHOD_GROUPS)
-        method_of = load_method_labels(methods, mapping)
+    stored transactions and their method groups, one per transaction in
+    order (None where a transaction has none), or None without `methods`.
+
+    The method-group table is read first and methods.csv after transfers.csv,
+    so when both CSV files are bad, the transfers error is the one raised.
+    methods.csv is read into a dict keyed by the transactions' own tx-hash
+    strings, so no second copy of them is built."""
+    mapping = load_method_mapping(method_groups or PACKAGED_METHOD_GROUPS) if methods else None
     transactions, report = read_transfers(transfers, TokenRegistry.from_file(tokens),
-                                          AccountRegistry.from_file(accounts), method_of)
-    del method_of  # the transactions hold all that is needed from here on
-    # labels first: once a writer is forked, each refcount write here copies a shared page
-    labels = {(tx_hash, ego): group for tx_hash, ego, group, _ in transactions if group is not None}
+                                          AccountRegistry.from_file(accounts))
+    labels = None
+    if methods:
+        group_of = load_method_labels(methods, mapping, dict.fromkeys(tx[0] for tx in transactions))
+        labels = join_methods(transactions, report, group_of)
+        del group_of
+    # all of the above first: once a writer is forked, each refcount write here copies a shared page
     write(storage.write_store, out, transactions, report)
     return report, transactions, labels
 
@@ -258,7 +271,7 @@ def train_model(dataset: Dataset, kind: str, mode: str, params: dict, seed: int,
 def cv_folds(dataset: Dataset, k: int, seed: int) -> list[tuple[np.ndarray, np.ndarray]]:
     """The dataset's k stratified folds, a transaction's rows in one fold;
     InputError names a class with fewer transactions than k."""
-    return stratified_kfold(dataset.y, k=k, seed=seed, groups=dataset.tx_hashes,
+    return stratified_kfold(dataset.y, k=k, seed=seed, groups=dataset.units,
                             classes=dataset.classes)
 
 
@@ -689,15 +702,19 @@ def run_pipeline(cfg: PipelineConfig) -> dict:
 
     Stages hand each other in-memory objects: featurize works on ingest's
     transactions, and train and match on featurize's FeatureTable, so no
-    stage reads back the store or features.jsonl. The labelled rows become
-    one Dataset, eval's folds are reused by prune-CV, and so are eval's fold
-    trees when the model is a decision tree. Profiles are built from the
-    match stage's (ego, leaves), not from matches.jsonl.
+    stage reads back the store or features.jsonl. Featurize keeps ingest's
+    order, so table row i is transaction i, and its label is ingest's group
+    i: the labelled rows become one Dataset by position, with no lookup by
+    (tx_hash, ego). Eval's folds are reused by prune-CV, and so are eval's
+    fold trees when the model is a decision tree. Profiles are built from
+    the match stage's (ego, leaves), not from matches.jsonl.
 
     With `threads` >= 2 the store, features.jsonl and matches.jsonl are
     written by forked writer processes (storage.Writer) while the stages
     after the one that submitted them run; every write is waited for before
-    the artifacts are hashed. The manifest's `writes` lists each write's
+    the artifacts are hashed. A writer process hashes the files it wrote, so
+    only the files written in this process are read back for their digests.
+    The manifest's `writes` lists each write's
     stage, seconds and whether it ran inline. A failed stage, or a failed
     write, which fails the stage that submitted it, leaves a manifest naming
     it, the error and the stages completed before it.
@@ -756,9 +773,10 @@ def run_pipeline(cfg: PipelineConfig) -> dict:
         manifest["error"] = {"type": type(cause).__name__, "message": str(cause)}
         storage.write_json(out / "manifest.json", manifest)
         raise exc
-    for path in sorted(out.rglob("*")):
+    for path in sorted(out.rglob("*")):  # what a writer process wrote, it has hashed
         if path.is_file() and path.name != "manifest.json":
-            manifest["artifacts"][path.relative_to(out).as_posix()] = storage.sha256_file(path)
+            digest = writer.digests.get(os.path.abspath(path)) or storage.sha256_file(path)
+            manifest["artifacts"][path.relative_to(out).as_posix()] = digest
     manifest["timings"]["total"] = round(time.perf_counter() - start, 6)
     storage.write_json(out / "manifest.json", manifest)
     return manifest
@@ -796,7 +814,7 @@ def _run_stages(cfg: PipelineConfig, out: Path, manifest: dict, writer: storage.
         params = {key: getattr(cfg, key, PARAMS[key].default) for key in FIT_PARAMS}
 
         def train():
-            dataset = load_dataset(table, labels)
+            dataset = labelled_dataset(table, labels)
             folds = cv_folds(dataset, cfg.folds, cfg.seed)  # before a fit: every class fills them
             return dataset, folds, train_model(dataset, cfg.model, mode, params, cfg.seed,
                                                out / "model.json")

@@ -15,11 +15,14 @@ silently dropped.
 store's compact transfer rows, grouped by (tx_hash, ego), and returns the
 transactions with the object of ingest_report.json, which no other module
 builds. A transaction is the tuple (tx_hash, ego, method group or None,
-rows) throughout: `read_transfers` lists it, `storage.write_store` writes it
-and `storage.iter_store` reads it back. `read_transfers` builds its rows
-with the cyclic garbage collector paused, as `cli.run_pipeline` does for its
-whole run: the rows hold no cycles, and a collection walks every row built
-so far.
+rows) throughout: `read_transfers` lists it with no group, `join_methods`
+gives it its group and fills the report's "labeled", `storage.write_store`
+writes it and `storage.iter_store` reads it back. methods.csv is read after
+transfers.csv, by `load_method_labels`, into a dict keyed in advance by the
+transactions' own tx-hash strings, so a labelled run holds each hash once.
+Both build their objects with the cyclic garbage collector paused, as
+`cli.run_pipeline` does for its whole run: the rows hold no cycles, and a
+collection walks every row built so far.
 """
 
 from __future__ import annotations
@@ -341,17 +344,17 @@ def _csv_rows(path, what: str) -> Iterator[tuple[int, list[str]]]:
 
 
 @_gc_paused()
-def read_transfers(path, tokens: TokenRegistry, accounts: AccountRegistry,
-                   method_of: Optional[dict[str, str]] = None) -> tuple[list, dict]:
+def read_transfers(path, tokens: TokenRegistry, accounts: AccountRegistry) -> tuple[list, dict]:
     """Read transfers.csv in one streaming pass: validate each row, resolve
     its token category and account types, and group it by (tx_hash, ego).
 
-    Returns (transactions, report). A transaction is (tx_hash, ego, method
-    group or None, rows) for each group no spam token touched, in the order
-    in which its key first appears, with method groups joined on tx_hash
-    from `method_of`. A row is the store's transfer row: (from, to,
-    from_type, to_type, contract, symbol, category, amount, block), in input
-    order within its group. The report is the store's ingest_report.json.
+    Returns (transactions, report). A transaction is (tx_hash, ego, None,
+    rows) for each group no spam token touched, in the order in which its
+    key first appears; `join_methods` fills in the method groups. A row is
+    the store's transfer row: (from, to, from_type, to_type, contract,
+    symbol, category, amount, block), in input order within its group. The
+    report is the store's ingest_report.json, whose "labeled" is empty until
+    `join_methods` counts the groups.
 
     Rejected rows are counted by reason, in first-seen order: malformed_row,
     missing_tx_hash, missing_account, self_transfer, bad_amount (not a
@@ -423,19 +426,32 @@ def read_transfers(path, tokens: TokenRegistry, accounts: AccountRegistry,
             groups[key] = [tr]
         else:
             group.append(tr)
-    method_of = method_of or {}
-    transactions = [(tx_hash, ego, method_of.get(tx_hash), group)
+    transactions = [(tx_hash, ego, None, group)
                     for (tx_hash, ego), group in groups.items() if (tx_hash, ego) not in spam]
-    labeled = Counter(group for _, _, group, _ in transactions if group)
     report = {
         "transfers_read": kept + sum(rejected.values()),
         "transfers_kept": kept,
         "rejected": dict(rejected),
         "transactions": len(transactions),
         "transactions_spam_filtered": len(spam),
-        "labeled": dict(sorted(labeled.items())),
+        "labeled": {},
     }
     return transactions, report
+
+
+@_gc_paused()
+def join_methods(transactions: list, report: dict,
+                 group_of: Mapping[str, Optional[str]]) -> list[Optional[str]]:
+    """Join method groups on tx hash into read_transfers' transactions and
+    report, in place: transaction i becomes (tx_hash, ego, group_of.get(tx_hash),
+    rows), and report["labeled"] counts the groups. Returns the groups, one
+    per transaction in order, None where a transaction has none."""
+    groups = []
+    for i, (tx_hash, ego, _, rows) in enumerate(transactions):
+        groups.append(group := group_of.get(tx_hash))
+        transactions[i] = (tx_hash, ego, group, rows)
+    report["labeled"] = dict(sorted(Counter(filter(None, groups)).items()))
+    return groups
 
 
 def load_method_mapping(path) -> dict[str, str]:
@@ -457,7 +473,8 @@ def load_method_mapping(path) -> dict[str, str]:
     return mapping
 
 
-def load_method_labels(path, mapping: dict[str, str]) -> dict[str, str]:
+def load_method_labels(path, mapping: dict[str, str],
+                       groups: Optional[dict[str, Optional[str]]] = None) -> dict:
     """Read methods.csv (tx_hash,raw_method) into {tx_hash: method group}.
 
     Raw names resolve through `mapping` (from load_method_mapping), so merged
@@ -465,17 +482,23 @@ def load_method_labels(path, mapping: dict[str, str]) -> dict[str, str]:
     and unmapped names resolve to Unknown. A later row for the same hash wins.
     Blank lines are skipped; a row with one field or an empty tx_hash raises
     InputError naming the file and line.
+
+    Given `groups`, such as dict.fromkeys of the transactions' tx hashes, the
+    rows are read into it and it is returned: only the hashes already among
+    its keys take a group, so it keeps its own key strings, and every row is
+    still checked.
     """
     rows = _csv_rows(path, "methods")
     _, header = next(rows, (1, None))
     if header is None or [h.strip() for h in header][:2] != ["tx_hash", "raw_method"]:
         raise _bad_line("methods", path, 1, "header must start tx_hash,raw_method")
-    groups: dict[str, str] = {}
+    labels = {} if groups is None else groups
     for lineno, row in rows:
         if len(row) >= 2 and row[0]:
-            group = mapping.get(row[1].strip().casefold())
-            groups[row[0]] = UNKNOWN if group is None or group in EXCLUDED_GROUPS else group
+            if groups is None or row[0] in groups:
+                group = mapping.get(row[1].strip().casefold())
+                labels[row[0]] = UNKNOWN if group is None or group in EXCLUDED_GROUPS else group
         elif row:
             raise _bad_line("methods", path, lineno,
                             "empty tx_hash" if len(row) >= 2 else "1 field, expected 2 or more")
-    return groups
+    return labels

@@ -34,6 +34,11 @@ class Dataset:
     every tree fitted on folds, bootstrap samples or the whole set indexes
     one encoding. `X`, the row matrix `pairs[pair_of]`, and `y` are expanded
     on first use for code that wants the rows, such as a benchmark gauge.
+
+    `units` holds each row's transaction as an integer code, its tx hash's
+    rank in order of first occurrence among the rows: the units that CV folds
+    keep whole. A row is found by its index, so the dataset holds no strings
+    per row.
     """
 
     pairs: np.ndarray  # (n_pairs, vocabulary) float
@@ -41,7 +46,7 @@ class Dataset:
     pair_of: np.ndarray  # intp: row i is pair pair_of[i]
     classes: list[str]
     vocabulary: list[str]
-    tx_hashes: list[str] = field(default_factory=list)
+    units: Optional[np.ndarray] = None  # intp: row i's transaction; None: each row its own
 
     @property
     def n_rows(self) -> int:
@@ -119,13 +124,16 @@ def build_dataset(
               table.counts[entries])
     y = np.array([class_index[name] for name in names], dtype=np.int64)
     _, first, pair_of = np.unique(row_of * len(classes) + y, return_index=True, return_inverse=True)
+    code: dict[str, int] = {}
+    hashes = compress(table.tx_hashes.tolist(), keep)
+    units = np.fromiter((code.setdefault(h, len(code)) for h in hashes), np.intp, len(names))
     return Dataset(
         pairs=distinct[local[row_of[first]]],
         pair_y=y[first],
         pair_of=pair_of,
         classes=classes,
         vocabulary=vocabulary,
-        tx_hashes=list(compress(table.tx_hashes.tolist(), keep)),
+        units=units,
     )
 
 
@@ -148,10 +156,12 @@ def stratified_kfold(
     """Stratified k-fold index pairs (train, test).
 
     Per-fold class counts stay within one of n_c/k. When groups are given
-    (tx hashes), rows of one group always land in the same fold, keeping
-    duplicated transactions out of train/test splits of the same fold.
-    A class with fewer units (groups, or rows) than k raises InputError,
-    naming the class by classes[index] when the names are given.
+    (tx hashes, or their integer codes such as Dataset.units), rows of one
+    group always land in the same fold, keeping duplicated transactions out
+    of train/test splits of the same fold; the units are the groups in order
+    of first occurrence. A class with fewer units (groups, or rows) than k
+    raises InputError, naming the class by classes[index] when the names are
+    given.
     """
     if k < 2:
         raise InputError(f"folds must be at least 2, got {k}")
@@ -161,12 +171,10 @@ def stratified_kfold(
         unit_of = np.arange(n)
         unit_labels = y
     else:
-        # units are the groups in order of first occurrence; integer codes
-        # keep np.unique off a fixed-width string array of every group
-        index: dict = {}
-        unit_of = np.fromiter((index.setdefault(g, len(index)) for g in groups), np.intp, n)
-        _, first = np.unique(unit_of, return_index=True)
-        unit_labels = y[first]
+        _, first, inverse = np.unique(np.asarray(groups), return_index=True, return_inverse=True)
+        order = np.argsort(first)  # the distinct groups in order of first occurrence
+        unit_of = np.argsort(order)[inverse]
+        unit_labels = y[first[order]]
     rng = np.random.default_rng(seed)
     fold_of = np.empty(len(unit_labels), dtype=np.intp)
     for ci in np.unique(unit_labels):

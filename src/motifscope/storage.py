@@ -68,6 +68,11 @@ def dumps(obj) -> str:
     return "".join(_C_ENCODE(obj, 0))
 
 
+# The paths that `replacing` has moved into place, recorded in a writer
+# process only, which hashes them; None elsewhere.
+_moved: Optional[list] = None
+
+
 @contextmanager
 def replacing(*paths):
     """Yield a `<path>.tmp` for each path. They are moved into place when
@@ -78,6 +83,8 @@ def replacing(*paths):
         yield tmps
         for tmp, path in zip(tmps, paths):
             os.replace(tmp, path)
+            if _moved is not None:
+                _moved.append(path)
     except BaseException:
         for tmp in tmps:
             if os.path.exists(tmp):
@@ -103,7 +110,9 @@ class Writer:
     left by an interrupt terminates the writes still running. `failed` is
     then (stage, exception) of the first write that raised, which leaving a
     block that raised nothing raises. `records` holds each finished write's
-    stage, seconds and whether it ran inline.
+    stage, seconds and whether it ran inline. A writer process hashes the
+    files it wrote, and `digests` maps each one's absolute path to its
+    sha256_file, so that they are not read back here.
     """
 
     def __init__(self, background: bool):
@@ -112,6 +121,7 @@ class Writer:
         self._running: list = []  # (stage, process, connection) per write in the background
         self.failed: Optional[tuple[str, BaseException]] = None
         self.records: list[dict] = []
+        self.digests: dict[str, str] = {}
 
     def submit(self, stage: str, write, *args) -> None:
         if self._ctx is None:
@@ -138,14 +148,15 @@ class Writer:
             while self._running:
                 stage, child, conn = self._running[0]
                 try:
-                    seconds, error = conn.recv()
+                    seconds, error, digests = conn.recv()
                 except EOFError:  # the child ended before it could answer: it was killed
-                    seconds, error = None, None
+                    seconds, error, digests = None, None, {}
                 child.join()
                 if seconds is None:
                     error = RuntimeError(f"the writer process exited with code {child.exitcode}")
                 else:
                     self._record(stage, seconds, inline=False)
+                    self.digests.update(digests)
                 del self._running[0]
                 child.close()
                 conn.close()
@@ -167,22 +178,27 @@ class Writer:
 
 
 def _write_in_child(conn, write, args) -> None:
-    """A writer process: run the write and send back (seconds, None) or
-    (seconds, the exception), with the collector as the fork left it. A
-    terminated write exits through `replacing`, which removes its .tmp
-    files."""
+    """A writer process: run the write, hash the files it moved into place,
+    and send back (seconds, None, {absolute path: digest}) or (seconds, the
+    exception, {}), with the collector as the fork left it. The seconds are
+    the write's, without the hashing. A terminated write exits through
+    `replacing`, which removes its .tmp files."""
+    global _moved
     signal.signal(signal.SIGTERM, lambda signum, frame: sys.exit(128 + signum))
+    _moved = []
     start = time.perf_counter()
-    error = None
+    seconds, error, digests = None, None, {}
     try:
         write(*args)
+        seconds = time.perf_counter() - start
+        digests = {os.path.abspath(path): sha256_file(path) for path in _moved}
     except Exception as exc:
         error = exc
         try:
             pickle.loads(pickle.dumps(exc))
         except Exception:  # an exception that does not survive the pipe is sent as text
             error = RuntimeError(f"{type(exc).__name__}: {exc}")
-    conn.send((time.perf_counter() - start, error))
+    conn.send((time.perf_counter() - start if seconds is None else seconds, error, digests))
     conn.close()
 
 
@@ -267,8 +283,9 @@ def write_store(store_dir, transactions: Iterable[tuple[str, str, Optional[str],
                 fh.write(f'{{"ego":{enc(ego)},"mg":{mg},"tr":{dumps(rows)},"tx":{enc(tx_hash)}}}\n')
                 if group is not None:
                     lfh.write(f"{_csv_field(tx_hash)},{_csv_field(ego)},{_csv_field(group)}\r\n")
-        if report is not None:
-            write_json(tmps[2], report)
+        if report is not None:  # straight into its .tmp, which this replacing moves
+            with open(tmps[2], "w", encoding="utf-8") as fh:
+                fh.write(dumps(report) + "\n")
     return store_path
 
 

@@ -599,7 +599,11 @@ def reference_ingest(transfers, tokens, accounts, methods, method_groups, out) -
     kept = {key: rows for key, rows in buckets.items()
             if not any(registry.resolve(row[4], row[5])[1] for row in rows)}
     mapping = ingest.load_method_mapping(method_groups)
-    by_hash = ingest.load_method_labels(methods, mapping)
+    by_hash = {}  # methods.csv in its own csv.reader pass: the later row of a hash wins
+    with open(methods, encoding="utf-8", newline="") as fh:
+        for tx_hash, raw_method, *_ in itertools.islice(filter(None, csv.reader(fh)), 1, None):
+            group = mapping.get(raw_method.strip().casefold())
+            by_hash[tx_hash] = group if group in ingest.METHOD_GROUPS else ingest.UNKNOWN
     label_counts = Counter(by_hash[tx_hash] for tx_hash, _ in kept if by_hash.get(tx_hash))
     report = {
         "transfers_read": len(loaded) + len(rejects),

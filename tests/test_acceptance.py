@@ -105,8 +105,8 @@ def ingest_raw(raw, store):
     tokens = ingest.TokenRegistry.from_file(raw / "tokens.json")
     accounts = ingest.AccountRegistry.from_file(raw / "accounts.json")
     mapping = ingest.load_method_mapping(PACKAGED_METHOD_GROUPS)
-    method_of = ingest.load_method_labels(raw / "methods.csv", mapping)
-    transactions, report = ingest.read_transfers(raw / "transfers.csv", tokens, accounts, method_of)
+    transactions, report = ingest.read_transfers(raw / "transfers.csv", tokens, accounts)
+    ingest.join_methods(transactions, report, ingest.load_method_labels(raw / "methods.csv", mapping))
     assert report["rejected"] == {}
     storage.write_store(store, transactions)
 
@@ -160,7 +160,7 @@ def corpus50k(tmp_path_factory):
     result, store, features = build_corpus(root, 50_000, seed=88)
     ds = labeled_dataset(store, features)
     K = len(ds.classes)
-    folds = stratified_kfold(ds.y, k=10, seed=0, groups=ds.tx_hashes)
+    folds = stratified_kfold(ds.y, k=10, seed=0, groups=ds.units)
     fold_f1 = []
     for tr, te in folds:
         tree = fit_tree(ds.X[tr], ds.y[tr], K)

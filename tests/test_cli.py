@@ -1709,6 +1709,33 @@ def test_pipeline_writers_write_the_bytes_of_inline_writes(tmp_path, small_corpu
         assert set(manifest["peak_rss_mb"]) == set(manifest["stages"])
 
 
+@pytest.mark.parametrize("threads", [1, 2])
+def test_manifest_digests_are_the_files_digests(tmp_path, small_corpus, monkeypatch, capsys,
+                                                threads):
+    """Every artifact has a manifest digest, and each is storage.sha256_file
+    of its file. At threads 2 the writer processes hash the store,
+    features.jsonl and matches.jsonl, so the run reads none of them back."""
+    read_back = []
+    sha256_file = storage.sha256_file
+
+    def recording(path):
+        read_back.append(os.path.relpath(path, tmp_path / "run"))
+        return sha256_file(path)
+
+    monkeypatch.setattr(storage, "sha256_file", recording)
+    run(capsys, _pipeline_argv(small_corpus, tmp_path / "run", threads))
+    out = tmp_path / "run"
+    artifacts = storage.read_json(out / "manifest.json")["artifacts"]
+    files = sorted(p.relative_to(out).as_posix() for p in out.rglob("*")
+                   if p.is_file() and p.name != "manifest.json")
+    assert sorted(artifacts) == files and len(files) > 10
+    for name in files:
+        assert artifacts[name] == sha256_file(out / name), name
+    in_writers = {"store/transactions.jsonl", "store/labels.csv", "store/ingest_report.json",
+                  "features.jsonl", "matches.jsonl"}
+    assert set(read_back) & in_writers == (set() if threads == 2 else in_writers)
+
+
 def _leave_a_tmp_then(error):
     """A stand-in for storage.write_rows that starts its file, then raises `error`."""
     def write_rows(path, table, fields):

@@ -212,9 +212,10 @@ def test_spam_filter_drops_whole_transaction(tmp_path, registry, accounts):
 
 @pytest.mark.parametrize("caller_gc", [True, False], ids=["gc-on", "gc-off"])
 def test_ingest_pauses_the_collector_and_restores_it(tmp_path, registry, caller_gc):
-    """read_transfers builds its rows and joins the method groups with the
-    cyclic GC paused, and leaves it as the caller had it: after a read, after
-    a read that raises InputError, and when the caller had it off."""
+    """read_transfers builds its rows and join_methods joins the method
+    groups with the cyclic GC paused, and each leaves it as the caller had
+    it: after a read, after a read that raises InputError, and when the
+    caller had it off."""
     seen = []
 
     class Accounts(ingest.AccountRegistry):
@@ -231,9 +232,11 @@ def test_ingest_pauses_the_collector_and_restores_it(tmp_path, registry, caller_
     was = gc.isenabled()
     (gc.enable if caller_gc else gc.disable)()
     try:
-        transactions, _ = ingest.read_transfers(write_transfers(tmp_path / "t.csv", rows),
-                                                registry, Accounts(), Methods(tx1="Swap"))
+        transactions, report = ingest.read_transfers(write_transfers(tmp_path / "t.csv", rows),
+                                                     registry, Accounts())
         assert len(transactions) == 2
+        assert gc.isenabled() is caller_gc
+        assert ingest.join_methods(transactions, report, Methods(tx1="Swap")) == ["Swap", None]
         assert gc.isenabled() is caller_gc
         bad = tmp_path / "bad.csv"
         bad.write_text("tx_hash,ego\n", encoding="utf-8")
@@ -297,7 +300,9 @@ def test_attach_methods_joins_on_hash(tmp_path, registry, accounts):
         "tx2,0xe,0xa,0xe,0xtok1,USDC,1.0,101",
     ]
     txs, report = ingest.read_transfers(write_transfers(tmp_path / "t.csv", rows), registry,
-                                        accounts, {"tx1": "Transfer"})
+                                        accounts)
+    assert [tx[2] for tx in txs] == [None, None] and report["labeled"] == {}
+    assert ingest.join_methods(txs, report, {"tx1": "Transfer"}) == ["Transfer", None]
     assert txs[0][2] == "Transfer"
     assert txs[1][2] is None
     assert report["labeled"] == {"Transfer": 1}
@@ -379,8 +384,10 @@ def test_streamed_store_matches_reference(small_corpus, tmp_path, corpus):
     raw = small_corpus["raw"] if corpus == "synth" else write_tricky_corpus(tmp_path / "raw")
     inputs = (raw / "transfers.csv", raw / "tokens.json", raw / "accounts.json",
               raw / "methods.csv", PACKAGED_METHOD_GROUPS)
-    report, _, labels = ingest_to_store(*inputs, tmp_path / "streamed")
+    report, transactions, groups = ingest_to_store(*inputs, tmp_path / "streamed")
     assert report == reference_ingest(*inputs, tmp_path / "reference")
+    assert groups == [group for _, _, group, _ in transactions]
+    labels = {(tx_hash, ego): group for tx_hash, ego, group, _ in transactions if group}
     assert labels == storage.read_labels(tmp_path / "streamed" / storage.LABELS_FILE)
     for name in (storage.STORE_FILE, storage.LABELS_FILE, storage.REPORT_FILE):
         assert filecmp.cmp(tmp_path / "streamed" / name, tmp_path / "reference" / name,
@@ -446,6 +453,60 @@ def test_failed_store_write_leaves_previous_store(tmp_path, monkeypatch):
         ingest_to_store(*inputs, out)
     # the previous store is as it was, and no temporary file is left
     assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+
+def test_methods_join_after_reading(tmp_path, capsys):
+    """methods.csv joins into the transactions read from transfers.csv: a
+    later row wins, both egos of a tx hash take its group, transactions that
+    no row names keep None, and the join keeps the transactions' own hash
+    strings. A row whose hash is not in transfers.csv is still checked."""
+    raw = write_tricky_corpus(tmp_path / "raw")
+    inputs = (raw / "transfers.csv", raw / "tokens.json", raw / "accounts.json",
+              raw / "methods.csv", PACKAGED_METHOD_GROUPS)
+    report, transactions, groups = ingest_to_store(*inputs, tmp_path / "store")
+    got = {(tx_hash, ego): group for tx_hash, ego, group, _ in transactions}
+    assert got == {("t1", "0xe1"): "Transfer", ("t2", "0xe1"): "Deposit",  # t2's later row
+                   ("t3", "0xe1"): "Unknown", ("t3", "0xe2"): "Unknown",  # two egos
+                   ("t5", "0xe2"): None, ("t7,x", "0xe1"): "Swap", ("t8", "0xe1"): None}
+    assert groups == [group for _, _, group, _ in transactions]
+    assert report["labeled"] == {"Deposit": 1, "Swap": 1, "Transfer": 1, "Unknown": 2}
+
+    tx_of = {id(tx_hash) for tx_hash, _, _, _ in transactions}
+    keys = dict.fromkeys(tx_hash for tx_hash, _, _, _ in transactions)
+    joined = ingest.load_method_labels(raw / "methods.csv",
+                                       ingest.load_method_mapping(PACKAGED_METHOD_GROUPS), keys)
+    assert joined is keys and {id(key) for key in joined} <= tx_of
+    assert joined == {"t1": "Transfer", "t2": "Deposit", "t3": "Unknown", "t5": None,
+                      "t7,x": "Swap", "t8": None}
+
+    methods = raw / "methods.csv"
+    # "ghost" names no transfer, and its quoted field spans lines 8 and 9
+    methods.write_text(methods.read_text(encoding="utf-8") + '"gho\nst",Swap\nghost\n',
+                       encoding="utf-8")
+    argv = ["ingest", "--transfers", str(inputs[0]), "--tokens", str(inputs[1]),
+            "--accounts", str(inputs[2]), "--methods", str(methods), "--out", str(tmp_path / "s")]
+    assert main(argv) == 2
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert error["message"] == f"bad methods file {methods}:10: 1 field, expected 2 or more"
+    assert not (tmp_path / "s").exists()
+
+
+def test_transfers_error_is_reported_before_methods_error(tmp_path, capsys):
+    """methods.csv is read after transfers.csv: when both are bad, the
+    transfers error is the one reported."""
+    raw = write_tricky_corpus(tmp_path / "raw")
+    (raw / "transfers.csv").write_text("tx_hash,ego\n", encoding="utf-8")
+    (raw / "methods.csv").write_text("tx_hash,raw_method\nt1\n", encoding="utf-8")
+    argv = ["ingest", "--transfers", str(raw / "transfers.csv"), "--tokens", str(raw / "tokens.json"),
+            "--accounts", str(raw / "accounts.json"), "--methods", str(raw / "methods.csv"),
+            "--out", str(tmp_path / "s")]
+    assert main(argv) == 2
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert error["message"].startswith(f"bad transfers file {raw / 'transfers.csv'}:1: ")
+    (raw / "transfers.csv").write_text(HEADER + "\n", encoding="utf-8")
+    assert main(argv) == 2
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert error["message"].startswith(f"bad methods file {raw / 'methods.csv'}:2: ")
 
 
 @pytest.mark.parametrize("row", ["tx2,0xe1", "tx2,0xe1,Swap,extra"])

@@ -43,7 +43,7 @@ def test_build_dataset_sorted_classes_and_metadata():
     assert ds.classes == ["Mint", "Swap"]
     assert ds.y.tolist() == [1, 0, 1]
     assert ds.vocabulary == ["a", "b", OOV_KEY]
-    assert ds.tx_hashes == ["t1", "t2", "t3"]
+    assert ds.units.tolist() == [0, 1, 2] and ds.units.dtype == np.intp
     assert ds.n_rows == 3
 
 
@@ -214,7 +214,7 @@ def test_evaluate_pools_confusion_and_averages():
     y = np.repeat([0, 1], [30, 10])
     ds = learn.Dataset(  # every row is [0.0]: one pair per class
         pairs=np.zeros((2, 1)), pair_y=np.array([0, 1]), pair_of=y, classes=["a", "b"],
-        vocabulary=["x"], tx_hashes=[str(i) for i in range(rows)],
+        vocabulary=["x"], units=np.arange(rows),
     )
     folds = learn.stratified_kfold(y, k=5, seed=0)
     report = learn.evaluate(ds, folds, lambda train_idx: _Majority(0))
@@ -294,8 +294,8 @@ def test_in_place_dataset_equals_dataset_of_labelled_rows():
         ds = learn.build_dataset(table, [r[3] for r in rows])
         ref = _dataset([r for r in rows if r[3] is not None])
         narrowed += "unlabelled_only" in table.vocabulary  # a key the dataset leaves out
-        assert (ds.classes, ds.vocabulary, ds.tx_hashes) == (ref.classes, ref.vocabulary,
-                                                             ref.tx_hashes)
+        assert (ds.classes, ds.vocabulary, ds.units.tolist()) == (ref.classes, ref.vocabulary,
+                                                                  ref.units.tolist())
         assert ds.X.tobytes() == ref.X.tobytes() and ds.y.tolist() == ref.y.tolist()
         reordered += not np.array_equal(ds.pair_of, ref.pair_of)
         fits = []

@@ -122,7 +122,8 @@ def _check_dataset(table, labels_path, parsed, classes=None, vocabulary=None):
     assert ds.X.tobytes() == X.tobytes()
     assert ds.y.tolist() == y.tolist()
     assert (ds.classes, ds.vocabulary) == (ref_classes, ref_vocabulary)
-    assert ds.tx_hashes == [r[0] for r in rows]
+    codes: dict = {}
+    assert ds.units.tolist() == [codes.setdefault(r[0], len(codes)) for r in rows]
     return ds
 
 
@@ -150,7 +151,7 @@ def test_load_dataset_equals_reference_over_parsed_rows(tmp_path):
     # a fixed vocabulary: unseen keys, and the OOV key, sum into the OOV column
     ds = _check_dataset(table, labels, rows, classes=["Borrow", "Mint", "Swap", "Transfer"],
                         vocabulary=["b", "c", OOV_KEY])
-    assert ds.X[ds.tx_hashes.index("t4"), 2] == 3 + 2 + 5
+    assert ds.X[3, 2] == 3 + 2 + 5  # t4's row, the fourth labelled one
 
 
 def test_load_dataset_equals_reference_on_featurized_corpus(small_corpus):
@@ -160,6 +161,42 @@ def test_load_dataset_equals_reference_on_featurized_corpus(small_corpus):
     ds = _check_dataset(table, small_corpus["labels"], parsed)
     half = ds.vocabulary[::2] + ([] if OOV_KEY in ds.vocabulary[::2] else [OOV_KEY])
     _check_dataset(table, small_corpus["labels"], parsed, classes=ds.classes, vocabulary=half)
+
+
+@pytest.mark.parametrize("corpus", ["synth", "handwritten"])
+def test_positional_labels_give_the_dataset_of_the_labels_join(small_corpus, tmp_path, corpus):
+    """The pipeline's dataset, labelled by position with ingest's groups over
+    the table featurize builds from ingest's transactions, is the dataset the
+    subcommands build from features.jsonl and labels.csv by (tx_hash, ego):
+    the same pairs, classes, units and folds. The handwritten corpus
+    interleaves its groups and labels t3, whose two egos make two rows of one
+    unit."""
+    from test_ingest import write_tricky_corpus
+
+    raw = small_corpus["raw"]
+    if corpus == "handwritten":
+        raw = write_tricky_corpus(tmp_path / "raw")
+        (raw / "methods.csv").write_text('tx_hash,raw_method\nt1,Transfer\n"t7,x",Swap\nt2,Swap\n'
+                                         't3,swap\nt5,transfer\nt8,Transfer\nt4,Swap\n',
+                                         encoding="utf-8")
+    _, transactions, groups = cli.ingest_to_store(
+        raw / "transfers.csv", raw / "tokens.json", raw / "accounts.json", raw / "methods.csv",
+        None, tmp_path / "store")
+    table = featurize.featurize_store(transactions, "M+E", tmp_path / "features.jsonl").table
+    by_position = cli.labelled_dataset(table, groups)
+    by_join = cli.load_dataset(storage.read_features(tmp_path / "features.jsonl"),
+                               storage.read_labels(tmp_path / "store" / storage.LABELS_FILE))
+    units = by_position.units
+    assert units.dtype == by_join.units.dtype == np.intp
+    assert (by_position.n_rows, len(set(units.tolist()))) == ((2000, 2000) if corpus == "synth"
+                                                              else (7, 6))
+    assert by_position.pairs.tobytes() == by_join.pairs.tobytes()
+    for name in ("pair_y", "pair_of", "units"):
+        assert getattr(by_position, name).tolist() == getattr(by_join, name).tolist(), name
+    assert (by_position.classes, by_position.vocabulary) == (by_join.classes, by_join.vocabulary)
+    folds = [[(train.tolist(), test.tolist()) for train, test in cli.cv_folds(ds, 3, 5)]
+             for ds in (by_position, by_join)]
+    assert folds[0] == folds[1]
 
 
 _ACCOUNTS = ["0xe1", "0xE1", "0xa1", "0xc1", "0x0000", "0xaé2", "0x\"q,uote", "0xline\nbreak", ""]
@@ -191,8 +228,8 @@ def test_ingest_transactions_survive_the_store_codec(tmp_path):
                        rng.choice(["USDC", "SPAM", "NÉW", ""]),
                        rng.choice(_AMOUNTS), rng.choice(_BLOCKS)]
                 writer.writerow(row if rng.random() > 0.05 else row[:-1])
-        transactions, report = ingest.read_transfers(path, tokens, accounts,
-                                                     {"t1": "Swap", "t,4": "Unknown"})
+        transactions, report = ingest.read_transfers(path, tokens, accounts)
+        ingest.join_methods(transactions, report, {"t1": "Swap", "t,4": "Unknown"})
         rejected += sum(report["rejected"].values())
         for tx in transactions:
             line = storage.dumps({"tx": tx[0], "ego": tx[1], "mg": tx[2], "tr": tx[3]})
