@@ -697,8 +697,10 @@ def _stage(manifest: dict, name: str, fn):
 def run_pipeline(cfg: PipelineConfig) -> dict:
     """ingest -> featurize -> train/eval -> prune -> signatures -> match ->
     profile -> cluster, with a manifest of versions, seeds, timings, RSS,
-    counters and digests. `out` holds one run: one that exists and is not
-    an empty directory raises InputError before any file is read or written.
+    counters and digests. `rss_mb_start` is the RSS high-water mark before
+    the first stage, and `peak_rss_mb` the mark at the end of each stage.
+    `out` holds one run: one that exists and is not an empty directory
+    raises InputError before any file is read or written.
 
     Stages hand each other in-memory objects: featurize works on ingest's
     transactions, and train and match on featurize's FeatureTable, so no
@@ -743,6 +745,7 @@ def run_pipeline(cfg: PipelineConfig) -> dict:
         "stages": [],
         "timings": {},
         "peak_rss_mb": {},
+        "rss_mb_start": _peak_rss_mb(),  # the mark the run inherits: imports, and a caller's data
         "counters": {},
         "artifacts": {},
         "notes": [],

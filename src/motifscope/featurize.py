@@ -34,9 +34,10 @@ import numpy as np
 from . import motif, storage
 from .ingest import _open
 from .motif import DEFAULT_MAX_NODES, Catalog
-from .table import FeatureTable
+from .table import FeatureTable, Strings
 
 CHUNK_LINES = 8192
+PACK_HASHES = 4096
 
 
 def _featurize(catalog: Catalog, mode: str, max_nodes: int, transactions) -> tuple:
@@ -47,9 +48,11 @@ def _featurize(catalog: Catalog, mode: str, max_nodes: int, transactions) -> tup
     Each row is reduced to its shape (motif.transaction_shape), which is all
     its feature map depends on. A memo maps each shape of the pass to its
     index among the maps, so motif counting runs once per distinct shape.
+    The hashes are packed into Strings every PACK_HASHES rows, so the pass
+    keeps no hash string alive that its transaction would release.
     """
     memo: dict[motif.Shape, int] = {}
-    maps, map_of, hashes, egos = [], [], [], []
+    maps, map_of, hashes, packed, egos = [], [], [], [], []
     oversize = rejected = 0
     tally = motif.transaction_shape
     for tx in transactions:
@@ -62,7 +65,11 @@ def _featurize(catalog: Catalog, mode: str, max_nodes: int, transactions) -> tup
         map_of.append(index)
         hashes.append(tx[0])
         egos.append(tx[1])
-    return oversize, rejected, maps, np.array(map_of, dtype=np.int32), hashes, egos
+        if len(hashes) == PACK_HASHES:
+            packed.append(Strings.pack(hashes))
+            hashes.clear()
+    packed.append(Strings.pack(hashes))
+    return oversize, rejected, maps, np.array(map_of, dtype=np.int32), Strings.join(packed), egos
 
 
 def _featurize_lines(catalog: Catalog, mode: str, max_nodes: int, chunk) -> tuple:
@@ -137,15 +144,16 @@ def featurize_store(
 def _collect(results) -> FeaturizeStats:
     """Sum the results' counts, append their maps and rows in order and build
     the table once."""
-    maps, map_of, hashes, egos = [], [], [], []
+    maps, map_of, packed, egos = [], [], [], []
     oversize = rejected = 0
     for ov, rej, part_maps, part_map_of, part_hashes, part_egos in results:
         oversize += ov
         rejected += rej
         map_of.append(part_map_of + len(maps))
         maps += part_maps
-        hashes += part_hashes
+        packed.append(part_hashes)
         egos += part_egos
+    hashes = Strings.join(packed)
     table = FeatureTable.build(hashes, egos, maps, np.concatenate([np.empty(0, np.int32), *map_of]))
     return FeaturizeStats(transactions=len(hashes), oversize=oversize,
                           rejected_transfers=rejected, table=table)

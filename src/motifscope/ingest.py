@@ -14,10 +14,13 @@ silently dropped.
 `read_transfers` reads transfers.csv in one streaming pass straight into the
 store's compact transfer rows, grouped by (tx_hash, ego), and returns the
 transactions with the object of ingest_report.json, which no other module
-builds. A transaction is the tuple (tx_hash, ego, method group or None,
-rows) throughout: `read_transfers` lists it with no group, `join_methods`
-gives it its group and fills the report's "labeled", `storage.write_store`
-writes it and `storage.iter_store` reads it back. methods.csv is read after
+builds. It finds a row's transaction by its tx hash alone; only a later ego
+of a hash is looked up by (tx_hash, ego), and its transaction takes the first
+ego's hash string, so a run holds each hash once and no key per transaction.
+A transaction is the tuple (tx_hash, ego, method group or None, rows)
+throughout: `read_transfers` lists it with no group, `join_methods` gives it
+its group and fills the report's "labeled", `storage.write_store` writes it
+and `storage.iter_store` reads it back. methods.csv is read after
 transfers.csv, by `load_method_labels`, into a dict keyed in advance by the
 transactions' own tx-hash strings, so a labelled run holds each hash once.
 Both build their objects with the cyclic garbage collector paused, as
@@ -350,8 +353,10 @@ def read_transfers(path, tokens: TokenRegistry, accounts: AccountRegistry) -> tu
 
     Returns (transactions, report). A transaction is (tx_hash, ego, None,
     rows) for each group no spam token touched, in the order in which its
-    key first appears; `join_methods` fills in the method groups. A row is
-    the store's transfer row: (from, to, from_type, to_type, contract,
+    key first appears; `join_methods` fills in the method groups. Each is
+    built at its group's first row and found by its tx hash; a hash's later
+    egos are found by (tx_hash, ego) and share the first ego's hash string.
+    A row is the store's transfer row: (from, to, from_type, to_type, contract,
     symbol, category, amount, block), in input order within its group. The
     report is the store's ingest_report.json, whose "labeled" is empty until
     `join_methods` counts the groups.
@@ -365,8 +370,10 @@ def read_transfers(path, tokens: TokenRegistry, accounts: AccountRegistry) -> tu
     registry once; an address is E only where it equals the row's ego, and
     repeated strings share one object.
     """
-    groups: dict[tuple[str, str], list[tuple]] = {}
-    spam: set[tuple[str, str]] = set()  # groups with a spam-token transfer
+    transactions: list[tuple] = []
+    first: dict[str, tuple] = {}  # tx hash -> the transaction of its first ego
+    later: dict[tuple[str, str], tuple] = {}  # (tx hash, ego) -> the transaction of a later ego
+    spam: set[tuple[str, str]] = set()  # (tx hash, ego) of each spam-touched transaction
     rejected: Counter[str] = Counter()
     kept = 0
     # (canonical string, kind) per address and (contract, symbol, category, spam) per token
@@ -416,18 +423,23 @@ def read_transfers(path, tokens: TokenRegistry, accounts: AccountRegistry) -> tu
         src, src_kind = account(src)
         dst, dst_kind = account(dst)
         contract, symbol, category, is_spam = token(contract, symbol)
-        key = (tx_hash, ego)
-        if is_spam:
-            spam.add(key)
         tr = (src, dst, "E" if src == ego else src_kind, "E" if dst == ego else dst_kind,
               contract, symbol, category, amount, block)
-        group = groups.get(key)
-        if group is None:
-            groups[key] = [tr]
-        else:
-            group.append(tr)
-    transactions = [(tx_hash, ego, None, group)
-                    for (tx_hash, ego), group in groups.items() if (tx_hash, ego) not in spam]
+        if is_spam:
+            spam.add((tx_hash, ego))
+        tx = first.get(tx_hash)
+        if tx is None:
+            first[tx_hash] = tx = (tx_hash, ego, None, [tr])
+            transactions.append(tx)
+        elif tx[1] is ego:  # egos are the account cache's strings
+            tx[3].append(tr)
+        elif (key := (tx[0], ego)) in later:
+            later[key][3].append(tr)
+        else:  # a later ego's transaction shares the first one's hash string
+            later[key] = tx = (tx[0], ego, None, [tr])
+            transactions.append(tx)
+    if spam:
+        transactions = [tx for tx in transactions if (tx[0], tx[1]) not in spam]
     report = {
         "transfers_read": kept + sum(rejected.values()),
         "transfers_kept": kept,

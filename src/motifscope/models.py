@@ -42,7 +42,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional, Sequence, Union
 
 import numpy as np
-from scipy.optimize import minimize
 from scipy.special import expit
 
 from .ingest import Param, _fields
@@ -99,6 +98,8 @@ class LogisticModel:
     ) -> "LogisticModel":
         """Fit on the rows X[pair_of], y[pair_of] as DecisionTree.fit does: pair
         p is one loss term, weighted class_weight[y[p]] times its row count."""
+        from scipy.optimize import minimize  # only a logistic fit pays for loading it
+
         counts = np.ones(len(y)) if pair_of is None else np.bincount(pair_of, minlength=len(y))
         d = X.shape[1]
         K = int(n_classes if n_classes is not None else y[counts > 0].max() + 1)

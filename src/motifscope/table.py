@@ -37,6 +37,16 @@ class Strings:
     def pack(cls, strings: Sequence[str]) -> "Strings":
         return cls("".join(strings), np.cumsum(np.fromiter(map(len, strings), np.int64, len(strings))))
 
+    @classmethod
+    def join(cls, parts: Sequence["Strings"]) -> "Strings":
+        """The strings of `parts`, one part after another."""
+        if len(parts) == 1:
+            return parts[0]
+        starts = np.cumsum([0] + [len(part.text) for part in parts[:-1]])
+        return cls("".join(part.text for part in parts),
+                   np.concatenate([np.empty(0, np.int64), *(part.ends + start
+                                                            for part, start in zip(parts, starts))]))
+
     def __len__(self) -> int:
         return len(self.ends)
 
@@ -65,7 +75,7 @@ class FeatureTable:
         return len(self.indptr) - 1
 
     @classmethod
-    def build(cls, tx_hashes: Sequence[str], egos: Sequence[str],
+    def build(cls, tx_hashes: "Strings | Sequence[str]", egos: Sequence[str],
               feature_maps: Sequence[dict[str, int]],
               map_of: Optional[Sequence[int]] = None) -> "FeatureTable":
         """The table of rows given as columns: row i's features are
@@ -75,7 +85,7 @@ class FeatureTable:
         Equal maps, in any key order, become one distinct row, so the maps
         may repeat: several slices' maps, one slice after another, with each
         slice's map_of shifted by the maps before it, give the table of all
-        the slices' rows."""
+        the slices' rows. The tx hashes may come packed."""
         keys = list(chain.from_iterable(feature_maps))
         vocabulary = sorted(set(keys))
         position = {key: i for i, key in enumerate(vocabulary)}
@@ -90,7 +100,7 @@ class FeatureTable:
             distinct["row_of"] = distinct["row_of"][np.asarray(map_of, dtype=np.intp)]
         ego_index = {ego: i for i, ego in enumerate(dict.fromkeys(egos))}
         return cls(
-            tx_hashes=Strings.pack(tx_hashes),
+            tx_hashes=tx_hashes if isinstance(tx_hashes, Strings) else Strings.pack(tx_hashes),
             ego_names=Strings.pack(list(ego_index)),
             ego_ids=np.fromiter(map(ego_index.__getitem__, egos), np.int32, len(egos)),
             vocabulary=vocabulary, **distinct,

@@ -1478,6 +1478,31 @@ def test_pipeline_records_stage_rss(pipeline_run):
     assert set(rss) == set(manifest["stages"])
     marks = [rss[stage] for stage in manifest["stages"]]
     assert marks[0] > 0 and marks == sorted(marks)  # a high-water mark never falls
+    assert 0 < manifest["rss_mb_start"] <= marks[0]
+
+
+def test_scipy_optimize_loads_only_for_a_logistic_fit(tmp_path, small_corpus):
+    """Importing the CLI and running a dt or an rf pipeline leave
+    scipy.optimize unloaded; a logistic fit loads it."""
+    code = """if True:
+        import sys
+        import numpy as np
+        from motifscope import cli, models
+        assert "scipy.optimize" not in sys.modules, "import motifscope.cli"
+        corpus, out = sys.argv[1:]
+        for model in ("dt", "rf"):
+            cli.run_pipeline(cli.PipelineConfig(
+                transfers=f"{corpus}/transfers.csv", tokens=f"{corpus}/tokens.json",
+                accounts=f"{corpus}/accounts.json", methods=f"{corpus}/methods.csv",
+                model=model, folds=3, trees=2, min_matches=1, out=f"{out}/{model}"))
+            assert "scipy.optimize" not in sys.modules, model
+        models.LogisticModel.fit(np.eye(2), np.array([0, 1]))
+        assert "scipy.optimize" in sys.modules, "lr"
+    """
+    src = str(Path(motifscope.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", code, str(small_corpus["raw"]), str(tmp_path)],
+                          capture_output=True, text=True, cwd=src)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_pipeline_records_featurize_counters(pipeline_run):

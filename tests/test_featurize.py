@@ -68,9 +68,11 @@ def written_lines(table, mode, path):
 
 
 @pytest.mark.parametrize("mode", motif.MODES)
-def test_memoized_chunks_equal_plain_featurizer_and_oracles(rng, tmp_path, mode):
+def test_memoized_chunks_equal_plain_featurizer_and_oracles(rng, tmp_path, monkeypatch, mode):
     """A pass over the whole list, and passes over its chunks as pool
-    workers make, give the plain featurizer's maps, table and lines."""
+    workers make, give the plain featurizer's maps, table and lines; the
+    hashes are packed every PACK_HASHES rows."""
+    monkeypatch.setattr(featurize, "PACK_HASHES", 7)
     catalog = motif.enumerate_catalog()
     txs = random_transactions(rng, 400)
     lines, maps, oversize, rejected = plain_lines(txs, catalog, mode)
@@ -84,7 +86,8 @@ def test_memoized_chunks_equal_plain_featurizer_and_oracles(rng, tmp_path, mode)
                 sum(len(r[3]) for r in results)] == [oversize, rejected, len(txs)]
         for chunk, (_, _, chunk_maps, map_of, hashes, egos) in zip(chunks, results):
             assert map_of.dtype == np.int32
-            assert (hashes, egos) == ([txs[i][0] for i in chunk], [txs[i][1] for i in chunk])
+            assert (hashes.tolist(), egos) == ([txs[i][0] for i in chunk],
+                                               [txs[i][1] for i in chunk])
             # the chunk's maps in the order of their first use, each used
             assert list(dict.fromkeys(map_of.tolist())) == list(range(len(chunk_maps)))
             assert [chunk_maps[i] for i in map_of.tolist()] == maps[chunk.start:chunk.stop]
@@ -111,7 +114,7 @@ def test_one_shape_in_any_row_order_takes_one_memo_entry(rng, tmp_path, mode, mo
     shapes = counting_shapes(monkeypatch)
     _, _, maps, map_of, hashes, egos = featurize._featurize(catalog, mode, MAX_NODES, copies)
     assert len(shapes) == len(maps) == 1 and map_of.tolist() == [0] * 40
-    assert (hashes, egos) == ([tx[0] for tx in copies], [tx[1] for tx in copies])
+    assert (hashes.tolist(), egos) == ([tx[0] for tx in copies], [tx[1] for tx in copies])
     table = FeatureTable.build(hashes, egos, maps, map_of)
     assert written_lines(table, mode, tmp_path / "f.jsonl") == plain_lines(copies, catalog, mode)[0]
 
@@ -141,7 +144,8 @@ def test_store_chunk_equals_a_pass_over_the_list(rng, tmp_path):
     chunk = next(featurize._store_chunks(storage.store_path(tmp_path / "store"), len(txs)))
     *counts, maps, map_of, hashes, egos = featurize._featurize_lines(catalog, "M+E", MAX_NODES, chunk)
     assert (counts, maps, map_of.tolist()) == (list(result[:2]), result[2], result[3].tolist())
-    assert (hashes, egos) == (result[4], result[5]) == ([tx[0] for tx in txs], [tx[1] for tx in txs])
+    assert (hashes.tolist(), egos) == (result[4].tolist(), result[5]) == (
+        [tx[0] for tx in txs], [tx[1] for tx in txs])
 
 
 @pytest.mark.parametrize("threads", [1, 2])

@@ -185,16 +185,38 @@ def test_account_registry_rejects_unknown_type(tmp_path):
 
 
 def test_group_transactions_partitions_by_hash_and_ego(tmp_path, registry, accounts):
+    """Rows group by (tx_hash, ego) in first-appearance order when one hash's
+    egos interleave, spam drops only the ego it touched, and a hash's egos
+    share one hash string; order, rows and report are reference_ingest's."""
     rows = [
         "tx1,0xe1,0xa,0xe1,0xtok1,USDC,1.0,100",
-        "tx1,0xe1,0xe1,0xb,0xtok1,USDC,2.0,100",
         "tx1,0xe2,0xa,0xe2,0xtok1,USDC,1.0,100",  # same hash, other ego
+        "tx1,0xe1,0xe1,0xb,0xtok1,USDC,2.0,100",  # the first ego again: A, B, A
         "tx2,0xe1,0xa,0xe1,0xtok1,USDC,1.0,101",
+        "tx3,0xe1,0xb,0xe1,0xspam,FREE,9.0,102",  # spam on tx3's first ego only
+        "tx3,0xe2,0xa,0xe2,0xtok2,WETH,3.0,102",
+        "tx3,0xe1,0xa,0xe1,0xtok1,USDC,1.0,102",
+        "tx3,0xe2,0xe2,0xb,0xtok1,USDC,4.0,102",
     ]
-    transactions, _ = ingest.read_transfers(write_transfers(tmp_path / "t.csv", rows), registry,
-                                            accounts)
+    transfers = write_transfers(tmp_path / "t.csv", rows)
+    transactions, report = ingest.read_transfers(transfers, registry, accounts)
     keys = [(tx_hash, ego, len(rows)) for tx_hash, ego, _, rows in transactions]
-    assert keys == [("tx1", "0xe1", 2), ("tx1", "0xe2", 1), ("tx2", "0xe1", 1)]
+    assert keys == [("tx1", "0xe1", 2), ("tx1", "0xe2", 1), ("tx2", "0xe1", 1), ("tx3", "0xe2", 2)]
+    assert transactions[0][0] is transactions[1][0]
+    assert report["transactions_spam_filtered"] == 1
+    (tmp_path / "tokens.json").write_text(json.dumps([
+        {"contract": "0xtok1", "symbol": "USDC", "category": "Stablecoin"},
+        {"contract": "0xtok2", "symbol": "WETH", "category": "Cryptocurrency"},
+        {"contract": "0xspam", "symbol": "FREE", "is_spam": True},
+    ]), encoding="utf-8")
+    (tmp_path / "accounts.json").write_text("[]", encoding="utf-8")
+    (tmp_path / "methods.csv").write_text("tx_hash,raw_method\n", encoding="utf-8")
+    assert report == reference_ingest(transfers, tmp_path / "tokens.json",
+                                      tmp_path / "accounts.json", tmp_path / "methods.csv",
+                                      PACKAGED_METHOD_GROUPS, tmp_path / "reference")
+    storage.write_store(tmp_path / "read", transactions)
+    assert filecmp.cmp(tmp_path / "read" / storage.STORE_FILE,
+                       tmp_path / "reference" / storage.STORE_FILE, shallow=False)
 
 
 def test_spam_filter_drops_whole_transaction(tmp_path, registry, accounts):

@@ -11,7 +11,7 @@ import pytest
 
 from motifscope import cli, featurize, ingest, motif, storage
 from motifscope.motif import OOV_KEY
-from motifscope.table import FeatureTable
+from motifscope.table import FeatureTable, Strings
 
 from oracles import reference_dataset, table_rows
 from test_motif import wide_store
@@ -327,6 +327,10 @@ def test_table_equals_per_row_oracle():
         crossed += len(chunks) > 1 and len(shared) > 1
         table = FeatureTable.build([r[0] for r in oracle], [r[1] for r in oracle], maps, map_of)
         assert_same_table(table, FeatureTable.build(*zip(*oracle)))
+        # the chunks' hashes packed one chunk at a time, with an empty part, and joined
+        packed = [Strings.pack([r[0] for r in chunk]) for chunk in chunks] + [Strings.pack([])]
+        assert_same_table(table, FeatureTable.build(Strings.join(packed), [r[1] for r in oracle],
+                                                    maps, map_of))
         for t, rows in [(table, oracle)] + list(zip(tables, chunks)):
             got = list(table_rows(t))
             assert got == rows
