@@ -35,13 +35,13 @@ from .ingest import (
     METHOD_GROUPS,
     Param,
     TokenRegistry,
+    TransferBatch,
     UNKNOWN,
     _check_params,
     _fields,
     _gc_paused,
     _schema,
     _strings,
-    join_methods,
     load_method_labels,
     load_method_mapping,
     read_transfers,
@@ -239,26 +239,23 @@ def fit_model(kind: str, dataset: Dataset, rows, params: dict, seed: int):
 # ---------------------------------------------------------------------------
 
 def ingest_to_store(transfers, tokens, accounts, methods, method_groups, out,
-                    write=storage._now) -> tuple[dict, list, Optional[list[Optional[str]]]]:
+                    write=storage._now) -> tuple[dict, TransferBatch, Optional[list[Optional[str]]]]:
     """Write the store through `write`; returns the ingest report, the
-    stored transactions and their method groups, one per transaction in
+    stored TransferBatch and its method groups, one per transaction in
     order (None where a transaction has none), or None without `methods`.
 
     The method-group table is read first and methods.csv after transfers.csv,
     so when both CSV files are bad, the transfers error is the one raised.
-    methods.csv is read into a dict keyed by the transactions' own tx-hash
-    strings, so no second copy of them is built."""
+    methods.csv is joined by read_transfers through the dict of tx hashes it
+    already holds, before it packs them, so no second copy of them is built."""
     mapping = load_method_mapping(method_groups or PACKAGED_METHOD_GROUPS) if methods else None
-    transactions, report = read_transfers(transfers, TokenRegistry.from_file(tokens),
-                                          AccountRegistry.from_file(accounts))
-    labels = None
-    if methods:
-        group_of = load_method_labels(methods, mapping, dict.fromkeys(tx[0] for tx in transactions))
-        labels = join_methods(transactions, report, group_of)
-        del group_of
-    # all of the above first: once a writer is forked, each refcount write here copies a shared page
-    write(storage.write_store, out, transactions, report)
-    return report, transactions, labels
+    batch, report = read_transfers(transfers, TokenRegistry.from_file(tokens),
+                                   AccountRegistry.from_file(accounts),
+                                   functools.partial(load_method_labels, methods, mapping)
+                                   if methods else None)
+    # all of the above first: once a writer is forked, a write here copies a shared page
+    write(storage.write_store, out, batch, report)
+    return report, batch, batch.method_groups() if methods else None
 
 
 def train_model(dataset: Dataset, kind: str, mode: str, params: dict, seed: int, out) -> ModelSpec:
@@ -793,20 +790,20 @@ def _run_stages(cfg: PipelineConfig, out: Path, manifest: dict, writer: storage.
             raise InputError("no methods file and no pre-mined signatures: nothing to match")
         signatures = load_signatures(cfg.signatures, mode)
     store_dir = out / "store"
-    report, transactions, labels = _stage(manifest, "ingest", lambda: ingest_to_store(
+    report, batch, labels = _stage(manifest, "ingest", lambda: ingest_to_store(
         cfg.transfers, cfg.tokens, cfg.accounts, cfg.methods, cfg.method_groups, store_dir,
         functools.partial(writer.submit, "ingest"),
     ))
     manifest["counters"]["ingest"] = {
         "transactions": report["transactions"], "kept": report["transfers_kept"],
         "rejected": report["rejected"], "spam_filtered": report["transactions_spam_filtered"]}
-    # featurize empties the list of transactions as it goes; the table is dropped after match
+    # the table keeps the batch's packed tx hashes; it is dropped after match
     stats = _stage(manifest, "featurize", lambda: featurize_store(
-        transactions, cfg.mode, str(out / "features.jsonl"),
+        batch, cfg.mode, str(out / "features.jsonl"),
         catalog=motif.load_catalog(cfg.catalog) if cfg.catalog else None, max_nodes=cfg.max_nodes,
         write=functools.partial(writer.submit, "featurize"),
     ))
-    del transactions
+    del batch
     table = stats.table
     manifest["counters"]["featurize"] = {
         "rows": table.n_rows, "distinct_rows": table.n_distinct, "oversize": stats.oversize,

@@ -4,7 +4,7 @@ Built from a stored transaction, the (tx_hash, ego, method group, rows)
 tuple that `storage.iter_store` yields, whose rows already carry resolved
 account types and token categories. Every edge touches the ego account.
 Parallel edges are kept: they feed the edge-list features, while motif
-counting (motif.transaction_shape) sees only whether an edge runs each way.
+counting (motif.batch_shapes) sees only whether an edge runs each way.
 """
 
 from __future__ import annotations

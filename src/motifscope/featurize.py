@@ -1,24 +1,26 @@
-"""Bulk feature extraction over a transaction store.
+"""Bulk feature extraction over a transaction batch or store.
 
 This is the throughput-critical stage. It runs the two halves of
 motif.transaction_features, the one per-transaction featurizer: every
-transaction is reduced to its shape (motif.transaction_shape), the canonical
-form of its typed ego network up to what the features see, and the map is
-built (motif.shape_features) once per distinct shape of a pass. Shapes
-repeat heavily (200,000 transactions of a scoring corpus hold a few
-hundred), so only the tally is per-row work. `_featurize` is that pass, the
-one per-transaction loop: it returns the maps and each row's index among
-them, and the FeatureTable is built from them once. features.jsonl is written
-from that table by storage.write_rows, which encodes each distinct row once.
+transaction of a `TransferBatch` is reduced to its shape
+(motif.batch_shapes, the one loop over transfer rows), the canonical form of
+its typed ego network up to what the features see, and the map is built
+(motif.shape_features) once per distinct shape of a pass. Shapes repeat
+heavily (200,000 transactions of a scoring corpus hold a few hundred), so
+only the tally is per-row work. `_featurize` is that pass over one batch: it
+returns the maps and each row's index among them, and the FeatureTable is
+built from them once, taking the batch's packed tx hashes as they are.
+features.jsonl is written from that table by storage.write_rows, which
+encodes each distinct row once.
 
-The transactions come from the list that ingest holds in memory, which one
-pass in this process reads and releases entry by entry, or from the store on
-disk. A store is read in one pass over storage.iter_store, or with `threads`
->= 2 in CHUNK_LINES slices that worker processes decode and featurize, since
-decoding its lines is most of their cost. Workers are pure and their results
-are merged in input order, so the FeatureTable and its lines are
-bit-identical regardless of worker count. test_featurize.py checks the pass
-against the plain featurizer and the brute-force oracles.
+The transactions come from the batch that ingest holds in memory, which one
+pass in this process reads, or from the store on disk, read in CHUNK_LINES
+slices that are decoded (storage.line_to_tx) into a batch each: in this
+process, or with `threads` >= 2 in worker processes, since decoding the
+lines is most of their cost. Workers are pure and their results are merged
+in input order, so the FeatureTable and its lines are bit-identical
+regardless of worker count. test_featurize.py checks the pass against the
+plain featurizer and the brute-force oracles.
 """
 
 from __future__ import annotations
@@ -32,57 +34,42 @@ from itertools import islice
 import numpy as np
 
 from . import motif, storage
-from .ingest import _open
+from .ingest import TransferBatch, _open
 from .motif import DEFAULT_MAX_NODES, Catalog
 from .table import FeatureTable, Strings
 
 CHUNK_LINES = 8192
-PACK_HASHES = 4096
 
 
-def _featurize(catalog: Catalog, mode: str, max_nodes: int, transactions) -> tuple:
-    """Featurize stored tuples into (oversize, rejected, maps, map_of, hashes,
-    egos): row i's tx hash and ego are hashes[i] and egos[i], and its
-    features maps[map_of[i]], the maps in the order of their first use.
+def _featurize(catalog: Catalog, mode: str, max_nodes: int, batch: TransferBatch) -> tuple:
+    """Featurize a batch into (oversize, rejected, maps, map_of, hashes,
+    ego names, ego ids): row i's tx hash is hashes[i], the batch's own, its
+    ego ego_names[ego_ids[i]] and its features maps[map_of[i]], the maps in
+    the order of their first use.
 
-    Each row is reduced to its shape (motif.transaction_shape), which is all
-    its feature map depends on. A memo maps each shape of the pass to its
-    index among the maps, so motif counting runs once per distinct shape.
-    The hashes are packed into Strings every PACK_HASHES rows, so the pass
-    keeps no hash string alive that its transaction would release.
+    Each row is reduced to its shape (motif.batch_shapes), which is all its
+    feature map depends on. A memo maps each shape of the pass to its index
+    among the maps, so motif counting runs once per distinct shape.
     """
     memo: dict[motif.Shape, int] = {}
-    maps, map_of, hashes, packed, egos = [], [], [], [], []
+    maps: list[dict[str, int]] = []
+    map_of = np.empty(len(batch), dtype=np.int32)
     oversize = rejected = 0
-    tally = motif.transaction_shape
-    for tx in transactions:
-        shape, rej = tally(tx, mode, max_nodes)
+    for i, (shape, rej) in enumerate(motif.batch_shapes(batch, mode, max_nodes)):
         rejected += rej
         oversize += shape[2]
         index = memo.setdefault(shape, len(maps))
         if index == len(maps):
             maps.append(motif.shape_features(catalog, shape))
-        map_of.append(index)
-        hashes.append(tx[0])
-        egos.append(tx[1])
-        if len(hashes) == PACK_HASHES:
-            packed.append(Strings.pack(hashes))
-            hashes.clear()
-    packed.append(Strings.pack(hashes))
-    return oversize, rejected, maps, np.array(map_of, dtype=np.int32), Strings.join(packed), egos
+        map_of[i] = index
+    return oversize, rejected, maps, map_of, batch.tx_hashes, *batch.ego_table()
 
 
 def _featurize_lines(catalog: Catalog, mode: str, max_nodes: int, chunk) -> tuple:
-    """A pool worker: _featurize a (store path, first line number, lines) chunk."""
+    """_featurize the batch of a (store path, first line number, lines) chunk."""
     path, first, lines = chunk
-    return _featurize(catalog, mode, max_nodes, storage._decode(lines, path, first))
-
-
-def _released(transactions: list):
-    """Each entry of the list, which is set to None as it is handed out."""
-    for i, tx in enumerate(transactions):
-        transactions[i] = None
-        yield tx
+    batch = TransferBatch.from_transactions(storage._decode(lines, path, first))
+    return _featurize(catalog, mode, max_nodes, batch)
 
 
 @dataclass
@@ -115,45 +102,48 @@ def featurize_store(
     to out_path (JSONL, by storage.write_rows, through `write`) and return
     it with the counts.
 
-    store is a store directory, which this process reads in one pass or
-    `threads` >= 2 worker processes featurize in CHUNK_LINES slices, or the
-    list of (tx_hash, ego, method group, rows) tuples that was written to
-    one, which this process featurizes in one pass. Such a list is consumed:
-    each entry is set to None as it is read.
-    out_path is written only when every transaction featurized; a malformed
-    store line raises InputError naming the store path and line number.
+    store is a TransferBatch, such as ingest holds, which this process
+    featurizes in one pass, or a store directory, whose CHUNK_LINES slices
+    are featurized in this process or, with `threads` >= 2, by that many
+    worker processes. out_path is written only when every transaction
+    featurized; a malformed store line raises InputError naming the store
+    path and line number.
     """
     mode = motif.normalize_mode(mode)
     if catalog is None:
         catalog = motif.enumerate_catalog()
-    if not isinstance(store, (str, os.PathLike)):
-        stats = _collect([_featurize(catalog, mode, max_nodes, _released(store))])
-    elif threads <= 1:
-        stats = _collect([_featurize(catalog, mode, max_nodes, storage.iter_store(store))])
+    if isinstance(store, TransferBatch):
+        stats = _collect([_featurize(catalog, mode, max_nodes, store)])
     else:
         work = partial(_featurize_lines, catalog, mode, max_nodes)
         chunks = _store_chunks(storage.store_path(store), CHUNK_LINES)
-        ctx = mp.get_context("fork") if "fork" in mp.get_all_start_methods() else mp.get_context()
-        with ctx.Pool(threads) as pool:
-            stats = _collect(pool.imap(work, chunks, chunksize=1))
+        if threads <= 1:
+            stats = _collect(map(work, chunks))
+        else:
+            ctx = mp.get_context("fork") if "fork" in mp.get_all_start_methods() else mp.get_context()
+            with ctx.Pool(threads) as pool:
+                stats = _collect(pool.imap(work, chunks, chunksize=1))
     write(storage.write_rows, out_path, stats.table,
           [{"features": feats, "mode": mode} for feats in stats.table.distinct_rows()])
     return stats
 
 
 def _collect(results) -> FeaturizeStats:
-    """Sum the results' counts, append their maps and rows in order and build
-    the table once."""
-    maps, map_of, packed, egos = [], [], [], []
+    """Sum the results' counts, append their maps and rows in order, number
+    their egos in order of first appearance and build the table once."""
+    maps, map_of, hashes, ego_ids = [], [], [], []
+    ego_index: dict[str, int] = {}
     oversize = rejected = 0
-    for ov, rej, part_maps, part_map_of, part_hashes, part_egos in results:
+    for ov, rej, part_maps, part_map_of, part_hashes, part_egos, part_ego_ids in results:
         oversize += ov
         rejected += rej
         map_of.append(part_map_of + len(maps))
         maps += part_maps
-        packed.append(part_hashes)
-        egos += part_egos
-    hashes = Strings.join(packed)
-    table = FeatureTable.build(hashes, egos, maps, np.concatenate([np.empty(0, np.int32), *map_of]))
-    return FeaturizeStats(transactions=len(hashes), oversize=oversize,
+        hashes.append(part_hashes)
+        ids = [ego_index.setdefault(ego, len(ego_index)) for ego in part_egos]
+        ego_ids.append(np.array(ids, dtype=np.int32)[part_ego_ids])
+    table = FeatureTable.build(Strings.join(hashes), Strings.pack(list(ego_index)),
+                               np.concatenate([np.empty(0, np.int32), *ego_ids]), maps,
+                               np.concatenate([np.empty(0, np.int32), *map_of]))
+    return FeaturizeStats(transactions=table.n_rows, oversize=oversize,
                           rejected_transfers=rejected, table=table)

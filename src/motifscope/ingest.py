@@ -11,21 +11,26 @@ first line that has one; both give the same rows and lines. Each JSON object
 kind declares its fields as `Param`s, which `_fields` reads. `storage` owns writing.
 Rows that fail validation are rejected with a reason code and counted, never
 silently dropped.
-`read_transfers` reads transfers.csv in one streaming pass straight into the
-store's compact transfer rows, grouped by (tx_hash, ego), and returns the
-transactions with the object of ingest_report.json, which no other module
-builds. It finds a row's transaction by its tx hash alone; only a later ego
-of a hash is looked up by (tx_hash, ego), and its transaction takes the first
-ego's hash string, so a run holds each hash once and no key per transaction.
-A transaction is the tuple (tx_hash, ego, method group or None, rows)
-throughout: `read_transfers` lists it with no group, `join_methods` gives it
-its group and fills the report's "labeled", `storage.write_store` writes it
-and `storage.iter_store` reads it back. methods.csv is read after
-transfers.csv, by `load_method_labels`, into a dict keyed in advance by the
-transactions' own tx-hash strings, so a labelled run holds each hash once.
-Both build their objects with the cyclic garbage collector paused, as
-`cli.run_pipeline` does for its whole run: the rows hold no cycles, and a
-collection walks every row built so far.
+`read_transfers` reads transfers.csv in one streaming pass into a
+`TransferBatch`, and returns it with the object of ingest_report.json, which
+no other module builds. A batch holds its transactions as numpy columns:
+int32 codes into one string table for the accounts and tokens, small-int
+codes for the account kinds and the category, float64 amounts, int64 blocks,
+and per transaction its packed tx hash, ego code, method-group code and row
+offsets, so it holds no Python object per row. The pass appends a tuple of
+codes per row, moved into numpy blocks every few thousand rows; it finds a
+row's transaction by its tx hash alone, and only a later ego of a hash by
+(tx_hash, ego), so it keeps no key per transaction. One stable argsort of
+each row's transaction index then puts the rows of groups that interleave
+in order. methods.csv is read after transfers.csv, by `load_method_labels`,
+into the dict of tx hashes that the pass already holds, so a labelled run
+holds each hash once, and the hashes are packed after that join.
+`storage.write_store` encodes a batch, `motif.batch_shapes` reduces it to
+shapes, and `TransferBatch.from_transactions` makes one of the (tx_hash,
+ego, method group or None, rows) tuples that `storage.iter_store` decodes.
+The pass runs with the cyclic garbage collector paused, as
+`cli.run_pipeline` does for its whole run: it builds no cycles, and a
+collection would walk every object built so far.
 """
 
 from __future__ import annotations
@@ -38,7 +43,12 @@ import json
 import math
 from collections import Counter
 from contextlib import contextmanager
-from typing import Callable, Iterator, Mapping, NamedTuple, Optional
+from dataclasses import dataclass
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Optional
+
+import numpy as np
+
+from .table import Strings
 
 # Token categories (closed vocabulary; Unlabeled covers unknown tokens).
 CATEGORIES = (
@@ -346,39 +356,162 @@ def _csv_rows(path, what: str) -> Iterator[tuple[int, list[str]]]:
             raise _bad_line(what, path, split + reader.line_num, exc) from exc
 
 
+KINDS = ("E", "A", "C", "N")  # account kinds: the ego, address, contract, null
+_KIND_CODE = {kind: code for code, kind in enumerate(KINDS)}
+_BLOCK_LIMIT = 1 << 63  # a block must fit an int64 column
+_FLUSH_ROWS = 4096  # rows read before they are moved into the columns
+
+
+def _small_codes(n: int):
+    """The dtype of codes into a vocabulary of n values, and -1."""
+    return np.int8 if n < 128 else np.int32
+
+
+@dataclass
+class TransferBatch:
+    """Transactions held as columns: what `read_transfers` builds, what
+    `storage.write_store` encodes and what `motif.batch_shapes` reduces.
+
+    Row j is a transfer: strings[src[j]] sends to strings[dst[j]], whose
+    kinds are kinds[src_kind[j]] and kinds[dst_kind[j]], the token
+    strings[contract[j]] and strings[symbol[j]] of category
+    categories[category[j]], amount[j] and block[j]. Transaction i is
+    tx_hashes[i] seen from the ego strings[ego[i]], with method group
+    groups[group[i]] (-1 for none) and rows offsets[i]:offsets[i + 1], in
+    input order. So a batch holds no object per row or per transaction.
+    """
+
+    strings: list[str]  # the string table: accounts, contracts, symbols
+    src: np.ndarray  # int32 into strings, one per row
+    dst: np.ndarray
+    contract: np.ndarray
+    symbol: np.ndarray
+    src_kind: np.ndarray  # small ints into kinds
+    dst_kind: np.ndarray
+    category: np.ndarray  # small ints into categories
+    amount: np.ndarray  # float64
+    block: np.ndarray  # int64
+    tx_hashes: Strings  # one per transaction
+    ego: np.ndarray  # int32 into strings, one per transaction
+    group: np.ndarray  # small ints into groups, -1 for none
+    offsets: np.ndarray  # int64, one more than the transactions
+    kinds: tuple[str, ...] = KINDS
+    categories: tuple[str, ...] = CATEGORIES
+    groups: tuple[str, ...] = ()
+
+    def __len__(self) -> int:
+        return len(self.ego)
+
+    def method_groups(self) -> list[Optional[str]]:
+        """Each transaction's method group, None where it has none."""
+        names = (*self.groups, None)  # code -1 is the last
+        return [names[code] for code in self.group.tolist()]
+
+    def ego_table(self) -> tuple[list[str], np.ndarray]:
+        """The distinct egos in first-seen order, and each transaction's
+        index among them (int32)."""
+        codes, first, inverse = np.unique(self.ego, return_index=True, return_inverse=True)
+        order = np.argsort(first)
+        rank = np.empty(len(order), np.int32)
+        rank[order] = np.arange(len(order), dtype=np.int32)
+        return [self.strings[code] for code in codes[order].tolist()], rank[inverse.reshape(-1)]
+
+    @classmethod
+    def from_transactions(cls, transactions: Iterable[tuple]) -> "TransferBatch":
+        """The batch of (tx_hash, ego, method group or None, rows) tuples,
+        such as `storage.line_to_tx` decodes, with 9-field transfer rows. Its
+        vocabularies are the values in first-seen order."""
+        txs = list(transactions)
+        rows = [row for tx in txs for row in tx[3]]
+        cols = list(zip(*rows)) or [()] * 9
+        n = len(rows)
+        strings, codes = _encode(itertools.chain([tx[1] for tx in txs], cols[0], cols[1], cols[4],
+                                                 cols[5]), len(txs) + 4 * n, np.int32)
+        kinds, kind_codes = _encode(itertools.chain(cols[2], cols[3]), 2 * n)
+        categories, category = _encode(cols[6], n)
+        groups = tuple(dict.fromkeys(tx[2] for tx in txs if tx[2] is not None))
+        index = dict(zip(groups, range(len(groups))))
+        index[None] = -1
+        ego, src, dst, contract, symbol = np.split(codes, len(txs) + n * np.arange(4))
+        return cls(
+            strings=strings, src=src, dst=dst, contract=contract, symbol=symbol,
+            src_kind=kind_codes[:n], dst_kind=kind_codes[n:], category=category,
+            amount=np.array(cols[7], dtype=np.float64), block=np.array(cols[8], dtype=np.int64),
+            tx_hashes=Strings.pack([tx[0] for tx in txs]), ego=ego,
+            group=np.fromiter((index[tx[2]] for tx in txs), _small_codes(len(groups)), len(txs)),
+            offsets=np.cumsum([0] + [len(tx[3]) for tx in txs], dtype=np.int64),
+            kinds=tuple(kinds), categories=tuple(categories), groups=groups,
+        )
+
+
+def _encode(values: Iterable, n: int, dtype=None) -> tuple[list, np.ndarray]:
+    """The n values' distinct values in first-seen order, and each value's
+    index among them: `dtype`, or the smallest that _small_codes allows."""
+    first: dict = {}  # value -> the position it first appears at
+    position = np.fromiter(map(first.setdefault, values, itertools.count()), np.int64, n)
+    code = np.empty(n, dtype or _small_codes(len(first)))
+    code[np.fromiter(first.values(), np.int64, len(first))] = np.arange(len(first))
+    return list(first), code[position]
+
+
 @_gc_paused()
-def read_transfers(path, tokens: TokenRegistry, accounts: AccountRegistry) -> tuple[list, dict]:
+def read_transfers(path, tokens: TokenRegistry, accounts: AccountRegistry,
+                   methods: Optional[Callable[[dict], Mapping[str, Optional[str]]]] = None,
+                   ) -> tuple[TransferBatch, dict]:
     """Read transfers.csv in one streaming pass: validate each row, resolve
     its token category and account types, and group it by (tx_hash, ego).
 
-    Returns (transactions, report). A transaction is (tx_hash, ego, None,
-    rows) for each group no spam token touched, in the order in which its
-    key first appears; `join_methods` fills in the method groups. Each is
-    built at its group's first row and found by its tx hash; a hash's later
-    egos are found by (tx_hash, ego) and share the first ego's hash string.
-    A row is the store's transfer row: (from, to, from_type, to_type, contract,
-    symbol, category, amount, block), in input order within its group. The
-    report is the store's ingest_report.json, whose "labeled" is empty until
-    `join_methods` counts the groups.
+    Returns (batch, report). The batch holds each group that no spam token
+    touched, in the order in which its key first appears, and its rows in
+    input order; rows whose groups interleave are put in order by one stable
+    argsort of each row's transaction index. A row's transaction is found by
+    its tx hash; only a hash's later egos are found by (tx_hash, ego). The
+    report is the store's ingest_report.json.
+
+    Given `methods`, it is called once transfers.csv is read, with a dict
+    keyed by the transactions' own hash strings (the values None), and
+    returns {tx hash: method group}, such as `load_method_labels` with its
+    path and mapping bound, which fills the dict it is given. Each
+    transaction takes its hash's group, and report["labeled"] counts the
+    groups; without `methods` no transaction has one and "labeled" is empty.
 
     Rejected rows are counted by reason, in first-seen order: malformed_row,
     missing_tx_hash, missing_account, self_transfer, bad_amount (not a
     number in ASCII without padding or digit-group underscores, or infinite,
     which no JSON number holds), negative_amount (negative or NaN), bad_block
-    (not ASCII digits). Each distinct (contract, symbol) is looked up
-    in the token registry once and each distinct address in the account
-    registry once; an address is E only where it equals the row's ego, and
-    repeated strings share one object.
+    (not ASCII digits, or 2**63 or more). Each distinct (contract, symbol) is
+    looked up in the token registry once, its category code kept with its
+    codes, and each distinct address in the account registry once; an
+    address is E only where it equals the row's ego.
     """
-    transactions: list[tuple] = []
-    first: dict[str, tuple] = {}  # tx hash -> the transaction of its first ego
-    later: dict[tuple[str, str], tuple] = {}  # (tx hash, ego) -> the transaction of a later ego
-    spam: set[tuple[str, str]] = set()  # (tx hash, ego) of each spam-touched transaction
+    strings: list[str] = []
+    kind_of: list[int] = []  # the account kind code of each string, 0 for a token's
+
+    def new_string(text: str, kind: int = 0) -> int:
+        strings.append(text)
+        kind_of.append(kind)
+        return len(strings) - 1
+
+    token_codes: list[tuple[int, int, int]] = []  # (contract, symbol, category) per token
+
+    def new_token(contract: str, symbol: str) -> tuple[int, bool]:
+        category, is_spam = tokens.resolve(contract, symbol)
+        code = 0 if is_spam else CATEGORIES.index(category)  # a spam token's rows are dropped
+        token_codes.append((new_string(contract), new_string(symbol), code))
+        return len(token_codes) - 1, is_spam
+
+    account = functools.cache(lambda addr: new_string(addr, _KIND_CODE[accounts.kind_of(addr)]))
+    token = functools.cache(new_token)
+    hashes: list[str] = []  # per transaction
+    egos: list[int] = []  # per transaction
+    first: dict[str, int] = {}  # tx hash -> the transaction of its first ego
+    later: dict[tuple[str, int], int] = {}  # (tx hash, ego) -> the transaction of a later ego
+    spam: set[int] = set()  # spam-touched transactions
+    pending: list[tuple] = []  # (transaction, src, dst, token, amount, block) per row
+    blocks: list[list[np.ndarray]] = []  # the pending rows as columns, every _FLUSH_ROWS rows
+    dtypes = (np.int32, np.int32, np.int32, np.int32, np.float64, np.int64)
+    limit, flush = _BLOCK_LIMIT, _FLUSH_ROWS
     rejected: Counter[str] = Counter()
-    kept = 0
-    # (canonical string, kind) per address and (contract, symbol, category, spam) per token
-    account = functools.cache(lambda addr: (addr, accounts.kind_of(addr)))
-    token = functools.cache(lambda contract, symbol: (contract, symbol, *tokens.resolve(contract, symbol)))
     rows = _csv_rows(path, "transfers")
     _, header = next(rows, (1, None))
     if header is None or [h.strip() for h in header] != list(TRANSFER_COLUMNS):
@@ -414,56 +547,84 @@ def read_transfers(path, tokens: TokenRegistry, accounts: AccountRegistry) -> tu
         if amount == math.inf:  # "inf", "Infinity" and overflows such as 1e400
             rejected["bad_amount"] += 1
             continue
-        if not (block_s.isascii() and block_s.isdigit()):
+        if not (block_s.isascii() and block_s.isdigit()) or (block := int(block_s)) >= limit:
             rejected["bad_block"] += 1
             continue
-        block = int(block_s)
-        kept += 1
-        ego = account(ego)[0]
-        src, src_kind = account(src)
-        dst, dst_kind = account(dst)
-        contract, symbol, category, is_spam = token(contract, symbol)
-        tr = (src, dst, "E" if src == ego else src_kind, "E" if dst == ego else dst_kind,
-              contract, symbol, category, amount, block)
+        ego = account(ego)
+        tok, is_spam = token(contract, symbol)
+        t = first.get(tx_hash)
+        if t is None:
+            first[tx_hash] = t = len(hashes)
+            hashes.append(tx_hash)
+            egos.append(ego)
+        elif egos[t] != ego:
+            key = (hashes[t], ego)
+            t = later.get(key)
+            if t is None:  # a later ego's transaction shares the first one's hash string
+                later[key] = t = len(hashes)
+                hashes.append(key[0])
+                egos.append(ego)
         if is_spam:
-            spam.add((tx_hash, ego))
-        tx = first.get(tx_hash)
-        if tx is None:
-            first[tx_hash] = tx = (tx_hash, ego, None, [tr])
-            transactions.append(tx)
-        elif tx[1] is ego:  # egos are the account cache's strings
-            tx[3].append(tr)
-        elif (key := (tx[0], ego)) in later:
-            later[key][3].append(tr)
-        else:  # a later ego's transaction shares the first one's hash string
-            later[key] = tx = (tx[0], ego, None, [tr])
-            transactions.append(tx)
+            spam.add(t)
+        pending.append((t, account(src), account(dst), tok, amount, block))
+        if len(pending) == flush:
+            blocks.append([np.array(c, dtype) for c, dtype in zip(zip(*pending), dtypes)])
+            pending.clear()
+    blocks.append([np.array(c, dtype) for c, dtype in zip(zip(*pending) if pending else [()] * 6,
+                                                        dtypes)])
+    del pending, later, account, token
+    tx_of, src, dst, tok, amount, block = map(np.concatenate, zip(*blocks))
+    del blocks
+    kept = len(tx_of)
+    sizes = np.bincount(tx_of, minlength=len(hashes))
+    keep = np.ones(len(hashes), dtype=bool)
+    keep[list(spam)] = False
+    order = np.argsort(tx_of, kind="stable")  # rows by transaction, each in input order
+    del tx_of
     if spam:
-        transactions = [tx for tx in transactions if (tx[0], tx[1]) not in spam]
+        order = order[np.repeat(keep, sizes)]
+        hashes = list(itertools.compress(hashes, keep.tolist()))
+    ego, sizes = np.array(egos, dtype=np.int32)[keep], sizes[keep]
+    group = np.full(len(ego), -1, dtype=np.int8)
+    labeled: Counter[str] = Counter()
+    names: tuple[str, ...] = ()
+    if methods is not None:
+        for tx_hash in first:
+            first[tx_hash] = None
+        group_of = methods(first)
+        found = list(map(group_of.get, hashes))
+        labeled.update(filter(None, found))
+        names = tuple(dict.fromkeys(g for g in found if g is not None))
+        index = dict(zip(names, range(len(names))))
+        index[None] = -1
+        group = np.fromiter(map(index.__getitem__, found), _small_codes(len(names)), len(found))
+        del found, group_of
+    del first
+    tx_hashes = Strings.pack(hashes)
+    del hashes
+    src, dst, tok = src[order], dst[order], tok[order]
+    amount, block = amount[order], block[order]
+    del order
+    tokens_of = np.array(token_codes, dtype=np.int32).reshape(-1, 3)
+    row_ego = np.repeat(ego, sizes)
+    kinds = np.array(kind_of, dtype=np.int8)
+    batch = TransferBatch(
+        strings=strings, src=src, dst=dst, contract=tokens_of[tok, 0], symbol=tokens_of[tok, 1],
+        src_kind=np.where(src == row_ego, _KIND_CODE["E"], kinds[src]).astype(np.int8),
+        dst_kind=np.where(dst == row_ego, _KIND_CODE["E"], kinds[dst]).astype(np.int8),
+        category=tokens_of[tok, 2].astype(np.int8), amount=amount, block=block,
+        tx_hashes=tx_hashes, ego=ego, group=group,
+        offsets=np.concatenate(([0], np.cumsum(sizes))), groups=names,
+    )
     report = {
         "transfers_read": kept + sum(rejected.values()),
         "transfers_kept": kept,
         "rejected": dict(rejected),
-        "transactions": len(transactions),
+        "transactions": len(batch),
         "transactions_spam_filtered": len(spam),
-        "labeled": {},
+        "labeled": dict(sorted(labeled.items())),
     }
-    return transactions, report
-
-
-@_gc_paused()
-def join_methods(transactions: list, report: dict,
-                 group_of: Mapping[str, Optional[str]]) -> list[Optional[str]]:
-    """Join method groups on tx hash into read_transfers' transactions and
-    report, in place: transaction i becomes (tx_hash, ego, group_of.get(tx_hash),
-    rows), and report["labeled"] counts the groups. Returns the groups, one
-    per transaction in order, None where a transaction has none."""
-    groups = []
-    for i, (tx_hash, ego, _, rows) in enumerate(transactions):
-        groups.append(group := group_of.get(tx_hash))
-        transactions[i] = (tx_hash, ego, group, rows)
-    report["labeled"] = dict(sorted(Counter(filter(None, groups)).items()))
-    return groups
+    return batch, report
 
 
 def load_method_mapping(path) -> dict[str, str]:
@@ -495,10 +656,10 @@ def load_method_labels(path, mapping: dict[str, str],
     Blank lines are skipped; a row with one field or an empty tx_hash raises
     InputError naming the file and line.
 
-    Given `groups`, such as dict.fromkeys of the transactions' tx hashes, the
-    rows are read into it and it is returned: only the hashes already among
-    its keys take a group, so it keeps its own key strings, and every row is
-    still checked.
+    Given `groups`, such as the dict of tx hashes that read_transfers hands
+    its `methods`, the rows are read into it and it is returned: only the
+    hashes already among its keys take a group, so it keeps its own key
+    strings, and every row is still checked.
     """
     rows = _csv_rows(path, "methods")
     _, header = next(rows, (1, None))

@@ -6,19 +6,24 @@ touches the ego, each counterpart sits in exactly one of three states
 subgraph counts reduce to combinatorics over (state, account type) groups.
 This makes counts exact in O(counterparts) regardless of network size; the
 all-out star is just the special case with a single group. count_from_groups
-is that kernel. transaction_shape reduces a stored transaction, with no ETN
-object, to its shape: the groups and edge-label counts that its feature map
-depends on, sorted, so that neither accounts nor row order show. shape_features
-builds the map from the shape; transaction_features, the one featurizer, is
-the two composed, and featurize.py calls the two halves so that the
-transactions of one shape share one map per pass.
+is that kernel. batch_shapes reduces each transaction of an
+`ingest.TransferBatch`, with no ETN object, to its shape: the groups and
+edge-label counts that its feature map depends on, sorted, so that neither
+accounts nor row order show. It is the one loop over transfer rows, over the
+batch's code columns. shape_features builds the map from a shape;
+transaction_features, the one featurizer, is the two composed on a batch of
+one stored transaction, and featurize.py calls the two halves on a whole
+batch so that the transactions of one shape share one map per pass.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+import itertools
+from typing import Iterator, Optional, Sequence
 
-from .ingest import Param, _fields, _schema, _strings
+import numpy as np
+
+from .ingest import Param, TransferBatch, _fields, _schema, _strings
 
 # Counterpart states relative to the ego.
 OUT, IN, RECIP = 0, 1, 2
@@ -30,10 +35,6 @@ MODE_SPELLINGS = {"M": "M", "E": "E", "ME": "M+E", "M+E": "M+E", "MxE": "MxE"}
 OOV_KEY = "__oov__"
 OVERSIZE_KEY = "__oversize__"
 DEFAULT_MAX_NODES = 500
-
-# (source type, target type, category) -> "(S,T)category": closed vocabularies, so it stays small
-_EDGE_LABELS: dict[tuple[str, str, str], str] = {}
-
 
 # A motif catalog: each ego-rooted shape's neighbor-role edge states, in
 # ascending order, -> its motif id. (OUT,) is the ego sending to one
@@ -104,7 +105,7 @@ def count_from_groups(
     oversize: bool = False,
 ) -> dict[str, int]:
     """Typed motif counts from the ((state, type, labels), size) items of
-    counterpart groups, in sorted order: the groups of a transaction_shape.
+    counterpart groups, in sorted order: the groups of a batch_shapes shape.
 
     Induced matching: a counterpart pair matches the 3-node shape whose
     states equal the pair's states, and nothing else, so subset counts are
@@ -147,10 +148,12 @@ def _pair_key(sid: str, ta: str, tb: str, labels: tuple[str, ...]) -> str:
 # oversize).
 Shape = tuple[tuple, tuple, bool]
 
+SHAPE_CHUNK = 4096  # transactions whose code columns are read into lists at a time
 
-def transaction_shape(tx: tuple[str, str, Optional[str], list], mode: str,
-                      max_nodes: int = DEFAULT_MAX_NODES) -> tuple[Shape, int]:
-    """(shape, rows touching no ego) of one stored transaction.
+
+def batch_shapes(batch: TransferBatch, mode: str,
+                 max_nodes: int = DEFAULT_MAX_NODES) -> Iterator[tuple[Shape, int]]:
+    """(shape, rows touching no ego) of each transaction of `batch`, in order.
 
     The shape is a canonical form of the typed ego network up to what the
     features of `mode` can see: the counterpart groups and the edge-label
@@ -160,47 +163,59 @@ def transaction_shape(tx: tuple[str, str, Optional[str], list], mode: str,
     equal shapes have equal feature maps (shape_features), whatever their
     accounts, hashes and row order. A counterpart keeps the type of the
     first row it appears in; edge labels are "(S,T)category".
+
+    This is the one loop over transfer rows: numpy finds each row's
+    counterpart, direction and counterpart type from the code columns, a
+    SHAPE_CHUNK of transactions at a time, and the loop tallies them.
     """
     if mode not in MODES:
         raise ValueError(f"unknown feature mode {mode!r} (expected one of {MODES})")
-    _, ego, _, rows = tx
-    want_e = mode in ("E", "M+E")
-    labels: Optional[dict[str, list[str]]] = {} if mode == "MxE" else None
-    edges: dict[str, int] = {}
-    flags: dict[str, int] = {}
-    types: dict[str, str] = {}
-    rejected = 0
-    for src, dst, src_type, dst_type, _, _, category, _, _ in rows:
-        if src == ego:
-            other, otype, bit = dst, dst_type, 1
-        elif dst == ego:
-            other, otype, bit = src, src_type, 2
-        else:
-            rejected += 1
-            continue
-        otype = types.setdefault(other, otype)
-        flags[other] = flags.get(other, 0) | bit
-        ek = ("E", otype, category) if bit == 1 else (otype, "E", category)
-        label = _EDGE_LABELS.get(ek)
-        if label is None:
-            label = _EDGE_LABELS[ek] = f"({ek[0]},{ek[1]}){ek[2]}"
-        if want_e:
-            edges[label] = edges.get(label, 0) + 1
-        if labels is not None:
-            labels.setdefault(other, []).append(label)
-    edge_counts = tuple(sorted(edges.items()))
-    if mode == "E":
-        return ((), edge_counts, False), rejected
-    groups: dict[tuple[int, str, tuple[str, ...]], int] = {}
-    for node, f in flags.items():  # f is state + 1: 1 out, 2 in, 3 both
-        key = (f - 1, types[node], tuple(sorted(labels[node])) if labels is not None else ())
-        groups[key] = groups.get(key, 0) + 1
-    oversize = labels is not None and len(flags) > max_nodes
-    return (tuple(sorted(groups.items())), edge_counts, oversize), rejected
+    want_e, mxe = mode in ("E", "M+E"), mode == "MxE"
+    kinds, offsets = batch.kinds, batch.offsets
+    # label[bit][type][category]: the edge label of a row sending to (bit 1) or from (bit 2) the ego
+    label = [None, [[f"(E,{k}){c}" for c in batch.categories] for k in kinds],
+             [[f"({k},E){c}" for c in batch.categories] for k in kinds]]
+    for first in range(0, len(batch), SHAPE_CHUNK):
+        last = min(first + SHAPE_CHUNK, len(batch))
+        lo, hi = offsets[first], offsets[last]
+        sizes = np.diff(offsets[first:last + 1])
+        ego = np.repeat(batch.ego[first:last], sizes)
+        src, dst = batch.src[lo:hi], batch.dst[lo:hi]
+        out = src == ego
+        bit = np.where(out, 1, 2 * (dst == ego))  # 0: the row touches no ego
+        other = np.where(out, dst, src).tolist()
+        otype = np.where(out, batch.dst_kind[lo:hi], batch.src_kind[lo:hi]).tolist()
+        rows = zip(other, bit.tolist(), otype, batch.category[lo:hi].tolist())
+        for n in sizes.tolist():
+            flags: dict[int, int] = {}
+            types: dict[int, int] = {}
+            edges: dict[str, int] = {}
+            labels: dict[int, list[str]] = {}
+            rejected = 0
+            for node, f, ntype, category in itertools.islice(rows, n):
+                if not f:
+                    rejected += 1
+                    continue
+                ntype = types.setdefault(node, ntype)
+                flags[node] = flags.get(node, 0) | f
+                edge = label[f][ntype][category]
+                if want_e:
+                    edges[edge] = edges.get(edge, 0) + 1
+                if mxe:
+                    labels.setdefault(node, []).append(edge)
+            edge_counts = tuple(sorted(edges.items()))
+            if mode == "E":
+                yield ((), edge_counts, False), rejected
+                continue
+            groups: dict[tuple[int, str, tuple[str, ...]], int] = {}
+            for node, f in flags.items():  # f is state + 1: 1 out, 2 in, 3 both
+                key = (f - 1, kinds[types[node]], tuple(sorted(labels[node])) if mxe else ())
+                groups[key] = groups.get(key, 0) + 1
+            yield (tuple(sorted(groups.items())), edge_counts, mxe and len(flags) > max_nodes), rejected
 
 
 def shape_features(catalog: Catalog, shape: Shape) -> dict[str, int]:
-    """The sparse feature map of a transaction_shape: the motif keys of
+    """The sparse feature map of a shape from batch_shapes: the motif keys of
     count_from_groups, then the edge labels in sorted order."""
     groups, edges, oversize = shape
     feats = count_from_groups(catalog, groups, oversize)
@@ -211,14 +226,15 @@ def shape_features(catalog: Catalog, shape: Shape) -> dict[str, int]:
 def transaction_features(tx: tuple[str, str, Optional[str], list], catalog: Catalog,
                          mode: str, max_nodes: int = DEFAULT_MAX_NODES) -> tuple[dict[str, int], int]:
     """(sparse feature map, rows touching no ego) of one stored transaction:
-    shape_features of its transaction_shape.
+    shape_features of its shape, which batch_shapes finds in a batch of the
+    one transaction.
 
     M counts typed motifs, E the edge labels "(S,T)category" (parallel edges
     included), M+E both, and MxE each motif instance keyed with its edge
     labels; above max_nodes counterparts MxE keeps only the 2-node keys and
     sets OVERSIZE_KEY, as the pair key space degenerates on airdrops.
     """
-    shape, rejected = transaction_shape(tx, mode, max_nodes)
+    shape, rejected = next(batch_shapes(TransferBatch.from_transactions([tx]), mode, max_nodes))
     return shape_features(catalog, shape), rejected
 
 

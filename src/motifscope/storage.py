@@ -9,11 +9,13 @@ process while the stage's caller goes on computing. Files are read
 through the readers in `ingest`. All writers are deterministic: sorted keys,
 fixed separators, no timestamps, so identical inputs produce byte-identical
 artifacts. The store holds one transaction per line; `line_to_tx` is its
-only decoder, and it returns the (tx_hash, ego, method group or None, rows)
-tuple that `write_store` takes. `write_store` writes a store line's keys by
-hand, in sorted order, around one `dumps` of its rows, which gives the bytes
-of `dumps` of the whole object; it joins a labels.csv line from fields quoted
-as csv.writer quotes them. features.jsonl and matches.jsonl hold one
+only decoder, and it returns a (tx_hash, ego, method group or None, rows)
+tuple, which `ingest.TransferBatch.from_transactions` makes a batch of.
+`write_store` encodes an `ingest.TransferBatch`: it computes the JSON text
+of each distinct string of the batch once, formats each row from the texts
+of its codes, and writes a line's keys by hand, in sorted order, which gives
+the bytes of `dumps` of the whole object; it joins a labels.csv line from
+fields quoted as csv.writer quotes them. features.jsonl and matches.jsonl hold one
 line per row of a `table.FeatureTable`, and `write_rows` is their one
 writer; `read_features` (with `features_mode`) and `read_matches` read
 them back, `read_features` with one `FeatureTable.build`.
@@ -31,17 +33,22 @@ import signal
 import sys
 import time
 from contextlib import contextmanager
+from itertools import islice
 from typing import Iterable, Iterator, Optional, Sequence
 
+import numpy as np
+
 # read_json is re-exported: artifacts are read back as storage.read_json
-from .ingest import InputError, _bad_line, _csv_rows, _jsonl_rows, _open, read_json
+from .ingest import InputError, TransferBatch, _bad_line, _csv_rows, _jsonl_rows, _open, read_json
 from .motif import MODES
-from .table import FeatureTable
+from .table import FeatureTable, Strings
 
 STORE_FILE = "transactions.jsonl"
 REPORT_FILE = "ingest_report.json"
 LABELS_FILE = "labels.csv"
 _INT64 = 1 << 63
+_INT64_MIN = -_INT64
+STORE_CHUNK = 4096  # transactions whose columns write_store reads into lists at a time
 
 # One store line: {"tx": hash, "ego": account, "mg": group-or-null,
 # "tr": [[from, to, from_type, to_type, contract, symbol, category, amount, block], ...]}
@@ -238,7 +245,8 @@ def line_to_tx(line: str, path, lineno: int) -> tuple[str, str, Optional[str], l
 
     A valid line is a JSON object with string "tx" and "ego", an optional
     "mg" that is a string or null, and "tr", a list of 9-field transfer rows
-    whose first seven fields (accounts, types, token, category) are strings
+    whose first seven fields (accounts, types, token, category) are strings,
+    whose amount is a number, whose block is an integer that an int64 holds,
     and whose accounts differ. Anything else raises InputError naming the
     path and line.
     """
@@ -251,10 +259,13 @@ def line_to_tx(line: str, path, lineno: int) -> tuple[str, str, Optional[str], l
         for row in rows:
             if type(row) is not list or len(row) != 9:
                 raise ValueError(f"transfer row {row!r} does not have 9 fields")
-            src, dst, src_type, dst_type, contract, symbol, category, _, _ = row
+            src, dst, src_type, dst_type, contract, symbol, category, amount, block = row
             if not (type(src) is type(dst) is type(src_type) is type(dst_type) is type(contract)
                     is type(symbol) is type(category) is str):
                 raise TypeError(f"transfer row {row!r} has a non-string in its first seven fields")
+            if not ((type(amount) is float or type(amount) is int) and type(block) is int
+                    and _INT64_MIN <= block < _INT64):
+                raise TypeError(f"transfer row {row!r} needs a number amount and an int64 block")
             if src == dst:
                 raise ValueError(f"transfer row {row!r} is a self-transfer")
     except (ValueError, KeyError, TypeError) as exc:
@@ -262,27 +273,54 @@ def line_to_tx(line: str, path, lineno: int) -> tuple[str, str, Optional[str], l
     return tx, ego, group, rows
 
 
-def write_store(store_dir, transactions: Iterable[tuple[str, str, Optional[str], list]],
+def write_store(store_dir, batch: "TransferBatch | Iterable[tuple]",
                 report: Optional[dict] = None) -> str:
-    """Write the transaction store from (tx_hash, ego, method group or None,
-    transfer rows) tuples; returns the JSONL path. The files appear only
-    once all of them are written. Both files are written line by line."""
+    """Write the transaction store of a TransferBatch, or of (tx_hash, ego,
+    method group or None, transfer rows) tuples, which are made a batch
+    first; returns the JSONL path. The files appear only once all of them
+    are written. Both files are written line by line.
+
+    A store line is the bytes of dumps of its {"tx", "ego", "mg", "tr"}
+    object: its keys are written by hand in sorted order, the JSON text of
+    each distinct string of the batch is computed once, and a row's amount
+    and block take the text of dumps of a list of them, a STORE_CHUNK of
+    transactions at a time."""
+    if not isinstance(batch, TransferBatch):
+        batch = TransferBatch.from_transactions(batch)
     os.makedirs(store_dir, exist_ok=True)
     store_path = os.path.join(store_dir, STORE_FILE)
     paths = [store_path, os.path.join(store_dir, LABELS_FILE)]
     if report is not None:
         paths.append(os.path.join(store_dir, REPORT_FILE))
     enc = dumps_str
+    text = list(map(enc, batch.strings)).__getitem__
+    kinds = list(map(enc, batch.kinds)).__getitem__
+    categories = list(map(enc, batch.categories)).__getitem__
+    groups = [*map(enc, batch.groups), "null"]  # code -1 is the last
+    group_names = [*batch.groups, None]
+    row = "[{},{},{},{},{},{},{},{},{}]".format
     with replacing(*paths) as tmps:
         with open(tmps[0], "w", encoding="utf-8") as fh, open(
             tmps[1], "w", encoding="utf-8", newline=""
         ) as lfh:
             lfh.write("tx_hash,ego,method_group\r\n")
-            for tx_hash, ego, group, rows in transactions:
-                mg = "null" if group is None else enc(group)
-                fh.write(f'{{"ego":{enc(ego)},"mg":{mg},"tr":{dumps(rows)},"tx":{enc(tx_hash)}}}\n')
-                if group is not None:
-                    lfh.write(f"{_csv_field(tx_hash)},{_csv_field(ego)},{_csv_field(group)}\r\n")
+            for first in range(0, len(batch), STORE_CHUNK):
+                last = min(first + STORE_CHUNK, len(batch))
+                lo, hi = batch.offsets[first], batch.offsets[last]
+                amounts = dumps(batch.amount[lo:hi].tolist())[1:-1].split(",") if hi > lo else []
+                rows = map(row, *(map(get, column[lo:hi].tolist()) for get, column in (
+                    (text, batch.src), (text, batch.dst), (kinds, batch.src_kind),
+                    (kinds, batch.dst_kind), (text, batch.contract), (text, batch.symbol),
+                    (categories, batch.category))), amounts, batch.block[lo:hi].tolist())
+                for tx_hash, ego, group, n in zip(
+                        batch.tx_hashes.tolist(first, last), batch.ego[first:last].tolist(),
+                        batch.group[first:last].tolist(),
+                        np.diff(batch.offsets[first:last + 1]).tolist()):
+                    fh.write(f'{{"ego":{text(ego)},"mg":{groups[group]},'
+                             f'"tr":[{",".join(islice(rows, n))}],"tx":{enc(tx_hash)}}}\n')
+                    if group >= 0:
+                        lfh.write(f"{_csv_field(tx_hash)},{_csv_field(batch.strings[ego])},"
+                                  f"{_csv_field(group_names[group])}\r\n")
         if report is not None:  # straight into its .tmp, which this replacing moves
             with open(tmps[2], "w", encoding="utf-8") as fh:
                 fh.write(dumps(report) + "\n")
@@ -342,9 +380,11 @@ def read_features(path) -> FeatureTable:
     object of int64 integer counts raises InputError naming the file and line,
     and so does a line whose mode is not one of motif.MODES or is not the
     first line's; an absent mode counts as one value. Each map is kept once
-    per key order it comes in, and the table is built once from the kept maps."""
+    per key order it comes in, each ego numbered in order of first
+    appearance, and the table is built once from the kept maps."""
     memo: dict[tuple, int] = {}
-    maps, map_of, hashes, egos = [], [], [], []
+    ego_index: dict[str, int] = {}
+    maps, map_of, hashes, ego_ids = [], [], [], []
     first_mode = None
     for lineno, obj in _jsonl_rows(path, "features"):
         try:
@@ -371,12 +411,13 @@ def read_features(path) -> FeatureTable:
             raise _bad_line("features", path, lineno,
                             f"mode {mode!r} differs from the first line's {first_mode!r}")
         hashes.append(tx_hash)
-        egos.append(ego)
+        ego_ids.append(ego_index.setdefault(ego, len(ego_index)))
         index = memo.setdefault(tuple(feats.items()), len(maps))
         if index == len(maps):
             maps.append(feats)
         map_of.append(index)
-    return FeatureTable.build(hashes, egos, maps, map_of)
+    return FeatureTable.build(Strings.pack(hashes), Strings.pack(list(ego_index)),
+                              np.array(ego_ids, dtype=np.int32), maps, map_of)
 
 
 def features_mode(path) -> Optional[str]:

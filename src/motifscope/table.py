@@ -4,17 +4,18 @@ A FeatureTable holds one row per featurized transaction: its tx hash, its
 ego, and `row_of`, its index among the distinct feature rows. Rows repeat
 heavily, so only the distinct rows are stored: CSR arrays over a sorted
 vocabulary, in first-seen order, each row's entries in vocabulary order.
-A table is built once, by `build`, from each row's tx hash and ego, a list
-of feature maps and each row's index among them. Featurize gives it the maps
-of its pass, or of its workers' slices in order, and
+A table is built once, by `build`, from each row's tx hash and ego code, a
+list of feature maps and each row's index among them. Featurize gives it
+the maps of its pass, or of its workers' slices in order, and
 `storage.read_features` the maps of a features.jsonl file; a map that
 repeats, in any key order, becomes one distinct row, so the table does not
-depend on the worker count or slice size. features.jsonl and matches.jsonl are written from a table, one line
-per row, by `storage.write_rows`.
+depend on the worker count or slice size. features.jsonl and matches.jsonl
+are written from a table, one line per row, by `storage.write_rows`.
 
 Tx hashes and the distinct egos are each packed into one string with end
-offsets, so a table costs no object per row and keeps alive none of the
-strings it was built from.
+offsets (`Strings`), so a table costs no object per row. `build` takes them
+packed: featurize hands it the tx hashes of ingest's `TransferBatch` as
+they are, and the distinct egos with each row's index among them.
 """
 
 from __future__ import annotations
@@ -50,9 +51,11 @@ class Strings:
     def __len__(self) -> int:
         return len(self.ends)
 
-    def tolist(self) -> list[str]:
-        text, ends = self.text, self.ends.tolist()
-        return [text[start:end] for start, end in zip([0] + ends, ends)]
+    def tolist(self, first: int = 0, last: Optional[int] = None) -> list[str]:
+        """Strings first to last (all of them by default)."""
+        text, ends = self.text, self.ends[first:last].tolist()
+        start = int(self.ends[first - 1]) if first else 0
+        return [text[start:end] for start, end in zip([start] + ends, ends)]
 
 
 @dataclass
@@ -75,17 +78,18 @@ class FeatureTable:
         return len(self.indptr) - 1
 
     @classmethod
-    def build(cls, tx_hashes: "Strings | Sequence[str]", egos: Sequence[str],
+    def build(cls, tx_hashes: Strings, ego_names: Strings, ego_ids: np.ndarray,
               feature_maps: Sequence[dict[str, int]],
               map_of: Optional[Sequence[int]] = None) -> "FeatureTable":
-        """The table of rows given as columns: row i's features are
+        """The table of rows given as columns: row i's tx hash is
+        tx_hashes[i], its ego ego_names[ego_ids[i]], and its features
         feature_maps[i], or feature_maps[map_of[i]] when map_of is given.
         Then each map is flattened, sorted and deduplicated once however many
         rows share it, and the maps must come in the order of their first use.
         Equal maps, in any key order, become one distinct row, so the maps
         may repeat: several slices' maps, one slice after another, with each
         slice's map_of shifted by the maps before it, give the table of all
-        the slices' rows. The tx hashes may come packed."""
+        the slices' rows."""
         keys = list(chain.from_iterable(feature_maps))
         vocabulary = sorted(set(keys))
         position = {key: i for i, key in enumerate(vocabulary)}
@@ -98,13 +102,8 @@ class FeatureTable:
         distinct = _distinct(lengths, indices[order], counts[order])
         if map_of is not None:
             distinct["row_of"] = distinct["row_of"][np.asarray(map_of, dtype=np.intp)]
-        ego_index = {ego: i for i, ego in enumerate(dict.fromkeys(egos))}
-        return cls(
-            tx_hashes=tx_hashes if isinstance(tx_hashes, Strings) else Strings.pack(tx_hashes),
-            ego_names=Strings.pack(list(ego_index)),
-            ego_ids=np.fromiter(map(ego_index.__getitem__, egos), np.int32, len(egos)),
-            vocabulary=vocabulary, **distinct,
-        )
+        return cls(tx_hashes=tx_hashes, ego_names=ego_names,
+                   ego_ids=np.asarray(ego_ids, dtype=np.int32), vocabulary=vocabulary, **distinct)
 
     def egos(self) -> list[str]:
         names = self.ego_names.tolist()

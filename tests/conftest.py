@@ -8,9 +8,8 @@ import pytest
 from motifscope import learn, storage
 from motifscope.cli import main
 from motifscope.models import DecisionTree
-from motifscope.table import FeatureTable
 
-from oracles import table_rows
+from oracles import feature_table, table_rows
 
 
 @pytest.fixture(scope="session")
@@ -55,7 +54,7 @@ def small_dataset(small_corpus) -> learn.Dataset:
     labels = storage.read_labels(small_corpus["labels"])
     rows = [row for row in table_rows(storage.read_features(small_corpus["features"]))
             if row[:2] in labels]
-    return learn.build_dataset(FeatureTable.build(*zip(*rows)),
+    return learn.build_dataset(feature_table(*zip(*rows)),
                                [labels[row[:2]] for row in rows])
 
 

@@ -490,8 +490,37 @@ def brute_force_match(features: dict, signatures) -> tuple[list, list]:
 
 
 # ---------------------------------------------------------------------------
-# a table's rows expanded, and a dataset by one dict lookup per feature
+# a batch's transactions and a table's rows expanded, a table of string
+# columns, and a dataset by one dict lookup per feature
 # ---------------------------------------------------------------------------
+
+def transactions_of(batch) -> list[tuple]:
+    """The (tx_hash, ego, method group or None, rows) tuples of a
+    TransferBatch, each row the store's 9-field list, looked up column by
+    column: what storage.iter_store decodes from the batch's store."""
+    strings, kinds, categories = batch.strings, batch.kinds, batch.categories
+    columns = (batch.src, batch.dst, batch.src_kind, batch.dst_kind, batch.contract,
+               batch.symbol, batch.category, batch.amount, batch.block)
+    tables = (strings, strings, kinds, kinds, strings, strings, categories, None, None)
+    rows = [[value if table is None else table[value] for table, value in zip(tables, row)]
+            for row in zip(*(column.tolist() for column in columns))]
+    offsets = batch.offsets.tolist()
+    groups = [None if code < 0 else batch.groups[code] for code in batch.group.tolist()]
+    return [(tx_hash, strings[ego], group, rows[start:stop])
+            for tx_hash, ego, group, start, stop in zip(
+                batch.tx_hashes.tolist(), batch.ego.tolist(), groups, offsets, offsets[1:])]
+
+
+def feature_table(tx_hashes, egos, feature_maps, map_of=None):
+    """FeatureTable.build of rows whose tx hashes and egos are strings: the
+    egos numbered in order of first appearance."""
+    from motifscope.table import FeatureTable, Strings
+
+    index: dict[str, int] = {}
+    ids = np.array([index.setdefault(ego, len(index)) for ego in egos], dtype=np.int32)
+    return FeatureTable.build(Strings.pack(list(tx_hashes)), Strings.pack(list(index)), ids,
+                              feature_maps, map_of)
+
 
 def table_rows(table):
     """(tx_hash, ego, features) per row of a FeatureTable, keys in vocabulary order."""

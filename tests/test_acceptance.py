@@ -105,10 +105,11 @@ def ingest_raw(raw, store):
     tokens = ingest.TokenRegistry.from_file(raw / "tokens.json")
     accounts = ingest.AccountRegistry.from_file(raw / "accounts.json")
     mapping = ingest.load_method_mapping(PACKAGED_METHOD_GROUPS)
-    transactions, report = ingest.read_transfers(raw / "transfers.csv", tokens, accounts)
-    ingest.join_methods(transactions, report, ingest.load_method_labels(raw / "methods.csv", mapping))
+    batch, report = ingest.read_transfers(
+        raw / "transfers.csv", tokens, accounts,
+        lambda hashes: ingest.load_method_labels(raw / "methods.csv", mapping, hashes))
     assert report["rejected"] == {}
-    storage.write_store(store, transactions)
+    storage.write_store(store, batch)
 
 
 def build_corpus(root, n, seed, **kwargs):

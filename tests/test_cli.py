@@ -376,6 +376,10 @@ BAD_STORE_LINES = {
         ["0xe1", "0xb", "E", None, "0xt", "T", "Stablecoin", 1.0, 1]]}),
     "self-transfer": json.dumps({"tx": "t", "ego": "0xe1", "mg": None, "tr": [
         ["0xe1", "0xe1", "E", "E", "0xt", "T", "Stablecoin", 1.0, 1]]}),
+    "string amount": json.dumps({"tx": "t", "ego": "0xe1", "mg": None, "tr": [
+        ["0xe1", "0xb", "E", "A", "0xt", "T", "Stablecoin", "1.0", 1]]}),
+    "block outside int64": json.dumps({"tx": "t", "ego": "0xe1", "mg": None, "tr": [
+        ["0xe1", "0xb", "E", "A", "0xt", "T", "Stablecoin", 1.0, 2 ** 63]]}),
 }
 
 

@@ -9,10 +9,10 @@ import numpy as np
 import pytest
 
 from motifscope import cli, featurize, motif, storage
+from motifscope.ingest import TransferBatch
 from motifscope.signatures import LeafSignature
-from motifscope.table import FeatureTable
 
-from oracles import random_tx
+from oracles import feature_table, random_tx
 from test_motif import oracle_features
 from test_table import assert_same_table
 
@@ -60,6 +60,14 @@ def plain_lines(txs, catalog, mode, max_nodes=MAX_NODES):
             sum(rejected for _, rejected in results))
 
 
+def featurized(catalog, mode, max_nodes, txs):
+    """featurize._featurize of the batch of `txs`, with its tx hashes and
+    egos as lists of strings."""
+    *counts, maps, map_of, hashes, ego_names, ego_ids = featurize._featurize(
+        catalog, mode, max_nodes, TransferBatch.from_transactions(txs))
+    return (*counts, maps, map_of, hashes.tolist(), [ego_names[i] for i in ego_ids.tolist()])
+
+
 def written_lines(table, mode, path):
     """The lines storage.write_rows writes for a featurize table."""
     storage.write_rows(path, table, [{"features": feats, "mode": mode}
@@ -69,10 +77,9 @@ def written_lines(table, mode, path):
 
 @pytest.mark.parametrize("mode", motif.MODES)
 def test_memoized_chunks_equal_plain_featurizer_and_oracles(rng, tmp_path, monkeypatch, mode):
-    """A pass over the whole list, and passes over its chunks as pool
-    workers make, give the plain featurizer's maps, table and lines; the
-    hashes are packed every PACK_HASHES rows."""
-    monkeypatch.setattr(featurize, "PACK_HASHES", 7)
+    """A pass over the batch of the whole list, and passes over batches of
+    its chunks as pool workers make, give the plain featurizer's maps, table
+    and lines."""
     catalog = motif.enumerate_catalog()
     txs = random_transactions(rng, 400)
     lines, maps, oversize, rejected = plain_lines(txs, catalog, mode)
@@ -80,19 +87,18 @@ def test_memoized_chunks_equal_plain_featurizer_and_oracles(rng, tmp_path, monke
     assert rejected > 0 and (oversize > 0) == (mode == "MxE")
     for size in (64, len(txs)):
         chunks = [range(i, min(i + size, len(txs))) for i in range(0, len(txs), size)]
-        results = [featurize._featurize(catalog, mode, MAX_NODES, txs[chunk.start:chunk.stop])
+        results = [featurized(catalog, mode, MAX_NODES, txs[chunk.start:chunk.stop])
                    for chunk in chunks]
         assert [sum(r[0] for r in results), sum(r[1] for r in results),
                 sum(len(r[3]) for r in results)] == [oversize, rejected, len(txs)]
         for chunk, (_, _, chunk_maps, map_of, hashes, egos) in zip(chunks, results):
             assert map_of.dtype == np.int32
-            assert (hashes.tolist(), egos) == ([txs[i][0] for i in chunk],
-                                               [txs[i][1] for i in chunk])
+            assert (hashes, egos) == ([txs[i][0] for i in chunk], [txs[i][1] for i in chunk])
             # the chunk's maps in the order of their first use, each used
             assert list(dict.fromkeys(map_of.tolist())) == list(range(len(chunk_maps)))
             assert [chunk_maps[i] for i in map_of.tolist()] == maps[chunk.start:chunk.stop]
-            table = FeatureTable.build(hashes, egos, chunk_maps, map_of)
-            assert_same_table(table, FeatureTable.build(hashes, egos, maps[chunk.start:chunk.stop]))
+            table = feature_table(hashes, egos, chunk_maps, map_of)
+            assert_same_table(table, feature_table(hashes, egos, maps[chunk.start:chunk.stop]))
             assert written_lines(table, mode, tmp_path / "chunk.jsonl") == lines[chunk.start:chunk.stop]
 
 
@@ -112,39 +118,46 @@ def test_one_shape_in_any_row_order_takes_one_memo_entry(rng, tmp_path, mode, mo
     copies += [renamed(copies[0], rng, i) for i in range(1, 40)]
     assert len({tuple(map(tuple, tx[3])) for tx in copies}) > 1  # the rows come in other orders
     shapes = counting_shapes(monkeypatch)
-    _, _, maps, map_of, hashes, egos = featurize._featurize(catalog, mode, MAX_NODES, copies)
+    _, _, maps, map_of, hashes, egos = featurized(catalog, mode, MAX_NODES, copies)
     assert len(shapes) == len(maps) == 1 and map_of.tolist() == [0] * 40
-    assert (hashes.tolist(), egos) == ([tx[0] for tx in copies], [tx[1] for tx in copies])
-    table = FeatureTable.build(hashes, egos, maps, map_of)
+    assert (hashes, egos) == ([tx[0] for tx in copies], [tx[1] for tx in copies])
+    table = feature_table(hashes, egos, maps, map_of)
     assert written_lines(table, mode, tmp_path / "f.jsonl") == plain_lines(copies, catalog, mode)[0]
 
 
 def test_one_pass_counts_each_shape_of_the_input_once(rng, tmp_path, monkeypatch):
-    """The in-memory list and a store read by one process are each one pass:
-    a shape recurring across CHUNK_LINES slices is counted once."""
+    """The in-memory batch is one pass, counting each shape once; a store
+    read by one process counts a shape once per CHUNK_LINES slice it recurs
+    in, as the pool's workers do."""
     catalog = motif.enumerate_catalog()
     txs = random_transactions(rng, 300)
     storage.write_store(tmp_path / "store", txs)
-    distinct = {motif.transaction_shape(tx, "MxE")[0] for tx in txs}
+    batch = TransferBatch.from_transactions(txs)
+    distinct = {shape for shape, _ in motif.batch_shapes(batch, "MxE")}
     monkeypatch.setattr(featurize, "CHUNK_LINES", 32)
     shapes = counting_shapes(monkeypatch)
-    for source in (list(txs), tmp_path / "store"):
-        shapes.clear()
-        featurize.featurize_store(source, "MxE", tmp_path / "features.jsonl", catalog=catalog)
-        assert len(shapes) == len(distinct) and set(shapes) == distinct
+    featurize.featurize_store(batch, "MxE", tmp_path / "features.jsonl", catalog=catalog)
+    assert len(shapes) == len(distinct) and set(shapes) == distinct
+    shapes.clear()
+    featurize.featurize_store(tmp_path / "store", "MxE", tmp_path / "features.jsonl",
+                              catalog=catalog)
+    per_slice = [{shape for shape, _ in motif.batch_shapes(
+        TransferBatch.from_transactions(txs[i:i + 32]), "MxE")} for i in range(0, len(txs), 32)]
+    assert sorted(map(repr, shapes)) == sorted(repr(s) for part in per_slice for s in part)
 
 
 def test_store_chunk_equals_a_pass_over_the_list(rng, tmp_path):
     """A pool worker's chunk decoded from a store gives what a pass over the
-    stored tuples gives."""
+    batch of the stored tuples gives."""
     catalog = motif.enumerate_catalog()
     txs = random_transactions(rng, 60)
-    result = featurize._featurize(catalog, "M+E", MAX_NODES, list(txs))
+    result = featurized(catalog, "M+E", MAX_NODES, txs)
     storage.write_store(tmp_path / "store", txs)
     chunk = next(featurize._store_chunks(storage.store_path(tmp_path / "store"), len(txs)))
-    *counts, maps, map_of, hashes, egos = featurize._featurize_lines(catalog, "M+E", MAX_NODES, chunk)
+    *counts, maps, map_of, hashes, ego_names, ego_ids = featurize._featurize_lines(
+        catalog, "M+E", MAX_NODES, chunk)
     assert (counts, maps, map_of.tolist()) == (list(result[:2]), result[2], result[3].tolist())
-    assert (hashes.tolist(), egos) == (result[4].tolist(), result[5]) == (
+    assert (hashes.tolist(), [ego_names[i] for i in ego_ids.tolist()]) == result[4:] == (
         [tx[0] for tx in txs], [tx[1] for tx in txs])
 
 
@@ -161,7 +174,7 @@ def test_shapes_recurring_across_chunks(rng, tmp_path, monkeypatch, threads):
     stats = featurize.featurize_store(tmp_path / "store", "MxE", out, threads=threads, catalog=catalog)
     assert out.read_text(encoding="utf-8") == "".join(line + "\n" for line in lines)
     table = stats.table
-    assert_same_table(table, FeatureTable.build([tx[0] for tx in txs], [tx[1] for tx in txs], maps))
+    assert_same_table(table, feature_table([tx[0] for tx in txs], [tx[1] for tx in txs], maps))
     chunks_of_row = {(int(row), i // 32) for i, row in enumerate(table.row_of)}
     assert len(chunks_of_row) > table.n_distinct
 
@@ -177,7 +190,7 @@ def test_encoder_fallback_writes_the_same_bytes(rng, tmp_path, monkeypatch, pure
     def write_all(tag):
         paths = [tmp_path / f"{tag}.{name}.jsonl" for name in ("store", "memory", "matches")]
         stats = featurize.featurize_store(tmp_path / "store", "M+E", paths[0])
-        featurize.featurize_store(list(txs), "M+E", paths[1])
+        featurize.featurize_store(TransferBatch.from_transactions(txs), "M+E", paths[1])
         key, other = list(stats.table.distinct_rows()[0])[:2]
         signatures = [LeafSignature(1, 'Sw"ép', 1.0, 5, [key], {key: 1.0}, 1.0),
                       LeafSignature(4, "Mint", 1.0, 5, [key, other], {key: 1.0, other: 1.0}, 1.0)]

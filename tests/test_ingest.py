@@ -5,6 +5,7 @@ import filecmp
 import gc
 import io
 import json
+import random
 import re
 
 import numpy as np
@@ -13,7 +14,7 @@ import pytest
 from motifscope import ingest, storage
 from motifscope.cli import PACKAGED_METHOD_GROUPS, ingest_to_store, main
 
-from oracles import reference_ingest
+from oracles import reference_ingest, transactions_of
 
 HEADER = "tx_hash,ego,from,to,token_contract,token_symbol,amount,block_number"
 
@@ -37,9 +38,9 @@ def accounts():
     return ingest.AccountRegistry()
 
 
-def store_rows(transactions):
-    """The store rows of every transaction, in order."""
-    return [row for _, _, _, rows in transactions for row in rows]
+def store_rows(batch):
+    """The store rows of every transaction of a batch, in order."""
+    return [row for _, _, _, rows in transactions_of(batch) for row in rows]
 
 
 def test_header_is_validated(tmp_path, registry, accounts):
@@ -77,11 +78,12 @@ def test_reject_reasons(tmp_path, registry, accounts):
         "tx16,0xe,0xa,0xe,0xtok1,USDC,1.0,\u0663",  # bad_block (a non-ASCII digit)
         "tx17,0xe,0xa,0xe,0xtok1,USDC,1.0,+7",  # bad_block (a sign)
         "tx18,0xe,0xa,0xe,0xtok1,USDC,1.0, 7",  # bad_block (padding)
+        "tx19,0xe,0xa,0xe,0xtok1,USDC,1.0,9223372036854775808",  # bad_block (2**63: no int64)
     ]
-    transactions, report = ingest.read_transfers(write_transfers(tmp_path / "t.csv", rows),
-                                                 registry, accounts)
+    batch, report = ingest.read_transfers(write_transfers(tmp_path / "t.csv", rows),
+                                          registry, accounts)
     assert report["transfers_kept"] == 1 and report["transfers_read"] == len(rows)
-    assert [(tx_hash, ego) for tx_hash, ego, _, _ in transactions] == [("tx1", "0xe")]
+    assert [(tx_hash, ego) for tx_hash, ego, _, _ in transactions_of(batch)] == [("tx1", "0xe")]
     assert report["rejected"] == {
         "malformed_row": 1,
         "missing_tx_hash": 1,
@@ -89,7 +91,7 @@ def test_reject_reasons(tmp_path, registry, accounts):
         "self_transfer": 1,
         "bad_amount": 7,
         "negative_amount": 2,
-        "bad_block": 6,
+        "bad_block": 7,
     }
     # reasons in the order they first appear
     assert list(report["rejected"])[:2] == ["malformed_row", "missing_tx_hash"]
@@ -199,10 +201,10 @@ def test_group_transactions_partitions_by_hash_and_ego(tmp_path, registry, accou
         "tx3,0xe2,0xe2,0xb,0xtok1,USDC,4.0,102",
     ]
     transfers = write_transfers(tmp_path / "t.csv", rows)
-    transactions, report = ingest.read_transfers(transfers, registry, accounts)
-    keys = [(tx_hash, ego, len(rows)) for tx_hash, ego, _, rows in transactions]
+    batch, report = ingest.read_transfers(transfers, registry, accounts)
+    keys = [(tx_hash, ego, len(rows)) for tx_hash, ego, _, rows in transactions_of(batch)]
     assert keys == [("tx1", "0xe1", 2), ("tx1", "0xe2", 1), ("tx2", "0xe1", 1), ("tx3", "0xe2", 2)]
-    assert transactions[0][0] is transactions[1][0]
+    assert batch.tx_hashes.text == "tx1tx1tx2tx3" and batch.offsets.tolist() == [0, 2, 3, 4, 6]
     assert report["transactions_spam_filtered"] == 1
     (tmp_path / "tokens.json").write_text(json.dumps([
         {"contract": "0xtok1", "symbol": "USDC", "category": "Stablecoin"},
@@ -214,7 +216,7 @@ def test_group_transactions_partitions_by_hash_and_ego(tmp_path, registry, accou
     assert report == reference_ingest(transfers, tmp_path / "tokens.json",
                                       tmp_path / "accounts.json", tmp_path / "methods.csv",
                                       PACKAGED_METHOD_GROUPS, tmp_path / "reference")
-    storage.write_store(tmp_path / "read", transactions)
+    storage.write_store(tmp_path / "read", batch)
     assert filecmp.cmp(tmp_path / "read" / storage.STORE_FILE,
                        tmp_path / "reference" / storage.STORE_FILE, shallow=False)
 
@@ -225,19 +227,18 @@ def test_spam_filter_drops_whole_transaction(tmp_path, registry, accounts):
         "tx1,0xe,0xb,0xe,0xspam,FREE,9.0,100",  # spam transfer taints tx1
         "tx2,0xe,0xa,0xe,0xtok1,USDC,1.0,101",
     ]
-    transactions, report = ingest.read_transfers(write_transfers(tmp_path / "t.csv", rows),
-                                                 registry, accounts)
-    assert [tx_hash for tx_hash, _, _, _ in transactions] == ["tx2"]
+    batch, report = ingest.read_transfers(write_transfers(tmp_path / "t.csv", rows),
+                                          registry, accounts)
+    assert [tx_hash for tx_hash, _, _, _ in transactions_of(batch)] == ["tx2"]
     assert report["transactions"] == 1 and report["transactions_spam_filtered"] == 1
     assert report["transfers_kept"] == 3
 
 
 @pytest.mark.parametrize("caller_gc", [True, False], ids=["gc-on", "gc-off"])
 def test_ingest_pauses_the_collector_and_restores_it(tmp_path, registry, caller_gc):
-    """read_transfers builds its rows and join_methods joins the method
-    groups with the cyclic GC paused, and each leaves it as the caller had
-    it: after a read, after a read that raises InputError, and when the
-    caller had it off."""
+    """read_transfers builds its rows and joins the method groups with the
+    cyclic GC paused, and leaves it as the caller had it: after a read,
+    after a read that raises InputError, and when the caller had it off."""
     seen = []
 
     class Accounts(ingest.AccountRegistry):
@@ -254,11 +255,9 @@ def test_ingest_pauses_the_collector_and_restores_it(tmp_path, registry, caller_
     was = gc.isenabled()
     (gc.enable if caller_gc else gc.disable)()
     try:
-        transactions, report = ingest.read_transfers(write_transfers(tmp_path / "t.csv", rows),
-                                                     registry, Accounts())
-        assert len(transactions) == 2
-        assert gc.isenabled() is caller_gc
-        assert ingest.join_methods(transactions, report, Methods(tx1="Swap")) == ["Swap", None]
+        batch, report = ingest.read_transfers(write_transfers(tmp_path / "t.csv", rows),
+                                              registry, Accounts(), lambda _: Methods(tx1="Swap"))
+        assert len(batch) == 2 and batch.method_groups() == ["Swap", None]
         assert gc.isenabled() is caller_gc
         bad = tmp_path / "bad.csv"
         bad.write_text("tx_hash,ego\n", encoding="utf-8")
@@ -321,12 +320,12 @@ def test_attach_methods_joins_on_hash(tmp_path, registry, accounts):
         "tx1,0xe,0xa,0xe,0xtok1,USDC,1.0,100",
         "tx2,0xe,0xa,0xe,0xtok1,USDC,1.0,101",
     ]
-    txs, report = ingest.read_transfers(write_transfers(tmp_path / "t.csv", rows), registry,
-                                        accounts)
-    assert [tx[2] for tx in txs] == [None, None] and report["labeled"] == {}
-    assert ingest.join_methods(txs, report, {"tx1": "Transfer"}) == ["Transfer", None]
-    assert txs[0][2] == "Transfer"
-    assert txs[1][2] is None
+    path = write_transfers(tmp_path / "t.csv", rows)
+    batch, report = ingest.read_transfers(path, registry, accounts)
+    assert batch.method_groups() == [None, None] and report["labeled"] == {}
+    batch, report = ingest.read_transfers(path, registry, accounts, lambda _: {"tx1": "Transfer"})
+    assert batch.method_groups() == ["Transfer", None]
+    assert [tx[2] for tx in transactions_of(batch)] == ["Transfer", None]
     assert report["labeled"] == {"Transfer": 1}
 
 
@@ -406,8 +405,9 @@ def test_streamed_store_matches_reference(small_corpus, tmp_path, corpus):
     raw = small_corpus["raw"] if corpus == "synth" else write_tricky_corpus(tmp_path / "raw")
     inputs = (raw / "transfers.csv", raw / "tokens.json", raw / "accounts.json",
               raw / "methods.csv", PACKAGED_METHOD_GROUPS)
-    report, transactions, groups = ingest_to_store(*inputs, tmp_path / "streamed")
+    report, batch, groups = ingest_to_store(*inputs, tmp_path / "streamed")
     assert report == reference_ingest(*inputs, tmp_path / "reference")
+    transactions = transactions_of(batch)
     assert groups == [group for _, _, group, _ in transactions]
     labels = {(tx_hash, ego): group for tx_hash, ego, group, _ in transactions if group}
     assert labels == storage.read_labels(tmp_path / "streamed" / storage.LABELS_FILE)
@@ -461,16 +461,17 @@ def test_failed_store_write_leaves_previous_store(tmp_path, monkeypatch):
     ingest_to_store(*inputs, out)
     before = {p.name: p.read_bytes() for p in out.iterdir()}
 
-    dumps, calls = storage.dumps, []
+    csv_field, calls = storage._csv_field, []
 
-    def failing_dumps(obj):
-        """storage.dumps, failing on its third call, after two store lines are out."""
-        calls.append(obj)
-        if len(calls) == 3:
+    def failing_csv_field(text):
+        """storage._csv_field, failing on its fourth call, after a labels.csv
+        line and two store lines are out."""
+        calls.append(text)
+        if len(calls) == 4:
             raise RuntimeError("disk full")
-        return dumps(obj)
+        return csv_field(text)
 
-    monkeypatch.setattr(storage, "dumps", failing_dumps)
+    monkeypatch.setattr(storage, "_csv_field", failing_csv_field)
     with pytest.raises(RuntimeError, match="disk full"):
         ingest_to_store(*inputs, out)
     # the previous store is as it was, and no temporary file is left
@@ -480,12 +481,14 @@ def test_failed_store_write_leaves_previous_store(tmp_path, monkeypatch):
 def test_methods_join_after_reading(tmp_path, capsys):
     """methods.csv joins into the transactions read from transfers.csv: a
     later row wins, both egos of a tx hash take its group, transactions that
-    no row names keep None, and the join keeps the transactions' own hash
-    strings. A row whose hash is not in transfers.csv is still checked."""
+    no row names keep None, and the join fills the dict of the transactions'
+    own hashes that read_transfers hands it. A row whose hash is not in
+    transfers.csv is still checked."""
     raw = write_tricky_corpus(tmp_path / "raw")
     inputs = (raw / "transfers.csv", raw / "tokens.json", raw / "accounts.json",
               raw / "methods.csv", PACKAGED_METHOD_GROUPS)
-    report, transactions, groups = ingest_to_store(*inputs, tmp_path / "store")
+    report, batch, groups = ingest_to_store(*inputs, tmp_path / "store")
+    transactions = transactions_of(batch)
     got = {(tx_hash, ego): group for tx_hash, ego, group, _ in transactions}
     assert got == {("t1", "0xe1"): "Transfer", ("t2", "0xe1"): "Deposit",  # t2's later row
                    ("t3", "0xe1"): "Unknown", ("t3", "0xe2"): "Unknown",  # two egos
@@ -493,13 +496,20 @@ def test_methods_join_after_reading(tmp_path, capsys):
     assert groups == [group for _, _, group, _ in transactions]
     assert report["labeled"] == {"Deposit": 1, "Swap": 1, "Transfer": 1, "Unknown": 2}
 
-    tx_of = {id(tx_hash) for tx_hash, _, _, _ in transactions}
-    keys = dict.fromkeys(tx_hash for tx_hash, _, _, _ in transactions)
-    joined = ingest.load_method_labels(raw / "methods.csv",
-                                       ingest.load_method_mapping(PACKAGED_METHOD_GROUPS), keys)
-    assert joined is keys and {id(key) for key in joined} <= tx_of
-    assert joined == {"t1": "Transfer", "t2": "Deposit", "t3": "Unknown", "t5": None,
-                      "t7,x": "Swap", "t8": None}
+    given = []
+
+    def methods(keys):
+        given.append(dict(keys))
+        joined = ingest.load_method_labels(raw / "methods.csv",
+                                           ingest.load_method_mapping(PACKAGED_METHOD_GROUPS), keys)
+        assert joined is keys
+        return joined
+
+    tokens, accounts = ingest.TokenRegistry.from_file(inputs[1]), ingest.AccountRegistry.from_file(
+        inputs[2])
+    assert ingest.read_transfers(inputs[0], tokens, accounts, methods)[0].method_groups() == groups
+    # every hash that transfers.csv names, spam-touched t4 too, in first-seen order
+    assert given == [dict.fromkeys(["t1", "t2", "t3", "t4", "t5", "t7,x", "t8"])]
 
     methods = raw / "methods.csv"
     # "ghost" names no transfer, and its quoted field spans lines 8 and 9
@@ -683,3 +693,101 @@ def test_quoting_does_not_change_the_store(small_corpus, tmp_path):
     for name in (storage.STORE_FILE, storage.LABELS_FILE, storage.REPORT_FILE):
         for store in stores[1:]:
             assert filecmp.cmp(stores[0] / name, store / name, shallow=False), (store, name)
+
+
+# ---------------------------------------------------------------------------
+# the transfer batch on shuffled inputs, against the oracles
+# ---------------------------------------------------------------------------
+
+# one hash under three egos, spam on the second; then a row for each reject reason
+_EXTRA_TRANSFERS = [
+    "multi,{e1},{e1},{a},{c},{s},1.5,7", "multi,{e2},{a},{e2},{c},{s},2.5,7",
+    "multi,{e3},{e3},{b},{c},{s},3.5,7", "multi,{e1},{b},{e1},{c},{s},4.5,7",
+    "multi,{e2},{e2},{b},0xspam,FREE,9,7", "multi,{e3},{a},{e3},{c},{s},5.5,7",
+    "bad1,{e1},{a},{e1},{c},{s},1.0",  # malformed_row
+    ",{e1},{a},{e1},{c},{s},1.0,7",  # missing_tx_hash
+    "bad2,{e1},,{e1},{c},{s},1.0,7",  # missing_account
+    "bad3,{e1},{a},{a},{c},{s},1.0,7",  # self_transfer
+    "bad4,{e1},{a},{e1},{c},{s},1_0,7",  # bad_amount
+    "bad5,{e1},{a},{e1},{c},{s},-2,7",  # negative_amount
+    "bad6,{e1},{a},{e1},{c},{s},1.0,+7",  # bad_block
+]
+
+
+def shuffled_corpus(raw, out, seed: int):
+    """Write to `out` the synth corpus in `raw` with _EXTRA_TRANSFERS added
+    and every data row shuffled, so that transactions interleave; the spam
+    token joins the token registry. Returns the names _EXTRA_TRANSFERS took."""
+    out.mkdir()
+    header, *lines = (raw / "transfers.csv").read_text(encoding="utf-8").splitlines()
+    rows = [line.split(",") for line in lines]
+    egos = list(dict.fromkeys(row[1] for row in rows))[:3]
+    a, b = list(dict.fromkeys(x for row in rows for x in row[2:4] if x not in egos))[:2]
+    names = dict(e1=egos[0], e2=egos[1], e3=egos[2], a=a, b=b, c=rows[0][4], s=rows[0][5])
+    lines += [line.format(**names) for line in _EXTRA_TRANSFERS]
+    random.Random(seed).shuffle(lines)
+    (out / "transfers.csv").write_text("\n".join([header, *lines]) + "\n", encoding="utf-8")
+    tokens = json.loads((raw / "tokens.json").read_text(encoding="utf-8"))
+    tokens.append({"contract": "0xspam", "symbol": "FREE", "is_spam": True})
+    (out / "tokens.json").write_text(json.dumps(tokens), encoding="utf-8")
+    for name in ("accounts.json", "methods.csv"):
+        (out / name).write_bytes((raw / name).read_bytes())
+    return names
+
+
+@pytest.mark.parametrize("seed", [3, 4])
+def test_batch_of_shuffled_rows_equals_the_oracles(tmp_path, seed):
+    """Rows of a synth corpus shuffled so that groups interleave, with one
+    hash under three egos (spam on one) and every reject reason: the store
+    and report are reference_ingest's, and every transaction's features in
+    every mode, from ingest's batch and from the store at threads 1 and 2,
+    are the brute-force oracles'."""
+    from motifscope import featurize, motif, synth
+    from oracles import table_rows
+    from test_motif import oracle_features
+
+    synth.generate(synth.load_config(), 300, seed, tmp_path / "synth", skew="uniform")
+    raw = tmp_path / "raw"
+    names = shuffled_corpus(tmp_path / "synth", raw, seed)
+    inputs = (raw / "transfers.csv", raw / "tokens.json", raw / "accounts.json",
+              raw / "methods.csv", PACKAGED_METHOD_GROUPS)
+    report, batch, _ = ingest_to_store(*inputs, tmp_path / "store")
+    assert report == reference_ingest(*inputs, tmp_path / "reference")
+    assert len(report["rejected"]) == 7 and report["transactions_spam_filtered"] == 1
+    for name in (storage.STORE_FILE, storage.LABELS_FILE, storage.REPORT_FILE):
+        assert filecmp.cmp(tmp_path / "store" / name, tmp_path / "reference" / name,
+                           shallow=False), name
+    stored = list(storage.iter_store(tmp_path / "store"))
+    assert stored == transactions_of(batch)
+    # the spam-touched ego's transaction is dropped
+    assert sorted(ego for tx, ego, _, _ in stored if tx == "multi") == sorted(
+        [names["e1"], names["e3"]])
+    catalog = motif.enumerate_catalog()
+    for mode in motif.MODES:
+        expected = [(tx[0], tx[1], oracle_features(tx, catalog, mode)) for tx in stored]
+        tables = [featurize.featurize_store(batch, mode, tmp_path / "f.jsonl").table]
+        tables += [featurize.featurize_store(tmp_path / "store", mode, tmp_path / "f.jsonl",
+                                             threads=threads).table for threads in (1, 2)]
+        for table in tables:
+            assert list(table_rows(table)) == expected, mode
+
+
+def test_batch_holds_columns_of_under_100_bytes_a_row(small_corpus):
+    """After read_transfers, every per-row and per-transaction field of the
+    batch is a numpy array, the tx hashes one packed string, and together
+    they take at most 100 bytes per kept row."""
+    batch, report = ingest.read_transfers(
+        small_corpus["transfers"], ingest.TokenRegistry.from_file(small_corpus["tokens"]),
+        ingest.AccountRegistry.from_file(small_corpus["accounts"]))
+    arrays = [getattr(batch, name) for name in (
+        "src", "dst", "contract", "symbol", "src_kind", "dst_kind", "category", "amount",
+        "block", "ego", "group", "offsets")]
+    assert all(type(array) is np.ndarray for array in arrays)
+    assert type(batch.tx_hashes.text) is str and type(batch.tx_hashes.ends) is np.ndarray
+    assert [array.dtype for array in arrays] == [
+        np.int32, np.int32, np.int32, np.int32, np.int8, np.int8, np.int8, np.float64, np.int64,
+        np.int32, np.int8, np.int64]
+    held = sum(array.nbytes for array in arrays) + batch.tx_hashes.ends.nbytes + len(
+        batch.tx_hashes.text.encode("utf-8"))
+    assert held <= 100 * report["transfers_kept"]
+    assert len(batch.strings) < report["transfers_kept"] // 2  # a table of distinct strings

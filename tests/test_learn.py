@@ -8,7 +8,8 @@ import pytest
 from motifscope import learn, models, signatures, storage
 from motifscope.ingest import InputError
 from motifscope.motif import OOV_KEY
-from motifscope.table import FeatureTable
+
+from oracles import feature_table
 
 
 # ---------------------------------------------------------------------------
@@ -17,7 +18,7 @@ from motifscope.table import FeatureTable
 
 def _dataset(rows, **kwargs):
     """build_dataset over (tx_hash, ego, features, label) rows."""
-    table = FeatureTable.build([r[0] for r in rows], [r[1] for r in rows], [r[2] for r in rows])
+    table = feature_table([r[0] for r in rows], [r[1] for r in rows], [r[2] for r in rows])
     return learn.build_dataset(table, [r[3] for r in rows], **kwargs)
 
 
@@ -258,7 +259,7 @@ def test_dataset_pairs_are_the_distinct_row_class_pairs():
     rows = [{"a": 1}, {"b": 2}, {"a": 1}, {"a": 1}, {"b": 2}, {"a": 1, "b": 1}]
     labels = ["Swap", "Swap", "Swap", "Mint", "Swap", "Mint"]
     ds = learn.build_dataset(
-        FeatureTable.build([f"t{i}" for i in range(6)], ["e"] * 6, rows), labels)
+        feature_table([f"t{i}" for i in range(6)], ["e"] * 6, rows), labels)
     pairs = {(tuple(x), c) for x, c in zip(ds.pairs.tolist(), ds.pair_y.tolist())}
     assert ds.n_pairs == len(pairs) == 4
     assert ds.X.tolist() == [[1, 0, 0], [0, 2, 0], [1, 0, 0], [1, 0, 0], [0, 2, 0], [1, 1, 0]]
@@ -290,7 +291,7 @@ def test_in_place_dataset_equals_dataset_of_labelled_rows():
                  rng.choice([None, "Mint", "Swap", "Transfer"])) for i in range(rng.randint(4, 60))]
         rows[rng.randrange(len(rows))] = ("t", "e", dict(shapes[0]), "Swap")
         rows = [(*r[:3], None if "unlabelled_only" in r[2] else r[3]) for r in rows]
-        table = FeatureTable.build(*list(zip(*rows))[:3])
+        table = feature_table(*list(zip(*rows))[:3])
         ds = learn.build_dataset(table, [r[3] for r in rows])
         ref = _dataset([r for r in rows if r[3] is not None])
         narrowed += "unlabelled_only" in table.vocabulary  # a key the dataset leaves out

@@ -7,7 +7,7 @@ import pytest
 from motifscope import ingest, storage, synth
 from motifscope.cli import PACKAGED_METHOD_GROUPS
 
-from oracles import table_rows
+from oracles import table_rows, transactions_of
 
 SLOT_TYPES = {"ego": "E", "null": "N", "address": "A", "contract": "C"}
 
@@ -104,9 +104,9 @@ def test_generate_empty_corpus_is_schema_valid(tmp_path):
         assert path.exists()
     tokens = ingest.TokenRegistry.from_file(tmp_path / "empty" / "tokens.json")
     accounts = ingest.AccountRegistry.from_file(tmp_path / "empty" / "accounts.json")
-    transactions, report = ingest.read_transfers(tmp_path / "empty" / "transfers.csv", tokens,
-                                                 accounts)
-    assert transactions == [] and report["transfers_read"] == 0 and report["rejected"] == {}
+    batch, report = ingest.read_transfers(tmp_path / "empty" / "transfers.csv", tokens, accounts)
+    assert transactions_of(batch) == [] and report["transfers_read"] == 0
+    assert report["rejected"] == {}
     assert ingest.load_method_labels(tmp_path / "empty" / "methods.csv", {}) == {}
 
 
@@ -196,10 +196,10 @@ def test_mixes_drive_per_ego_methods(tmp_path):
     group_of_tx = ingest.load_method_labels(out / "methods.csv", mapping)
     tokens = ingest.TokenRegistry.from_file(out / "tokens.json")
     accounts = ingest.AccountRegistry.from_file(out / "accounts.json")
-    transactions, report = ingest.read_transfers(out / "transfers.csv", tokens, accounts)
+    batch, report = ingest.read_transfers(out / "transfers.csv", tokens, accounts)
     assert report["transactions_spam_filtered"] == 0
     allowed = {"trader": {"Swap", "Transfer"}, "farmer": {"Deposit", "Withdraw"}}
-    for tx_hash, ego, _, _ in transactions:
+    for tx_hash, ego, _, _ in transactions_of(batch):
         assert group_of_tx[tx_hash] in allowed[mix_of_ego[ego]]
 
 
@@ -208,9 +208,9 @@ def test_generated_accounts_cover_all_counterparties(small_corpus):
     registry = ingest.AccountRegistry.from_file(small_corpus["accounts"])
     known = {e["address"] for e in json.loads(small_corpus["accounts"].read_text())}
     tokens = ingest.TokenRegistry.from_file(small_corpus["tokens"])
-    transactions, report = ingest.read_transfers(small_corpus["transfers"], tokens, registry)
+    batch, report = ingest.read_transfers(small_corpus["transfers"], tokens, registry)
     assert report["transactions_spam_filtered"] == 0
-    for _, _, _, rows in transactions:
+    for _, _, _, rows in transactions_of(batch):
         for row in rows:
             assert row[0] in known  # from
             assert row[1] in known  # to

@@ -13,7 +13,7 @@ from motifscope import cli, featurize, ingest, motif, storage
 from motifscope.motif import OOV_KEY
 from motifscope.table import FeatureTable, Strings
 
-from oracles import reference_dataset, table_rows
+from oracles import feature_table, reference_dataset, table_rows, transactions_of
 from test_motif import wide_store
 
 MODES = ["M", "E", "M+E", "MxE"]
@@ -63,11 +63,12 @@ def test_featurize_table_equals_table_read_back(small_corpus, tmp_path, monkeypa
 
 @pytest.mark.parametrize("threads", [1, 2])
 def test_featurize_from_ingest_memory_equals_store(small_corpus, tmp_path, monkeypatch, threads):
-    """The pipeline's path: ingest's own tuples, featurized in this process
-    (no pool at any `threads`) without a store decode."""
+    """The pipeline's path: ingest's own batch, featurized in this process
+    (no pool at any `threads`) without a store decode, and left as it was;
+    the table holds the batch's packed tx hashes themselves."""
     inputs = [small_corpus[k] for k in ("transfers", "tokens", "accounts", "methods")]
-    _, transactions, _ = cli.ingest_to_store(*inputs, None, tmp_path / "store")
-    n = len(transactions)
+    _, batch, _ = cli.ingest_to_store(*inputs, None, tmp_path / "store")
+    before = transactions_of(batch)
     from_store = featurize.featurize_store(tmp_path / "store", "MxE", tmp_path / "store.jsonl")
 
     def refuse(*args):
@@ -75,14 +76,14 @@ def test_featurize_from_ingest_memory_equals_store(small_corpus, tmp_path, monke
 
     monkeypatch.setattr(storage, "line_to_tx", refuse)
     monkeypatch.setattr(featurize.mp, "get_context", refuse)
-    in_memory = featurize.featurize_store(transactions, "MxE", tmp_path / "memory.jsonl",
+    in_memory = featurize.featurize_store(batch, "MxE", tmp_path / "memory.jsonl",
                                           threads=threads)
     assert (tmp_path / "memory.jsonl").read_bytes() == (tmp_path / "store.jsonl").read_bytes()
     assert_same_table(in_memory.table, from_store.table)
     assert (in_memory.transactions, in_memory.oversize, in_memory.rejected_transfers) == (
         from_store.transactions, from_store.oversize, from_store.rejected_transfers)
-    # the list is released entry by entry as it is read
-    assert transactions == [None] * n
+    assert in_memory.table.tx_hashes is batch.tx_hashes
+    assert transactions_of(batch) == before
 
 
 @pytest.mark.parametrize("threads", [1, 2])
@@ -179,10 +180,10 @@ def test_positional_labels_give_the_dataset_of_the_labels_join(small_corpus, tmp
         (raw / "methods.csv").write_text('tx_hash,raw_method\nt1,Transfer\n"t7,x",Swap\nt2,Swap\n'
                                          't3,swap\nt5,transfer\nt8,Transfer\nt4,Swap\n',
                                          encoding="utf-8")
-    _, transactions, groups = cli.ingest_to_store(
+    _, batch, groups = cli.ingest_to_store(
         raw / "transfers.csv", raw / "tokens.json", raw / "accounts.json", raw / "methods.csv",
         None, tmp_path / "store")
-    table = featurize.featurize_store(transactions, "M+E", tmp_path / "features.jsonl").table
+    table = featurize.featurize_store(batch, "M+E", tmp_path / "features.jsonl").table
     by_position = cli.labelled_dataset(table, groups)
     by_join = cli.load_dataset(storage.read_features(tmp_path / "features.jsonl"),
                                storage.read_labels(tmp_path / "store" / storage.LABELS_FILE))
@@ -206,9 +207,10 @@ _BLOCKS = ["1", "0", "-3", "x", "99999999999999999999", "", "12"]
 
 
 def test_ingest_transactions_survive_the_store_codec(tmp_path):
-    """What lets the pipeline skip the store decode: every tuple ingest holds
-    comes back unchanged from storage.dumps -> line_to_tx, random rejected
-    rows and awkward strings included."""
+    """What lets the pipeline skip the store decode: every transaction of
+    ingest's batch comes back unchanged from storage.dumps -> line_to_tx,
+    random rejected rows and awkward strings included, and write_store
+    writes those dumps lines."""
     rng = random.Random(20)
     tokens = ingest.TokenRegistry()
     tokens.add("0xt1", "USDC", "Stablecoin", False)
@@ -228,14 +230,18 @@ def test_ingest_transactions_survive_the_store_codec(tmp_path):
                        rng.choice(["USDC", "SPAM", "NÉW", ""]),
                        rng.choice(_AMOUNTS), rng.choice(_BLOCKS)]
                 writer.writerow(row if rng.random() > 0.05 else row[:-1])
-        transactions, report = ingest.read_transfers(path, tokens, accounts)
-        ingest.join_methods(transactions, report, {"t1": "Swap", "t,4": "Unknown"})
+        batch, report = ingest.read_transfers(path, tokens, accounts,
+                                              lambda _: {"t1": "Swap", "t,4": "Unknown"})
         rejected += sum(report["rejected"].values())
-        for tx in transactions:
-            line = storage.dumps({"tx": tx[0], "ego": tx[1], "mg": tx[2], "tr": tx[3]})
-            back = storage.line_to_tx(line, path, 1)
+        lines = []
+        for tx in transactions_of(batch):
+            lines.append(storage.dumps({"tx": tx[0], "ego": tx[1], "mg": tx[2], "tr": tx[3]}))
+            back = storage.line_to_tx(lines[-1], path, 1)
             assert repr(back) == repr((tx[0], tx[1], tx[2], [list(r) for r in tx[3]]))
             compared += 1
+        storage.write_store(tmp_path / "store", batch)
+        assert (tmp_path / "store" / storage.STORE_FILE).read_text(encoding="utf-8") == "".join(
+            line + "\n" for line in lines)
     assert rejected > 100 and compared > 100
 
 
@@ -320,17 +326,17 @@ def test_table_equals_per_row_oracle():
             egos = [f"e{rng.randint(0, 3)}" for _ in maps]
             chunks.append(list(zip(hashes, egos, maps)))
         oracle = [row for chunk in chunks for row in chunk]
-        tables = [FeatureTable.build(*zip(*chunk)) for chunk in chunks]
+        tables = [feature_table(*zip(*chunk)) for chunk in chunks]
         maps, map_of = _chunk_maps(chunks)
         # the shared map comes once per chunk and key order: build merges them
         assert sum(m == shared for m in maps) >= len(chunks) * min(len(shared), 2)
         crossed += len(chunks) > 1 and len(shared) > 1
-        table = FeatureTable.build([r[0] for r in oracle], [r[1] for r in oracle], maps, map_of)
-        assert_same_table(table, FeatureTable.build(*zip(*oracle)))
+        table = feature_table([r[0] for r in oracle], [r[1] for r in oracle], maps, map_of)
+        assert_same_table(table, feature_table(*zip(*oracle)))
         # the chunks' hashes packed one chunk at a time, with an empty part, and joined
         packed = [Strings.pack([r[0] for r in chunk]) for chunk in chunks] + [Strings.pack([])]
-        assert_same_table(table, FeatureTable.build(Strings.join(packed), [r[1] for r in oracle],
-                                                    maps, map_of))
+        assert_same_table(table, FeatureTable.build(Strings.join(packed), table.ego_names,
+                                                    table.ego_ids, maps, map_of))
         for t, rows in [(table, oracle)] + list(zip(tables, chunks)):
             got = list(table_rows(t))
             assert got == rows
@@ -349,7 +355,7 @@ def test_take_keeps_only_the_distinct_rows_it_uses(tmp_path):
     """A key seen only in unlabelled rows stays out of the dataset's vocabulary."""
     rows = [("t1", "e1", {"a": 1}), ("t2", "e1", {"unlabelled_only": 4}),
             ("t3", "e2", {"a": 1, "b": 2}), ("t4", "e2", {"a": 1})]
-    table = FeatureTable.build(*zip(*rows))
+    table = feature_table(*zip(*rows))
     labels = tmp_path / "labels.csv"
     labels.write_text("tx_hash,ego,method_group\nt1,e1,Swap\nt3,e2,Mint\nt4,e2,Swap\n",
                       encoding="utf-8")
@@ -359,18 +365,18 @@ def test_take_keeps_only_the_distinct_rows_it_uses(tmp_path):
 
 
 def test_table_take_and_rows():
-    table = FeatureTable.build(["t1", "t2", "t3"], ["e2", "e1", "e2"],
-                               [{"b": 1, "a": 2}, {}, {"c": 0}])
+    table = feature_table(["t1", "t2", "t3"], ["e2", "e1", "e2"],
+                          [{"b": 1, "a": 2}, {}, {"c": 0}])
     assert list(table_rows(table)) == [("t1", "e2", {"b": 1, "a": 2}), ("t2", "e1", {}),
                                        ("t3", "e2", {"c": 0})]
     assert table.vocabulary == ["a", "b", "c"]
-    for empty in (FeatureTable.build([], [], []), FeatureTable.build([], [], [], [])):
+    for empty in (feature_table([], [], []), feature_table([], [], [], [])):
         assert empty.n_rows == empty.n_distinct == 0 and list(table_rows(empty)) == []
         assert empty.vocabulary == [] and empty.row_of.dtype == np.int32
     # two chunks' distinct rows, the second's row_of shifted, build the whole table
-    parts = [FeatureTable.build(["t1"], ["e2"], [{"b": 1, "a": 2}]),
-             FeatureTable.build(["t2", "t3"], ["e1", "e2"], [{}, {"c": 0}])]
-    assert_same_table(FeatureTable.build(
+    parts = [feature_table(["t1"], ["e2"], [{"b": 1, "a": 2}]),
+             feature_table(["t2", "t3"], ["e1", "e2"], [{}, {"c": 0}])]
+    assert_same_table(feature_table(
         ["t1", "t2", "t3"], ["e2", "e1", "e2"], [m for p in parts for m in p.distinct_rows()],
         np.concatenate([parts[0].row_of, parts[1].row_of + parts[0].n_distinct])), table)
 
