@@ -239,7 +239,8 @@ def fit_model(kind: str, dataset: Dataset, rows, params: dict, seed: int):
 # ---------------------------------------------------------------------------
 
 def ingest_to_store(transfers, tokens, accounts, methods, method_groups, out,
-                    write=storage._now) -> tuple[dict, TransferBatch, Optional[list[Optional[str]]]]:
+                    write=storage._now,
+                    ) -> tuple[dict, TransferBatch, Optional[list[Optional[str]]]]:
     """Write the store through `write`; returns the ingest report, the
     stored TransferBatch and its method groups, one per transaction in
     order (None where a transaction has none), or None without `methods`.

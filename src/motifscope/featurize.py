@@ -26,7 +26,6 @@ plain featurizer and the brute-force oracles.
 from __future__ import annotations
 
 import multiprocessing as mp
-import os
 from dataclasses import dataclass
 from functools import partial
 from itertools import islice

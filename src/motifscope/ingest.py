@@ -359,7 +359,7 @@ def _csv_rows(path, what: str) -> Iterator[tuple[int, list[str]]]:
 KINDS = ("E", "A", "C", "N")  # account kinds: the ego, address, contract, null
 _KIND_CODE = {kind: code for code, kind in enumerate(KINDS)}
 _BLOCK_LIMIT = 1 << 63  # a block must fit an int64 column
-_FLUSH_ROWS = 4096  # rows read before they are moved into the columns
+CHUNK = 4096  # rows or transactions moved between Python lists and numpy columns at a time
 
 
 def _small_codes(n: int):
@@ -508,9 +508,9 @@ def read_transfers(path, tokens: TokenRegistry, accounts: AccountRegistry,
     later: dict[tuple[str, int], int] = {}  # (tx hash, ego) -> the transaction of a later ego
     spam: set[int] = set()  # spam-touched transactions
     pending: list[tuple] = []  # (transaction, src, dst, token, amount, block) per row
-    blocks: list[list[np.ndarray]] = []  # the pending rows as columns, every _FLUSH_ROWS rows
+    blocks: list[list[np.ndarray]] = []  # the pending rows as columns, every CHUNK rows
     dtypes = (np.int32, np.int32, np.int32, np.int32, np.float64, np.int64)
-    limit, flush = _BLOCK_LIMIT, _FLUSH_ROWS
+    limit, flush = _BLOCK_LIMIT, CHUNK
     rejected: Counter[str] = Counter()
     rows = _csv_rows(path, "transfers")
     _, header = next(rows, (1, None))

@@ -23,7 +23,7 @@ from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from .ingest import Param, TransferBatch, _fields, _schema, _strings
+from .ingest import CHUNK, Param, TransferBatch, _fields, _schema, _strings
 
 # Counterpart states relative to the ego.
 OUT, IN, RECIP = 0, 1, 2
@@ -148,8 +148,6 @@ def _pair_key(sid: str, ta: str, tb: str, labels: tuple[str, ...]) -> str:
 # oversize).
 Shape = tuple[tuple, tuple, bool]
 
-SHAPE_CHUNK = 4096  # transactions whose code columns are read into lists at a time
-
 
 def batch_shapes(batch: TransferBatch, mode: str,
                  max_nodes: int = DEFAULT_MAX_NODES) -> Iterator[tuple[Shape, int]]:
@@ -166,7 +164,7 @@ def batch_shapes(batch: TransferBatch, mode: str,
 
     This is the one loop over transfer rows: numpy finds each row's
     counterpart, direction and counterpart type from the code columns, a
-    SHAPE_CHUNK of transactions at a time, and the loop tallies them.
+    CHUNK of transactions at a time, and the loop tallies them.
     """
     if mode not in MODES:
         raise ValueError(f"unknown feature mode {mode!r} (expected one of {MODES})")
@@ -175,8 +173,8 @@ def batch_shapes(batch: TransferBatch, mode: str,
     # label[bit][type][category]: the edge label of a row sending to (bit 1) or from (bit 2) the ego
     label = [None, [[f"(E,{k}){c}" for c in batch.categories] for k in kinds],
              [[f"({k},E){c}" for c in batch.categories] for k in kinds]]
-    for first in range(0, len(batch), SHAPE_CHUNK):
-        last = min(first + SHAPE_CHUNK, len(batch))
+    for first in range(0, len(batch), CHUNK):
+        last = min(first + CHUNK, len(batch))
         lo, hi = offsets[first], offsets[last]
         sizes = np.diff(offsets[first:last + 1])
         ego = np.repeat(batch.ego[first:last], sizes)
@@ -211,7 +209,8 @@ def batch_shapes(batch: TransferBatch, mode: str,
             for node, f in flags.items():  # f is state + 1: 1 out, 2 in, 3 both
                 key = (f - 1, kinds[types[node]], tuple(sorted(labels[node])) if mxe else ())
                 groups[key] = groups.get(key, 0) + 1
-            yield (tuple(sorted(groups.items())), edge_counts, mxe and len(flags) > max_nodes), rejected
+            oversize = mxe and len(flags) > max_nodes
+            yield (tuple(sorted(groups.items())), edge_counts, oversize), rejected
 
 
 def shape_features(catalog: Catalog, shape: Shape) -> dict[str, int]:

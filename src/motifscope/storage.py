@@ -39,7 +39,8 @@ from typing import Iterable, Iterator, Optional, Sequence
 import numpy as np
 
 # read_json is re-exported: artifacts are read back as storage.read_json
-from .ingest import InputError, TransferBatch, _bad_line, _csv_rows, _jsonl_rows, _open, read_json
+from .ingest import (CHUNK, InputError, TransferBatch, _bad_line, _csv_rows, _jsonl_rows, _open,
+                     read_json)
 from .motif import MODES
 from .table import FeatureTable, Strings
 
@@ -48,7 +49,6 @@ REPORT_FILE = "ingest_report.json"
 LABELS_FILE = "labels.csv"
 _INT64 = 1 << 63
 _INT64_MIN = -_INT64
-STORE_CHUNK = 4096  # transactions whose columns write_store reads into lists at a time
 
 # One store line: {"tx": hash, "ego": account, "mg": group-or-null,
 # "tr": [[from, to, from_type, to_type, contract, symbol, category, amount, block], ...]}
@@ -283,7 +283,7 @@ def write_store(store_dir, batch: "TransferBatch | Iterable[tuple]",
     A store line is the bytes of dumps of its {"tx", "ego", "mg", "tr"}
     object: its keys are written by hand in sorted order, the JSON text of
     each distinct string of the batch is computed once, and a row's amount
-    and block take the text of dumps of a list of them, a STORE_CHUNK of
+    and block take the text of dumps of a list of them, a CHUNK of
     transactions at a time."""
     if not isinstance(batch, TransferBatch):
         batch = TransferBatch.from_transactions(batch)
@@ -304,8 +304,8 @@ def write_store(store_dir, batch: "TransferBatch | Iterable[tuple]",
             tmps[1], "w", encoding="utf-8", newline=""
         ) as lfh:
             lfh.write("tx_hash,ego,method_group\r\n")
-            for first in range(0, len(batch), STORE_CHUNK):
-                last = min(first + STORE_CHUNK, len(batch))
+            for first in range(0, len(batch), CHUNK):
+                last = min(first + CHUNK, len(batch))
                 lo, hi = batch.offsets[first], batch.offsets[last]
                 amounts = dumps(batch.amount[lo:hi].tolist())[1:-1].split(",") if hi > lo else []
                 rows = map(row, *(map(get, column[lo:hi].tolist()) for get, column in (
