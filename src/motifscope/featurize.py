@@ -5,22 +5,23 @@ motif.transaction_features, the one per-transaction featurizer: every
 transaction of a `TransferBatch` is reduced to its shape
 (motif.batch_shapes, the one loop over transfer rows), the canonical form of
 its typed ego network up to what the features see, and the map is built
-(motif.shape_features) once per distinct shape of a pass. Shapes repeat
+(motif.shape_features) once per distinct shape of the input. Shapes repeat
 heavily (200,000 transactions of a scoring corpus hold a few hundred), so
-only the tally is per-row work. `_featurize` is that pass over one batch: it
-returns the maps and each row's index among them, and the FeatureTable is
-built from them once, taking the batch's packed tx hashes as they are.
-features.jsonl is written from that table by storage.write_rows, which
-encodes each distinct row once.
+only the tally is per-row work. `_featurize` reduces one batch to its
+distinct shapes and each row's index among them; `_collect` merges the
+batches' results in input order through one memo of shapes, so each shape
+of the whole input is counted once, and builds the FeatureTable once,
+taking the batches' packed tx hashes as they are. features.jsonl is written
+from that table by storage.write_rows, which encodes each distinct row once.
 
-The transactions come from the batch that ingest holds in memory, which one
-pass in this process reads, or from the store on disk, read in CHUNK_LINES
-slices that are decoded (storage.line_to_tx) into a batch each: in this
-process, or with `threads` >= 2 in worker processes, since decoding the
-lines is most of their cost. Workers are pure and their results are merged
-in input order, so the FeatureTable and its lines are bit-identical
-regardless of worker count. test_featurize.py checks the pass against the
-plain featurizer and the brute-force oracles.
+The transactions come from the batch that ingest holds in memory, or from
+the store on disk, read in CHUNK_LINES slices that are decoded
+(storage.line_to_tx) into a batch each: in this process, or with `threads`
+>= 2 in worker processes, since decoding the lines is most of their cost.
+Workers are pure and their results are merged in input order, so the
+FeatureTable and its lines are bit-identical regardless of worker count.
+test_featurize.py checks the pass against the plain featurizer and the
+brute-force oracles.
 """
 
 from __future__ import annotations
@@ -40,35 +41,26 @@ from .table import FeatureTable, Strings
 CHUNK_LINES = 8192
 
 
-def _featurize(catalog: Catalog, mode: str, max_nodes: int, batch: TransferBatch) -> tuple:
-    """Featurize a batch into (oversize, rejected, maps, map_of, hashes,
-    ego names, ego ids): row i's tx hash is hashes[i], the batch's own, its
-    ego ego_names[ego_ids[i]] and its features maps[map_of[i]], the maps in
-    the order of their first use.
-
-    Each row is reduced to its shape (motif.batch_shapes), which is all its
-    feature map depends on. A memo maps each shape of the pass to its index
-    among the maps, so motif counting runs once per distinct shape.
-    """
+def _featurize(mode: str, max_nodes: int, batch: TransferBatch) -> tuple:
+    """Reduce a batch to (oversize, rejected, shapes, shape_of, hashes, ego
+    names, ego ids): row i's tx hash is hashes[i], the batch's own, its ego
+    ego_names[ego_ids[i]] and its shape shapes[shape_of[i]], the shapes in
+    the order of their first use (motif.batch_shapes)."""
     memo: dict[motif.Shape, int] = {}
-    maps: list[dict[str, int]] = []
-    map_of = np.empty(len(batch), dtype=np.int32)
+    shape_of = np.empty(len(batch), dtype=np.int32)
     oversize = rejected = 0
     for i, (shape, rej) in enumerate(motif.batch_shapes(batch, mode, max_nodes)):
         rejected += rej
         oversize += shape[2]
-        index = memo.setdefault(shape, len(maps))
-        if index == len(maps):
-            maps.append(motif.shape_features(catalog, shape))
-        map_of[i] = index
-    return oversize, rejected, maps, map_of, batch.tx_hashes, *batch.ego_table()
+        shape_of[i] = memo.setdefault(shape, len(memo))
+    return oversize, rejected, list(memo), shape_of, batch.tx_hashes, *batch.ego_table()
 
 
-def _featurize_lines(catalog: Catalog, mode: str, max_nodes: int, chunk) -> tuple:
+def _featurize_lines(mode: str, max_nodes: int, chunk) -> tuple:
     """_featurize the batch of a (store path, first line number, lines) chunk."""
     path, first, lines = chunk
-    batch = TransferBatch.from_transactions(storage._decode(lines, path, first))
-    return _featurize(catalog, mode, max_nodes, batch)
+    return _featurize(mode, max_nodes,
+                      TransferBatch.from_transactions(storage._decode(lines, path, first)))
 
 
 @dataclass
@@ -112,32 +104,42 @@ def featurize_store(
     if catalog is None:
         catalog = motif.enumerate_catalog()
     if isinstance(store, TransferBatch):
-        stats = _collect([_featurize(catalog, mode, max_nodes, store)])
+        stats = _collect(catalog, [_featurize(mode, max_nodes, store)])
     else:
-        work = partial(_featurize_lines, catalog, mode, max_nodes)
+        work = partial(_featurize_lines, mode, max_nodes)
         chunks = _store_chunks(storage.store_path(store), CHUNK_LINES)
         if threads <= 1:
-            stats = _collect(map(work, chunks))
+            stats = _collect(catalog, map(work, chunks))
         else:
             ctx = mp.get_context("fork") if "fork" in mp.get_all_start_methods() else mp.get_context()
             with ctx.Pool(threads) as pool:
-                stats = _collect(pool.imap(work, chunks, chunksize=1))
+                stats = _collect(catalog, pool.imap(work, chunks, chunksize=1))
     write(storage.write_rows, out_path, stats.table,
           [{"features": feats, "mode": mode} for feats in stats.table.distinct_rows()])
     return stats
 
 
-def _collect(results) -> FeaturizeStats:
-    """Sum the results' counts, append their maps and rows in order, number
-    their egos in order of first appearance and build the table once."""
+def _collect(catalog: Catalog, results) -> FeaturizeStats:
+    """Sum the results' counts, append their rows in order, number their
+    shapes and egos in order of first appearance and build the table once.
+
+    One memo maps each shape of the input to its index among the maps, so
+    motif counting runs once per distinct shape, however many batches or
+    workers the shape recurs in."""
+    memo: dict[motif.Shape, int] = {}
     maps, map_of, hashes, ego_ids = [], [], [], []
     ego_index: dict[str, int] = {}
     oversize = rejected = 0
-    for ov, rej, part_maps, part_map_of, part_hashes, part_egos, part_ego_ids in results:
+    for ov, rej, part_shapes, part_shape_of, part_hashes, part_egos, part_ego_ids in results:
         oversize += ov
         rejected += rej
-        map_of.append(part_map_of + len(maps))
-        maps += part_maps
+        ids = []
+        for shape in part_shapes:
+            index = memo.setdefault(shape, len(maps))
+            if index == len(maps):
+                maps.append(motif.shape_features(catalog, shape))
+            ids.append(index)
+        map_of.append(np.array(ids, dtype=np.int32)[part_shape_of])
         hashes.append(part_hashes)
         ids = [ego_index.setdefault(ego, len(ego_index)) for ego in part_egos]
         ego_ids.append(np.array(ids, dtype=np.int32)[part_ego_ids])

@@ -15,9 +15,10 @@ silently dropped.
 `TransferBatch`, and returns it with the object of ingest_report.json, which
 no other module builds. A batch holds its transactions as numpy columns:
 int32 codes into one string table for the accounts and tokens, small-int
-codes for the account kinds and the category, float64 amounts, int64 blocks,
-and per transaction its packed tx hash, ego code, method-group code and row
-offsets, so it holds no Python object per row. The pass appends a tuple of
+codes for the account kinds and the category, float64 amounts, int64 blocks
+(Python ints in an object column only if a block does not fit), and per
+transaction its packed tx hash, ego code, method-group code and row offsets,
+so it holds no Python object per row. The pass appends a tuple of
 codes per row, moved into numpy blocks every few thousand rows; it finds a
 row's transaction by its tx hash alone, and only a later ego of a hash by
 (tx_hash, ego), so it keeps no key per transaction. One stable argsort of
@@ -358,7 +359,6 @@ def _csv_rows(path, what: str) -> Iterator[tuple[int, list[str]]]:
 
 KINDS = ("E", "A", "C", "N")  # account kinds: the ego, address, contract, null
 _KIND_CODE = {kind: code for code, kind in enumerate(KINDS)}
-_BLOCK_LIMIT = 1 << 63  # a block must fit an int64 column
 CHUNK = 4096  # rows or transactions moved between Python lists and numpy columns at a time
 
 
@@ -390,7 +390,7 @@ class TransferBatch:
     dst_kind: np.ndarray
     category: np.ndarray  # small ints into categories
     amount: np.ndarray  # float64
-    block: np.ndarray  # int64
+    block: np.ndarray  # int64, or Python ints (dtype object) if one does not fit
     tx_hashes: Strings  # one per transaction
     ego: np.ndarray  # int32 into strings, one per transaction
     group: np.ndarray  # small ints into groups, -1 for none
@@ -423,8 +423,11 @@ class TransferBatch:
         vocabularies are the values in first-seen order."""
         txs = list(transactions)
         rows = [row for tx in txs for row in tx[3]]
-        cols = list(zip(*rows)) or [()] * 9
+        if set(map(len, rows)) - {9}:
+            raise ValueError("a transfer row does not have 9 fields")
         n = len(rows)
+        fields = list(itertools.chain.from_iterable(rows))
+        cols = [fields[k::9] for k in range(9)]  # the fields of every row, field by field
         strings, codes = _encode(itertools.chain([tx[1] for tx in txs], cols[0], cols[1], cols[4],
                                                  cols[5]), len(txs) + 4 * n, np.int32)
         kinds, kind_codes = _encode(itertools.chain(cols[2], cols[3]), 2 * n)
@@ -436,12 +439,27 @@ class TransferBatch:
         return cls(
             strings=strings, src=src, dst=dst, contract=contract, symbol=symbol,
             src_kind=kind_codes[:n], dst_kind=kind_codes[n:], category=category,
-            amount=np.array(cols[7], dtype=np.float64), block=np.array(cols[8], dtype=np.int64),
+            amount=np.array(cols[7], dtype=np.float64), block=_block_column(cols[8]),
             tx_hashes=Strings.pack([tx[0] for tx in txs]), ego=ego,
             group=np.fromiter((index[tx[2]] for tx in txs), _small_codes(len(groups)), len(txs)),
             offsets=np.cumsum([0] + [len(tx[3]) for tx in txs], dtype=np.int64),
             kinds=tuple(kinds), categories=tuple(categories), groups=groups,
         )
+
+
+def _block_column(blocks: list) -> np.ndarray:
+    """The blocks as int64, or as Python ints (dtype object) if one does not fit."""
+    try:
+        return np.array(blocks, dtype=np.int64)
+    except OverflowError:
+        return np.array(blocks, dtype=object)
+
+
+def _row_columns(rows: list[tuple]) -> list[np.ndarray]:
+    """read_transfers' (transaction, src, dst, token, amount, block) rows as six columns."""
+    cols = list(zip(*rows)) or [()] * 6
+    return [*(np.array(c, np.int32) for c in cols[:4]), np.array(cols[4], np.float64),
+            _block_column(cols[5])]
 
 
 def _encode(values: Iterable, n: int, dtype=None) -> tuple[list, np.ndarray]:
@@ -479,10 +497,10 @@ def read_transfers(path, tokens: TokenRegistry, accounts: AccountRegistry,
     missing_tx_hash, missing_account, self_transfer, bad_amount (not a
     number in ASCII without padding or digit-group underscores, or infinite,
     which no JSON number holds), negative_amount (negative or NaN), bad_block
-    (not ASCII digits, or 2**63 or more). Each distinct (contract, symbol) is
-    looked up in the token registry once, its category code kept with its
-    codes, and each distinct address in the account registry once; an
-    address is E only where it equals the row's ego.
+    (not ASCII digits). Each distinct (contract, symbol) is looked up in the
+    token registry once, its category code kept with its codes, and each
+    distinct address in the account registry once; an address is E only
+    where it equals the row's ego.
     """
     strings: list[str] = []
     kind_of: list[int] = []  # the account kind code of each string, 0 for a token's
@@ -509,8 +527,7 @@ def read_transfers(path, tokens: TokenRegistry, accounts: AccountRegistry,
     spam: set[int] = set()  # spam-touched transactions
     pending: list[tuple] = []  # (transaction, src, dst, token, amount, block) per row
     blocks: list[list[np.ndarray]] = []  # the pending rows as columns, every CHUNK rows
-    dtypes = (np.int32, np.int32, np.int32, np.int32, np.float64, np.int64)
-    limit, flush = _BLOCK_LIMIT, CHUNK
+    flush = CHUNK
     rejected: Counter[str] = Counter()
     rows = _csv_rows(path, "transfers")
     _, header = next(rows, (1, None))
@@ -547,7 +564,7 @@ def read_transfers(path, tokens: TokenRegistry, accounts: AccountRegistry,
         if amount == math.inf:  # "inf", "Infinity" and overflows such as 1e400
             rejected["bad_amount"] += 1
             continue
-        if not (block_s.isascii() and block_s.isdigit()) or (block := int(block_s)) >= limit:
+        if not (block_s.isascii() and block_s.isdigit()):
             rejected["bad_block"] += 1
             continue
         ego = account(ego)
@@ -566,12 +583,11 @@ def read_transfers(path, tokens: TokenRegistry, accounts: AccountRegistry,
                 egos.append(ego)
         if is_spam:
             spam.add(t)
-        pending.append((t, account(src), account(dst), tok, amount, block))
+        pending.append((t, account(src), account(dst), tok, amount, int(block_s)))
         if len(pending) == flush:
-            blocks.append([np.array(c, dtype) for c, dtype in zip(zip(*pending), dtypes)])
+            blocks.append(_row_columns(pending))
             pending.clear()
-    blocks.append([np.array(c, dtype) for c, dtype in zip(zip(*pending) if pending else [()] * 6,
-                                                        dtypes)])
+    blocks.append(_row_columns(pending))
     del pending, later, account, token
     tx_of, src, dst, tok, amount, block = map(np.concatenate, zip(*blocks))
     del blocks

@@ -13,7 +13,7 @@ accounts nor row order show. It is the one loop over transfer rows, over the
 batch's code columns. shape_features builds the map from a shape;
 transaction_features, the one featurizer, is the two composed on a batch of
 one stored transaction, and featurize.py calls the two halves on a whole
-batch so that the transactions of one shape share one map per pass.
+batch so that the transactions of one shape share one map.
 """
 
 from __future__ import annotations

@@ -48,7 +48,7 @@ STORE_FILE = "transactions.jsonl"
 REPORT_FILE = "ingest_report.json"
 LABELS_FILE = "labels.csv"
 _INT64 = 1 << 63
-_INT64_MIN = -_INT64
+_FLOAT_MAX = int(sys.float_info.max)  # an int amount beyond it has no float
 
 # One store line: {"tx": hash, "ego": account, "mg": group-or-null,
 # "tr": [[from, to, from_type, to_type, contract, symbol, category, amount, block], ...]}
@@ -246,9 +246,9 @@ def line_to_tx(line: str, path, lineno: int) -> tuple[str, str, Optional[str], l
     A valid line is a JSON object with string "tx" and "ego", an optional
     "mg" that is a string or null, and "tr", a list of 9-field transfer rows
     whose first seven fields (accounts, types, token, category) are strings,
-    whose amount is a number, whose block is an integer that an int64 holds,
-    and whose accounts differ. Anything else raises InputError naming the
-    path and line.
+    whose amount is a float or an integer no larger in magnitude than the
+    largest float, whose block is an integer, and whose accounts differ.
+    Anything else raises InputError naming the path and line.
     """
     try:
         obj = json.loads(line)
@@ -263,9 +263,10 @@ def line_to_tx(line: str, path, lineno: int) -> tuple[str, str, Optional[str], l
             if not (type(src) is type(dst) is type(src_type) is type(dst_type) is type(contract)
                     is type(symbol) is type(category) is str):
                 raise TypeError(f"transfer row {row!r} has a non-string in its first seven fields")
-            if not ((type(amount) is float or type(amount) is int) and type(block) is int
-                    and _INT64_MIN <= block < _INT64):
-                raise TypeError(f"transfer row {row!r} needs a number amount and an int64 block")
+            if not (type(amount) is float or type(amount) is int and abs(amount) <= _FLOAT_MAX):
+                raise TypeError(f"transfer row {row!r} needs an amount that a float holds")
+            if type(block) is not int:
+                raise TypeError(f"transfer row {row!r} needs an integer block")
             if src == dst:
                 raise ValueError(f"transfer row {row!r} is a self-transfer")
     except (ValueError, KeyError, TypeError) as exc:
@@ -273,20 +274,16 @@ def line_to_tx(line: str, path, lineno: int) -> tuple[str, str, Optional[str], l
     return tx, ego, group, rows
 
 
-def write_store(store_dir, batch: "TransferBatch | Iterable[tuple]",
-                report: Optional[dict] = None) -> str:
-    """Write the transaction store of a TransferBatch, or of (tx_hash, ego,
-    method group or None, transfer rows) tuples, which are made a batch
-    first; returns the JSONL path. The files appear only once all of them
-    are written. Both files are written line by line.
+def write_store(store_dir, batch: TransferBatch, report: Optional[dict] = None) -> str:
+    """Write the transaction store of a TransferBatch; returns the JSONL
+    path. The files appear only once all of them are written. Both files are
+    written line by line.
 
     A store line is the bytes of dumps of its {"tx", "ego", "mg", "tr"}
     object: its keys are written by hand in sorted order, the JSON text of
     each distinct string of the batch is computed once, and a row's amount
     and block take the text of dumps of a list of them, a CHUNK of
     transactions at a time."""
-    if not isinstance(batch, TransferBatch):
-        batch = TransferBatch.from_transactions(batch)
     os.makedirs(store_dir, exist_ok=True)
     store_path = os.path.join(store_dir, STORE_FILE)
     paths = [store_path, os.path.join(store_dir, LABELS_FILE)]

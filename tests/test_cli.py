@@ -378,8 +378,10 @@ BAD_STORE_LINES = {
         ["0xe1", "0xe1", "E", "E", "0xt", "T", "Stablecoin", 1.0, 1]]}),
     "string amount": json.dumps({"tx": "t", "ego": "0xe1", "mg": None, "tr": [
         ["0xe1", "0xb", "E", "A", "0xt", "T", "Stablecoin", "1.0", 1]]}),
-    "block outside int64": json.dumps({"tx": "t", "ego": "0xe1", "mg": None, "tr": [
-        ["0xe1", "0xb", "E", "A", "0xt", "T", "Stablecoin", 1.0, 2 ** 63]]}),
+    "amount beyond a float": json.dumps({"tx": "t", "ego": "0xe1", "mg": None, "tr": [
+        ["0xe1", "0xb", "E", "A", "0xt", "T", "Stablecoin", 10 ** 400, 1]]}),
+    "string block": json.dumps({"tx": "t", "ego": "0xe1", "mg": None, "tr": [
+        ["0xe1", "0xb", "E", "A", "0xt", "T", "Stablecoin", 1.0, "1"]]}),
 }
 
 
@@ -406,6 +408,15 @@ def test_every_store_reader_rejects_bad_line(mini_store, tmp_path, capsys, comma
     assert err["error"]["stage"] == command
     assert err["error"]["type"] == "InputError"
     assert err["error"]["message"].startswith(f"bad store line {path}:3: "), err["error"]["message"]
+
+
+@pytest.mark.parametrize("command", ["featurize", "stats", "etn"])
+def test_every_store_reader_accepts_integer_amount_and_block_beyond_int64(mini_store, tmp_path,
+                                                                          capsys, command):
+    line = json.dumps({"tx": "t", "ego": "0xe1", "mg": None, "tr": [
+        ["0xe1", "0xb", "E", "A", "0xt", "T", "Stablecoin", 5, 2 ** 70]]})
+    _store_with_line(mini_store, tmp_path / "store", line)
+    run(capsys, _store_reader_argv(command, tmp_path / "store", tmp_path))
 
 
 @pytest.mark.parametrize("command", ["featurize", "stats", "etn"])

@@ -61,11 +61,12 @@ def plain_lines(txs, catalog, mode, max_nodes=MAX_NODES):
 
 
 def featurized(catalog, mode, max_nodes, txs):
-    """featurize._featurize of the batch of `txs`, with its tx hashes and
-    egos as lists of strings."""
-    *counts, maps, map_of, hashes, ego_names, ego_ids = featurize._featurize(
-        catalog, mode, max_nodes, TransferBatch.from_transactions(txs))
-    return (*counts, maps, map_of, hashes.tolist(), [ego_names[i] for i in ego_ids.tolist()])
+    """featurize._featurize of the batch of `txs`, with the maps of its
+    shapes and its tx hashes and egos as lists of strings."""
+    *counts, shapes, map_of, hashes, ego_names, ego_ids = featurize._featurize(
+        mode, max_nodes, TransferBatch.from_transactions(txs))
+    return (*counts, [motif.shape_features(catalog, shape) for shape in shapes], map_of,
+            hashes.tolist(), [ego_names[i] for i in ego_ids.tolist()])
 
 
 def written_lines(table, mode, path):
@@ -126,24 +127,20 @@ def test_one_shape_in_any_row_order_takes_one_memo_entry(rng, tmp_path, mode, mo
 
 
 def test_one_pass_counts_each_shape_of_the_input_once(rng, tmp_path, monkeypatch):
-    """The in-memory batch is one pass, counting each shape once; a store
-    read by one process counts a shape once per CHUNK_LINES slice it recurs
-    in, as the pool's workers do."""
+    """The in-memory batch and a store read by one process or by the pool are
+    each one pass: a shape recurring across CHUNK_LINES slices is counted once."""
     catalog = motif.enumerate_catalog()
     txs = random_transactions(rng, 300)
-    storage.write_store(tmp_path / "store", txs)
     batch = TransferBatch.from_transactions(txs)
+    storage.write_store(tmp_path / "store", batch)
     distinct = {shape for shape, _ in motif.batch_shapes(batch, "MxE")}
     monkeypatch.setattr(featurize, "CHUNK_LINES", 32)
     shapes = counting_shapes(monkeypatch)
-    featurize.featurize_store(batch, "MxE", tmp_path / "features.jsonl", catalog=catalog)
-    assert len(shapes) == len(distinct) and set(shapes) == distinct
-    shapes.clear()
-    featurize.featurize_store(tmp_path / "store", "MxE", tmp_path / "features.jsonl",
-                              catalog=catalog)
-    per_slice = [{shape for shape, _ in motif.batch_shapes(
-        TransferBatch.from_transactions(txs[i:i + 32]), "MxE")} for i in range(0, len(txs), 32)]
-    assert sorted(map(repr, shapes)) == sorted(repr(s) for part in per_slice for s in part)
+    for source, threads in ((batch, 1), (tmp_path / "store", 1), (tmp_path / "store", 2)):
+        shapes.clear()
+        featurize.featurize_store(source, "MxE", tmp_path / "features.jsonl", threads=threads,
+                                  catalog=catalog)
+        assert len(shapes) == len(distinct) and set(shapes) == distinct
 
 
 def test_store_chunk_equals_a_pass_over_the_list(rng, tmp_path):
@@ -152,10 +149,11 @@ def test_store_chunk_equals_a_pass_over_the_list(rng, tmp_path):
     catalog = motif.enumerate_catalog()
     txs = random_transactions(rng, 60)
     result = featurized(catalog, "M+E", MAX_NODES, txs)
-    storage.write_store(tmp_path / "store", txs)
+    storage.write_store(tmp_path / "store", TransferBatch.from_transactions(txs))
     chunk = next(featurize._store_chunks(storage.store_path(tmp_path / "store"), len(txs)))
-    *counts, maps, map_of, hashes, ego_names, ego_ids = featurize._featurize_lines(
-        catalog, "M+E", MAX_NODES, chunk)
+    *counts, shapes, map_of, hashes, ego_names, ego_ids = featurize._featurize_lines(
+        "M+E", MAX_NODES, chunk)
+    maps = [motif.shape_features(catalog, shape) for shape in shapes]
     assert (counts, maps, map_of.tolist()) == (list(result[:2]), result[2], result[3].tolist())
     assert (hashes.tolist(), [ego_names[i] for i in ego_ids.tolist()]) == result[4:] == (
         [tx[0] for tx in txs], [tx[1] for tx in txs])
@@ -168,7 +166,7 @@ def test_shapes_recurring_across_chunks(rng, tmp_path, monkeypatch, threads):
     catalog = motif.enumerate_catalog()
     txs = random_transactions(rng, 300)
     lines, maps, _, _ = plain_lines(txs, catalog, "MxE", motif.DEFAULT_MAX_NODES)
-    storage.write_store(tmp_path / "store", txs)
+    storage.write_store(tmp_path / "store", TransferBatch.from_transactions(txs))
     monkeypatch.setattr(featurize, "CHUNK_LINES", 32)
     out = tmp_path / "features.jsonl"
     stats = featurize.featurize_store(tmp_path / "store", "MxE", out, threads=threads, catalog=catalog)
@@ -185,7 +183,7 @@ def test_encoder_fallback_writes_the_same_bytes(rng, tmp_path, monkeypatch, pure
     the same bytes without storage's cached C encoder, and with no C
     accelerator at all; the names need \\u and backslash escapes."""
     txs = random_transactions(rng, 200)
-    storage.write_store(tmp_path / "store", txs)
+    storage.write_store(tmp_path / "store", TransferBatch.from_transactions(txs))
 
     def write_all(tag):
         paths = [tmp_path / f"{tag}.{name}.jsonl" for name in ("store", "memory", "matches")]

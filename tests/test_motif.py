@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from motifscope import etn as etn_mod, motif, storage
-from motifscope.ingest import InputError
+from motifscope.ingest import InputError, TransferBatch
 
 from oracles import (
     brute_force_edge_features,
@@ -291,9 +291,9 @@ def wide_store(store_dir):
              row("0xd1", ego, "C", "E", "Stablecoin"),  # 0xd1 keeps its first type, C
              row(ego, "0xd1", "E", "A", "Cryptocurrency")]
     all_in = [row(f"0xs{i}", ego, "A", "E", categories[i % 3]) for i in range(4)]
-    storage.write_store(store_dir, [(h, ego, None, rows)
-                                    for h, rows in (("0xwide", airdrop), ("0xmix", mixed),
-                                                    ("0xin", all_in))])
+    storage.write_store(store_dir, TransferBatch.from_transactions(
+        [(h, ego, None, rows) for h, rows in (("0xwide", airdrop), ("0xmix", mixed),
+                                              ("0xin", all_in))]))
 
 
 def oracle_features(tx, catalog, mode, max_nodes=motif.DEFAULT_MAX_NODES):

@@ -209,15 +209,15 @@ _BLOCKS = ["1", "0", "-3", "x", "99999999999999999999", "", "12"]
 def test_ingest_transactions_survive_the_store_codec(tmp_path):
     """What lets the pipeline skip the store decode: every transaction of
     ingest's batch comes back unchanged from storage.dumps -> line_to_tx,
-    random rejected rows and awkward strings included, and write_store
-    writes those dumps lines."""
+    random rejected rows, blocks beyond int64 and awkward strings included,
+    and write_store writes those dumps lines."""
     rng = random.Random(20)
     tokens = ingest.TokenRegistry()
     tokens.add("0xt1", "USDC", "Stablecoin", False)
     tokens.add("0xspam", "SPAM", "Unlabeled", True)
     accounts = ingest.AccountRegistry()
     accounts.add("0xc1", "contract")
-    rejected = compared = 0
+    rejected = compared = huge = 0
     for trial in range(40):
         path = tmp_path / f"transfers{trial}.csv"
         with open(path, "w", newline="", encoding="utf-8") as fh:
@@ -233,6 +233,7 @@ def test_ingest_transactions_survive_the_store_codec(tmp_path):
         batch, report = ingest.read_transfers(path, tokens, accounts,
                                               lambda _: {"t1": "Swap", "t,4": "Unknown"})
         rejected += sum(report["rejected"].values())
+        huge += any(row[8] >= 1 << 63 for tx in transactions_of(batch) for row in tx[3])
         lines = []
         for tx in transactions_of(batch):
             lines.append(storage.dumps({"tx": tx[0], "ego": tx[1], "mg": tx[2], "tr": tx[3]}))
@@ -242,7 +243,7 @@ def test_ingest_transactions_survive_the_store_codec(tmp_path):
         storage.write_store(tmp_path / "store", batch)
         assert (tmp_path / "store" / storage.STORE_FILE).read_text(encoding="utf-8") == "".join(
             line + "\n" for line in lines)
-    assert rejected > 100 and compared > 100
+    assert rejected > 100 and compared > 100 and huge > 0  # blocks beyond int64 too
 
 
 @pytest.mark.parametrize("features,problem", [
