@@ -17,7 +17,7 @@ from importlib import resources
 from pathlib import Path
 from typing import Optional
 
-from .ingest import (CATEGORIES, GROUP_ALIASES, InputError, METHOD_GROUPS, Param, _fields, _schema,
+from .schema import (CATEGORIES, GROUP_ALIASES, InputError, METHOD_GROUPS, Param, _fields, _schema,
                      _strings)
 
 NULL_ADDRESS = "0x" + "0" * 40

@@ -1,6 +1,9 @@
 """Synthetic corpus generation: determinism, fidelity, round trips."""
 
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -214,3 +217,15 @@ def test_generated_accounts_cover_all_counterparties(small_corpus):
         for row in rows:
             assert row[0] in known  # from
             assert row[1] in known  # to
+
+
+def test_generating_a_corpus_imports_no_numpy(tmp_path):
+    """synth reads its config through `schema`, not `ingest`, so a process
+    that only generates corpora, such as a benchmark harness, loads no numpy."""
+    code = ("import sys\nfrom motifscope import synth\n"
+            "synth.generate(synth.load_config(), 20, 1, sys.argv[1])\n"
+            "assert 'numpy' not in sys.modules, sorted(m for m in sys.modules if 'numpy' in m)")
+    src = str(Path(synth.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", code, str(tmp_path / "corpus")],
+                          capture_output=True, text=True, cwd=src)
+    assert proc.returncode == 0, proc.stderr
