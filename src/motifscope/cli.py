@@ -435,15 +435,19 @@ def cmd_ingest(args) -> int:
 def cmd_stats(args) -> int:
     per_account: dict[str, dict] = {}
     histogram: Counter = Counter()
-    total = 0
-    for _, ego, group, rows in storage.iter_store(args.store):
-        total += 1
-        histogram[len(rows)] += 1
-        acc = per_account.setdefault(ego, {"transactions": 0, "tokens": set(), "unlabeled": 0})
-        acc["transactions"] += 1
-        acc["unlabeled"] += int(group in (None, UNKNOWN))
-        for _, _, _, _, contract, symbol, _, _, _ in rows:
-            acc["tokens"].add(contract or symbol)
+    for batch in storage.read_store(args.store):
+        strings, offsets = batch.strings, batch.offsets.tolist()
+        tokens = [strings[contract] or strings[symbol]
+                  for contract, symbol in zip(batch.contract.tolist(), batch.symbol.tolist())]
+        for ego, group, start, stop in zip(batch.ego.tolist(), batch.method_groups(),
+                                           offsets, offsets[1:]):
+            histogram[stop - start] += 1
+            acc = per_account.setdefault(strings[ego],
+                                         {"transactions": 0, "tokens": set(), "unlabeled": 0})
+            acc["transactions"] += 1
+            acc["unlabeled"] += int(group in (None, UNKNOWN))
+            acc["tokens"].update(tokens[start:stop])
+    total = sum(histogram.values())
     report = {
         "transactions": total,
         "accounts": {
@@ -464,16 +468,18 @@ def cmd_stats(args) -> int:
 
 
 def cmd_etn(args) -> int:
-    hits = [tx for tx in storage.iter_store(args.store)
-            if tx[0] == args.tx and (not args.ego or tx[1] == args.ego)]
+    hits = [(batch, i, batch.strings[ego]) for batch in storage.read_store(args.store)
+            for i, (tx_hash, ego) in enumerate(zip(batch.tx_hashes.tolist(), batch.ego.tolist()))
+            if tx_hash == args.tx and (not args.ego or batch.strings[ego] == args.ego)]
     if not hits:
         raise InputError(f"transaction {args.tx} not found in store {args.store}")
     if len(hits) > 1:
-        egos = ", ".join(ego for _, ego, _, _ in hits)
+        egos = ", ".join(ego for _, _, ego in hits)
         raise InputError(f"transaction {args.tx} has several egos ({egos}); pass --ego")
-    network = etn_mod.build_etn(hits[0])
+    batch, i, ego = hits[0]
+    network = etn_mod.build_etn(batch, i)
     storage.write_text(args.dot, etn_mod.to_dot(network))
-    _print({"tx_hash": args.tx, "ego": hits[0][1], "nodes": len(network.node_types),
+    _print({"tx_hash": args.tx, "ego": ego, "nodes": len(network.node_types),
             "edges": len(network.edges), "dot": args.dot})
     return 0
 

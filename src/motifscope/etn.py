@@ -1,16 +1,17 @@
 """Ego transfer network: per-transaction directed, typed, multi-edge graph.
 
-Built from a stored transaction, the (tx_hash, ego, method group, rows)
-tuple that `storage.iter_store` yields, whose rows already carry resolved
-account types and token categories. Every edge touches the ego account.
-Parallel edges are kept: they feed the edge-list features, while motif
-counting (motif.batch_shapes) sees only whether an edge runs each way.
+Built from transaction i of an `ingest.TransferBatch`, such as
+`storage.read_store` yields, whose rows already carry resolved account
+types and token categories. Every edge touches the ego account. Parallel
+edges are kept: they feed the edge-list features, while motif counting
+(motif.batch_shapes) sees only whether an edge runs each way.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+
+from .ingest import TransferBatch
 
 
 @dataclass
@@ -21,25 +22,28 @@ class EgoTransferNetwork:
     rejected: list[tuple[str, str]] = field(default_factory=list)  # (from, to) not touching ego
 
 
-def build_etn(tx: tuple[str, str, Optional[str], list]) -> EgoTransferNetwork:
-    """Build the ETN of one stored transaction.
+def build_etn(batch: TransferBatch, i: int) -> EgoTransferNetwork:
+    """Build the ETN of transaction i of `batch`.
 
     A counterpart keeps the type of the first row it appears in. Transfers
     touching neither endpoint of the ego are rejected and reported, not
     raised.
     """
-    _, ego, _, rows = tx
+    strings, kinds = batch.strings, batch.kinds
+    ego = strings[batch.ego[i]]
     node_types: dict[str, str] = {ego: "E"}
     edges: list[tuple[str, str, str]] = []
     rejected: list[tuple[str, str]] = []
-    for row in rows:
-        src, dst, src_type, dst_type, _, _, category, _, _ = row
+    lo, hi = batch.offsets[i], batch.offsets[i + 1]
+    for src, dst, src_kind, dst_kind, category in zip(*(column[lo:hi].tolist() for column in (
+            batch.src, batch.dst, batch.src_kind, batch.dst_kind, batch.category))):
+        src, dst = strings[src], strings[dst]
         if src != ego and dst != ego:
             rejected.append((src, dst))
             continue
-        node_types.setdefault(src, src_type)
-        node_types.setdefault(dst, dst_type)
-        edges.append((src, dst, category))
+        node_types.setdefault(src, kinds[src_kind])
+        node_types.setdefault(dst, kinds[dst_kind])
+        edges.append((src, dst, batch.categories[category]))
     return EgoTransferNetwork(ego=ego, node_types=node_types, edges=edges, rejected=rejected)
 
 

@@ -1,27 +1,26 @@
 """Bulk feature extraction over a transaction batch or store.
 
-This is the throughput-critical stage. It runs the two halves of
-motif.transaction_features, the one per-transaction featurizer: every
-transaction of a `TransferBatch` is reduced to its shape
-(motif.batch_shapes, the one loop over transfer rows), the canonical form of
-its typed ego network up to what the features see, and the map is built
-(motif.shape_features) once per distinct shape of the input. Shapes repeat
-heavily (200,000 transactions of a scoring corpus hold a few hundred), so
-only the tally is per-row work. `_featurize` reduces one batch to its
-distinct shapes and each row's index among them; `_collect` merges the
-batches' results in input order through one memo of shapes, so each shape
-of the whole input is counted once, and builds the FeatureTable once,
-taking the batches' packed tx hashes as they are. features.jsonl is written
-from that table by storage.write_rows, which encodes each distinct row once.
+This is the throughput-critical stage. Every transaction of a
+`TransferBatch` is reduced to its shape (motif.batch_shapes, the one loop
+over transfer rows), the canonical form of its typed ego network up to what
+the features see, and the map is built (motif.shape_features) once per
+distinct shape of the input. Shapes repeat heavily (200,000 transactions of
+a scoring corpus hold a few hundred), so only the tally is per-row work.
+`_featurize` reduces one batch to its distinct shapes and each row's index
+among them; `_collect` merges the batches' results in input order through
+one memo of shapes, so each shape of the whole input is counted once, and
+builds the FeatureTable once, taking the batches' packed tx hashes as they
+are. features.jsonl is written from that table by storage.write_rows, which
+encodes each distinct row once.
 
 The transactions come from the batch that ingest holds in memory, or from
-the store on disk, read in CHUNK_LINES slices that are decoded
-(storage.line_to_tx) into a batch each: in this process, or with `threads`
->= 2 in worker processes, since decoding the lines is most of their cost.
-Workers are pure and their results are merged in input order, so the
-FeatureTable and its lines are bit-identical regardless of worker count.
-test_featurize.py checks the pass against the plain featurizer and the
-brute-force oracles.
+the store on disk, read in storage.store_slices' CHUNK_LINES slices, each
+decoded into a batch by storage.decode_lines: in this process, or with
+`threads` >= 2 in worker processes, since decoding the lines is most of
+their cost. Workers are pure and their results are merged in input order,
+so the FeatureTable and its lines are bit-identical regardless of worker
+count. test_featurize.py checks the pass against a per-transaction
+featurizer and the brute-force oracles.
 """
 
 from __future__ import annotations
@@ -29,16 +28,13 @@ from __future__ import annotations
 import multiprocessing as mp
 from dataclasses import dataclass
 from functools import partial
-from itertools import islice
 
 import numpy as np
 
 from . import motif, storage
-from .ingest import TransferBatch, _open
+from .ingest import TransferBatch
 from .motif import DEFAULT_MAX_NODES, Catalog
 from .table import FeatureTable, Strings
-
-CHUNK_LINES = 8192
 
 
 def _featurize(mode: str, max_nodes: int, batch: TransferBatch) -> tuple:
@@ -57,10 +53,8 @@ def _featurize(mode: str, max_nodes: int, batch: TransferBatch) -> tuple:
 
 
 def _featurize_lines(mode: str, max_nodes: int, chunk) -> tuple:
-    """_featurize the batch of a (store path, first line number, lines) chunk."""
-    path, first, lines = chunk
-    return _featurize(mode, max_nodes,
-                      TransferBatch.from_transactions(storage._decode(lines, path, first)))
+    """_featurize the batch of a storage.store_slices chunk."""
+    return _featurize(mode, max_nodes, storage.decode_lines(*chunk))
 
 
 @dataclass
@@ -69,15 +63,6 @@ class FeaturizeStats:
     oversize: int
     rejected_transfers: int
     table: FeatureTable
-
-
-def _store_chunks(path, chunk_lines: int):
-    """Yield (path, line number of the first line, lines) in chunk_lines slices."""
-    with _open(path, "store") as fh:
-        first = 1
-        while chunk := list(islice(fh, chunk_lines)):
-            yield path, first, chunk
-            first += len(chunk)
 
 
 def featurize_store(
@@ -94,9 +79,9 @@ def featurize_store(
     it with the counts.
 
     store is a TransferBatch, such as ingest holds, which this process
-    featurizes in one pass, or a store directory, whose CHUNK_LINES slices
-    are featurized in this process or, with `threads` >= 2, by that many
-    worker processes. out_path is written only when every transaction
+    featurizes in one pass, or a store directory, whose storage.CHUNK_LINES
+    slices are featurized in this process or, with `threads` >= 2, by that
+    many worker processes. out_path is written only when every transaction
     featurized; a malformed store line raises InputError naming the store
     path and line number.
     """
@@ -107,7 +92,7 @@ def featurize_store(
         stats = _collect(catalog, [_featurize(mode, max_nodes, store)])
     else:
         work = partial(_featurize_lines, mode, max_nodes)
-        chunks = _store_chunks(storage.store_path(store), CHUNK_LINES)
+        chunks = storage.store_slices(storage.store_path(store))
         if threads <= 1:
             stats = _collect(catalog, map(work, chunks))
         else:

@@ -28,9 +28,8 @@ each row's transaction index then puts the rows of groups that interleave
 in order. methods.csv is read after transfers.csv, by `load_method_labels`,
 into the dict of tx hashes that the pass already holds, so a labelled run
 holds each hash once, and the hashes are packed after that join.
-`storage.write_store` encodes a batch, `motif.batch_shapes` reduces it to
-shapes, and `TransferBatch.from_transactions` makes one of the (tx_hash,
-ego, method group or None, rows) tuples that `storage.iter_store` decodes.
+`storage.write_store` encodes a batch, `storage.decode_lines` decodes store
+lines into one, and `motif.batch_shapes` reduces it to shapes.
 The pass runs with the cyclic garbage collector paused, as
 `cli.run_pipeline` does for its whole run: it builds no cycles, and a
 collection would walk every object built so far.
@@ -47,7 +46,7 @@ import math
 from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Mapping, Optional
+from typing import Callable, Iterator, Mapping, Optional
 
 import numpy as np
 
@@ -256,6 +255,10 @@ def _csv_rows(path, what: str) -> Iterator[tuple[int, list[str]]]:
 KINDS = ("E", "A", "C", "N")  # account kinds: the ego, address, contract, null
 _KIND_CODE = {kind: code for code, kind in enumerate(KINDS)}
 CHUNK = 4096  # rows or transactions moved between Python lists and numpy columns at a time
+# The most digits a block may have: Python's default limit on int() of a
+# string, fixed so that every Python version writes the same store and
+# json.loads reads back every block it holds.
+MAX_BLOCK_DIGITS = 4300
 
 
 def _small_codes(n: int):
@@ -265,8 +268,10 @@ def _small_codes(n: int):
 
 @dataclass
 class TransferBatch:
-    """Transactions held as columns: what `read_transfers` builds, what
-    `storage.write_store` encodes and what `motif.batch_shapes` reduces.
+    """Transactions held as columns, the one form a transaction takes in
+    memory: what `read_transfers` builds and `storage.decode_lines` decodes a
+    store slice into, what `storage.write_store` encodes and what
+    `motif.batch_shapes` reduces.
 
     Row j is a transfer: strings[src[j]] sends to strings[dst[j]], whose
     kinds are kinds[src_kind[j]] and kinds[dst_kind[j]], the token
@@ -312,36 +317,6 @@ class TransferBatch:
         rank[order] = np.arange(len(order), dtype=np.int32)
         return [self.strings[code] for code in codes[order].tolist()], rank[inverse.reshape(-1)]
 
-    @classmethod
-    def from_transactions(cls, transactions: Iterable[tuple]) -> "TransferBatch":
-        """The batch of (tx_hash, ego, method group or None, rows) tuples,
-        such as `storage.line_to_tx` decodes, with 9-field transfer rows. Its
-        vocabularies are the values in first-seen order."""
-        txs = list(transactions)
-        rows = [row for tx in txs for row in tx[3]]
-        if set(map(len, rows)) - {9}:
-            raise ValueError("a transfer row does not have 9 fields")
-        n = len(rows)
-        fields = list(itertools.chain.from_iterable(rows))
-        cols = [fields[k::9] for k in range(9)]  # the fields of every row, field by field
-        strings, codes = _encode(itertools.chain([tx[1] for tx in txs], cols[0], cols[1], cols[4],
-                                                 cols[5]), len(txs) + 4 * n, np.int32)
-        kinds, kind_codes = _encode(itertools.chain(cols[2], cols[3]), 2 * n)
-        categories, category = _encode(cols[6], n)
-        groups = tuple(dict.fromkeys(tx[2] for tx in txs if tx[2] is not None))
-        index = dict(zip(groups, range(len(groups))))
-        index[None] = -1
-        ego, src, dst, contract, symbol = np.split(codes, len(txs) + n * np.arange(4))
-        return cls(
-            strings=strings, src=src, dst=dst, contract=contract, symbol=symbol,
-            src_kind=kind_codes[:n], dst_kind=kind_codes[n:], category=category,
-            amount=np.array(cols[7], dtype=np.float64), block=_block_column(cols[8]),
-            tx_hashes=Strings.pack([tx[0] for tx in txs]), ego=ego,
-            group=np.fromiter((index[tx[2]] for tx in txs), _small_codes(len(groups)), len(txs)),
-            offsets=np.cumsum([0] + [len(tx[3]) for tx in txs], dtype=np.int64),
-            kinds=tuple(kinds), categories=tuple(categories), groups=groups,
-        )
-
 
 def _block_column(blocks: list) -> np.ndarray:
     """The blocks as int64, or as Python ints (dtype object) if one does not fit."""
@@ -356,16 +331,6 @@ def _row_columns(rows: list[tuple]) -> list[np.ndarray]:
     cols = list(zip(*rows)) or [()] * 6
     return [*(np.array(c, np.int32) for c in cols[:4]), np.array(cols[4], np.float64),
             _block_column(cols[5])]
-
-
-def _encode(values: Iterable, n: int, dtype=None) -> tuple[list, np.ndarray]:
-    """The n values' distinct values in first-seen order, and each value's
-    index among them: `dtype`, or the smallest that _small_codes allows."""
-    first: dict = {}  # value -> the position it first appears at
-    position = np.fromiter(map(first.setdefault, values, itertools.count()), np.int64, n)
-    code = np.empty(n, dtype or _small_codes(len(first)))
-    code[np.fromiter(first.values(), np.int64, len(first))] = np.arange(len(first))
-    return list(first), code[position]
 
 
 @_gc_paused()
@@ -393,10 +358,10 @@ def read_transfers(path, tokens: TokenRegistry, accounts: AccountRegistry,
     missing_tx_hash, missing_account, self_transfer, bad_amount (not a
     number in ASCII without padding or digit-group underscores, or infinite,
     which no JSON number holds), negative_amount (negative or NaN), bad_block
-    (not ASCII digits). Each distinct (contract, symbol) is looked up in the
-    token registry once, its category code kept with its codes, and each
-    distinct address in the account registry once; an address is E only
-    where it equals the row's ego.
+    (not ASCII digits, or more than MAX_BLOCK_DIGITS of them). Each distinct
+    (contract, symbol) is looked up in the token registry once, its category
+    code kept with its codes, and each distinct address in the account
+    registry once; an address is E only where it equals the row's ego.
     """
     strings: list[str] = []
     kind_of: list[int] = []  # the account kind code of each string, 0 for a token's
@@ -460,7 +425,7 @@ def read_transfers(path, tokens: TokenRegistry, accounts: AccountRegistry,
         if amount == math.inf:  # "inf", "Infinity" and overflows such as 1e400
             rejected["bad_amount"] += 1
             continue
-        if not (block_s.isascii() and block_s.isdigit()):
+        if not (block_s.isascii() and block_s.isdigit()) or len(block_s) > MAX_BLOCK_DIGITS:
             rejected["bad_block"] += 1
             continue
         ego = account(ego)

@@ -10,16 +10,15 @@ is that kernel. batch_shapes reduces each transaction of an
 `ingest.TransferBatch`, with no ETN object, to its shape: the groups and
 edge-label counts that its feature map depends on, sorted, so that neither
 accounts nor row order show. It is the one loop over transfer rows, over the
-batch's code columns. shape_features builds the map from a shape;
-transaction_features, the one featurizer, is the two composed on a batch of
-one stored transaction, and featurize.py calls the two halves on a whole
-batch so that the transactions of one shape share one map.
+batch's code columns. shape_features builds the map from a shape, and
+featurize.py calls the two on a whole batch so that the transactions of one
+shape share one map.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -215,26 +214,16 @@ def batch_shapes(batch: TransferBatch, mode: str,
 
 def shape_features(catalog: Catalog, shape: Shape) -> dict[str, int]:
     """The sparse feature map of a shape from batch_shapes: the motif keys of
-    count_from_groups, then the edge labels in sorted order."""
-    groups, edges, oversize = shape
-    feats = count_from_groups(catalog, groups, oversize)
-    feats.update(edges)
-    return feats
-
-
-def transaction_features(tx: tuple[str, str, Optional[str], list], catalog: Catalog,
-                         mode: str, max_nodes: int = DEFAULT_MAX_NODES) -> tuple[dict[str, int], int]:
-    """(sparse feature map, rows touching no ego) of one stored transaction:
-    shape_features of its shape, which batch_shapes finds in a batch of the
-    one transaction.
+    count_from_groups, then the edge labels in sorted order.
 
     M counts typed motifs, E the edge labels "(S,T)category" (parallel edges
     included), M+E both, and MxE each motif instance keyed with its edge
     labels; above max_nodes counterparts MxE keeps only the 2-node keys and
-    sets OVERSIZE_KEY, as the pair key space degenerates on airdrops.
-    """
-    shape, rejected = next(batch_shapes(TransferBatch.from_transactions([tx]), mode, max_nodes))
-    return shape_features(catalog, shape), rejected
+    sets OVERSIZE_KEY, as the pair key space degenerates on airdrops."""
+    groups, edges, oversize = shape
+    feats = count_from_groups(catalog, groups, oversize)
+    feats.update(edges)
+    return feats
 
 
 def normalize_mode(mode: str) -> str:

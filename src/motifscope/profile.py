@@ -18,6 +18,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 from scipy.cluster.hierarchy import fcluster, leaves_list, linkage
+from scipy.spatial import distance
 from scipy.spatial.distance import cdist, pdist, squareform
 
 from . import storage
@@ -262,7 +263,9 @@ def hcluster(Z_rows: np.ndarray, method: str = "ward") -> ClusteringResult:
     if n < 2:
         raise ValueError("clustering needs at least 2 profiles")
     notes: list[str] = []
-    Zm = linkage(X, method=method)
+    # linkage's own condensed distances, so that it takes no square-looking X (2
+    # accounts, 2 leaves) for distances; `pdist` names the square-matrix path
+    Zm = linkage(distance.pdist(X), method=method)
     if n < 3:
         notes.append("fewer than 3 accounts: silhouette undefined, reporting the single k=2 cut")
         warnings.warn(notes[-1])
@@ -295,7 +298,7 @@ def emit_clustermap_data(result: ClusteringResult, profiles: Profiles) -> dict:
     Z = profiles.zscored
     row_order = [int(i) for i in leaves_list(result.linkage_matrix)]
     if Z.shape[1] > 1:
-        col_link = linkage(Z.T, method="average")
+        col_link = linkage(distance.pdist(Z.T), method="average")
         col_order = [int(j) for j in leaves_list(col_link)]
     else:
         col_order = list(range(Z.shape[1]))

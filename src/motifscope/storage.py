@@ -8,9 +8,9 @@ hands such a write to a `Writer`, which runs it at once or in a forked writer
 process while the stage's caller goes on computing. Files are read
 through the readers in `ingest`. All writers are deterministic: sorted keys,
 fixed separators, no timestamps, so identical inputs produce byte-identical
-artifacts. The store holds one transaction per line; `line_to_tx` is its
-only decoder, and it returns a (tx_hash, ego, method group or None, rows)
-tuple, which `ingest.TransferBatch.from_transactions` makes a batch of.
+artifacts. The store holds one transaction per line. `decode_lines` is its
+one decoder: it makes an `ingest.TransferBatch` of each CHUNK_LINES slice
+that `store_slices` cuts, and `read_store` yields those batches.
 `write_store` encodes an `ingest.TransferBatch`: it computes the JSON text
 of each distinct string of the batch once, formats each row from the texts
 of its codes, and writes a line's keys by hand, in sorted order, which gives
@@ -39,14 +39,15 @@ from typing import Iterable, Iterator, Optional, Sequence
 import numpy as np
 
 # read_json is re-exported: artifacts are read back as storage.read_json
-from .ingest import (CHUNK, InputError, TransferBatch, _bad_line, _csv_rows, _jsonl_rows, _open,
-                     read_json)
+from .ingest import (CHUNK, InputError, TransferBatch, _bad_line, _block_column, _csv_rows,
+                     _jsonl_rows, _open, _small_codes, read_json)
 from .motif import MODES
 from .table import FeatureTable, Strings
 
 STORE_FILE = "transactions.jsonl"
 REPORT_FILE = "ingest_report.json"
 LABELS_FILE = "labels.csv"
+CHUNK_LINES = 8192  # store lines decoded into one batch at a time
 _INT64 = 1 << 63
 _FLOAT_MAX = int(sys.float_info.max)  # an int amount beyond it has no float
 
@@ -239,41 +240,6 @@ def write_rows(path, table: FeatureTable, fields: Sequence[dict]) -> None:
         fh.writelines(f"{heads[ego]}{middles[row]}{enc(tx_hash)}}}\n" for tx_hash, ego, row in rows)
 
 
-def line_to_tx(line: str, path, lineno: int) -> tuple[str, str, Optional[str], list[list]]:
-    """Decode store line `lineno` of `path` into (tx_hash, ego, method group
-    or None, rows).
-
-    A valid line is a JSON object with string "tx" and "ego", an optional
-    "mg" that is a string or null, and "tr", a list of 9-field transfer rows
-    whose first seven fields (accounts, types, token, category) are strings,
-    whose amount is a float or an integer no larger in magnitude than the
-    largest float, whose block is an integer, and whose accounts differ.
-    Anything else raises InputError naming the path and line.
-    """
-    try:
-        obj = json.loads(line)
-        tx, ego, rows, group = obj["tx"], obj["ego"], obj["tr"], obj.get("mg")
-        if not (type(tx) is type(ego) is str and type(rows) is list
-                and (group is None or type(group) is str)):
-            raise TypeError("tx and ego must be strings, mg a string or null and tr a list")
-        for row in rows:
-            if type(row) is not list or len(row) != 9:
-                raise ValueError(f"transfer row {row!r} does not have 9 fields")
-            src, dst, src_type, dst_type, contract, symbol, category, amount, block = row
-            if not (type(src) is type(dst) is type(src_type) is type(dst_type) is type(contract)
-                    is type(symbol) is type(category) is str):
-                raise TypeError(f"transfer row {row!r} has a non-string in its first seven fields")
-            if not (type(amount) is float or type(amount) is int and abs(amount) <= _FLOAT_MAX):
-                raise TypeError(f"transfer row {row!r} needs an amount that a float holds")
-            if type(block) is not int:
-                raise TypeError(f"transfer row {row!r} needs an integer block")
-            if src == dst:
-                raise ValueError(f"transfer row {row!r} is a self-transfer")
-    except (ValueError, KeyError, TypeError) as exc:
-        raise InputError(f"bad store line {path}:{lineno}: {type(exc).__name__}: {exc}") from exc
-    return tx, ego, group, rows
-
-
 def write_store(store_dir, batch: TransferBatch, report: Optional[dict] = None) -> str:
     """Write the transaction store of a TransferBatch; returns the JSONL
     path. The files appear only once all of them are written. Both files are
@@ -339,19 +305,93 @@ def store_path(store_dir) -> str:
     return path
 
 
-def iter_store(store_dir) -> Iterator[tuple[str, str, Optional[str], list[list]]]:
-    """Every stored transaction as line_to_tx decodes it, in store order."""
-    path = store_path(store_dir)
-    with _open(path, "store") as fh:
-        yield from _decode(fh, path)
+class _Codes(dict):
+    """value -> code: a value read for the first time takes the next code,
+    so the keys are the vocabulary in first-seen order."""
+
+    def __missing__(self, value) -> int:
+        self[value] = code = len(self)
+        return code
 
 
-def _decode(lines: Iterable[str], path, first: int = 1) -> Iterator[tuple]:
-    """line_to_tx of each non-blank line of `lines`, which start at line
-    `first` of the store at `path`."""
+def decode_lines(path, first: int, lines: Iterable[str]) -> TransferBatch:
+    """The TransferBatch of store lines `lines`, which start at line `first`
+    of the store at `path`; blank lines are skipped. This is the store's one
+    decoder.
+
+    A valid line is a JSON object with string "tx" and "ego", an optional
+    "mg" that is a string or null, and "tr", a list of 9-field transfer rows
+    whose first seven fields (accounts, types, token, category) are strings,
+    whose amount is a float or an integer no larger in magnitude than the
+    largest float, whose block is an integer, and whose accounts differ.
+    Anything else raises InputError naming the path and line. The strings,
+    kinds, categories and groups are numbered in the order they are read.
+    """
+    text, kinds, categories, groups = _Codes(), _Codes(), _Codes(), _Codes()
+    hashes, egos, group_of, offsets = [], [], [], [0]
+    codes, amounts, blocks = [], [], []  # codes: 7 per row
     for lineno, line in enumerate(lines, first):
-        if line.strip():
-            yield line_to_tx(line, path, lineno)
+        if not line.strip():
+            continue
+        try:
+            obj = json.loads(line)
+            tx, ego, rows, group = obj["tx"], obj["ego"], obj["tr"], obj.get("mg")
+            if not (type(tx) is type(ego) is str and type(rows) is list
+                    and (group is None or type(group) is str)):
+                raise TypeError("tx and ego must be strings, mg a string or null and tr a list")
+            egos.append(text[ego])
+            for row in rows:
+                if type(row) is not list or len(row) != 9:
+                    raise ValueError(f"transfer row {row!r} does not have 9 fields")
+                src, dst, src_type, dst_type, contract, symbol, category, amount, block = row
+                if not (type(src) is type(dst) is type(src_type) is type(dst_type) is type(contract)
+                        is type(symbol) is type(category) is str):
+                    raise TypeError(
+                        f"transfer row {row!r} has a non-string in its first seven fields")
+                if not (type(amount) is float or type(amount) is int and abs(amount) <= _FLOAT_MAX):
+                    raise TypeError(f"transfer row {row!r} needs an amount that a float holds")
+                if type(block) is not int:
+                    raise TypeError(f"transfer row {row!r} needs an integer block")
+                if src == dst:
+                    raise ValueError(f"transfer row {row!r} is a self-transfer")
+                codes += (text[src], text[dst], kinds[src_type], kinds[dst_type], text[contract],
+                          text[symbol], categories[category])
+                amounts.append(amount)
+                blocks.append(block)
+        except (ValueError, KeyError, TypeError) as exc:
+            raise InputError(f"bad store line {path}:{lineno}: {type(exc).__name__}: {exc}") from exc
+        hashes.append(tx)
+        group_of.append(-1 if group is None else groups[group])
+        offsets.append(len(amounts))
+    src, dst, src_kind, dst_kind, contract, symbol, category = np.array(
+        codes, dtype=np.int32).reshape(-1, 7).T.copy()
+    return TransferBatch(
+        strings=list(text), src=src, dst=dst, contract=contract, symbol=symbol,
+        src_kind=src_kind.astype(_small_codes(len(kinds))),
+        dst_kind=dst_kind.astype(_small_codes(len(kinds))),
+        category=category.astype(_small_codes(len(categories))),
+        amount=np.array(amounts, dtype=np.float64), block=_block_column(blocks),
+        tx_hashes=Strings.pack(hashes), ego=np.array(egos, dtype=np.int32),
+        group=np.array(group_of, dtype=_small_codes(len(groups))),
+        offsets=np.array(offsets, dtype=np.int64),
+        kinds=tuple(kinds), categories=tuple(categories), groups=tuple(groups))
+
+
+def store_slices(path) -> Iterator[tuple]:
+    """(path, number of the first line, lines) of each CHUNK_LINES slice of
+    the store file at `path`, which decode_lines decodes."""
+    with _open(path, "store") as fh:
+        first = 1
+        while chunk := list(islice(fh, CHUNK_LINES)):
+            yield path, first, chunk
+            first += len(chunk)
+
+
+def read_store(store_dir) -> Iterator[TransferBatch]:
+    """Every stored transaction, in store order: a batch per CHUNK_LINES
+    slice of the store."""
+    for chunk in store_slices(store_path(store_dir)):
+        yield decode_lines(*chunk)
 
 
 def read_labels(path) -> dict[tuple[str, str], str]:

@@ -20,8 +20,8 @@ from collections import Counter
 
 import numpy as np
 
-from motifscope import ingest
-from motifscope.etn import EgoTransferNetwork
+from motifscope import ingest, motif, storage
+from motifscope.etn import EgoTransferNetwork, build_etn
 from motifscope.motif import IN, OUT, RECIP
 
 SAMPLE_CATEGORIES = ("Cryptocurrency", "Stablecoin", "Synthetic", "Marketplace", "Unlabeled")
@@ -494,10 +494,72 @@ def brute_force_match(features: dict, signatures) -> tuple[list, list]:
 # columns, and a dataset by one dict lookup per feature
 # ---------------------------------------------------------------------------
 
+def batch_of(transactions) -> "ingest.TransferBatch":
+    """The batch of (tx_hash, ego, method group or None, rows) tuples with
+    9-field store rows: their store lines, read by storage.decode_lines."""
+    lines = [storage.dumps({"tx": tx_hash, "ego": ego, "mg": group, "tr": rows}) + "\n"
+             for tx_hash, ego, group, rows in transactions]
+    return storage.decode_lines("<transactions>", 1, lines)
+
+
+def reference_etn(tx) -> EgoTransferNetwork:
+    """The ETN of one (tx_hash, ego, method group or None, rows) tuple, built
+    row by row from the tuple's strings: a counterpart keeps its first type."""
+    _, ego, _, rows = tx
+    network = EgoTransferNetwork(ego=ego, node_types={ego: "E"}, edges=[])
+    for src, dst, src_type, dst_type, _, _, category, _, _ in rows:
+        if ego not in (src, dst):
+            network.rejected.append((src, dst))
+            continue
+        network.node_types.setdefault(src, src_type)
+        network.node_types.setdefault(dst, dst_type)
+        network.edges.append((src, dst, category))
+    return network
+
+
+def reference_stats(transactions) -> dict:
+    """The `stats` report of (tx_hash, ego, method group or None, rows)
+    tuples, tallied one tuple at a time."""
+    per_account: dict[str, dict] = {}
+    histogram: Counter = Counter()
+    for _, ego, group, rows in transactions:
+        histogram[len(rows)] += 1
+        acc = per_account.setdefault(ego, {"transactions": 0, "tokens": set(), "unlabeled": 0})
+        acc["transactions"] += 1
+        acc["unlabeled"] += group in (None, "Unknown")
+        acc["tokens"].update(row[4] or row[5] for row in rows)
+    total = len(transactions)
+    return {
+        "transactions": total,
+        "accounts": {ego: {"transactions": acc["transactions"], "tokens": len(acc["tokens"]),
+                           "fraction_unlabeled": round(acc["unlabeled"] / acc["transactions"], 6)}
+                     for ego, acc in sorted(per_account.items())},
+        "transfers_per_transaction": {str(k): v for k, v in sorted(histogram.items())},
+        "single_transfer_fraction": round(histogram[1] / total, 6) if total else 0.0,
+    }
+
+
+def etn_of(tx) -> EgoTransferNetwork:
+    """The ETN of one (tx_hash, ego, method group or None, rows) tuple."""
+    return build_etn(batch_of([tx]), 0)
+
+
+def transaction_features(tx, catalog, mode, max_nodes=motif.DEFAULT_MAX_NODES):
+    """(feature map, rows touching no ego) of one transaction tuple: the map
+    of the shape that motif.batch_shapes finds in its batch."""
+    shape, rejected = next(motif.batch_shapes(batch_of([tx]), mode, max_nodes))
+    return motif.shape_features(catalog, shape), rejected
+
+
+def stored_transactions(store_dir) -> list[tuple]:
+    """transactions_of each batch that storage.read_store reads from a store."""
+    return [tx for batch in storage.read_store(store_dir) for tx in transactions_of(batch)]
+
+
 def transactions_of(batch) -> list[tuple]:
     """The (tx_hash, ego, method group or None, rows) tuples of a
     TransferBatch, each row the store's 9-field list, looked up column by
-    column: what storage.iter_store decodes from the batch's store."""
+    column: the tuples that batch_of makes the batch of again."""
     strings, kinds, categories = batch.strings, batch.kinds, batch.categories
     columns = (batch.src, batch.dst, batch.src_kind, batch.dst_kind, batch.contract,
                batch.symbol, batch.category, batch.amount, batch.block)
@@ -603,7 +665,7 @@ def _reference_load_transfers(path, registry, accounts):
             if math.isinf(amount):
                 rejects.append((lineno, "bad_amount"))
                 continue
-            if not re.fullmatch(r"[0-9]+", block_s):
+            if not re.fullmatch(r"[0-9]+", block_s) or len(block_s) > 4300:  # int()'s limit
                 rejects.append((lineno, "bad_block"))
                 continue
             block = int(block_s)

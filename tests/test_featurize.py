@@ -9,10 +9,9 @@ import numpy as np
 import pytest
 
 from motifscope import cli, featurize, motif, storage
-from motifscope.ingest import TransferBatch
 from motifscope.signatures import LeafSignature
 
-from oracles import feature_table, random_tx
+from oracles import batch_of, feature_table, random_tx, transaction_features
 from test_motif import oracle_features
 from test_table import assert_same_table
 
@@ -52,7 +51,7 @@ def random_transactions(rng, n):
 def plain_lines(txs, catalog, mode, max_nodes=MAX_NODES):
     """(lines, feature maps, oversize, rejected) by transaction_features and
     storage.dumps, one row at a time."""
-    results = [motif.transaction_features(tx, catalog, mode, max_nodes) for tx in txs]
+    results = [transaction_features(tx, catalog, mode, max_nodes) for tx in txs]
     lines = [storage.dumps({"tx_hash": tx[0], "ego": tx[1], "mode": mode, "features": feats})
              for tx, (feats, _) in zip(txs, results)]
     maps = [feats for feats, _ in results]
@@ -64,7 +63,7 @@ def featurized(catalog, mode, max_nodes, txs):
     """featurize._featurize of the batch of `txs`, with the maps of its
     shapes and its tx hashes and egos as lists of strings."""
     *counts, shapes, map_of, hashes, ego_names, ego_ids = featurize._featurize(
-        mode, max_nodes, TransferBatch.from_transactions(txs))
+        mode, max_nodes, batch_of(txs))
     return (*counts, [motif.shape_features(catalog, shape) for shape in shapes], map_of,
             hashes.tolist(), [ego_names[i] for i in ego_ids.tolist()])
 
@@ -131,10 +130,10 @@ def test_one_pass_counts_each_shape_of_the_input_once(rng, tmp_path, monkeypatch
     each one pass: a shape recurring across CHUNK_LINES slices is counted once."""
     catalog = motif.enumerate_catalog()
     txs = random_transactions(rng, 300)
-    batch = TransferBatch.from_transactions(txs)
+    batch = batch_of(txs)
     storage.write_store(tmp_path / "store", batch)
     distinct = {shape for shape, _ in motif.batch_shapes(batch, "MxE")}
-    monkeypatch.setattr(featurize, "CHUNK_LINES", 32)
+    monkeypatch.setattr(storage, "CHUNK_LINES", 32)
     shapes = counting_shapes(monkeypatch)
     for source, threads in ((batch, 1), (tmp_path / "store", 1), (tmp_path / "store", 2)):
         shapes.clear()
@@ -149,8 +148,9 @@ def test_store_chunk_equals_a_pass_over_the_list(rng, tmp_path):
     catalog = motif.enumerate_catalog()
     txs = random_transactions(rng, 60)
     result = featurized(catalog, "M+E", MAX_NODES, txs)
-    storage.write_store(tmp_path / "store", TransferBatch.from_transactions(txs))
-    chunk = next(featurize._store_chunks(storage.store_path(tmp_path / "store"), len(txs)))
+    storage.write_store(tmp_path / "store", batch_of(txs))
+    chunk = next(storage.store_slices(storage.store_path(tmp_path / "store")))
+    assert len(chunk[2]) == len(txs)
     *counts, shapes, map_of, hashes, ego_names, ego_ids = featurize._featurize_lines(
         "M+E", MAX_NODES, chunk)
     maps = [motif.shape_features(catalog, shape) for shape in shapes]
@@ -166,8 +166,8 @@ def test_shapes_recurring_across_chunks(rng, tmp_path, monkeypatch, threads):
     catalog = motif.enumerate_catalog()
     txs = random_transactions(rng, 300)
     lines, maps, _, _ = plain_lines(txs, catalog, "MxE", motif.DEFAULT_MAX_NODES)
-    storage.write_store(tmp_path / "store", TransferBatch.from_transactions(txs))
-    monkeypatch.setattr(featurize, "CHUNK_LINES", 32)
+    storage.write_store(tmp_path / "store", batch_of(txs))
+    monkeypatch.setattr(storage, "CHUNK_LINES", 32)
     out = tmp_path / "features.jsonl"
     stats = featurize.featurize_store(tmp_path / "store", "MxE", out, threads=threads, catalog=catalog)
     assert out.read_text(encoding="utf-8") == "".join(line + "\n" for line in lines)
@@ -183,12 +183,12 @@ def test_encoder_fallback_writes_the_same_bytes(rng, tmp_path, monkeypatch, pure
     the same bytes without storage's cached C encoder, and with no C
     accelerator at all; the names need \\u and backslash escapes."""
     txs = random_transactions(rng, 200)
-    storage.write_store(tmp_path / "store", TransferBatch.from_transactions(txs))
+    storage.write_store(tmp_path / "store", batch_of(txs))
 
     def write_all(tag):
         paths = [tmp_path / f"{tag}.{name}.jsonl" for name in ("store", "memory", "matches")]
         stats = featurize.featurize_store(tmp_path / "store", "M+E", paths[0])
-        featurize.featurize_store(TransferBatch.from_transactions(txs), "M+E", paths[1])
+        featurize.featurize_store(batch_of(txs), "M+E", paths[1])
         key, other = list(stats.table.distinct_rows()[0])[:2]
         signatures = [LeafSignature(1, 'Sw"ép', 1.0, 5, [key], {key: 1.0}, 1.0),
                       LeafSignature(4, "Mint", 1.0, 5, [key, other], {key: 1.0, other: 1.0}, 1.0)]

@@ -14,7 +14,7 @@ import pytest
 from motifscope import ingest, storage
 from motifscope.cli import PACKAGED_METHOD_GROUPS, ingest_to_store, main
 
-from oracles import reference_ingest, transactions_of
+from oracles import batch_of, reference_ingest, stored_transactions, transactions_of
 
 HEADER = "tx_hash,ego,from,to,token_contract,token_symbol,amount,block_number"
 
@@ -78,6 +78,7 @@ def test_reject_reasons(tmp_path, registry, accounts):
         "tx16,0xe,0xa,0xe,0xtok1,USDC,1.0,\u0663",  # bad_block (a non-ASCII digit)
         "tx17,0xe,0xa,0xe,0xtok1,USDC,1.0,+7",  # bad_block (a sign)
         "tx18,0xe,0xa,0xe,0xtok1,USDC,1.0, 7",  # bad_block (padding)
+        "tx19,0xe,0xa,0xe,0xtok1,USDC,1.0," + "9" * 5000,  # bad_block (int() refuses it)
     ]
     batch, report = ingest.read_transfers(write_transfers(tmp_path / "t.csv", rows),
                                           registry, accounts)
@@ -90,7 +91,7 @@ def test_reject_reasons(tmp_path, registry, accounts):
         "self_transfer": 1,
         "bad_amount": 7,
         "negative_amount": 2,
-        "bad_block": 6,
+        "bad_block": 7,
     }
     # reasons in the order they first appear
     assert list(report["rejected"])[:2] == ["malformed_row", "missing_tx_hash"]
@@ -420,7 +421,7 @@ def test_streamed_store_matches_reference(small_corpus, tmp_path, corpus):
         assert report["transactions"] == 7 and report["transactions_spam_filtered"] == 1
         assert labels[("t7,x", "0xe1")] == "Swap"
         types = {(tx_hash, ego): [(row[2], row[3]) for row in rows]
-                 for tx_hash, ego, _, rows in storage.iter_store(tmp_path / "streamed")}
+                 for tx_hash, ego, _, rows in stored_transactions(tmp_path / "streamed")}
         assert types[("t3", "0xe1")] == [("A", "E")]
         assert types[("t3", "0xe2")] == [("A", "E")]
 
@@ -558,7 +559,7 @@ def test_labels_csv_reads_back_as_written(tmp_path):
               '"', ",", "ünï", "x" * 70, '""', "\r", "tab\there", "back\\slash", "'single'",
               "\u2028\x85\x0c", '"lead', "trail,", "€😀"]
     rows = [(tx, ego, group) for tx in fields for ego in fields[:4] for group in fields[::3]]
-    storage.write_store(tmp_path, ingest.TransferBatch.from_transactions(
+    storage.write_store(tmp_path, batch_of(
         [(tx, ego, group, []) for tx, ego, group in rows] + [("tx-unlabelled", "0xe", None, [])]))
     expected = io.StringIO(newline="")
     csv.writer(expected).writerows([("tx_hash", "ego", "method_group"), *rows])
@@ -581,9 +582,9 @@ def test_store_lines_are_dumps_of_their_objects(tmp_path, monkeypatch):
     assert expected.isascii()
     for c_encode in (storage._C_ENCODE, None):
         monkeypatch.setattr(storage, "_C_ENCODE", c_encode)
-        storage.write_store(tmp_path, ingest.TransferBatch.from_transactions(transactions))
+        storage.write_store(tmp_path, batch_of(transactions))
         assert (tmp_path / storage.STORE_FILE).read_bytes() == expected
-    assert list(storage.iter_store(tmp_path)) == [
+    assert stored_transactions(tmp_path) == [
         (tx, ego, group, [list(row) for row in tr]) for tx, ego, group, tr in transactions]
 
 
@@ -705,6 +706,8 @@ _EXTRA_TRANSFERS = [
     "multi,{e3},{e3},{b},{c},{s},3.5,7", "multi,{e1},{b},{e1},{c},{s},4.5,7",
     "multi,{e2},{e2},{b},0xspam,FREE,9,7", "multi,{e3},{a},{e3},{c},{s},5.5,7",
     "huge,{e1},{e1},{a},{c},{s},1.0,99999999999999999999",
+    "longest,{e2},{e2},{a},{c},{s},1.0," + "9" * ingest.MAX_BLOCK_DIGITS,
+    "bad7,{e1},{a},{e1},{c},{s},1.0," + "9" * (ingest.MAX_BLOCK_DIGITS + 1),  # bad_block
     "bad1,{e1},{a},{e1},{c},{s},1.0",  # malformed_row
     ",{e1},{a},{e1},{c},{s},1.0,7",  # missing_tx_hash
     "bad2,{e1},,{e1},{c},{s},1.0,7",  # missing_account
@@ -739,8 +742,8 @@ def shuffled_corpus(raw, out, seed: int):
 @pytest.mark.parametrize("seed", [3, 4])
 def test_batch_of_shuffled_rows_equals_the_oracles(tmp_path, seed):
     """Rows of a synth corpus shuffled so that groups interleave, with one
-    hash under three egos (spam on one), a block beyond int64 and every
-    reject reason: the store
+    hash under three egos (spam on one), blocks beyond int64, one of the
+    most digits a block may have, and every reject reason: the store
     and report are reference_ingest's, and every transaction's features in
     every mode, from ingest's batch and from the store at threads 1 and 2,
     are the brute-force oracles'."""
@@ -759,9 +762,11 @@ def test_batch_of_shuffled_rows_equals_the_oracles(tmp_path, seed):
     for name in (storage.STORE_FILE, storage.LABELS_FILE, storage.REPORT_FILE):
         assert filecmp.cmp(tmp_path / "store" / name, tmp_path / "reference" / name,
                            shallow=False), name
-    stored = list(storage.iter_store(tmp_path / "store"))
+    stored = stored_transactions(tmp_path / "store")
     assert stored == transactions_of(batch)
     assert [row[8] for tx in stored if tx[0] == "huge" for row in tx[3]] == [10 ** 20 - 1]
+    assert [row[8] for tx in stored if tx[0] == "longest" for row in tx[3]] == [
+        10 ** ingest.MAX_BLOCK_DIGITS - 1]
     # the spam-touched ego's transaction is dropped
     assert sorted(ego for tx, ego, _, _ in stored if tx == "multi") == sorted(
         [names["e1"], names["e3"]])

@@ -7,10 +7,11 @@ from pathlib import Path
 
 import pytest
 
-from motifscope import etn as etn_mod, motif, storage
-from motifscope.ingest import InputError, TransferBatch
+from motifscope import motif, storage
+from motifscope.ingest import InputError
 
 from oracles import (
+    batch_of,
     brute_force_edge_features,
     brute_force_motif_edge_features,
     brute_force_motifs,
@@ -18,7 +19,10 @@ from oracles import (
     catalog_json,
     count_motifs_untyped,
     random_tx,
+    reference_etn,
+    stored_transactions,
     table_rows,
+    transaction_features,
 )
 
 
@@ -35,8 +39,8 @@ def star_tx(n, direction="out", ntype="A"):
 
 
 def features(tx, catalog, mode="M", max_nodes=motif.DEFAULT_MAX_NODES):
-    """motif.transaction_features' feature map, without the rejected-row count."""
-    return motif.transaction_features(tx, catalog, mode, max_nodes)[0]
+    """transaction_features' feature map, without the rejected-row count."""
+    return transaction_features(tx, catalog, mode, max_nodes)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -116,14 +120,14 @@ def test_count_motifs_matches_brute_force_sample(rng):
     catalog = motif.enumerate_catalog()
     for _ in range(200):
         tx = random_tx(rng)
-        assert features(tx, catalog) == brute_force_motifs(etn_mod.build_etn(tx), catalog)
+        assert features(tx, catalog) == brute_force_motifs(reference_etn(tx), catalog)
 
 
 def test_untyped_counts_match_brute_force(rng):
     catalog = motif.enumerate_catalog()
     for _ in range(50):
         tx = random_tx(rng)
-        expected = brute_force_motifs_untyped(etn_mod.build_etn(tx), catalog)
+        expected = brute_force_motifs_untyped(reference_etn(tx), catalog)
         assert count_motifs_untyped(tx, catalog) == expected
 
 
@@ -225,7 +229,7 @@ def test_motif_edge_features_match_brute_force(rng, max_nodes):
     oversized = 0
     for _ in range(500):
         tx = random_tx(rng)
-        expected = brute_force_motif_edge_features(etn_mod.build_etn(tx), catalog, max_nodes)
+        expected = brute_force_motif_edge_features(reference_etn(tx), catalog, max_nodes)
         assert features(tx, catalog, "MxE", max_nodes) == expected
         oversized += motif.OVERSIZE_KEY in expected
     assert oversized > 0 if max_nodes == 4 else oversized == 0
@@ -238,10 +242,10 @@ def test_transaction_features_mode_dispatch(rng):
     e = features(tx, catalog, "E")
     both = features(tx, catalog, "M+E")
     assert both == {**m, **e}
-    network = etn_mod.build_etn(tx)
+    network = reference_etn(tx)
     assert features(tx, catalog, "MxE") == brute_force_motif_edge_features(network, catalog)
     with pytest.raises(ValueError):
-        motif.transaction_features(tx, catalog, "Q")
+        next(motif.batch_shapes(batch_of([tx]), "Q"))
 
 
 def test_transaction_features_counts_rows_off_the_ego():
@@ -249,7 +253,7 @@ def test_transaction_features_counts_rows_off_the_ego():
     tx = ("t", ego, None, [row(ego, "0xa", "E", "A"), row("0xa", "0xb", "A", "A"),
                            row("0xb", "0xc", "A", "C")])
     for mode in motif.MODES:
-        assert motif.transaction_features(tx, motif.enumerate_catalog(), mode)[1] == 2
+        assert transaction_features(tx, motif.enumerate_catalog(), mode)[1] == 2
 
 
 def test_motif_does_not_import_etn():
@@ -291,7 +295,7 @@ def wide_store(store_dir):
              row("0xd1", ego, "C", "E", "Stablecoin"),  # 0xd1 keeps its first type, C
              row(ego, "0xd1", "E", "A", "Cryptocurrency")]
     all_in = [row(f"0xs{i}", ego, "A", "E", categories[i % 3]) for i in range(4)]
-    storage.write_store(store_dir, TransferBatch.from_transactions(
+    storage.write_store(store_dir, batch_of(
         [(h, ego, None, rows) for h, rows in (("0xwide", airdrop), ("0xmix", mixed),
                                               ("0xin", all_in))]))
 
@@ -299,7 +303,7 @@ def wide_store(store_dir):
 def oracle_features(tx, catalog, mode, max_nodes=motif.DEFAULT_MAX_NODES):
     """A stored transaction's features from the brute-force oracles over its
     ETN: M+E is the union of M and E."""
-    network = etn_mod.build_etn(tx)
+    network = reference_etn(tx)
     if mode == "MxE":
         return brute_force_motif_edge_features(network, catalog, max_nodes)
     feats = brute_force_motifs(network, catalog) if mode != "E" else {}
@@ -311,7 +315,7 @@ def oracle_features(tx, catalog, mode, max_nodes=motif.DEFAULT_MAX_NODES):
 def _reference_features(store_dir, catalog, mode, max_nodes=motif.DEFAULT_MAX_NODES):
     """Each stored transaction's oracle_features, by (tx_hash, ego)."""
     return {(tx[0], tx[1]): oracle_features(tx, catalog, mode, max_nodes)
-            for tx in storage.iter_store(store_dir)}
+            for tx in stored_transactions(store_dir)}
 
 
 @pytest.mark.parametrize("mode", ["M", "E", "M+E", "MxE"])

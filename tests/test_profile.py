@@ -1,5 +1,8 @@
 """Account profiles, silhouette vs brute force, hierarchical clustering."""
 
+import math
+import warnings
+
 import numpy as np
 import pytest
 
@@ -210,6 +213,23 @@ def test_hcluster_two_profiles_single_cut():
     assert result.silhouettes == {}
     assert sorted(canonical_labels(result.chosen_labels()).tolist()) == [0, 1]
     assert result.notes
+
+
+@pytest.mark.parametrize("z", [[[0.0, 1.0], [1.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]])
+def test_two_by_two_profiles_are_not_taken_for_distances(z):
+    """Two accounts over two leaves whose matrix is symmetric, non-negative
+    and hollow: linkage gets their condensed distances, so scipy raises no
+    ClusterWarning, in hcluster or in the plot data's column linkage."""
+    with pytest.warns(UserWarning) as record:
+        result = hcluster(np.array(z))
+    assert [str(w.message) for w in record] == result.notes
+    assert result.linkage_matrix.tolist() == [[0.0, 1.0, math.dist(*z), 2.0]]
+    profiles = Profiles(accounts=["a", "b"], leaf_ids=[1, 2], raw=np.ones((2, 2), np.int64))
+    assert profiles.zscored.tolist() == [[0.0, 0.0], [0.0, 0.0]]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        data = emit_clustermap_data(result, profiles)
+    assert data["col_order"] == [1, 2]
 
 
 def test_hcluster_identical_profiles():

@@ -10,7 +10,7 @@ import pytest
 from motifscope import ingest, storage, synth
 from motifscope.cli import PACKAGED_METHOD_GROUPS
 
-from oracles import table_rows, transactions_of
+from oracles import stored_transactions, table_rows, transactions_of
 
 SLOT_TYPES = {"ego": "E", "null": "N", "address": "A", "contract": "C"}
 
@@ -175,7 +175,7 @@ def test_noise_fraction_plausible(small_corpus):
     base_edges = {a.name: len(a.edges) for a in cfg.archetypes}
     labels = storage.read_labels(small_corpus["labels"])
     noisy = 0
-    for tx_hash, ego, _, rows in storage.iter_store(small_corpus["store"]):
+    for tx_hash, ego, _, rows in stored_transactions(small_corpus["store"]):
         extra = len(rows) - base_edges[labels[(tx_hash, ego)]]
         assert extra in (0, 1)
         noisy += extra

@@ -38,8 +38,8 @@ def test_featurize_table_equals_table_read_back(small_corpus, tmp_path, monkeypa
                              (tmp_path / "wide", 4)):
         tables, texts = [], []
         # several chunks to concatenate, and one
-        for chunk_lines in (300, featurize.CHUNK_LINES):
-            monkeypatch.setattr(featurize, "CHUNK_LINES", chunk_lines)
+        for chunk_lines in (300, storage.CHUNK_LINES):
+            monkeypatch.setattr(storage, "CHUNK_LINES", chunk_lines)
             for threads in (1, 2):
                 out = tmp_path / f"features{threads}.jsonl"
                 stats = featurize.featurize_store(store, mode, out, threads=threads,
@@ -74,7 +74,7 @@ def test_featurize_from_ingest_memory_equals_store(small_corpus, tmp_path, monke
     def refuse(*args):
         raise AssertionError("a store line was decoded")
 
-    monkeypatch.setattr(storage, "line_to_tx", refuse)
+    monkeypatch.setattr(storage, "decode_lines", refuse)
     monkeypatch.setattr(featurize.mp, "get_context", refuse)
     in_memory = featurize.featurize_store(batch, "MxE", tmp_path / "memory.jsonl",
                                           threads=threads)
@@ -91,7 +91,7 @@ def test_featurize_subcommand_writes_and_prints_what_featurize_store_does(
         small_corpus, tmp_path, monkeypatch, capsys, threads):
     """The featurize subcommand writes the bytes of featurize_store and prints
     its counts, the table's distinct rows among them."""
-    monkeypatch.setattr(featurize, "CHUNK_LINES", 300)
+    monkeypatch.setattr(storage, "CHUNK_LINES", 300)
     stats = featurize.featurize_store(small_corpus["store"], "MxE", tmp_path / "table.jsonl",
                                       threads=threads)
     assert stats.table.n_rows == stats.transactions == 2000
@@ -208,7 +208,7 @@ _BLOCKS = ["1", "0", "-3", "x", "99999999999999999999", "", "12"]
 
 def test_ingest_transactions_survive_the_store_codec(tmp_path):
     """What lets the pipeline skip the store decode: every transaction of
-    ingest's batch comes back unchanged from storage.dumps -> line_to_tx,
+    ingest's batch comes back unchanged from storage.dumps -> decode_lines,
     random rejected rows, blocks beyond int64 and awkward strings included,
     and write_store writes those dumps lines."""
     rng = random.Random(20)
@@ -234,12 +234,12 @@ def test_ingest_transactions_survive_the_store_codec(tmp_path):
                                               lambda _: {"t1": "Swap", "t,4": "Unknown"})
         rejected += sum(report["rejected"].values())
         huge += any(row[8] >= 1 << 63 for tx in transactions_of(batch) for row in tx[3])
-        lines = []
-        for tx in transactions_of(batch):
-            lines.append(storage.dumps({"tx": tx[0], "ego": tx[1], "mg": tx[2], "tr": tx[3]}))
-            back = storage.line_to_tx(lines[-1], path, 1)
-            assert repr(back) == repr((tx[0], tx[1], tx[2], [list(r) for r in tx[3]]))
-            compared += 1
+        transactions = transactions_of(batch)
+        lines = [storage.dumps({"tx": tx[0], "ego": tx[1], "mg": tx[2], "tr": tx[3]})
+                 for tx in transactions]
+        back = transactions_of(storage.decode_lines(path, 1, [line + "\n" for line in lines]))
+        assert repr(back) == repr(transactions)
+        compared += len(back)
         storage.write_store(tmp_path / "store", batch)
         assert (tmp_path / "store" / storage.STORE_FILE).read_text(encoding="utf-8") == "".join(
             line + "\n" for line in lines)
